@@ -429,6 +429,12 @@ def cmd_ed_compare(args) -> int:
             f"engine comparison supports 2 <= n <= {ED_COMPARE_MAX_N}, got {bad}",
             EXIT_USAGE,
         )
+    if not 1 <= args.grid_points <= entangle.MAX_GRID_POINTS:
+        raise SystemExit2(
+            f"--grid-points must lie in [1, {entangle.MAX_GRID_POINTS}], "
+            f"got {args.grid_points}",
+            EXIT_USAGE,
+        )
     rows = []
     worst = 0.0
     for n in sorted(set(sizes)):

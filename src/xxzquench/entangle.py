@@ -24,6 +24,8 @@ Engine = Literal["freefermion", "exactdiag"]
 DEFAULT_GRID_STEP_CAP = 0.02
 GRID_POINTS_FLOOR = 2000
 REFINE_RESOLUTION = 1e-6
+# About 13x the largest default grid (scan-n at n=241: 7,670 points).
+MAX_GRID_POINTS = 100_000
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -145,6 +147,20 @@ def default_grid_step(spec: model.ChainSpec, horizon: float) -> float:
 
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
+    """Uniform grid 0, step, ... up to horizon, refused before allocation
+    when a bound is not finite or the grid exceeds MAX_GRID_POINTS."""
+    if not (math.isfinite(horizon) and math.isfinite(step)):
+        raise ValueError(
+            f"time horizon and grid step must be finite, got {horizon}, {step}"
+        )
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    points = (horizon + 0.5 * step) / step
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"time grid of {points:.3g} points (horizon {horizon}, step {step}) "
+            f"exceeds the cap of {MAX_GRID_POINTS}"
+        )
     return np.arange(0.0, horizon + 0.5 * step, step)
 
 
@@ -175,8 +191,8 @@ def find_tmax(
     step = grid_step if grid_step is not None else default_grid_step(spec, horizon)
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and grid step must be positive")
-    evaluator = CurveEvaluator(spec, engine)
     ts = time_grid(horizon, step)
+    evaluator = CurveEvaluator(spec, engine)
     curve = evaluator.fef_series(ts)
     baseline = curve[0] if require_above_baseline else -np.inf
     i = first_peak_index(curve, baseline)

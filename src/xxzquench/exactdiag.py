@@ -30,6 +30,15 @@ GROUND_DEGENERACY_RTOL = 1e-10
 GROUND_DEGENERACY_ATOL = 1e-12
 X_STRUCTURE_TOL = 1e-10
 RDM_TOL = 1e-9
+NORM_DRIFT_TOL = 1e-10
+# Byte budget of the largest work array in a chunk of a batched series;
+# peak memory then stays flat in the grid length.
+CHUNK_BYTES = 1 << 20
+
+# Entries of a 4x4 pair matrix outside the X pattern (diagonal, 1-2, 2-1).
+_OFF_X = np.ones((4, 4), dtype=bool)
+_OFF_X[np.diag_indices(4)] = False
+_OFF_X[1, 2] = _OFF_X[2, 1] = False
 
 
 @dataclass(eq=False)
@@ -206,12 +215,13 @@ class _SectorEvolver:
         coeff = modes.T @ comp.amplitudes
         psi = modes @ (np.exp(-1j * energies * t) * coeff)
         norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > NORM_DRIFT_TOL:
             raise NumericalFaultError(f"norm drift {norm - 1.0} during evolution")
         return PureComponent(weight=comp.weight, m_up=comp.m_up, amplitudes=psi)
 
 
-@lru_cache(maxsize=64)
+# Each entry holds dense eigenbases (about 47 MB at n=13), so keep few.
+@lru_cache(maxsize=4)
 def _evolver(realization: CouplingRealization, delta2: float) -> _SectorEvolver:
     return _SectorEvolver(realization, delta2)
 
@@ -276,30 +286,51 @@ def two_site_matrix(state: MixedState, site_i: int, site_j: int) -> np.ndarray:
     return rho
 
 
-def _validate_rdm(rho: np.ndarray) -> None:
-    if np.max(np.abs(rho - rho.conj().T)) > RDM_TOL:
-        raise NumericalFaultError("reduced density matrix not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > RDM_TOL:
-        raise NumericalFaultError(f"reduced density matrix trace {np.trace(rho)}")
-    if np.min(np.linalg.eigvalsh(rho)) < -RDM_TOL:
-        raise NumericalFaultError("reduced density matrix has a negative eigenvalue")
-
-
-def _project_x_state(rho: np.ndarray, t: float) -> EndSpinState:
-    off = rho.copy()
-    for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)):
-        off[i, j] = 0.0
-    if np.max(np.abs(off)) > X_STRUCTURE_TOL:
+def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None:
+    """Raise at the first point whose deviation exceeds tol (NaN included)."""
+    bad = ~(deviation <= tol)
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise NumericalFaultError(
-            f"reduced state deviates from X structure by {np.max(np.abs(off))}"
+            f"{what} {deviation[k]:.3e} beyond {tol:g} at t={float(ts[k])!r}"
         )
-    if abs(rho[1, 2].imag) > X_STRUCTURE_TOL:
-        raise NumericalFaultError(f"coherence imaginary part {rho[1, 2].imag}")
-    if abs(rho[0, 0] - rho[3, 3]) > RDM_TOL or abs(rho[1, 1] - rho[2, 2]) > RDM_TOL:
-        raise NumericalFaultError("X-state diagonal pairs not symmetric")
-    a = 0.5 * float(rho[0, 0].real + rho[3, 3].real)
-    b = 0.5 * float(rho[1, 1].real + rho[2, 2].real)
-    return EndSpinState(a=a, b=b, c=float(rho[1, 2].real), t=t)
+
+
+def _x_state_series(
+    rho: np.ndarray, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, c) of a stack of 4x4 pair states, shape (T, 4, 4).
+
+    Each matrix must be a density matrix (Hermitian, unit trace, positive)
+    of X form with a real coherence and flip-symmetric diagonal pairs, all
+    up to round-off; the first violation beyond tolerance raises.
+    """
+    _check(
+        np.max(np.abs(rho - rho.conj().swapaxes(1, 2)), axis=(1, 2)),
+        RDM_TOL, "reduced density matrix not Hermitian by", ts,
+    )
+    _check(
+        np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0),
+        RDM_TOL, "reduced density matrix trace error", ts,
+    )
+    _check(
+        -np.linalg.eigvalsh(rho)[:, 0],
+        RDM_TOL, "reduced density matrix negative eigenvalue", ts,
+    )
+    _check(
+        np.max(np.abs(rho[:, _OFF_X]), axis=1),
+        X_STRUCTURE_TOL, "reduced state deviates from X structure by", ts,
+    )
+    _check(np.abs(rho[:, 1, 2].imag), X_STRUCTURE_TOL, "coherence imaginary part", ts)
+    outer_pair = np.abs(rho[:, 0, 0] - rho[:, 3, 3])
+    inner_pair = np.abs(rho[:, 1, 1] - rho[:, 2, 2])
+    _check(
+        np.maximum(outer_pair, inner_pair),
+        RDM_TOL, "X-state diagonal pairs differ by", ts,
+    )
+    a = 0.5 * (rho[:, 0, 0].real + rho[:, 3, 3].real)
+    b = 0.5 * (rho[:, 1, 1].real + rho[:, 2, 2].real)
+    return a, b, rho[:, 1, 2].real
 
 
 def two_spin_rdm(
@@ -312,16 +343,18 @@ def two_spin_rdm(
     X states up to round-off.  Violations beyond tolerance raise.
     """
     rho = two_site_matrix(state, site_i, site_j)
-    _validate_rdm(rho)
-    return _project_x_state(rho, t)
+    a, b, c = _x_state_series(rho[None], np.array([t]))
+    return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=t)
 
 
 class QuenchEvolution:
     """Prepared quench run: ground mixture of H(delta1) evolved under H(delta2).
 
     Sector eigenbases and initial-state coefficients are computed once in
-    the constructor; each time point afterwards costs one phase twist and
-    one matrix-vector product per component.
+    the constructor.  Time points are then evaluated ``chunk_points`` at a
+    time: per component, two real matrix products give the real and
+    imaginary parts of psi(t) over the chunk, and one batched product
+    gives the stack of end-pair matrices.
     """
 
     def __init__(
@@ -338,20 +371,31 @@ class QuenchEvolution:
             coeff = modes.T @ comp.amplitudes
             gid, loc, n_groups = _pair_scatter(self.n, comp.m_up, 1, self.n)
             self._prepped.append((comp.weight, energies, modes, coeff, gid, loc, n_groups))
+        # the largest work array of a chunk holds n_groups x 4 complex pair
+        # amplitudes per time point
+        n_groups_max = max(n_groups for *_, n_groups in self._prepped)
+        self.chunk_points = max(1, CHUNK_BYTES // (4 * 16 * n_groups_max))
 
-    def end_spin_rho(self, t: float) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
+    def _end_spin_rho(self, ts: np.ndarray) -> np.ndarray:
+        """Stack of end-pair matrices over one chunk, shape (T, 4, 4)."""
+        rho = np.zeros((len(ts), 4, 4), dtype=complex)
         for weight, energies, modes, coeff, gid, loc, n_groups in self._prepped:
-            psi = modes @ (np.exp(-1j * energies * t) * coeff)
-            z = np.zeros((n_groups, 4), dtype=complex)
-            z[gid, loc] = psi
-            rho += weight * (z.T @ z.conj())
+            phase = np.outer(energies, ts)
+            re = modes @ (np.cos(phase) * coeff[:, None])
+            im = modes @ (np.sin(phase) * coeff[:, None])
+            # psi = re - i im, stored as z[t, group, local pair state]
+            z = np.zeros((len(ts), n_groups, 4), dtype=complex)
+            z.real[:, gid, loc] = re.T
+            z.imag[:, gid, loc] = -im.T
+            part = z.swapaxes(1, 2) @ z.conj()
+            norm = np.sqrt(np.trace(part, axis1=1, axis2=2).real)
+            _check(np.abs(norm - 1.0), NORM_DRIFT_TOL, "norm drift", ts)
+            rho += weight * part
         return rho
 
     def end_spin_state(self, t: float) -> EndSpinState:
-        rho = self.end_spin_rho(t)
-        _validate_rdm(rho)
-        return _project_x_state(rho, t)
+        a, b, c = self.end_spin_series(np.array([t]))
+        return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=t)
 
     def end_spin_series(
         self, ts: np.ndarray
@@ -360,7 +404,9 @@ class QuenchEvolution:
         a = np.empty(len(ts))
         b = np.empty(len(ts))
         c = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            s = self.end_spin_state(float(t))
-            a[i], b[i], c[i] = s.a, s.b, s.c
+        for lo in range(0, len(ts), self.chunk_points):
+            part = slice(lo, lo + self.chunk_points)
+            a[part], b[part], c[part] = _x_state_series(
+                self._end_spin_rho(ts[part]), ts[part]
+            )
         return a, b, c

@@ -47,17 +47,27 @@ class ChainSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"chain length must be an integer >= 2, got {self.n!r}")
-        if not self.j > 0:
-            raise ValueError(f"coupling j must be positive, got {self.j}")
-        if self.delta2 < 0:
-            raise ValueError(f"post-quench anisotropy must be >= 0, got {self.delta2}")
+        if not (math.isfinite(self.j) and self.j > 0):
+            raise ValueError(f"coupling j must be finite and positive, got {self.j}")
+        if not math.isfinite(self.delta2) or self.delta2 < 0:
+            raise ValueError(
+                f"post-quench anisotropy delta2 must be finite and >= 0, "
+                f"got {self.delta2}"
+            )
+        if math.isnan(self.delta1):
+            raise ValueError(
+                f"pre-quench anisotropy delta1 must be a number or inf, "
+                f"got {self.delta1}"
+            )
         if not self.delta1 > self.delta2:
             raise ValueError(
                 f"a quench crosses downward: need delta1 > delta2, "
                 f"got {self.delta1} -> {self.delta2}"
             )
-        if self.disorder_sigma < 0:
-            raise ValueError(f"disorder_sigma must be >= 0, got {self.disorder_sigma}")
+        if not (math.isfinite(self.disorder_sigma) and self.disorder_sigma >= 0):
+            raise ValueError(
+                f"disorder_sigma must be finite and >= 0, got {self.disorder_sigma}"
+            )
         if not isinstance(self.seed, int) or not 0 <= self.seed <= _SEED_MASK:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from xxzquench import cli, entangle, model
 
@@ -200,6 +201,12 @@ def test_ed_compare_rejects_large_chains(tmp_path):
     assert run("ed-compare", "--n", "15", "--out", str(tmp_path / "e.csv")) == 1
 
 
+def test_ed_compare_rejects_unbounded_grid(tmp_path):
+    for points in ("0", str(entangle.MAX_GRID_POINTS + 1)):
+        assert run("ed-compare", "--n", "3", "--grid-points", points,
+                   "--out", str(tmp_path / "e.csv")) == 1
+
+
 def test_purify_from_value(tmp_path):
     out = tmp_path / "p.json"
     assert run("purify", "--fef", "0.544", "--out", str(out)) == 0
@@ -241,3 +248,19 @@ def test_usage_errors_exit_one(tmp_path):
     assert run("quench", "--out", str(tmp_path / "q.csv")) == 1  # missing --n
     assert run("quench", "--n", "7", "--delta1", "0", "--out",
                str(tmp_path / "q.csv")) == 1  # upward quench rejected
+
+
+@pytest.mark.parametrize("flags, names", [
+    (("--sigma", "nan"), "disorder_sigma"),
+    (("--j", "inf"), "coupling j"),
+    (("--delta2", "nan"), "delta2"),
+    (("--grid-step", "1e-12"), "exceeds the cap"),
+    (("--t-max-horizon", "inf"), "must be finite"),
+])
+def test_quench_rejects_non_finite_and_unbounded_input(tmp_path, capsys, flags, names):
+    out = tmp_path / "q.csv"
+    assert run("quench", "--n", "5", *flags, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert names in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()

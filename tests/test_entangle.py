@@ -140,3 +140,17 @@ def test_golden_section_finds_quadratic_peak():
     t, v = entangle.golden_section_max(lambda x: -(x - 1.7) ** 2, 0.0, 3.0, 1e-9)
     assert abs(t - 1.7) < 1e-8
     assert v == pytest.approx(0.0, abs=1e-15)
+
+
+def test_time_grid_is_bounded_before_allocation():
+    assert len(entangle.time_grid(0.0, 0.1)) == 1
+    assert len(entangle.time_grid(1.0, 0.1)) == 11
+    for horizon, step in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan),
+                          (1.0, 0.0), (1.0, -0.1), (3.2, 1e-12)):
+        with pytest.raises(ValueError):
+            entangle.time_grid(horizon, step)
+    # the largest default grid, scan-n at n=241, stays well inside the cap
+    spec = model.ChainSpec(n=241)
+    horizon = entangle.default_horizon(spec)
+    ts = entangle.time_grid(horizon, entangle.default_grid_step(spec, horizon))
+    assert 7000 < len(ts) < entangle.MAX_GRID_POINTS / 10

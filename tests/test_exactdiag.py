@@ -276,3 +276,111 @@ def test_quench_family_ordering():
             "exactdiag", model.ChainSpec(n=n, delta2=1.0)
         ).fef_at_tmax
         assert f_analytic > f_finite_d1 > f_finite_d2 > 0.5
+
+
+def _per_point_oracle(evolution, real, delta2, ts):
+    """(a, b, c) from one step-by-step evolution and partial trace per time."""
+    states = [
+        exactdiag.two_spin_rdm(
+            exactdiag.evolve(evolution.initial, real, delta2, float(t)),
+            1, real.n, t=float(t),
+        )
+        for t in ts
+    ]
+    return tuple(np.array([getattr(s, k) for s in states]) for k in "abc")
+
+
+BATCH_CASES = [
+    # disordered couplings at sigma = 0.8, ideal Neel start
+    *[model.ChainSpec(n=n, disorder_sigma=0.8, seed=10 + n) for n in (3, 5, 7, 9)],
+    # finite delta1, post-quench delta2 in {0, 0.5}
+    model.ChainSpec(n=7, delta1=3.0, delta2=0.0),
+    model.ChainSpec(n=9, delta1=2.5, delta2=0.5, disorder_sigma=0.8, seed=4),
+    model.ChainSpec(n=5, delta2=0.5, disorder_sigma=0.8, seed=6),
+]
+
+
+def test_batch_cases_include_negative_couplings():
+    draws = [c for spec in BATCH_CASES for c in model.realize_couplings(spec).couplings]
+    assert min(draws) < 0
+
+
+@pytest.mark.parametrize(
+    "spec", BATCH_CASES, ids=lambda s: f"n{s.n}-d{s.delta1}-{s.delta2}-s{s.disorder_sigma}"
+)
+def test_batched_series_matches_per_point_oracle(spec):
+    real = model.realize_couplings(spec)
+    evolution = exactdiag.QuenchEvolution(real, spec.delta1, spec.delta2)
+    # several chunks, the last one short, then a length-1 grid
+    evolution.chunk_points = 7
+    for ts in (np.linspace(0.0, 2.0 * spec.n, 38), np.array([1.7])):
+        assert len(ts) == 1 or len(ts) % evolution.chunk_points != 0
+        got = evolution.end_spin_series(ts)
+        want = _per_point_oracle(evolution, real, spec.delta2, ts)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_chunk_length_follows_byte_budget(monkeypatch):
+    real = homogeneous(9)
+    default = exactdiag.QuenchEvolution(real, 3.0, 0.0).chunk_points
+    monkeypatch.setattr(exactdiag, "CHUNK_BYTES", exactdiag.CHUNK_BYTES // 4)
+    assert exactdiag.QuenchEvolution(real, 3.0, 0.0).chunk_points == default // 4
+    monkeypatch.setattr(exactdiag, "CHUNK_BYTES", 1)
+    assert exactdiag.QuenchEvolution(real, 3.0, 0.0).chunk_points == 1
+
+
+FAULT_TS = np.linspace(0.0, 5.0, 20)
+FAULT_INDEX = 10  # inside the second 7-point chunk
+
+
+def _fault(entries):
+    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    for (i, j), value in entries.items():
+        rho[i, j] += value
+    return rho
+
+
+# each fault exceeds its tolerance by half, so a looser check would miss it
+RDM = 1.5 * exactdiag.RDM_TOL
+XS = 1.5 * exactdiag.X_STRUCTURE_TOL
+
+
+@pytest.mark.parametrize("bad_rho, message", [
+    (_fault({(0, 1): RDM}), "not Hermitian"),
+    (_fault({(0, 0): RDM}), "trace error"),
+    (np.diag([0.5 + RDM, -RDM, 0.0, 0.5]).astype(complex), "negative eigenvalue"),
+    (_fault({(0, 1): XS, (1, 0): XS}), "X structure"),
+    (_fault({(1, 2): 1j * XS, (2, 1): -1j * XS}), "imaginary part"),
+    (_fault({(0, 0): RDM / 2, (3, 3): -RDM / 2}), "diagonal pairs"),
+])
+def test_fault_checks_raise_inside_a_chunk(monkeypatch, bad_rho, message):
+    evolution = exactdiag.QuenchEvolution(homogeneous(7), 3.0, 0.5)
+    evolution.chunk_points = 7
+    evolution.end_spin_series(FAULT_TS)  # clean run passes every check
+    clean = exactdiag.QuenchEvolution._end_spin_rho
+    bad_t = float(FAULT_TS[FAULT_INDEX])
+
+    def corrupted(self, ts):
+        rho = clean(self, ts)
+        rho[ts == bad_t] = bad_rho
+        return rho
+
+    monkeypatch.setattr(exactdiag.QuenchEvolution, "_end_spin_rho", corrupted)
+    with pytest.raises(NumericalFaultError, match=message) as info:
+        evolution.end_spin_series(FAULT_TS)
+    assert f"t={bad_t!r}" in str(info.value)
+
+
+def test_norm_drift_raises_inside_a_chunk():
+    evolution = exactdiag.QuenchEvolution(homogeneous(7), 3.0, 0.5)
+    evolution.chunk_points = 7
+    weight, energies, modes, coeff, *scatter = evolution._prepped[1]
+    drift = 1.5 * exactdiag.NORM_DRIFT_TOL
+    evolution._prepped[1] = (weight, energies, modes, coeff * (1 + drift), *scatter)
+    with pytest.raises(NumericalFaultError, match="norm drift"):
+        evolution.end_spin_series(FAULT_TS[FAULT_INDEX:])
+
+
+def test_evolver_cache_is_small():
+    assert exactdiag._evolver.cache_info().maxsize <= 4

@@ -88,6 +88,23 @@ def test_spec_validation():
         model.ChainSpec(n=5, seed=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("j", math.inf), ("j", math.nan),
+    ("disorder_sigma", math.inf), ("disorder_sigma", math.nan),
+    ("delta2", math.inf), ("delta2", math.nan),
+    ("delta1", math.nan),
+])
+def test_spec_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        model.ChainSpec(n=5, **{field: value})
+
+
+def test_spec_accepts_infinite_delta1_only_upward():
+    assert model.ChainSpec(n=5, delta1=math.inf).ideal_neel_start
+    with pytest.raises(ValueError):
+        model.ChainSpec(n=5, delta1=-math.inf)
+
+
 def test_spec_json_round_trip():
     spec = model.ChainSpec(n=9, j=2.0, delta1=3.0, delta2=0.5,
                            disorder_sigma=0.1, seed=42)
