@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NumericalFaultError
-from .freefermion import EndSpinState
+from .freefermion import CHUNK_BYTES, EndSpinState
 from .model import CouplingRealization, NeelOrder, neel_state
 
 MAX_SITES = 15
@@ -31,9 +31,6 @@ GROUND_DEGENERACY_ATOL = 1e-12
 X_STRUCTURE_TOL = 1e-10
 RDM_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-10
-# Byte budget of the largest work array in a chunk of a batched series;
-# peak memory then stays flat in the grid length.
-CHUNK_BYTES = 1 << 20
 
 # Entries of a 4x4 pair matrix outside the X pattern (diagonal, 1-2, 2-1).
 _OFF_X = np.ones((4, 4), dtype=bool)
@@ -159,10 +156,10 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
     """Equal-weight mixture over the degenerate ground multiplet of H(delta1).
 
     The infinite marker short-circuits to the ideal Neel mixture.  For
-    finite delta1 all magnetization sectors are diagonalized, the global
-    minimum located, and every eigenstate within the degeneracy tolerance
-    collected with equal weights.  A multiplet larger than two signals a
-    regime this simulator does not model.
+    finite delta1 every magnetization sector is built once and its spectrum
+    computed, the global minimum located, and every eigenstate within the
+    degeneracy tolerance collected with equal weights.  A multiplet larger
+    than two signals a regime this simulator does not model.
     """
     if math.isinf(delta1):
         return neel_mixture(realization.n)
@@ -171,18 +168,22 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
             f"finite delta1 must exceed 1 (antiferromagnetic Ising side), got {delta1}"
         )
     n = realization.n
-    spectra = {
-        m: np.linalg.eigvalsh(build_sector_hamiltonian(realization, delta1, m).matrix)
-        for m in range(n + 1)
-    }
-    e0 = min(float(e[0]) for e in spectra.values())
-    tol = max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL)
+    spectra: dict[int, np.ndarray] = {}
+    # matrices of the sectors that may still hold the ground state; as the
+    # running minimum e0 falls the tolerance grows by less than e0 falls,
+    # so a sector dropped here can never rejoin the multiplet
+    candidates: dict[int, np.ndarray] = {}
+    for m in range(n + 1):
+        matrix = build_sector_hamiltonian(realization, delta1, m).matrix
+        spectra[m] = np.linalg.eigvalsh(matrix)
+        candidates[m] = matrix
+        e0 = min(float(e[0]) for e in spectra.values())
+        tol = max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL)
+        candidates = {k: h for k, h in candidates.items() if spectra[k][0] - e0 <= tol}
     multiplet: list[tuple[int, np.ndarray]] = []
-    for m, energies in spectra.items():
-        if energies[0] - e0 > tol:
-            continue
-        _, vectors = np.linalg.eigh(build_sector_hamiltonian(realization, delta1, m).matrix)
-        for k in np.nonzero(energies - e0 <= tol)[0]:
+    for m, matrix in candidates.items():
+        _, vectors = np.linalg.eigh(matrix)
+        for k in np.nonzero(spectra[m] - e0 <= tol)[0]:
             multiplet.append((m, np.ascontiguousarray(vectors[:, k])))
     if len(multiplet) > 2:
         raise NumericalFaultError(

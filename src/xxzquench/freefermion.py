@@ -39,6 +39,12 @@ from .model import CouplingRealization, NeelOrder, NeelState, neel_state
 
 POSITIVITY_TOL = 1e-9
 COHERENCE_IMAG_TOL = 1e-10
+# Byte budget of the work arrays of one chunk of a batched time series,
+# shared by both engines; peak memory then stays flat in the grid length.
+CHUNK_BYTES = 1 << 20
+# Real (T, n) arrays alive at the peak of a free-fermion chunk: the four
+# end rows, the four site products and one temporary.
+_CHUNK_ROWS = 9
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,7 @@ class HoppingChain:
             a[k, k + 1] = jk
             a[k + 1, k] = jk
         self.energies, self.modes = np.linalg.eigh(a)
+        self.chunk_points = max(1, CHUNK_BYTES // (_CHUNK_ROWS * 8 * self.n))
 
     def propagator_matrix(self, t: float) -> np.ndarray:
         if t == 0.0:
@@ -121,26 +128,59 @@ class HoppingChain:
         phases = np.exp(-1j * self.energies * t)
         return (self.modes * phases) @ self.modes.T
 
-    def end_rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows 1 and n of f(t) for every time in ``ts``, shape (T, n).
+    def end_rows(self, ts: np.ndarray) -> np.ndarray:
+        """Rows 1 and n of f(t) over ``ts`` as real parts, shape (4, T, n).
 
-        Times equal to zero are short-circuited to exact unit rows so that
-        t = 0 observables are free of eigenbasis round-off.
+        With f = C - i S the stack is [C_1, C_n, S_1, S_n], one real product
+        [cos(E t) u_1; cos(E t) u_n; sin(E t) u_1; sin(E t) u_n] @ U^T, where
+        u_1 and u_n are the end rows of the mode matrix U.  Times equal to
+        zero are short-circuited to exact unit rows so that t = 0
+        observables are free of eigenbasis round-off.
         """
         ts = np.asarray(ts, dtype=float)
-        phases = np.exp(-1j * np.outer(ts, self.energies))
-        first = (phases * self.modes[0]) @ self.modes.T
-        last = (phases * self.modes[-1]) @ self.modes.T
+        u1, un = self.modes[0], self.modes[-1]
+        phase = np.outer(ts, self.energies)
+        w = np.empty((4, len(ts), self.n))
+        np.cos(phase, out=w[0])
+        np.multiply(w[0], un, out=w[1])
+        w[0] *= u1
+        np.sin(phase, out=phase)
+        np.multiply(phase, u1, out=w[2])
+        np.multiply(phase, un, out=w[3])
+        del phase
+        rows = (w.reshape(-1, self.n) @ self.modes.T).reshape(w.shape)
         zero = ts == 0.0
         if np.any(zero):
-            first[zero] = 0.0
-            first[zero, 0] = 1.0
-            last[zero] = 0.0
-            last[zero, -1] = 1.0
-        return first, last
+            rows[:, zero] = 0.0
+            rows[0, zero, 0] = 1.0
+            rows[1, zero, -1] = 1.0
+        return rows
+
+    def end_moments(self, ts: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+        """End-site moments over ``ts`` for k initial states, shape (4, T, k).
+
+        ``occupied`` is an (n, k) 0/1 matrix whose columns mark each
+        state's initially occupied sites.  The four rows are <c+_1 c_1>,
+        <c+_n c_n> and the real and imaginary parts of <c+_n c_1>, each the
+        Heisenberg-picture sum over occupied p, e.g.
+        <c+_n c_1> = sum_p f_{n,p} conj(f_{1,p}).
+        """
+        c1, cn, s1, sn = self.end_rows(ts)
+        site = np.empty((4, len(ts), self.n))
+        np.multiply(c1, c1, out=site[0])
+        site[0] += s1 * s1
+        np.multiply(cn, cn, out=site[1])
+        site[1] += sn * sn
+        np.multiply(cn, c1, out=site[2])
+        site[2] += sn * s1
+        np.multiply(cn, s1, out=site[3])
+        site[3] -= sn * c1
+        return site @ occupied
 
 
-@lru_cache(maxsize=128)
+# Each entry holds an n x n eigenbasis (0.5 MB at n=241); callers work
+# through one realization at a time, so a few entries serve every hit.
+@lru_cache(maxsize=8)
 def _chain(realization: CouplingRealization) -> HoppingChain:
     return HoppingChain(realization)
 
@@ -179,24 +219,12 @@ def propagator(
     return Propagator(t=t, matrix=_chain(realization).propagator_matrix(t))
 
 
-def _occupied_indices(state: NeelState) -> np.ndarray:
-    # 0-based column indices of the initially occupied (up) sites
-    return np.asarray(state.up_sites, dtype=int) - 1
-
-
-def _moment_series(
-    realization: CouplingRealization, state: NeelState, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(occ_first, occ_last, <c+_n c_1>) arrays over a time grid."""
-    chain = _chain(realization)
-    first, last = chain.end_rows(ts)
-    occ = _occupied_indices(state)
-    f1 = first[:, occ]
-    fn = last[:, occ]
-    occ_first = np.sum(np.abs(f1) ** 2, axis=1)
-    occ_last = np.sum(np.abs(fn) ** 2, axis=1)
-    cross_lf = np.sum(fn * f1.conj(), axis=1)
-    return occ_first, occ_last, cross_lf
+def _occupied_columns(states: list[NeelState]) -> np.ndarray:
+    """(n, k) 0/1 matrix marking the initially occupied (up) sites of each state."""
+    occupied = np.zeros((states[0].n, len(states)))
+    for k, state in enumerate(states):
+        occupied[np.asarray(state.up_sites) - 1, k] = 1.0
+    return occupied
 
 
 def second_moments(
@@ -211,24 +239,50 @@ def second_moments(
         raise ValueError(f"state is for n={which.n}, realization for n={realization.n}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    o1, on, cross = _moment_series(realization, which, np.array([t]))
+    occ_first, occ_last, cross_re, cross_im = _chain(realization).end_moments(
+        np.array([t], dtype=float), _occupied_columns([which])
+    )[:, 0, 0]
+    cross = complex(cross_re, cross_im)
     return SecondMoments(
-        occ_first=float(o1[0]),
-        occ_last=float(on[0]),
-        cross_fl=complex(np.conj(cross[0])),
-        cross_lf=complex(cross[0]),
+        occ_first=float(occ_first),
+        occ_last=float(occ_last),
+        cross_fl=cross.conjugate(),
+        cross_lf=cross,
     )
 
 
-def _component_abc(
-    realization: CouplingRealization, order: NeelOrder, ts: np.ndarray
+def _neel_components(
+    n: int, initial: NeelOrder | Literal["mixture"]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied columns and parity signs (-1)^(M+1) of the Neel components."""
+    orders = [NeelOrder.N1, NeelOrder.N2] if initial == "mixture" else [initial]
+    states = [neel_state(order, n) for order in orders]
+    sign = np.array([1.0 if s.m_up % 2 == 1 else -1.0 for s in states])
+    return _occupied_columns(states), sign
+
+
+def _x_state(
+    moments: np.ndarray, sign: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    state = neel_state(order, realization.n)
-    occ_first, occ_last, cross = _moment_series(realization, state, ts)
-    sign = 1.0 if state.m_up % 2 == 1 else -1.0  # (-1)^(M+1)
-    a = occ_first * occ_last - np.abs(cross) ** 2 - 0.5 * (occ_first + occ_last - 1.0)
-    c = sign * cross.real
+    """(a, b, c) of the equal mixture of k components from their moments.
+
+    ``moments`` is a (4, T, k) stack from :meth:`HoppingChain.end_moments`.
+    Each component is assembled on its own and the mixture is their
+    element-wise average; the result must be a valid X state.
+    """
+    occ_first, occ_last, cross_re, cross_im = moments
+    a = (
+        occ_first * occ_last
+        - (cross_re**2 + cross_im**2)
+        - 0.5 * (occ_first + occ_last - 1.0)
+    )
     b = 0.5 - a
+    c = sign * cross_re
+    a, b, c = a.mean(axis=1), b.mean(axis=1), c.mean(axis=1)
+    if np.any(a < -POSITIVITY_TOL) or np.any(b < -POSITIVITY_TOL):
+        raise NumericalFaultError("negative end-spin probability beyond tolerance")
+    if np.any(np.abs(c) > b + POSITIVITY_TOL):
+        raise NumericalFaultError("end-spin coherence exceeds inner-block bound")
     return a, b, c
 
 
@@ -240,21 +294,18 @@ def end_spin_series(
     """(a, b, c) of the end-spin X state over a time grid.
 
     The mixture is the element-wise average of the two Neel components.
-    By the global spin-flip symmetry the components coincide, but the
-    average is computed explicitly and the agreement is left to the test
-    suite rather than assumed.
+    By the global spin-flip symmetry the components coincide, but both are
+    computed explicitly, from their own occupied sites, and the agreement
+    is left to the test suite rather than assumed.  The grid is evaluated
+    ``chunk_points`` at a time, so work memory does not grow with it.
     """
     ts = np.asarray(ts, dtype=float)
-    if initial == "mixture":
-        a1, b1, c1 = _component_abc(realization, NeelOrder.N1, ts)
-        a2, b2, c2 = _component_abc(realization, NeelOrder.N2, ts)
-        a, b, c = 0.5 * (a1 + a2), 0.5 * (b1 + b2), 0.5 * (c1 + c2)
-    else:
-        a, b, c = _component_abc(realization, initial, ts)
-    if np.any(a < -POSITIVITY_TOL) or np.any(b < -POSITIVITY_TOL):
-        raise NumericalFaultError("negative end-spin probability beyond tolerance")
-    if np.any(np.abs(c) > b + POSITIVITY_TOL):
-        raise NumericalFaultError("end-spin coherence exceeds inner-block bound")
+    chain = _chain(realization)
+    occupied, sign = _neel_components(realization.n, initial)
+    a, b, c = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
+    for lo in range(0, len(ts), chain.chunk_points):
+        part = slice(lo, lo + chain.chunk_points)
+        a[part], b[part], c[part] = _x_state(chain.end_moments(ts[part], occupied), sign)
     return a, b, c
 
 
@@ -266,20 +317,15 @@ def end_spin_state(
     """End-spin X state at a single time; see :func:`end_spin_series`."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
+    occupied, sign = _neel_components(realization.n, initial)
+    moments = _chain(realization).end_moments(np.array([t], dtype=float), occupied)
     if realization.n % 2 == 1:
         # for odd chains the cross moment is real up to round-off; the
         # imaginary part is discarded after this check
-        orders = (
-            [NeelOrder.N1, NeelOrder.N2]
-            if initial == "mixture"
-            else [initial]
-        )
-        for order in orders:
-            state = neel_state(order, realization.n)
-            _, _, cross = _moment_series(realization, state, np.array([t]))
-            if abs(cross[0].imag) > COHERENCE_IMAG_TOL:
+        for imag in moments[3, 0]:
+            if abs(imag) > COHERENCE_IMAG_TOL:
                 raise NumericalFaultError(
-                    f"coherence imaginary part {cross[0].imag} beyond tolerance"
+                    f"coherence imaginary part {imag} beyond tolerance"
                 )
-    a, b, c = end_spin_series(realization, np.array([t]), initial)
+    a, b, c = _x_state(moments, sign)
     return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=float(t))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,3 +185,126 @@ def test_time_must_be_nonnegative():
         freefermion.propagator(real, -0.1)
     with pytest.raises(ValueError):
         freefermion.end_spin_state(real, -1.0)
+
+
+def oracle_end_spin(real, ts, initial):
+    """(a, b, c) rows built point by point from the full propagator matrix."""
+    chain = freefermion.HoppingChain(real)
+    orders = [NeelOrder.N1, NeelOrder.N2] if initial == "mixture" else [initial]
+    out = np.zeros((3, len(ts)))
+    for order in orders:
+        state = model.neel_state(order, real.n)
+        occ = np.asarray(state.up_sites) - 1
+        sign = 1.0 if state.m_up % 2 == 1 else -1.0
+        for i, t in enumerate(ts):
+            f = chain.propagator_matrix(float(t))
+            f1, fn = f[0, occ], f[-1, occ]
+            o1, on = np.sum(np.abs(f1) ** 2), np.sum(np.abs(fn) ** 2)
+            cross = np.sum(fn * f1.conj())
+            a = o1 * on - abs(cross) ** 2 - 0.5 * (o1 + on - 1.0)
+            out[:, i] += (a, 0.5 - a, sign * cross.real)
+    return out / len(orders)
+
+
+KERNEL_CHAINS = {
+    "homogeneous-9": lambda: homogeneous(9),
+    "homogeneous-30": lambda: homogeneous(30),
+    "disordered-9": lambda: disordered(9, sigma=0.8, seed=3),
+    "disordered-31": lambda: disordered(31, sigma=0.8, seed=7),
+}
+
+
+def test_kernel_disorder_draws_include_negative_bonds():
+    for key in ("disordered-9", "disordered-31"):
+        assert min(KERNEL_CHAINS[key]().couplings) < 0.0
+
+
+@pytest.mark.parametrize("initial", ["mixture", NeelOrder.N1, NeelOrder.N2])
+@pytest.mark.parametrize("key", sorted(KERNEL_CHAINS))
+def test_series_matches_propagator_oracle(key, initial, monkeypatch):
+    real = KERNEL_CHAINS[key]()
+    # 38 points in chunks of 7: five full chunks and a partial one, with
+    # t = 0 inside the first
+    monkeypatch.setattr(freefermion._chain(real), "chunk_points", 7)
+    ts = np.concatenate([[0.3], [0.0], np.linspace(0.1, 2.0 * real.n, 36)])
+    got = np.stack(freefermion.end_spin_series(real, ts, initial))
+    expect = oracle_end_spin(real, ts, initial)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+    assert np.array_equal(got[:, 1], expect[:, 1])  # exact unit rows at t = 0
+    one = np.stack(freefermion.end_spin_series(real, ts[-1:], initial))
+    np.testing.assert_allclose(one, oracle_end_spin(real, ts[-1:], initial), rtol=0, atol=1e-12)
+
+
+def test_end_rows_exact_at_t0():
+    for real in (homogeneous(7), disordered(12, sigma=0.8, seed=3)):
+        rows = freefermion._chain(real).end_rows(np.array([1.1, 0.0]))
+        unit = np.zeros((4, real.n))
+        unit[0, 0] = unit[1, -1] = 1.0
+        assert np.array_equal(rows[:, 1], unit)
+        f = freefermion._chain(real).propagator_matrix(1.1)
+        # f = C - i S, stacked [C_1, C_n, S_1, S_n]
+        expect = np.stack([f[0].real, f[-1].real, -f[0].imag, -f[-1].imag])
+        np.testing.assert_allclose(rows[:, 0], expect, rtol=0, atol=1e-13)
+
+
+def test_series_work_memory_independent_of_grid():
+    # n = 241 over 20,000 points: the whole-grid complex rows this kernel
+    # replaced peaked near 300 MB
+    real = homogeneous(241)
+    ts = np.linspace(0.0, 150.0, 20_000)
+    freefermion.end_spin_series(real, ts[:2])  # build the cached chain outside the trace
+    tracemalloc.start()
+    try:
+        freefermion.end_spin_series(real, ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = 3 * ts.nbytes
+    # 16 KiB covers the per-chunk moment stacks and index objects
+    assert peak <= freefermion.CHUNK_BYTES + outputs + (16 << 10)
+
+
+def test_chunk_points_follow_budget(monkeypatch):
+    real = disordered(9)
+    default = freefermion.HoppingChain(real).chunk_points
+    monkeypatch.setattr(freefermion, "CHUNK_BYTES", freefermion.CHUNK_BYTES // 4)
+    assert freefermion.HoppingChain(real).chunk_points == default // 4
+    monkeypatch.setattr(freefermion, "CHUNK_BYTES", 1)
+    assert freefermion.HoppingChain(real).chunk_points == 1
+
+
+def test_end_spin_state_takes_one_pass(monkeypatch):
+    calls = []
+    end_rows = freefermion.HoppingChain.end_rows
+
+    def counted(self, ts):
+        calls.append(len(ts))
+        return end_rows(self, ts)
+
+    monkeypatch.setattr(freefermion.HoppingChain, "end_rows", counted)
+    real = disordered(9, sigma=0.8, seed=3)
+    for initial in ("mixture", NeelOrder.N2):
+        calls.clear()
+        s = freefermion.end_spin_state(real, 2.3, initial)
+        assert calls == [1]
+        a, b, c = freefermion.end_spin_series(real, np.array([2.3]), initial)
+        assert (s.a, s.b, s.c) == (a[0], b[0], c[0])
+
+
+@pytest.mark.parametrize("component", [0, 1])
+def test_end_spin_state_checks_coherence_imaginary_part(component, monkeypatch):
+    end_moments = freefermion.HoppingChain.end_moments
+
+    def shifted(scale):
+        def moments(self, ts, occupied):
+            out = end_moments(self, ts, occupied)
+            out[3, :, component] += scale * freefermion.COHERENCE_IMAG_TOL
+            return out
+        return moments
+
+    real = homogeneous(7)
+    monkeypatch.setattr(freefermion.HoppingChain, "end_moments", shifted(1.5))
+    with pytest.raises(NumericalFaultError, match="imaginary part"):
+        freefermion.end_spin_state(real, 1.3)
+    monkeypatch.setattr(freefermion.HoppingChain, "end_moments", shifted(0.5))
+    freefermion.end_spin_state(real, 1.3)
