@@ -5,6 +5,19 @@ sectors of fixed up-spin count M.  Each sector is built over the ordered
 list of bit patterns with M set bits (bit k-1 holds site k, set = up),
 diagonalized densely once, and reused across all time points of a scan.
 
+Two further symmetries cut the dense work where the engine is set up.
+The global spin flip F (every pattern to its complement) commutes with
+H(delta) for any couplings; it maps sector M onto sector n-M by reversing
+the ascending basis.  So ground spectra are computed for M <= n/2 only,
+and of each flip-related pair of initial components only one is evolved;
+the partner's end-pair matrix is the representative's conjugated by
+sigma^x (x) sigma^x.  The site reflection R (site k to n+1-k) commutes
+with H when the couplings are palindromic, as on homogeneous chains;
+there H(delta2) is diagonalized only in the reflection-parity blocks the
+initial state reaches (one block for an odd-n Neel start or a
+nondegenerate sector ground state).  Other chains, disordered ones
+included, take the same route with one-pattern orbits, i.e. flip only.
+
 This module is the oracle for the free-fermion route (they must agree
 entry-wise whenever delta2 = 0 and the chain starts from the ideal Neel
 mixture) and the only route for finite delta1 or delta2 > 0.  Dense
@@ -18,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +45,12 @@ GROUND_DEGENERACY_ATOL = 1e-12
 X_STRUCTURE_TOL = 1e-10
 RDM_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-10
+# largest distance of a multiplet component from (minus) its flip partner
+FLIP_CLOSURE_TOL = 1e-10
+# A reflection-parity block holding at most this norm of the initial
+# amplitude is not evolved; the dropped part moves end-pair entries by at
+# most twice this.
+PARITY_LEAK_TOL = 1e-13
 
 # Entries of a 4x4 pair matrix outside the X pattern (diagonal, 1-2, 2-1).
 _OFF_X = np.ones((4, 4), dtype=bool)
@@ -156,10 +176,15 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
     """Equal-weight mixture over the degenerate ground multiplet of H(delta1).
 
     The infinite marker short-circuits to the ideal Neel mixture.  For
-    finite delta1 every magnetization sector is built once and its spectrum
-    computed, the global minimum located, and every eigenstate within the
-    degeneracy tolerance collected with equal weights.  A multiplet larger
-    than two signals a regime this simulator does not model.
+    finite delta1 the sectors M <= n/2 are built once and their spectra
+    computed (sector n-M has the spectrum of M by spin flip), the global
+    minimum located, and every eigenstate within the degeneracy tolerance
+    collected with equal weights.  Eigenvectors come from the one sector
+    holding the minimum; the flip partner in sector n-M is the reversed
+    vector, and vectors of the self-conjugate sector M = n/2 are made flip
+    eigenvectors (a degenerate pair there is first rotated onto them).  A
+    multiplet larger than two signals a regime this simulator does not
+    model.
     """
     if math.isinf(delta1):
         return neel_mixture(realization.n)
@@ -168,48 +193,137 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
             f"finite delta1 must exceed 1 (antiferromagnetic Ising side), got {delta1}"
         )
     n = realization.n
+    half = n // 2
     spectra: dict[int, np.ndarray] = {}
-    # matrices of the sectors that may still hold the ground state; as the
-    # running minimum e0 falls the tolerance grows by less than e0 falls,
-    # so a sector dropped here can never rejoin the multiplet
+    # The half-filled sector, which holds the minimum on antiferromagnetic
+    # chains, is diagonalized with its vectors; the others keep their
+    # matrices only while they may still hold the minimum.  As the running
+    # minimum e0 falls the tolerance grows by less than e0 falls, so a
+    # sector dropped here can never rejoin the multiplet.
+    vectors: dict[int, np.ndarray] = {}
     candidates: dict[int, np.ndarray] = {}
-    for m in range(n + 1):
+    for m in range(half, -1, -1):
         matrix = build_sector_hamiltonian(realization, delta1, m).matrix
-        spectra[m] = np.linalg.eigvalsh(matrix)
-        candidates[m] = matrix
+        if m == half:
+            spectra[m], vectors[m] = np.linalg.eigh(matrix)
+        else:
+            spectra[m] = np.linalg.eigvalsh(matrix)
+            candidates[m] = matrix
         e0 = min(float(e[0]) for e in spectra.values())
         tol = max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL)
         candidates = {k: h for k, h in candidates.items() if spectra[k][0] - e0 <= tol}
-    multiplet: list[tuple[int, np.ndarray]] = []
-    for m, matrix in candidates.items():
-        _, vectors = np.linalg.eigh(matrix)
-        for k in np.nonzero(spectra[m] - e0 <= tol)[0]:
-            multiplet.append((m, np.ascontiguousarray(vectors[:, k])))
-    if len(multiplet) > 2:
+    levels = {m: np.nonzero(e - e0 <= tol)[0] for m, e in spectra.items()}
+    size = sum(len(k) * (1 if 2 * m == n else 2) for m, k in levels.items())
+    if size > 2:
         raise NumericalFaultError(
-            f"ground manifold of dimension {len(multiplet)} at delta1={delta1}; "
+            f"ground manifold of dimension {size} at delta1={delta1}; "
             f"expected at most a degenerate pair"
         )
+    (m,) = (m for m, k in levels.items() if len(k))
+    if m not in vectors:
+        vectors[m] = np.linalg.eigh(candidates[m])[1]
+    ground = vectors[m][:, levels[m]]
+    if 2 * m != n:
+        multiplet = [(m, ground[:, 0]), (n - m, ground[::-1, 0])]
+    else:
+        if ground.shape[1] == 2:
+            # the pair spans a flip-closed plane: take the flip eigenvectors
+            ground = ground @ np.linalg.eigh(ground.T @ ground[::-1])[1]
+        # Project each vector onto its flip parity: a level of the other
+        # parity close above mixes into eigh's vector by round-off over the
+        # gap, which the projection removes.
+        ground = ground + np.sign(np.sum(ground * ground[::-1], axis=0)) * ground[::-1]
+        ground /= np.linalg.norm(ground, axis=0)
+        multiplet = [(m, v) for v in ground.T]
     w = 1.0 / len(multiplet)
     comps = tuple(
-        PureComponent(weight=w, m_up=m, amplitudes=v) for m, v in multiplet
+        PureComponent(weight=w, m_up=m, amplitudes=np.ascontiguousarray(v))
+        for m, v in multiplet
     )
     return MixedState(n=n, components=comps, origin="degenerate-ground-multiplet")
 
 
+@lru_cache(maxsize=32)
+def _parity_orbits(
+    n: int, m_up: int, reflect: bool
+) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Reflection-parity blocks of one sector as (parity, first, mirror, scale).
+
+    With ``reflect`` every orbit of the site reflection is listed once, by
+    its lower position ``first`` and the position ``mirror`` of its image
+    (the same for a mirror-symmetric pattern); without it every pattern is
+    its own orbit and the even block is the whole sector.  Orbit a of the
+    block of parity s spans scale_a (e_first + s e_mirror), with scale
+    1/sqrt(2) on two-pattern orbits and 1/2 on one-pattern orbits, which
+    only the even block holds.
+    """
+    basis = sector_basis(n, m_up)
+    pos = np.arange(basis.dim)
+    if reflect:
+        reversed_bits = (int(f"{p:0{n}b}"[::-1], 2) for p in map(int, basis.states))
+        mirror = np.array([basis.index[p] for p in reversed_bits])
+    else:
+        mirror = pos
+    keep = pos <= mirror
+    first, mirror = pos[keep], mirror[keep]
+    pair = first != mirror
+    scale = np.where(pair, math.sqrt(0.5), 0.5)
+    blocks = ((1, first, mirror, scale), (-1, first[pair], mirror[pair], scale[pair]))
+    for block in blocks:
+        for array in block[1:]:
+            array.flags.writeable = False
+    return blocks
+
+
+@dataclass(frozen=True, eq=False)
+class _ParityBlock:
+    """Eigenbasis of H(delta2) in one reflection-parity block of a sector."""
+
+    parity: int
+    first: np.ndarray
+    mirror: np.ndarray
+    scale: np.ndarray
+    energies: np.ndarray
+    modes: np.ndarray
+
+
 class _SectorEvolver:
-    """Cached eigendecompositions of H(delta2), one per visited sector."""
+    """Cached eigendecompositions of H(delta2): whole sectors for the
+    per-point oracle, reflection-parity blocks for :class:`QuenchEvolution`."""
 
     def __init__(self, realization: CouplingRealization, delta2: float):
         self.realization = realization
         self.delta2 = delta2
+        self.reflect = realization.couplings == realization.couplings[::-1]
         self._eig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[tuple[int, int], _ParityBlock] = {}
 
     def eig(self, m_up: int) -> tuple[np.ndarray, np.ndarray]:
         if m_up not in self._eig:
             ham = build_sector_hamiltonian(self.realization, self.delta2, m_up)
             self._eig[m_up] = np.linalg.eigh(ham.matrix)
         return self._eig[m_up]
+
+    def orbits(self, m_up: int):
+        return _parity_orbits(self.realization.n, m_up, self.reflect)
+
+    def blocks(self, m_up: int, parities: list[int]) -> list[_ParityBlock]:
+        """Eigenbases of the given parity blocks, projected from one sector matrix."""
+        missing = [
+            o for o in self.orbits(m_up) if o[0] in parities and (m_up, o[0]) not in self._blocks
+        ]
+        if missing:
+            h = build_sector_hamiltonian(self.realization, self.delta2, m_up).matrix
+            for parity, first, mirror, scale in missing:
+                # V^T H V summed so that one-pattern orbits reproduce H exactly
+                block = (h[np.ix_(first, first)] + h[np.ix_(mirror, mirror)]) + parity * (
+                    h[np.ix_(first, mirror)] + h[np.ix_(mirror, first)]
+                )
+                block *= np.outer(scale, scale)
+                self._blocks[m_up, parity] = _ParityBlock(
+                    parity, first, mirror, scale, *np.linalg.eigh(block)
+                )
+        return [self._blocks[m_up, p] for p in parities]
 
     def evolve_component(self, comp: PureComponent, t: float) -> PureComponent:
         energies, modes = self.eig(comp.m_up)
@@ -221,7 +335,9 @@ class _SectorEvolver:
         return PureComponent(weight=comp.weight, m_up=comp.m_up, amplitudes=psi)
 
 
-# Each entry holds dense eigenbases (about 47 MB at n=13), so keep few.
+# Each entry holds the dense block eigenbases QuenchEvolution uses (6 MB
+# at n=13 for the 868-dimensional even block of an odd-n Neel start), plus
+# whole-sector ones if the per-point oracle ran; keep few.
 @lru_cache(maxsize=4)
 def _evolver(realization: CouplingRealization, delta2: float) -> _SectorEvolver:
     return _SectorEvolver(realization, delta2)
@@ -348,14 +464,74 @@ def two_spin_rdm(
     return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=t)
 
 
+@lru_cache(maxsize=32)
+def _end_pair_index(n: int, m_up: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the end pair (sites 1, n) reads its entries in one sector.
+
+    Returns a (4, dim) 0/1 matrix marking the patterns of each local state
+    (up-up, up-down, down-up, down-down), and the positions of the
+    up-down patterns with their down-up partners, which differ only in
+    the two end bits.
+    """
+    states = sector_basis(n, m_up).states
+    first = (states & np.uint64(1)).astype(np.intp)
+    last = ((states >> np.uint64(n - 1)) & np.uint64(1)).astype(np.intp)
+    diag = (3 - 2 * first - last == np.arange(4)[:, None]).astype(float)
+    ud = np.nonzero((first == 1) & (last == 0))[0]
+    du = np.searchsorted(states, states[ud] ^ np.uint64(1 | (1 << (n - 1))))
+    for array in (diag, ud, du):
+        array.flags.writeable = False
+    return diag, ud, du
+
+
+def _flip_representatives(state: MixedState) -> list[tuple[float, PureComponent]]:
+    """One component per spin-flip orbit of the mixture, with the orbit weight.
+
+    Two equal-weight components must be psi and +-F psi, otherwise each
+    component must be +-F of itself, within FLIP_CLOSURE_TOL; a mixture
+    that is not closed under the flip raises.
+    """
+
+    def gap(a: PureComponent, b: PureComponent) -> float:
+        if b.m_up != state.n - a.m_up:
+            return math.inf
+        flipped = a.amplitudes[::-1]
+        return min(np.linalg.norm(b.amplitudes - flipped), np.linalg.norm(b.amplitudes + flipped))
+
+    comps = state.components
+    if len(comps) == 2 and comps[0].weight == comps[1].weight and gap(*comps) <= FLIP_CLOSURE_TOL:
+        return [(comps[0].weight + comps[1].weight, comps[0])]
+    for comp in comps:
+        if not gap(comp, comp) <= FLIP_CLOSURE_TOL:
+            raise NumericalFaultError(
+                f"initial mixture not closed under spin flip: component in sector "
+                f"{comp.m_up} has no flip partner within {FLIP_CLOSURE_TOL:g}"
+            )
+    return [(comp.weight, comp) for comp in comps]
+
+
+class _Prepared(NamedTuple):
+    """One flip representative: its orbit weight, sector, the parity blocks
+    it reaches and its coefficients in their eigenbases."""
+
+    weight: float
+    m_up: int
+    blocks: list[_ParityBlock]
+    coeffs: list[np.ndarray]
+
+
 class QuenchEvolution:
     """Prepared quench run: ground mixture of H(delta1) evolved under H(delta2).
 
-    Sector eigenbases and initial-state coefficients are computed once in
-    the constructor.  Time points are then evaluated ``chunk_points`` at a
-    time: per component, two real matrix products give the real and
-    imaginary parts of psi(t) over the chunk, and one batched product
-    gives the stack of end-pair matrices.
+    The constructor keeps one representative per spin-flip orbit of the
+    initial mixture, projects it onto the reflection-parity blocks of its
+    sector and diagonalizes H(delta2) only in the blocks it reaches.  Time
+    points are then evaluated ``chunk_points`` at a time: per block one
+    real matrix product gives the real and imaginary parts of the block
+    amplitudes over the chunk, which are expanded into the sector, and the
+    end-pair entries are gathered from those amplitudes.  The flip
+    partner's pair matrix is the representative's with both end spins
+    flipped, so the mixture is the average of the two.
     """
 
     def __init__(
@@ -366,33 +542,55 @@ class QuenchEvolution:
         self.delta2 = delta2
         self.initial = ground_mixture(realization, delta1)
         evo = _evolver(realization, delta2)
-        self._prepped = []
-        for comp in self.initial.components:
-            energies, modes = evo.eig(comp.m_up)
-            coeff = modes.T @ comp.amplitudes
-            gid, loc, n_groups = _pair_scatter(self.n, comp.m_up, 1, self.n)
-            self._prepped.append((comp.weight, energies, modes, coeff, gid, loc, n_groups))
-        # the largest work array of a chunk holds n_groups x 4 complex pair
-        # amplitudes per time point
-        n_groups_max = max(n_groups for *_, n_groups in self._prepped)
-        self.chunk_points = max(1, CHUNK_BYTES // (4 * 16 * n_groups_max))
+        self._prepped: list[_Prepared] = []
+        for weight, comp in _flip_representatives(self.initial):
+            amp = comp.amplitudes
+            projected = {
+                parity: scale * (amp[first] + parity * amp[mirror])
+                for parity, first, mirror, scale in evo.orbits(comp.m_up)
+            }
+            parities = [p for p, c in projected.items() if np.linalg.norm(c) > PARITY_LEAK_TOL]
+            blocks = evo.blocks(comp.m_up, parities)
+            coeffs = [b.modes.T @ projected[b.parity] for b in blocks]
+            self._prepped.append(_Prepared(weight, comp.m_up, blocks, coeffs))
+        # the largest work array of a chunk holds the real and imaginary
+        # sector amplitudes per time point
+        dim_max = max(sector_basis(self.n, p.m_up).dim for p in self._prepped)
+        self.chunk_points = max(1, CHUNK_BYTES // (16 * dim_max))
 
     def _end_spin_rho(self, ts: np.ndarray) -> np.ndarray:
         """Stack of end-pair matrices over one chunk, shape (T, 4, 4)."""
-        rho = np.zeros((len(ts), 4, 4), dtype=complex)
-        for weight, energies, modes, coeff, gid, loc, n_groups in self._prepped:
-            phase = np.outer(energies, ts)
-            re = modes @ (np.cos(phase) * coeff[:, None])
-            im = modes @ (np.sin(phase) * coeff[:, None])
-            # psi = re - i im, stored as z[t, group, local pair state]
-            z = np.zeros((len(ts), n_groups, 4), dtype=complex)
-            z.real[:, gid, loc] = re.T
-            z.imag[:, gid, loc] = -im.T
-            part = z.swapaxes(1, 2) @ z.conj()
+        n_t = len(ts)
+        rho = np.zeros((n_t, 4, 4), dtype=complex)
+        for rep in self._prepped:
+            diag, ud, du = _end_pair_index(self.n, rep.m_up)
+            # psi = re - i im, stored as [re | im] over the chunk
+            psi = np.zeros((diag.shape[1], 2 * n_t))
+            for block, coeff in zip(rep.blocks, rep.coeffs):
+                phase = np.outer(block.energies, ts)
+                w = np.empty((len(coeff), 2 * n_t))
+                np.cos(phase, out=w[:, :n_t])
+                np.sin(phase, out=w[:, n_t:])
+                w *= coeff[:, None]
+                amp = block.modes @ w
+                amp *= block.scale[:, None]
+                psi[block.first] += amp
+                psi[block.mirror] += block.parity * amp
+            re, im = psi[:, :n_t], psi[:, n_t:]
+            part = np.zeros((n_t, 4, 4), dtype=complex)
+            part[:, np.arange(4), np.arange(4)] = (diag @ (re * re + im * im)).T
+            part[:, 1, 2].real = np.einsum("it,it->t", re[ud], re[du]) + np.einsum(
+                "it,it->t", im[ud], im[du]
+            )
+            part[:, 1, 2].imag = np.einsum("it,it->t", re[ud], im[du]) - np.einsum(
+                "it,it->t", im[ud], re[du]
+            )
+            part[:, 2, 1] = part[:, 1, 2].conj()
             norm = np.sqrt(np.trace(part, axis1=1, axis2=2).real)
             _check(np.abs(norm - 1.0), NORM_DRIFT_TOL, "norm drift", ts)
-            rho += weight * part
-        return rho
+            rho += rep.weight * part
+        # sigma^x (x) sigma^x reverses the (uu, ud, du, dd) order
+        return 0.5 * (rho + rho[:, ::-1, ::-1])
 
     def end_spin_state(self, t: float) -> EndSpinState:
         a, b, c = self.end_spin_series(np.array([t]))

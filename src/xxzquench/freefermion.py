@@ -251,14 +251,20 @@ def second_moments(
     )
 
 
+# a disorder ensemble asks for the same few (n, initial) once per evaluation
+@lru_cache(maxsize=16)
 def _neel_components(
     n: int, initial: NeelOrder | Literal["mixture"]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied columns and parity signs (-1)^(M+1) of the Neel components."""
+    """Occupied columns and parity signs (-1)^(M+1) of the Neel components,
+    read-only because they are shared between calls."""
     orders = [NeelOrder.N1, NeelOrder.N2] if initial == "mixture" else [initial]
     states = [neel_state(order, n) for order in orders]
     sign = np.array([1.0 if s.m_up % 2 == 1 else -1.0 for s in states])
-    return _occupied_columns(states), sign
+    occupied = _occupied_columns(states)
+    occupied.flags.writeable = False
+    sign.flags.writeable = False
+    return occupied, sign
 
 
 def _x_state(

@@ -375,12 +375,102 @@ def test_fault_checks_raise_inside_a_chunk(monkeypatch, bad_rho, message):
 def test_norm_drift_raises_inside_a_chunk():
     evolution = exactdiag.QuenchEvolution(homogeneous(7), 3.0, 0.5)
     evolution.chunk_points = 7
-    weight, energies, modes, coeff, *scatter = evolution._prepped[1]
+    (rep,) = evolution._prepped  # the one flip representative
     drift = 1.5 * exactdiag.NORM_DRIFT_TOL
-    evolution._prepped[1] = (weight, energies, modes, coeff * (1 + drift), *scatter)
+    evolution._prepped[0] = rep._replace(coeffs=[c * (1 + drift) for c in rep.coeffs])
     with pytest.raises(NumericalFaultError, match="norm drift"):
         evolution.end_spin_series(FAULT_TS[FAULT_INDEX:])
 
 
 def test_evolver_cache_is_small():
     assert exactdiag._evolver.cache_info().maxsize <= 4
+
+
+def test_homogeneous_neel_start_diagonalizes_one_reflection_block(monkeypatch):
+    # n=13, M=7 (dimension 1,716) splits into reflection blocks of 868 and
+    # 848; the Neel pattern is mirror-symmetric, so only the even block and
+    # only one flip representative are evolved
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def record(matrix, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, matrix.shape[0]))
+            return _original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    exactdiag._evolver.cache_clear()
+    exactdiag.QuenchEvolution(homogeneous(13), math.inf, 0.0)
+    assert calls == [("eigh", 868)]
+
+
+def _disordered(n):
+    return model.realize_couplings(model.ChainSpec(n=n, disorder_sigma=0.8, seed=5))
+
+
+@pytest.mark.parametrize("real, delta1, blocks", [
+    # sectors of 35 patterns with 3 mirror-symmetric ones: blocks of 19 and 16
+    (homogeneous(7), math.inf, [(1, 19)]),
+    (homogeneous(7), 3.0, [(1, 19)]),
+    # no 6-site pattern with 3 up spins is mirror-symmetric: blocks of 10 and
+    # 10; the even-n ground state is reflection-odd
+    (homogeneous(6), 3.0, [(-1, 10)]),
+    # the two even-n Neel orders are mirror images: both blocks
+    (homogeneous(6), math.inf, [(1, 10), (-1, 10)]),
+    # no reflection symmetry: one block, the whole sector
+    (_disordered(7), 3.0, [(1, 35)]),
+], ids=["neel7", "ground7", "ground6", "neel6", "disordered7"])
+def test_parity_blocks_reached_by_the_representative(real, delta1, blocks):
+    (rep,) = exactdiag.QuenchEvolution(real, delta1, 0.5)._prepped
+    assert rep.weight == 1.0
+    assert [(b.parity, len(b.energies)) for b in rep.blocks] == blocks
+
+
+def _rotated(vec, angle):
+    """Unit vector at the given angle from vec, towards its first basis state."""
+    away = np.zeros_like(vec)
+    away[0] = 1.0
+    away -= vec[0] * vec
+    away /= np.linalg.norm(away)
+    return np.cos(angle) * vec + np.sin(angle) * away
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.5])
+def test_flip_closure_check(monkeypatch, factor):
+    real = homogeneous(7)
+    state = exactdiag.ground_mixture(real, 3.0)
+    first, partner = state.components
+    moved = _rotated(partner.amplitudes, factor * exactdiag.FLIP_CLOSURE_TOL)
+    corrupted = exactdiag.MixedState(n=7, components=(
+        first, exactdiag.PureComponent(weight=0.5, m_up=partner.m_up, amplitudes=moved),
+    ))
+    monkeypatch.setattr(exactdiag, "ground_mixture", lambda *args: corrupted)
+    if factor < 1:
+        exactdiag.QuenchEvolution(real, 3.0, 0.5)
+        return
+    with pytest.raises(NumericalFaultError, match="not closed under spin flip"):
+        exactdiag.QuenchEvolution(real, 3.0, 0.5)
+
+
+@pytest.mark.parametrize("couplings, delta1, sectors", [
+    # at n=8, delta1=1000 the two Neel-like states of M=4 split by 1.6e-8,
+    # inside the degeneracy tolerance
+    ((1.0,) * 7, 1000.0, [4, 4]),
+    # ferromagnetic end bonds: a flip-odd level 3e-6 above the ground state
+    # mixes into eigh's vector at 1.6e-9
+    ((-1.0,) + (1.0,) * 7 + (-1.0,), 3.0, [5]),
+], ids=["pair", "near-degenerate"])
+def test_half_filled_ground_components_are_flip_eigenvectors(couplings, delta1, sectors):
+    real = model.CouplingRealization(couplings=couplings, seed_used=0)
+    state = exactdiag.ground_mixture(real, delta1)
+    assert [c.m_up for c in state.components] == sectors
+    for comp in state.components:
+        v = comp.amplitudes
+        assert min(np.linalg.norm(v - v[::-1]), np.linalg.norm(v + v[::-1])) < 1e-13
+    evolution = exactdiag.QuenchEvolution(real, delta1, 0.0)
+    assert len(evolution._prepped) == len(sectors)
+    ts = np.linspace(0.0, 8.0, 9)
+    got = evolution.end_spin_series(ts)
+    want = _per_point_oracle(evolution, real, 0.0, ts)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)

@@ -308,3 +308,16 @@ def test_end_spin_state_checks_coherence_imaginary_part(component, monkeypatch):
         freefermion.end_spin_state(real, 1.3)
     monkeypatch.setattr(freefermion.HoppingChain, "end_moments", shifted(0.5))
     freefermion.end_spin_state(real, 1.3)
+
+
+def test_neel_components_are_cached_read_only():
+    assert freefermion._neel_components.cache_info().maxsize <= 16
+    occupied, sign = freefermion._neel_components(7, "mixture")
+    assert freefermion._neel_components(7, "mixture")[0] is occupied
+    for array in (occupied, sign):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    for k, order in enumerate((NeelOrder.N1, NeelOrder.N2)):
+        state = model.neel_state(order, 7)
+        assert list(np.nonzero(occupied[:, k])[0] + 1) == list(state.up_sites)
+        assert sign[k] == (1.0 if state.m_up % 2 == 1 else -1.0)
