@@ -14,17 +14,19 @@ Exit codes: 0 success, 1 usage error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, entangle, exactdiag, model, purify
+from . import __version__, entangle, exactdiag, freefermion, model, purify
 from .errors import (
     ConvergenceError,
     NoPeakError,
@@ -35,10 +37,19 @@ from .errors import (
 TOOL_NAME = "xxzquench"
 ED_COMPARE_TOL = 1e-8
 ED_COMPARE_MAX_N = 13
+# Realizations per disorder block; blocks refine their peaks in lockstep.
+DISORDER_BLOCK = 64
 
 CONVENTIONS = {
     "t_max": "first strict local maximum of fef(t) above the t=0 value, "
-             "golden-section refined to 1e-6/j",
+             "golden-section refined to 1e-6/j; the scan stops at the "
+             "first grid chunk that confirms it",
+    "disorder_peak": "per realization: the first strict local maximum of "
+                     "fef(t) above the t=0 value, else the first strict local "
+                     "maximum of any height, both golden-section refined to "
+                     "1e-6/j, else the unrefined grid maximum; the mean "
+                     "curve's peak is its first strict local maximum above "
+                     "the t=0 value, else its grid maximum, unrefined",
     "ground_preparation": "equal-weight mixture over the degenerate ground "
                           "multiplet; ideal Neel mixture when delta1=inf",
     "disorder_sub_seeds": "seed XOR realization-index",
@@ -150,6 +161,17 @@ class SystemExit2(Exception):
         self.code = code
 
 
+@contextmanager
+def _naming(label: str):
+    """Prefix ``label`` to the message of a program error raised inside,
+    keeping its type and so its exit code."""
+    try:
+        yield
+    except (ValueError, NoPeakError, ConvergenceError, NumericalFaultError) as exc:
+        exc.args = (f"{label}: {exc}",)
+        raise
+
+
 # --- quench ---------------------------------------------------------------
 
 
@@ -187,13 +209,14 @@ def cmd_quench(args) -> int:
 def _scan_one(item: dict) -> dict:
     spec = model.ChainSpec.from_json_dict(item["spec"])
     t0 = time.perf_counter()
-    result = entangle.find_tmax(
-        item["engine"],
-        spec,
-        search_horizon=item["horizon"],
-        grid_step=item["step"],
-        require_above_baseline=spec.n % 2 == 1,
-    )
+    with _naming(f"scan-n n={spec.n} sigma={spec.disorder_sigma:g} sub-seed={spec.seed}"):
+        result = entangle.find_tmax(
+            item["engine"],
+            spec,
+            search_horizon=item["horizon"],
+            grid_step=item["step"],
+            require_above_baseline=spec.n % 2 == 1,
+        )
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
     return {
         "n": spec.n,
@@ -301,31 +324,40 @@ def _run_parallel(worker, items: list, jobs: int) -> list:
 # --- disorder ---------------------------------------------------------------
 
 
-def _disorder_one(item: dict) -> dict:
-    spec = model.ChainSpec.from_json_dict(item["spec"])
-    evaluator = entangle.CurveEvaluator(spec, item["engine"])
-    ts = np.asarray(item["ts"])
-    curve = evaluator.fef_series(ts)
-    i = entangle.first_peak_index(curve, curve[0])
-    if i is None:
-        i = entangle.first_peak_index(curve, -np.inf)
-    if i is None:
-        i = int(np.argmax(curve))
-        peak_t, peak_f = float(ts[i]), float(curve[i])
-    else:
-        peak_t, peak_f = entangle.golden_section_max(
-            evaluator.fef, float(ts[i - 1]), float(ts[i + 1]),
-            entangle.REFINE_RESOLUTION / spec.j,
-        )
-        if peak_f < curve[i]:
-            peak_t, peak_f = float(ts[i]), float(curve[i])
-    return {
-        "sigma": item["sigma"],
-        "realization": item["realization"],
-        "curve": curve.tolist(),
-        "peak_t": peak_t,
-        "peak_f": peak_f,
-    }
+def _disorder_block(item: dict) -> dict:
+    """Curves and refined peaks of one block of realizations of one sigma."""
+    ts, rs, master = item["ts"], range(item["first"], item["stop"]), item["spec"]
+    specs = [dataclasses.replace(master, seed=model.sub_seed(master.seed, r)) for r in rs]
+
+    def label(r, spec):
+        return (f"disorder n={spec.n} sigma={spec.disorder_sigma:g} "
+                f"realization {r} sub-seed={spec.seed}")
+
+    evaluators, curves = [], np.empty((len(rs), len(ts)))
+    for k, (r, spec) in enumerate(zip(rs, specs)):
+        with _naming(label(r, spec)):
+            evaluators.append(entangle.CurveEvaluator(spec, item["engine"]))
+            curves[k] = evaluators[k].fef_series(ts)
+    rule = {"any_height_fallback": True, "argmax_fallback": True}
+    try:
+        peak_t, peak_f = entangle.locate_first_peak(curves, ts, evaluators, **rule)
+    except NumericalFaultError:
+        # a lockstep step covers the whole block: refine the members one
+        # at a time to name the one that fails
+        for k, (r, spec) in enumerate(zip(rs, specs)):
+            with _naming(label(r, spec)):
+                entangle.locate_first_peak(curves[k:k + 1], ts, evaluators[k:k + 1], **rule)
+        raise
+    return {"sigma": master.disorder_sigma, "first": item["first"],
+            "curves": curves, "peak_t": peak_t, "peak_f": peak_f}
+
+
+def _block_size(n: int, engine: str) -> int:
+    """Realizations per block: at most DISORDER_BLOCK, and their eigenbases
+    (n x n per chain, a half-filled sector per exact quench) within
+    freefermion.CHUNK_BYTES."""
+    dim = n if engine == "freefermion" else math.comb(n, n // 2)
+    return max(1, min(DISORDER_BLOCK, freefermion.CHUNK_BYTES // (8 * dim * dim)))
 
 
 def cmd_disorder(args) -> int:
@@ -339,45 +371,36 @@ def cmd_disorder(args) -> int:
     engine = _check_engine(base, args.engine)
     horizon, step, ts = _resolve_grid(args, base)
 
+    # blocks depend only on the configuration, never on --jobs
+    block = _block_size(args.n, engine)
     items = []
     for sigma in sigmas:
+        spec = dataclasses.replace(base, disorder_sigma=sigma)
         n_real = 1 if sigma == 0.0 else args.realizations
-        for r in range(n_real):
-            spec = model.ChainSpec(
-                n=args.n, j=args.j, delta1=args.delta1, delta2=args.delta2,
-                disorder_sigma=sigma, seed=model.sub_seed(args.seed, r),
-            )
-            items.append(
-                {
-                    "spec": spec.to_json_dict(),
-                    "engine": engine,
-                    "ts": ts.tolist(),
-                    "sigma": sigma,
-                    "realization": r,
-                }
-            )
-    results = _run_parallel(_disorder_one, items, args.jobs)
-    results.sort(key=lambda d: (d["sigma"], d["realization"]))
+        for first in range(0, n_real, block):
+            items.append({"spec": spec, "engine": engine, "ts": ts,
+                          "first": first, "stop": min(first + block, n_real)})
+    results = _run_parallel(_disorder_block, items, args.jobs)
+    results.sort(key=lambda d: (d["sigma"], d["first"]))
 
     mean_curves: dict[float, np.ndarray] = {}
     summary_rows = []
     for sigma in sigmas:
         group = [d for d in results if d["sigma"] == sigma]
-        curves = np.array([d["curve"] for d in group])
+        curves = np.concatenate([d["curves"] for d in group])
         mean_curve = curves.mean(axis=0)
         mean_curves[sigma] = mean_curve
-        peaks_f = np.array([d["peak_f"] for d in group])
-        peaks_t = np.array([d["peak_t"] for d in group])
-        nr = len(group)
+        peaks_f = np.concatenate([d["peak_f"] for d in group])
+        peaks_t = np.concatenate([d["peak_t"] for d in group])
+        nr = len(curves)
         stderr_f = float(peaks_f.std(ddof=1) / np.sqrt(nr)) if nr > 1 else 0.0
         stderr_t = float(peaks_t.std(ddof=1) / np.sqrt(nr)) if nr > 1 else 0.0
-        im = entangle.first_peak_index(mean_curve, mean_curve[0])
-        if im is None:
-            im = int(np.argmax(mean_curve))
+        (mean_t,), (mean_f,) = entangle.locate_first_peak(
+            mean_curve[None], ts, argmax_fallback=True
+        )
         summary_rows.append(
             [sigma, nr, float(peaks_f.mean()), stderr_f,
-             float(peaks_t.mean()), stderr_t,
-             float(mean_curve[im]), float(ts[im])]
+             float(peaks_t.mean()), stderr_t, float(mean_f), float(mean_t)]
         )
 
     ts_path = _sibling_path(args.out, "_timeseries")

@@ -104,6 +104,16 @@ class CurveEvaluator:
             self._evolution = exactdiag.QuenchEvolution(
                 self.realization, spec.delta1, spec.delta2
             )
+        else:
+            self._chain = freefermion._chain(self.realization)
+
+    @property
+    def chunk_points(self) -> int:
+        """Grid points per chunk of the engine's series.  A scan in windows
+        that start on chunk boundaries gives the same bytes as one call."""
+        if self.engine == "exactdiag":
+            return self._evolution.chunk_points
+        return self._chain.chunk_points
 
     def series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.engine == "freefermion":
@@ -118,22 +128,55 @@ class CurveEvaluator:
         return float(self.fef_series(np.array([t]))[0])
 
 
+def _block_fef(evaluators: list[CurveEvaluator]) -> Callable[[np.ndarray], np.ndarray]:
+    """fef of member k at time ``ts[k]``, all members in one call.
+
+    Free-fermion members share one stacked kernel; exact-diagonalization
+    members are evaluated one after the other.  Either way a member's
+    value is the one its own evaluator gives at that time.
+    """
+    if all(e.engine == "freefermion" for e in evaluators):
+        stack = freefermion.ChainStack([e._chain for e in evaluators])
+
+        def fef(ts: np.ndarray) -> np.ndarray:
+            a, b, c = stack.end_spin_at(ts)
+            return np.maximum(a, b + np.abs(c))
+
+        return fef
+    return lambda ts: np.array([e.fef(t) for e, t in zip(evaluators, ts.tolist())])
+
+
 def golden_section_max(
-    fun: Callable[[float], float], lo: float, hi: float, xtol: float
-) -> tuple[float, float]:
-    a, b = lo, hi
+    fun: Callable[[np.ndarray], np.ndarray], lo, hi, xtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maxima of K functions in lockstep.
+
+    ``lo`` and ``hi`` hold the K brackets (scalars for K = 1) and ``fun``
+    maps K times, one per member, to the K values, so each step is one
+    call for the whole block.  Every member follows the scalar iteration
+    exactly; one whose bracket is already within ``xtol`` stops moving and
+    is evaluated at its own inner point only to keep the call shape.
+    Returns the bracket midpoints and their values.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fun(c), fun(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
+    live = (b - a) > xtol
+    while np.any(live):
+        keep_left = fc >= fd  # the maximum is in [a, d]: drop (d, b]
+        left, right = live & keep_left, live & ~keep_left
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = fun(np.where(live, x, c))
+        c, fc, d, fd = (
+            np.where(left, x, np.where(right, d, c)),
+            np.where(left, fx, np.where(right, fd, fc)),
+            np.where(left, c, np.where(right, x, d)),
+            np.where(left, fc, np.where(right, fx, fd)),
+        )
+        live = (b - a) > xtol
     mid = 0.5 * (a + b)
     return mid, fun(mid)
 
@@ -166,10 +209,63 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
 
 def first_peak_index(fef: np.ndarray, baseline: float) -> int | None:
     """Index of the first strict local maximum exceeding ``baseline``."""
-    for i in range(1, len(fef) - 1):
-        if fef[i] > fef[i - 1] and fef[i] > fef[i + 1] and fef[i] > baseline:
-            return i
-    return None
+    fef = np.asarray(fef)
+    mid = fef[1:-1]
+    hits = np.flatnonzero((mid > fef[:-2]) & (mid > fef[2:]) & (mid > baseline))
+    return int(hits[0]) + 1 if hits.size else None
+
+
+def locate_first_peak(
+    curves: np.ndarray,
+    ts: np.ndarray,
+    evaluators: list[CurveEvaluator] | None = None,
+    *,
+    above_baseline: bool = True,
+    any_height_fallback: bool = False,
+    argmax_fallback: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First maximum of each of K fef curves on the grid ``ts``.
+
+    ``curves`` is (K, T).  Each member's peak is picked on the grid by
+    these rules, in order:
+
+    - ``above_baseline``: the first strict local maximum above the
+      curve's t = 0 value; when False, the first of any height;
+    - ``any_height_fallback``: else the first strict local maximum of any
+      height;
+    - ``argmax_fallback``: else the grid maximum, kept unrefined.
+
+    A member left without a peak raises NoPeakError.  With ``evaluators``
+    (one per curve, same coupling j) a peak at grid index i is refined on
+    [t_{i-1}, t_{i+1}] to 1e-6/j by :func:`golden_section_max`, every
+    member in lockstep; golden section assumes a unimodal bracket, so a
+    refined value below fef(t_i) gives way to the grid point.  Returns the
+    peak times and values, each of shape (K,).
+    """
+    ts = np.asarray(ts, dtype=float)
+    index = np.empty(len(curves), dtype=int)
+    refine = np.full(len(curves), evaluators is not None)
+    for k, curve in enumerate(curves):
+        i = first_peak_index(curve, curve[0] if above_baseline else -np.inf)
+        if i is None and any_height_fallback:
+            i = first_peak_index(curve, -np.inf)
+        if i is None and argmax_fallback:
+            i, refine[k] = int(np.argmax(curve)), False
+        if i is None:
+            raise NoPeakError(f"no first maximum of fef in curve {k} of {len(curves)}")
+        index[k] = i
+    t_peak, f_peak = ts[index], curves[np.arange(len(curves)), index]
+    if np.any(refine):
+        todo = np.flatnonzero(refine)
+        i = index[todo]
+        t_ref, f_ref = golden_section_max(
+            _block_fef([evaluators[k] for k in todo]), ts[i - 1], ts[i + 1],
+            REFINE_RESOLUTION / evaluators[0].spec.j,
+        )
+        grid_better = f_ref < f_peak[todo]
+        t_peak[todo] = np.where(grid_better, t_peak[todo], t_ref)
+        f_peak[todo] = np.where(grid_better, f_peak[todo], f_ref)
+    return t_peak, f_peak
 
 
 def find_tmax(
@@ -186,6 +282,10 @@ def find_tmax(
     an absolute time resolution of 1e-6/j.  Even chains never exceed the
     t = 0 criterion boundary; ``require_above_baseline=False`` then tracks
     the first strict local maximum regardless of height.
+
+    The scan runs one engine chunk at a time and stops at the first chunk
+    that confirms the peak, i.e. holds its right neighbour; the result is
+    the one a scan of the whole grid gives.
     """
     horizon = search_horizon if search_horizon is not None else default_horizon(spec)
     step = grid_step if grid_step is not None else default_grid_step(spec, horizon)
@@ -193,21 +293,25 @@ def find_tmax(
         raise ValueError("horizon and grid step must be positive")
     ts = time_grid(horizon, step)
     evaluator = CurveEvaluator(spec, engine)
-    curve = evaluator.fef_series(ts)
-    baseline = curve[0] if require_above_baseline else -np.inf
-    i = first_peak_index(curve, baseline)
-    if i is None:
+    curve = np.empty(len(ts))
+    for lo in range(0, len(ts), evaluator.chunk_points):
+        hi = min(lo + evaluator.chunk_points, len(ts))
+        curve[lo:hi] = evaluator.fef_series(ts[lo:hi])
+        baseline = curve[0] if require_above_baseline else -np.inf
+        # the new candidates are lo - 1 .. hi - 2, each with both neighbours
+        if first_peak_index(curve[max(lo - 2, 0):hi], baseline) is not None:
+            break
+    else:
         raise NoPeakError(
             f"no first maximum of fef above {baseline} within horizon {horizon} "
             f"(n={spec.n}, delta1={spec.delta1}, delta2={spec.delta2})"
         )
-    t_max, fef_max = golden_section_max(
-        evaluator.fef, float(ts[i - 1]), float(ts[i + 1]), REFINE_RESOLUTION / spec.j
+    t_max, fef_max = locate_first_peak(
+        curve[None, :hi], ts[:hi], [evaluator], above_baseline=require_above_baseline
     )
-    if fef_max < curve[i]:  # golden section assumes unimodality; keep the best
-        t_max, fef_max = float(ts[i]), float(curve[i])
     return TmaxResult(
-        t_max=t_max, fef_at_tmax=fef_max, scan_resolution=step, refined=True
+        t_max=float(t_max[0]), fef_at_tmax=float(fef_max[0]),
+        scan_resolution=step, refined=True,
     )
 
 

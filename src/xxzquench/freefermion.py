@@ -129,53 +129,96 @@ class HoppingChain:
         return (self.modes * phases) @ self.modes.T
 
     def end_rows(self, ts: np.ndarray) -> np.ndarray:
-        """Rows 1 and n of f(t) over ``ts`` as real parts, shape (4, T, n).
-
-        With f = C - i S the stack is [C_1, C_n, S_1, S_n], one real product
-        [cos(E t) u_1; cos(E t) u_n; sin(E t) u_1; sin(E t) u_n] @ U^T, where
-        u_1 and u_n are the end rows of the mode matrix U.  Times equal to
-        zero are short-circuited to exact unit rows so that t = 0
-        observables are free of eigenbasis round-off.
-        """
+        """Rows 1 and n of f(t) over ``ts`` as real parts, shape (4, T, n);
+        see :func:`_end_rows`."""
         ts = np.asarray(ts, dtype=float)
-        u1, un = self.modes[0], self.modes[-1]
-        phase = np.outer(ts, self.energies)
-        w = np.empty((4, len(ts), self.n))
-        np.cos(phase, out=w[0])
-        np.multiply(w[0], un, out=w[1])
-        w[0] *= u1
-        np.sin(phase, out=phase)
-        np.multiply(phase, u1, out=w[2])
-        np.multiply(phase, un, out=w[3])
-        del phase
-        rows = (w.reshape(-1, self.n) @ self.modes.T).reshape(w.shape)
-        zero = ts == 0.0
-        if np.any(zero):
-            rows[:, zero] = 0.0
-            rows[0, zero, 0] = 1.0
-            rows[1, zero, -1] = 1.0
-        return rows
+        return _end_rows(self.energies[None], self.modes[None], ts[None])[:, 0]
 
     def end_moments(self, ts: np.ndarray, occupied: np.ndarray) -> np.ndarray:
         """End-site moments over ``ts`` for k initial states, shape (4, T, k).
 
         ``occupied`` is an (n, k) 0/1 matrix whose columns mark each
-        state's initially occupied sites.  The four rows are <c+_1 c_1>,
-        <c+_n c_n> and the real and imaginary parts of <c+_n c_1>, each the
-        Heisenberg-picture sum over occupied p, e.g.
-        <c+_n c_1> = sum_p f_{n,p} conj(f_{1,p}).
+        state's initially occupied sites; see :func:`_end_moments`.
         """
-        c1, cn, s1, sn = self.end_rows(ts)
-        site = np.empty((4, len(ts), self.n))
-        np.multiply(c1, c1, out=site[0])
-        site[0] += s1 * s1
-        np.multiply(cn, cn, out=site[1])
-        site[1] += sn * sn
-        np.multiply(cn, c1, out=site[2])
-        site[2] += sn * s1
-        np.multiply(cn, s1, out=site[3])
-        site[3] -= sn * c1
-        return site @ occupied
+        return _end_moments(self.end_rows(ts), occupied)
+
+
+def _end_rows(energies: np.ndarray, modes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Rows 1 and n of f(t) for K chains, each over its own T times.
+
+    ``energies`` is (K, n), ``modes`` (K, n, n) and ``ts`` (K, T); the
+    result is real, shape (4, K, T, n).  With f = C - i S the stack is
+    [C_1, C_n, S_1, S_n], per chain one real product
+    [cos(E t) u_1; cos(E t) u_n; sin(E t) u_1; sin(E t) u_n] @ U^T, where
+    u_1 and u_n are the end rows of the mode matrix U.  Times equal to
+    zero are short-circuited to exact unit rows so that t = 0
+    observables are free of eigenbasis round-off.
+    """
+    k, n = energies.shape
+    u1, un = modes[:, None, 0], modes[:, None, -1]
+    phase = ts[:, :, None] * energies[:, None, :]
+    w = np.empty((k, 4) + phase.shape[1:])
+    np.cos(phase, out=w[:, 0])
+    np.multiply(w[:, 0], un, out=w[:, 1])
+    w[:, 0] *= u1
+    np.sin(phase, out=phase)
+    np.multiply(phase, u1, out=w[:, 2])
+    np.multiply(phase, un, out=w[:, 3])
+    del phase
+    rows = (w.reshape(k, -1, n) @ modes.transpose(0, 2, 1)).reshape(w.shape)
+    rows = rows.swapaxes(0, 1)
+    zero = ts == 0.0
+    if np.any(zero):
+        rows[:, zero] = 0.0
+        rows[0, zero, 0] = 1.0
+        rows[1, zero, -1] = 1.0
+    return rows
+
+
+def _end_moments(rows: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    """End-site moments from a stack of end rows, shape (4, ..., k).
+
+    The four rows are <c+_1 c_1>, <c+_n c_n> and the real and imaginary
+    parts of <c+_n c_1>, each the Heisenberg-picture sum over occupied p,
+    e.g. <c+_n c_1> = sum_p f_{n,p} conj(f_{1,p}).
+    """
+    c1, cn, s1, sn = rows
+    site = np.empty(rows.shape)
+    np.multiply(c1, c1, out=site[0])
+    site[0] += s1 * s1
+    np.multiply(cn, cn, out=site[1])
+    site[1] += sn * sn
+    np.multiply(cn, c1, out=site[2])
+    site[2] += sn * s1
+    np.multiply(cn, s1, out=site[3])
+    site[3] -= sn * c1
+    return site @ occupied
+
+
+class ChainStack:
+    """Hopping chains of one length, evaluated together at one time each.
+
+    The eigenbases are stacked, so the end-spin state of K chains at K
+    different times is one (K, 4, n) @ (K, n, n) product rather than K
+    calls.  Every member's value is computed by the same operations as
+    :func:`end_spin_series` at that single time, so the two agree bit for
+    bit, and it passes the same positivity checks.
+    """
+
+    def __init__(
+        self,
+        chains: list[HoppingChain],
+        initial: NeelOrder | Literal["mixture"] = "mixture",
+    ):
+        self.energies = np.stack([c.energies for c in chains])
+        self.modes = np.stack([c.modes for c in chains])
+        self._occupied, self._sign = _neel_components(chains[0].n, initial)
+
+    def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, c) of chain k at time ``ts[k]``, each of shape (K,)."""
+        ts = np.asarray(ts, dtype=float)
+        moments = _end_moments(_end_rows(self.energies, self.modes, ts[:, None]), self._occupied)
+        return _x_state(moments[:, :, 0], self._sign)
 
 
 # Each entry holds an n x n eigenbasis (0.5 MB at n=241); callers work
@@ -272,7 +315,7 @@ def _x_state(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, c) of the equal mixture of k components from their moments.
 
-    ``moments`` is a (4, T, k) stack from :meth:`HoppingChain.end_moments`.
+    ``moments`` is a (4, T, k) stack from :func:`_end_moments`.
     Each component is assembled on its own and the mixture is their
     element-wise average; the result must be a valid X state.
     """

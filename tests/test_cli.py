@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from xxzquench import cli, entangle, model
+from xxzquench import cli, entangle, freefermion, model
+from xxzquench.errors import NumericalFaultError
 
 
 def run(*argv):
@@ -264,3 +265,68 @@ def test_quench_rejects_non_finite_and_unbounded_input(tmp_path, capsys, flags, 
     assert names in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_disorder_bytes_independent_of_jobs_and_block_size(tmp_path, monkeypatch):
+    argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5",
+            "--seed", "11"]
+    assert run(*argv, "--jobs", "1", "--out", str(tmp_path / "whole.csv")) == 0
+    # blocks of 2, 2 and 1 realizations: 5 is not a multiple of the block size
+    monkeypatch.setattr(cli, "DISORDER_BLOCK", 2)
+    assert run(*argv, "--jobs", "1", "--out", str(tmp_path / "a.csv")) == 0
+    assert run(*argv, "--jobs", "2", "--out", str(tmp_path / "b.csv")) == 0
+    for suffix in (".csv", "_timeseries.csv"):
+        want = (tmp_path / f"whole{suffix}").read_bytes()
+        assert (tmp_path / f"a{suffix}").read_bytes() == want
+        assert (tmp_path / f"b{suffix}").read_bytes() == want
+
+
+def test_disorder_block_size_bounds_stacked_eigenbases():
+    assert cli._block_size(7, "freefermion") == cli.DISORDER_BLOCK
+    for n in (101, 241):
+        size = cli._block_size(n, "freefermion")
+        assert 1 <= size < cli.DISORDER_BLOCK
+        assert size * 8 * n * n <= freefermion.CHUNK_BYTES
+    assert cli._block_size(13, "exactdiag") == 1
+
+
+def _inject_fault(monkeypatch, cls, method, when):
+    original = getattr(cls, method)
+
+    def faulty(self, *args):
+        if when(self):
+            raise NumericalFaultError("injected fault")
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, method, faulty)
+
+
+def test_disorder_failure_names_the_realization(tmp_path, monkeypatch, capsys):
+    # seed 17, realization 3: sub-seed 17 ^ 3 = 18
+    _inject_fault(monkeypatch, entangle.CurveEvaluator, "fef_series",
+                  lambda ev: ev.spec.seed == 18 and ev.spec.disorder_sigma == 0.2)
+    argv = ["disorder", "--n", "7", "--sigma", "0.2", "--realizations", "5",
+            "--seed", "17", "--jobs", "1", "--out", str(tmp_path / "d.csv")]
+    assert run(*argv) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "disorder n=7 sigma=0.2 realization 3 sub-seed=18: injected fault" in err
+
+
+def test_disorder_lockstep_failure_names_the_realization(tmp_path, monkeypatch, capsys):
+    target = freefermion._chain(model.realize_couplings(
+        model.ChainSpec(n=7, disorder_sigma=0.2, seed=18))).energies
+    _inject_fault(monkeypatch, freefermion.ChainStack, "end_spin_at",
+                  lambda stack: any(np.array_equal(e, target) for e in stack.energies))
+    argv = ["disorder", "--n", "7", "--sigma", "0.2", "--realizations", "5",
+            "--seed", "17", "--jobs", "1", "--out", str(tmp_path / "d.csv")]
+    assert run(*argv) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "realization 3 sub-seed=18: injected fault" in err
+
+
+def test_scan_failure_names_the_size(tmp_path, monkeypatch, capsys):
+    _inject_fault(monkeypatch, entangle.CurveEvaluator, "fef_series",
+                  lambda ev: ev.spec.n == 5)
+    assert run("scan-n", "--n", "3,5", "--jobs", "1", "--out", str(tmp_path / "s.csv")) \
+        == cli.EXIT_NUMERICAL
+    assert "scan-n n=5 sigma=0 sub-seed=5: injected fault" in capsys.readouterr().err

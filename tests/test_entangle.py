@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xxzquench import entangle, freefermion, model
 from xxzquench.errors import NoPeakError
@@ -154,3 +156,160 @@ def test_time_grid_is_bounded_before_allocation():
     horizon = entangle.default_horizon(spec)
     ts = entangle.time_grid(horizon, entangle.default_grid_step(spec, horizon))
     assert 7000 < len(ts) < entangle.MAX_GRID_POINTS / 10
+
+
+# --- the per-realization peak path the lockstep finder replaced, as oracle ---
+
+
+def _golden_oracle(fun, lo, hi, xtol):
+    """Scalar golden-section maximization, one evaluation per step."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while (b - a) > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fun(d)
+    mid = 0.5 * (a + b)
+    return mid, fun(mid)
+
+
+def _first_peak_oracle(fef, baseline):
+    for i in range(1, len(fef) - 1):
+        if fef[i] > fef[i - 1] and fef[i] > fef[i + 1] and fef[i] > baseline:
+            return i
+    return None
+
+
+def _peak_oracle(evaluator, curve, ts, above_baseline=True, fallbacks=False):
+    """(t, fef, rule) of one curve's first peak, one realization at a time."""
+    i = _first_peak_oracle(curve, curve[0] if above_baseline else -np.inf)
+    rule = "baseline"
+    if i is None and fallbacks:
+        i, rule = _first_peak_oracle(curve, -np.inf), "any height"
+    if i is None:
+        i = int(np.argmax(curve))
+        return float(ts[i]), float(curve[i]), "argmax"
+    t, f = _golden_oracle(
+        evaluator.fef, float(ts[i - 1]), float(ts[i + 1]),
+        entangle.REFINE_RESOLUTION / evaluator.spec.j,
+    )
+    if f < curve[i]:
+        return float(ts[i]), float(curve[i]), rule
+    return t, f, rule
+
+
+def _default_grid(spec):
+    horizon = entangle.default_horizon(spec)
+    return entangle.time_grid(horizon, entangle.default_grid_step(spec, horizon))
+
+
+tie_values = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, -np.inf, np.inf, np.nan])
+curve_values = st.one_of(tie_values, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    fef=st.lists(curve_values, max_size=24),
+    baseline=st.one_of(tie_values, st.floats(allow_nan=True)),
+)
+def test_first_peak_index_matches_loop(fef, baseline):
+    fef = np.array(fef, dtype=float)
+    assert entangle.first_peak_index(fef, baseline) == _first_peak_oracle(fef, baseline)
+
+
+def test_first_peak_index_on_plateaus_and_nan():
+    nan = np.nan
+    assert entangle.first_peak_index([0.0, 1.0, 1.0, 0.0, 2.0, 0.0], -np.inf) == 4
+    assert entangle.first_peak_index([0.0, nan, 1.0, 0.0], -np.inf) is None
+    assert entangle.first_peak_index([0.5, 0.7, 0.6], 0.7) is None
+    assert entangle.first_peak_index([0.5, 0.7, 0.6], nan) is None
+    assert entangle.first_peak_index([0.5, 0.7], -np.inf) is None
+
+
+def _ensemble(n, sigma, seeds, **kw):
+    return [entangle.CurveEvaluator(model.ChainSpec(n=n, disorder_sigma=sigma, seed=s, **kw))
+            for s in seeds]
+
+
+# (evaluators, grid, peak rule) -> the rules the oracle must see used
+LOCKSTEP_CASES = {
+    # seeds 0..11 at sigma=1 take all three rules: 9 has no local maximum
+    "odd-strong-disorder": (lambda: _ensemble(7, 1.0, range(12)), None,
+                            {"baseline", "any height", "argmax"}),
+    # an even chain never exceeds its t = 0 value
+    "even": (lambda: _ensemble(6, 0.2, range(5)), None, {"any height"}),
+    "exactdiag": (lambda: _ensemble(5, 0.3, range(6), delta1=3.0), None, {"baseline"}),
+    "single-member": (lambda: _ensemble(9, 0.1, [4]), None, {"baseline"}),
+    # fef first falls from its t = 0 value: no local maximum this early
+    "short-grid": (lambda: _ensemble(7, 0.1, range(3)), entangle.time_grid(0.3, 0.01),
+                   {"argmax"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_peaks_match_per_realization_oracle(case):
+    make, ts, rules = LOCKSTEP_CASES[case]
+    evaluators = make()
+    if ts is None:
+        ts = _default_grid(evaluators[0].spec)
+    curves = np.stack([e.fef_series(ts) for e in evaluators])
+    t, f = entangle.locate_first_peak(
+        curves, ts, evaluators, any_height_fallback=True, argmax_fallback=True
+    )
+    want = [_peak_oracle(e, c, ts, fallbacks=True) for e, c in zip(evaluators, curves)]
+    assert {w[2] for w in want} == rules
+    np.testing.assert_allclose(t, [w[0] for w in want], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(f, [w[1] for w in want], rtol=0, atol=2.2e-16)
+
+
+def test_lockstep_without_fallback_raises():
+    evaluators = _ensemble(6, 0.2, range(2))
+    ts = _default_grid(evaluators[0].spec)
+    curves = np.stack([e.fef_series(ts) for e in evaluators])
+    with pytest.raises(NoPeakError):
+        entangle.locate_first_peak(curves, ts, evaluators)
+
+
+def test_golden_section_lockstep_matches_scalar_per_member():
+    centres = np.array([0.3, 1.7, 2.9])
+    lo, hi = centres - 0.5, centres + np.array([0.5, 0.7, 0.2])
+    t, v = entangle.golden_section_max(lambda x: -(x - centres) ** 2, lo, hi, 1e-9)
+    for k, c in enumerate(centres):
+        want = _golden_oracle(lambda x: -(x - c) ** 2, lo[k], hi[k], 1e-9)
+        assert (t[k], v[k]) == want
+
+
+@pytest.mark.parametrize("engine, spec", [
+    ("freefermion", model.ChainSpec(n=3)),
+    ("freefermion", model.ChainSpec(n=9)),
+    ("freefermion", model.ChainSpec(n=49)),
+    ("freefermion", model.ChainSpec(n=151)),
+    ("exactdiag", model.ChainSpec(n=3)),
+    ("exactdiag", model.ChainSpec(n=9)),
+    ("exactdiag", model.ChainSpec(n=9, delta1=3.0, delta2=0.5)),
+], ids=["ff3", "ff9", "ff49", "ff151", "ed3", "ed9", "ed9-finite"])
+def test_early_stop_scan_equals_full_grid(engine, spec, monkeypatch):
+    evaluator = entangle.CurveEvaluator(spec, engine)
+    ts = _default_grid(spec)
+    curve = evaluator.fef_series(ts)
+    want_t, want_f, _ = _peak_oracle(evaluator, curve, ts)
+    scanned = []
+    fef_series = entangle.CurveEvaluator.fef_series
+
+    def counted(self, grid):
+        scanned.append(len(grid))
+        return fef_series(self, grid)
+
+    monkeypatch.setattr(entangle.CurveEvaluator, "fef_series", counted)
+    result = entangle.find_tmax(engine, spec)
+    assert (result.t_max, result.fef_at_tmax) == (want_t, want_f)
+    if spec.n >= 49:
+        assert sum(scanned) < 0.8 * len(ts)

@@ -341,9 +341,11 @@ def _fault(entries):
     return rho
 
 
-# each fault exceeds its tolerance by half, so a looser check would miss it
-RDM = 1.5 * exactdiag.RDM_TOL
-XS = 1.5 * exactdiag.X_STRUCTURE_TOL
+# each fault exceeds the documented tolerance by half, written as a literal
+# so that a loosened module constant misses it (the constants are pinned in
+# test_tolerance_constants_are_pinned)
+RDM = 1.5 * 1e-9
+XS = 1.5 * 1e-10
 
 
 @pytest.mark.parametrize("bad_rho, message", [
@@ -376,10 +378,19 @@ def test_norm_drift_raises_inside_a_chunk():
     evolution = exactdiag.QuenchEvolution(homogeneous(7), 3.0, 0.5)
     evolution.chunk_points = 7
     (rep,) = evolution._prepped  # the one flip representative
-    drift = 1.5 * exactdiag.NORM_DRIFT_TOL
+    drift = 1.5 * 1e-10  # NORM_DRIFT_TOL
     evolution._prepped[0] = rep._replace(coeffs=[c * (1 + drift) for c in rep.coeffs])
     with pytest.raises(NumericalFaultError, match="norm drift"):
         evolution.end_spin_series(FAULT_TS[FAULT_INDEX:])
+
+
+def test_tolerance_constants_are_pinned():
+    assert exactdiag.RDM_TOL == 1e-9
+    assert exactdiag.X_STRUCTURE_TOL == 1e-10
+    assert exactdiag.NORM_DRIFT_TOL == 1e-10
+    assert exactdiag.FLIP_CLOSURE_TOL == 1e-10
+    assert freefermion.POSITIVITY_TOL == 1e-9
+    assert freefermion.COHERENCE_IMAG_TOL == 1e-10
 
 
 def test_evolver_cache_is_small():
@@ -440,7 +451,7 @@ def test_flip_closure_check(monkeypatch, factor):
     real = homogeneous(7)
     state = exactdiag.ground_mixture(real, 3.0)
     first, partner = state.components
-    moved = _rotated(partner.amplitudes, factor * exactdiag.FLIP_CLOSURE_TOL)
+    moved = _rotated(partner.amplitudes, factor * 1e-10)  # FLIP_CLOSURE_TOL
     corrupted = exactdiag.MixedState(n=7, components=(
         first, exactdiag.PureComponent(weight=0.5, m_up=partner.m_up, amplitudes=moved),
     ))

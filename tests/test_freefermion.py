@@ -298,7 +298,7 @@ def test_end_spin_state_checks_coherence_imaginary_part(component, monkeypatch):
     def shifted(scale):
         def moments(self, ts, occupied):
             out = end_moments(self, ts, occupied)
-            out[3, :, component] += scale * freefermion.COHERENCE_IMAG_TOL
+            out[3, :, component] += scale * 1e-10  # COHERENCE_IMAG_TOL
             return out
         return moments
 
@@ -321,3 +321,30 @@ def test_neel_components_are_cached_read_only():
         state = model.neel_state(order, 7)
         assert list(np.nonzero(occupied[:, k])[0] + 1) == list(state.up_sites)
         assert sign[k] == (1.0 if state.m_up % 2 == 1 else -1.0)
+
+
+@pytest.mark.parametrize("n, initial", [(7, "mixture"), (31, "mixture"), (12, NeelOrder.N2)])
+def test_chain_stack_matches_single_time_series_bitwise(n, initial):
+    reals = [homogeneous(n)] + [disordered(n, sigma=0.8, seed=s) for s in range(5)]
+    stack = freefermion.ChainStack([freefermion._chain(r) for r in reals], initial)
+    ts = np.array([0.0, 0.4, 1.7, 1.7, 9.3, 2.0 * n])
+    got = stack.end_spin_at(ts)
+    for k, (real, t) in enumerate(zip(reals, ts)):
+        want = freefermion.end_spin_series(real, np.array([t]), initial)
+        assert [g[k] for g in got] == [w[0] for w in want]
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.5])
+def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
+    # occupations 1/2, coherence 0 and |<c+_n c_1>|^2 = 1/4 + delta give
+    # a = -delta, b = 1/2 + delta; delta is the literal POSITIVITY_TOL scaled
+    delta = factor * 1e-9
+    moments = np.array([0.5, 0.5, 0.0, math.sqrt(0.25 + delta)])
+    monkeypatch.setattr(freefermion, "_end_moments", lambda rows, occupied: np.broadcast_to(
+        moments[:, None, None, None], rows.shape[:-1] + (occupied.shape[1],)))
+    stack = freefermion.ChainStack([freefermion._chain(homogeneous(7))])
+    if factor < 1:
+        stack.end_spin_at(np.array([1.0]))
+        return
+    with pytest.raises(NumericalFaultError, match="negative end-spin probability"):
+        stack.end_spin_at(np.array([1.0]))
