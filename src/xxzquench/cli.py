@@ -352,12 +352,13 @@ def _disorder_block(item: dict) -> dict:
             "curves": curves, "peak_t": peak_t, "peak_f": peak_f}
 
 
-def _block_size(n: int, engine: str) -> int:
-    """Realizations per block: at most DISORDER_BLOCK, and their eigenbases
-    (n x n per chain, a half-filled sector per exact quench) within
-    freefermion.CHUNK_BYTES."""
-    dim = n if engine == "freefermion" else math.comb(n, n // 2)
-    return max(1, min(DISORDER_BLOCK, freefermion.CHUNK_BYTES // (8 * dim * dim)))
+def _block_size(n: int, engine: str, realizations: int, jobs: int) -> int:
+    """Realizations per block: at most DISORDER_BLOCK, their eigenbases
+    within freefermion.CHUNK_BYTES, and few enough that one sigma's
+    realizations fill every worker.  The output does not depend on it."""
+    budget = freefermion.CHUNK_BYTES // entangle.CurveEvaluator.eigenbasis_bytes(n, engine)
+    per_worker = -(-realizations // max(jobs, 1))
+    return max(1, min(DISORDER_BLOCK, budget, per_worker))
 
 
 def cmd_disorder(args) -> int:
@@ -371,8 +372,7 @@ def cmd_disorder(args) -> int:
     engine = _check_engine(base, args.engine)
     horizon, step, ts = _resolve_grid(args, base)
 
-    # blocks depend only on the configuration, never on --jobs
-    block = _block_size(args.n, engine)
+    block = _block_size(args.n, engine, args.realizations, args.jobs)
     items = []
     for sigma in sigmas:
         spec = dataclasses.replace(base, disorder_sigma=sigma)

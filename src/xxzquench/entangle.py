@@ -66,6 +66,12 @@ def fully_entangled_fraction(state: EndSpinState) -> FefResult:
     return FefResult(fef=psi_branch, argmax_bell=which)
 
 
+def _fef(a, b, c):
+    """Array form of the fef rule max(a, b + |c|); one definition serves
+    the grid scan and the lockstep refinement, which must agree bit for bit."""
+    return np.maximum(a, b + np.abs(c))
+
+
 def negativity(state: EndSpinState) -> float:
     """Negativity of the partial transpose; zero exactly iff separable."""
     return max(0.0, abs(state.c) - state.a)
@@ -107,6 +113,13 @@ class CurveEvaluator:
         else:
             self._chain = freefermion._chain(self.realization)
 
+    @staticmethod
+    def eigenbasis_bytes(n: int, engine: Engine) -> int:
+        """Bytes an evaluator of an n-site chain keeps for its eigenbasis
+        (a bound for exact diagonalization)."""
+        module = freefermion if engine == "freefermion" else exactdiag
+        return module.eigenbasis_bytes(n)
+
     @property
     def chunk_points(self) -> int:
         """Grid points per chunk of the engine's series.  A scan in windows
@@ -121,8 +134,7 @@ class CurveEvaluator:
         return self._evolution.end_spin_series(ts)
 
     def fef_series(self, ts: np.ndarray) -> np.ndarray:
-        a, b, c = self.series(ts)
-        return np.maximum(a, b + np.abs(c))
+        return _fef(*self.series(ts))
 
     def fef(self, t: float) -> float:
         return float(self.fef_series(np.array([t]))[0])
@@ -138,11 +150,7 @@ def _block_fef(evaluators: list[CurveEvaluator]) -> Callable[[np.ndarray], np.nd
     if all(e.engine == "freefermion" for e in evaluators):
         stack = freefermion.ChainStack([e._chain for e in evaluators])
 
-        def fef(ts: np.ndarray) -> np.ndarray:
-            a, b, c = stack.end_spin_at(ts)
-            return np.maximum(a, b + np.abs(c))
-
-        return fef
+        return lambda ts: _fef(*stack.end_spin_at(ts))
     return lambda ts: np.array([e.fef(t) for e, t in zip(evaluators, ts.tolist())])
 
 

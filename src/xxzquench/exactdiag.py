@@ -520,6 +520,14 @@ class _Prepared(NamedTuple):
     coeffs: list[np.ndarray]
 
 
+def eigenbasis_bytes(n: int) -> int:
+    """Bound on the bytes of the eigenbasis one n-site quench keeps: the
+    modes and energies of the parity blocks of the half-filled sector,
+    together at most those of the whole sector."""
+    dim = math.comb(n, n // 2)
+    return 8 * dim * (dim + 1)
+
+
 class QuenchEvolution:
     """Prepared quench run: ground mixture of H(delta1) evolved under H(delta2).
 

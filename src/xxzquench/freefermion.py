@@ -196,7 +196,8 @@ def _end_moments(rows: np.ndarray, occupied: np.ndarray) -> np.ndarray:
 
 
 class ChainStack:
-    """Hopping chains of one length, evaluated together at one time each.
+    """Hopping chains of one length from the Neel mixture, evaluated
+    together at one time each.
 
     The eigenbases are stacked, so the end-spin state of K chains at K
     different times is one (K, 4, n) @ (K, n, n) product rather than K
@@ -205,20 +206,21 @@ class ChainStack:
     bit, and it passes the same positivity checks.
     """
 
-    def __init__(
-        self,
-        chains: list[HoppingChain],
-        initial: NeelOrder | Literal["mixture"] = "mixture",
-    ):
+    def __init__(self, chains: list[HoppingChain]):
         self.energies = np.stack([c.energies for c in chains])
         self.modes = np.stack([c.modes for c in chains])
-        self._occupied, self._sign = _neel_components(chains[0].n, initial)
+        self._occupied, self._sign = _neel_components(chains[0].n, "mixture")
 
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) of chain k at time ``ts[k]``, each of shape (K,)."""
         ts = np.asarray(ts, dtype=float)
         moments = _end_moments(_end_rows(self.energies, self.modes, ts[:, None]), self._occupied)
         return _x_state(moments[:, :, 0], self._sign)
+
+
+def eigenbasis_bytes(n: int) -> int:
+    """Bytes of the eigenbasis one n-site chain keeps: energies and modes."""
+    return 8 * n * (n + 1)
 
 
 # Each entry holds an n x n eigenbasis (0.5 MB at n=241); callers work

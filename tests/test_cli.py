@@ -271,23 +271,29 @@ def test_disorder_bytes_independent_of_jobs_and_block_size(tmp_path, monkeypatch
     argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5",
             "--seed", "11"]
     assert run(*argv, "--jobs", "1", "--out", str(tmp_path / "whole.csv")) == 0
+    # two workers: blocks of 3 and 2 realizations
+    assert run(*argv, "--jobs", "2", "--out", str(tmp_path / "c.csv")) == 0
     # blocks of 2, 2 and 1 realizations: 5 is not a multiple of the block size
     monkeypatch.setattr(cli, "DISORDER_BLOCK", 2)
     assert run(*argv, "--jobs", "1", "--out", str(tmp_path / "a.csv")) == 0
     assert run(*argv, "--jobs", "2", "--out", str(tmp_path / "b.csv")) == 0
     for suffix in (".csv", "_timeseries.csv"):
         want = (tmp_path / f"whole{suffix}").read_bytes()
-        assert (tmp_path / f"a{suffix}").read_bytes() == want
-        assert (tmp_path / f"b{suffix}").read_bytes() == want
+        for name in "abc":
+            assert (tmp_path / f"{name}{suffix}").read_bytes() == want
 
 
-def test_disorder_block_size_bounds_stacked_eigenbases():
-    assert cli._block_size(7, "freefermion") == cli.DISORDER_BLOCK
+def test_disorder_block_size_bounds_stacked_eigenbases_and_fills_workers():
+    assert cli._block_size(7, "freefermion", 100, 1) == cli.DISORDER_BLOCK
     for n in (101, 241):
-        size = cli._block_size(n, "freefermion")
+        size = cli._block_size(n, "freefermion", 100, 1)
         assert 1 <= size < cli.DISORDER_BLOCK
-        assert size * 8 * n * n <= freefermion.CHUNK_BYTES
-    assert cli._block_size(13, "exactdiag") == 1
+        assert size * freefermion.eigenbasis_bytes(n) <= freefermion.CHUNK_BYTES
+    assert cli._block_size(13, "exactdiag", 100, 1) == 1
+    # every worker gets a block
+    assert cli._block_size(7, "freefermion", 100, 2) == 50
+    assert cli._block_size(7, "freefermion", 100, 8) == 13
+    assert cli._block_size(7, "freefermion", 5, 8) == 1
 
 
 def _inject_fault(monkeypatch, cls, method, when):

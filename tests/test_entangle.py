@@ -114,6 +114,22 @@ def test_engine_resolution():
         entangle.resolve_engine(model.ChainSpec(n=9), "magic")
 
 
+@pytest.mark.parametrize("spec", [
+    model.ChainSpec(n=9, disorder_sigma=0.3, seed=2),
+    model.ChainSpec(n=5, delta1=3.0),
+    model.ChainSpec(n=8, delta1=3.0, disorder_sigma=0.3, seed=2),
+])
+def test_eigenbasis_bytes_covers_what_an_evaluator_keeps(spec):
+    ev = entangle.CurveEvaluator(spec)
+    if ev.engine == "freefermion":
+        kept = ev._chain.energies.nbytes + ev._chain.modes.nbytes
+        assert kept == entangle.CurveEvaluator.eigenbasis_bytes(spec.n, ev.engine)
+    else:
+        kept = sum(b.energies.nbytes + b.modes.nbytes
+                   for rep in ev._evolution._prepped for b in rep.blocks)
+        assert 0 < kept <= entangle.CurveEvaluator.eigenbasis_bytes(spec.n, ev.engine)
+
+
 def test_power_law_round_trip():
     ns = np.arange(25, 242, 2)
     pts = [(int(n), 1.42 * n ** (-0.22)) for n in ns]
