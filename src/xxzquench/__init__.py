@@ -17,7 +17,6 @@ from .entangle import (
     fit_power_law,
     fully_entangled_fraction,
     negativity,
-    resolve_engine,
 )
 from .errors import (
     ConvergenceError,
@@ -25,47 +24,11 @@ from .errors import (
     NotPurifiableError,
     NumericalFaultError,
 )
-from .exactdiag import (
-    MixedState,
-    PureComponent,
-    SectorBasis,
-    SectorHamiltonian,
-    build_sector_hamiltonian,
-    evolve,
-    ground_mixture,
-    neel_mixture,
-    sector_basis,
-    two_site_matrix,
-    two_spin_rdm,
-)
-from .freefermion import (
-    EndSpinState,
-    Propagator,
-    SecondMoments,
-    end_spin_series,
-    end_spin_state,
-    propagator,
-    second_moments,
-)
-from .model import (
-    ChainSpec,
-    CouplingRealization,
-    INFINITE_ANISOTROPY,
-    NeelOrder,
-    NeelState,
-    neel_state,
-    realize_couplings,
-    sub_seed,
-)
-from .purify import (
-    BellDiagonal,
-    PurificationStep,
-    PurificationTrace,
-    purify_until,
-    recurrence_step,
-    recurrence_step_dense,
-)
+from .freefermion import EndSpinState, end_spin_series, end_spin_state
+from .model import INFINITE_ANISOTROPY, ChainSpec, CouplingRealization, NeelOrder, realize_couplings
+from .purify import BellDiagonal, PurificationTrace, purify_until, recurrence_step
 
+# The surface the README's Library section documents, name for name.
 __all__ = [
     "__version__",
     "BellDiagonal",
@@ -75,41 +38,20 @@ __all__ = [
     "EndSpinState",
     "FefResult",
     "INFINITE_ANISOTROPY",
-    "MixedState",
     "NeelOrder",
-    "NeelState",
     "NoPeakError",
     "NotPurifiableError",
     "NumericalFaultError",
     "PowerLawFit",
-    "Propagator",
-    "PureComponent",
-    "PurificationStep",
     "PurificationTrace",
-    "SecondMoments",
-    "SectorBasis",
-    "SectorHamiltonian",
     "TmaxResult",
-    "build_sector_hamiltonian",
     "end_spin_series",
     "end_spin_state",
-    "evolve",
     "find_tmax",
     "fit_power_law",
     "fully_entangled_fraction",
-    "ground_mixture",
-    "neel_mixture",
-    "neel_state",
     "negativity",
-    "propagator",
     "purify_until",
     "realize_couplings",
     "recurrence_step",
-    "recurrence_step_dense",
-    "resolve_engine",
-    "second_moments",
-    "sector_basis",
-    "sub_seed",
-    "two_site_matrix",
-    "two_spin_rdm",
 ]

@@ -108,12 +108,21 @@ def _parse_delta1(text: str) -> float:
     return float(text)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(convert):
+    """Argument type for a comma-separated list of ``convert`` values that
+    refuses an empty list and a repeated value (a usage error)."""
 
+    def parse(text: str) -> list:
+        values = [convert(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise argparse.ArgumentTypeError(f"repeated values {repeated} in {text!r}")
+        return values
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
 
 
 def _spec_from_args(args, n: int | None = None, seed: int | None = None) -> model.ChainSpec:
@@ -183,8 +192,8 @@ def cmd_quench(args) -> int:
         raise SystemExit2("empty time grid", EXIT_USAGE)
     evaluator = entangle.CurveEvaluator(spec, engine)
     a, b, c = evaluator.series(ts)
-    fef = np.maximum(a, b + np.abs(c))
-    neg = np.maximum(0.0, np.abs(c) - a)
+    fef = entangle._fef(a, b, c)
+    neg = entangle._negativity(a, c)
     rows = [
         [float(ts[i]), float(a[i]), float(b[i]), float(c[i]), float(fef[i]), float(neg[i])]
         for i in range(len(ts))
@@ -230,7 +239,7 @@ def _scan_one(item: dict) -> dict:
 
 
 def cmd_scan_n(args) -> int:
-    sizes = _parse_int_list(args.n) if args.n else default_scan_sizes()
+    sizes = args.n if args.n is not None else default_scan_sizes()
     even = [n for n in sizes if n % 2 == 0]
     if even and not args.allow_even:
         raise SystemExit2(
@@ -239,7 +248,7 @@ def cmd_scan_n(args) -> int:
             EXIT_USAGE,
         )
     items = []
-    for idx, n in enumerate(sorted(set(sizes))):
+    for n in sorted(sizes):
         spec = model.ChainSpec(
             n=n,
             j=args.j,
@@ -362,7 +371,7 @@ def _block_size(n: int, engine: str, realizations: int, jobs: int) -> int:
 
 
 def cmd_disorder(args) -> int:
-    sigmas = _parse_float_list(args.sigma)
+    sigmas = args.sigma
     if args.realizations < 1:
         raise SystemExit2("need at least one realization", EXIT_USAGE)
     base = model.ChainSpec(
@@ -445,7 +454,7 @@ def _sibling_path(path: str, suffix: str) -> str:
 
 
 def cmd_ed_compare(args) -> int:
-    sizes = _parse_int_list(args.n) if args.n else [3, 5, 7, 9, 11]
+    sizes = sorted(args.n)
     bad = [n for n in sizes if n > ED_COMPARE_MAX_N or n < 2]
     if bad:
         raise SystemExit2(
@@ -460,7 +469,7 @@ def cmd_ed_compare(args) -> int:
         )
     rows = []
     worst = 0.0
-    for n in sorted(set(sizes)):
+    for n in sizes:
         spec = model.ChainSpec(n=n, j=args.j, seed=args.seed)
         horizon = entangle.default_horizon(spec)
         ts = np.linspace(0.0, horizon, args.grid_points)
@@ -469,7 +478,7 @@ def cmd_ed_compare(args) -> int:
         devs = [float(np.max(np.abs(ff[k] - ed[k]))) for k in range(3)]
         dev = max(devs)
         worst = max(worst, dev)
-        neg = float(np.max(np.maximum(0.0, np.abs(ff[2]) - ff[0])))
+        neg = float(np.max(entangle._negativity(ff[0], ff[2])))
         rows.append([n, devs[0], devs[1], devs[2], dev, neg])
         print(f"ed-compare: n={n} max deviation {dev:.3e} max negativity {neg:.3e}")
     _write_csv(
@@ -478,7 +487,7 @@ def cmd_ed_compare(args) -> int:
         rows,
     )
     config = {
-        "n_list": sorted(set(sizes)),
+        "n_list": sizes,
         "j": args.j,
         "grid_points": args.grid_points,
         "seed": args.seed,
@@ -608,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_quench, require_n=True)
 
     s = sub.add_parser("scan-n", help="first-peak fef across chain lengths")
-    _add_physics_flags(s, "comma-separated lengths (default: built-in list)", n_type=str)
+    _add_physics_flags(s, "comma-separated lengths (default: built-in list)",
+                       n_type=_list_of(int))
     s.add_argument("--sigma", type=float, default=0.0, help="disorder std dev")
     s.add_argument("--allow-even", action="store_true",
                    help="permit even lengths (separable end spins)")
@@ -618,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("disorder", help="seeded disorder ensemble at fixed length")
     _add_physics_flags(d, "chain length")
-    d.add_argument("--sigma", type=str, default="0,0.1,0.2,0.3",
+    d.add_argument("--sigma", type=_list_of(float), default="0,0.1,0.2,0.3",
                    help="comma-separated disorder std devs")
     d.add_argument("--realizations", type=int, default=100)
     d.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -626,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_disorder, require_n=True)
 
     e = sub.add_parser("ed-compare", help="free-fermion vs exact-diagonalization check")
-    e.add_argument("--n", type=str, default=None,
+    e.add_argument("--n", type=_list_of(int), default="3,5,7,9,11",
                    help="comma-separated lengths (default 3,5,7,9,11)")
     e.add_argument("--j", type=float, default=1.0)
     e.add_argument("--seed", type=int, default=0)

@@ -72,9 +72,15 @@ def _fef(a, b, c):
     return np.maximum(a, b + np.abs(c))
 
 
+def _negativity(a, c):
+    """Array form of the negativity max(0, |c| - a) of the partial
+    transpose, whose one possibly negative eigenvalue is a - |c|."""
+    return np.maximum(0.0, np.abs(c) - a)
+
+
 def negativity(state: EndSpinState) -> float:
     """Negativity of the partial transpose; zero exactly iff separable."""
-    return max(0.0, abs(state.c) - state.a)
+    return float(_negativity(state.a, state.c))
 
 
 def resolve_engine(spec: model.ChainSpec, requested: str = "auto") -> Engine:

@@ -36,14 +36,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalFaultError
-from .freefermion import CHUNK_BYTES, EndSpinState
+from .freefermion import CHUNK_BYTES, _check, check_x_series
 from .model import CouplingRealization, NeelOrder, neel_state
 
 MAX_SITES = 15
 GROUND_DEGENERACY_RTOL = 1e-10
 GROUND_DEGENERACY_ATOL = 1e-12
-X_STRUCTURE_TOL = 1e-10
-RDM_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-10
 # largest distance of a multiplet component from (minus) its flip partner
 FLIP_CLOSURE_TOL = 1e-10
@@ -51,12 +49,6 @@ FLIP_CLOSURE_TOL = 1e-10
 # amplitude is not evolved; the dropped part moves end-pair entries by at
 # most twice this.
 PARITY_LEAK_TOL = 1e-13
-
-# Entries of a 4x4 pair matrix outside the X pattern (diagonal, 1-2, 2-1).
-_OFF_X = np.ones((4, 4), dtype=bool)
-_OFF_X[np.diag_indices(4)] = False
-_OFF_X[1, 2] = _OFF_X[2, 1] = False
-
 
 @dataclass(eq=False)
 class SectorBasis:
@@ -288,21 +280,14 @@ class _ParityBlock:
 
 
 class _SectorEvolver:
-    """Cached eigendecompositions of H(delta2): whole sectors for the
-    per-point oracle, reflection-parity blocks for :class:`QuenchEvolution`."""
+    """Cached eigendecompositions of H(delta2) in the reflection-parity
+    blocks :class:`QuenchEvolution` evolves."""
 
     def __init__(self, realization: CouplingRealization, delta2: float):
         self.realization = realization
         self.delta2 = delta2
         self.reflect = realization.couplings == realization.couplings[::-1]
-        self._eig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._blocks: dict[tuple[int, int], _ParityBlock] = {}
-
-    def eig(self, m_up: int) -> tuple[np.ndarray, np.ndarray]:
-        if m_up not in self._eig:
-            ham = build_sector_hamiltonian(self.realization, self.delta2, m_up)
-            self._eig[m_up] = np.linalg.eigh(ham.matrix)
-        return self._eig[m_up]
 
     def orbits(self, m_up: int):
         return _parity_orbits(self.realization.n, m_up, self.reflect)
@@ -325,143 +310,12 @@ class _SectorEvolver:
                 )
         return [self._blocks[m_up, p] for p in parities]
 
-    def evolve_component(self, comp: PureComponent, t: float) -> PureComponent:
-        energies, modes = self.eig(comp.m_up)
-        coeff = modes.T @ comp.amplitudes
-        psi = modes @ (np.exp(-1j * energies * t) * coeff)
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > NORM_DRIFT_TOL:
-            raise NumericalFaultError(f"norm drift {norm - 1.0} during evolution")
-        return PureComponent(weight=comp.weight, m_up=comp.m_up, amplitudes=psi)
-
-
 # Each entry holds the dense block eigenbases QuenchEvolution uses (6 MB
-# at n=13 for the 868-dimensional even block of an odd-n Neel start), plus
-# whole-sector ones if the per-point oracle ran; keep few.
+# at n=13 for the 868-dimensional even block of an odd-n Neel start); keep
+# few.
 @lru_cache(maxsize=4)
 def _evolver(realization: CouplingRealization, delta2: float) -> _SectorEvolver:
     return _SectorEvolver(realization, delta2)
-
-
-def evolve(
-    state: MixedState, realization: CouplingRealization, delta2: float, t: float
-) -> MixedState:
-    """Evolve each component within its own sector under H(delta2) for time t."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if t == 0.0:
-        return state
-    evo = _evolver(realization, delta2)
-    comps = tuple(evo.evolve_component(c, t) for c in state.components)
-    return MixedState(n=state.n, components=comps, origin=state.origin)
-
-
-def energy_expectation(
-    state: MixedState, realization: CouplingRealization, delta: float
-) -> float:
-    """<H(delta)> of a mixed state, sector by sector."""
-    total = 0.0
-    for comp in state.components:
-        ham = build_sector_hamiltonian(realization, delta, comp.m_up)
-        total += comp.weight * float(
-            np.real(np.vdot(comp.amplitudes, ham.matrix @ comp.amplitudes))
-        )
-    return total
-
-
-@lru_cache(maxsize=256)
-def _pair_scatter(n: int, m_up: int, site_i: int, site_j: int):
-    """Mapping from sector patterns to (interior group, local pair index).
-
-    Grouping by the interior configuration turns the partial trace into a
-    stack of rank-one updates: rho = sum_g outer(z_g, z_g*).
-    """
-    basis = sector_basis(n, m_up)
-    bi, bj = site_i - 1, site_j - 1
-    groups: dict[int, int] = {}
-    gid = np.empty(basis.dim, dtype=np.intp)
-    loc = np.empty(basis.dim, dtype=np.intp)
-    for idx, pat in enumerate(int(p) for p in basis.states):
-        si = (pat >> bi) & 1
-        sj = (pat >> bj) & 1
-        rest = pat & ~((1 << bi) | (1 << bj))
-        gid[idx] = groups.setdefault(rest, len(groups))
-        loc[idx] = 3 - 2 * si - sj  # (up,up)=0 (up,down)=1 (down,up)=2 (down,down)=3
-    return gid, loc, len(groups)
-
-
-def two_site_matrix(state: MixedState, site_i: int, site_j: int) -> np.ndarray:
-    """4x4 reduced density matrix of sites (i, j), traced over the rest."""
-    if not 1 <= site_i < site_j <= state.n:
-        raise ValueError(f"need 1 <= i < j <= {state.n}, got ({site_i}, {site_j})")
-    rho = np.zeros((4, 4), dtype=complex)
-    for comp in state.components:
-        gid, loc, n_groups = _pair_scatter(state.n, comp.m_up, site_i, site_j)
-        z = np.zeros((n_groups, 4), dtype=complex)
-        z[gid, loc] = comp.amplitudes
-        rho += comp.weight * (z.T @ z.conj())
-    return rho
-
-
-def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None:
-    """Raise at the first point whose deviation exceeds tol (NaN included)."""
-    bad = ~(deviation <= tol)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NumericalFaultError(
-            f"{what} {deviation[k]:.3e} beyond {tol:g} at t={float(ts[k])!r}"
-        )
-
-
-def _x_state_series(
-    rho: np.ndarray, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, c) of a stack of 4x4 pair states, shape (T, 4, 4).
-
-    Each matrix must be a density matrix (Hermitian, unit trace, positive)
-    of X form with a real coherence and flip-symmetric diagonal pairs, all
-    up to round-off; the first violation beyond tolerance raises.
-    """
-    _check(
-        np.max(np.abs(rho - rho.conj().swapaxes(1, 2)), axis=(1, 2)),
-        RDM_TOL, "reduced density matrix not Hermitian by", ts,
-    )
-    _check(
-        np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0),
-        RDM_TOL, "reduced density matrix trace error", ts,
-    )
-    _check(
-        -np.linalg.eigvalsh(rho)[:, 0],
-        RDM_TOL, "reduced density matrix negative eigenvalue", ts,
-    )
-    _check(
-        np.max(np.abs(rho[:, _OFF_X]), axis=1),
-        X_STRUCTURE_TOL, "reduced state deviates from X structure by", ts,
-    )
-    _check(np.abs(rho[:, 1, 2].imag), X_STRUCTURE_TOL, "coherence imaginary part", ts)
-    outer_pair = np.abs(rho[:, 0, 0] - rho[:, 3, 3])
-    inner_pair = np.abs(rho[:, 1, 1] - rho[:, 2, 2])
-    _check(
-        np.maximum(outer_pair, inner_pair),
-        RDM_TOL, "X-state diagonal pairs differ by", ts,
-    )
-    a = 0.5 * (rho[:, 0, 0].real + rho[:, 3, 3].real)
-    b = 0.5 * (rho[:, 1, 1].real + rho[:, 2, 2].real)
-    return a, b, rho[:, 1, 2].real
-
-
-def two_spin_rdm(
-    state: MixedState, site_i: int, site_j: int, t: float = 0.0
-) -> EndSpinState:
-    """Reduced two-spin state projected onto the X form of the end-spin family.
-
-    Valid for the initial states this engine prepares (Neel mixtures and
-    flip-symmetric ground multiplets), whose reduced pair states are exact
-    X states up to round-off.  Violations beyond tolerance raise.
-    """
-    rho = two_site_matrix(state, site_i, site_j)
-    a, b, c = _x_state_series(rho[None], np.array([t]))
-    return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=t)
 
 
 @lru_cache(maxsize=32)
@@ -536,10 +390,12 @@ class QuenchEvolution:
     sector and diagonalizes H(delta2) only in the blocks it reaches.  Time
     points are then evaluated ``chunk_points`` at a time: per block one
     real matrix product gives the real and imaginary parts of the block
-    amplitudes over the chunk, which are expanded into the sector, and the
-    end-pair entries are gathered from those amplitudes.  The flip
-    partner's pair matrix is the representative's with both end spins
-    flipped, so the mixture is the average of the two.
+    amplitudes over the chunk, which are expanded into the sector, and
+    the end pair's X state (a, b, c) is gathered from those amplitudes.
+    The flip partner's pair is the representative's with both end spins
+    flipped, so the mixture is the average of the two.  Each
+    representative's norm is checked per point, and the series passes
+    :func:`~xxzquench.freefermion.check_x_series` (trace and positivity).
     """
 
     def __init__(
@@ -566,10 +422,18 @@ class QuenchEvolution:
         dim_max = max(sector_basis(self.n, p.m_up).dim for p in self._prepped)
         self.chunk_points = max(1, CHUNK_BYTES // (16 * dim_max))
 
-    def _end_spin_rho(self, ts: np.ndarray) -> np.ndarray:
-        """Stack of end-pair matrices over one chunk, shape (T, 4, 4)."""
+    def _end_pair(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, c) of the end pair over one chunk.
+
+        Per representative the four diagonal weights (uu, ud, du, dd) and
+        the real ud-du coherence are gathered from its amplitudes; the
+        imaginary coherence and the off-X entries are not formed, since
+        the flip average cancels the former and no sector reaches the
+        latter.
+        """
         n_t = len(ts)
-        rho = np.zeros((n_t, 4, 4), dtype=complex)
+        weights = np.zeros((4, n_t))
+        c = np.zeros(n_t)
         for rep in self._prepped:
             diag, ud, du = _end_pair_index(self.n, rep.m_up)
             # psi = re - i im, stored as [re | im] over the chunk
@@ -585,24 +449,16 @@ class QuenchEvolution:
                 psi[block.first] += amp
                 psi[block.mirror] += block.parity * amp
             re, im = psi[:, :n_t], psi[:, n_t:]
-            part = np.zeros((n_t, 4, 4), dtype=complex)
-            part[:, np.arange(4), np.arange(4)] = (diag @ (re * re + im * im)).T
-            part[:, 1, 2].real = np.einsum("it,it->t", re[ud], re[du]) + np.einsum(
-                "it,it->t", im[ud], im[du]
+            part = diag @ (re * re + im * im)
+            _check(np.abs(np.sqrt(part.sum(axis=0)) - 1.0), NORM_DRIFT_TOL, "norm drift", ts)
+            weights += rep.weight * part
+            c += rep.weight * (
+                np.einsum("it,it->t", re[ud], re[du]) + np.einsum("it,it->t", im[ud], im[du])
             )
-            part[:, 1, 2].imag = np.einsum("it,it->t", re[ud], im[du]) - np.einsum(
-                "it,it->t", im[ud], re[du]
-            )
-            part[:, 2, 1] = part[:, 1, 2].conj()
-            norm = np.sqrt(np.trace(part, axis1=1, axis2=2).real)
-            _check(np.abs(norm - 1.0), NORM_DRIFT_TOL, "norm drift", ts)
-            rho += rep.weight * part
-        # sigma^x (x) sigma^x reverses the (uu, ud, du, dd) order
-        return 0.5 * (rho + rho[:, ::-1, ::-1])
-
-    def end_spin_state(self, t: float) -> EndSpinState:
-        a, b, c = self.end_spin_series(np.array([t]))
-        return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=t)
+        # the flip partner's pair is the representative's with both end
+        # spins flipped, (uu, ud, du, dd) -> (dd, du, ud, uu), and the
+        # mixture averages the two
+        return 0.5 * (weights[0] + weights[3]), 0.5 * (weights[1] + weights[2]), c
 
     def end_spin_series(
         self, ts: np.ndarray
@@ -613,7 +469,6 @@ class QuenchEvolution:
         c = np.empty(len(ts))
         for lo in range(0, len(ts), self.chunk_points):
             part = slice(lo, lo + self.chunk_points)
-            a[part], b[part], c[part] = _x_state_series(
-                self._end_spin_rho(ts[part]), ts[part]
-            )
+            a[part], b[part], c[part] = self._end_pair(ts[part])
+        check_x_series(a, b, c, ts)
         return a, b, c

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
 
 import numpy as np
 
 from .errors import NumericalFaultError
-from .model import CouplingRealization, NeelOrder, NeelState, neel_state
+from .model import CouplingRealization, NeelOrder, neel_state
 
+# Tolerances of the X-state check both engines run on every point.
+TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 COHERENCE_IMAG_TOL = 1e-10
 # Byte budget of the work arrays of one chunk of a batched time series,
@@ -45,29 +46,6 @@ CHUNK_BYTES = 1 << 20
 # Real (T, n) arrays alive at the peak of a free-fermion chunk: the four
 # end rows, the four site products and one temporary.
 _CHUNK_ROWS = 9
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Single-particle amplitude matrix f_{k,l}(t), unitary and symmetric."""
-
-    t: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class SecondMoments:
-    """The four end-site fermion moments for one Neel component at time t.
-
-    ``occ_first`` and ``occ_last`` are the site occupations <c+_1 c_1> and
-    <c+_n c_n>; ``cross_fl`` is <c+_1 c_n> and ``cross_lf`` its conjugate
-    <c+_n c_1>.
-    """
-
-    occ_first: float
-    occ_last: float
-    cross_fl: complex
-    cross_lf: complex
 
 
 @dataclass(frozen=True)
@@ -104,6 +82,29 @@ class EndSpinState:
         )
 
 
+def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None:
+    """Raise at the first point whose deviation exceeds tol (NaN included)."""
+    bad = ~(deviation <= tol)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericalFaultError(
+            f"{what} {deviation[k]:.3e} beyond {tol:g} at t={float(ts[k])!r}"
+        )
+
+
+def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) -> None:
+    """Check that each (a, b, c) over the times ``ts`` is a density matrix.
+
+    The X state has unit trace 2a + 2b and eigenvalues a, a and b +- |c|,
+    so it is checked that |2a + 2b - 1|, -a and |c| - b stay within their
+    tolerances; the first failing point raises, naming its t.  Both
+    engines run this on every point they evaluate.
+    """
+    _check(np.abs(2.0 * a + 2.0 * b - 1.0), TRACE_TOL, "end-spin trace error", ts)
+    _check(-a, POSITIVITY_TOL, "negative end-spin probability", ts)
+    _check(np.abs(c) - b, POSITIVITY_TOL, "end-spin coherence exceeds its bound b by", ts)
+
+
 class HoppingChain:
     """Eigendecomposition of the tridiagonal hopping matrix of one realization.
 
@@ -121,12 +122,6 @@ class HoppingChain:
             a[k + 1, k] = jk
         self.energies, self.modes = np.linalg.eigh(a)
         self.chunk_points = max(1, CHUNK_BYTES // (_CHUNK_ROWS * 8 * self.n))
-
-    def propagator_matrix(self, t: float) -> np.ndarray:
-        if t == 0.0:
-            return np.eye(self.n, dtype=complex)
-        phases = np.exp(-1j * self.energies * t)
-        return (self.modes * phases) @ self.modes.T
 
     def end_rows(self, ts: np.ndarray) -> np.ndarray:
         """Rows 1 and n of f(t) over ``ts`` as real parts, shape (4, T, n);
@@ -203,19 +198,20 @@ class ChainStack:
     different times is one (K, 4, n) @ (K, n, n) product rather than K
     calls.  Every member's value is computed by the same operations as
     :func:`end_spin_series` at that single time, so the two agree bit for
-    bit, and it passes the same positivity checks.
+    bit, and it passes the same checks.
     """
 
     def __init__(self, chains: list[HoppingChain]):
         self.energies = np.stack([c.energies for c in chains])
         self.modes = np.stack([c.modes for c in chains])
-        self._occupied, self._sign = _neel_components(chains[0].n, "mixture")
+        self.n = chains[0].n
 
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) of chain k at time ``ts[k]``, each of shape (K,)."""
         ts = np.asarray(ts, dtype=float)
-        moments = _end_moments(_end_rows(self.energies, self.modes, ts[:, None]), self._occupied)
-        return _x_state(moments[:, :, 0], self._sign)
+        occupied, _ = _neel_components(self.n)
+        moments = _end_moments(_end_rows(self.energies, self.modes, ts[:, None]), occupied)
+        return _x_state(moments[:, :, 0], self.n, ts)
 
 
 def eigenbasis_bytes(n: int) -> int:
@@ -230,117 +226,57 @@ def _chain(realization: CouplingRealization) -> HoppingChain:
     return HoppingChain(realization)
 
 
-def mode_sum_propagator(n: int, j: float, t: float) -> np.ndarray:
-    """Homogeneous-chain propagator from the closed standing-wave sum.
+# a disorder ensemble asks for the same few n once per evaluation
+@lru_cache(maxsize=16)
+def _neel_components(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied columns and parity signs (-1)^(M+1) of the two Neel orders,
+    read-only because they are shared between calls.
 
-    Independent of the eigendecomposition route; used as its cross-check.
+    Column k of the (n, 2) 0/1 matrix marks the initially occupied (up)
+    sites of order N1 (k = 0) or N2 (k = 1).
     """
-    m = np.arange(1, n + 1)
-    q = np.pi * m / (n + 1)
-    energies = 2.0 * j * np.cos(q)
-    s = np.sin(np.outer(np.arange(1, n + 1), q))
-    return (2.0 / (n + 1)) * (s * np.exp(-1j * energies * t)) @ s.T
-
-
-def propagator(
-    realization: CouplingRealization,
-    t: float,
-    method: Literal["auto", "eigen", "mode_sum"] = "auto",
-) -> Propagator:
-    """Propagator f(t) = exp(-i A t) of one coupling realization.
-
-    ``auto`` takes the closed mode sum for homogeneous couplings and the
-    eigendecomposition otherwise; both routes agree to machine precision.
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if method == "mode_sum" or (method == "auto" and realization.homogeneous):
-        if not realization.homogeneous:
-            raise ValueError("mode sum is only valid for homogeneous couplings")
-        if t == 0.0:
-            return Propagator(t=t, matrix=np.eye(realization.n, dtype=complex))
-        mat = mode_sum_propagator(realization.n, realization.couplings[0], t)
-        return Propagator(t=t, matrix=mat)
-    return Propagator(t=t, matrix=_chain(realization).propagator_matrix(t))
-
-
-def _occupied_columns(states: list[NeelState]) -> np.ndarray:
-    """(n, k) 0/1 matrix marking the initially occupied (up) sites of each state."""
-    occupied = np.zeros((states[0].n, len(states)))
+    states = [neel_state(order, n) for order in (NeelOrder.N1, NeelOrder.N2)]
+    occupied = np.zeros((n, len(states)))
     for k, state in enumerate(states):
         occupied[np.asarray(state.up_sites) - 1, k] = 1.0
-    return occupied
-
-
-def second_moments(
-    realization: CouplingRealization, which: NeelState, t: float
-) -> SecondMoments:
-    """Heisenberg-picture end-site moments for one Neel component.
-
-    Only the initially occupied sites contribute:
-    <c+_i(t) c_j(t)> = sum_p f_{i,p}(t) conj(f_{j,p}(t)) over occupied p.
-    """
-    if which.n != realization.n:
-        raise ValueError(f"state is for n={which.n}, realization for n={realization.n}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    occ_first, occ_last, cross_re, cross_im = _chain(realization).end_moments(
-        np.array([t], dtype=float), _occupied_columns([which])
-    )[:, 0, 0]
-    cross = complex(cross_re, cross_im)
-    return SecondMoments(
-        occ_first=float(occ_first),
-        occ_last=float(occ_last),
-        cross_fl=cross.conjugate(),
-        cross_lf=cross,
-    )
-
-
-# a disorder ensemble asks for the same few (n, initial) once per evaluation
-@lru_cache(maxsize=16)
-def _neel_components(
-    n: int, initial: NeelOrder | Literal["mixture"]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied columns and parity signs (-1)^(M+1) of the Neel components,
-    read-only because they are shared between calls."""
-    orders = [NeelOrder.N1, NeelOrder.N2] if initial == "mixture" else [initial]
-    states = [neel_state(order, n) for order in orders]
     sign = np.array([1.0 if s.m_up % 2 == 1 else -1.0 for s in states])
-    occupied = _occupied_columns(states)
     occupied.flags.writeable = False
     sign.flags.writeable = False
     return occupied, sign
 
 
 def _x_state(
-    moments: np.ndarray, sign: np.ndarray
+    moments: np.ndarray, n: int, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, c) of the equal mixture of k components from their moments.
+    """(a, b, c) of the Neel mixture of an n-site chain from its moments.
 
-    ``moments`` is a (4, T, k) stack from :func:`_end_moments`.
-    Each component is assembled on its own and the mixture is their
-    element-wise average; the result must be a valid X state.
+    ``moments`` is a (4, T, 2) stack from :func:`_end_moments`, one column
+    per Neel order, evaluated at the T times ``ts``.  Each component is
+    assembled on its own and the mixture is their element-wise average;
+    the result must pass :func:`check_x_series`.
     """
     occ_first, occ_last, cross_re, cross_im = moments
+    if n % 2 == 1:
+        # for odd chains the cross moment is real up to round-off; the
+        # imaginary part is discarded after this check
+        _check(
+            np.max(np.abs(cross_im), axis=-1), COHERENCE_IMAG_TOL,
+            "coherence imaginary part", ts,
+        )
     a = (
         occ_first * occ_last
         - (cross_re**2 + cross_im**2)
         - 0.5 * (occ_first + occ_last - 1.0)
     )
     b = 0.5 - a
-    c = sign * cross_re
-    a, b, c = a.mean(axis=1), b.mean(axis=1), c.mean(axis=1)
-    if np.any(a < -POSITIVITY_TOL) or np.any(b < -POSITIVITY_TOL):
-        raise NumericalFaultError("negative end-spin probability beyond tolerance")
-    if np.any(np.abs(c) > b + POSITIVITY_TOL):
-        raise NumericalFaultError("end-spin coherence exceeds inner-block bound")
+    c = _neel_components(n)[1] * cross_re
+    a, b, c = a.mean(axis=-1), b.mean(axis=-1), c.mean(axis=-1)
+    check_x_series(a, b, c, ts)
     return a, b, c
 
 
 def end_spin_series(
-    realization: CouplingRealization,
-    ts: np.ndarray,
-    initial: NeelOrder | Literal["mixture"] = "mixture",
+    realization: CouplingRealization, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, c) of the end-spin X state over a time grid.
 
@@ -352,31 +288,19 @@ def end_spin_series(
     """
     ts = np.asarray(ts, dtype=float)
     chain = _chain(realization)
-    occupied, sign = _neel_components(realization.n, initial)
+    occupied, _ = _neel_components(realization.n)
     a, b, c = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
     for lo in range(0, len(ts), chain.chunk_points):
         part = slice(lo, lo + chain.chunk_points)
-        a[part], b[part], c[part] = _x_state(chain.end_moments(ts[part], occupied), sign)
+        a[part], b[part], c[part] = _x_state(
+            chain.end_moments(ts[part], occupied), realization.n, ts[part]
+        )
     return a, b, c
 
 
-def end_spin_state(
-    realization: CouplingRealization,
-    t: float,
-    initial: NeelOrder | Literal["mixture"] = "mixture",
-) -> EndSpinState:
+def end_spin_state(realization: CouplingRealization, t: float) -> EndSpinState:
     """End-spin X state at a single time; see :func:`end_spin_series`."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    occupied, sign = _neel_components(realization.n, initial)
-    moments = _chain(realization).end_moments(np.array([t], dtype=float), occupied)
-    if realization.n % 2 == 1:
-        # for odd chains the cross moment is real up to round-off; the
-        # imaginary part is discarded after this check
-        for imag in moments[3, 0]:
-            if abs(imag) > COHERENCE_IMAG_TOL:
-                raise NumericalFaultError(
-                    f"coherence imaginary part {imag} beyond tolerance"
-                )
-    a, b, c = _x_state(moments, sign)
+    a, b, c = end_spin_series(realization, np.array([t], dtype=float))
     return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=float(t))

@@ -16,9 +16,9 @@ the target state psi+, reads
     w+' = (w+^2 + w-^2) / p      w-' = 2 w+ w- / p
     v+' = (v+^2 + v-^2) / p      v-' = 2 v+ v- / p
 
-where (w+, w-) are the psi weights and (v+, v-) the phi weights.  A
-brute-force two-pair density-matrix construction of the very same
-protocol lives alongside it as the testing oracle.
+where (w+, w-) are the psi weights and (v+, v-) the phi weights.  The
+test suite checks it against a brute-force construction of the same
+protocol on the 16x16 two-pair density matrix.
 """
 
 from __future__ import annotations
@@ -147,65 +147,6 @@ def recurrence_step(state: BellDiagonal) -> tuple[BellDiagonal, float]:
         [wp**2 + wm**2, 2.0 * wp * wm, vp**2 + vm**2, 2.0 * vp * vm]
     ) / p
     return BellDiagonal.from_weights(out), float(p)
-
-
-# --- brute-force oracle -------------------------------------------------
-# Qubit order (A1, B1, A2, B2); pair 1 is the kept source, pair 2 the
-# measured target.  psi+ is first rotated onto the protocol fixed point
-# phi+ by an X on Bob's qubit of each pair, and rotated back afterwards.
-
-_E0 = np.array([1.0, 0.0])
-_E1 = np.array([0.0, 1.0])
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-_BELL_VECTORS = (
-    np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0),   # psi+
-    np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0),  # psi-
-    np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),   # phi+
-    np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0),  # phi-
-)
-
-
-def _cnot(control: int, target: int, n_qubits: int = 4) -> np.ndarray:
-    dim = 2**n_qubits
-    u = np.zeros((dim, dim))
-    for s in range(dim):
-        if (s >> (n_qubits - 1 - control)) & 1:
-            u[s ^ (1 << (n_qubits - 1 - target)), s] = 1.0
-        else:
-            u[s, s] = 1.0
-    return u
-
-
-_ROTATE_B = np.kron(np.eye(2), _X)
-_BILATERAL_CNOT = _cnot(0, 2) @ _cnot(1, 3)
-_PROJ_00 = np.kron(np.eye(4), np.kron(np.outer(_E0, _E0), np.outer(_E0, _E0)))
-_PROJ_11 = np.kron(np.eye(4), np.kron(np.outer(_E1, _E1), np.outer(_E1, _E1)))
-
-
-def _bell_diagonal_matrix(state: BellDiagonal) -> np.ndarray:
-    return sum(
-        w * np.outer(v, v) for w, v in zip(state.as_array(), _BELL_VECTORS)
-    )
-
-
-def recurrence_step_dense(state: BellDiagonal) -> tuple[BellDiagonal, float]:
-    """Same round as :func:`recurrence_step`, via the 16x16 density matrix.
-
-    Builds the two-pair product state, applies the bilateral CNOT,
-    projects the target pair on coincident outcomes, renormalizes, traces
-    the target pair out and undoes the local rotation.
-    """
-    pair = _ROTATE_B @ _bell_diagonal_matrix(state) @ _ROTATE_B.T
-    full = np.kron(pair, pair)
-    full = _BILATERAL_CNOT @ full @ _BILATERAL_CNOT.T
-    kept = _PROJ_00 @ full @ _PROJ_00 + _PROJ_11 @ full @ _PROJ_11
-    p = float(np.trace(kept).real)
-    kept /= p
-    reduced = np.trace(kept.reshape(4, 4, 4, 4), axis1=1, axis2=3)
-    reduced = _ROTATE_B @ reduced @ _ROTATE_B.T
-    weights = np.array([float((v @ reduced @ v).real) for v in _BELL_VECTORS])
-    return BellDiagonal.from_weights(weights), p
 
 
 _ORIENTATIONS = {

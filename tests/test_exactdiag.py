@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from xxzquench import entangle, exactdiag, freefermion, model
 from xxzquench.errors import NumericalFaultError
 from xxzquench.model import NeelOrder
@@ -174,15 +175,15 @@ def test_ground_mixture_rejects_small_delta1():
 def test_evolve_identity_at_t0():
     real = homogeneous(5)
     state = exactdiag.neel_mixture(5)
-    assert exactdiag.evolve(state, real, 0.7, 0.0) is state
+    assert oracles.evolve(state, real, 0.7, 0.0) is state
 
 
 def test_energy_conservation():
     real = homogeneous(7)
     state = exactdiag.neel_mixture(7)
-    e_initial = exactdiag.energy_expectation(state, real, 0.4)
-    evolved = exactdiag.evolve(state, real, 0.4, 5.0)
-    e_final = exactdiag.energy_expectation(evolved, real, 0.4)
+    e_initial = oracles.energy_expectation(state, real, 0.4)
+    evolved = oracles.evolve(state, real, 0.4, 5.0)
+    e_final = oracles.energy_expectation(evolved, real, 0.4)
     assert abs(e_initial - e_final) < 1e-10
 
 
@@ -190,7 +191,7 @@ def test_norm_preserved_and_sector_kept():
     real = homogeneous(7)
     state = exactdiag.ground_mixture(real, 3.0)
     for t in (0.5, 7.0, 4 * 7.0):
-        evolved = exactdiag.evolve(state, real, 0.0, t)
+        evolved = oracles.evolve(state, real, 0.0, t)
         for before, after in zip(state.components, evolved.components):
             assert after.m_up == before.m_up
             assert abs(np.linalg.norm(after.amplitudes) - 1.0) < 1e-10
@@ -199,8 +200,8 @@ def test_norm_preserved_and_sector_kept():
 def test_cross_engine_single_time():
     spec = model.ChainSpec(n=7)
     real = model.realize_couplings(spec)
-    state = exactdiag.evolve(exactdiag.neel_mixture(7), real, 0.0, 1.3)
-    ed = exactdiag.two_spin_rdm(state, 1, 7, t=1.3)
+    state = oracles.evolve(exactdiag.neel_mixture(7), real, 0.0, 1.3)
+    ed = oracles.two_spin_rdm(state, 1, 7, t=1.3)
     ff = freefermion.end_spin_state(real, 1.3)
     assert abs(ed.a - ff.a) < 1e-8
     assert abs(ed.b - ff.b) < 1e-8
@@ -209,15 +210,15 @@ def test_cross_engine_single_time():
 
 def test_rdm_at_t0_is_classical_neel_pair():
     for n in (3, 5, 9):
-        rho = exactdiag.two_site_matrix(exactdiag.neel_mixture(n), 1, n)
+        rho = oracles.two_site_matrix(exactdiag.neel_mixture(n), 1, n)
         np.testing.assert_allclose(rho, np.diag([0.5, 0.0, 0.0, 0.5]), atol=0)
 
 
 def test_three_site_peak_is_pure_triplet():
     real = homogeneous(3)
     t_peak = math.pi / (2 * math.sqrt(2))
-    state = exactdiag.evolve(exactdiag.neel_mixture(3), real, 0.0, t_peak)
-    s = exactdiag.two_spin_rdm(state, 1, 3, t=t_peak)
+    state = oracles.evolve(exactdiag.neel_mixture(3), real, 0.0, t_peak)
+    s = oracles.two_spin_rdm(state, 1, 3, t=t_peak)
     np.testing.assert_allclose([s.a, s.b, s.c], [0.0, 0.5, 0.5], atol=1e-12)
 
 
@@ -229,7 +230,7 @@ def test_rdm_is_physical_everywhere():
         t = float(rng.uniform(0, 24))
         i = int(rng.integers(1, 6))
         j = int(rng.integers(i + 1, 7))
-        rho = exactdiag.two_site_matrix(exactdiag.evolve(state0, real, 0.7, t), i, j)
+        rho = oracles.two_site_matrix(oracles.evolve(state0, real, 0.7, t), i, j)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-9
@@ -238,9 +239,9 @@ def test_rdm_is_physical_everywhere():
 def test_two_spin_rdm_validates_sites():
     state = exactdiag.neel_mixture(5)
     with pytest.raises(ValueError):
-        exactdiag.two_site_matrix(state, 3, 3)
+        oracles.two_site_matrix(state, 3, 3)
     with pytest.raises(ValueError):
-        exactdiag.two_site_matrix(state, 0, 5)
+        oracles.two_site_matrix(state, 0, 5)
 
 
 def test_mixed_state_validation():
@@ -278,18 +279,6 @@ def test_quench_family_ordering():
         assert f_analytic > f_finite_d1 > f_finite_d2 > 0.5
 
 
-def _per_point_oracle(evolution, real, delta2, ts):
-    """(a, b, c) from one step-by-step evolution and partial trace per time."""
-    states = [
-        exactdiag.two_spin_rdm(
-            exactdiag.evolve(evolution.initial, real, delta2, float(t)),
-            1, real.n, t=float(t),
-        )
-        for t in ts
-    ]
-    return tuple(np.array([getattr(s, k) for s in states]) for k in "abc")
-
-
 BATCH_CASES = [
     # disordered couplings at sigma = 0.8, ideal Neel start
     *[model.ChainSpec(n=n, disorder_sigma=0.8, seed=10 + n) for n in (3, 5, 7, 9)],
@@ -316,7 +305,7 @@ def test_batched_series_matches_per_point_oracle(spec):
     for ts in (np.linspace(0.0, 2.0 * spec.n, 38), np.array([1.7])):
         assert len(ts) == 1 or len(ts) % evolution.chunk_points != 0
         got = evolution.end_spin_series(ts)
-        want = _per_point_oracle(evolution, real, spec.delta2, ts)
+        want = oracles.end_pair_per_point(evolution.initial, real, spec.delta2, ts)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
@@ -332,6 +321,7 @@ def test_chunk_length_follows_byte_budget(monkeypatch):
 
 FAULT_TS = np.linspace(0.0, 5.0, 20)
 FAULT_INDEX = 10  # inside the second 7-point chunk
+FAULT_T = float(FAULT_TS[FAULT_INDEX])
 
 
 def _fault(entries):
@@ -342,7 +332,7 @@ def _fault(entries):
 
 
 # each fault exceeds the documented tolerance by half, written as a literal
-# so that a loosened module constant misses it (the constants are pinned in
+# so that a loosened constant misses it (the constants are pinned in
 # test_tolerance_constants_are_pinned)
 RDM = 1.5 * 1e-9
 XS = 1.5 * 1e-10
@@ -356,22 +346,21 @@ XS = 1.5 * 1e-10
     (_fault({(1, 2): 1j * XS, (2, 1): -1j * XS}), "imaginary part"),
     (_fault({(0, 0): RDM / 2, (3, 3): -RDM / 2}), "diagonal pairs"),
 ])
-def test_fault_checks_raise_inside_a_chunk(monkeypatch, bad_rho, message):
-    evolution = exactdiag.QuenchEvolution(homogeneous(7), 3.0, 0.5)
-    evolution.chunk_points = 7
-    evolution.end_spin_series(FAULT_TS)  # clean run passes every check
-    clean = exactdiag.QuenchEvolution._end_spin_rho
-    bad_t = float(FAULT_TS[FAULT_INDEX])
-
-    def corrupted(self, ts):
-        rho = clean(self, ts)
-        rho[ts == bad_t] = bad_rho
-        return rho
-
-    monkeypatch.setattr(exactdiag.QuenchEvolution, "_end_spin_rho", corrupted)
+def test_fault_checks_raise_inside_a_chunk(bad_rho, message):
+    # the full 4x4 checks live in the oracle: a stack of end-pair matrices
+    # over the grid passes them, and one corrupted matrix raises, naming
+    # its time
+    real = homogeneous(7)
+    initial = exactdiag.ground_mixture(real, 3.0)
+    rho = np.stack([
+        oracles.two_site_matrix(oracles.evolve(initial, real, 0.5, float(t)), 1, 7)
+        for t in FAULT_TS
+    ])
+    oracles.x_state_series(rho, FAULT_TS)
+    rho[FAULT_INDEX] = bad_rho
     with pytest.raises(NumericalFaultError, match=message) as info:
-        evolution.end_spin_series(FAULT_TS)
-    assert f"t={bad_t!r}" in str(info.value)
+        oracles.x_state_series(rho, FAULT_TS)
+    assert f"t={FAULT_T!r}" in str(info.value)
 
 
 def test_norm_drift_raises_inside_a_chunk():
@@ -384,13 +373,26 @@ def test_norm_drift_raises_inside_a_chunk():
         evolution.end_spin_series(FAULT_TS[FAULT_INDEX:])
 
 
+def test_trace_fault_raises_through_the_shared_check():
+    # a representative weight off by 1.5x the literal trace tolerance keeps
+    # every norm but breaks 2a + 2b = 1 at every point
+    evolution = exactdiag.QuenchEvolution(homogeneous(7), 3.0, 0.5)
+    evolution.end_spin_series(FAULT_TS)
+    (rep,) = evolution._prepped
+    evolution._prepped[0] = rep._replace(weight=rep.weight * (1 + 1.5 * 1e-9))
+    with pytest.raises(NumericalFaultError, match="trace error") as info:
+        evolution.end_spin_series(FAULT_TS[FAULT_INDEX:])
+    assert f"t={FAULT_T!r}" in str(info.value)
+
+
 def test_tolerance_constants_are_pinned():
-    assert exactdiag.RDM_TOL == 1e-9
-    assert exactdiag.X_STRUCTURE_TOL == 1e-10
     assert exactdiag.NORM_DRIFT_TOL == 1e-10
     assert exactdiag.FLIP_CLOSURE_TOL == 1e-10
+    assert freefermion.TRACE_TOL == 1e-9
     assert freefermion.POSITIVITY_TOL == 1e-9
     assert freefermion.COHERENCE_IMAG_TOL == 1e-10
+    assert oracles.RDM_TOL == 1e-9
+    assert oracles.X_STRUCTURE_TOL == 1e-10
 
 
 def test_evolver_cache_is_small():
@@ -482,6 +484,6 @@ def test_half_filled_ground_components_are_flip_eigenvectors(couplings, delta1, 
     assert len(evolution._prepped) == len(sectors)
     ts = np.linspace(0.0, 8.0, 9)
     got = evolution.end_spin_series(ts)
-    want = _per_point_oracle(evolution, real, 0.0, ts)
+    want = oracles.end_pair_per_point(evolution.initial, real, 0.0, ts)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from xxzquench import exactdiag, freefermion, model
 from xxzquench.errors import NumericalFaultError
 from xxzquench.model import NeelOrder
@@ -23,15 +24,14 @@ def disordered(n, sigma=0.2, seed=11):
 
 def test_propagator_identity_at_t0():
     for real in (homogeneous(6), disordered(9)):
-        for method in ("auto", "eigen"):
-            p = freefermion.propagator(real, 0.0, method=method)
-            np.testing.assert_allclose(p.matrix, np.eye(real.n), atol=0)
+        for propagator in (oracles.propagator, oracles.eigen_propagator):
+            np.testing.assert_allclose(propagator(real, 0.0), np.eye(real.n), atol=0)
 
 
 def test_three_site_closed_forms():
     real = homogeneous(3)
     for t in (0.31, 0.7731, 1.9, 3.3):
-        f = freefermion.propagator(real, t).matrix
+        f = oracles.propagator(real, t)
         np.testing.assert_allclose(
             f[0, 1], -1j * (SQRT2 / 2) * math.sin(SQRT2 * t), atol=1e-14
         )
@@ -45,14 +45,14 @@ def test_three_site_closed_forms():
 
 def test_mode_sum_matches_eigen_route():
     real = homogeneous(25)
-    a = freefermion.propagator(real, 3.7, method="mode_sum").matrix
-    b = freefermion.propagator(real, 3.7, method="eigen").matrix
+    a = oracles.mode_sum_propagator(real, 3.7)
+    b = oracles.eigen_propagator(real, 3.7)
     assert np.max(np.abs(a - b)) < 1e-10
 
 
 def test_mode_sum_rejects_disorder():
     with pytest.raises(ValueError):
-        freefermion.propagator(disordered(5), 1.0, method="mode_sum")
+        oracles.mode_sum_propagator(disordered(5), 1.0)
 
 
 def test_propagator_unitary_and_symmetric():
@@ -61,7 +61,7 @@ def test_propagator_unitary_and_symmetric():
         n = int(rng.integers(2, 242))
         t = float(rng.uniform(0.0, 100.0))
         real = homogeneous(n) if rng.random() < 0.5 else disordered(n, seed=int(rng.integers(1 << 30)))
-        f = freefermion.propagator(real, t).matrix
+        f = oracles.propagator(real, t)
         np.testing.assert_allclose(f @ f.conj().T, np.eye(n), atol=1e-10)
         assert np.max(np.abs(f - f.T)) < 1e-10
 
@@ -69,9 +69,9 @@ def test_propagator_unitary_and_symmetric():
 def test_propagator_group_property():
     for real in (homogeneous(17), disordered(13)):
         t1, t2 = 1.3, 2.9
-        f12 = freefermion.propagator(real, t1 + t2).matrix
-        f1 = freefermion.propagator(real, t1).matrix
-        f2 = freefermion.propagator(real, t2).matrix
+        f12 = oracles.propagator(real, t1 + t2)
+        f1 = oracles.propagator(real, t1)
+        f2 = oracles.propagator(real, t2)
         assert np.max(np.abs(f12 - f1 @ f2)) < 1e-9
 
 
@@ -79,7 +79,7 @@ def test_second_moments_at_t0():
     for n in (3, 7, 11):
         real = homogeneous(n)
         state = model.neel_state(NeelOrder.N1, n)
-        m = freefermion.second_moments(real, state, 0.0)
+        m = oracles.second_moments(real, state, 0.0)
         assert m.occ_first == 0.0  # site 1 starts down in N1
         assert m.occ_last == 0.0   # odd n: site n starts down too
         assert m.cross_fl == 0.0 and m.cross_lf == 0.0
@@ -89,11 +89,11 @@ def test_second_moments_three_sites():
     real = homogeneous(3)
     for t in (0.4, 1.1, 2.6):
         s = 0.5 * math.sin(SQRT2 * t) ** 2
-        m1 = freefermion.second_moments(real, model.neel_state(NeelOrder.N1, 3), t)
+        m1 = oracles.second_moments(real, model.neel_state(NeelOrder.N1, 3), t)
         np.testing.assert_allclose(m1.occ_first, s, atol=1e-13)
         np.testing.assert_allclose(m1.occ_last, s, atol=1e-13)
         np.testing.assert_allclose(m1.cross_fl, s, atol=1e-13)
-        m2 = freefermion.second_moments(real, model.neel_state(NeelOrder.N2, 3), t)
+        m2 = oracles.second_moments(real, model.neel_state(NeelOrder.N2, 3), t)
         np.testing.assert_allclose(m2.cross_fl, -s, atol=1e-13)
 
 
@@ -103,7 +103,7 @@ def test_moment_invariants():
         n = int(rng.integers(2, 60))
         real = homogeneous(n)
         state = model.neel_state(NeelOrder.N2, n)
-        m = freefermion.second_moments(real, state, float(rng.uniform(0, 20)))
+        m = oracles.second_moments(real, state, float(rng.uniform(0, 20)))
         assert 0.0 <= m.occ_first <= 1.0
         assert 0.0 <= m.occ_last <= 1.0
         assert m.cross_fl == m.cross_lf.conjugate()
@@ -132,8 +132,8 @@ def test_components_agree_for_odd_chains():
     for n in (3, 5, 9, 15, 31):
         real = homogeneous(n)
         ts = rng.uniform(0.0, 2 * n / math.pi, 8)
-        a1, b1, c1 = freefermion.end_spin_series(real, ts, NeelOrder.N1)
-        a2, b2, c2 = freefermion.end_spin_series(real, ts, NeelOrder.N2)
+        a1, b1, c1 = oracles.neel_component_series(real, ts, NeelOrder.N1)
+        a2, b2, c2 = oracles.neel_component_series(real, ts, NeelOrder.N2)
         np.testing.assert_allclose(a1, a2, atol=1e-10)
         np.testing.assert_allclose(b1, b2, atol=1e-10)
         np.testing.assert_allclose(c1, c2, atol=1e-10)
@@ -170,6 +170,10 @@ def test_end_spin_state_validation():
         freefermion.EndSpinState(a=0.1, b=0.4, c=0.45, t=0.0)  # |c| > b
     with pytest.raises(NumericalFaultError):
         freefermion.EndSpinState(a=-0.1, b=0.6, c=0.0, t=0.0)
+    # the trace tolerance is 1e-12: half of it again fails, half of it passes
+    with pytest.raises(NumericalFaultError, match="trace violated"):
+        freefermion.EndSpinState(a=0.25 + 0.75e-12, b=0.25, c=0.0, t=0.0)
+    freefermion.EndSpinState(a=0.25 + 0.25e-12, b=0.25, c=0.0, t=0.0)
 
 
 def test_end_spin_matrix():
@@ -182,28 +186,9 @@ def test_end_spin_matrix():
 def test_time_must_be_nonnegative():
     real = homogeneous(5)
     with pytest.raises(ValueError):
-        freefermion.propagator(real, -0.1)
+        oracles.propagator(real, -0.1)
     with pytest.raises(ValueError):
         freefermion.end_spin_state(real, -1.0)
-
-
-def oracle_end_spin(real, ts, initial):
-    """(a, b, c) rows built point by point from the full propagator matrix."""
-    chain = freefermion.HoppingChain(real)
-    orders = [NeelOrder.N1, NeelOrder.N2] if initial == "mixture" else [initial]
-    out = np.zeros((3, len(ts)))
-    for order in orders:
-        state = model.neel_state(order, real.n)
-        occ = np.asarray(state.up_sites) - 1
-        sign = 1.0 if state.m_up % 2 == 1 else -1.0
-        for i, t in enumerate(ts):
-            f = chain.propagator_matrix(float(t))
-            f1, fn = f[0, occ], f[-1, occ]
-            o1, on = np.sum(np.abs(f1) ** 2), np.sum(np.abs(fn) ** 2)
-            cross = np.sum(fn * f1.conj())
-            a = o1 * on - abs(cross) ** 2 - 0.5 * (o1 + on - 1.0)
-            out[:, i] += (a, 0.5 - a, sign * cross.real)
-    return out / len(orders)
 
 
 KERNEL_CHAINS = {
@@ -224,15 +209,24 @@ def test_kernel_disorder_draws_include_negative_bonds():
 def test_series_matches_propagator_oracle(key, initial, monkeypatch):
     real = KERNEL_CHAINS[key]()
     # 38 points in chunks of 7: five full chunks and a partial one, with
-    # t = 0 inside the first
+    # t = 0 inside the first; the engine evaluates the mixture, and a
+    # single Neel order goes through its end-row kernel alone
     monkeypatch.setattr(freefermion._chain(real), "chunk_points", 7)
     ts = np.concatenate([[0.3], [0.0], np.linspace(0.1, 2.0 * real.n, 36)])
-    got = np.stack(freefermion.end_spin_series(real, ts, initial))
-    expect = oracle_end_spin(real, ts, initial)
+
+    def series(ts):
+        if initial == "mixture":
+            return np.stack(freefermion.end_spin_series(real, ts))
+        return oracles.neel_component_series(real, ts, initial)
+
+    got = series(ts)
+    expect = oracles.propagator_end_spin(real, ts, initial)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
     assert np.array_equal(got[:, 1], expect[:, 1])  # exact unit rows at t = 0
-    one = np.stack(freefermion.end_spin_series(real, ts[-1:], initial))
-    np.testing.assert_allclose(one, oracle_end_spin(real, ts[-1:], initial), rtol=0, atol=1e-12)
+    one = series(ts[-1:])
+    np.testing.assert_allclose(
+        one, oracles.propagator_end_spin(real, ts[-1:], initial), rtol=0, atol=1e-12
+    )
 
 
 def test_end_rows_exact_at_t0():
@@ -241,7 +235,7 @@ def test_end_rows_exact_at_t0():
         unit = np.zeros((4, real.n))
         unit[0, 0] = unit[1, -1] = 1.0
         assert np.array_equal(rows[:, 1], unit)
-        f = freefermion._chain(real).propagator_matrix(1.1)
+        f = oracles.eigen_propagator(real, 1.1)
         # f = C - i S, stacked [C_1, C_n, S_1, S_n]
         expect = np.stack([f[0].real, f[-1].real, -f[0].imag, -f[-1].imag])
         np.testing.assert_allclose(rows[:, 0], expect, rtol=0, atol=1e-13)
@@ -283,12 +277,10 @@ def test_end_spin_state_takes_one_pass(monkeypatch):
 
     monkeypatch.setattr(freefermion.HoppingChain, "end_rows", counted)
     real = disordered(9, sigma=0.8, seed=3)
-    for initial in ("mixture", NeelOrder.N2):
-        calls.clear()
-        s = freefermion.end_spin_state(real, 2.3, initial)
-        assert calls == [1]
-        a, b, c = freefermion.end_spin_series(real, np.array([2.3]), initial)
-        assert (s.a, s.b, s.c) == (a[0], b[0], c[0])
+    s = freefermion.end_spin_state(real, 2.3)
+    assert calls == [1]
+    a, b, c = freefermion.end_spin_series(real, np.array([2.3]))
+    assert (s.a, s.b, s.c) == (a[0], b[0], c[0])
 
 
 @pytest.mark.parametrize("component", [0, 1])
@@ -312,8 +304,8 @@ def test_end_spin_state_checks_coherence_imaginary_part(component, monkeypatch):
 
 def test_neel_components_are_cached_read_only():
     assert freefermion._neel_components.cache_info().maxsize <= 16
-    occupied, sign = freefermion._neel_components(7, "mixture")
-    assert freefermion._neel_components(7, "mixture")[0] is occupied
+    occupied, sign = freefermion._neel_components(7)
+    assert freefermion._neel_components(7)[0] is occupied
     for array in (occupied, sign):
         with pytest.raises(ValueError):
             array[0] = 0.0
@@ -336,10 +328,12 @@ def test_chain_stack_matches_single_time_series_bitwise(n):
 
 @pytest.mark.parametrize("factor", [0.5, 1.5])
 def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
-    # occupations 1/2, coherence 0 and |<c+_n c_1>|^2 = 1/4 + delta give
-    # a = -delta, b = 1/2 + delta; delta is the literal POSITIVITY_TOL scaled
+    # occupations 1/2 and a real <c+_n c_1> with |<c+_n c_1>|^2 = 1/4 + delta
+    # give a = -delta, b = 1/2 + delta and, the two Neel orders having
+    # opposite parity signs at odd n, c = 0; delta is the literal
+    # POSITIVITY_TOL scaled
     delta = factor * 1e-9
-    moments = np.array([0.5, 0.5, 0.0, math.sqrt(0.25 + delta)])
+    moments = np.array([0.5, 0.5, math.sqrt(0.25 + delta), 0.0])
     monkeypatch.setattr(freefermion, "_end_moments", lambda rows, occupied: np.broadcast_to(
         moments[:, None, None, None], rows.shape[:-1] + (occupied.shape[1],)))
     stack = freefermion.ChainStack([freefermion._chain(homogeneous(7))])
@@ -348,3 +342,80 @@ def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
         return
     with pytest.raises(NumericalFaultError, match="negative end-spin probability"):
         stack.end_spin_at(np.array([1.0]))
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.5])
+def test_series_and_stack_check_coherence_imaginary_part(monkeypatch, factor):
+    end_moments = freefermion._end_moments
+
+    def shifted(rows, occupied):
+        out = end_moments(rows, occupied)
+        out[3] += factor * 1e-10  # COHERENCE_IMAG_TOL
+        return out
+
+    monkeypatch.setattr(freefermion, "_end_moments", shifted)
+    real = homogeneous(7)
+    ts = np.array([0.0, 0.7, 1.3])
+    stack = freefermion.ChainStack([freefermion._chain(real)] * 3)
+    for evaluate in (lambda: freefermion.end_spin_series(real, ts), lambda: stack.end_spin_at(ts)):
+        if factor < 1:
+            evaluate()
+            continue
+        with pytest.raises(NumericalFaultError, match="imaginary part") as info:
+            evaluate()
+        assert "t=0.0" in str(info.value)
+
+
+X_GRID = np.linspace(0.0, 5.0, 20)
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.5])
+@pytest.mark.parametrize("fault, message", [
+    ("trace", "trace error"),
+    ("a", "negative end-spin probability"),
+    ("c", "exceeds its bound"),
+])
+def test_x_series_check_names_the_failing_point(fault, message, factor):
+    # one point of a valid series is moved out by the literal tolerance
+    # (1e-9 for the trace and for positivity) times factor
+    delta = factor * 1e-9
+    a, b, c = np.full(20, 0.25), np.full(20, 0.25), np.full(20, 0.1)
+    k = 13
+    if fault == "trace":
+        a[k] += delta / 2
+    elif fault == "a":
+        a[k], b[k] = -delta, 0.5 + delta
+    else:
+        c[k] = -(b[k] + delta)
+    if factor < 1:
+        freefermion.check_x_series(a, b, c, X_GRID)
+        return
+    with pytest.raises(NumericalFaultError, match=message) as info:
+        freefermion.check_x_series(a, b, c, X_GRID)
+    assert f"t={float(X_GRID[k])!r}" in str(info.value)
+
+
+def test_x_series_check_trips_on_nan():
+    a, b, c = np.full(3, 0.25), np.full(3, 0.25), np.zeros(3)
+    b[1] = np.nan
+    with pytest.raises(NumericalFaultError, match="trace error") as info:
+        freefermion.check_x_series(a, b, c, X_GRID[:3])
+    assert f"t={float(X_GRID[1])!r}" in str(info.value)
+
+
+def test_both_engines_route_through_the_x_check(monkeypatch):
+    seen = []
+    check = freefermion.check_x_series
+
+    def recording(a, b, c, ts):
+        seen.append(list(ts))
+        check(a, b, c, ts)
+
+    monkeypatch.setattr(freefermion, "check_x_series", recording)
+    monkeypatch.setattr(exactdiag, "check_x_series", recording)
+    real = homogeneous(7)
+    ts = np.linspace(0.0, 4.0, 9)
+    freefermion.end_spin_series(real, ts)
+    exactdiag.QuenchEvolution(real, 3.0, 0.5).end_spin_series(ts)
+    freefermion.ChainStack([freefermion._chain(real)] * 2).end_spin_at(ts[:2])
+    assert seen == [list(ts), list(ts), list(ts[:2])]

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import shutil
-import sys
 
 import pytest
 
@@ -130,4 +129,3 @@ if __name__ == "__main__":
             shutil.copyfile(os.path.join(scratch, name), os.path.join(GOLDEN_DIR, name))
     finally:
         shutil.rmtree(scratch)
-    sys.exit(0)

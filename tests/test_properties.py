@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from xxzquench import exactdiag, freefermion, model
 from xxzquench.errors import NumericalFaultError
 from xxzquench.model import NeelOrder
@@ -49,7 +50,11 @@ def test_free_fermions_match_exact_diagonalization(real, ts):
     initial=st.sampled_from(["mixture", NeelOrder.N1, NeelOrder.N2]),
 )
 def test_x_state_invariants_along_trajectories(real, ts, initial):
-    a, b, c = freefermion.end_spin_series(real, np.asarray(ts), initial)
+    ts = np.asarray(ts)
+    if initial == "mixture":
+        a, b, c = freefermion.end_spin_series(real, ts)
+    else:
+        a, b, c = oracles.neel_component_series(real, ts, initial)
     assert np.max(np.abs(2 * a + 2 * b - 1.0)) <= 1e-12
     assert np.min(a) >= -1e-12
     assert np.max(np.abs(c) - b) <= 1e-12
@@ -109,15 +114,7 @@ def test_symmetry_reduced_series_matches_two_component_oracle(real, delta1, delt
     evolution.chunk_points = 5
     ts = np.asarray(ts)
     got = np.stack(evolution.end_spin_series(ts))
-    want = np.array([
-        [getattr(s, k) for k in "abc"]
-        for s in (
-            exactdiag.two_spin_rdm(
-                exactdiag.evolve(evolution.initial, real, delta2, float(t)), 1, real.n, t=float(t)
-            )
-            for t in ts
-        )
-    ]).T
+    want = np.stack(oracles.end_pair_per_point(evolution.initial, real, delta2, ts))
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
