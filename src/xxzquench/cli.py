@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -42,8 +43,9 @@ DISORDER_BLOCK = 64
 
 CONVENTIONS = {
     "t_max": "first strict local maximum of fef(t) above the t=0 value, "
-             "golden-section refined to 1e-6/j; the scan stops at the "
-             "first grid chunk that confirms it",
+             "else (and on even chains always) the first strict local "
+             "maximum of any height, golden-section refined to 1e-6/j; the "
+             "scan stops at the first grid chunk that confirms it",
     "disorder_peak": "per realization: the first strict local maximum of "
                      "fef(t) above the t=0 value, else the first strict local "
                      "maximum of any height, both golden-section refined to "
@@ -217,15 +219,20 @@ def cmd_quench(args) -> int:
 
 def _scan_one(item: dict) -> dict:
     spec = model.ChainSpec.from_json_dict(item["spec"])
+    peak = functools.partial(
+        entangle.find_tmax, item["engine"], spec,
+        search_horizon=item["horizon"], grid_step=item["step"],
+    )
     t0 = time.perf_counter()
     with _naming(f"scan-n n={spec.n} sigma={spec.disorder_sigma:g} sub-seed={spec.seed}"):
-        result = entangle.find_tmax(
-            item["engine"],
-            spec,
-            search_horizon=item["horizon"],
-            grid_step=item["step"],
-            require_above_baseline=spec.n % 2 == 1,
-        )
+        try:
+            result = peak(require_above_baseline=spec.n % 2 == 1)
+        except NoPeakError:
+            if spec.n % 2 == 0:
+                raise
+            # no maximum above the t = 0 value: as in disorder_peak, the
+            # first one of any height
+            result = peak(require_above_baseline=False)
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
     return {
         "n": spec.n,

@@ -6,10 +6,7 @@ c+_k = (prod_{l<k} -sigma^z_l) sigma^+_k, so a fermion sits on every
 up spin).  All end-spin observables then reduce to second moments of the
 single-particle propagator
 
-    f(t) = exp(-i A t),   A_{k,k+1} = A_{k+1,k} = J_k,
-
-which for homogeneous couplings equals the double-sine mode sum over
-standing waves q_m = pi m / (n+1) with energies E_m = 2 J cos(q_m).
+    f(t) = exp(-i A t),   A_{k,k+1} = A_{k+1,k} = J_k.
 
 The reduced state of the two end spins, starting from either Neel order
 or their equal mixture, is an X state with matrix elements
@@ -24,6 +21,18 @@ whole chain interior, the coherence c collapses to a single second
 moment weighted by the conserved fermion parity, c = (-1)^(M+1)
 Re<c+_n c_1>, rather than a full determinant; a follows from Wick
 factorization of the pair occupation.
+
+The open chain is bipartite (Lieb, Schultz & Mattis 1961): A only couples
+odd sites to even sites, A = [[0, B], [B^T, 0]] over (odd, even), and each
+Neel order fills exactly one sublattice.  With the full SVD
+B = P diag(s) Q^T, cos(At) keeps each sublattice (P cos(st) P^T and
+Q cos(st) Q^T) and sin(At) swaps them (P sin(st) Q^T), so orthogonality
+collapses every end-site moment to one sum over modes, e.g.
+<c+_1 c_1> = sum_k P_1k^2 cos^2(s_k t) for the order on the odd sites.
+A time point then costs O(n): one cos(2st) row, plus sin(2st) on even
+chains, times a fixed (modes x 4) weight matrix.  By the same supports
+Im<c+_n c_1> = 0 on odd chains and Re<c+_n c_1> = 0, hence c = 0, on even
+ones.
 """
 
 from __future__ import annotations
@@ -43,9 +52,6 @@ COHERENCE_IMAG_TOL = 1e-10
 # Byte budget of the work arrays of one chunk of a batched time series,
 # shared by both engines; peak memory then stays flat in the grid length.
 CHUNK_BYTES = 1 << 20
-# Real (T, n) arrays alive at the peak of a free-fermion chunk: the four
-# end rows, the four site products and one temporary.
-_CHUNK_ROWS = 9
 
 
 @dataclass(frozen=True)
@@ -106,121 +112,105 @@ def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) 
 
 
 class HoppingChain:
-    """Eigendecomposition of the tridiagonal hopping matrix of one realization.
+    """End-site weights of the sublattice SVD of one realization's hopping
+    matrix: O(n) numbers, kept from one O(n^3) decomposition.
 
-    Diagonalizing once costs O(n^3) and every propagator row afterwards is
-    O(n^2), which is what a fine time scan wants.  The same path serves
-    homogeneous and disordered couplings.
+    The arrays carry a leading axis of one chain, so that a chain is a
+    :class:`ChainStack` of one.  ``two_s`` (1, m) holds the doubled
+    singular values 2 s_k of B.  Row k of ``weights`` (1, rows, 4) maps
+    cos(2 s_k t), and on even chains in the second half of the rows
+    sin(2 s_k t), to the oscillating parts of the four end-site moments
+    of order N2, which fills the odd sites; order N1 fills the even sites
+    and sees them with the opposite sign.  ``base`` (1, 4, 2) holds the
+    constant parts of both orders.
     """
 
     def __init__(self, realization: CouplingRealization):
-        self.realization = realization
-        self.n = realization.n
-        a = np.zeros((self.n, self.n))
-        for k, jk in enumerate(realization.couplings):
-            a[k, k + 1] = jk
-            a[k + 1, k] = jk
-        self.energies, self.modes = np.linalg.eigh(a)
-        self.chunk_points = max(1, CHUNK_BYTES // (_CHUNK_ROWS * 8 * self.n))
+        n = self.n = realization.n
+        a = np.diag(realization.couplings, 1) + np.diag(realization.couplings, -1)
+        # B: rows are the odd sites 1, 3, ...; columns the even sites 2, 4, ...
+        p, s, qt = np.linalg.svd(a[0::2, 1::2])
+        m = len(s)
+        zero_mode = np.zeros(4)
+        if n % 2 == 1:
+            # sites 1 and n are odd; column m of P is the zero mode
+            ends = np.stack([p[0] ** 2, p[-1] ** 2, p[0] * p[-1], np.zeros(m + 1)], axis=1)
+            weights = 0.5 * ends[:m]
+            zero_mode = ends[m]
+        else:
+            # site n is even: its row of Q is column n of Q^T
+            p1, qn = p[0], qt[:, -1]
+            weights = np.zeros((2 * m, 4))
+            weights[:m, 0] = 0.5 * p1**2
+            weights[:m, 1] = -0.5 * qn**2
+            weights[m:, 3] = -0.5 * p1 * qn
+        # cos^2 = (1 + cos 2st)/2 and sin^2 = (1 - cos 2st)/2; the rows of P
+        # and Q are orthonormal, so the constant parts only need the zero mode
+        base = 0.5 * (np.array([[1.0], [1.0], [0.0], [0.0]]) + np.outer(zero_mode, (-1.0, 1.0)))
+        self.two_s, self.weights, self.base = 2.0 * s[None], weights[None], base[None]
+        # floats per time point at the peak of a chunk: the phases, the
+        # trigonometric rows, the four oscillating parts and the moments
+        self.chunk_points = max(1, CHUNK_BYTES // (8 * (m + len(weights) + 4 + 8)))
 
-    def end_rows(self, ts: np.ndarray) -> np.ndarray:
-        """Rows 1 and n of f(t) over ``ts`` as real parts, shape (4, T, n);
-        see :func:`_end_rows`."""
-        ts = np.asarray(ts, dtype=float)
-        return _end_rows(self.energies[None], self.modes[None], ts[None])[:, 0]
 
-    def end_moments(self, ts: np.ndarray, occupied: np.ndarray) -> np.ndarray:
-        """End-site moments over ``ts`` for k initial states, shape (4, T, k).
+def _end_moments(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarray:
+    """End-site moments of both Neel orders for K chains, each over its own
+    T times ``ts`` (K, T); shape (4, K, T, 2).
 
-        ``occupied`` is an (n, k) 0/1 matrix whose columns mark each
-        state's initially occupied sites; see :func:`_end_moments`.
-        """
-        return _end_moments(self.end_rows(ts), occupied)
-
-
-def _end_rows(energies: np.ndarray, modes: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Rows 1 and n of f(t) for K chains, each over its own T times.
-
-    ``energies`` is (K, n), ``modes`` (K, n, n) and ``ts`` (K, T); the
-    result is real, shape (4, K, T, n).  With f = C - i S the stack is
-    [C_1, C_n, S_1, S_n], per chain one real product
-    [cos(E t) u_1; cos(E t) u_n; sin(E t) u_1; sin(E t) u_n] @ U^T, where
-    u_1 and u_n are the end rows of the mode matrix U.  Times equal to
-    zero are short-circuited to exact unit rows so that t = 0
-    observables are free of eigenbasis round-off.
+    The rows are <c+_1 c_1>, <c+_n c_n> and the real and imaginary parts
+    of <c+_n c_1>; column 0 is order N1 and column 1 order N2.  Per chain
+    one (T, rows) @ (rows, 4) product gives the oscillating parts.  Times
+    equal to zero are set exactly to the initially occupied sites, free
+    of round-off.
     """
-    k, n = energies.shape
-    u1, un = modes[:, None, 0], modes[:, None, -1]
-    phase = ts[:, :, None] * energies[:, None, :]
-    w = np.empty((k, 4) + phase.shape[1:])
-    np.cos(phase, out=w[:, 0])
-    np.multiply(w[:, 0], un, out=w[:, 1])
-    w[:, 0] *= u1
-    np.sin(phase, out=phase)
-    np.multiply(phase, u1, out=w[:, 2])
-    np.multiply(phase, un, out=w[:, 3])
+    n, m = chains.n, chains.two_s.shape[-1]
+    phase = ts[..., None] * chains.two_s[:, None, :]
+    trig = np.empty(phase.shape[:-1] + (chains.weights.shape[-2],))
+    np.cos(phase, out=trig[..., :m])
+    if n % 2 == 0:
+        np.sin(phase, out=trig[..., m:])
     del phase
-    rows = (w.reshape(k, -1, n) @ modes.transpose(0, 2, 1)).reshape(w.shape)
-    rows = rows.swapaxes(0, 1)
+    moments = np.multiply.outer(trig @ chains.weights, (-1.0, 1.0))
+    moments += chains.base[:, None]
     zero = ts == 0.0
     if np.any(zero):
-        rows[:, zero] = 0.0
-        rows[0, zero, 0] = 1.0
-        rows[1, zero, -1] = 1.0
-    return rows
-
-
-def _end_moments(rows: np.ndarray, occupied: np.ndarray) -> np.ndarray:
-    """End-site moments from a stack of end rows, shape (4, ..., k).
-
-    The four rows are <c+_1 c_1>, <c+_n c_n> and the real and imaginary
-    parts of <c+_n c_1>, each the Heisenberg-picture sum over occupied p,
-    e.g. <c+_n c_1> = sum_p f_{n,p} conj(f_{1,p}).
-    """
-    c1, cn, s1, sn = rows
-    site = np.empty(rows.shape)
-    np.multiply(c1, c1, out=site[0])
-    site[0] += s1 * s1
-    np.multiply(cn, cn, out=site[1])
-    site[1] += sn * sn
-    np.multiply(cn, c1, out=site[2])
-    site[2] += sn * s1
-    np.multiply(cn, s1, out=site[3])
-    site[3] -= sn * c1
-    return site @ occupied
+        moments[zero] = 0.0
+        moments[zero, :2] = _neel_components(n)[0][[0, -1]]
+    return np.moveaxis(moments, 2, 0)
 
 
 class ChainStack:
     """Hopping chains of one length from the Neel mixture, evaluated
     together at one time each.
 
-    The eigenbases are stacked, so the end-spin state of K chains at K
-    different times is one (K, 4, n) @ (K, n, n) product rather than K
-    calls.  Every member's value is computed by the same operations as
-    :func:`end_spin_series` at that single time, so the two agree bit for
-    bit, and it passes the same checks.
+    The weights are stacked, so the end-spin state of K chains at K
+    different times is one (K, 1, rows) @ (K, rows, 4) product rather
+    than K calls.  Every member's value is computed by the same
+    operations as :func:`end_spin_series` at that single time, so the two
+    agree bit for bit, and it passes the same checks.
     """
 
     def __init__(self, chains: list[HoppingChain]):
-        self.energies = np.stack([c.energies for c in chains])
-        self.modes = np.stack([c.modes for c in chains])
+        self.two_s = np.concatenate([c.two_s for c in chains])
+        self.weights = np.concatenate([c.weights for c in chains])
+        self.base = np.concatenate([c.base for c in chains])
         self.n = chains[0].n
 
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) of chain k at time ``ts[k]``, each of shape (K,)."""
         ts = np.asarray(ts, dtype=float)
-        occupied, _ = _neel_components(self.n)
-        moments = _end_moments(_end_rows(self.energies, self.modes, ts[:, None]), occupied)
-        return _x_state(moments[:, :, 0], self.n, ts)
+        return _x_state(_end_moments(self, ts[:, None])[:, :, 0], self.n, ts)
 
 
 def eigenbasis_bytes(n: int) -> int:
-    """Bytes of the eigenbasis one n-site chain keeps: energies and modes."""
-    return 8 * n * (n + 1)
+    """Bytes one n-site chain keeps: 2s, the weights (a cos row per mode,
+    and a sin row on even chains) and the constant parts."""
+    m = n // 2
+    return 8 * (m + 4 * m * (2 - n % 2) + 8)
 
 
-# Each entry holds an n x n eigenbasis (0.5 MB at n=241); callers work
-# through one realization at a time, so a few entries serve every hit.
+# Each entry holds O(n) numbers (5 KB at n=241); callers work through one
+# realization at a time, so a few entries serve every hit.
 @lru_cache(maxsize=8)
 def _chain(realization: CouplingRealization) -> HoppingChain:
     return HoppingChain(realization)
@@ -282,18 +272,17 @@ def end_spin_series(
 
     The mixture is the element-wise average of the two Neel components.
     By the global spin-flip symmetry the components coincide, but both are
-    computed explicitly, from their own occupied sites, and the agreement
+    computed explicitly, each from the sublattice it fills, and the agreement
     is left to the test suite rather than assumed.  The grid is evaluated
     ``chunk_points`` at a time, so work memory does not grow with it.
     """
     ts = np.asarray(ts, dtype=float)
     chain = _chain(realization)
-    occupied, _ = _neel_components(realization.n)
     a, b, c = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
     for lo in range(0, len(ts), chain.chunk_points):
         part = slice(lo, lo + chain.chunk_points)
         a[part], b[part], c[part] = _x_state(
-            chain.end_moments(ts[part], occupied), realization.n, ts[part]
+            _end_moments(chain, ts[None, part])[:, 0], realization.n, ts[part]
         )
     return a, b, c
 

@@ -8,8 +8,10 @@ obvious route to a quantity that an engine computes fast:
   with every check a 4x4 matrix admits (Hermiticity, trace, positivity, X
   structure, real coherence, flip-symmetric diagonal pairs);
 - free fermions: the propagator exp(-iAt) as a full matrix, from the
-  eigendecomposition or from the closed standing-wave mode sum, and the
-  end-spin state of a single Neel order;
+  eigendecomposition of the dense hopping matrix or from the closed
+  standing-wave mode sum, and from it the end-site moments and end-spin
+  state of a single Neel order, independent of the engine's sublattice
+  closed form;
 - purification: the recurrence round on the 16x16 two-pair density matrix.
 """
 
@@ -163,15 +165,25 @@ def end_pair_per_point(initial: MixedState, realization, delta2: float, ts) -> t
 # --- free fermions -------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _hopping_eig(realization) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the dense n x n hopping matrix A, built here."""
+    n = realization.n
+    a = np.zeros((n, n))
+    for k, jk in enumerate(realization.couplings):
+        a[k, k + 1] = a[k + 1, k] = jk
+    return np.linalg.eigh(a)
+
+
 def eigen_propagator(realization, t: float) -> np.ndarray:
-    """f(t) = exp(-i A t) as a full matrix, from the hopping chain's
-    eigendecomposition; exactly the identity at t = 0."""
+    """f(t) = exp(-i A t) as a full matrix, from the eigendecomposition of
+    the dense hopping matrix; exactly the identity at t = 0."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     if t == 0.0:
         return np.eye(realization.n, dtype=complex)
-    chain = freefermion._chain(realization)
-    return (chain.modes * np.exp(-1j * chain.energies * t)) @ chain.modes.T
+    energies, modes = _hopping_eig(realization)
+    return (modes * np.exp(-1j * energies * t)) @ modes.T
 
 
 def mode_sum_propagator(realization, t: float) -> np.ndarray:
@@ -208,24 +220,19 @@ class SecondMoments:
     cross_lf: complex
 
 
-def _occupied(state: model.NeelState) -> np.ndarray:
-    """(n, 1) 0/1 column of the sites one Neel state occupies."""
-    occupied = np.zeros((state.n, 1))
-    occupied[np.asarray(state.up_sites) - 1, 0] = 1.0
-    return occupied
-
-
 def second_moments(realization, which: model.NeelState, t: float) -> SecondMoments:
-    """End-site moments of one Neel order at time t, from the engine's end rows."""
+    """End-site moments of one Neel order at time t, summed over its
+    occupied sites p from the full propagator: <c+_i c_j> =
+    sum_p conj(f_{i,p}) f_{j,p}; exact at t = 0."""
     if which.n != realization.n:
         raise ValueError(f"state is for n={which.n}, realization for n={realization.n}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    occ_first, occ_last, cross_re, cross_im = freefermion._chain(realization).end_moments(
-        np.array([t], dtype=float), _occupied(which)
-    )[:, 0, 0]
-    cross = complex(cross_re, cross_im)
-    return SecondMoments(float(occ_first), float(occ_last), cross.conjugate(), cross)
+    f = eigen_propagator(realization, t)
+    occ = np.asarray(which.up_sites) - 1
+    f1, fn = f[0, occ], f[-1, occ]
+    cross = complex(np.sum(fn * f1.conj()))
+    return SecondMoments(
+        float(np.sum(np.abs(f1) ** 2)), float(np.sum(np.abs(fn) ** 2)), cross.conjugate(), cross
+    )
 
 
 def _component_x_state(o1, on, cross, sign):
@@ -240,31 +247,37 @@ def _parity_sign(state: model.NeelState) -> float:
 
 
 def neel_component_series(realization, ts, order: NeelOrder) -> np.ndarray:
-    """(a, b, c) rows of one Neel order alone, from the engine's end-row
-    kernel; the engine itself only evaluates the mixture."""
+    """(a, b, c) rows of one Neel order alone, point by point from the full
+    propagator matrix."""
     state = model.neel_state(order, realization.n)
-    o1, on, cross_re, cross_im = freefermion._chain(realization).end_moments(
-        np.asarray(ts, dtype=float), _occupied(state)
-    )[..., 0]
-    return np.stack(_component_x_state(o1, on, cross_re + 1j * cross_im, _parity_sign(state)))
+    moments = [second_moments(realization, state, float(t)) for t in ts]
+    return np.stack(_component_x_state(
+        np.array([m.occ_first for m in moments]),
+        np.array([m.occ_last for m in moments]),
+        np.array([m.cross_lf for m in moments]),
+        _parity_sign(state),
+    ))
 
 
 def propagator_end_spin(realization, ts, initial) -> np.ndarray:
     """(a, b, c) rows of one Neel order, or of their "mixture", built point
     by point from the full propagator matrix."""
     orders = [NeelOrder.N1, NeelOrder.N2] if initial == "mixture" else [initial]
-    out = np.zeros((3, len(ts)))
-    for order in orders:
-        state = model.neel_state(order, realization.n)
-        occ = np.asarray(state.up_sites) - 1
-        for i, t in enumerate(ts):
-            f = eigen_propagator(realization, float(t))
-            f1, fn = f[0, occ], f[-1, occ]
-            out[:, i] += _component_x_state(
-                np.sum(np.abs(f1) ** 2), np.sum(np.abs(fn) ** 2), np.sum(fn * f1.conj()),
-                _parity_sign(state),
-            )
-    return out / len(orders)
+    return sum(neel_component_series(realization, ts, order) for order in orders) / len(orders)
+
+
+# --- engine views (not oracles) --------------------------------------------
+
+
+def engine_component_series(realization, ts, order: NeelOrder) -> np.ndarray:
+    """(a, b, c) rows of one Neel order from the free-fermion engine's own
+    moment stack; the engine itself only evaluates the mixture, so this is
+    how each order's closed form is checked against the oracles above."""
+    ts = np.asarray(ts, dtype=float)
+    moments = freefermion._end_moments(freefermion._chain(realization), ts[None])[:, 0]
+    o1, on, cross_re, cross_im = moments[..., [NeelOrder.N1, NeelOrder.N2].index(order)]
+    state = model.neel_state(order, realization.n)
+    return np.stack(_component_x_state(o1, on, cross_re + 1j * cross_im, _parity_sign(state)))
 
 
 # --- purification ---------------------------------------------------------

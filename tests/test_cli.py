@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xxzquench import cli, entangle, freefermion, model
-from xxzquench.errors import NumericalFaultError
+from xxzquench.errors import NoPeakError, NumericalFaultError
 
 
 def run(*argv):
@@ -140,10 +140,28 @@ def test_scan_reruns_are_bit_identical(tmp_path):
 
 
 def test_scan_jobs_do_not_change_bytes(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run("scan-n", "--n", "3,5,7,9", "--jobs", "1", "--out", str(a)) == 0
-    assert run("scan-n", "--n", "3,5,7,9", "--jobs", "2", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for argv in (["--n", "3,5,7,9"], ["--n", "5,7,9", "--sigma", "0.3"]):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("scan-n", *argv, "--jobs", "1", "--out", str(a)) == 0
+        assert run("scan-n", *argv, "--jobs", "2", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_falls_back_to_a_peak_of_any_height(tmp_path):
+    # with seed 4 the n=7 realization (sub-seed 3) never exceeds its t = 0
+    # value; its record is the first local maximum of any height
+    out = tmp_path / "s.csv"
+    assert run("scan-n", "--n", "7,9,25", "--sigma", "0.3", "--seed", "4",
+               "--jobs", "1", "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    assert col(header, rows, "n", int) == [7, 9, 25]
+    spec = model.ChainSpec(n=7, disorder_sigma=0.3, seed=model.sub_seed(4, 7))
+    with pytest.raises(NoPeakError):
+        entangle.find_tmax("freefermion", spec)
+    fallback = entangle.find_tmax("freefermion", spec, require_above_baseline=False)
+    assert fallback.fef_at_tmax < 0.5
+    assert col(header, rows, "t_max")[0] == fallback.t_max
+    assert col(header, rows, "fef_at_tmax")[0] == fallback.fef_at_tmax
 
 
 def test_disorder_zero_sigma_matches_quench(tmp_path):
@@ -309,17 +327,21 @@ def test_disorder_bytes_independent_of_jobs_and_block_size(tmp_path, monkeypatch
             assert (tmp_path / f"{name}{suffix}").read_bytes() == want
 
 
-def test_disorder_block_size_bounds_stacked_eigenbases_and_fills_workers():
-    assert cli._block_size(7, "freefermion", 100, 1) == cli.DISORDER_BLOCK
-    for n in (101, 241):
-        size = cli._block_size(n, "freefermion", 100, 1)
-        assert 1 <= size < cli.DISORDER_BLOCK
-        assert size * freefermion.eigenbasis_bytes(n) <= freefermion.CHUNK_BYTES
+def test_disorder_block_size_bounds_stacked_eigenbases_and_fills_workers(monkeypatch):
+    # a free-fermion chain keeps O(n) numbers, so even n = 241 fills a block
+    for n in (7, 241):
+        assert cli._block_size(n, "freefermion", 100, 1) == cli.DISORDER_BLOCK
     assert cli._block_size(13, "exactdiag", 100, 1) == 1
     # every worker gets a block
     assert cli._block_size(7, "freefermion", 100, 2) == 50
     assert cli._block_size(7, "freefermion", 100, 8) == 13
     assert cli._block_size(7, "freefermion", 5, 8) == 1
+    # a budget of 64 KiB binds below DISORDER_BLOCK at these lengths
+    monkeypatch.setattr(freefermion, "CHUNK_BYTES", 1 << 16)
+    for n in (101, 241):
+        size = cli._block_size(n, "freefermion", 100, 1)
+        assert 1 <= size < cli.DISORDER_BLOCK
+        assert size * freefermion.eigenbasis_bytes(n) <= freefermion.CHUNK_BYTES
 
 
 def _inject_fault(monkeypatch, cls, method, when):
@@ -346,9 +368,9 @@ def test_disorder_failure_names_the_realization(tmp_path, monkeypatch, capsys):
 
 def test_disorder_lockstep_failure_names_the_realization(tmp_path, monkeypatch, capsys):
     target = freefermion._chain(model.realize_couplings(
-        model.ChainSpec(n=7, disorder_sigma=0.2, seed=18))).energies
+        model.ChainSpec(n=7, disorder_sigma=0.2, seed=18))).two_s[0]
     _inject_fault(monkeypatch, freefermion.ChainStack, "end_spin_at",
-                  lambda stack: any(np.array_equal(e, target) for e in stack.energies))
+                  lambda stack: any(np.array_equal(s, target) for s in stack.two_s))
     argv = ["disorder", "--n", "7", "--sigma", "0.2", "--realizations", "5",
             "--seed", "17", "--jobs", "1", "--out", str(tmp_path / "d.csv")]
     assert run(*argv) == cli.EXIT_NUMERICAL

@@ -122,7 +122,7 @@ def test_engine_resolution():
 def test_eigenbasis_bytes_covers_what_an_evaluator_keeps(spec):
     ev = entangle.CurveEvaluator(spec)
     if ev.engine == "freefermion":
-        kept = ev._chain.energies.nbytes + ev._chain.modes.nbytes
+        kept = ev._chain.two_s.nbytes + ev._chain.weights.nbytes + ev._chain.base.nbytes
         assert kept == entangle.CurveEvaluator.eigenbasis_bytes(spec.n, ev.engine)
     else:
         kept = sum(b.energies.nbytes + b.modes.nbytes
@@ -327,5 +327,12 @@ def test_early_stop_scan_equals_full_grid(engine, spec, monkeypatch):
     monkeypatch.setattr(entangle.CurveEvaluator, "fef_series", counted)
     result = entangle.find_tmax(engine, spec)
     assert (result.t_max, result.fef_at_tmax) == (want_t, want_f)
-    if spec.n >= 49:
+    # whole chunks up to the first one that holds the peak's right neighbour,
+    # then the refinement's single points (exact diagonalization only)
+    k = evaluator.chunk_points
+    right = _first_peak_oracle(curve, curve[0]) + 1
+    windows = [min(k, len(ts) - lo) for lo in range(0, (right // k + 1) * k, k)]
+    assert scanned[:len(windows)] == windows
+    assert set(scanned[len(windows):]) <= {1}
+    if spec.n == 151:  # 809-point chunks of a 4,807-point grid
         assert sum(scanned) < 0.8 * len(ts)

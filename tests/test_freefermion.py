@@ -132,8 +132,8 @@ def test_components_agree_for_odd_chains():
     for n in (3, 5, 9, 15, 31):
         real = homogeneous(n)
         ts = rng.uniform(0.0, 2 * n / math.pi, 8)
-        a1, b1, c1 = oracles.neel_component_series(real, ts, NeelOrder.N1)
-        a2, b2, c2 = oracles.neel_component_series(real, ts, NeelOrder.N2)
+        a1, b1, c1 = oracles.engine_component_series(real, ts, NeelOrder.N1)
+        a2, b2, c2 = oracles.engine_component_series(real, ts, NeelOrder.N2)
         np.testing.assert_allclose(a1, a2, atol=1e-10)
         np.testing.assert_allclose(b1, b2, atol=1e-10)
         np.testing.assert_allclose(c1, c2, atol=1e-10)
@@ -210,35 +210,36 @@ def test_series_matches_propagator_oracle(key, initial, monkeypatch):
     real = KERNEL_CHAINS[key]()
     # 38 points in chunks of 7: five full chunks and a partial one, with
     # t = 0 inside the first; the engine evaluates the mixture, and a
-    # single Neel order goes through its end-row kernel alone
+    # single Neel order is read from its column of the engine's moments
     monkeypatch.setattr(freefermion._chain(real), "chunk_points", 7)
     ts = np.concatenate([[0.3], [0.0], np.linspace(0.1, 2.0 * real.n, 36)])
 
     def series(ts):
         if initial == "mixture":
             return np.stack(freefermion.end_spin_series(real, ts))
-        return oracles.neel_component_series(real, ts, initial)
+        return oracles.engine_component_series(real, ts, initial)
 
     got = series(ts)
     expect = oracles.propagator_end_spin(real, ts, initial)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
-    assert np.array_equal(got[:, 1], expect[:, 1])  # exact unit rows at t = 0
+    assert np.array_equal(got[:, 1], expect[:, 1])  # exact moments at t = 0
     one = series(ts[-1:])
     np.testing.assert_allclose(
         one, oracles.propagator_end_spin(real, ts[-1:], initial), rtol=0, atol=1e-12
     )
 
 
-def test_end_rows_exact_at_t0():
+def test_end_moments_exact_at_t0():
     for real in (homogeneous(7), disordered(12, sigma=0.8, seed=3)):
-        rows = freefermion._chain(real).end_rows(np.array([1.1, 0.0]))
-        unit = np.zeros((4, real.n))
-        unit[0, 0] = unit[1, -1] = 1.0
-        assert np.array_equal(rows[:, 1], unit)
-        f = oracles.eigen_propagator(real, 1.1)
-        # f = C - i S, stacked [C_1, C_n, S_1, S_n]
-        expect = np.stack([f[0].real, f[-1].real, -f[0].imag, -f[-1].imag])
-        np.testing.assert_allclose(rows[:, 0], expect, rtol=0, atol=1e-13)
+        moments = freefermion._end_moments(freefermion._chain(real), np.array([[1.1, 0.0]]))
+        for k, order in enumerate((NeelOrder.N1, NeelOrder.N2)):
+            state = model.neel_state(order, real.n)
+            # at t = 0: the initial occupations of sites 1 and n, no coherence
+            unit = [1 in state.up_sites, real.n in state.up_sites, 0.0, 0.0]
+            assert np.array_equal(moments[:, 0, 1, k], np.array(unit, dtype=float))
+            m = oracles.second_moments(real, state, 1.1)
+            expect = [m.occ_first, m.occ_last, m.cross_lf.real, m.cross_lf.imag]
+            np.testing.assert_allclose(moments[:, 0, 0, k], expect, rtol=0, atol=1e-13)
 
 
 def test_series_work_memory_independent_of_grid():
@@ -269,13 +270,13 @@ def test_chunk_points_follow_budget(monkeypatch):
 
 def test_end_spin_state_takes_one_pass(monkeypatch):
     calls = []
-    end_rows = freefermion.HoppingChain.end_rows
+    end_moments = freefermion._end_moments
 
-    def counted(self, ts):
-        calls.append(len(ts))
-        return end_rows(self, ts)
+    def counted(chains, ts):
+        calls.append(ts.size)
+        return end_moments(chains, ts)
 
-    monkeypatch.setattr(freefermion.HoppingChain, "end_rows", counted)
+    monkeypatch.setattr(freefermion, "_end_moments", counted)
     real = disordered(9, sigma=0.8, seed=3)
     s = freefermion.end_spin_state(real, 2.3)
     assert calls == [1]
@@ -285,20 +286,20 @@ def test_end_spin_state_takes_one_pass(monkeypatch):
 
 @pytest.mark.parametrize("component", [0, 1])
 def test_end_spin_state_checks_coherence_imaginary_part(component, monkeypatch):
-    end_moments = freefermion.HoppingChain.end_moments
+    end_moments = freefermion._end_moments
 
     def shifted(scale):
-        def moments(self, ts, occupied):
-            out = end_moments(self, ts, occupied)
-            out[3, :, component] += scale * 1e-10  # COHERENCE_IMAG_TOL
+        def moments(chains, ts):
+            out = end_moments(chains, ts)
+            out[3, ..., component] += scale * 1e-10  # COHERENCE_IMAG_TOL
             return out
         return moments
 
     real = homogeneous(7)
-    monkeypatch.setattr(freefermion.HoppingChain, "end_moments", shifted(1.5))
+    monkeypatch.setattr(freefermion, "_end_moments", shifted(1.5))
     with pytest.raises(NumericalFaultError, match="imaginary part"):
         freefermion.end_spin_state(real, 1.3)
-    monkeypatch.setattr(freefermion.HoppingChain, "end_moments", shifted(0.5))
+    monkeypatch.setattr(freefermion, "_end_moments", shifted(0.5))
     freefermion.end_spin_state(real, 1.3)
 
 
@@ -334,8 +335,8 @@ def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
     # POSITIVITY_TOL scaled
     delta = factor * 1e-9
     moments = np.array([0.5, 0.5, math.sqrt(0.25 + delta), 0.0])
-    monkeypatch.setattr(freefermion, "_end_moments", lambda rows, occupied: np.broadcast_to(
-        moments[:, None, None, None], rows.shape[:-1] + (occupied.shape[1],)))
+    monkeypatch.setattr(freefermion, "_end_moments", lambda chains, ts: np.broadcast_to(
+        moments[:, None, None, None], (4,) + ts.shape + (2,)))
     stack = freefermion.ChainStack([freefermion._chain(homogeneous(7))])
     if factor < 1:
         stack.end_spin_at(np.array([1.0]))
@@ -348,8 +349,8 @@ def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
 def test_series_and_stack_check_coherence_imaginary_part(monkeypatch, factor):
     end_moments = freefermion._end_moments
 
-    def shifted(rows, occupied):
-        out = end_moments(rows, occupied)
+    def shifted(chains, ts):
+        out = end_moments(chains, ts)
         out[3] += factor * 1e-10  # COHERENCE_IMAG_TOL
         return out
 

@@ -54,10 +54,41 @@ def test_x_state_invariants_along_trajectories(real, ts, initial):
     if initial == "mixture":
         a, b, c = freefermion.end_spin_series(real, ts)
     else:
-        a, b, c = oracles.neel_component_series(real, ts, initial)
+        a, b, c = oracles.engine_component_series(real, ts, initial)
     assert np.max(np.abs(2 * a + 2 * b - 1.0)) <= 1e-12
     assert np.min(a) >= -1e-12
     assert np.max(np.abs(c) - b) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(real=chains(2, 40), data=st.data())
+def test_sublattice_closed_form_matches_dense_propagator(real, data):
+    # t in [0, 2n/pi], the default horizon at J = 1, with t = 0 always in
+    horizon = 2.0 * real.n / math.pi
+    drawn = data.draw(st.lists(st.floats(min_value=0.0, max_value=horizon), max_size=8))
+    ts = np.array([0.0, *drawn])
+    got = np.stack(freefermion.end_spin_series(real, ts))
+    want = oracles.propagator_end_spin(real, ts, "mixture")
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for order in (NeelOrder.N1, NeelOrder.N2):
+        one = oracles.engine_component_series(real, ts, order)
+        assert np.max(np.abs(one - oracles.propagator_end_spin(real, ts, order))) <= 1e-12
+    zero = ts == 0.0
+    assert np.array_equal(got[:, zero], want[:, zero])
+    if real.n % 2 == 0:
+        assert np.all(got[2] == 0.0)
+    # a stack mixing this chain with another of its length, one time each
+    other = model.CouplingRealization(
+        couplings=tuple(data.draw(st.lists(bond, min_size=real.n - 1, max_size=real.n - 1))),
+        seed_used=0,
+    )
+    members = [real, other] * len(ts)
+    stacked = freefermion.ChainStack([freefermion._chain(r) for r in members])
+    at = np.repeat(ts, 2)
+    a, b, c = stacked.end_spin_at(at)
+    for k, (r, t) in enumerate(zip(members, at)):
+        single = freefermion.end_spin_series(r, np.array([t]))
+        assert (a[k], b[k], c[k]) == tuple(x[0] for x in single)
 
 
 # bonds bounded away from zero: a cut chain has a degenerate ground manifold
