@@ -76,11 +76,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _field(kind: type) -> str:
+    """The %-conversion that renders a value of type ``kind`` as :func:`_fmt`."""
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, float):
+        return "%.17g"
+    return "%s"
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """Write rows as :func:`_fmt` renders them, one %-string per row; the
+    conversions are picked per column, so each column holds one kind."""
+    line = ""
+    if rows:
+        fields = []
+        for column in zip(*rows):
+            kinds = {_field(kind) for kind in set(map(type, column))}
+            assert len(kinds) == 1, f"mixed column {kinds} in {path}"
+            fields += kinds
+        line = ",".join(fields) + "\n"
+        assert line % tuple(rows[0]) == ",".join(map(_fmt, rows[0])) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _write_manifest(
@@ -108,6 +127,18 @@ def _parse_delta1(text: str) -> float:
     if text.strip().lower() == "inf":
         return model.INFINITE_ANISOTROPY
     return float(text)
+
+
+def _positive_int(text: str) -> int:
+    """Argument type for a whole number of at least one (a usage error
+    otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+_positive_int.__name__ = "positive int"
 
 
 def _list_of(convert):
@@ -196,10 +227,7 @@ def cmd_quench(args) -> int:
     a, b, c = evaluator.series(ts)
     fef = entangle._fef(a, b, c)
     neg = entangle._negativity(a, c)
-    rows = [
-        [float(ts[i]), float(a[i]), float(b[i]), float(c[i]), float(fef[i]), float(neg[i])]
-        for i in range(len(ts))
-    ]
+    rows = np.column_stack([ts, a, b, c, fef, neg]).tolist()
     _write_csv(args.out, ["t", "a", "b", "c", "fef", "negativity"], rows)
     config = {
         "spec": spec.to_json_dict(),
@@ -330,10 +358,17 @@ def cmd_scan_n(args) -> int:
     return EXIT_OK
 
 
+def _workers(jobs: int, items: int) -> int:
+    """Worker processes for ``items`` tasks: never more than the tasks or
+    the cores, since every worker is forked up front."""
+    return max(1, min(jobs, items, os.cpu_count() or 1))
+
+
 def _run_parallel(worker, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
+    workers = _workers(jobs, len(items))
+    if workers == 1:
         return [worker(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items))
 
 
@@ -373,7 +408,7 @@ def _block_size(n: int, engine: str, realizations: int, jobs: int) -> int:
     within freefermion.CHUNK_BYTES, and few enough that one sigma's
     realizations fill every worker.  The output does not depend on it."""
     budget = freefermion.CHUNK_BYTES // entangle.CurveEvaluator.eigenbasis_bytes(n, engine)
-    per_worker = -(-realizations // max(jobs, 1))
+    per_worker = -(-realizations // _workers(jobs, realizations))
     return max(1, min(DISORDER_BLOCK, budget, per_worker))
 
 
@@ -421,10 +456,7 @@ def cmd_disorder(args) -> int:
 
     ts_path = _sibling_path(args.out, "_timeseries")
     header = ["t"] + [f"fef_mean_sigma={s:g}" for s in sigmas]
-    rows = [
-        [float(ts[i])] + [float(mean_curves[s][i]) for s in sigmas]
-        for i in range(len(ts))
-    ]
+    rows = np.column_stack([ts] + [mean_curves[s] for s in sigmas]).tolist()
     _write_csv(ts_path, header, rows)
     _write_csv(
         args.out,
@@ -629,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sigma", type=float, default=0.0, help="disorder std dev")
     s.add_argument("--allow-even", action="store_true",
                    help="permit even lengths (separable end spins)")
-    s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    s.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     s.add_argument("--out", default="scan.csv")
     s.set_defaults(func=cmd_scan_n, require_n=False)
 
@@ -638,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--sigma", type=_list_of(float), default="0,0.1,0.2,0.3",
                    help="comma-separated disorder std devs")
     d.add_argument("--realizations", type=int, default=100)
-    d.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    d.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     d.add_argument("--out", default="disorder.csv")
     d.set_defaults(func=cmd_disorder, require_n=True)
 

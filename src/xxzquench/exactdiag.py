@@ -125,26 +125,26 @@ def build_sector_hamiltonian(
 
     Diagonal entries collect (J_k delta / 2) z_k z_{k+1}; each adjacent
     up-down pair contributes an off-diagonal J_k to its exchanged partner.
+    One pass per bond covers every pattern; each off-diagonal entry comes
+    from exactly one bond.
     """
     if math.isinf(delta):
         raise ValueError("infinite anisotropy never enters numerical matrices")
     n = realization.n
     basis = sector_basis(n, m_up)
-    dim = basis.dim
-    h = np.zeros((dim, dim))
+    states = basis.states
+    h = np.zeros((basis.dim, basis.dim))
+    diag = np.zeros(basis.dim)
     cpl = realization.couplings
-    for i, pat in enumerate(int(p) for p in basis.states):
-        diag = 0.0
-        for k in range(n - 1):
-            b1 = (pat >> k) & 1
-            b2 = (pat >> (k + 1)) & 1
-            z1 = 1.0 if b1 else -1.0
-            z2 = 1.0 if b2 else -1.0
-            diag += cpl[k] * delta / 2.0 * z1 * z2
-            if b1 != b2:
-                j = basis.index[pat ^ ((1 << k) | (1 << (k + 1)))]
-                h[i, j] += cpl[k]
-        h[i, i] = diag
+    ups = [(states >> k) & 1 == 1 for k in range(n)]
+    for k in range(n - 1):
+        z1 = np.where(ups[k], 1.0, -1.0)
+        z2 = np.where(ups[k + 1], 1.0, -1.0)
+        diag += cpl[k] * delta / 2.0 * z1 * z2
+        rows = np.flatnonzero(ups[k] != ups[k + 1])
+        partners = states[rows] ^ np.uint64((1 << k) | (1 << (k + 1)))
+        h[rows, np.searchsorted(states, partners)] = cpl[k]
+    np.fill_diagonal(h, diag)
     return SectorHamiltonian(basis=basis, matrix=h, delta=delta, couplings=realization)
 
 

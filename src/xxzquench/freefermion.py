@@ -90,9 +90,9 @@ class EndSpinState:
 
 def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None:
     """Raise at the first point whose deviation exceeds tol (NaN included)."""
-    bad = ~(deviation <= tol)
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    ok = deviation <= tol
+    if not ok.all():
+        k = int(np.argmin(ok))
         raise NumericalFaultError(
             f"{what} {deviation[k]:.3e} beyond {tol:g} at t={float(ts[k])!r}"
         )
@@ -103,12 +103,18 @@ def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) 
 
     The X state has unit trace 2a + 2b and eigenvalues a, a and b +- |c|,
     so it is checked that |2a + 2b - 1|, -a and |c| - b stay within their
-    tolerances; the first failing point raises, naming its t.  Both
+    tolerances.  The three deviations are tested together in one pass;
+    only when that fails are they checked one by one, in that order, so
+    the first failing check raises, naming its first failing t.  Both
     engines run this on every point they evaluate.
     """
-    _check(np.abs(2.0 * a + 2.0 * b - 1.0), TRACE_TOL, "end-spin trace error", ts)
+    trace = np.abs(2.0 * a + 2.0 * b - 1.0)
+    excess = np.abs(c) - b
+    if ((trace <= TRACE_TOL) & (-a <= POSITIVITY_TOL) & (excess <= POSITIVITY_TOL)).all():
+        return
+    _check(trace, TRACE_TOL, "end-spin trace error", ts)
     _check(-a, POSITIVITY_TOL, "negative end-spin probability", ts)
-    _check(np.abs(c) - b, POSITIVITY_TOL, "end-spin coherence exceeds its bound b by", ts)
+    _check(excess, POSITIVITY_TOL, "end-spin coherence exceeds its bound b by", ts)
 
 
 class HoppingChain:
@@ -159,9 +165,11 @@ def _end_moments(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarra
 
     The rows are <c+_1 c_1>, <c+_n c_n> and the real and imaginary parts
     of <c+_n c_1>; column 0 is order N1 and column 1 order N2.  Per chain
-    one (T, rows) @ (rows, 4) product gives the oscillating parts.  Times
-    equal to zero are set exactly to the initially occupied sites, free
-    of round-off.
+    one (T, rows) @ (rows, 4) product gives the oscillating parts, which
+    enter order N1 with a minus sign.  The moments are stored order-major,
+    (4, 2, K, T), so that each order's row is contiguous, and returned as
+    a view with the order axis last.  Times equal to zero are set exactly
+    to the initially occupied sites, free of round-off.
     """
     n, m = chains.n, chains.two_s.shape[-1]
     phase = ts[..., None] * chains.two_s[:, None, :]
@@ -170,13 +178,17 @@ def _end_moments(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarra
     if n % 2 == 0:
         np.sin(phase, out=trig[..., m:])
     del phase
-    moments = np.multiply.outer(trig @ chains.weights, (-1.0, 1.0))
-    moments += chains.base[:, None]
+    osc = trig @ chains.weights
+    moments = np.empty((4, 2) + ts.shape)
+    for q in range(4):
+        np.subtract(chains.base[:, q, 0, None], osc[..., q], out=moments[q, 0])
+        np.add(osc[..., q], chains.base[:, q, 1, None], out=moments[q, 1])
+    moments = np.moveaxis(moments, 1, -1)
     zero = ts == 0.0
     if np.any(zero):
-        moments[zero] = 0.0
-        moments[zero, :2] = _neel_components(n)[0][[0, -1]]
-    return np.moveaxis(moments, 2, 0)
+        moments[:, zero] = 0.0
+        moments[:2, zero] = _neel_components(n)[0][[0, -1], None]
+    return moments
 
 
 class ChainStack:
@@ -242,16 +254,18 @@ def _x_state(
 
     ``moments`` is a (4, T, 2) stack from :func:`_end_moments`, one column
     per Neel order, evaluated at the T times ``ts``.  Each component is
-    assembled on its own and the mixture is their element-wise average;
-    the result must pass :func:`check_x_series`.
+    assembled on its own column and the mixture is the average of the two
+    columns, (0 + x0 + x1) / 2: the additions of a length-2 ``mean``, which
+    starts from +0.0 and so turns a sum of two -0.0 into +0.0.  The result
+    must pass :func:`check_x_series`.
     """
     occ_first, occ_last, cross_re, cross_im = moments
     if n % 2 == 1:
         # for odd chains the cross moment is real up to round-off; the
         # imaginary part is discarded after this check
         _check(
-            np.max(np.abs(cross_im), axis=-1), COHERENCE_IMAG_TOL,
-            "coherence imaginary part", ts,
+            np.maximum(np.abs(cross_im[..., 0]), np.abs(cross_im[..., 1])),
+            COHERENCE_IMAG_TOL, "coherence imaginary part", ts,
         )
     a = (
         occ_first * occ_last
@@ -260,7 +274,7 @@ def _x_state(
     )
     b = 0.5 - a
     c = _neel_components(n)[1] * cross_re
-    a, b, c = a.mean(axis=-1), b.mean(axis=-1), c.mean(axis=-1)
+    a, b, c = [(0.0 + x[..., 0] + x[..., 1]) / 2 for x in (a, b, c)]
     check_x_series(a, b, c, ts)
     return a, b, c
 

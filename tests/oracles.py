@@ -3,15 +3,17 @@
 None of this is on the program's path.  Each oracle takes the slow and
 obvious route to a quantity that an engine computes fast:
 
-- exact diagonalization: step-by-step evolution of every component in its
-  whole sector, and the full 4x4 reduced density matrix of any two sites,
-  with every check a 4x4 matrix admits (Hermiticity, trace, positivity, X
-  structure, real coherence, flip-symmetric diagonal pairs);
+- exact diagonalization: the sector Hamiltonian built pattern by pattern,
+  step-by-step evolution of every component in its whole sector, and the
+  full 4x4 reduced density matrix of any two sites, with every check a 4x4
+  matrix admits (Hermiticity, trace, positivity, X structure, real
+  coherence, flip-symmetric diagonal pairs);
 - free fermions: the propagator exp(-iAt) as a full matrix, from the
   eigendecomposition of the dense hopping matrix or from the closed
   standing-wave mode sum, and from it the end-site moments and end-spin
   state of a single Neel order, independent of the engine's sublattice
-  closed form;
+  closed form; and the engine's first moment -> X-state assembly, by an
+  outer product over the two Neel orders and reductions over that axis;
 - purification: the recurrence round on the 16x16 two-pair density matrix.
 """
 
@@ -35,10 +37,29 @@ X_STRUCTURE_TOL = 1e-10
 # --- exact diagonalization ------------------------------------------------
 
 
+def sector_hamiltonian(realization, delta: float, m_up: int) -> np.ndarray:
+    """XXZ matrix in one sector, pattern by pattern and bond by bond."""
+    basis = exactdiag.sector_basis(realization.n, m_up)
+    h = np.zeros((basis.dim, basis.dim))
+    cpl = realization.couplings
+    for i, pat in enumerate(int(p) for p in basis.states):
+        diag = 0.0
+        for k in range(realization.n - 1):
+            b1 = (pat >> k) & 1
+            b2 = (pat >> (k + 1)) & 1
+            z1 = 1.0 if b1 else -1.0
+            z2 = 1.0 if b2 else -1.0
+            diag += cpl[k] * delta / 2.0 * z1 * z2
+            if b1 != b2:
+                j = basis.index[pat ^ ((1 << k) | (1 << (k + 1)))]
+                h[i, j] += cpl[k]
+        h[i, i] = diag
+    return h
+
+
 @lru_cache(maxsize=8)
 def _sector_eig(realization, delta2: float, m_up: int) -> tuple[np.ndarray, np.ndarray]:
-    ham = exactdiag.build_sector_hamiltonian(realization, delta2, m_up)
-    return np.linalg.eigh(ham.matrix)
+    return np.linalg.eigh(sector_hamiltonian(realization, delta2, m_up))
 
 
 def evolve(state: MixedState, realization, delta2: float, t: float) -> MixedState:
@@ -62,9 +83,9 @@ def energy_expectation(state: MixedState, realization, delta: float) -> float:
     """<H(delta)> of a mixed state, sector by sector."""
     total = 0.0
     for comp in state.components:
-        ham = exactdiag.build_sector_hamiltonian(realization, delta, comp.m_up)
+        ham = sector_hamiltonian(realization, delta, comp.m_up)
         total += comp.weight * float(
-            np.real(np.vdot(comp.amplitudes, ham.matrix @ comp.amplitudes))
+            np.real(np.vdot(comp.amplitudes, ham @ comp.amplitudes))
         )
     return total
 
@@ -264,6 +285,61 @@ def propagator_end_spin(realization, ts, initial) -> np.ndarray:
     by point from the full propagator matrix."""
     orders = [NeelOrder.N1, NeelOrder.N2] if initial == "mixture" else [initial]
     return sum(neel_component_series(realization, ts, order) for order in orders) / len(orders)
+
+
+# --- free-fermion moment assembly in its reduction form -------------------
+# The engine's first form of the moment -> X-state layer: both orders as one
+# outer product with their signs (-1, 1), length-2 reductions over the order
+# axis, and the three X-state checks run one after another.
+
+
+def end_moments_outer(chains, ts: np.ndarray) -> np.ndarray:
+    """Moment stack (4, K, T, 2) of ``freefermion._end_moments``, with the
+    orders made by one outer product and shifted by their constant parts."""
+    n, m = chains.n, chains.two_s.shape[-1]
+    phase = ts[..., None] * chains.two_s[:, None, :]
+    trig = np.empty(phase.shape[:-1] + (chains.weights.shape[-2],))
+    np.cos(phase, out=trig[..., :m])
+    if n % 2 == 0:
+        np.sin(phase, out=trig[..., m:])
+    moments = np.multiply.outer(trig @ chains.weights, (-1.0, 1.0))
+    moments += chains.base[:, None]
+    zero = ts == 0.0
+    if np.any(zero):
+        moments[zero] = 0.0
+        moments[zero, :2] = freefermion._neel_components(n)[0][[0, -1]]
+    return np.moveaxis(moments, 2, 0)
+
+
+def check_x_series_sequential(a, b, c, ts) -> None:
+    """The X-state check of ``freefermion.check_x_series`` as three passes."""
+    _check(np.abs(2.0 * a + 2.0 * b - 1.0), freefermion.TRACE_TOL, "end-spin trace error", ts)
+    _check(-a, freefermion.POSITIVITY_TOL, "negative end-spin probability", ts)
+    _check(
+        np.abs(c) - b, freefermion.POSITIVITY_TOL,
+        "end-spin coherence exceeds its bound b by", ts,
+    )
+
+
+def x_state_reduction(moments: np.ndarray, n: int, ts: np.ndarray) -> tuple:
+    """(a, b, c) of ``freefermion._x_state`` by max and mean over the order
+    axis, checked by :func:`check_x_series_sequential`."""
+    occ_first, occ_last, cross_re, cross_im = moments
+    if n % 2 == 1:
+        _check(
+            np.max(np.abs(cross_im), axis=-1), freefermion.COHERENCE_IMAG_TOL,
+            "coherence imaginary part", ts,
+        )
+    a = (
+        occ_first * occ_last
+        - (cross_re**2 + cross_im**2)
+        - 0.5 * (occ_first + occ_last - 1.0)
+    )
+    b = 0.5 - a
+    c = freefermion._neel_components(n)[1] * cross_re
+    a, b, c = a.mean(axis=-1), b.mean(axis=-1), c.mean(axis=-1)
+    check_x_series_sequential(a, b, c, ts)
+    return a, b, c
 
 
 # --- engine views (not oracles) --------------------------------------------

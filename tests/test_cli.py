@@ -288,6 +288,27 @@ def test_purify_requires_exactly_one_source(tmp_path):
                "--out", str(tmp_path / "p.json")) == 1
 
 
+def test_csv_writer_renders_as_fmt(tmp_path):
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, np.float64(-1 / 3)]
+    rows = [
+        [k, np.int64(-k), k % 2 == 0, f"s{k}", x, 2.0**-1074 * k, 1e300 * x]
+        for k, x in enumerate(specials)
+    ]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), ["i", "j", "flag", "name", "x", "sub", "big"], rows)
+    want = "i,j,flag,name,x,sub,big\n" + "".join(
+        ",".join(cli._fmt(v) for v in row) + "\n" for row in rows
+    )
+    assert path.read_text(encoding="utf-8") == want
+    cli._write_csv(str(path), ["x"], [])
+    assert path.read_text(encoding="utf-8") == "x\n"
+
+
+def test_csv_writer_refuses_a_column_of_mixed_kinds(tmp_path):
+    with pytest.raises(AssertionError, match="mixed column"):
+        cli._write_csv(str(tmp_path / "t.csv"), ["x"], [[1.5], [2]])
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert run("quench", "--n", "7", "--bogus-flag") == 1
     assert run("quench", "--out", str(tmp_path / "q.csv")) == 1  # missing --n
@@ -332,7 +353,8 @@ def test_disorder_block_size_bounds_stacked_eigenbases_and_fills_workers(monkeyp
     for n in (7, 241):
         assert cli._block_size(n, "freefermion", 100, 1) == cli.DISORDER_BLOCK
     assert cli._block_size(13, "exactdiag", 100, 1) == 1
-    # every worker gets a block
+    # every worker gets a block (on eight cores; workers never exceed them)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     assert cli._block_size(7, "freefermion", 100, 2) == 50
     assert cli._block_size(7, "freefermion", 100, 8) == 13
     assert cli._block_size(7, "freefermion", 5, 8) == 1
@@ -342,6 +364,49 @@ def test_disorder_block_size_bounds_stacked_eigenbases_and_fills_workers(monkeyp
         size = cli._block_size(n, "freefermion", 100, 1)
         assert 1 <= size < cli.DISORDER_BLOCK
         assert size * freefermion.eigenbasis_bytes(n) <= freefermion.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("command", ["scan-n", "disorder"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, command, jobs):
+    out = tmp_path / "x.csv"
+    assert run(command, "--n", "7", "--jobs", jobs, "--out", str(out)) == 1
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    tasks, and maps in this process."""
+
+    def __init__(self, seen, max_workers):
+        seen.append({"workers": max_workers})
+        self.record = seen[-1]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        self.record["items"] = items = list(items)
+        return map(fn, items)
+
+
+def test_workers_never_exceed_cores_or_tasks(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _InlinePool(seen, max_workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert run("scan-n", "--n", "3,5,7", "--jobs", "64", "--out", str(tmp_path / "s.csv")) == 0
+    assert run("scan-n", "--n", "5", "--jobs", "64", "--out", str(tmp_path / "one.csv")) == 0
+    assert run("disorder", "--n", "7", "--sigma", "0.3", "--realizations", "6",
+               "--seed", "4", "--jobs", "64", "--out", str(tmp_path / "d.csv")) == 0
+    # a single task runs in this process; the disorder blocks are sized
+    # for two workers, three realizations each
+    assert [r["workers"] for r in seen] == [2, 2]
+    assert [(b["first"], b["stop"]) for b in seen[1]["items"]] == [(0, 3), (3, 6)]
+    assert cli._block_size(7, "freefermion", 100, 64) == 50
 
 
 def _inject_fault(monkeypatch, cls, method, when):

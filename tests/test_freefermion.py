@@ -396,6 +396,36 @@ def test_x_series_check_names_the_failing_point(fault, message, factor):
     assert f"t={float(X_GRID[k])!r}" in str(info.value)
 
 
+@pytest.mark.parametrize("faults, message, k", [
+    # the trace is checked first, whichever fault comes earlier in time
+    ({"a": 4, "c": 2, "trace": 13}, "trace error", 13),
+    ({"c": 3, "a": 9}, "negative end-spin probability", 9),
+])
+def test_fused_x_check_names_the_check_that_fails_first(faults, message, k):
+    a, b, c = np.full(20, 0.25), np.full(20, 0.25), np.full(20, 0.1)
+    delta = 1.5e-9
+    if "trace" in faults:
+        a[faults["trace"]] += delta / 2
+    if "a" in faults:
+        a[faults["a"]], b[faults["a"]] = -delta, 0.5 + delta
+    if "c" in faults:
+        c[faults["c"]] = -(b[faults["c"]] + delta)
+    with pytest.raises(NumericalFaultError, match=message) as fused:
+        freefermion.check_x_series(a, b, c, X_GRID)
+    assert f"t={float(X_GRID[k])!r}" in str(fused.value)
+    with pytest.raises(NumericalFaultError) as sequential:
+        oracles.check_x_series_sequential(a, b, c, X_GRID)
+    assert str(fused.value) == str(sequential.value)
+
+
+def test_even_chain_coherence_is_positive_zero():
+    # n = 8: both orders carry the parity sign -1 and a zero cross moment,
+    # so each order's c is -0.0; the mixture, as a mean over the orders,
+    # is +0.0
+    _, _, c = freefermion.end_spin_series(disordered(8), np.linspace(0.0, 3.0, 7))
+    assert np.all(c == 0.0) and not np.any(np.signbit(c))
+
+
 def test_x_series_check_trips_on_nan():
     a, b, c = np.full(3, 0.25), np.full(3, 0.25), np.zeros(3)
     b[1] = np.nan

@@ -200,3 +200,54 @@ def test_ground_mixture_is_flip_closed_and_sector_energies_match(real, delta1):
             assert 2 * comp.m_up == n
             v = comp.amplitudes
             assert min(np.linalg.norm(v - v[::-1]), np.linalg.norm(v + v[::-1])) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(min_value=2, max_value=11),
+    data=st.data(),
+    delta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
+)
+def test_sector_hamiltonian_matches_pattern_by_pattern_builder(n, data, delta):
+    bonds = data.draw(st.lists(signed_bond, min_size=n - 1, max_size=n - 1))
+    real = model.CouplingRealization(couplings=tuple(bonds), seed_used=0)
+    for m in range(n + 1):
+        got = exactdiag.build_sector_hamiltonian(real, delta, m).matrix
+        assert np.array_equal(got, oracles.sector_hamiltonian(real, delta, m))
+
+
+def _same_bits(x, y):
+    """Equal values and equal signs of zero, so -0.0 and 0.0 differ."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(np.signbit(x), np.signbit(y)) \
+        and np.array_equal(x, y)
+
+
+@PROPERTY_SETTINGS
+@given(real=chains(2, 40), data=st.data())
+def test_moment_assembly_matches_reduction_form_bitwise(real, data):
+    # a stack of this chain and others of its length, each over its own
+    # times with t = 0 among them
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    members = [real] + [
+        model.CouplingRealization(
+            couplings=tuple(data.draw(st.lists(bond, min_size=real.n - 1, max_size=real.n - 1))),
+            seed_used=0,
+        )
+        for _ in range(k - 1)
+    ]
+    stack = freefermion.ChainStack([freefermion._chain(r) for r in members])
+    drawn = data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
+        min_size=k * 3, max_size=k * 3,
+    ))
+    ts = np.array(drawn).reshape(k, 3)
+    ts[0, 0] = 0.0
+    moments = freefermion._end_moments(stack, ts)
+    want = oracles.end_moments_outer(stack, ts)
+    assert moments.shape == want.shape == (4, k, 3, 2)
+    assert _same_bits(moments, want)
+    got = freefermion._x_state(moments.reshape(4, -1, 2), real.n, ts.ravel())
+    expect = oracles.x_state_reduction(want.reshape(4, -1, 2), real.n, ts.ravel())
+    for g, w in zip(got, expect):
+        assert _same_bits(g, w)
