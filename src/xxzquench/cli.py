@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -245,32 +244,54 @@ def cmd_quench(args) -> int:
 # --- scan-n ----------------------------------------------------------------
 
 
-def _scan_one(item: dict) -> dict:
-    spec = model.ChainSpec.from_json_dict(item["spec"])
-    peak = functools.partial(
-        entangle.find_tmax, item["engine"], spec,
-        search_horizon=item["horizon"], grid_step=item["step"],
-    )
+def _scan_label(spec: model.ChainSpec) -> str:
+    return f"scan-n n={spec.n} sigma={spec.disorder_sigma:g} sub-seed={spec.seed}"
+
+
+def _scan_block(item: dict) -> dict:
+    """First peaks of one block of sizes: each size's grid is scanned on
+    its own, then all of them are refined together in one lockstep."""
+    records, evaluators, peaks = [], [], []
+    # largest first: the longest grid is scanned before any evaluator is held
+    for spec, engine in reversed(item["members"]):
+        t0 = time.perf_counter()
+        with _naming(_scan_label(spec)):
+            _, ts = entangle.peak_grid(spec, item["horizon"], item["step"])
+            evaluators.append(entangle.CurveEvaluator(spec, engine))
+            # as in disorder_peak, the first maximum of any height when
+            # none exceeds the t = 0 value; on even chains always
+            peaks.append(entangle.scan_first_peak(
+                evaluators[-1], ts, above_baseline=spec.n % 2 == 1, any_height_fallback=True,
+            ))
+        records.append({"spec": spec, "engine": engine,
+                        "runtime_ms": 1000.0 * (time.perf_counter() - t0)})
     t0 = time.perf_counter()
-    with _naming(f"scan-n n={spec.n} sigma={spec.disorder_sigma:g} sub-seed={spec.seed}"):
-        try:
-            result = peak(require_above_baseline=spec.n % 2 == 1)
-        except NoPeakError:
-            if spec.n % 2 == 0:
-                raise
-            # no maximum above the t = 0 value: as in disorder_peak, the
-            # first one of any height
-            result = peak(require_above_baseline=False)
-    runtime_ms = 1000.0 * (time.perf_counter() - t0)
-    return {
-        "n": spec.n,
-        "spec": spec.to_json_dict(),
-        "engine": item["engine"],
-        "t_max": result.t_max,
-        "fef_at_tmax": result.fef_at_tmax,
-        "scan_resolution": result.scan_resolution,
-        "runtime_ms": runtime_ms,
-    }
+    try:
+        t_max, fef = entangle.refine_peaks(evaluators, peaks)
+    except NumericalFaultError:
+        # a lockstep step covers the whole block: refine the sizes one at
+        # a time to name the one that fails
+        for record, evaluator, peak in zip(records, evaluators, peaks):
+            with _naming(_scan_label(record["spec"])):
+                entangle.refine_peaks([evaluator], [peak])
+        raise
+    refine_ms = 1000.0 * (time.perf_counter() - t0)
+    for record, t, f in zip(records, t_max.tolist(), fef.tolist()):
+        record.update(t_max=t, fef_at_tmax=f)
+    return {"records": records, "refine_ms": refine_ms}
+
+
+def _scan_blocks(members: list, jobs: int) -> list[list]:
+    """(spec, engine) members per block, dealt round-robin so that large n
+    spread out: the fewest blocks that give every worker one and keep the
+    eigenbases of each block of two or more sizes within
+    freefermion.CHUNK_BYTES.  The output does not depend on them."""
+    kept = [entangle.CurveEvaluator.eigenbasis_bytes(s.n, e) for s, e in members]
+    count = _workers(jobs, len(members))
+    # block b holds two or more sizes exactly when b + count < len(members)
+    while any(sum(kept[b::count]) > freefermion.CHUNK_BYTES for b in range(len(members) - count)):
+        count += 1
+    return [members[b::count] for b in range(count)]
 
 
 def cmd_scan_n(args) -> int:
@@ -282,46 +303,28 @@ def cmd_scan_n(args) -> int:
             f"pass --allow-even to scan them anyway",
             EXIT_USAGE,
         )
-    items = []
+    members = []
     for n in sorted(sizes):
-        spec = model.ChainSpec(
-            n=n,
-            j=args.j,
-            delta1=args.delta1,
-            delta2=args.delta2,
-            disorder_sigma=args.sigma,
-            seed=model.sub_seed(args.seed, n),
-        )
-        engine = _check_engine(spec, args.engine)
-        items.append(
-            {
-                "spec": spec.to_json_dict(),
-                "engine": engine,
-                "horizon": args.t_max_horizon,
-                "step": args.grid_step,
-            }
-        )
-    records = _run_parallel(_scan_one, items, args.jobs)
-    records.sort(key=lambda r: r["n"])
+        spec = _spec_from_args(args, n=n, seed=model.sub_seed(args.seed, n))
+        members.append((spec, _check_engine(spec, args.engine)))
+    items = [{"members": block, "horizon": args.t_max_horizon, "step": args.grid_step}
+             for block in _scan_blocks(members, args.jobs)]
+    blocks = _run_parallel(_scan_block, items, args.jobs)
+    records = sorted((r for b in blocks for r in b["records"]), key=lambda r: r["spec"].n)
 
-    header = [
-        "n", "delta1", "delta2", "disorder_sigma", "seed",
-        "engine", "t_max", "fef_at_tmax",
+    header = ["n", "delta1", "delta2", "disorder_sigma", "seed", "engine", "t_max", "fef_at_tmax"]
+    rows = [
+        [r["spec"].n, float(r["spec"].delta1), float(r["spec"].delta2),
+         float(r["spec"].disorder_sigma), int(r["spec"].seed), r["engine"],
+         r["t_max"], r["fef_at_tmax"]]
+        for r in records
     ]
-    rows = []
-    for r in records:
-        s = r["spec"]
-        d1 = math.inf if s["delta1"] == "inf" else float(s["delta1"])
-        rows.append(
-            [r["n"], d1, float(s["delta2"]), float(s["disorder_sigma"]),
-             int(s["seed"]), r["engine"], r["t_max"], r["fef_at_tmax"]]
-        )
     _write_csv(args.out, header, rows)
 
     fit_doc = None
-    odd_only = all(r["n"] % 2 == 1 for r in records)
+    odd_only = all(r["spec"].n % 2 == 1 for r in records)
     analytic = args.delta2 == 0.0 and math.isinf(args.delta1)
-    fit_points = [(r["n"], r["fef_at_tmax"]) for r in records if r["n"] >= 25]
+    fit_points = [(r["spec"].n, r["fef_at_tmax"]) for r in records if r["spec"].n >= 25]
     if odd_only and analytic and len(fit_points) >= 3:
         fit = entangle.fit_power_law(fit_points)
         fit_doc = {
@@ -336,7 +339,7 @@ def cmd_scan_n(args) -> int:
             f"  [rms log residual {fit.residual:.3e}]"
         )
     config = {
-        "n_list": [r["n"] for r in records],
+        "n_list": [r["spec"].n for r in records],
         "j": args.j,
         "delta1": "inf" if math.isinf(args.delta1) else args.delta1,
         "delta2": args.delta2,
@@ -352,7 +355,8 @@ def cmd_scan_n(args) -> int:
     _write_manifest(
         args.out, "scan-n", config, [args.out],
         fit=fit_doc,
-        runtimes_ms={str(r["n"]): r["runtime_ms"] for r in records},
+        runtimes_ms={str(r["spec"].n): r["runtime_ms"] for r in records},
+        refine_ms=sum(b["refine_ms"] for b in blocks),
     )
     print(f"scan-n: {len(records)} records -> {args.out}")
     return EXIT_OK

@@ -149,9 +149,9 @@ class CurveEvaluator:
 def _block_fef(evaluators: list[CurveEvaluator]) -> Callable[[np.ndarray], np.ndarray]:
     """fef of member k at time ``ts[k]``, all members in one call.
 
-    Free-fermion members share one stacked kernel; exact-diagonalization
-    members are evaluated one after the other.  Either way a member's
-    value is the one its own evaluator gives at that time.
+    Free-fermion members of any lengths share one stacked kernel;
+    exact-diagonalization members are evaluated one after the other.
+    Either way a member's value is the one its own evaluator gives.
     """
     if all(e.engine == "freefermion" for e in evaluators):
         stack = freefermion.ChainStack([e._chain for e in evaluators])
@@ -229,6 +229,19 @@ def first_peak_index(fef: np.ndarray, baseline: float) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
+def refine_peaks(evaluators: list[CurveEvaluator], peaks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the grid peaks (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of K
+    evaluators in one :func:`golden_section_max` lockstep, each on
+    [t_{i-1}, t_{i+1}] to 1e-6/j of its own coupling.  Golden section
+    assumes a unimodal bracket, so a refined value below fef(t_i) gives
+    way to the grid point.  Returns the peak times and values, each (K,)."""
+    lo, t, hi, fef = np.array(peaks, dtype=float).T
+    xtol = REFINE_RESOLUTION / np.array([e.spec.j for e in evaluators])
+    t_ref, f_ref = golden_section_max(_block_fef(evaluators), lo, hi, xtol)
+    grid_better = f_ref < fef
+    return np.where(grid_better, t, t_ref), np.where(grid_better, fef, f_ref)
+
+
 def locate_first_peak(
     curves: np.ndarray,
     ts: np.ndarray,
@@ -250,11 +263,9 @@ def locate_first_peak(
     - ``argmax_fallback``: else the grid maximum, kept unrefined.
 
     A member left without a peak raises NoPeakError.  With ``evaluators``
-    (one per curve, same coupling j) a peak at grid index i is refined on
-    [t_{i-1}, t_{i+1}] to 1e-6/j by :func:`golden_section_max`, every
-    member in lockstep; golden section assumes a unimodal bracket, so a
-    refined value below fef(t_i) gives way to the grid point.  Returns the
-    peak times and values, each of shape (K,).
+    (one per curve) a peak at grid index i is refined on
+    [t_{i-1}, t_{i+1}] by :func:`refine_peaks`, every member in lockstep.
+    Returns the peak times and values, each of shape (K,).
     """
     ts = np.asarray(ts, dtype=float)
     index = np.empty(len(curves), dtype=int)
@@ -271,15 +282,55 @@ def locate_first_peak(
     t_peak, f_peak = ts[index], curves[np.arange(len(curves)), index]
     if np.any(refine):
         todo = np.flatnonzero(refine)
-        i = index[todo]
-        t_ref, f_ref = golden_section_max(
-            _block_fef([evaluators[k] for k in todo]), ts[i - 1], ts[i + 1],
-            REFINE_RESOLUTION / evaluators[0].spec.j,
+        t_peak[todo], f_peak[todo] = refine_peaks(
+            [evaluators[k] for k in todo],
+            [(ts[i - 1], ts[i], ts[i + 1], f_peak[k]) for k, i in zip(todo, index[todo])],
         )
-        grid_better = f_ref < f_peak[todo]
-        t_peak[todo] = np.where(grid_better, t_peak[todo], t_ref)
-        f_peak[todo] = np.where(grid_better, f_peak[todo], f_ref)
     return t_peak, f_peak
+
+
+def peak_grid(spec: model.ChainSpec, search_horizon=None, grid_step=None) -> tuple:
+    """(step, grid) of a first-peak search, by default up to 2n/(pi j) in
+    steps of min(0.02/j, horizon/2000)."""
+    horizon = search_horizon if search_horizon is not None else default_horizon(spec)
+    step = grid_step if grid_step is not None else default_grid_step(spec, horizon)
+    if horizon <= 0 or step <= 0:
+        raise ValueError("horizon and grid step must be positive")
+    return step, time_grid(horizon, step)
+
+
+def scan_first_peak(
+    evaluator: CurveEvaluator, ts: np.ndarray, *,
+    above_baseline: bool = True, any_height_fallback: bool = False,
+) -> tuple:
+    """Grid peak (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of fef(t) on ``ts`` by
+    the rules of :func:`locate_first_peak` without the argmax fallback.
+
+    The scan runs one engine chunk at a time and stops at the first chunk
+    that confirms the peak, i.e. holds its right neighbour; the result is
+    the one a scan of the whole grid gives; only the fallback needs it all.
+    """
+    curve = np.empty(len(ts))
+    baseline = -np.inf
+    for lo in range(0, len(ts), evaluator.chunk_points):
+        hi = min(lo + evaluator.chunk_points, len(ts))
+        curve[lo:hi] = evaluator.fef_series(ts[lo:hi])
+        baseline = curve[0] if above_baseline else -np.inf
+        # the new candidates are lo - 1 .. hi - 2, each with both neighbours
+        first = max(lo - 2, 0)
+        i = first_peak_index(curve[first:hi], baseline)
+        if i is not None:
+            i += first
+            break
+    else:
+        i = first_peak_index(curve, -np.inf) if any_height_fallback else None
+    if i is None:
+        spec = evaluator.spec
+        raise NoPeakError(
+            f"no first maximum of fef above {baseline} within horizon {ts[-1]} "
+            f"(n={spec.n}, delta1={spec.delta1}, delta2={spec.delta2})"
+        )
+    return ts[i - 1], ts[i], ts[i + 1], curve[i]
 
 
 def find_tmax(
@@ -291,40 +342,19 @@ def find_tmax(
 ) -> TmaxResult:
     """Locate and refine the first maximum of fef(t) after the quench.
 
-    The curve is scanned on a uniform grid; the first strict local maximum
-    exceeding the t = 0 value brackets a golden-section refinement down to
-    an absolute time resolution of 1e-6/j.  Even chains never exceed the
-    t = 0 criterion boundary; ``require_above_baseline=False`` then tracks
-    the first strict local maximum regardless of height.
-
-    The scan runs one engine chunk at a time and stops at the first chunk
-    that confirms the peak, i.e. holds its right neighbour; the result is
-    the one a scan of the whole grid gives.
+    The curve is scanned on a uniform grid by :func:`scan_first_peak`; the
+    first strict local maximum exceeding the t = 0 value brackets a
+    golden-section refinement by :func:`refine_peaks` down to an absolute
+    time resolution of 1e-6/j.  Even chains never exceed the t = 0
+    criterion boundary; ``require_above_baseline=False`` then tracks the
+    first strict local maximum regardless of height.
     """
-    horizon = search_horizon if search_horizon is not None else default_horizon(spec)
-    step = grid_step if grid_step is not None else default_grid_step(spec, horizon)
-    if horizon <= 0 or step <= 0:
-        raise ValueError("horizon and grid step must be positive")
-    ts = time_grid(horizon, step)
+    step, ts = peak_grid(spec, search_horizon, grid_step)
     evaluator = CurveEvaluator(spec, engine)
-    curve = np.empty(len(ts))
-    for lo in range(0, len(ts), evaluator.chunk_points):
-        hi = min(lo + evaluator.chunk_points, len(ts))
-        curve[lo:hi] = evaluator.fef_series(ts[lo:hi])
-        baseline = curve[0] if require_above_baseline else -np.inf
-        # the new candidates are lo - 1 .. hi - 2, each with both neighbours
-        if first_peak_index(curve[max(lo - 2, 0):hi], baseline) is not None:
-            break
-    else:
-        raise NoPeakError(
-            f"no first maximum of fef above {baseline} within horizon {horizon} "
-            f"(n={spec.n}, delta1={spec.delta1}, delta2={spec.delta2})"
-        )
-    t_max, fef_max = locate_first_peak(
-        curve[None, :hi], ts[:hi], [evaluator], above_baseline=require_above_baseline
-    )
+    peak = scan_first_peak(evaluator, ts, above_baseline=require_above_baseline)
+    (t_max,), (fef_max,) = refine_peaks([evaluator], [peak])
     return TmaxResult(
-        t_max=float(t_max[0]), fef_at_tmax=float(fef_max[0]),
+        t_max=float(t_max), fef_at_tmax=float(fef_max),
         scan_resolution=step, refined=True,
     )
 

@@ -75,18 +75,6 @@ class EndSpinState:
                 f"inner block not positive semidefinite: |c|={abs(self.c)} > b={self.b}"
             )
 
-    def matrix(self) -> np.ndarray:
-        """Dense 4x4 density matrix in the (uu, ud, du, dd) basis."""
-        a, b, c = self.a, self.b, self.c
-        return np.array(
-            [
-                [a, 0.0, 0.0, 0.0],
-                [0.0, b, c, 0.0],
-                [0.0, c, b, 0.0],
-                [0.0, 0.0, 0.0, a],
-            ]
-        )
-
 
 def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None:
     """Raise at the first point whose deviation exceeds tol (NaN included)."""
@@ -128,7 +116,9 @@ class HoppingChain:
     sin(2 s_k t), to the oscillating parts of the four end-site moments
     of order N2, which fills the odd sites; order N1 fills the even sites
     and sees them with the opposite sign.  ``base`` (1, 4, 2) holds the
-    constant parts of both orders.
+    constant parts of both orders and ``start`` (1, 4, 2) their values at
+    t = 0; ``sign`` (1, 2) the orders' parity signs, ``odd`` (1,) n % 2,
+    and ``rows`` the number of trigonometric columns a time point needs.
     """
 
     def __init__(self, realization: CouplingRealization):
@@ -154,6 +144,11 @@ class HoppingChain:
         # and Q are orthonormal, so the constant parts only need the zero mode
         base = 0.5 * (np.array([[1.0], [1.0], [0.0], [0.0]]) + np.outer(zero_mode, (-1.0, 1.0)))
         self.two_s, self.weights, self.base = 2.0 * s[None], weights[None], base[None]
+        occupied, sign = _neel_components(n)
+        self.start = np.zeros((1, 4, 2))
+        self.start[0, :2] = occupied[::n - 1]
+        self.sign, self.odd = sign[None], np.array([n % 2 == 1])
+        self.rows, self.groups = len(weights), ((slice(None), m, self.weights),)
         # floats per time point at the peak of a chunk: the phases, the
         # trigonometric rows, the four oscillating parts and the moments
         self.chunk_points = max(1, CHUNK_BYTES // (8 * (m + len(weights) + 4 + 8)))
@@ -164,54 +159,75 @@ def _end_moments(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarra
     T times ``ts`` (K, T); shape (4, K, T, 2).
 
     The rows are <c+_1 c_1>, <c+_n c_n> and the real and imaginary parts
-    of <c+_n c_1>; column 0 is order N1 and column 1 order N2.  Per chain
-    one (T, rows) @ (rows, 4) product gives the oscillating parts, which
-    enter order N1 with a minus sign.  The moments are stored order-major,
-    (4, 2, K, T), so that each order's row is contiguous, and returned as
-    a view with the order axis last.  Times equal to zero are set exactly
-    to the initially occupied sites, free of round-off.
+    of <c+_n c_1>; column 0 is order N1 and column 1 order N2.  Per length
+    one (T, rows) @ (rows, 4) product, batched over that length's chains,
+    gives the oscillating parts, which enter order N1 with a minus sign;
+    the padding of ``two_s`` is never read.  The moments are stored
+    order-major, (4, 2, K, T), so that each order's row is contiguous, and
+    returned as a view with the order axis last.  Times equal to zero are
+    set exactly to the initially occupied sites, free of round-off.
     """
-    n, m = chains.n, chains.two_s.shape[-1]
+    width = chains.two_s.shape[-1]
     phase = ts[..., None] * chains.two_s[:, None, :]
-    trig = np.empty(phase.shape[:-1] + (chains.weights.shape[-2],))
-    np.cos(phase, out=trig[..., :m])
-    if n % 2 == 0:
-        np.sin(phase, out=trig[..., m:])
+    trig = np.empty(phase.shape[:-1] + (chains.rows,))
+    np.cos(phase, out=trig[..., :width])
+    if chains.rows > width:
+        np.sin(phase, out=trig[..., width:])
     del phase
-    osc = trig @ chains.weights
+    osc = np.empty(ts.shape + (4,))
+    for members, m, weights in chains.groups:
+        if weights.shape[-2] == m:  # odd: the cos columns
+            part = trig[members, :, :m]
+        elif m == width:  # even and unpadded: cos and sin side by side
+            part = trig[members]
+        else:
+            part = np.concatenate(
+                (trig[members, :, :m], trig[members, :, width:width + m]), axis=-1)
+        osc[members] = part @ weights
     moments = np.empty((4, 2) + ts.shape)
     for q in range(4):
         np.subtract(chains.base[:, q, 0, None], osc[..., q], out=moments[q, 0])
         np.add(osc[..., q], chains.base[:, q, 1, None], out=moments[q, 1])
-    moments = np.moveaxis(moments, 1, -1)
     zero = ts == 0.0
     if np.any(zero):
-        moments[:, zero] = 0.0
-        moments[:2, zero] = _neel_components(n)[0][[0, -1], None]
-    return moments
+        np.copyto(moments, chains.start.transpose(1, 2, 0)[..., None], where=zero)
+    return np.moveaxis(moments, 1, -1)
 
 
 class ChainStack:
-    """Hopping chains of one length from the Neel mixture, evaluated
+    """Hopping chains from the Neel mixture, of any lengths, evaluated
     together at one time each.
 
-    The weights are stacked, so the end-spin state of K chains at K
-    different times is one (K, 1, rows) @ (K, rows, 4) product rather
-    than K calls.  Every member's value is computed by the same
-    operations as :func:`end_spin_series` at that single time, so the two
-    agree bit for bit, and it passes the same checks.
+    ``two_s`` is zero-padded to the longest member, so one cos (and one
+    sin if a member is even) serves the stack.  The weights are stacked
+    per length, one (k, 1, rows) @ (k, rows, 4) product each: a product
+    over zero-padded rows would sum in another order.  Every member's
+    value is computed by the same operations as :func:`end_spin_series`
+    at that single time, so the two agree bit for bit, and it passes the
+    same checks.
     """
 
     def __init__(self, chains: list[HoppingChain]):
-        self.two_s = np.concatenate([c.two_s for c in chains])
-        self.weights = np.concatenate([c.weights for c in chains])
-        self.base = np.concatenate([c.base for c in chains])
-        self.n = chains[0].n
+        self.n = np.array([c.n for c in chains])
+        self.base, self.start, self.sign, self.odd = (
+            np.concatenate([getattr(c, key) for c in chains])
+            for key in ("base", "start", "sign", "odd")
+        )
+        self.two_s = np.zeros((len(chains), self.n.max() // 2))
+        self.rows = self.two_s.shape[1] * (1 if self.odd.all() else 2)
+        self.groups = []
+        for n in sorted({c.n for c in chains}):
+            members = np.flatnonzero(self.n == n)
+            group = [chains[k] for k in members]
+            if members[-1] - members[0] == len(members) - 1:
+                members = slice(members[0], members[-1] + 1)
+            self.two_s[members, :n // 2] = np.concatenate([c.two_s for c in group])
+            self.groups.append((members, n // 2, np.concatenate([c.weights for c in group])))
 
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) of chain k at time ``ts[k]``, each of shape (K,)."""
         ts = np.asarray(ts, dtype=float)
-        return _x_state(_end_moments(self, ts[:, None])[:, :, 0], self.n, ts)
+        return _x_state(_end_moments(self, ts[:, None])[:, :, 0], self, ts)
 
 
 def eigenbasis_bytes(n: int) -> int:
@@ -248,32 +264,31 @@ def _neel_components(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _x_state(
-    moments: np.ndarray, n: int, ts: np.ndarray
+    moments: np.ndarray, chains: HoppingChain | ChainStack, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, c) of the Neel mixture of an n-site chain from its moments.
+    """(a, b, c) of the Neel mixture from the moments of ``chains``.
 
-    ``moments`` is a (4, T, 2) stack from :func:`_end_moments`, one column
-    per Neel order, evaluated at the T times ``ts``.  Each component is
-    assembled on its own column and the mixture is the average of the two
-    columns, (0 + x0 + x1) / 2: the additions of a length-2 ``mean``, which
-    starts from +0.0 and so turns a sum of two -0.0 into +0.0.  The result
-    must pass :func:`check_x_series`.
+    ``moments`` is a (4, P, 2) stack from :func:`_end_moments`, one column
+    per Neel order, at the P times ``ts``: P points of one chain, or one of
+    each of P stacked chains, whose parity signs and odd flags broadcast
+    against them.  Each component is assembled on its own column and the
+    mixture is the average of the two columns, (0 + x0 + x1) / 2: the
+    additions of a length-2 ``mean``, which starts from +0.0 and so turns
+    a sum of two -0.0 into +0.0.  The result must pass
+    :func:`check_x_series`.
     """
     occ_first, occ_last, cross_re, cross_im = moments
-    if n % 2 == 1:
-        # for odd chains the cross moment is real up to round-off; the
-        # imaginary part is discarded after this check
-        _check(
-            np.maximum(np.abs(cross_im[..., 0]), np.abs(cross_im[..., 1])),
-            COHERENCE_IMAG_TOL, "coherence imaginary part", ts,
-        )
+    # for odd chains the cross moment is real up to round-off; the
+    # imaginary part is discarded after this check
+    imag = np.maximum(np.abs(cross_im[..., 0]), np.abs(cross_im[..., 1]))
+    _check(np.where(chains.odd, imag, 0.0), COHERENCE_IMAG_TOL, "coherence imaginary part", ts)
     a = (
         occ_first * occ_last
         - (cross_re**2 + cross_im**2)
         - 0.5 * (occ_first + occ_last - 1.0)
     )
     b = 0.5 - a
-    c = _neel_components(n)[1] * cross_re
+    c = chains.sign * cross_re
     a, b, c = [(0.0 + x[..., 0] + x[..., 1]) / 2 for x in (a, b, c)]
     check_x_series(a, b, c, ts)
     return a, b, c
@@ -296,7 +311,7 @@ def end_spin_series(
     for lo in range(0, len(ts), chain.chunk_points):
         part = slice(lo, lo + chain.chunk_points)
         a[part], b[part], c[part] = _x_state(
-            _end_moments(chain, ts[None, part])[:, 0], realization.n, ts[part]
+            _end_moments(chain, ts[None, part])[:, 0], chain, ts[part]
         )
     return a, b, c
 

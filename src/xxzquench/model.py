@@ -9,7 +9,6 @@ identical runs bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from enum import Enum
@@ -82,27 +81,6 @@ class ChainSpec:
             d["delta1"] = "inf"
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ChainSpec":
-        d = dict(d)
-        if d.get("delta1") == "inf":
-            d["delta1"] = INFINITE_ANISOTROPY
-        return cls(
-            n=int(d["n"]),
-            j=float(d.get("j", 1.0)),
-            delta1=float(d.get("delta1", INFINITE_ANISOTROPY)),
-            delta2=float(d.get("delta2", 0.0)),
-            disorder_sigma=float(d.get("disorder_sigma", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ChainSpec":
-        return cls.from_json_dict(json.loads(s))
-
 
 @dataclass(frozen=True)
 class CouplingRealization:
@@ -118,14 +96,6 @@ class CouplingRealization:
     @property
     def n(self) -> int:
         return len(self.couplings) + 1
-
-    @property
-    def homogeneous(self) -> bool:
-        first = self.couplings[0]
-        return all(c == first for c in self.couplings)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.couplings, dtype=float)
 
 
 @dataclass(frozen=True)

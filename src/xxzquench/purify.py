@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NotPurifiableError
-from .freefermion import EndSpinState
 
 WEIGHT_TOL = 1e-12
 MAX_RECURRENCE_STEPS = 64
@@ -65,27 +64,9 @@ class BellDiagonal:
         """Weight of the psi+ target."""
         return self.psi_plus
 
-    @property
-    def largest_weight(self) -> float:
-        return float(self.as_array().max())
-
     @classmethod
     def from_weights(cls, w) -> "BellDiagonal":
         return cls(float(w[0]), float(w[1]), float(w[2]), float(w[3]))
-
-    @classmethod
-    def from_end_spin_state(cls, state: EndSpinState) -> "BellDiagonal":
-        """Exact Bell decomposition of the end-spin X state.
-
-        The inner block splits into psi+/psi- with weights b +- c; the
-        coherence-free outer block spreads evenly over the phi pair.
-        """
-        return cls(
-            psi_plus=state.b + state.c,
-            psi_minus=state.b - state.c,
-            phi_plus=state.a,
-            phi_minus=state.a,
-        )
 
     @classmethod
     def from_fidelity(cls, f: float) -> "BellDiagonal":

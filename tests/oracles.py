@@ -12,8 +12,9 @@ obvious route to a quantity that an engine computes fast:
   eigendecomposition of the dense hopping matrix or from the closed
   standing-wave mode sum, and from it the end-site moments and end-spin
   state of a single Neel order, independent of the engine's sublattice
-  closed form; and the engine's first moment -> X-state assembly, by an
+  closed form; the engine's first moment -> X-state assembly, by an
   outer product over the two Neel orders and reductions over that axis;
+  and the dense 4x4 matrix and Bell weights of an end-spin X state;
 - purification: the recurrence round on the 16x16 two-pair density matrix.
 """
 
@@ -210,7 +211,7 @@ def eigen_propagator(realization, t: float) -> np.ndarray:
 def mode_sum_propagator(realization, t: float) -> np.ndarray:
     """Homogeneous-chain f(t) from the closed standing-wave sum over
     q_m = pi m / (n+1) with energies 2 J cos(q_m); the identity at t = 0."""
-    if not realization.homogeneous:
+    if len(set(realization.couplings)) != 1:
         raise ValueError("mode sum is only valid for homogeneous couplings")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -225,7 +226,7 @@ def mode_sum_propagator(realization, t: float) -> np.ndarray:
 
 def propagator(realization, t: float) -> np.ndarray:
     """f(t) by the mode sum on homogeneous chains, else by eigendecomposition."""
-    if realization.homogeneous:
+    if len(set(realization.couplings)) == 1:
         return mode_sum_propagator(realization, t)
     return eigen_propagator(realization, t)
 
@@ -287,6 +288,25 @@ def propagator_end_spin(realization, ts, initial) -> np.ndarray:
     return sum(neel_component_series(realization, ts, order) for order in orders) / len(orders)
 
 
+def bell_weights(state: EndSpinState) -> BellDiagonal:
+    """Exact Bell decomposition of the end-spin X state: the inner block
+    splits into psi+/psi- with weights b +- c, and the coherence-free outer
+    block spreads evenly over the phi pair."""
+    return BellDiagonal(state.b + state.c, state.b - state.c, state.a, state.a)
+
+
+def end_spin_matrix(state: EndSpinState) -> np.ndarray:
+    """Dense 4x4 density matrix of an end-spin X state in the (uu, ud, du,
+    dd) basis."""
+    a, b, c = state.a, state.b, state.c
+    return np.array([
+        [a, 0.0, 0.0, 0.0],
+        [0.0, b, c, 0.0],
+        [0.0, c, b, 0.0],
+        [0.0, 0.0, 0.0, a],
+    ])
+
+
 # --- free-fermion moment assembly in its reduction form -------------------
 # The engine's first form of the moment -> X-state layer: both orders as one
 # outer product with their signs (-1, 1), length-2 reductions over the order
@@ -296,13 +316,14 @@ def propagator_end_spin(realization, ts, initial) -> np.ndarray:
 def end_moments_outer(chains, ts: np.ndarray) -> np.ndarray:
     """Moment stack (4, K, T, 2) of ``freefermion._end_moments``, with the
     orders made by one outer product and shifted by their constant parts."""
-    n, m = chains.n, chains.two_s.shape[-1]
+    (_, m, weights), = chains.groups  # one length
+    n = int(chains.n[0])
     phase = ts[..., None] * chains.two_s[:, None, :]
-    trig = np.empty(phase.shape[:-1] + (chains.weights.shape[-2],))
+    trig = np.empty(phase.shape[:-1] + (weights.shape[-2],))
     np.cos(phase, out=trig[..., :m])
     if n % 2 == 0:
         np.sin(phase, out=trig[..., m:])
-    moments = np.multiply.outer(trig @ chains.weights, (-1.0, 1.0))
+    moments = np.multiply.outer(trig @ weights, (-1.0, 1.0))
     moments += chains.base[:, None]
     zero = ts == 0.0
     if np.any(zero):

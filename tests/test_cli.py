@@ -92,8 +92,11 @@ def test_scan_single_size_anchor(tmp_path):
     assert len(rows) == 1
     assert abs(col(header, rows, "fef_at_tmax")[0] - 0.9117) < 5e-4
     assert col(header, rows, "engine", str)[0] == "freefermion"
-    runtimes = json.loads((tmp_path / "s.csv.manifest.json").read_text())["runtimes_ms"]
-    assert "9" in runtimes
+    doc = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    # per size its evaluator set-up and grid scan; the lockstep refinements
+    # of all blocks are timed apart
+    assert list(doc["runtimes_ms"]) == ["9"] and doc["runtimes_ms"]["9"] > 0.0
+    assert isinstance(doc["refine_ms"], float) and doc["refine_ms"] > 0.0
 
 
 def test_scan_finite_quenches_use_exact_engine(tmp_path):
@@ -145,6 +148,46 @@ def test_scan_jobs_do_not_change_bytes(tmp_path):
         assert run("scan-n", *argv, "--jobs", "1", "--out", str(a)) == 0
         assert run("scan-n", *argv, "--jobs", "2", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _find_tmax_per_size(spec):
+    """A size's record as find_tmax gives it alone: the first maximum above
+    the t = 0 value on odd chains, else the first of any height."""
+    try:
+        return entangle.find_tmax("auto", spec, require_above_baseline=spec.n % 2 == 1)
+    except NoPeakError:
+        return entangle.find_tmax("auto", spec, require_above_baseline=False)
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (("--n", "3,5,9,25,49,101"), None),
+    (("--n", "4,6,9", "--allow-even"), None),
+    (("--n", "7,9,25", "--sigma", "0.3", "--seed", "4"), None),
+    (("--n", "3,5,7", "--delta1", "3"), None),
+    # a 2 KiB budget splits these sizes over several blocks
+    (("--n", ",".join(map(str, range(3, 50, 2)))), 2048),
+], ids=["odd", "allow-even", "fallback", "exactdiag", "multi-block"])
+def test_scan_equals_find_tmax_per_size(tmp_path, monkeypatch, argv, budget):
+    blocks = []
+    scan_block = cli._scan_block
+
+    def recorded(item):
+        blocks.append(len(item["members"]))
+        return scan_block(item)
+
+    monkeypatch.setattr(cli, "_scan_block", recorded)
+    if budget is not None:
+        monkeypatch.setattr(freefermion, "CHUNK_BYTES", budget)
+    out = tmp_path / "s.csv"
+    assert run("scan-n", *argv, "--jobs", "1", "--out", str(out)) == 0
+    assert (len(blocks) > 1) == (budget is not None)
+    header, rows = read_csv(out)
+    for n, seed, t, f in zip(col(header, rows, "n", int), col(header, rows, "seed", int),
+                             col(header, rows, "t_max"), col(header, rows, "fef_at_tmax")):
+        spec = cli._spec_from_args(cli.build_parser().parse_args(["scan-n", *argv]),
+                                   n=n, seed=seed)
+        want = _find_tmax_per_size(spec)
+        assert (t, f) == (want.t_max, want.fef_at_tmax)
 
 
 def test_scan_falls_back_to_a_peak_of_any_height(tmp_path):
@@ -449,3 +492,13 @@ def test_scan_failure_names_the_size(tmp_path, monkeypatch, capsys):
     assert run("scan-n", "--n", "3,5", "--jobs", "1", "--out", str(tmp_path / "s.csv")) \
         == cli.EXIT_NUMERICAL
     assert "scan-n n=5 sigma=0 sub-seed=5: injected fault" in capsys.readouterr().err
+
+
+def test_scan_lockstep_failure_names_the_size(tmp_path, monkeypatch, capsys):
+    # the grid scans do not use the stack: only the block's lockstep
+    # refinement meets the fault
+    _inject_fault(monkeypatch, freefermion.ChainStack, "end_spin_at",
+                  lambda stack: 25 in stack.n)
+    assert run("scan-n", "--n", "9,25,49", "--jobs", "1", "--out", str(tmp_path / "s.csv")) \
+        == cli.EXIT_NUMERICAL
+    assert "scan-n n=25 sigma=0 sub-seed=25: injected fault" in capsys.readouterr().err

@@ -92,7 +92,7 @@ def test_full_spectrum_against_dense_oracle():
         )
         want = np.linalg.eigvalsh(
             dense_full_hamiltonian(5, 1.0, delta)
-            if real.homogeneous
+            if len(set(real.couplings)) == 1
             else _dense_disordered(real, delta)
         )
         np.testing.assert_allclose(got, want, atol=1e-10)

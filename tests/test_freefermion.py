@@ -178,7 +178,7 @@ def test_end_spin_state_validation():
 
 def test_end_spin_matrix():
     s = freefermion.EndSpinState(a=0.1, b=0.4, c=0.25, t=1.0)
-    rho = s.matrix()
+    rho = oracles.end_spin_matrix(s)
     assert np.trace(rho) == pytest.approx(1.0)
     assert np.min(np.linalg.eigvalsh(rho)) >= -1e-15
 
@@ -325,6 +325,21 @@ def test_chain_stack_matches_single_time_series_bitwise(n):
     for k, (real, t) in enumerate(zip(reals, ts)):
         want = freefermion.end_spin_series(real, np.array([t]))
         assert [g[k] for g in got] == [w[0] for w in want]
+
+
+def test_length_mixed_stack_matches_single_time_series_bitwise():
+    # the default scan-n sizes, plus even chains, in one stack: per-length
+    # products give each member the bits of its own series (a product over
+    # zero-padded rows would move some of them)
+    sizes = list(range(3, 50, 2)) + list(range(59, 240, 10)) + [241, 2, 12, 120]
+    reals = [disordered(n, sigma=0.3, seed=n) for n in sizes]
+    stack = freefermion.ChainStack([freefermion._chain(r) for r in reals])
+    rng = np.random.default_rng(7)
+    for ts in [np.zeros(len(sizes))] + [rng.uniform(0.0, 80.0, len(sizes)) for _ in range(4)]:
+        got = stack.end_spin_at(ts)
+        for k, (real, t) in enumerate(zip(reals, ts)):
+            want = freefermion.end_spin_series(real, np.array([t]))
+            assert [g[k] for g in got] == [w[0] for w in want]
 
 
 @pytest.mark.parametrize("factor", [0.5, 1.5])

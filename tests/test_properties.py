@@ -247,7 +247,30 @@ def test_moment_assembly_matches_reduction_form_bitwise(real, data):
     want = oracles.end_moments_outer(stack, ts)
     assert moments.shape == want.shape == (4, k, 3, 2)
     assert _same_bits(moments, want)
-    got = freefermion._x_state(moments.reshape(4, -1, 2), real.n, ts.ravel())
+    got = freefermion._x_state(moments.reshape(4, -1, 2), freefermion._chain(real), ts.ravel())
     expect = oracles.x_state_reduction(want.reshape(4, -1, 2), real.n, ts.ravel())
     for g, w in zip(got, expect):
         assert _same_bits(g, w)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_length_mixed_stack_matches_single_chains_bitwise(data):
+    # 1-6 chains of lengths 2..60, odd and even mixed, each at its own
+    # time with t = 0 among them: every member's (a, b, c) has the bits of
+    # its own chain's series at that time
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    members = [
+        model.CouplingRealization(couplings=tuple(data.draw(st.lists(
+            signed_bond, min_size=n - 1, max_size=n - 1))), seed_used=0)
+        for n in data.draw(st.lists(st.integers(min_value=2, max_value=60),
+                                    min_size=k, max_size=k))
+    ]
+    ts = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+                                     min_size=k, max_size=k)))
+    ts[data.draw(st.integers(min_value=0, max_value=k - 1))] = 0.0
+    got = freefermion.ChainStack([freefermion._chain(r) for r in members]).end_spin_at(ts)
+    for m, (real, t) in enumerate(zip(members, ts)):
+        want = freefermion.end_spin_series(real, np.array([t]))
+        for g, w in zip(got, want):
+            assert _same_bits(g[m], w[0])

@@ -10,16 +10,16 @@ from xxzquench.purify import BellDiagonal
 
 def test_bell_weights_from_end_spin_state():
     s = EndSpinState(a=0.0, b=0.5, c=0.5, t=0.0)
-    assert BellDiagonal.from_end_spin_state(s).as_array().tolist() == [1, 0, 0, 0]
+    assert oracles.bell_weights(s).as_array().tolist() == [1, 0, 0, 0]
     s = EndSpinState(a=0.5, b=0.0, c=0.0, t=0.0)
-    assert BellDiagonal.from_end_spin_state(s).as_array().tolist() == [0, 0, 0.5, 0.5]
+    assert oracles.bell_weights(s).as_array().tolist() == [0, 0, 0.5, 0.5]
 
 
 def test_bell_weights_at_first_peak():
     spec = model.ChainSpec(n=9)
     peak = entangle.find_tmax("freefermion", spec)
     state = freefermion.end_spin_state(model.realize_couplings(spec), peak.t_max)
-    w = BellDiagonal.from_end_spin_state(state)
+    w = oracles.bell_weights(state)
     assert abs(w.psi_plus - 0.9117) < 5e-4
     assert w.phi_plus == w.phi_minus
     np.testing.assert_allclose(w.as_array().sum(), 1.0, atol=1e-12)
