@@ -122,12 +122,6 @@ def _write_manifest(
     return manifest_path
 
 
-def _parse_delta1(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return model.INFINITE_ANISOTROPY
-    return float(text)
-
-
 def _positive_int(text: str) -> int:
     """Argument type for a whole number of at least one (a usage error
     otherwise)."""
@@ -168,20 +162,6 @@ def _spec_from_args(args, n: int | None = None, seed: int | None = None) -> mode
     )
 
 
-def _resolve_grid(args, spec: model.ChainSpec) -> tuple[float, float, np.ndarray]:
-    horizon = (
-        args.t_max_horizon
-        if args.t_max_horizon is not None
-        else entangle.default_horizon(spec)
-    )
-    step = (
-        args.grid_step
-        if args.grid_step is not None
-        else entangle.default_grid_step(spec, max(horizon, 1e-9))
-    )
-    return horizon, step, entangle.time_grid(horizon, step)
-
-
 def _check_engine(spec: model.ChainSpec, requested: str) -> str:
     engine = entangle.resolve_engine(spec, requested)
     if engine == "exactdiag" and spec.n > exactdiag.MAX_SITES:
@@ -219,9 +199,7 @@ def _naming(label: str):
 def cmd_quench(args) -> int:
     spec = _spec_from_args(args)
     engine = _check_engine(spec, args.engine)
-    horizon, step, ts = _resolve_grid(args, spec)
-    if len(ts) < 1:
-        raise SystemExit2("empty time grid", EXIT_USAGE)
+    horizon, step, ts = entangle.resolve_grid(spec, args.t_max_horizon, args.grid_step)
     evaluator = entangle.CurveEvaluator(spec, engine)
     a, b, c = evaluator.series(ts)
     fef = entangle._fef(a, b, c)
@@ -256,7 +234,7 @@ def _scan_block(item: dict) -> dict:
     for spec, engine in reversed(item["members"]):
         t0 = time.perf_counter()
         with _naming(_scan_label(spec)):
-            _, ts = entangle.peak_grid(spec, item["horizon"], item["step"])
+            _, _, ts = entangle.resolve_grid(spec, item["horizon"], item["step"])
             evaluators.append(entangle.CurveEvaluator(spec, engine))
             # as in disorder_peak, the first maximum of any height when
             # none exceeds the t = 0 value; on even chains always
@@ -418,14 +396,12 @@ def _block_size(n: int, engine: str, realizations: int, jobs: int) -> int:
 
 def cmd_disorder(args) -> int:
     sigmas = args.sigma
-    if args.realizations < 1:
-        raise SystemExit2("need at least one realization", EXIT_USAGE)
     base = model.ChainSpec(
         n=args.n, j=args.j, delta1=args.delta1, delta2=args.delta2,
         disorder_sigma=0.0, seed=args.seed,
     )
     engine = _check_engine(base, args.engine)
-    horizon, step, ts = _resolve_grid(args, base)
+    horizon, step, ts = entangle.resolve_grid(base, args.t_max_horizon, args.grid_step)
 
     block = _block_size(args.n, engine, args.realizations, args.jobs)
     items = []
@@ -622,11 +598,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit2(f"{self.prog}: error: {message}", EXIT_USAGE)
 
 
-def _add_physics_flags(p: argparse.ArgumentParser, n_help: str, n_type=int):
-    p.add_argument("--n", type=n_type, help=n_help)
+def _add_physics_flags(p: argparse.ArgumentParser, n_help: str, n_type=int, n_required=True):
+    p.add_argument("--n", type=n_type, required=n_required, help=n_help)
     p.add_argument("--j", type=float, default=1.0, help="base coupling (default 1)")
     p.add_argument(
-        "--delta1", type=_parse_delta1, default=model.INFINITE_ANISOTROPY,
+        "--delta1", type=float, default=model.INFINITE_ANISOTROPY,
         help='pre-quench anisotropy, a number or "inf" (default inf)',
     )
     p.add_argument(
@@ -657,26 +633,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physics_flags(q, "chain length")
     q.add_argument("--sigma", type=float, default=0.0, help="disorder std dev")
     q.add_argument("--out", default="quench.csv")
-    q.set_defaults(func=cmd_quench, require_n=True)
+    q.set_defaults(func=cmd_quench)
 
     s = sub.add_parser("scan-n", help="first-peak fef across chain lengths")
     _add_physics_flags(s, "comma-separated lengths (default: built-in list)",
-                       n_type=_list_of(int))
+                       n_type=_list_of(int), n_required=False)
     s.add_argument("--sigma", type=float, default=0.0, help="disorder std dev")
     s.add_argument("--allow-even", action="store_true",
                    help="permit even lengths (separable end spins)")
     s.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     s.add_argument("--out", default="scan.csv")
-    s.set_defaults(func=cmd_scan_n, require_n=False)
+    s.set_defaults(func=cmd_scan_n)
 
     d = sub.add_parser("disorder", help="seeded disorder ensemble at fixed length")
     _add_physics_flags(d, "chain length")
     d.add_argument("--sigma", type=_list_of(float), default="0,0.1,0.2,0.3",
                    help="comma-separated disorder std devs")
-    d.add_argument("--realizations", type=int, default=100)
+    d.add_argument("--realizations", type=_positive_int, default=100)
     d.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     d.add_argument("--out", default="disorder.csv")
-    d.set_defaults(func=cmd_disorder, require_n=True)
+    d.set_defaults(func=cmd_disorder)
 
     e = sub.add_parser("ed-compare", help="free-fermion vs exact-diagonalization check")
     e.add_argument("--n", type=_list_of(int), default="3,5,7,9,11",
@@ -685,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--grid-points", type=int, default=50)
     e.add_argument("--out", default="ed_compare.csv")
-    e.set_defaults(func=cmd_ed_compare, require_n=False)
+    e.set_defaults(func=cmd_ed_compare)
 
     p = sub.add_parser("purify", help="recurrence purification trace")
     p.add_argument("--fef", type=float, default=None, help="source fidelity value")
@@ -694,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chain length selecting the record row")
     p.add_argument("--threshold", type=float, default=0.99)
     p.add_argument("--out", default="purify.json")
-    p.set_defaults(func=cmd_purify, require_n=False)
+    p.set_defaults(func=cmd_purify)
 
     return parser
 
@@ -703,8 +679,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "require_n", False) and args.n is None:
-            raise SystemExit2(f"{parser.prog}: error: --n is required", EXIT_USAGE)
         return args.func(args)
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)

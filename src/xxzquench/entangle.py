@@ -247,7 +247,6 @@ def locate_first_peak(
     ts: np.ndarray,
     evaluators: list[CurveEvaluator] | None = None,
     *,
-    above_baseline: bool = True,
     any_height_fallback: bool = False,
     argmax_fallback: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +255,7 @@ def locate_first_peak(
     ``curves`` is (K, T).  Each member's peak is picked on the grid by
     these rules, in order:
 
-    - ``above_baseline``: the first strict local maximum above the
-      curve's t = 0 value; when False, the first of any height;
+    - the first strict local maximum above the curve's t = 0 value;
     - ``any_height_fallback``: else the first strict local maximum of any
       height;
     - ``argmax_fallback``: else the grid maximum, kept unrefined.
@@ -271,7 +269,7 @@ def locate_first_peak(
     index = np.empty(len(curves), dtype=int)
     refine = np.full(len(curves), evaluators is not None)
     for k, curve in enumerate(curves):
-        i = first_peak_index(curve, curve[0] if above_baseline else -np.inf)
+        i = first_peak_index(curve, curve[0])
         if i is None and any_height_fallback:
             i = first_peak_index(curve, -np.inf)
         if i is None and argmax_fallback:
@@ -289,14 +287,15 @@ def locate_first_peak(
     return t_peak, f_peak
 
 
-def peak_grid(spec: model.ChainSpec, search_horizon=None, grid_step=None) -> tuple:
-    """(step, grid) of a first-peak search, by default up to 2n/(pi j) in
-    steps of min(0.02/j, horizon/2000)."""
-    horizon = search_horizon if search_horizon is not None else default_horizon(spec)
-    step = grid_step if grid_step is not None else default_grid_step(spec, horizon)
-    if horizon <= 0 or step <= 0:
-        raise ValueError("horizon and grid step must be positive")
-    return step, time_grid(horizon, step)
+def resolve_grid(spec: model.ChainSpec, horizon=None, step=None) -> tuple:
+    """(horizon, step, grid) of a time scan, by default up to 2n/(pi j) in
+    steps of min(0.02/j, horizon/2000).  A negative horizon is refused; a
+    zero one gives the single point t = 0."""
+    horizon = horizon if horizon is not None else default_horizon(spec)
+    if horizon < 0:
+        raise ValueError(f"time horizon must be >= 0, got {horizon}")
+    step = step if step is not None else default_grid_step(spec, max(horizon, 1e-9))
+    return horizon, step, time_grid(horizon, step)
 
 
 def scan_first_peak(
@@ -309,7 +308,10 @@ def scan_first_peak(
     The scan runs one engine chunk at a time and stops at the first chunk
     that confirms the peak, i.e. holds its right neighbour; the result is
     the one a scan of the whole grid gives; only the fallback needs it all.
+    A grid holding only t = 0 is refused.
     """
+    if not ts[-1] > 0:
+        raise ValueError("a first-peak search needs a positive time horizon")
     curve = np.empty(len(ts))
     baseline = -np.inf
     for lo in range(0, len(ts), evaluator.chunk_points):
@@ -349,7 +351,7 @@ def find_tmax(
     criterion boundary; ``require_above_baseline=False`` then tracks the
     first strict local maximum regardless of height.
     """
-    step, ts = peak_grid(spec, search_horizon, grid_step)
+    _, step, ts = resolve_grid(spec, search_horizon, grid_step)
     evaluator = CurveEvaluator(spec, engine)
     peak = scan_first_peak(evaluator, ts, above_baseline=require_above_baseline)
     (t_max,), (fef_max,) = refine_peaks([evaluator], [peak])

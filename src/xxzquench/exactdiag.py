@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -267,55 +268,31 @@ def _parity_orbits(
     return blocks
 
 
-@dataclass(frozen=True, eq=False)
-class _ParityBlock:
-    """Eigenbasis of H(delta2) in one reflection-parity block of a sector."""
-
-    parity: int
-    first: np.ndarray
-    mirror: np.ndarray
-    scale: np.ndarray
-    energies: np.ndarray
-    modes: np.ndarray
-
-
-class _SectorEvolver:
-    """Cached eigendecompositions of H(delta2) in the reflection-parity
-    blocks :class:`QuenchEvolution` evolves."""
-
-    def __init__(self, realization: CouplingRealization, delta2: float):
-        self.realization = realization
-        self.delta2 = delta2
-        self.reflect = realization.couplings == realization.couplings[::-1]
-        self._blocks: dict[tuple[int, int], _ParityBlock] = {}
-
-    def orbits(self, m_up: int):
-        return _parity_orbits(self.realization.n, m_up, self.reflect)
-
-    def blocks(self, m_up: int, parities: list[int]) -> list[_ParityBlock]:
-        """Eigenbases of the given parity blocks, projected from one sector matrix."""
-        missing = [
-            o for o in self.orbits(m_up) if o[0] in parities and (m_up, o[0]) not in self._blocks
-        ]
-        if missing:
-            h = build_sector_hamiltonian(self.realization, self.delta2, m_up).matrix
-            for parity, first, mirror, scale in missing:
-                # V^T H V summed so that one-pattern orbits reproduce H exactly
-                block = (h[np.ix_(first, first)] + h[np.ix_(mirror, mirror)]) + parity * (
-                    h[np.ix_(first, mirror)] + h[np.ix_(mirror, first)]
-                )
-                block *= np.outer(scale, scale)
-                self._blocks[m_up, parity] = _ParityBlock(
-                    parity, first, mirror, scale, *np.linalg.eigh(block)
-                )
-        return [self._blocks[m_up, p] for p in parities]
-
-# Each entry holds the dense block eigenbases QuenchEvolution uses (6 MB
-# at n=13 for the 868-dimensional even block of an odd-n Neel start); keep
-# few.
+# One entry per reflection-parity block (6 MB at n=13 for the
+# 868-dimensional even block of an odd-n Neel start); a quench reaches at
+# most two, so keep few.
 @lru_cache(maxsize=4)
-def _evolver(realization: CouplingRealization, delta2: float) -> _SectorEvolver:
-    return _SectorEvolver(realization, delta2)
+def _evolver(
+    realization: CouplingRealization, delta2: float, m_up: int, parity: int
+) -> SimpleNamespace:
+    """Eigenbasis of H(delta2) in one reflection-parity block of a sector:
+    the block's orbits (see :func:`_parity_orbits`) with its ``energies``
+    and ``modes``, projected from the sector matrix."""
+    reflect = realization.couplings == realization.couplings[::-1]
+    orbits = _parity_orbits(realization.n, m_up, reflect)
+    ((_, first, mirror, scale),) = [o for o in orbits if o[0] == parity]
+    h = build_sector_hamiltonian(realization, delta2, m_up).matrix
+    # V^T H V summed so that one-pattern orbits reproduce H exactly
+    block = (h[np.ix_(first, first)] + h[np.ix_(mirror, mirror)]) + parity * (
+        h[np.ix_(first, mirror)] + h[np.ix_(mirror, first)]
+    )
+    block *= np.outer(scale, scale)
+    energies, modes = np.linalg.eigh(block)
+    for array in (energies, modes):
+        array.flags.writeable = False
+    return SimpleNamespace(
+        parity=parity, first=first, mirror=mirror, scale=scale, energies=energies, modes=modes
+    )
 
 
 @lru_cache(maxsize=32)
@@ -370,7 +347,7 @@ class _Prepared(NamedTuple):
 
     weight: float
     m_up: int
-    blocks: list[_ParityBlock]
+    blocks: list[SimpleNamespace]
     coeffs: list[np.ndarray]
 
 
@@ -405,17 +382,15 @@ class QuenchEvolution:
         self.n = realization.n
         self.delta2 = delta2
         self.initial = ground_mixture(realization, delta1)
-        evo = _evolver(realization, delta2)
+        reflect = realization.couplings == realization.couplings[::-1]
         self._prepped: list[_Prepared] = []
         for weight, comp in _flip_representatives(self.initial):
-            amp = comp.amplitudes
-            projected = {
-                parity: scale * (amp[first] + parity * amp[mirror])
-                for parity, first, mirror, scale in evo.orbits(comp.m_up)
-            }
-            parities = [p for p, c in projected.items() if np.linalg.norm(c) > PARITY_LEAK_TOL]
-            blocks = evo.blocks(comp.m_up, parities)
-            coeffs = [b.modes.T @ projected[b.parity] for b in blocks]
+            amp, blocks, coeffs = comp.amplitudes, [], []
+            for parity, first, mirror, scale in _parity_orbits(self.n, comp.m_up, reflect):
+                projected = scale * (amp[first] + parity * amp[mirror])
+                if np.linalg.norm(projected) > PARITY_LEAK_TOL:
+                    blocks.append(_evolver(realization, delta2, comp.m_up, parity))
+                    coeffs.append(blocks[-1].modes.T @ projected)
             self._prepped.append(_Prepared(weight, comp.m_up, blocks, coeffs))
         # the largest work array of a chunk holds the real and imaginary
         # sector amplitudes per time point

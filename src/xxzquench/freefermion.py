@@ -46,7 +46,7 @@ from .errors import NumericalFaultError
 from .model import CouplingRealization, NeelOrder, neel_state
 
 # Tolerances of the X-state check both engines run on every point.
-TRACE_TOL = 1e-9
+TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
 COHERENCE_IMAG_TOL = 1e-10
 # Byte budget of the work arrays of one chunk of a batched time series,
@@ -56,7 +56,9 @@ CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class EndSpinState:
-    """X-state parameters (a, b, c) of the two end spins at time t."""
+    """X-state parameters (a, b, c) of the two end spins at time t, checked
+    as one point by :func:`check_x_series`, the rule every point of a
+    series passes; NaN fails it."""
 
     a: float
     b: float
@@ -64,16 +66,7 @@ class EndSpinState:
     t: float
 
     def __post_init__(self):
-        if abs(2 * self.a + 2 * self.b - 1.0) > 1e-12:
-            raise NumericalFaultError(
-                f"trace violated: 2a + 2b = {2 * self.a + 2 * self.b!r}"
-            )
-        if self.a < -POSITIVITY_TOL or self.b < -POSITIVITY_TOL:
-            raise NumericalFaultError(f"negative probability: a={self.a} b={self.b}")
-        if abs(self.c) > self.b + POSITIVITY_TOL:
-            raise NumericalFaultError(
-                f"inner block not positive semidefinite: |c|={abs(self.c)} > b={self.b}"
-            )
+        check_x_series(*np.array([[self.a], [self.b], [self.c], [self.t]], dtype=float))
 
 
 def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None:
@@ -94,7 +87,8 @@ def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) 
     tolerances.  The three deviations are tested together in one pass;
     only when that fails are they checked one by one, in that order, so
     the first failing check raises, naming its first failing t.  Both
-    engines run this on every point they evaluate.
+    engines run this on every point they evaluate, and
+    :class:`EndSpinState` on its one point.
     """
     trace = np.abs(2.0 * a + 2.0 * b - 1.0)
     excess = np.abs(c) - b

@@ -355,8 +355,46 @@ def test_csv_writer_refuses_a_column_of_mixed_kinds(tmp_path):
 def test_usage_errors_exit_one(tmp_path):
     assert run("quench", "--n", "7", "--bogus-flag") == 1
     assert run("quench", "--out", str(tmp_path / "q.csv")) == 1  # missing --n
+    assert run("disorder", "--out", str(tmp_path / "d.csv")) == 1  # missing --n
     assert run("quench", "--n", "7", "--delta1", "0", "--out",
                str(tmp_path / "q.csv")) == 1  # upward quench rejected
+    assert run("disorder", "--n", "5", "--realizations", "0",
+               "--out", str(tmp_path / "d.csv")) == 1
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["inf", "INF", "Infinity", " inf "])
+def test_delta1_reads_every_spelling_of_infinity(tmp_path, text):
+    out = tmp_path / "q.csv"
+    assert run("quench", "--n", "5", "--delta1", text, "--t-max-horizon", "1",
+               "--out", str(out)) == 0
+    manifest = json.loads((tmp_path / "q.csv.manifest.json").read_text())
+    assert manifest["config"]["engine"] == "freefermion"
+    assert manifest["config"]["spec"]["delta1"] == "inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ("quench", "--n", "5", "--t-max-horizon", "-1"),
+    # a negative horizon never reaches the peak search of an empty grid
+    ("disorder", "--n", "5", "--realizations", "2", "--jobs", "1", "--t-max-horizon", "-1"),
+    ("scan-n", "--n", "5", "--jobs", "1", "--t-max-horizon", "0"),
+    ("scan-n", "--n", "5", "--jobs", "1", "--t-max-horizon", "-1"),
+])
+def test_horizon_below_a_search_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "horizon" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_horizon_disorder_keeps_its_one_point(tmp_path):
+    out = tmp_path / "d.csv"
+    assert run("disorder", "--n", "5", "--sigma", "0,0.2", "--realizations", "2",
+               "--t-max-horizon", "0", "--grid-step", "0.1", "--out", str(out)) == 0
+    header, rows = read_csv(tmp_path / "d_timeseries.csv")
+    assert col(header, rows, "t") == [0.0]
+    assert col(*read_csv(out), "meancurve_peak_time") == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("flags, names", [

@@ -160,6 +160,22 @@ def test_golden_section_finds_quadratic_peak():
     assert v == pytest.approx(0.0, abs=1e-15)
 
 
+def test_resolve_grid_defaults_and_refusals():
+    spec = model.ChainSpec(n=9)
+    horizon = entangle.default_horizon(spec)
+    step = entangle.default_grid_step(spec, horizon)
+    got_horizon, got_step, ts = entangle.resolve_grid(spec)
+    assert (got_horizon, got_step) == (horizon, step)
+    np.testing.assert_array_equal(ts, entangle.time_grid(horizon, step))
+    assert list(entangle.resolve_grid(spec, 0.0)[2]) == [0.0]
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        entangle.resolve_grid(spec, -1.0)
+    # a first-peak search refuses a grid holding only t = 0
+    for horizon in (0.0, -1.0):
+        with pytest.raises(ValueError, match="horizon"):
+            entangle.find_tmax("freefermion", spec, search_horizon=horizon)
+
+
 def test_time_grid_is_bounded_before_allocation():
     assert len(entangle.time_grid(0.0, 0.1)) == 1
     assert len(entangle.time_grid(1.0, 0.1)) == 11

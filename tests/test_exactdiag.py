@@ -379,7 +379,7 @@ def test_trace_fault_raises_through_the_shared_check():
     evolution = exactdiag.QuenchEvolution(homogeneous(7), 3.0, 0.5)
     evolution.end_spin_series(FAULT_TS)
     (rep,) = evolution._prepped
-    evolution._prepped[0] = rep._replace(weight=rep.weight * (1 + 1.5 * 1e-9))
+    evolution._prepped[0] = rep._replace(weight=rep.weight * (1 + 1.5 * 1e-12))
     with pytest.raises(NumericalFaultError, match="trace error") as info:
         evolution.end_spin_series(FAULT_TS[FAULT_INDEX:])
     assert f"t={FAULT_T!r}" in str(info.value)
@@ -388,7 +388,7 @@ def test_trace_fault_raises_through_the_shared_check():
 def test_tolerance_constants_are_pinned():
     assert exactdiag.NORM_DRIFT_TOL == 1e-10
     assert exactdiag.FLIP_CLOSURE_TOL == 1e-10
-    assert freefermion.TRACE_TOL == 1e-9
+    assert freefermion.TRACE_TOL == 1e-12
     assert freefermion.POSITIVITY_TOL == 1e-9
     assert freefermion.COHERENCE_IMAG_TOL == 1e-10
     assert oracles.RDM_TOL == 1e-9
@@ -399,10 +399,8 @@ def test_evolver_cache_is_small():
     assert exactdiag._evolver.cache_info().maxsize <= 4
 
 
-def test_homogeneous_neel_start_diagonalizes_one_reflection_block(monkeypatch):
-    # n=13, M=7 (dimension 1,716) splits into reflection blocks of 868 and
-    # 848; the Neel pattern is mirror-symmetric, so only the even block and
-    # only one flip representative are evolved
+def _record_diagonalizations(monkeypatch) -> list:
+    """(name, dimension) of every later eigh and eigvalsh call, in order."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -412,9 +410,51 @@ def test_homogeneous_neel_start_diagonalizes_one_reflection_block(monkeypatch):
             return _original(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, record)
+    return calls
+
+
+def test_homogeneous_neel_start_diagonalizes_one_reflection_block(monkeypatch):
+    # n=13, M=7 (dimension 1,716) splits into reflection blocks of 868 and
+    # 848; the Neel pattern is mirror-symmetric, so only the even block and
+    # only one flip representative are evolved
+    calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
     exactdiag.QuenchEvolution(homogeneous(13), math.inf, 0.0)
     assert calls == [("eigh", 868)]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_second_quench_on_the_same_chain_reuses_its_blocks(monkeypatch, n):
+    # the Neel start needs no ground search, so every eigh is of H(delta2):
+    # both reflection blocks at n=6, the even one at n=7, and none again
+    calls = _record_diagonalizations(monkeypatch)
+    exactdiag._evolver.cache_clear()
+    first = exactdiag.QuenchEvolution(homogeneous(n), math.inf, 0.5)
+    assert len(calls) == len(first._prepped[0].blocks) == (2 if n == 6 else 1)
+    calls.clear()
+    second = exactdiag.QuenchEvolution(homogeneous(n), math.inf, 0.5)
+    assert calls == []
+    assert [b for rep in second._prepped for b in rep.blocks] == first._prepped[0].blocks
+    ts = np.linspace(0.0, 3.0, 7)
+    for got, want in zip(second.end_spin_series(ts), first.end_spin_series(ts)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_each_parity_block_is_diagonalized_once(monkeypatch):
+    # n=8, delta1=1000: the ground pair of M=4 (dimension 70) gives two flip
+    # representatives, one in each reflection block (38 even, 32 odd); the
+    # ground search runs eigh on the sector and on the 2x2 pair, and each
+    # block of H(delta2) is diagonalized once, also on a second quench
+    real = model.CouplingRealization(couplings=(1.0,) * 7, seed_used=0)
+    calls = _record_diagonalizations(monkeypatch)
+    exactdiag._evolver.cache_clear()
+    evolution = exactdiag.QuenchEvolution(real, 1000.0, 0.0)
+    exactdiag.QuenchEvolution(real, 1000.0, 0.0)
+    assert [[(b.parity, len(b.energies)) for b in rep.blocks]
+            for rep in evolution._prepped] == [[(-1, 32)], [(1, 38)]]
+    blocks = [c for c in calls if c[1] in (32, 38)]
+    assert sorted(blocks) == [("eigh", 32), ("eigh", 38)]
+    assert calls.count(("eigh", 70)) == 2  # one ground search per quench
 
 
 def _disordered(n):

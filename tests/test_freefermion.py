@@ -171,9 +171,16 @@ def test_end_spin_state_validation():
     with pytest.raises(NumericalFaultError):
         freefermion.EndSpinState(a=-0.1, b=0.6, c=0.0, t=0.0)
     # the trace tolerance is 1e-12: half of it again fails, half of it passes
-    with pytest.raises(NumericalFaultError, match="trace violated"):
+    with pytest.raises(NumericalFaultError, match="end-spin trace error"):
         freefermion.EndSpinState(a=0.25 + 0.75e-12, b=0.25, c=0.0, t=0.0)
     freefermion.EndSpinState(a=0.25 + 0.25e-12, b=0.25, c=0.0, t=0.0)
+
+
+@pytest.mark.parametrize("field", ["a", "b", "c"])
+def test_end_spin_state_refuses_nan(field):
+    values = {"a": 0.1, "b": 0.4, "c": 0.25, "t": 1.0, field: math.nan}
+    with pytest.raises(NumericalFaultError, match="t=1.0"):
+        freefermion.EndSpinState(**values)
 
 
 def test_end_spin_matrix():
@@ -393,8 +400,8 @@ X_GRID = np.linspace(0.0, 5.0, 20)
 ])
 def test_x_series_check_names_the_failing_point(fault, message, factor):
     # one point of a valid series is moved out by the literal tolerance
-    # (1e-9 for the trace and for positivity) times factor
-    delta = factor * 1e-9
+    # (1e-12 for the trace, 1e-9 for positivity) times factor
+    delta = factor * (1e-12 if fault == "trace" else 1e-9)
     a, b, c = np.full(20, 0.25), np.full(20, 0.25), np.full(20, 0.1)
     k = 13
     if fault == "trace":
