@@ -36,7 +36,6 @@ from .errors import (
 
 TOOL_NAME = "xxzquench"
 ED_COMPARE_TOL = 1e-8
-ED_COMPARE_MAX_N = 13
 # Realizations per disorder block; blocks refine their peaks in lockstep.
 DISORDER_BLOCK = 64
 
@@ -474,10 +473,10 @@ def _sibling_path(path: str, suffix: str) -> str:
 
 def cmd_ed_compare(args) -> int:
     sizes = sorted(args.n)
-    bad = [n for n in sizes if n > ED_COMPARE_MAX_N or n < 2]
+    bad = [n for n in sizes if n > exactdiag.MAX_SITES or n < 2]
     if bad:
         raise SystemExit2(
-            f"engine comparison supports 2 <= n <= {ED_COMPARE_MAX_N}, got {bad}",
+            f"engine comparison supports 2 <= n <= {exactdiag.MAX_SITES}, got {bad}",
             EXIT_USAGE,
         )
     if not 1 <= args.grid_points <= entangle.MAX_GRID_POINTS:

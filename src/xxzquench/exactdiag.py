@@ -2,8 +2,10 @@
 
 Total z magnetization is conserved, so the Hamiltonian splits into
 sectors of fixed up-spin count M.  Each sector is built over the ordered
-list of bit patterns with M set bits (bit k-1 holds site k, set = up),
-diagonalized densely once, and reused across all time points of a scan.
+list of bit patterns with M set bits (bit k-1 holds site k, set = up) in
+one pass per bond, which keeps the diagonal and one (row, partner,
+coupling) entry per hop; the dense sector matrix is formed only for the
+ground search.
 
 Two further symmetries cut the dense work where the engine is set up.
 The global spin flip F (every pattern to its complement) commutes with
@@ -17,12 +19,24 @@ there H(delta2) is diagonalized only in the reflection-parity blocks the
 initial state reaches (one block for an odd-n Neel start or a
 nondegenerate sector ground state).  Other chains, disordered ones
 included, take the same route with one-pattern orbits, i.e. flip only.
+Each block is scattered straight from the sector's entries into the
+block's orbit coordinates, diagonalized once, and reused across all time
+points of a scan.
+
+At delta2 = 0 every hop moves one up spin between an odd and an even
+site, so it changes the grade (up spins on odd sites) mod 2: the sector
+matrix is bipartite (Lieb, Schultz and Mattis 1961).  When every orbit
+of a block has a single grade (odd n, non-palindromic chains, and even n
+with M even), the block is [[0, X], [X^T, 0]] over its two grades and
+one SVD of X gives its eigenbasis, energies +-s and zero modes for the
+unpaired columns.  Other blocks, and every block at delta2 > 0, take a
+dense ``eigh``.
 
 This module is the oracle for the free-fermion route (they must agree
 entry-wise whenever delta2 = 0 and the chain starts from the ideal Neel
 mixture) and the only route for finite delta1 or delta2 > 0.  Dense
-sector matrices cap the usable chain length at 15 sites; longer chains
-belong to the free-fermion engine.
+sector matrices in the ground search cap the usable chain length at 15
+sites; longer chains belong to the free-fermion engine.
 """
 
 from __future__ import annotations
@@ -67,12 +81,25 @@ class SectorBasis:
 
 @dataclass(eq=False)
 class SectorHamiltonian:
-    """Real symmetric XXZ Hamiltonian restricted to one sector."""
+    """Real symmetric XXZ Hamiltonian restricted to one sector, as entries:
+    the diagonal, and per off-diagonal entry its row, its column (the hop
+    partner) and its value (the bond's coupling)."""
 
     basis: SectorBasis
-    matrix: np.ndarray
+    diagonal: np.ndarray
+    rows: np.ndarray
+    partners: np.ndarray
+    hops: np.ndarray
     delta: float
     couplings: CouplingRealization
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (dim, dim) matrix, built anew on each access."""
+        h = np.zeros((self.basis.dim, self.basis.dim))
+        h[self.rows, self.partners] = self.hops
+        np.fill_diagonal(h, self.diagonal)
+        return h
 
 
 @dataclass(frozen=True)
@@ -122,7 +149,7 @@ def sector_basis(n: int, m_up: int) -> SectorBasis:
 def build_sector_hamiltonian(
     realization: CouplingRealization, delta: float, m_up: int
 ) -> SectorHamiltonian:
-    """XXZ matrix in one sector.
+    """XXZ entries in one sector.
 
     Diagonal entries collect (J_k delta / 2) z_k z_{k+1}; each adjacent
     up-down pair contributes an off-diagonal J_k to its exchanged partner.
@@ -134,19 +161,24 @@ def build_sector_hamiltonian(
     n = realization.n
     basis = sector_basis(n, m_up)
     states = basis.states
-    h = np.zeros((basis.dim, basis.dim))
     diag = np.zeros(basis.dim)
+    rows, partners, hops = [], [], []
     cpl = realization.couplings
     ups = [(states >> k) & 1 == 1 for k in range(n)]
     for k in range(n - 1):
         z1 = np.where(ups[k], 1.0, -1.0)
         z2 = np.where(ups[k + 1], 1.0, -1.0)
         diag += cpl[k] * delta / 2.0 * z1 * z2
-        rows = np.flatnonzero(ups[k] != ups[k + 1])
-        partners = states[rows] ^ np.uint64((1 << k) | (1 << (k + 1)))
-        h[rows, np.searchsorted(states, partners)] = cpl[k]
-    np.fill_diagonal(h, diag)
-    return SectorHamiltonian(basis=basis, matrix=h, delta=delta, couplings=realization)
+        hop = np.flatnonzero(ups[k] != ups[k + 1])
+        rows.append(hop)
+        pair = np.uint64((1 << k) | (1 << (k + 1)))
+        partners.append(np.searchsorted(states, states[hop] ^ pair))
+        hops.append(np.full(len(hop), cpl[k]))
+    return SectorHamiltonian(
+        basis=basis, diagonal=diag, rows=np.concatenate(rows),
+        partners=np.concatenate(partners), hops=np.concatenate(hops),
+        delta=delta, couplings=realization,
+    )
 
 
 def _neel_pattern(n: int, order: NeelOrder) -> int:
@@ -268,6 +300,70 @@ def _parity_orbits(
     return blocks
 
 
+def _block(
+    ham: SectorHamiltonian,
+    orbits: tuple[int, np.ndarray, np.ndarray, np.ndarray],
+    row_orbits: np.ndarray,
+    col_orbits: np.ndarray,
+) -> np.ndarray:
+    """Entries of one reflection-parity block between its orbits
+    ``row_orbits`` and ``col_orbits`` (positions in the block), scattered from the sector's
+    entries with one ``np.bincount``; no sector matrix is formed.
+
+    Orbit a of the block ``orbits`` = (parity, first, mirror, scale) (see
+    :func:`_parity_orbits`) spans sum_p coef_p e_p over its patterns, so
+    entry (a, b) sums coef_p coef_q H_pq.
+    """
+    parity, first, mirror, scale = orbits
+    dim = ham.basis.dim
+    coef = np.zeros(dim)
+    coef[first] = scale
+    coef[mirror] += parity * scale  # a one-pattern orbit gets 1/2 twice
+
+    def place(orbit_list: np.ndarray) -> np.ndarray:
+        """Per pattern, the place of its orbit in ``orbit_list``, else -1."""
+        at = np.full(dim, -1)
+        at[first[orbit_list]] = at[mirror[orbit_list]] = np.arange(len(orbit_list))
+        return at
+
+    diag = np.arange(dim)
+    p = np.concatenate([ham.rows, diag])
+    q = np.concatenate([ham.partners, diag])
+    value = np.concatenate([ham.hops, ham.diagonal])
+    r, c = place(row_orbits)[p], place(col_orbits)[q]
+    keep = (r >= 0) & (c >= 0)
+    p, q, r, c = p[keep], q[keep], r[keep], c[keep]
+    shape = (len(row_orbits), len(col_orbits))
+    flat = np.bincount(
+        r * shape[1] + c, weights=coef[p] * coef[q] * value[keep], minlength=shape[0] * shape[1]
+    )
+    return flat.reshape(shape)
+
+
+def _bipartite_eigh(
+    x: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis of the symmetric matrix that holds ``x`` at rows ``a``,
+    columns ``b`` (and its transpose at rows ``b``, columns ``a``) and
+    zeros elsewhere, from one SVD x = U diag(s) V^T.
+
+    Each singular triple gives energies +-s with modes (u, +-v)/sqrt(2);
+    the unpaired columns of U or V are zero modes.
+    """
+    u, s, vt = np.linalg.svd(x)
+    r = len(s)
+    extra_a = len(a) - r
+    energies = np.concatenate([s, -s, np.zeros(len(a) + len(b) - 2 * r)])
+    modes = np.zeros((len(a) + len(b),) * 2)
+    half = math.sqrt(0.5)
+    modes[a, :r] = modes[a, r : 2 * r] = half * u[:, :r]
+    modes[b, :r] = half * vt[:r].T
+    modes[b, r : 2 * r] = -modes[b, :r]
+    modes[a, 2 * r : 2 * r + extra_a] = u[:, r:]
+    modes[b, 2 * r + extra_a :] = vt[r:].T
+    return energies, modes
+
+
 # One entry per reflection-parity block (6 MB at n=13 for the
 # 868-dimensional even block of an odd-n Neel start); a quench reaches at
 # most two, so keep few.
@@ -277,17 +373,29 @@ def _evolver(
 ) -> SimpleNamespace:
     """Eigenbasis of H(delta2) in one reflection-parity block of a sector:
     the block's orbits (see :func:`_parity_orbits`) with its ``energies``
-    and ``modes``, projected from the sector matrix."""
+    and ``modes``.
+
+    The block is scattered from the sector's entries (see :func:`_block`).
+    At delta2 = 0 with every orbit of a single grade (up spins on odd sites
+    mod 2) the block couples only orbits of different grades, and one SVD
+    of its grade-0 by grade-1 part replaces the ``eigh`` of the whole block
+    (see :func:`_bipartite_eigh`); otherwise the whole block takes ``eigh``.
+    """
+    n = realization.n
     reflect = realization.couplings == realization.couplings[::-1]
-    orbits = _parity_orbits(realization.n, m_up, reflect)
-    ((_, first, mirror, scale),) = [o for o in orbits if o[0] == parity]
-    h = build_sector_hamiltonian(realization, delta2, m_up).matrix
-    # V^T H V summed so that one-pattern orbits reproduce H exactly
-    block = (h[np.ix_(first, first)] + h[np.ix_(mirror, mirror)]) + parity * (
-        h[np.ix_(first, mirror)] + h[np.ix_(mirror, first)]
-    )
-    block *= np.outer(scale, scale)
-    energies, modes = np.linalg.eigh(block)
+    (orbits,) = [o for o in _parity_orbits(n, m_up, reflect) if o[0] == parity]
+    _, first, mirror, scale = orbits
+    ham = build_sector_hamiltonian(realization, delta2, m_up)
+    odd_ups = np.zeros(ham.basis.dim, dtype=np.uint64)
+    for k in range(0, n, 2):
+        odd_ups ^= ham.basis.states >> np.uint64(k)
+    grade = odd_ups & np.uint64(1)
+    if delta2 == 0 and np.array_equal(grade[first], grade[mirror]):
+        a, b = np.flatnonzero(grade[first] == 0), np.flatnonzero(grade[first] == 1)
+        energies, modes = _bipartite_eigh(_block(ham, orbits, a, b), a, b)
+    else:
+        every = np.arange(len(first))
+        energies, modes = np.linalg.eigh(_block(ham, orbits, every, every))
     for array in (energies, modes):
         array.flags.writeable = False
     return SimpleNamespace(

@@ -4,6 +4,7 @@ None of this is on the program's path.  Each oracle takes the slow and
 obvious route to a quantity that an engine computes fast:
 
 - exact diagonalization: the sector Hamiltonian built pattern by pattern,
+  each reflection-parity block projected from that dense matrix,
   step-by-step evolution of every component in its whole sector, and the
   full 4x4 reduced density matrix of any two sites, with every check a 4x4
   matrix admits (Hermiticity, trace, positivity, X structure, real
@@ -56,6 +57,20 @@ def sector_hamiltonian(realization, delta: float, m_up: int) -> np.ndarray:
                 h[i, j] += cpl[k]
         h[i, i] = diag
     return h
+
+
+def parity_block(realization, delta: float, m_up: int, parity: int) -> np.ndarray:
+    """One reflection-parity block of H(delta), V^T H V projected from the
+    dense sector matrix over the orbits of :func:`exactdiag._parity_orbits`."""
+    reflect = realization.couplings == realization.couplings[::-1]
+    blocks = exactdiag._parity_orbits(realization.n, m_up, reflect)
+    ((_, first, mirror, scale),) = [o for o in blocks if o[0] == parity]
+    h = sector_hamiltonian(realization, delta, m_up)
+    # summed so that one-pattern orbits reproduce H exactly
+    block = (h[np.ix_(first, first)] + h[np.ix_(mirror, mirror)]) + parity * (
+        h[np.ix_(first, mirror)] + h[np.ix_(mirror, first)]
+    )
+    return block * np.outer(scale, scale)
 
 
 @lru_cache(maxsize=8)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from xxzquench import cli, entangle, freefermion, model
+from xxzquench import cli, entangle, exactdiag, freefermion, model
 from xxzquench.errors import NoPeakError, NumericalFaultError
 
 
@@ -285,8 +285,15 @@ def test_scan_sizes_are_sorted(tmp_path):
     assert col(header, rows, "n", int) == [3, 7]
 
 
-def test_ed_compare_rejects_large_chains(tmp_path):
-    assert run("ed-compare", "--n", "15", "--out", str(tmp_path / "e.csv")) == 1
+def test_ed_compare_rejects_large_chains(tmp_path, capsys):
+    # the cap is exact diagonalization's own, 15 sites
+    assert exactdiag.MAX_SITES == 15
+    assert run("ed-compare", "--n", "16", "--out", str(tmp_path / "e.csv")) == cli.EXIT_USAGE
+    assert "2 <= n <= 15, got [16]" in capsys.readouterr().err
+
+
+def test_ed_compare_rejects_one_site(tmp_path):
+    assert run("ed-compare", "--n", "1", "--out", str(tmp_path / "e.csv")) == cli.EXIT_USAGE
 
 
 def test_ed_compare_rejects_unbounded_grid(tmp_path):

@@ -400,13 +400,13 @@ def test_evolver_cache_is_small():
 
 
 def _record_diagonalizations(monkeypatch) -> list:
-    """(name, dimension) of every later eigh and eigvalsh call, in order."""
+    """(name, shape) of every later eigh, eigvalsh and svd call, in order."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
         def record(matrix, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, matrix.shape[0]))
+            calls.append((_name, matrix.shape))
             return _original(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, record)
@@ -416,11 +416,13 @@ def _record_diagonalizations(monkeypatch) -> list:
 def test_homogeneous_neel_start_diagonalizes_one_reflection_block(monkeypatch):
     # n=13, M=7 (dimension 1,716) splits into reflection blocks of 868 and
     # 848; the Neel pattern is mirror-symmetric, so only the even block and
-    # only one flip representative are evolved
+    # only one flip representative are evolved.  At delta2 = 0 the block
+    # couples its 434 orbits of each grade, and one SVD of that 434 x 434
+    # part replaces the eigh of the block.
     calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
     exactdiag.QuenchEvolution(homogeneous(13), math.inf, 0.0)
-    assert calls == [("eigh", 868)]
+    assert calls == [("svd", (434, 434))]
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -444,7 +446,8 @@ def test_each_parity_block_is_diagonalized_once(monkeypatch):
     # n=8, delta1=1000: the ground pair of M=4 (dimension 70) gives two flip
     # representatives, one in each reflection block (38 even, 32 odd); the
     # ground search runs eigh on the sector and on the 2x2 pair, and each
-    # block of H(delta2) is diagonalized once, also on a second quench
+    # block of H(delta2 = 0) takes one SVD of its grade-0 by grade-1 part
+    # (22 x 16 and 16 x 16), also on a second quench
     real = model.CouplingRealization(couplings=(1.0,) * 7, seed_used=0)
     calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
@@ -452,9 +455,68 @@ def test_each_parity_block_is_diagonalized_once(monkeypatch):
     exactdiag.QuenchEvolution(real, 1000.0, 0.0)
     assert [[(b.parity, len(b.energies)) for b in rep.blocks]
             for rep in evolution._prepped] == [[(-1, 32)], [(1, 38)]]
-    blocks = [c for c in calls if c[1] in (32, 38)]
-    assert sorted(blocks) == [("eigh", 32), ("eigh", 38)]
-    assert calls.count(("eigh", 70)) == 2  # one ground search per quench
+    assert sorted(c for c in calls if c[0] == "svd") == [("svd", (16, 16)), ("svd", (22, 16))]
+    assert calls.count(("eigh", (70, 70))) == 2  # one ground search per quench
+    assert all(c[1][0] in (2, 70) for c in calls if c[0] == "eigh")
+
+
+@pytest.mark.parametrize("delta2", [0.0, 0.5])
+def test_palindromic_neel_start_never_forms_the_sector_matrix(monkeypatch, delta2):
+    # the two Neel orders of n=8 are mirror images, so the one flip
+    # representative reaches both reflection blocks of M=4; each block is
+    # scattered from the sector's entries, not from its dense matrix
+    def refuse(self):
+        raise AssertionError("dense sector matrix formed")
+
+    monkeypatch.setattr(exactdiag.SectorHamiltonian, "matrix", property(refuse))
+    exactdiag._evolver.cache_clear()
+    evolution = exactdiag.QuenchEvolution(homogeneous(8), math.inf, delta2)
+    (rep,) = evolution._prepped
+    assert [b.parity for b in rep.blocks] == [1, -1]
+    evolution.end_spin_series(np.linspace(0.0, 4.0, 5))
+
+
+def _chain(couplings):
+    return model.CouplingRealization(couplings=tuple(couplings), seed_used=0)
+
+
+@pytest.mark.parametrize("real, m_up, parity, call", [
+    # rectangular parts with zero modes: n=7 even block of M=3 (19 orbits)
+    (homogeneous(7), 3, 1, ("svd", (11, 8))),
+    (homogeneous(7), 3, -1, ("svd", (8, 8))),
+    # n=12, M=6: the Neel sector, both blocks
+    (homogeneous(12), 6, 1, ("svd", (226, 246))),
+    (homogeneous(12), 6, -1, ("svd", (226, 226))),
+    # a disordered chain has one-pattern orbits: the whole sector of 126
+    (model.realize_couplings(model.ChainSpec(n=9, disorder_sigma=0.8, seed=5)), 4, 1,
+     ("svd", (66, 60))),
+    # a palindromic disordered chain, with negative bonds
+    (_chain([0.7, -1.3, 0.4, 0.4, -1.3, 0.7]), 3, 1, ("svd", (11, 8))),
+    # n = 2 mod 4 with M odd: reflection swaps the grades of an orbit's
+    # two patterns, so the blocks are not bipartite and take eigh
+    (homogeneous(6), 3, 1, ("eigh", (10, 10))),
+    (homogeneous(6), 3, -1, ("eigh", (10, 10))),
+    (homogeneous(10), 5, 1, ("eigh", (126, 126))),
+    (homogeneous(10), 5, -1, ("eigh", (126, 126))),
+], ids=["n7-even", "n7-odd", "n12-even", "n12-odd", "disordered9", "palindromic7",
+        "n6-even", "n6-odd", "n10-even", "n10-odd"])
+def test_sublattice_eigenbasis_against_dense_eigh(monkeypatch, real, m_up, parity, call):
+    calls = _record_diagonalizations(monkeypatch)
+    exactdiag._evolver.cache_clear()
+    block = exactdiag._evolver(real, 0.0, m_up, parity)
+    assert calls[:1] == [call]
+    h = oracles.parity_block(real, 0.0, m_up, parity)
+    energies, modes = block.energies, block.modes
+    size = len(h)
+    assert modes.shape == (size, size) and energies.shape == (size,)
+    assert np.max(np.abs(h @ modes - modes * energies)) <= 1e-12
+    assert np.max(np.abs(modes.T @ modes - np.eye(size))) <= 1e-12
+    want_e, want_v = np.linalg.eigh(h)
+    np.testing.assert_allclose(np.sort(energies), want_e, rtol=0, atol=1e-12)
+    for t in (0.3, 2.0, 11.7):
+        got = (modes * np.exp(-1j * energies * t)) @ modes.T
+        want = (want_v * np.exp(-1j * want_e * t)) @ want_v.T
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _disordered(n):

@@ -216,6 +216,31 @@ def test_sector_hamiltonian_matches_pattern_by_pattern_builder(n, data, delta):
         assert np.array_equal(got, oracles.sector_hamiltonian(real, delta, m))
 
 
+@PROPERTY_SETTINGS
+@given(
+    real=symmetry_chains(2, 10),
+    data=st.data(),
+    delta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
+)
+def test_parity_block_scattered_from_entries_matches_dense_projection(real, data, delta):
+    m = data.draw(st.integers(min_value=0, max_value=real.n))
+    reflect = real.couplings == real.couplings[::-1]
+    ham = exactdiag.build_sector_hamiltonian(real, delta, m)
+    for orbits in exactdiag._parity_orbits(real.n, m, reflect):
+        want = oracles.parity_block(real, delta, m, orbits[0])
+        every = np.arange(len(orbits[1]))
+        got = exactdiag._block(ham, orbits, every, every)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+        # any split of the orbits into rows and columns, as the sublattice
+        # path takes its grade-0 by grade-1 part
+        order = np.array(data.draw(st.permutations(every.tolist())), dtype=np.intp)
+        split = data.draw(st.integers(min_value=0, max_value=len(order)))
+        rows, cols = order[:split], order[split:]
+        part = exactdiag._block(ham, orbits, rows, cols)
+        assert np.max(np.abs(part - want[np.ix_(rows, cols)]), initial=0.0) <= 1e-14
+
+
 def _same_bits(x, y):
     """Equal values and equal signs of zero, so -0.0 and 0.0 differ."""
     x, y = np.asarray(x), np.asarray(y)
