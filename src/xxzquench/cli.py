@@ -161,6 +161,27 @@ def _spec_from_args(args, n: int | None = None, seed: int | None = None) -> mode
     )
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_memory(n: int) -> None:
+    """Refuse an exact diagonalization whose estimated peak
+    (:func:`exactdiag.run_bytes`) exceeds physical memory, before it
+    allocates anything."""
+    need, have = exactdiag.run_bytes(n), _physical_memory()
+    if have is not None and need > have:
+        raise SystemExit2(
+            f"exact diagonalization of n={n} needs about {need / 2**20:.0f} MiB, "
+            f"more than the {have / 2**20:.0f} MiB of physical memory",
+            EXIT_USAGE,
+        )
+
+
 def _check_engine(spec: model.ChainSpec, requested: str) -> str:
     engine = entangle.resolve_engine(spec, requested)
     if engine == "exactdiag" and spec.n > exactdiag.MAX_SITES:
@@ -170,6 +191,8 @@ def _check_engine(spec: model.ChainSpec, requested: str) -> str:
             f"engine, which only covers delta1=inf, delta2=0",
             EXIT_USAGE,
         )
+    if engine == "exactdiag":
+        _check_memory(spec.n)
     return engine
 
 
@@ -479,6 +502,7 @@ def cmd_ed_compare(args) -> int:
             f"engine comparison supports 2 <= n <= {exactdiag.MAX_SITES}, got {bad}",
             EXIT_USAGE,
         )
+    _check_memory(sizes[-1])
     if not 1 <= args.grid_points <= entangle.MAX_GRID_POINTS:
         raise SystemExit2(
             f"--grid-points must lie in [1, {entangle.MAX_GRID_POINTS}], "

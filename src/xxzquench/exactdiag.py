@@ -4,20 +4,23 @@ Total z magnetization is conserved, so the Hamiltonian splits into
 sectors of fixed up-spin count M.  Each sector is built over the ordered
 list of bit patterns with M set bits (bit k-1 holds site k, set = up) in
 one pass per bond, which keeps the diagonal and one (row, partner,
-coupling) entry per hop; the dense sector matrix is formed only for the
-ground search.
+coupling) entry per hop; no dense sector matrix is ever formed.  The
+ground multiplet of H(delta1) comes from matrix-free Lanczos searches
+that apply H through those entries.
 
-Two further symmetries cut the dense work where the engine is set up.
+Two further symmetries cut the work where the engine is set up.
 The global spin flip F (every pattern to its complement) commutes with
 H(delta) for any couplings; it maps sector M onto sector n-M by reversing
-the ascending basis.  So ground spectra are computed for M <= n/2 only,
-and of each flip-related pair of initial components only one is evolved;
+the ascending basis.  So the ground search runs in the sectors M <= n/2
+only, in separate flip-parity blocks at M = n/2, and of each
+flip-related pair of initial components only one is evolved;
 the partner's end-pair matrix is the representative's conjugated by
 sigma^x (x) sigma^x.  The site reflection R (site k to n+1-k) commutes
 with H when the couplings are palindromic, as on homogeneous chains;
-there H(delta2) is diagonalized only in the reflection-parity blocks the
-initial state reaches (one block for an odd-n Neel start or a
-nondegenerate sector ground state).  Other chains, disordered ones
+there the ground search runs in each reflection-parity block, and
+H(delta2) is diagonalized only in the blocks the initial state reaches
+(one block for an odd-n Neel start or a nondegenerate sector ground
+state).  Other chains, disordered ones
 included, take the same route with one-pattern orbits, i.e. flip only.
 Each block is scattered straight from the sector's entries into the
 block's orbit coordinates, diagonalized once, and reused across all time
@@ -34,9 +37,11 @@ dense ``eigh``.
 
 This module is the oracle for the free-fermion route (they must agree
 entry-wise whenever delta2 = 0 and the chain starts from the ideal Neel
-mixture) and the only route for finite delta1 or delta2 > 0.  Dense
-sector matrices in the ground search cap the usable chain length at 15
-sites; longer chains belong to the free-fermion engine.
+mixture) and the only route for finite delta1 or delta2 > 0.  The dense
+eigenbasis of H(delta2) in a block, with its d^2 cost per time point,
+caps the usable chain length at 15 sites; longer chains belong to the
+free-fermion engine.  A run's peak memory is estimated before anything
+is allocated (:func:`run_bytes`).
 """
 
 from __future__ import annotations
@@ -44,13 +49,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalFaultError
+from .errors import ConvergenceError, NumericalFaultError
 from .freefermion import CHUNK_BYTES, _check, check_x_series
 from .model import CouplingRealization, NeelOrder, neel_state
 
@@ -64,6 +69,15 @@ FLIP_CLOSURE_TOL = 1e-10
 # amplitude is not evolved; the dropped part moves end-pair entries by at
 # most twice this.
 PARITY_LEAK_TOL = 1e-13
+# A Lanczos run of the ground search stops once the residual estimates of
+# its two lowest Ritz pairs are within this fraction of the largest entry
+# of its tridiagonal matrix (an estimate of the block's norm).
+LANCZOS_RESIDUAL_TOL = 1e-14
+# Krylov steps per block, at most (the most seen up to n = 15 was 284, on
+# a homogeneous chain at delta1 = 1000), and steps to the first
+# convergence check, half the most between two.
+LANCZOS_MAX_STEPS = 400
+LANCZOS_CHECK_EVERY = 10
 
 @dataclass(eq=False)
 class SectorBasis:
@@ -93,13 +107,11 @@ class SectorHamiltonian:
     delta: float
     couplings: CouplingRealization
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (dim, dim) matrix, built anew on each access."""
-        h = np.zeros((self.basis.dim, self.basis.dim))
-        h[self.rows, self.partners] = self.hops
-        np.fill_diagonal(h, self.diagonal)
-        return h
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H x, from the entries; no matrix is formed."""
+        return self.diagonal * x + np.bincount(
+            self.rows, self.hops * x[self.partners], minlength=len(x)
+        )
 
 
 @dataclass(frozen=True)
@@ -197,19 +209,109 @@ def neel_mixture(n: int) -> MixedState:
     return MixedState(n=n, components=tuple(comps), origin="ideal-neel-mixture")
 
 
+def _lanczos(apply, start: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest eigenvalues (one if ``size`` is 1) of the symmetric
+    operator ``apply`` on its invariant subspace of dimension ``size`` that
+    holds ``start``, with their unit vectors as rows.
+
+    Lanczos (1950) with full reorthogonalization (Parlett, The Symmetric
+    Eigenvalue Problem): after the three-term recurrence each new Krylov
+    vector is orthogonalized once more against the whole basis, so no
+    spurious copies of converged Ritz values appear.  The tridiagonal
+    projection T is diagonalized after LANCZOS_CHECK_EVERY steps, then
+    where the trend of its residual estimates predicts convergence, and
+    the search stops once the two lowest Ritz pairs have residual
+    estimates |beta s_last| within LANCZOS_RESIDUAL_TOL of the largest
+    entry of T, at the latest when the basis spans the subspace.
+    """
+    steps = min(size, LANCZOS_MAX_STEPS)
+    basis = np.empty((steps, len(start)))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    q = start / np.linalg.norm(start)
+    scale, check, last = 0.0, LANCZOS_CHECK_EVERY, None
+    for k in range(steps):
+        basis[k] = q
+        w = apply(q)
+        alpha[k] = q @ w
+        w -= alpha[k] * q
+        if k:
+            w -= beta[k - 1] * basis[k - 1]
+        w -= (basis[: k + 1] @ w) @ basis[: k + 1]
+        beta[k] = math.sqrt(w @ w)
+        scale = max(scale, abs(alpha[k]), beta[k])
+        tol = LANCZOS_RESIDUAL_TOL * scale
+        if k + 1 in (check, steps) or beta[k] <= tol:
+            t = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            theta, s = np.linalg.eigh(t)
+            residual = beta[k] * np.max(np.abs(s[-1, :2]))
+            if k + 1 == size or residual <= tol:
+                return theta[:2], s[:, :2].T @ basis[: k + 1]
+            # residuals fall about geometrically once converging: the next
+            # check goes where that trend meets tol, at most twice as far
+            ahead = LANCZOS_CHECK_EVERY
+            if last and residual < last[1]:
+                rate = math.log(residual / last[1]) / (k + 1 - last[0])
+                ahead = min(2 * ahead, math.ceil(math.log(tol / residual) / rate))
+            last, check = (k + 1, residual), k + 1 + ahead
+        q = w / beta[k]
+    raise ConvergenceError(
+        f"Lanczos ground search not converged in {LANCZOS_MAX_STEPS} steps "
+        f"(block of dimension {size})"
+    )
+
+
+def _symmetry_blocks(
+    n: int, m_up: int, reflect: bool
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The nonempty blocks of one sector under the spin flip F (at M = n/2)
+    and the site reflection R (if ``reflect``), flip-odd first, as
+    (dimension, weights, perms).
+
+    ``perms`` lists the index permutations of the group F and R generate
+    (F reverses the ascending basis, R is :func:`_mirror`), and the
+    block's projector is x -> weights @ x[perms], the average of x[p_g]
+    weighted by the block's characters.  Its trace, from the patterns each
+    p_g fixes, is the block's dimension.
+    """
+    dim = sector_basis(n, m_up).dim
+    generators = [np.arange(dim)[::-1]] if 2 * m_up == n else []
+    if reflect:
+        generators.append(_mirror(n, m_up))
+    group = [np.arange(dim)]
+    for perm in generators:
+        group += [p[perm] for p in group]
+    perms = np.array(group)
+    fixed = np.count_nonzero(perms == perms[0], axis=1)
+    blocks = []
+    for signs in product((-1.0, 1.0), repeat=len(generators)):
+        chars = np.ones(1)
+        for sign in signs:
+            chars = np.concatenate([chars, sign * chars])
+        weights = chars / len(chars)
+        size = round(weights @ fixed)
+        if size:
+            blocks.append((size, weights, perms))
+    return blocks
+
+
 def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedState:
     """Equal-weight mixture over the degenerate ground multiplet of H(delta1).
 
     The infinite marker short-circuits to the ideal Neel mixture.  For
-    finite delta1 the sectors M <= n/2 are built once and their spectra
-    computed (sector n-M has the spectrum of M by spin flip), the global
-    minimum located, and every eigenstate within the degeneracy tolerance
-    collected with equal weights.  Eigenvectors come from the one sector
-    holding the minimum; the flip partner in sector n-M is the reversed
-    vector, and vectors of the self-conjugate sector M = n/2 are made flip
-    eigenvectors (a degenerate pair there is first rotated onto them).  A
-    multiplet larger than two signals a regime this simulator does not
-    model.
+    finite delta1 each sector M <= n/2 (sector n-M has its spectrum by spin
+    flip) is split into its flip- and reflection-parity blocks (see
+    :func:`_symmetry_blocks`), and a Lanczos search (:func:`_lanczos`) from
+    a fixed start projected onto each block, with every Krylov vector
+    projected too, finds the block's two lowest levels.  Every level
+    within the degeneracy tolerance of the global minimum joins the
+    multiplet with equal weight; a multiplet larger than two signals a
+    regime this simulator does not model.  The flip partner in sector n-M
+    of a vector of sector M is the reversed vector; vectors of the
+    self-conjugate sector M = n/2 are flip eigenvectors by construction.
+    A Krylov space from one start vector sees one vector of an eigenspace,
+    so a degeneracy inside one block goes unseen; the symmetries split the
+    known ones (the near-degenerate Neel-like pair of an even chain at
+    large delta1 lies in two flip blocks).
     """
     if math.isinf(delta1):
         return neel_mixture(realization.n)
@@ -218,54 +320,49 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
             f"finite delta1 must exceed 1 (antiferromagnetic Ising side), got {delta1}"
         )
     n = realization.n
-    half = n // 2
-    spectra: dict[int, np.ndarray] = {}
-    # The half-filled sector, which holds the minimum on antiferromagnetic
-    # chains, is diagonalized with its vectors; the others keep their
-    # matrices only while they may still hold the minimum.  As the running
-    # minimum e0 falls the tolerance grows by less than e0 falls, so a
-    # sector dropped here can never rejoin the multiplet.
-    vectors: dict[int, np.ndarray] = {}
-    candidates: dict[int, np.ndarray] = {}
-    for m in range(half, -1, -1):
-        matrix = build_sector_hamiltonian(realization, delta1, m).matrix
-        if m == half:
-            spectra[m], vectors[m] = np.linalg.eigh(matrix)
-        else:
-            spectra[m] = np.linalg.eigvalsh(matrix)
-            candidates[m] = matrix
-        e0 = min(float(e[0]) for e in spectra.values())
-        tol = max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL)
-        candidates = {k: h for k, h in candidates.items() if spectra[k][0] - e0 <= tol}
-    levels = {m: np.nonzero(e - e0 <= tol)[0] for m, e in spectra.items()}
-    size = sum(len(k) * (1 if 2 * m == n else 2) for m, k in levels.items())
+    reflect = realization.couplings == realization.couplings[::-1]
+    found = []  # (sector, two lowest levels, their vectors) per block
+    for m in range(n // 2, -1, -1):
+        ham = build_sector_hamiltonian(realization, delta1, m)
+        start = np.sin(np.arange(1.0, ham.basis.dim + 1.0))
+        for size, weights, perms in _symmetry_blocks(n, m, reflect):
+            values, vectors = _lanczos(
+                lambda x, w=weights, p=perms: w @ ham.apply(x)[p], weights @ start[perms], size
+            )
+            # the block's symmetry, exact up to round-off, on the vectors too
+            vectors = weights @ vectors[:, perms]
+            vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+            found.append((m, values, vectors))
+    e0 = min(float(values[0]) for _, values, _ in found)
+    tol = max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL)
+    multiplet = [(m, v) for m, values, vectors in found for v in vectors[values - e0 <= tol]]
+    size = sum(1 if 2 * m == n else 2 for m, _ in multiplet)
     if size > 2:
         raise NumericalFaultError(
             f"ground manifold of dimension {size} at delta1={delta1}; "
             f"expected at most a degenerate pair"
         )
-    (m,) = (m for m, k in levels.items() if len(k))
-    if m not in vectors:
-        vectors[m] = np.linalg.eigh(candidates[m])[1]
-    ground = vectors[m][:, levels[m]]
-    if 2 * m != n:
-        multiplet = [(m, ground[:, 0]), (n - m, ground[::-1, 0])]
-    else:
-        if ground.shape[1] == 2:
-            # the pair spans a flip-closed plane: take the flip eigenvectors
-            ground = ground @ np.linalg.eigh(ground.T @ ground[::-1])[1]
-        # Project each vector onto its flip parity: a level of the other
-        # parity close above mixes into eigh's vector by round-off over the
-        # gap, which the projection removes.
-        ground = ground + np.sign(np.sum(ground * ground[::-1], axis=0)) * ground[::-1]
-        ground /= np.linalg.norm(ground, axis=0)
-        multiplet = [(m, v) for v in ground.T]
+    if size > len(multiplet):
+        ((m, v),) = multiplet
+        multiplet.append((n - m, v[::-1]))
     w = 1.0 / len(multiplet)
     comps = tuple(
         PureComponent(weight=w, m_up=m, amplitudes=np.ascontiguousarray(v))
         for m, v in multiplet
     )
     return MixedState(n=n, components=comps, origin="degenerate-ground-multiplet")
+
+
+@lru_cache(maxsize=32)
+def _mirror(n: int, m_up: int) -> np.ndarray:
+    """Position of each pattern's mirror image (site k to n+1-k) in its sector."""
+    states = sector_basis(n, m_up).states
+    reversed_bits = np.zeros_like(states)
+    for k in range(n):
+        reversed_bits |= ((states >> np.uint64(k)) & np.uint64(1)) << np.uint64(n - 1 - k)
+    mirror = np.searchsorted(states, reversed_bits)
+    mirror.flags.writeable = False
+    return mirror
 
 
 @lru_cache(maxsize=32)
@@ -282,13 +379,8 @@ def _parity_orbits(
     1/sqrt(2) on two-pattern orbits and 1/2 on one-pattern orbits, which
     only the even block holds.
     """
-    basis = sector_basis(n, m_up)
-    pos = np.arange(basis.dim)
-    if reflect:
-        reversed_bits = (int(f"{p:0{n}b}"[::-1], 2) for p in map(int, basis.states))
-        mirror = np.array([basis.index[p] for p in reversed_bits])
-    else:
-        mirror = pos
+    pos = np.arange(sector_basis(n, m_up).dim)
+    mirror = _mirror(n, m_up) if reflect else pos
     keep = pos <= mirror
     first, mirror = pos[keep], mirror[keep]
     pair = first != mirror
@@ -467,6 +559,25 @@ def eigenbasis_bytes(n: int) -> int:
     return 8 * dim * (dim + 1)
 
 
+def run_bytes(n: int) -> int:
+    """Estimate of the peak bytes of one n-site quench, known before
+    anything is allocated: the largest sector's entries (the diagonal, and
+    per hop its row, partner and coupling), the ground search's Lanczos
+    basis, the eigendecomposition of H(delta2) and a series' work arrays.
+
+    A dense ``eigh`` of side N peaks at about 5 N^2 doubles (the block,
+    numpy's working copy, the 2 N^2 of LAPACK's dsyevd workspace and the
+    modes), and a block is at most the whole sector.  Whole quenches of
+    disordered chains at n = 13 and 14 grew the resident set by 5.2 times
+    :func:`eigenbasis_bytes`, so the evolution side is taken as six times
+    that.
+    """
+    dim = math.comb(n, n // 2)
+    entries = 8 * dim * (1 + 3 * (n - 1))
+    lanczos = 8 * dim * min(dim, LANCZOS_MAX_STEPS)
+    return entries + lanczos + 6 * eigenbasis_bytes(n) + 5 * CHUNK_BYTES
+
+
 class QuenchEvolution:
     """Prepared quench run: ground mixture of H(delta1) evolved under H(delta2).
 
@@ -505,14 +616,15 @@ class QuenchEvolution:
         dim_max = max(sector_basis(self.n, p.m_up).dim for p in self._prepped)
         self.chunk_points = max(1, CHUNK_BYTES // (16 * dim_max))
 
-    def _end_pair(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, c) of the end pair over one chunk.
+    def _end_pair(self, ts: np.ndarray, work: SimpleNamespace, out: np.ndarray) -> None:
+        """(a, b, c) of the end pair over one chunk, into the rows of ``out``.
 
         Per representative the four diagonal weights (uu, ud, du, dd) and
         the real ud-du coherence are gathered from its amplitudes; the
         imaginary coherence and the off-X entries are not formed, since
         the flip average cancels the former and no sector reaches the
-        latter.
+        latter.  Every array that grows with the chunk is a view of
+        ``work``, filled in place.
         """
         n_t = len(ts)
         weights = np.zeros((4, n_t))
@@ -520,38 +632,75 @@ class QuenchEvolution:
         for rep in self._prepped:
             diag, ud, du = _end_pair_index(self.n, rep.m_up)
             # psi = re - i im, stored as [re | im] over the chunk
-            psi = np.zeros((diag.shape[1], 2 * n_t))
+            psi = _view(work.psi, diag.shape[1], 2 * n_t)
+            psi.fill(0.0)
             for block, coeff in zip(rep.blocks, rep.coeffs):
-                phase = np.outer(block.energies, ts)
-                w = np.empty((len(coeff), 2 * n_t))
+                phase = _view(work.phase, len(coeff), n_t)
+                w = _view(work.w, len(coeff), 2 * n_t)
+                amp = _view(work.amp, len(coeff), 2 * n_t)
+                np.multiply(block.energies[:, None], ts, out=phase)
                 np.cos(phase, out=w[:, :n_t])
                 np.sin(phase, out=w[:, n_t:])
                 w *= coeff[:, None]
-                amp = block.modes @ w
+                np.matmul(block.modes, w, out=amp)
                 amp *= block.scale[:, None]
-                psi[block.first] += amp
-                psi[block.mirror] += block.parity * amp
-            re, im = psi[:, :n_t], psi[:, n_t:]
-            part = diag @ (re * re + im * im)
+                # psi[first] += amp, then psi[mirror] += parity * amp,
+                # gathered into w (a one-pattern orbit gets amp/2 twice)
+                mirror_add = np.add if block.parity == 1 else np.subtract
+                for rows, add in ((block.first, np.add), (block.mirror, mirror_add)):
+                    np.take(psi, rows, axis=0, out=w, mode="clip")
+                    add(w, amp, out=w)
+                    psi[rows] = w
+            at_ud = _view(work.at_ud, len(ud), 2 * n_t)
+            at_du = _view(work.at_du, len(ud), 2 * n_t)
+            np.take(psi, ud, axis=0, out=at_ud, mode="clip")
+            np.take(psi, du, axis=0, out=at_du, mode="clip")
+            at_ud *= at_du
+            coherence = at_ud.sum(axis=0)
+            np.square(psi, out=psi)
+            part = diag @ psi
+            part = part[:, :n_t] + part[:, n_t:]
             _check(np.abs(np.sqrt(part.sum(axis=0)) - 1.0), NORM_DRIFT_TOL, "norm drift", ts)
             weights += rep.weight * part
-            c += rep.weight * (
-                np.einsum("it,it->t", re[ud], re[du]) + np.einsum("it,it->t", im[ud], im[du])
-            )
+            c += rep.weight * (coherence[:n_t] + coherence[n_t:])
         # the flip partner's pair is the representative's with both end
         # spins flipped, (uu, ud, du, dd) -> (dd, du, ud, uu), and the
         # mixture averages the two
-        return 0.5 * (weights[0] + weights[3]), 0.5 * (weights[1] + weights[2]), c
+        out[0] = 0.5 * (weights[0] + weights[3])
+        out[1] = 0.5 * (weights[1] + weights[2])
+        out[2] = c
 
     def end_spin_series(
         self, ts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ts = np.asarray(ts, dtype=float)
-        a = np.empty(len(ts))
-        b = np.empty(len(ts))
-        c = np.empty(len(ts))
+        abc = np.empty((3, len(ts)))
+        # The chunk's work arrays are allocated once per series and reused:
+        # arrays above the allocator's mmap threshold (128 KiB by default
+        # on glibc) are otherwise mapped, faulted in page by page and
+        # unmapped again on every chunk.
+        n_t = min(self.chunk_points, len(ts))
+        index = [_end_pair_index(self.n, rep.m_up) for rep in self._prepped]
+        states = max(diag.shape[1] for diag, _, _ in index)
+        pairs = max(len(ud) for _, ud, _ in index)
+        orbits = max(len(coeff) for rep in self._prepped for coeff in rep.coeffs)
+        work = SimpleNamespace(
+            psi=np.empty(states * 2 * n_t),
+            phase=np.empty(orbits * n_t),
+            w=np.empty(orbits * 2 * n_t),
+            amp=np.empty(orbits * 2 * n_t),
+            at_ud=np.empty(pairs * 2 * n_t),
+            at_du=np.empty(pairs * 2 * n_t),
+        )
         for lo in range(0, len(ts), self.chunk_points):
             part = slice(lo, lo + self.chunk_points)
-            a[part], b[part], c[part] = self._end_pair(ts[part])
+            self._end_pair(ts[part], work, abc[:, part])
+        a, b, c = abc
         check_x_series(a, b, c, ts)
         return a, b, c
+
+
+
+def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The leading rows * cols entries of a flat work array, as a matrix."""
+    return buffer[: rows * cols].reshape(rows, cols)

@@ -3,8 +3,10 @@
 None of this is on the program's path.  Each oracle takes the slow and
 obvious route to a quantity that an engine computes fast:
 
-- exact diagonalization: the sector Hamiltonian built pattern by pattern,
-  each reflection-parity block projected from that dense matrix,
+- exact diagonalization: the sector Hamiltonian built pattern by pattern
+  and the dense form of the engine's entries, the ground multiplet from
+  dense spectra of every sector, each reflection-parity block projected
+  from the dense sector matrix,
   step-by-step evolution of every component in its whole sector, and the
   full 4x4 reduced density matrix of any two sites, with every check a 4x4
   matrix admits (Hermiticity, trace, positivity, X structure, real
@@ -57,6 +59,59 @@ def sector_hamiltonian(realization, delta: float, m_up: int) -> np.ndarray:
                 h[i, j] += cpl[k]
         h[i, i] = diag
     return h
+
+
+def sector_matrix(ham: exactdiag.SectorHamiltonian) -> np.ndarray:
+    """The dense (dim, dim) form of a sector Hamiltonian's entries."""
+    h = np.zeros((ham.basis.dim, ham.basis.dim))
+    h[ham.rows, ham.partners] = ham.hops
+    np.fill_diagonal(h, ham.diagonal)
+    return h
+
+
+def dense_ground_mixture(realization, delta1: float) -> MixedState:
+    """Ground multiplet of H(delta1) from dense spectra of the sectors
+    M <= n/2, under the engine's rule (every level within the degeneracy
+    tolerance of the minimum, at most a pair).
+
+    Vectors come from ``eigh`` of the one sector holding the minimum; the
+    flip partner in sector n-M is the reversed vector, and vectors of the
+    self-conjugate sector M = n/2 are made flip eigenvectors (a degenerate
+    pair there is first rotated onto them).
+    """
+    n = realization.n
+    matrices = {
+        m: sector_matrix(exactdiag.build_sector_hamiltonian(realization, delta1, m))
+        for m in range(n // 2 + 1)
+    }
+    spectra = {m: np.linalg.eigvalsh(h) for m, h in matrices.items()}
+    e0 = min(float(e[0]) for e in spectra.values())
+    tol = max(exactdiag.GROUND_DEGENERACY_RTOL * abs(e0), exactdiag.GROUND_DEGENERACY_ATOL)
+    levels = {m: np.nonzero(e - e0 <= tol)[0] for m, e in spectra.items()}
+    size = sum(len(k) * (1 if 2 * m == n else 2) for m, k in levels.items())
+    if size > 2:
+        raise NumericalFaultError(
+            f"ground manifold of dimension {size} at delta1={delta1}; "
+            f"expected at most a degenerate pair"
+        )
+    (m,) = (m for m, k in levels.items() if len(k))
+    ground = np.linalg.eigh(matrices[m])[1][:, levels[m]]
+    if 2 * m != n:
+        multiplet = [(m, ground[:, 0]), (n - m, ground[::-1, 0])]
+    else:
+        if ground.shape[1] == 2:
+            # the pair spans a flip-closed plane: take the flip eigenvectors
+            ground = ground @ np.linalg.eigh(ground.T @ ground[::-1])[1]
+        # a level of the other flip parity close above mixes into eigh's
+        # vector by round-off over the gap; the projection removes it
+        ground = ground + np.sign(np.sum(ground * ground[::-1], axis=0)) * ground[::-1]
+        ground /= np.linalg.norm(ground, axis=0)
+        multiplet = [(m, v) for v in ground.T]
+    w = 1.0 / len(multiplet)
+    comps = tuple(
+        PureComponent(weight=w, m_up=m, amplitudes=np.ascontiguousarray(v)) for m, v in multiplet
+    )
+    return MixedState(n=n, components=comps, origin="degenerate-ground-multiplet")
 
 
 def parity_block(realization, delta: float, m_up: int, parity: int) -> np.ndarray:

@@ -77,6 +77,26 @@ def test_quench_engine_cap_refusal(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["quench", "--n", "9", "--delta1", "3"],
+    ["scan-n", "--n", "3,9", "--delta1", "3", "--jobs", "1"],
+    ["disorder", "--n", "9", "--delta2", "0.5", "--sigma", "0.1", "--realizations", "2"],
+    ["ed-compare", "--n", "3,9"],
+], ids=["quench", "scan-n", "disorder", "ed-compare"])
+def test_exact_diagonalization_beyond_memory_is_refused_before_it_allocates(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # physical memory one byte short of the n=9 estimate: the run is
+    # refused with a usage error before any sector is built
+    monkeypatch.setattr(cli, "_physical_memory", lambda: exactdiag.run_bytes(9) - 1)
+    built = []
+    monkeypatch.setattr(exactdiag, "sector_basis", lambda *args: built.append(args))
+    out = tmp_path / "r.csv"
+    assert run(*argv, "--out", str(out)) == 1
+    assert "of physical memory" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
 def test_quench_engine_auto_selection(tmp_path):
     out = tmp_path / "qed.csv"
     assert run("quench", "--n", "5", "--delta1", "3", "--t-max-horizon", "1",

@@ -1,9 +1,15 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 import oracles
+import xxzquench
 from xxzquench import entangle, exactdiag, freefermion, model
 from xxzquench.errors import NumericalFaultError
 from xxzquench.model import NeelOrder
@@ -53,16 +59,16 @@ def test_sector_basis_ordering_and_index():
 
 def test_two_site_exchange_block():
     ham = exactdiag.build_sector_hamiltonian(homogeneous(2, j=1.3), 0.0, 1)
-    np.testing.assert_allclose(ham.matrix, [[0.0, 1.3], [1.3, 0.0]], atol=0)
+    np.testing.assert_allclose(oracles.sector_matrix(ham), [[0.0, 1.3], [1.3, 0.0]], atol=0)
 
 
 def test_three_site_sector_against_dense_oracle():
     real = homogeneous(3)
-    ham = exactdiag.build_sector_hamiltonian(real, 1.0, 1)
+    h = oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, 1.0, 1))
     # basis ascending: patterns 0b001, 0b010, 0b100 (up at site 1, 2, 3)
-    np.testing.assert_allclose(np.diag(ham.matrix), [0.0, -1.0, 0.0], atol=0)
-    assert ham.matrix[0, 1] == 1.0 and ham.matrix[1, 2] == 1.0
-    assert ham.matrix[0, 2] == 0.0
+    np.testing.assert_allclose(np.diag(h), [0.0, -1.0, 0.0], atol=0)
+    assert h[0, 1] == 1.0 and h[1, 2] == 1.0
+    assert h[0, 2] == 0.0
 
     full = dense_full_hamiltonian(3, 1.0, 1.0)
     mags = [bin(p).count("1") for p in range(8)]
@@ -71,7 +77,7 @@ def test_three_site_sector_against_dense_oracle():
     idx = [p for p in range(8) if mags[p] == 1]
     sector = full[np.ix_(idx, idx)]
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(sector), np.linalg.eigvalsh(ham.matrix), atol=1e-12
+        np.linalg.eigvalsh(sector), np.linalg.eigvalsh(h), atol=1e-12
     )
 
 
@@ -84,7 +90,7 @@ def test_full_spectrum_against_dense_oracle():
             np.concatenate(
                 [
                     np.linalg.eigvalsh(
-                        exactdiag.build_sector_hamiltonian(real, delta, m).matrix
+                        oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, delta, m))
                     )
                     for m in range(6)
                 ]
@@ -158,13 +164,28 @@ def test_large_delta_ground_state_is_nearly_neel():
 def test_moderate_delta_ground_pair_is_degenerate():
     real = homogeneous(9)
     spectra = {
-        m: np.linalg.eigvalsh(exactdiag.build_sector_hamiltonian(real, 3.0, m).matrix)
+        m: np.linalg.eigvalsh(
+            oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, 3.0, m))
+        )
         for m in range(10)
     }
     state = exactdiag.ground_mixture(real, 3.0)
     assert sorted(c.m_up for c in state.components) == [4, 5]
     e4, e5 = spectra[4][0], spectra[5][0]
     assert abs(e4 - e5) < 1e-10 * abs(e4)
+
+
+def test_lanczos_converges_the_two_lowest_levels():
+    # a lowest level far below the rest, found in a few steps, and a second
+    # level 1e-4 below the third, which converges last: the degeneracy guard
+    # reads the second level, so it must be converged too.  Its vector is
+    # good to the residual over that gap, 1e-14 * 100 / 1e-4.
+    spectrum = np.concatenate([[-50.0, 1.0, 1.0 + 1e-4], np.linspace(2.0, 100.0, 197)])
+    values, vectors = exactdiag._lanczos(
+        lambda x: spectrum * x, np.sin(np.arange(1.0, 201.0)), len(spectrum)
+    )
+    np.testing.assert_allclose(values, [-50.0, 1.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(vectors[:, :2]), np.eye(2), rtol=0, atol=1e-8)
 
 
 def test_ground_mixture_rejects_small_delta1():
@@ -310,6 +331,67 @@ def test_batched_series_matches_per_point_oracle(spec):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
+def _in_fresh_process(code: str, **env) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xxzquench.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="pins glibc's mmap threshold",
+)
+def test_series_work_arrays_are_allocated_once_per_series():
+    # With glibc's mmap threshold held at 128 KiB, every array above it is
+    # mapped and faulted in page by page each time it is made (a chunk's
+    # arrays at n=11 are 0.26-1 MB), so minor faults that grow with the
+    # number of chunks would mean per-chunk allocations.
+    out = _in_fresh_process(
+        """
+        import resource
+        import numpy as np
+        from xxzquench import exactdiag, model
+
+        real = model.realize_couplings(model.ChainSpec(n=11, delta1=3.0))
+        evolution = exactdiag.QuenchEvolution(real, 3.0, 0.0)
+
+        def faults(chunks):
+            ts = np.linspace(0.0, 7.0, chunks * evolution.chunk_points)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            evolution.end_spin_series(ts)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(8)
+        print(faults(8), faults(16))
+        """,
+        MALLOC_MMAP_THRESHOLD_="131072",
+    )
+    few, many = map(int, out.split())
+    # a 1 MB array made once per chunk would add 256 faults per chunk
+    assert many - few <= 8 * 32, (few, many)
+
+
+def test_finite_delta1_quench_leaves_numpy_random_unimported(tmp_path):
+    # the ground search starts from a fixed sequence, not a random draw,
+    # so a quench never pays for importing numpy.random
+    argv = ["quench", "--n", "7", "--delta1", "3", "--out", str(tmp_path / "q.csv")]
+    out = _in_fresh_process(
+        f"""
+        import sys
+        from xxzquench import cli
+
+        assert cli.main({argv!r}) == 0
+        print("numpy.random" in sys.modules)
+        """
+    )
+    assert out.split()[-1] == "False"
+
+
 def test_chunk_length_follows_byte_budget(monkeypatch):
     real = homogeneous(9)
     default = exactdiag.QuenchEvolution(real, 3.0, 0.0).chunk_points
@@ -388,6 +470,7 @@ def test_trace_fault_raises_through_the_shared_check():
 def test_tolerance_constants_are_pinned():
     assert exactdiag.NORM_DRIFT_TOL == 1e-10
     assert exactdiag.FLIP_CLOSURE_TOL == 1e-10
+    assert exactdiag.LANCZOS_RESIDUAL_TOL == 1e-14
     assert freefermion.TRACE_TOL == 1e-12
     assert freefermion.POSITIVITY_TOL == 1e-9
     assert freefermion.COHERENCE_IMAG_TOL == 1e-10
@@ -445,9 +528,11 @@ def test_second_quench_on_the_same_chain_reuses_its_blocks(monkeypatch, n):
 def test_each_parity_block_is_diagonalized_once(monkeypatch):
     # n=8, delta1=1000: the ground pair of M=4 (dimension 70) gives two flip
     # representatives, one in each reflection block (38 even, 32 odd); the
-    # ground search runs eigh on the sector and on the 2x2 pair, and each
-    # block of H(delta2 = 0) takes one SVD of its grade-0 by grade-1 part
-    # (22 x 16 and 16 x 16), also on a second quench
+    # ground search is matrix-free and diagonalizes only its Lanczos
+    # projections, none larger than the largest symmetry block it searches
+    # (28, a reflection block of M=3), and
+    # each block of H(delta2 = 0) takes one SVD of its grade-0 by grade-1
+    # part (22 x 16 and 16 x 16), also on a second quench
     real = model.CouplingRealization(couplings=(1.0,) * 7, seed_used=0)
     calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
@@ -456,19 +541,16 @@ def test_each_parity_block_is_diagonalized_once(monkeypatch):
     assert [[(b.parity, len(b.energies)) for b in rep.blocks]
             for rep in evolution._prepped] == [[(-1, 32)], [(1, 38)]]
     assert sorted(c for c in calls if c[0] == "svd") == [("svd", (16, 16)), ("svd", (22, 16))]
-    assert calls.count(("eigh", (70, 70))) == 2  # one ground search per quench
-    assert all(c[1][0] in (2, 70) for c in calls if c[0] == "eigh")
+    assert all(c[1][0] <= 28 for c in calls if c[0] != "svd")
 
 
 @pytest.mark.parametrize("delta2", [0.0, 0.5])
-def test_palindromic_neel_start_never_forms_the_sector_matrix(monkeypatch, delta2):
+def test_palindromic_neel_start_never_forms_the_sector_matrix(delta2):
     # the two Neel orders of n=8 are mirror images, so the one flip
     # representative reaches both reflection blocks of M=4; each block is
-    # scattered from the sector's entries, not from its dense matrix
-    def refuse(self):
-        raise AssertionError("dense sector matrix formed")
-
-    monkeypatch.setattr(exactdiag.SectorHamiltonian, "matrix", property(refuse))
+    # scattered from the sector's entries: the dense sector matrix has no
+    # form outside the test oracles
+    assert not hasattr(exactdiag.SectorHamiltonian, "matrix")
     exactdiag._evolver.cache_clear()
     evolution = exactdiag.QuenchEvolution(homogeneous(8), math.inf, delta2)
     (rep,) = evolution._prepped

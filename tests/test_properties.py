@@ -7,6 +7,7 @@ repeatable; couplings range over both signs, as large disorder draws do.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -179,7 +180,7 @@ def test_ground_mixture_is_flip_closed_and_sector_energies_match(real, delta1):
     for m in range(n + 1):
         idx = np.nonzero(ups == m)[0]
         oracle[m] = np.linalg.eigvalsh(full[np.ix_(idx, idx)])[0]
-        sector = exactdiag.build_sector_hamiltonian(real, delta1, m).matrix
+        sector = oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, delta1, m))
         assert abs(np.linalg.eigvalsh(sector)[0] - oracle[m]) <= 1e-10
     try:
         state = exactdiag.ground_mixture(real, delta1)
@@ -188,7 +189,8 @@ def test_ground_mixture_is_flip_closed_and_sector_energies_match(real, delta1):
         raise
     e0 = min(oracle.values())
     for comp in state.components:
-        sector = exactdiag.build_sector_hamiltonian(real, delta1, comp.m_up).matrix
+        ham = exactdiag.build_sector_hamiltonian(real, delta1, comp.m_up)
+        sector = oracles.sector_matrix(ham)
         assert abs(comp.amplitudes @ sector @ comp.amplitudes - e0) <= 1e-10
     comps = state.components
     if len(comps) == 2 and comps[0].m_up != comps[1].m_up:
@@ -202,6 +204,39 @@ def test_ground_mixture_is_flip_closed_and_sector_energies_match(real, delta1):
             assert min(np.linalg.norm(v - v[::-1]), np.linalg.norm(v + v[::-1])) <= 1e-10
 
 
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(
+    real=symmetry_chains(2, 11),
+    ferromagnetic_ends=st.booleans(),
+    delta1=st.floats(min_value=1.0, max_value=1000.0, exclude_min=True, allow_nan=False),
+)
+def test_lanczos_ground_multiplet_matches_dense_oracle(real, ferromagnetic_ends, delta1):
+    if ferromagnetic_ends:
+        bonds = list(real.couplings)
+        bonds[0], bonds[-1] = -abs(bonds[0]), -abs(bonds[-1])
+        real = model.CouplingRealization(couplings=tuple(bonds), seed_used=0)
+    try:
+        want = oracles.dense_ground_mixture(real, delta1)
+    except NumericalFaultError as exc:
+        assert "ground manifold of dimension" in str(exc)
+        with pytest.raises(NumericalFaultError, match="ground manifold of dimension"):
+            exactdiag.ground_mixture(real, delta1)
+        return
+    got = exactdiag.ground_mixture(real, delta1)
+    assert sorted(c.m_up for c in got.components) == sorted(c.m_up for c in want.components)
+    for comp in got.components:
+        v = comp.amplitudes
+        # the oracle's component of the same sector with the nearest projector
+        dist, u = min(
+            ((np.max(np.abs(np.outer(v, v) - np.outer(w.amplitudes, w.amplitudes))), k)
+             for k, w in enumerate(want.components) if w.m_up == comp.m_up),
+        )
+        u = want.components[u].amplitudes
+        assert dist <= 1e-12
+        h = oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, delta1, comp.m_up))
+        assert abs(v @ h @ v - u @ h @ u) <= 1e-12 * abs(u @ h @ u)
+
+
 @PROPERTY_SETTINGS
 @given(
     n=st.integers(min_value=2, max_value=11),
@@ -212,7 +247,7 @@ def test_sector_hamiltonian_matches_pattern_by_pattern_builder(n, data, delta):
     bonds = data.draw(st.lists(signed_bond, min_size=n - 1, max_size=n - 1))
     real = model.CouplingRealization(couplings=tuple(bonds), seed_used=0)
     for m in range(n + 1):
-        got = exactdiag.build_sector_hamiltonian(real, delta, m).matrix
+        got = oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, delta, m))
         assert np.array_equal(got, oracles.sector_hamiltonian(real, delta, m))
 
 
