@@ -215,6 +215,20 @@ def _naming(label: str):
         raise
 
 
+def _lockstep(step, labels: list[str]):
+    """One lockstep ``step`` over every member of a block,
+    ``step(slice(None))``.  A step covers the whole block, so on a
+    numerical fault each member is re-run alone, ``step(slice(k, k + 1))``
+    under its label, to name the one that fails."""
+    try:
+        return step(slice(None))
+    except NumericalFaultError:
+        for k, label in enumerate(labels):
+            with _naming(label):
+                step(slice(k, k + 1))
+        raise
+
+
 # --- quench ---------------------------------------------------------------
 
 
@@ -266,15 +280,10 @@ def _scan_block(item: dict) -> dict:
         records.append({"spec": spec, "engine": engine,
                         "runtime_ms": 1000.0 * (time.perf_counter() - t0)})
     t0 = time.perf_counter()
-    try:
-        t_max, fef = entangle.refine_peaks(evaluators, peaks)
-    except NumericalFaultError:
-        # a lockstep step covers the whole block: refine the sizes one at
-        # a time to name the one that fails
-        for record, evaluator, peak in zip(records, evaluators, peaks):
-            with _naming(_scan_label(record["spec"])):
-                entangle.refine_peaks([evaluator], [peak])
-        raise
+    t_max, fef = _lockstep(
+        lambda part: entangle.refine_peaks(evaluators[part], peaks[part]),
+        [_scan_label(record["spec"]) for record in records],
+    )
     refine_ms = 1000.0 * (time.perf_counter() - t0)
     for record, t, f in zip(records, t_max.tolist(), fef.tolist()):
         record.update(t_max=t, fef_at_tmax=f)
@@ -383,26 +392,19 @@ def _disorder_block(item: dict) -> dict:
     """Curves and refined peaks of one block of realizations of one sigma."""
     ts, rs, master = item["ts"], range(item["first"], item["stop"]), item["spec"]
     specs = [dataclasses.replace(master, seed=model.sub_seed(master.seed, r)) for r in rs]
-
-    def label(r, spec):
-        return (f"disorder n={spec.n} sigma={spec.disorder_sigma:g} "
-                f"realization {r} sub-seed={spec.seed}")
-
+    labels = [f"disorder n={spec.n} sigma={spec.disorder_sigma:g} "
+              f"realization {r} sub-seed={spec.seed}" for r, spec in zip(rs, specs)]
     evaluators, curves = [], np.empty((len(rs), len(ts)))
-    for k, (r, spec) in enumerate(zip(rs, specs)):
-        with _naming(label(r, spec)):
+    for k, spec in enumerate(specs):
+        with _naming(labels[k]):
             evaluators.append(entangle.CurveEvaluator(spec, item["engine"]))
             curves[k] = evaluators[k].fef_series(ts)
-    rule = {"any_height_fallback": True, "argmax_fallback": True}
-    try:
-        peak_t, peak_f = entangle.locate_first_peak(curves, ts, evaluators, **rule)
-    except NumericalFaultError:
-        # a lockstep step covers the whole block: refine the members one
-        # at a time to name the one that fails
-        for k, (r, spec) in enumerate(zip(rs, specs)):
-            with _naming(label(r, spec)):
-                entangle.locate_first_peak(curves[k:k + 1], ts, evaluators[k:k + 1], **rule)
-        raise
+    peak_t, peak_f = _lockstep(
+        lambda part: entangle.locate_first_peak(
+            curves[part], ts, evaluators[part], any_height_fallback=True, argmax_fallback=True
+        ),
+        labels,
+    )
     return {"sigma": master.disorder_sigma, "first": item["first"],
             "curves": curves, "peak_t": peak_t, "peak_f": peak_f}
 
@@ -556,6 +558,12 @@ def _fidelity_from_record(path: str, record_n: int | None) -> float:
         f_col = header.index("fef_at_tmax")
     except ValueError as exc:
         raise SystemExit2(f"{path} is not a scan-n record file: {exc}", EXIT_USAGE)
+    for row in rows:
+        if len(row) != len(header):
+            raise SystemExit2(
+                f"{path}: a record row has {len(row)} fields, its header {len(header)}",
+                EXIT_USAGE,
+            )
     if record_n is not None:
         rows = [r for r in rows if int(r[n_col]) == record_n]
     if len(rows) != 1:
@@ -706,7 +714,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an OSError names the file it could not open
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NoPeakError, ConvergenceError) as exc:

@@ -4,36 +4,39 @@ Total z magnetization is conserved, so the Hamiltonian splits into
 sectors of fixed up-spin count M.  Each sector is built over the ordered
 list of bit patterns with M set bits (bit k-1 holds site k, set = up) in
 one pass per bond, which keeps the diagonal and one (row, partner,
-coupling) entry per hop; no dense sector matrix is ever formed.  The
-ground multiplet of H(delta1) comes from matrix-free Lanczos searches
-that apply H through those entries.
+coupling) entry per hop; no dense sector matrix is ever formed.
 
-Two further symmetries cut the work where the engine is set up.
-The global spin flip F (every pattern to its complement) commutes with
-H(delta) for any couplings; it maps sector M onto sector n-M by reversing
-the ascending basis.  So the ground search runs in the sectors M <= n/2
-only, in separate flip-parity blocks at M = n/2, and of each
-flip-related pair of initial components only one is evolved;
-the partner's end-pair matrix is the representative's conjugated by
-sigma^x (x) sigma^x.  The site reflection R (site k to n+1-k) commutes
-with H when the couplings are palindromic, as on homogeneous chains;
-there the ground search runs in each reflection-parity block, and
-H(delta2) is diagonalized only in the blocks the initial state reaches
-(one block for an odd-n Neel start or a nondegenerate sector ground
-state).  Other chains, disordered ones
-included, take the same route with one-pattern orbits, i.e. flip only.
-Each block is scattered straight from the sector's entries into the
-block's orbit coordinates, diagonalized once, and reused across all time
-points of a scan.
+Two further symmetries split each sector into blocks.  The global spin
+flip F (every pattern to its complement) commutes with H(delta) for any
+couplings; it maps sector M onto sector n-M by reversing the ascending
+basis, and acts within the half-filled sector M = n/2.  The site
+reflection R (site k to n+1-k) commutes with H when the couplings are
+palindromic, as on homogeneous chains.  The group these generate in a
+sector has one block per character chi, spanned by one unit orbit state
+per pattern orbit, sum_g chi(g) g|p> normalized, wherever chi allows it
+(Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  Other chains, disordered
+ones included, have one-pattern orbits outside M = n/2.  :func:`_blocks`
+is the one orbit basis: the ground search and the evolution both work in
+its coordinates, with each block's entries scattered straight from the
+sector's (:func:`_entries`).
+
+The ground multiplet of H(delta1) comes from one matrix-free Lanczos
+search per block of each sector M <= n/2 (sector n-M has the same
+spectrum by spin flip).  Of each flip-related pair of initial components
+only one is evolved; the partner's end-pair matrix is the
+representative's conjugated by sigma^x (x) sigma^x.  H(delta2) is
+diagonalized once in each block the initial state reaches (one block for
+an odd-n Neel start or a nondegenerate sector ground state) and reused
+across all time points of a scan.
 
 At delta2 = 0 every hop moves one up spin between an odd and an even
 site, so it changes the grade (up spins on odd sites) mod 2: the sector
-matrix is bipartite (Lieb, Schultz and Mattis 1961).  When every orbit
-of a block has a single grade (odd n, non-palindromic chains, and even n
-with M even), the block is [[0, X], [X^T, 0]] over its two grades and
-one SVD of X gives its eigenbasis, energies +-s and zero modes for the
-unpaired columns.  Other blocks, and every block at delta2 > 0, take a
-dense ``eigh``.
+matrix is bipartite (Lieb, Schultz and Mattis 1961).  F keeps the grade
+when n/2 is even and R when n is odd or M is even.  When every orbit of
+a block has a single grade, the block is [[0, X], [X^T, 0]] over its two
+grades and one SVD of X gives its eigenbasis, energies +-s and zero
+modes for the unpaired columns.  Other blocks, and every block at
+delta2 > 0, take a dense ``eigh``.
 
 This module is the oracle for the free-fermion route (they must agree
 entry-wise whenever delta2 = 0 and the chain starts from the ideal Neel
@@ -65,9 +68,9 @@ GROUND_DEGENERACY_ATOL = 1e-12
 NORM_DRIFT_TOL = 1e-10
 # largest distance of a multiplet component from (minus) its flip partner
 FLIP_CLOSURE_TOL = 1e-10
-# A reflection-parity block holding at most this norm of the initial
-# amplitude is not evolved; the dropped part moves end-pair entries by at
-# most twice this.
+# A symmetry block holding at most this norm of the initial amplitude is
+# not evolved; the dropped part moves end-pair entries by at most twice
+# this.
 PARITY_LEAK_TOL = 1e-13
 # A Lanczos run of the ground search stops once the residual estimates of
 # its two lowest Ritz pairs are within this fraction of the largest entry
@@ -86,7 +89,6 @@ class SectorBasis:
     n: int
     m_up: int
     states: np.ndarray           # ascending uint64 patterns, M bits set
-    index: dict[int, int]        # pattern -> position
 
     @property
     def dim(self) -> int:
@@ -104,14 +106,6 @@ class SectorHamiltonian:
     rows: np.ndarray
     partners: np.ndarray
     hops: np.ndarray
-    delta: float
-    couplings: CouplingRealization
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """H x, from the entries; no matrix is formed."""
-        return self.diagonal * x + np.bincount(
-            self.rows, self.hops * x[self.partners], minlength=len(x)
-        )
 
 
 @dataclass(frozen=True)
@@ -155,7 +149,7 @@ def sector_basis(n: int, m_up: int) -> SectorBasis:
         raise ValueError(f"up-spin count {m_up} outside [0, {n}]")
     pats = sorted(sum(1 << b for b in comb) for comb in combinations(range(n), m_up))
     states = np.asarray(pats, dtype=np.uint64)
-    return SectorBasis(n=n, m_up=m_up, states=states, index={p: i for i, p in enumerate(pats)})
+    return SectorBasis(n=n, m_up=m_up, states=states)
 
 
 def build_sector_hamiltonian(
@@ -189,12 +183,7 @@ def build_sector_hamiltonian(
     return SectorHamiltonian(
         basis=basis, diagonal=diag, rows=np.concatenate(rows),
         partners=np.concatenate(partners), hops=np.concatenate(hops),
-        delta=delta, couplings=realization,
     )
-
-
-def _neel_pattern(n: int, order: NeelOrder) -> int:
-    return sum(1 << (s - 1) for s in neel_state(order, n).up_sites)
 
 
 def neel_mixture(n: int) -> MixedState:
@@ -204,15 +193,15 @@ def neel_mixture(n: int) -> MixedState:
         state = neel_state(order, n)
         basis = sector_basis(n, state.m_up)
         vec = np.zeros(basis.dim)
-        vec[basis.index[_neel_pattern(n, order)]] = 1.0
+        vec[np.searchsorted(basis.states, sum(1 << (s - 1) for s in state.up_sites))] = 1.0
         comps.append(PureComponent(weight=0.5, m_up=state.m_up, amplitudes=vec))
     return MixedState(n=n, components=tuple(comps), origin="ideal-neel-mixture")
 
 
-def _lanczos(apply, start: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two lowest eigenvalues (one if ``size`` is 1) of the symmetric
-    operator ``apply`` on its invariant subspace of dimension ``size`` that
-    holds ``start``, with their unit vectors as rows.
+def _lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest eigenvalues (one in dimension 1) of the symmetric
+    operator ``apply`` on vectors of the length of ``start``, with their
+    unit vectors as rows.
 
     Lanczos (1950) with full reorthogonalization (Parlett, The Symmetric
     Eigenvalue Problem): after the three-term recurrence each new Krylov
@@ -222,10 +211,11 @@ def _lanczos(apply, start: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarra
     where the trend of its residual estimates predicts convergence, and
     the search stops once the two lowest Ritz pairs have residual
     estimates |beta s_last| within LANCZOS_RESIDUAL_TOL of the largest
-    entry of T, at the latest when the basis spans the subspace.
+    entry of T, at the latest when the basis spans the space.
     """
+    size = len(start)
     steps = min(size, LANCZOS_MAX_STEPS)
-    basis = np.empty((steps, len(start)))
+    basis = np.empty((steps, size))
     alpha, beta = np.empty(steps), np.empty(steps)
     q = start / np.linalg.norm(start)
     scale, check, last = 0.0, LANCZOS_CHECK_EVERY, None
@@ -260,38 +250,78 @@ def _lanczos(apply, start: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _symmetry_blocks(
-    n: int, m_up: int, reflect: bool
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The nonempty blocks of one sector under the spin flip F (at M = n/2)
-    and the site reflection R (if ``reflect``), flip-odd first, as
-    (dimension, weights, perms).
+@lru_cache(maxsize=32)
+def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
+    """The nonempty blocks of one sector under the group generated by the
+    spin flip F (at M = n/2) and the site reflection R (if ``reflect``),
+    flip-odd first, each as (dim, orbit, coef).
 
-    ``perms`` lists the index permutations of the group F and R generate
-    (F reverses the ascending basis, R is :func:`_mirror`), and the
-    block's projector is x -> weights @ x[perms], the average of x[p_g]
-    weighted by the block's characters.  Its trace, from the patterns each
-    p_g fixes, is the block's dimension.
+    F reverses the ascending basis and R maps each pattern to its mirror
+    image.  Every group element is an involution, so p and g(p) share an
+    orbit, listed by its lowest position.  The block of character chi
+    keeps the orbits whose stabilizer chi leaves at 1 and spans, per
+    orbit, sum_g chi(g) e_g(p) normalized: coefficient chi(g)/sqrt(|orbit|)
+    on the orbit's pattern g(lowest).  ``orbit`` holds each pattern's
+    orbit in the block's coordinates and ``coef`` its coefficient, -1 and
+    0 for patterns outside the block.
     """
-    dim = sector_basis(n, m_up).dim
-    generators = [np.arange(dim)[::-1]] if 2 * m_up == n else []
+    states = sector_basis(n, m_up).states
+    pos = np.arange(len(states))
+    generators = [pos[::-1]] if 2 * m_up == n else []
     if reflect:
-        generators.append(_mirror(n, m_up))
-    group = [np.arange(dim)]
+        mirrored = np.zeros_like(states)
+        for k in range(n):
+            mirrored |= ((states >> np.uint64(k)) & np.uint64(1)) << np.uint64(n - 1 - k)
+        generators.append(np.searchsorted(states, mirrored))
+    perms = [pos]
     for perm in generators:
-        group += [p[perm] for p in group]
-    perms = np.array(group)
-    fixed = np.count_nonzero(perms == perms[0], axis=1)
+        perms += [p[perm] for p in perms]
+    perms = np.array(perms)
+    lowest = perms.min(axis=0)
     blocks = []
     for signs in product((-1.0, 1.0), repeat=len(generators)):
         chars = np.ones(1)
         for sign in signs:
             chars = np.concatenate([chars, sign * chars])
-        weights = chars / len(chars)
-        size = round(weights @ fixed)
-        if size:
-            blocks.append((size, weights, perms))
-    return blocks
+        # |stabilizer| where chi is 1 on it, else 0
+        stabilizer = chars @ (perms == pos)
+        inside = stabilizer > 0
+        if not inside.any():
+            continue
+        ids = np.cumsum(inside & (lowest == pos)) - 1
+        orbit = np.where(inside, ids[lowest], -1)
+        coef = np.zeros(len(pos))
+        # sum_g chi(g) [g(p) = lowest] is |stabilizer| chi(g_p)
+        coef[inside] = (chars @ (perms == lowest))[inside] / np.sqrt(
+            len(chars) * stabilizer[inside]
+        )
+        for array in (orbit, coef):
+            array.flags.writeable = False
+        blocks.append(SimpleNamespace(dim=int(ids[-1]) + 1, orbit=orbit, coef=coef))
+    return tuple(blocks)
+
+
+def _sector_blocks(realization: CouplingRealization, m_up: int) -> tuple[SimpleNamespace, ...]:
+    """:func:`_blocks` of one sector of this chain, with the reflection on
+    palindromic couplings."""
+    return _blocks(realization.n, m_up, realization.couplings == realization.couplings[::-1])
+
+
+def _entries(ham: SectorHamiltonian, block: SimpleNamespace) -> tuple[np.ndarray, ...]:
+    """One block of a sector Hamiltonian as (row, col, value) triples in
+    the block's orbit coordinates, scattered from the sector's entries;
+    triples at one place add up.
+
+    Orbit states a and b (see :func:`_blocks`) span sum_p coef_p e_p over
+    their patterns, so entry (a, b) sums coef_p coef_q H_pq.
+    """
+    diag = np.arange(ham.basis.dim)
+    p = np.concatenate([ham.rows, diag])
+    q = np.concatenate([ham.partners, diag])
+    value = np.concatenate([ham.hops, ham.diagonal]) * block.coef[p] * block.coef[q]
+    r, c = block.orbit[p], block.orbit[q]
+    keep = (r >= 0) & (c >= 0)
+    return r[keep], c[keep], value[keep]
 
 
 def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedState:
@@ -299,17 +329,16 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
 
     The infinite marker short-circuits to the ideal Neel mixture.  For
     finite delta1 each sector M <= n/2 (sector n-M has its spectrum by spin
-    flip) is split into its flip- and reflection-parity blocks (see
-    :func:`_symmetry_blocks`), and a Lanczos search (:func:`_lanczos`) from
-    a fixed start projected onto each block, with every Krylov vector
-    projected too, finds the block's two lowest levels.  Every level
-    within the degeneracy tolerance of the global minimum joins the
-    multiplet with equal weight; a multiplet larger than two signals a
-    regime this simulator does not model.  The flip partner in sector n-M
-    of a vector of sector M is the reversed vector; vectors of the
-    self-conjugate sector M = n/2 are flip eigenvectors by construction.
-    A Krylov space from one start vector sees one vector of an eigenspace,
-    so a degeneracy inside one block goes unseen; the symmetries split the
+    flip) is split into its symmetry blocks (see :func:`_blocks`), and a
+    Lanczos search (:func:`_lanczos`) in each block's coordinates, from a
+    fixed start, finds the block's two lowest levels.  Every level within
+    the degeneracy tolerance of the global minimum joins the multiplet
+    with equal weight; a multiplet larger than two signals a regime this
+    simulator does not model.  The flip partner in sector n-M of a vector
+    of sector M is the reversed vector; vectors of the self-conjugate
+    sector M = n/2 are flip eigenvectors by construction.  A Krylov space
+    from one start vector sees one vector of an eigenspace, so a
+    degeneracy inside one block goes unseen; the symmetries split the
     known ones (the near-degenerate Neel-like pair of an even chain at
     large delta1 lies in two flip blocks).
     """
@@ -320,19 +349,18 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
             f"finite delta1 must exceed 1 (antiferromagnetic Ising side), got {delta1}"
         )
     n = realization.n
-    reflect = realization.couplings == realization.couplings[::-1]
     found = []  # (sector, two lowest levels, their vectors) per block
     for m in range(n // 2, -1, -1):
         ham = build_sector_hamiltonian(realization, delta1, m)
         start = np.sin(np.arange(1.0, ham.basis.dim + 1.0))
-        for size, weights, perms in _symmetry_blocks(n, m, reflect):
+        for block in _sector_blocks(realization, m):
+            r, c, v = _entries(ham, block)
             values, vectors = _lanczos(
-                lambda x, w=weights, p=perms: w @ ham.apply(x)[p], weights @ start[perms], size
+                lambda x, r=r, c=c, v=v: np.bincount(r, v * x[c], minlength=len(x)),
+                np.bincount(block.orbit + 1, block.coef * start, minlength=block.dim + 1)[1:],
             )
-            # the block's symmetry, exact up to round-off, on the vectors too
-            vectors = weights @ vectors[:, perms]
-            vectors /= np.linalg.norm(vectors, axis=1)[:, None]
-            found.append((m, values, vectors))
+            # a pattern outside the block reads entry -1 times coefficient 0
+            found.append((m, values, block.coef * vectors[:, block.orbit]))
     e0 = min(float(values[0]) for _, values, _ in found)
     tol = max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL)
     multiplet = [(m, v) for m, values, vectors in found for v in vectors[values - e0 <= tol]]
@@ -351,85 +379,6 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
         for m, v in multiplet
     )
     return MixedState(n=n, components=comps, origin="degenerate-ground-multiplet")
-
-
-@lru_cache(maxsize=32)
-def _mirror(n: int, m_up: int) -> np.ndarray:
-    """Position of each pattern's mirror image (site k to n+1-k) in its sector."""
-    states = sector_basis(n, m_up).states
-    reversed_bits = np.zeros_like(states)
-    for k in range(n):
-        reversed_bits |= ((states >> np.uint64(k)) & np.uint64(1)) << np.uint64(n - 1 - k)
-    mirror = np.searchsorted(states, reversed_bits)
-    mirror.flags.writeable = False
-    return mirror
-
-
-@lru_cache(maxsize=32)
-def _parity_orbits(
-    n: int, m_up: int, reflect: bool
-) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Reflection-parity blocks of one sector as (parity, first, mirror, scale).
-
-    With ``reflect`` every orbit of the site reflection is listed once, by
-    its lower position ``first`` and the position ``mirror`` of its image
-    (the same for a mirror-symmetric pattern); without it every pattern is
-    its own orbit and the even block is the whole sector.  Orbit a of the
-    block of parity s spans scale_a (e_first + s e_mirror), with scale
-    1/sqrt(2) on two-pattern orbits and 1/2 on one-pattern orbits, which
-    only the even block holds.
-    """
-    pos = np.arange(sector_basis(n, m_up).dim)
-    mirror = _mirror(n, m_up) if reflect else pos
-    keep = pos <= mirror
-    first, mirror = pos[keep], mirror[keep]
-    pair = first != mirror
-    scale = np.where(pair, math.sqrt(0.5), 0.5)
-    blocks = ((1, first, mirror, scale), (-1, first[pair], mirror[pair], scale[pair]))
-    for block in blocks:
-        for array in block[1:]:
-            array.flags.writeable = False
-    return blocks
-
-
-def _block(
-    ham: SectorHamiltonian,
-    orbits: tuple[int, np.ndarray, np.ndarray, np.ndarray],
-    row_orbits: np.ndarray,
-    col_orbits: np.ndarray,
-) -> np.ndarray:
-    """Entries of one reflection-parity block between its orbits
-    ``row_orbits`` and ``col_orbits`` (positions in the block), scattered from the sector's
-    entries with one ``np.bincount``; no sector matrix is formed.
-
-    Orbit a of the block ``orbits`` = (parity, first, mirror, scale) (see
-    :func:`_parity_orbits`) spans sum_p coef_p e_p over its patterns, so
-    entry (a, b) sums coef_p coef_q H_pq.
-    """
-    parity, first, mirror, scale = orbits
-    dim = ham.basis.dim
-    coef = np.zeros(dim)
-    coef[first] = scale
-    coef[mirror] += parity * scale  # a one-pattern orbit gets 1/2 twice
-
-    def place(orbit_list: np.ndarray) -> np.ndarray:
-        """Per pattern, the place of its orbit in ``orbit_list``, else -1."""
-        at = np.full(dim, -1)
-        at[first[orbit_list]] = at[mirror[orbit_list]] = np.arange(len(orbit_list))
-        return at
-
-    diag = np.arange(dim)
-    p = np.concatenate([ham.rows, diag])
-    q = np.concatenate([ham.partners, diag])
-    value = np.concatenate([ham.hops, ham.diagonal])
-    r, c = place(row_orbits)[p], place(col_orbits)[q]
-    keep = (r >= 0) & (c >= 0)
-    p, q, r, c = p[keep], q[keep], r[keep], c[keep]
-    shape = (len(row_orbits), len(col_orbits))
-    flat = np.bincount(
-        r * shape[1] + c, weights=coef[p] * coef[q] * value[keep], minlength=shape[0] * shape[1]
-    )
-    return flat.reshape(shape)
 
 
 def _bipartite_eigh(
@@ -456,43 +405,48 @@ def _bipartite_eigh(
     return energies, modes
 
 
-# One entry per reflection-parity block (6 MB at n=13 for the
-# 868-dimensional even block of an odd-n Neel start); a quench reaches at
-# most two, so keep few.
+# One entry per symmetry block (6 MB at n=13 for the 868-dimensional
+# reflection-even block of an odd-n Neel start); a quench reaches at most
+# two, so keep few.
 @lru_cache(maxsize=4)
 def _evolver(
-    realization: CouplingRealization, delta2: float, m_up: int, parity: int
+    realization: CouplingRealization, delta2: float, m_up: int, block: int
 ) -> SimpleNamespace:
-    """Eigenbasis of H(delta2) in one reflection-parity block of a sector:
-    the block's orbits (see :func:`_parity_orbits`) with its ``energies``
-    and ``modes``.
+    """Eigenbasis of H(delta2) in one symmetry block of a sector, the
+    ``block``-th of :func:`_sector_blocks`: the block's ``orbit`` and
+    ``coef`` with its ``energies`` and ``modes``.
 
-    The block is scattered from the sector's entries (see :func:`_block`).
+    The block is scattered from the sector's entries (see :func:`_entries`).
     At delta2 = 0 with every orbit of a single grade (up spins on odd sites
     mod 2) the block couples only orbits of different grades, and one SVD
-    of its grade-0 by grade-1 part replaces the ``eigh`` of the whole block
-    (see :func:`_bipartite_eigh`); otherwise the whole block takes ``eigh``.
+    of its grade-0 by grade-1 part, scattered on its own, replaces the
+    ``eigh`` of the whole block (see :func:`_bipartite_eigh`); otherwise
+    the whole block takes ``eigh``.
     """
-    n = realization.n
-    reflect = realization.couplings == realization.couplings[::-1]
-    (orbits,) = [o for o in _parity_orbits(n, m_up, reflect) if o[0] == parity]
-    _, first, mirror, scale = orbits
+    orbits = _sector_blocks(realization, m_up)[block]
     ham = build_sector_hamiltonian(realization, delta2, m_up)
+    r, c, value = _entries(ham, orbits)
     odd_ups = np.zeros(ham.basis.dim, dtype=np.uint64)
-    for k in range(0, n, 2):
+    for k in range(0, realization.n, 2):
         odd_ups ^= ham.basis.states >> np.uint64(k)
-    grade = odd_ups & np.uint64(1)
-    if delta2 == 0 and np.array_equal(grade[first], grade[mirror]):
-        a, b = np.flatnonzero(grade[first] == 0), np.flatnonzero(grade[first] == 1)
-        energies, modes = _bipartite_eigh(_block(ham, orbits, a, b), a, b)
+    inside = orbits.orbit >= 0
+    pattern_grade = (odd_ups & np.uint64(1))[inside]
+    grade = np.zeros(orbits.dim, dtype=np.intp)
+    grade[orbits.orbit[inside]] = pattern_grade
+    bipartite = delta2 == 0 and np.array_equal(grade[orbits.orbit[inside]], pattern_grade)
+    if bipartite:
+        a, b = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
+        place = np.empty(orbits.dim, dtype=np.intp)
+        place[a], place[b] = np.arange(len(a)), np.arange(len(b))
+        keep = grade[r] < grade[c]
+        r, c, value = place[r[keep]], place[c[keep]], value[keep]
     else:
-        every = np.arange(len(first))
-        energies, modes = np.linalg.eigh(_block(ham, orbits, every, every))
+        a = b = np.arange(orbits.dim)
+    x = np.bincount(r * len(b) + c, value, minlength=len(a) * len(b)).reshape(len(a), len(b))
+    energies, modes = _bipartite_eigh(x, a, b) if bipartite else np.linalg.eigh(x)
     for array in (energies, modes):
         array.flags.writeable = False
-    return SimpleNamespace(
-        parity=parity, first=first, mirror=mirror, scale=scale, energies=energies, modes=modes
-    )
+    return SimpleNamespace(orbit=orbits.orbit, coef=orbits.coef, energies=energies, modes=modes)
 
 
 @lru_cache(maxsize=32)
@@ -542,8 +496,8 @@ def _flip_representatives(state: MixedState) -> list[tuple[float, PureComponent]
 
 
 class _Prepared(NamedTuple):
-    """One flip representative: its orbit weight, sector, the parity blocks
-    it reaches and its coefficients in their eigenbases."""
+    """One flip representative: its orbit weight, sector, the symmetry
+    blocks it reaches and its coefficients in their eigenbases."""
 
     weight: float
     m_up: int
@@ -553,7 +507,7 @@ class _Prepared(NamedTuple):
 
 def eigenbasis_bytes(n: int) -> int:
     """Bound on the bytes of the eigenbasis one n-site quench keeps: the
-    modes and energies of the parity blocks of the half-filled sector,
+    modes and energies of the symmetry blocks of the half-filled sector,
     together at most those of the whole sector."""
     dim = math.comb(n, n // 2)
     return 8 * dim * (dim + 1)
@@ -582,10 +536,10 @@ class QuenchEvolution:
     """Prepared quench run: ground mixture of H(delta1) evolved under H(delta2).
 
     The constructor keeps one representative per spin-flip orbit of the
-    initial mixture, projects it onto the reflection-parity blocks of its
-    sector and diagonalizes H(delta2) only in the blocks it reaches.  Time
-    points are then evaluated ``chunk_points`` at a time: per block one
-    real matrix product gives the real and imaginary parts of the block
+    initial mixture, projects it onto the symmetry blocks of its sector
+    and diagonalizes H(delta2) only in the blocks it reaches.  Time points
+    are then evaluated ``chunk_points`` at a time: per block one real
+    matrix product gives the real and imaginary parts of the block
     amplitudes over the chunk, which are expanded into the sector, and
     the end pair's X state (a, b, c) is gathered from those amplitudes.
     The flip partner's pair is the representative's with both end spins
@@ -601,14 +555,15 @@ class QuenchEvolution:
         self.n = realization.n
         self.delta2 = delta2
         self.initial = ground_mixture(realization, delta1)
-        reflect = realization.couplings == realization.couplings[::-1]
         self._prepped: list[_Prepared] = []
         for weight, comp in _flip_representatives(self.initial):
-            amp, blocks, coeffs = comp.amplitudes, [], []
-            for parity, first, mirror, scale in _parity_orbits(self.n, comp.m_up, reflect):
-                projected = scale * (amp[first] + parity * amp[mirror])
+            blocks, coeffs = [], []
+            for k, block in enumerate(_sector_blocks(realization, comp.m_up)):
+                projected = np.bincount(
+                    block.orbit + 1, block.coef * comp.amplitudes, minlength=block.dim + 1
+                )[1:]
                 if np.linalg.norm(projected) > PARITY_LEAK_TOL:
-                    blocks.append(_evolver(realization, delta2, comp.m_up, parity))
+                    blocks.append(_evolver(realization, delta2, comp.m_up, k))
                     coeffs.append(blocks[-1].modes.T @ projected)
             self._prepped.append(_Prepared(weight, comp.m_up, blocks, coeffs))
         # the largest work array of a chunk holds the real and imaginary
@@ -633,8 +588,7 @@ class QuenchEvolution:
             diag, ud, du = _end_pair_index(self.n, rep.m_up)
             # psi = re - i im, stored as [re | im] over the chunk
             psi = _view(work.psi, diag.shape[1], 2 * n_t)
-            psi.fill(0.0)
-            for block, coeff in zip(rep.blocks, rep.coeffs):
+            for k, (block, coeff) in enumerate(zip(rep.blocks, rep.coeffs)):
                 phase = _view(work.phase, len(coeff), n_t)
                 w = _view(work.w, len(coeff), 2 * n_t)
                 amp = _view(work.amp, len(coeff), 2 * n_t)
@@ -643,14 +597,14 @@ class QuenchEvolution:
                 np.sin(phase, out=w[:, n_t:])
                 w *= coeff[:, None]
                 np.matmul(block.modes, w, out=amp)
-                amp *= block.scale[:, None]
-                # psi[first] += amp, then psi[mirror] += parity * amp,
-                # gathered into w (a one-pattern orbit gets amp/2 twice)
-                mirror_add = np.add if block.parity == 1 else np.subtract
-                for rows, add in ((block.first, np.add), (block.mirror, mirror_add)):
-                    np.take(psi, rows, axis=0, out=w, mode="clip")
-                    add(w, amp, out=w)
-                    psi[rows] = w
+                # psi += coef * amp[orbit], the first block straight into
+                # psi, the others through w; a pattern outside the block
+                # (orbit -1) has coefficient 0
+                into = psi if k == 0 else _view(work.w, *psi.shape)
+                np.take(amp, block.orbit, axis=0, out=into, mode="wrap")
+                into *= block.coef[:, None]
+                if k:
+                    psi += into
             at_ud = _view(work.at_ud, len(ud), 2 * n_t)
             at_du = _view(work.at_du, len(ud), 2 * n_t)
             np.take(psi, ud, axis=0, out=at_ud, mode="clip")
@@ -684,10 +638,12 @@ class QuenchEvolution:
         states = max(diag.shape[1] for diag, _, _ in index)
         pairs = max(len(ud) for _, ud, _ in index)
         orbits = max(len(coeff) for rep in self._prepped for coeff in rep.coeffs)
+        # a representative that reaches several blocks gathers into w
+        gather = max(states if len(rep.blocks) > 1 else 0 for rep in self._prepped)
         work = SimpleNamespace(
             psi=np.empty(states * 2 * n_t),
             phase=np.empty(orbits * n_t),
-            w=np.empty(orbits * 2 * n_t),
+            w=np.empty(max(orbits, gather) * 2 * n_t),
             amp=np.empty(orbits * 2 * n_t),
             at_ud=np.empty(pairs * 2 * n_t),
             at_du=np.empty(pairs * 2 * n_t),
@@ -698,7 +654,6 @@ class QuenchEvolution:
         a, b, c = abc
         check_x_series(a, b, c, ts)
         return a, b, c
-
 
 
 def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:

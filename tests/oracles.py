@@ -5,12 +5,13 @@ obvious route to a quantity that an engine computes fast:
 
 - exact diagonalization: the sector Hamiltonian built pattern by pattern
   and the dense form of the engine's entries, the ground multiplet from
-  dense spectra of every sector, each reflection-parity block projected
-  from the dense sector matrix,
-  step-by-step evolution of every component in its whole sector, and the
-  full 4x4 reduced density matrix of any two sites, with every check a 4x4
-  matrix admits (Hermiticity, trace, positivity, X structure, real
-  coherence, flip-symmetric diagonal pairs);
+  dense spectra of every sector, the projector onto each flip x
+  reflection block of a sector from dense permutation matrices (the
+  engine's one orbit basis must span its range), step-by-step evolution
+  of every component in its whole sector, and the full 4x4 reduced
+  density matrix of any two sites, with every check a 4x4 matrix admits
+  (Hermiticity, trace, positivity, X structure, real coherence,
+  flip-symmetric diagonal pairs);
 - free fermions: the propagator exp(-iAt) as a full matrix, from the
   eigendecomposition of the dense hopping matrix or from the closed
   standing-wave mode sum, and from it the end-site moments and end-spin
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -46,7 +48,8 @@ def sector_hamiltonian(realization, delta: float, m_up: int) -> np.ndarray:
     basis = exactdiag.sector_basis(realization.n, m_up)
     h = np.zeros((basis.dim, basis.dim))
     cpl = realization.couplings
-    for i, pat in enumerate(int(p) for p in basis.states):
+    index = {int(p): i for i, p in enumerate(basis.states)}
+    for i, pat in enumerate(index):
         diag = 0.0
         for k in range(realization.n - 1):
             b1 = (pat >> k) & 1
@@ -55,7 +58,7 @@ def sector_hamiltonian(realization, delta: float, m_up: int) -> np.ndarray:
             z2 = 1.0 if b2 else -1.0
             diag += cpl[k] * delta / 2.0 * z1 * z2
             if b1 != b2:
-                j = basis.index[pat ^ ((1 << k) | (1 << (k + 1)))]
+                j = index[pat ^ ((1 << k) | (1 << (k + 1)))]
                 h[i, j] += cpl[k]
         h[i, i] = diag
     return h
@@ -114,18 +117,49 @@ def dense_ground_mixture(realization, delta1: float) -> MixedState:
     return MixedState(n=n, components=comps, origin="degenerate-ground-multiplet")
 
 
-def parity_block(realization, delta: float, m_up: int, parity: int) -> np.ndarray:
-    """One reflection-parity block of H(delta), V^T H V projected from the
-    dense sector matrix over the orbits of :func:`exactdiag._parity_orbits`."""
-    reflect = realization.couplings == realization.couplings[::-1]
-    blocks = exactdiag._parity_orbits(realization.n, m_up, reflect)
-    ((_, first, mirror, scale),) = [o for o in blocks if o[0] == parity]
-    h = sector_hamiltonian(realization, delta, m_up)
-    # summed so that one-pattern orbits reproduce H exactly
-    block = (h[np.ix_(first, first)] + h[np.ix_(mirror, mirror)]) + parity * (
-        h[np.ix_(first, mirror)] + h[np.ix_(mirror, first)]
-    )
-    return block * np.outer(scale, scale)
+def block_projectors(realization, m_up: int) -> list[np.ndarray]:
+    """The nonzero projectors P_chi = (1/|G|) sum_g chi(g) Pi_g of one
+    sector, from dense permutation matrices built pattern by pattern.
+
+    G is generated by the spin flip (every pattern to its complement) in
+    the half-filled sector and the site reflection (bit string reversed)
+    on palindromic couplings, and P_chi is the product of (1 + chi_s S)/2
+    over those generators S.  The characters run flip-odd first, then
+    reflection-odd first within each flip parity.
+    """
+    n = realization.n
+    states = [int(p) for p in exactdiag.sector_basis(n, m_up).states]
+    index = {p: i for i, p in enumerate(states)}
+    eye = np.eye(len(states))
+
+    def permutation(image) -> np.ndarray:
+        matrix = np.zeros_like(eye)
+        for i, p in enumerate(states):
+            matrix[index[image(p)], i] = 1.0
+        return matrix
+
+    generators = []
+    if 2 * m_up == n:
+        generators.append(permutation(lambda p: p ^ ((1 << n) - 1)))
+    if list(realization.couplings) == list(reversed(realization.couplings)):
+        generators.append(permutation(lambda p: int(format(p, f"0{n}b")[::-1], 2)))
+    projectors = []
+    for signs in product((-1.0, 1.0), repeat=len(generators)):
+        projector = eye
+        for sign, generator in zip(signs, generators):
+            projector = projector @ (eye + sign * generator) / 2.0
+        if np.trace(projector) > 0.5:
+            projectors.append(projector)
+    return projectors
+
+
+def orbit_matrix(block) -> np.ndarray:
+    """The (sector dim, block dim) matrix V of an engine block's orbit
+    states: V[p, orbit_p] = coef_p for each pattern p inside the block."""
+    inside = np.flatnonzero(block.orbit >= 0)
+    v = np.zeros((len(block.orbit), block.dim))
+    v[inside, block.orbit[inside]] = block.coef[inside]
+    return v
 
 
 @lru_cache(maxsize=8)

@@ -352,6 +352,23 @@ def test_purify_from_scan_record(tmp_path):
     assert abs(doc["final_fidelity"] - 0.991) < 1e-3
 
 
+@pytest.mark.parametrize("case", ["missing-record", "missing-out-dir", "short-row"])
+def test_file_errors_are_usage_errors(tmp_path, capsys, case):
+    # each leaves through main's handler: exit 1 and one line naming the file
+    record, out = tmp_path / "scan.csv", tmp_path / "p.json"
+    source, named = ["--record", str(record)], record
+    if case == "missing-out-dir":
+        out = tmp_path / "absent" / "p.json"
+        source, named = ["--fef", "0.9"], out
+    if case == "short-row":
+        record.write_text("n,delta1,fef_at_tmax\n9,inf\n", encoding="utf-8")
+    assert run("purify", *source, "--out", str(out)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(named) in err
+    assert not out.exists()
+
+
 def test_purify_requires_exactly_one_source(tmp_path):
     assert run("purify", "--out", str(tmp_path / "p.json")) == 1
     assert run("purify", "--fef", "0.7", "--record", "x.csv",

@@ -52,9 +52,10 @@ def test_sector_basis_ordering_and_index():
     assert basis.dim == math.comb(5, 2)
     states = [int(s) for s in basis.states]
     assert states == sorted(states)
+    index = {p: i for i, p in enumerate(states)}
     for i, p in enumerate(states):
         assert bin(p).count("1") == 2
-        assert basis.index[p] == i
+        assert index[p] == i == np.searchsorted(basis.states, p)
 
 
 def test_two_site_exchange_block():
@@ -156,8 +157,8 @@ def test_large_delta_ground_state_is_nearly_neel():
     for comp in state.components:
         order = NeelOrder.N1 if comp.m_up == 2 else NeelOrder.N2
         pattern = sum(1 << (s - 1) for s in model.neel_state(order, 5).up_sites)
-        basis = exactdiag.sector_basis(5, comp.m_up)
-        overlap = abs(comp.amplitudes[basis.index[pattern]]) ** 2
+        states = [int(p) for p in exactdiag.sector_basis(5, comp.m_up).states]
+        overlap = abs(comp.amplitudes[states.index(pattern)]) ** 2
         assert overlap > 0.99
 
 
@@ -181,9 +182,7 @@ def test_lanczos_converges_the_two_lowest_levels():
     # reads the second level, so it must be converged too.  Its vector is
     # good to the residual over that gap, 1e-14 * 100 / 1e-4.
     spectrum = np.concatenate([[-50.0, 1.0, 1.0 + 1e-4], np.linspace(2.0, 100.0, 197)])
-    values, vectors = exactdiag._lanczos(
-        lambda x: spectrum * x, np.sin(np.arange(1.0, 201.0)), len(spectrum)
-    )
+    values, vectors = exactdiag._lanczos(lambda x: spectrum * x, np.sin(np.arange(1.0, 201.0)))
     np.testing.assert_allclose(values, [-50.0, 1.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.abs(vectors[:, :2]), np.eye(2), rtol=0, atol=1e-8)
 
@@ -497,21 +496,26 @@ def _record_diagonalizations(monkeypatch) -> list:
 
 
 def test_homogeneous_neel_start_diagonalizes_one_reflection_block(monkeypatch):
-    # n=13, M=7 (dimension 1,716) splits into reflection blocks of 868 and
-    # 848; the Neel pattern is mirror-symmetric, so only the even block and
-    # only one flip representative are evolved.  At delta2 = 0 the block
-    # couples its 434 orbits of each grade, and one SVD of that 434 x 434
-    # part replaces the eigh of the block.
+    # n=13, M=6 (dimension 1,716): odd n has no self-conjugate sector, so
+    # the reflection alone splits it, into blocks of 848 (odd) and 868
+    # (even); the Neel pattern is mirror-symmetric, so only the even block
+    # and only one flip representative are evolved.  At delta2 = 0 the
+    # block couples its 434 orbits of each grade, and one SVD of that
+    # 434 x 434 part replaces the eigh of the block.
     calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
-    exactdiag.QuenchEvolution(homogeneous(13), math.inf, 0.0)
+    evolution = exactdiag.QuenchEvolution(homogeneous(13), math.inf, 0.0)
     assert calls == [("svd", (434, 434))]
+    (rep,) = evolution._prepped
+    assert [(_block_index(homogeneous(13), rep.m_up, b), len(b.energies))
+            for b in rep.blocks] == [(1, 868)]
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_second_quench_on_the_same_chain_reuses_its_blocks(monkeypatch, n):
     # the Neel start needs no ground search, so every eigh is of H(delta2):
-    # both reflection blocks at n=6, the even one at n=7, and none again
+    # the two flip x reflection blocks of 7 at n=6 that the Neel pair
+    # reaches, the reflection-even one at n=7, and none again
     calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
     first = exactdiag.QuenchEvolution(homogeneous(n), math.inf, 0.5)
@@ -525,36 +529,48 @@ def test_second_quench_on_the_same_chain_reuses_its_blocks(monkeypatch, n):
         np.testing.assert_array_equal(got, want)
 
 
+def _block_index(real, m_up, evolver) -> int:
+    """Position of an evolver's block among its sector's blocks."""
+    blocks = exactdiag._sector_blocks(real, m_up)
+    (k,) = [k for k, block in enumerate(blocks) if block.orbit is evolver.orbit]
+    return k
+
+
 def test_each_parity_block_is_diagonalized_once(monkeypatch):
     # n=8, delta1=1000: the ground pair of M=4 (dimension 70) gives two flip
-    # representatives, one in each reflection block (38 even, 32 odd); the
+    # representatives; M = n/2 splits under flip x reflection into blocks of
+    # 20 (flip-odd, reflection-odd), 15, 12 and 23 (flip-even,
+    # reflection-even), and the pair lies in the first and the last.  The
     # ground search is matrix-free and diagonalizes only its Lanczos
     # projections, none larger than the largest symmetry block it searches
-    # (28, a reflection block of M=3), and
-    # each block of H(delta2 = 0) takes one SVD of its grade-0 by grade-1
-    # part (22 x 16 and 16 x 16), also on a second quench
+    # (28, a reflection block of M=3), and each block of H(delta2 = 0)
+    # takes one SVD of its grade-0 by grade-1 part (10 x 10 and 13 x 10),
+    # also on a second quench
     real = model.CouplingRealization(couplings=(1.0,) * 7, seed_used=0)
     calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
     evolution = exactdiag.QuenchEvolution(real, 1000.0, 0.0)
     exactdiag.QuenchEvolution(real, 1000.0, 0.0)
-    assert [[(b.parity, len(b.energies)) for b in rep.blocks]
-            for rep in evolution._prepped] == [[(-1, 32)], [(1, 38)]]
-    assert sorted(c for c in calls if c[0] == "svd") == [("svd", (16, 16)), ("svd", (22, 16))]
+    assert [[(_block_index(real, 4, b), len(b.energies)) for b in rep.blocks]
+            for rep in evolution._prepped] == [[(0, 20)], [(3, 23)]]
+    assert sorted(c for c in calls if c[0] == "svd") == [("svd", (10, 10)), ("svd", (13, 10))]
     assert all(c[1][0] <= 28 for c in calls if c[0] != "svd")
 
 
 @pytest.mark.parametrize("delta2", [0.0, 0.5])
 def test_palindromic_neel_start_never_forms_the_sector_matrix(delta2):
-    # the two Neel orders of n=8 are mirror images, so the one flip
-    # representative reaches both reflection blocks of M=4; each block is
-    # scattered from the sector's entries: the dense sector matrix has no
-    # form outside the test oracles
+    # the two Neel orders of n=8 are mirror images and flip images of each
+    # other, so the one flip representative reaches the two blocks of M=4
+    # whose characters agree on flip and reflection: 20 (both odd) and 23
+    # (both even); each block is scattered from the sector's entries: the
+    # dense sector matrix has no form outside the test oracles
     assert not hasattr(exactdiag.SectorHamiltonian, "matrix")
     exactdiag._evolver.cache_clear()
     evolution = exactdiag.QuenchEvolution(homogeneous(8), math.inf, delta2)
     (rep,) = evolution._prepped
-    assert [b.parity for b in rep.blocks] == [1, -1]
+    assert [(_block_index(homogeneous(8), 4, b), len(b.energies)) for b in rep.blocks] == [
+        (0, 20), (3, 23)
+    ]
     evolution.end_spin_series(np.linspace(0.0, 4.0, 5))
 
 
@@ -562,33 +578,49 @@ def _chain(couplings):
     return model.CouplingRealization(couplings=tuple(couplings), seed_used=0)
 
 
-@pytest.mark.parametrize("real, m_up, parity, call", [
-    # rectangular parts with zero modes: n=7 even block of M=3 (19 orbits)
+def _disordered(n):
+    return model.realize_couplings(model.ChainSpec(n=n, disorder_sigma=0.8, seed=5))
+
+
+# Blocks of a sector with both symmetries run (flip, reflection) = (odd,
+# odd), (odd, even), (even, odd), (even, even); with one, odd then even.
+@pytest.mark.parametrize("real, m_up, block, call", [
+    # rectangular parts with zero modes: n=7 reflection blocks of M=3 (16
+    # and 19 orbits)
     (homogeneous(7), 3, 1, ("svd", (11, 8))),
-    (homogeneous(7), 3, -1, ("svd", (8, 8))),
-    # n=12, M=6: the Neel sector, both blocks
-    (homogeneous(12), 6, 1, ("svd", (226, 246))),
-    (homogeneous(12), 6, -1, ("svd", (226, 226))),
+    (homogeneous(7), 3, 0, ("svd", (8, 8))),
+    # n=12, M=6: the Neel blocks (252 and 242 of the 924 states) and the
+    # other two (220 and 210); at n = 0 mod 4 both symmetries keep grades
+    (homogeneous(12), 6, 3, ("svd", (121, 131))),
+    (homogeneous(12), 6, 0, ("svd", (121, 121))),
+    (homogeneous(12), 6, 1, ("svd", (105, 115))),
+    (homogeneous(12), 6, 2, ("svd", (105, 105))),
     # a disordered chain has one-pattern orbits: the whole sector of 126
-    (model.realize_couplings(model.ChainSpec(n=9, disorder_sigma=0.8, seed=5)), 4, 1,
-     ("svd", (66, 60))),
+    (_disordered(9), 4, 0, ("svd", (66, 60))),
     # a palindromic disordered chain, with negative bonds
     (_chain([0.7, -1.3, 0.4, 0.4, -1.3, 0.7]), 3, 1, ("svd", (11, 8))),
-    # n = 2 mod 4 with M odd: reflection swaps the grades of an orbit's
-    # two patterns, so the blocks are not bipartite and take eigh
-    (homogeneous(6), 3, 1, ("eigh", (10, 10))),
-    (homogeneous(6), 3, -1, ("eigh", (10, 10))),
-    (homogeneous(10), 5, 1, ("eigh", (126, 126))),
-    (homogeneous(10), 5, -1, ("eigh", (126, 126))),
-], ids=["n7-even", "n7-odd", "n12-even", "n12-odd", "disordered9", "palindromic7",
-        "n6-even", "n6-odd", "n10-even", "n10-odd"])
-def test_sublattice_eigenbasis_against_dense_eigh(monkeypatch, real, m_up, parity, call):
+    # n = 2 mod 4 at M = n/2: flip and reflection each swap the grades of
+    # an orbit's patterns, so the blocks are not bipartite and take eigh
+    (homogeneous(6), 3, 3, ("eigh", (7, 7))),
+    (homogeneous(6), 3, 0, ("eigh", (7, 7))),
+    (homogeneous(6), 3, 1, ("eigh", (3, 3))),
+    (homogeneous(10), 5, 3, ("eigh", (71, 71))),
+    (homogeneous(10), 5, 0, ("eigh", (71, 71))),
+    (homogeneous(10), 5, 2, ("eigh", (55, 55))),
+    # the same for the flip alone on a disordered chain: half of 20 states
+    (_disordered(6), 3, 0, ("eigh", (10, 10))),
+], ids=["n7-even", "n7-odd", "n12-even", "n12-odd", "n12-flip-odd-refl-even",
+        "n12-flip-even-refl-odd", "disordered9", "palindromic7", "n6-even", "n6-odd",
+        "n6-flip-odd-refl-even", "n10-even", "n10-odd", "n10-flip-even-refl-odd",
+        "disordered6"])
+def test_sublattice_eigenbasis_against_dense_eigh(monkeypatch, real, m_up, block, call):
     calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
-    block = exactdiag._evolver(real, 0.0, m_up, parity)
+    evolver = exactdiag._evolver(real, 0.0, m_up, block)
     assert calls[:1] == [call]
-    h = oracles.parity_block(real, 0.0, m_up, parity)
-    energies, modes = block.energies, block.modes
+    v = oracles.orbit_matrix(exactdiag._sector_blocks(real, m_up)[block])
+    h = v.T @ oracles.sector_hamiltonian(real, 0.0, m_up) @ v
+    energies, modes = evolver.energies, evolver.modes
     size = len(h)
     assert modes.shape == (size, size) and energies.shape == (size,)
     assert np.max(np.abs(h @ modes - modes * energies)) <= 1e-12
@@ -601,26 +633,29 @@ def test_sublattice_eigenbasis_against_dense_eigh(monkeypatch, real, m_up, parit
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _disordered(n):
-    return model.realize_couplings(model.ChainSpec(n=n, disorder_sigma=0.8, seed=5))
-
-
 @pytest.mark.parametrize("real, delta1, blocks", [
-    # sectors of 35 patterns with 3 mirror-symmetric ones: blocks of 19 and 16
+    # sectors of 35 patterns with 3 mirror-symmetric ones: blocks of 16
+    # (odd) and 19 (even)
     (homogeneous(7), math.inf, [(1, 19)]),
     (homogeneous(7), 3.0, [(1, 19)]),
-    # no 6-site pattern with 3 up spins is mirror-symmetric: blocks of 10 and
-    # 10; the even-n ground state is reflection-odd
-    (homogeneous(6), 3.0, [(-1, 10)]),
-    # the two even-n Neel orders are mirror images: both blocks
-    (homogeneous(6), math.inf, [(1, 10), (-1, 10)]),
-    # no reflection symmetry: one block, the whole sector
-    (_disordered(7), 3.0, [(1, 35)]),
-], ids=["neel7", "ground7", "ground6", "neel6", "disordered7"])
+    # n=6, M=3 under flip x reflection: blocks of 7, 3, 3 and 7; the even-n
+    # ground state is flip-odd and reflection-odd
+    (homogeneous(6), 3.0, [(0, 7)]),
+    # the two even-n Neel orders are mirror and flip images of each other:
+    # the blocks whose characters agree on both
+    (homogeneous(6), math.inf, [(0, 7), (3, 7)]),
+    # n=12: the same two blocks, 242 and 252 of 924 states; the ground
+    # state lies in the second
+    (homogeneous(12), math.inf, [(0, 242), (3, 252)]),
+    (homogeneous(12), 3.0, [(3, 252)]),
+    # no reflection symmetry and no self-conjugate sector: one block, the
+    # whole sector
+    (_disordered(7), 3.0, [(0, 35)]),
+], ids=["neel7", "ground7", "ground6", "neel6", "neel12", "ground12", "disordered7"])
 def test_parity_blocks_reached_by_the_representative(real, delta1, blocks):
     (rep,) = exactdiag.QuenchEvolution(real, delta1, 0.5)._prepped
     assert rep.weight == 1.0
-    assert [(b.parity, len(b.energies)) for b in rep.blocks] == blocks
+    assert [(_block_index(real, rep.m_up, b), len(b.energies)) for b in rep.blocks] == blocks
 
 
 def _rotated(vec, angle):

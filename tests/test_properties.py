@@ -140,7 +140,7 @@ def _prepared(real, delta1, delta2):
     ts=times,
 )
 def test_symmetry_reduced_series_matches_two_component_oracle(real, delta1, delta2, ts):
-    # one flip representative in its reflection blocks against every
+    # one flip representative in its symmetry blocks against every
     # component evolved in its whole sector, point by point
     evolution = _prepared(real, delta1, delta2)
     evolution.chunk_points = 5
@@ -257,23 +257,35 @@ def test_sector_hamiltonian_matches_pattern_by_pattern_builder(n, data, delta):
     data=st.data(),
     delta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
 )
-def test_parity_block_scattered_from_entries_matches_dense_projection(real, data, delta):
-    m = data.draw(st.integers(min_value=0, max_value=real.n))
-    reflect = real.couplings == real.couplings[::-1]
-    ham = exactdiag.build_sector_hamiltonian(real, delta, m)
-    for orbits in exactdiag._parity_orbits(real.n, m, reflect):
-        want = oracles.parity_block(real, delta, m, orbits[0])
-        every = np.arange(len(orbits[1]))
-        got = exactdiag._block(ham, orbits, every, every)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
-        # any split of the orbits into rows and columns, as the sublattice
-        # path takes its grade-0 by grade-1 part
-        order = np.array(data.draw(st.permutations(every.tolist())), dtype=np.intp)
-        split = data.draw(st.integers(min_value=0, max_value=len(order)))
-        rows, cols = order[:split], order[split:]
-        part = exactdiag._block(ham, orbits, rows, cols)
-        assert np.max(np.abs(part - want[np.ix_(rows, cols)]), initial=0.0) <= 1e-14
+def test_symmetry_blocks_scattered_from_entries_match_dense_projection(real, data, delta):
+    for m in range(real.n + 1):
+        ham = exactdiag.build_sector_hamiltonian(real, delta, m)
+        blocks = exactdiag._sector_blocks(real, m)
+        projectors = oracles.block_projectors(real, m)
+        assert len(blocks) == len(projectors)
+        assert sum(block.dim for block in blocks) == ham.basis.dim
+        h = oracles.sector_hamiltonian(real, delta, m)
+        for block, projector in zip(blocks, projectors):
+            v = oracles.orbit_matrix(block)
+            assert np.max(np.abs(v.T @ v - np.eye(block.dim))) <= 1e-14
+            assert np.max(np.abs(projector @ v - v)) <= 1e-14
+            want = v.T @ h @ v
+            r, c, value = exactdiag._entries(ham, block)
+            got = np.zeros_like(want)
+            np.add.at(got, (r, c), value)
+            assert np.max(np.abs(got - want)) <= 1e-14
+            # any split of the orbits into rows and columns, scattered on
+            # its own, as the sublattice path takes its grade-0 by grade-1
+            # part
+            order = np.array(data.draw(st.permutations(range(block.dim))), dtype=np.intp)
+            split = data.draw(st.integers(min_value=0, max_value=block.dim))
+            rows, cols = order[:split], order[split:]
+            place = np.full(block.dim, -1)
+            place[rows], place[cols] = np.arange(len(rows)), np.arange(len(cols))
+            keep = np.isin(r, rows) & np.isin(c, cols)
+            part = np.zeros((len(rows), len(cols)))
+            np.add.at(part, (place[r[keep]], place[c[keep]]), value[keep])
+            assert np.max(np.abs(part - want[np.ix_(rows, cols)]), initial=0.0) <= 1e-14
 
 
 def _same_bits(x, y):
