@@ -169,20 +169,21 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_memory(n: int) -> None:
-    """Refuse an exact diagonalization whose estimated peak
-    (:func:`exactdiag.run_bytes`) exceeds physical memory, before it
-    allocates anything."""
-    need, have = exactdiag.run_bytes(n), _physical_memory()
+def _check_memory(n: int, workers: int = 1) -> None:
+    """Refuse ``workers`` exact diagonalizations at once whose estimated
+    peak (:func:`exactdiag.run_bytes` each) exceeds physical memory,
+    before they allocate anything."""
+    need, have = workers * exactdiag.run_bytes(n), _physical_memory()
     if have is not None and need > have:
         raise SystemExit2(
-            f"exact diagonalization of n={n} needs about {need / 2**20:.0f} MiB, "
-            f"more than the {have / 2**20:.0f} MiB of physical memory",
+            f"{workers} exact diagonalization(s) of n={n} at once need about "
+            f"{need / 2**20:.0f} MiB, more than the {have / 2**20:.0f} MiB of physical memory",
             EXIT_USAGE,
         )
 
 
-def _check_engine(spec: model.ChainSpec, requested: str) -> str:
+def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1) -> str:
+    """The engine of one chain, checked for ``workers`` runs at once."""
     engine = entangle.resolve_engine(spec, requested)
     if engine == "exactdiag" and spec.n > exactdiag.MAX_SITES:
         raise SystemExit2(
@@ -192,7 +193,7 @@ def _check_engine(spec: model.ChainSpec, requested: str) -> str:
             EXIT_USAGE,
         )
     if engine == "exactdiag":
-        _check_memory(spec.n)
+        _check_memory(spec.n, workers)
     return engine
 
 
@@ -312,10 +313,12 @@ def cmd_scan_n(args) -> int:
             f"pass --allow-even to scan them anyway",
             EXIT_USAGE,
         )
+    # _scan_blocks makes at least a block per worker
+    workers = _workers(args.jobs, len(sizes))
     members = []
     for n in sorted(sizes):
         spec = _spec_from_args(args, n=n, seed=model.sub_seed(args.seed, n))
-        members.append((spec, _check_engine(spec, args.engine)))
+        members.append((spec, _check_engine(spec, args.engine, workers)))
     items = [{"members": block, "horizon": args.t_max_horizon, "step": args.grid_step}
              for block in _scan_blocks(members, args.jobs)]
     blocks = _run_parallel(_scan_block, items, args.jobs)
@@ -424,7 +427,7 @@ def cmd_disorder(args) -> int:
         n=args.n, j=args.j, delta1=args.delta1, delta2=args.delta2,
         disorder_sigma=0.0, seed=args.seed,
     )
-    engine = _check_engine(base, args.engine)
+    engine = entangle.resolve_engine(base, args.engine)
     horizon, step, ts = entangle.resolve_grid(base, args.t_max_horizon, args.grid_step)
 
     block = _block_size(args.n, engine, args.realizations, args.jobs)
@@ -435,6 +438,7 @@ def cmd_disorder(args) -> int:
         for first in range(0, n_real, block):
             items.append({"spec": spec, "engine": engine, "ts": ts,
                           "first": first, "stop": min(first + block, n_real)})
+    _check_engine(base, args.engine, _workers(args.jobs, len(items)))
     results = _run_parallel(_disorder_block, items, args.jobs)
     results.sort(key=lambda d: (d["sigma"], d["first"]))
 
@@ -564,14 +568,23 @@ def _fidelity_from_record(path: str, record_n: int | None) -> float:
                 f"{path}: a record row has {len(row)} fields, its header {len(header)}",
                 EXIT_USAGE,
             )
+
+    def number(row: list[str], col: int, kind: type):
+        try:
+            return kind(row[col])
+        except ValueError:
+            raise SystemExit2(
+                f"{path}: field {header[col]} reads {row[col]!r}, not a number", EXIT_USAGE
+            ) from None
+
     if record_n is not None:
-        rows = [r for r in rows if int(r[n_col]) == record_n]
+        rows = [r for r in rows if number(r, n_col, int) == record_n]
     if len(rows) != 1:
         raise SystemExit2(
             f"need exactly one record (use --record-n to pick), found {len(rows)}",
             EXIT_USAGE,
         )
-    return float(rows[0][f_col])
+    return number(rows[0], f_col, float)
 
 
 def cmd_purify(args) -> int:

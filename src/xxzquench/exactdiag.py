@@ -23,11 +23,11 @@ sector's (:func:`_entries`).
 The ground multiplet of H(delta1) comes from one matrix-free Lanczos
 search per block of each sector M <= n/2 (sector n-M has the same
 spectrum by spin flip).  Of each flip-related pair of initial components
-only one is evolved; the partner's end-pair matrix is the
-representative's conjugated by sigma^x (x) sigma^x.  H(delta2) is
-diagonalized once in each block the initial state reaches (one block for
-an odd-n Neel start or a nondegenerate sector ground state) and reused
-across all time points of a scan.
+only one is evolved.  H(delta2) is diagonalized once in each block the
+initial state reaches (one block for an odd-n Neel start or a
+nondegenerate sector ground state) and reused across all time points of
+a scan.  The end pair is read in each block's own coordinates: what it
+needs commutes with F and R, so blocks add no cross terms.
 
 At delta2 = 0 every hop moves one up spin between an odd and an even
 site, so it changes the grade (up spins on odd sites) mod 2: the sector
@@ -254,7 +254,7 @@ def _lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
     """The nonempty blocks of one sector under the group generated by the
     spin flip F (at M = n/2) and the site reflection R (if ``reflect``),
-    flip-odd first, each as (dim, orbit, coef).
+    flip-odd first, each as (dim, orbit, coef, ends, pairs).
 
     F reverses the ascending basis and R maps each pattern to its mirror
     image.  Every group element is an involution, so p and g(p) share an
@@ -264,9 +264,19 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
     on the orbit's pattern g(lowest).  ``orbit`` holds each pattern's
     orbit in the block's coordinates and ``coef`` its coefficient, -1 and
     0 for patterns outside the block.
+
+    The rest reads the end pair (sites 1, n).  F and R keep whether its
+    spins agree, so ``ends`` holds per orbit its (uu + dd) and (ud + du)
+    weights, the sum of coef^2 over its patterns, as a (2, dim) matrix.
+    ``pairs`` holds per up-down pattern whose down-up partner (both end
+    bits flipped) is in the block too their orbits and coef * coef.
     """
     states = sector_basis(n, m_up).states
     pos = np.arange(len(states))
+    first = states & np.uint64(1)
+    differ = (first ^ ((states >> np.uint64(n - 1)) & np.uint64(1))).astype(np.intp)
+    ud = np.flatnonzero(first.astype(bool) & (differ == 1))
+    du = np.searchsorted(states, states[ud] ^ np.uint64(1 | 1 << (n - 1)))
     generators = [pos[::-1]] if 2 * m_up == n else []
     if reflect:
         mirrored = np.zeros_like(states)
@@ -295,9 +305,15 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
         coef[inside] = (chars @ (perms == lowest))[inside] / np.sqrt(
             len(chars) * stabilizer[inside]
         )
-        for array in (orbit, coef):
+        dim = int(ids[-1]) + 1
+        ends = np.bincount(
+            differ[inside] * dim + orbit[inside], coef[inside] ** 2, minlength=2 * dim
+        ).reshape(2, dim)
+        p, q = ud[inside[ud] & inside[du]], du[inside[ud] & inside[du]]
+        pairs = (orbit[p], orbit[q], coef[p] * coef[q])
+        for array in (orbit, coef, ends, *pairs):
             array.flags.writeable = False
-        blocks.append(SimpleNamespace(dim=int(ids[-1]) + 1, orbit=orbit, coef=coef))
+        blocks.append(SimpleNamespace(dim=dim, orbit=orbit, coef=coef, ends=ends, pairs=pairs))
     return tuple(blocks)
 
 
@@ -406,15 +422,15 @@ def _bipartite_eigh(
 
 
 # One entry per symmetry block (6 MB at n=13 for the 868-dimensional
-# reflection-even block of an odd-n Neel start); a quench reaches at most
-# two, so keep few.
-@lru_cache(maxsize=4)
+# reflection-even block of an odd-n Neel start).  A quench keeps its own
+# blocks and no command repeats a quench, so more would only be stale.
+@lru_cache(maxsize=1)
 def _evolver(
     realization: CouplingRealization, delta2: float, m_up: int, block: int
 ) -> SimpleNamespace:
     """Eigenbasis of H(delta2) in one symmetry block of a sector, the
-    ``block``-th of :func:`_sector_blocks`: the block's ``orbit`` and
-    ``coef`` with its ``energies`` and ``modes``.
+    ``block``-th of :func:`_sector_blocks`: the block's fields with its
+    ``energies`` and ``modes``.
 
     The block is scattered from the sector's entries (see :func:`_entries`).
     At delta2 = 0 with every orbit of a single grade (up spins on odd sites
@@ -446,27 +462,7 @@ def _evolver(
     energies, modes = _bipartite_eigh(x, a, b) if bipartite else np.linalg.eigh(x)
     for array in (energies, modes):
         array.flags.writeable = False
-    return SimpleNamespace(orbit=orbits.orbit, coef=orbits.coef, energies=energies, modes=modes)
-
-
-@lru_cache(maxsize=32)
-def _end_pair_index(n: int, m_up: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the end pair (sites 1, n) reads its entries in one sector.
-
-    Returns a (4, dim) 0/1 matrix marking the patterns of each local state
-    (up-up, up-down, down-up, down-down), and the positions of the
-    up-down patterns with their down-up partners, which differ only in
-    the two end bits.
-    """
-    states = sector_basis(n, m_up).states
-    first = (states & np.uint64(1)).astype(np.intp)
-    last = ((states >> np.uint64(n - 1)) & np.uint64(1)).astype(np.intp)
-    diag = (3 - 2 * first - last == np.arange(4)[:, None]).astype(float)
-    ud = np.nonzero((first == 1) & (last == 0))[0]
-    du = np.searchsorted(states, states[ud] ^ np.uint64(1 | (1 << (n - 1))))
-    for array in (diag, ud, du):
-        array.flags.writeable = False
-    return diag, ud, du
+    return SimpleNamespace(**vars(orbits), energies=energies, modes=modes)
 
 
 def _flip_representatives(state: MixedState) -> list[tuple[float, PureComponent]]:
@@ -517,7 +513,9 @@ def run_bytes(n: int) -> int:
     """Estimate of the peak bytes of one n-site quench, known before
     anything is allocated: the largest sector's entries (the diagonal, and
     per hop its row, partner and coupling), the ground search's Lanczos
-    basis, the eigendecomposition of H(delta2) and a series' work arrays.
+    basis, the eigendecomposition of H(delta2) and a series' work arrays:
+    phases, cos/sin weights and block amplitudes, at most CHUNK_BYTES each,
+    and the end pair's two gathered rows.
 
     A dense ``eigh`` of side N peaks at about 5 N^2 doubles (the block,
     numpy's working copy, the 2 N^2 of LAPACK's dsyevd workspace and the
@@ -529,7 +527,7 @@ def run_bytes(n: int) -> int:
     dim = math.comb(n, n // 2)
     entries = 8 * dim * (1 + 3 * (n - 1))
     lanczos = 8 * dim * min(dim, LANCZOS_MAX_STEPS)
-    return entries + lanczos + 6 * eigenbasis_bytes(n) + 5 * CHUNK_BYTES
+    return entries + lanczos + 6 * eigenbasis_bytes(n) + 4 * CHUNK_BYTES
 
 
 class QuenchEvolution:
@@ -540,19 +538,17 @@ class QuenchEvolution:
     and diagonalizes H(delta2) only in the blocks it reaches.  Time points
     are then evaluated ``chunk_points`` at a time: per block one real
     matrix product gives the real and imaginary parts of the block
-    amplitudes over the chunk, which are expanded into the sector, and
-    the end pair's X state (a, b, c) is gathered from those amplitudes.
-    The flip partner's pair is the representative's with both end spins
-    flipped, so the mixture is the average of the two.  Each
-    representative's norm is checked per point, and the series passes
-    :func:`~xxzquench.freefermion.check_x_series` (trace and positivity).
+    amplitudes over the chunk, and the end pair's X state (a, b, c) is
+    read from them with the block's own readout (see :func:`_blocks`).
+    Each representative's norm is checked per point, and the series
+    passes :func:`~xxzquench.freefermion.check_x_series` (trace and
+    positivity).
     """
 
     def __init__(
         self, realization: CouplingRealization, delta1: float, delta2: float
     ):
         self.realization = realization
-        self.n = realization.n
         self.delta2 = delta2
         self.initial = ground_mixture(realization, delta1)
         self._prepped: list[_Prepared] = []
@@ -566,63 +562,50 @@ class QuenchEvolution:
                     blocks.append(_evolver(realization, delta2, comp.m_up, k))
                     coeffs.append(blocks[-1].modes.T @ projected)
             self._prepped.append(_Prepared(weight, comp.m_up, blocks, coeffs))
-        # the largest work array of a chunk holds the real and imaginary
-        # sector amplitudes per time point
-        dim_max = max(sector_basis(self.n, p.m_up).dim for p in self._prepped)
+        # chunks stay sized to the whole sector's amplitudes, although the
+        # work arrays are the blocks': wider ones widen scan windows and peaks
+        dim_max = max(len(block.coef) for rep in self._prepped for block in rep.blocks)
         self.chunk_points = max(1, CHUNK_BYTES // (16 * dim_max))
 
     def _end_pair(self, ts: np.ndarray, work: SimpleNamespace, out: np.ndarray) -> None:
         """(a, b, c) of the end pair over one chunk, into the rows of ``out``.
 
-        Per representative the four diagonal weights (uu, ud, du, dd) and
-        the real ud-du coherence are gathered from its amplitudes; the
-        imaginary coherence and the off-X entries are not formed, since
-        the flip average cancels the former and no sector reaches the
-        latter.  Every array that grows with the chunk is a view of
-        ``work``, filled in place.
+        Per block the (uu + dd) and (ud + du) weights and the real ud-du
+        coherence are read with the block's readout (see :func:`_blocks`);
+        the flip partner's are the representative's.  The imaginary
+        coherence and the off-X entries are not formed, since the flip
+        average cancels the former and no sector reaches the latter.
+        Every array that grows with the chunk is a view of ``work``.
         """
         n_t = len(ts)
-        weights = np.zeros((4, n_t))
-        c = np.zeros(n_t)
+        total = np.zeros((3, n_t))
         for rep in self._prepped:
-            diag, ud, du = _end_pair_index(self.n, rep.m_up)
-            # psi = re - i im, stored as [re | im] over the chunk
-            psi = _view(work.psi, diag.shape[1], 2 * n_t)
-            for k, (block, coeff) in enumerate(zip(rep.blocks, rep.coeffs)):
+            part = np.zeros((3, n_t))
+            for block, coeff in zip(rep.blocks, rep.coeffs):
                 phase = _view(work.phase, len(coeff), n_t)
                 w = _view(work.w, len(coeff), 2 * n_t)
+                # amplitudes re - i im, stored as [re | im] over the chunk
                 amp = _view(work.amp, len(coeff), 2 * n_t)
                 np.multiply(block.energies[:, None], ts, out=phase)
                 np.cos(phase, out=w[:, :n_t])
                 np.sin(phase, out=w[:, n_t:])
                 w *= coeff[:, None]
                 np.matmul(block.modes, w, out=amp)
-                # psi += coef * amp[orbit], the first block straight into
-                # psi, the others through w; a pattern outside the block
-                # (orbit -1) has coefficient 0
-                into = psi if k == 0 else _view(work.w, *psi.shape)
-                np.take(amp, block.orbit, axis=0, out=into, mode="wrap")
-                into *= block.coef[:, None]
-                if k:
-                    psi += into
-            at_ud = _view(work.at_ud, len(ud), 2 * n_t)
-            at_du = _view(work.at_du, len(ud), 2 * n_t)
-            np.take(psi, ud, axis=0, out=at_ud, mode="clip")
-            np.take(psi, du, axis=0, out=at_du, mode="clip")
-            at_ud *= at_du
-            coherence = at_ud.sum(axis=0)
-            np.square(psi, out=psi)
-            part = diag @ psi
-            part = part[:, :n_t] + part[:, n_t:]
-            _check(np.abs(np.sqrt(part.sum(axis=0)) - 1.0), NORM_DRIFT_TOL, "norm drift", ts)
-            weights += rep.weight * part
-            c += rep.weight * (coherence[:n_t] + coherence[n_t:])
-        # the flip partner's pair is the representative's with both end
-        # spins flipped, (uu, ud, du, dd) -> (dd, du, ud, uu), and the
-        # mixture averages the two
-        out[0] = 0.5 * (weights[0] + weights[3])
-        out[1] = 0.5 * (weights[1] + weights[2])
-        out[2] = c
+                first, second, value = block.pairs
+                at_first = _view(work.at_first, len(value), 2 * n_t)
+                at_second = _view(work.at_second, len(value), 2 * n_t)
+                # mode="raise" would buffer ``out`` on every call
+                np.take(amp, first, axis=0, out=at_first, mode="clip")
+                np.take(amp, second, axis=0, out=at_second, mode="clip")
+                at_first *= at_second
+                np.square(amp, out=amp)
+                both = np.vstack([block.ends @ amp, value @ at_first])
+                part += both[:, :n_t] + both[:, n_t:]
+            _check(np.abs(np.sqrt(part[:2].sum(axis=0)) - 1.0), NORM_DRIFT_TOL, "norm drift", ts)
+            total += rep.weight * part
+        # the X state shares each weight between its two diagonal entries
+        out[:2] = 0.5 * total[:2]
+        out[2] = total[2]
 
     def end_spin_series(
         self, ts: np.ndarray
@@ -634,19 +617,15 @@ class QuenchEvolution:
         # on glibc) are otherwise mapped, faulted in page by page and
         # unmapped again on every chunk.
         n_t = min(self.chunk_points, len(ts))
-        index = [_end_pair_index(self.n, rep.m_up) for rep in self._prepped]
-        states = max(diag.shape[1] for diag, _, _ in index)
-        pairs = max(len(ud) for _, ud, _ in index)
-        orbits = max(len(coeff) for rep in self._prepped for coeff in rep.coeffs)
-        # a representative that reaches several blocks gathers into w
-        gather = max(states if len(rep.blocks) > 1 else 0 for rep in self._prepped)
+        blocks = [block for rep in self._prepped for block in rep.blocks]
+        orbits = max(len(block.energies) for block in blocks)
+        pairs = max(len(block.pairs[2]) for block in blocks)
         work = SimpleNamespace(
-            psi=np.empty(states * 2 * n_t),
             phase=np.empty(orbits * n_t),
-            w=np.empty(max(orbits, gather) * 2 * n_t),
+            w=np.empty(orbits * 2 * n_t),
             amp=np.empty(orbits * 2 * n_t),
-            at_ud=np.empty(pairs * 2 * n_t),
-            at_du=np.empty(pairs * 2 * n_t),
+            at_first=np.empty(pairs * 2 * n_t),
+            at_second=np.empty(pairs * 2 * n_t),
         )
         for lo in range(0, len(ts), self.chunk_points):
             part = slice(lo, lo + self.chunk_points)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -95,6 +96,26 @@ def test_exact_diagonalization_beyond_memory_is_refused_before_it_allocates(
     assert run(*argv, "--out", str(out)) == 1
     assert "of physical memory" in capsys.readouterr().err
     assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan-n", "--n", "3,9", "--delta1", "3"],
+    ["disorder", "--n", "9", "--delta2", "0.5", "--sigma", "0.1", "--realizations", "2"],
+], ids=["scan-n", "disorder"])
+def test_memory_check_covers_concurrent_workers(tmp_path, capsys, monkeypatch, argv):
+    # physical memory between one n=9 run's estimate and two, on two cores:
+    # two workers are refused before any sector is built, one runs
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * exactdiag.run_bytes(9) // 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    built, basis = [], exactdiag.sector_basis
+    monkeypatch.setattr(exactdiag, "sector_basis",
+                        lambda *args: built.append(args) or basis(*args))
+    out = tmp_path / "r.csv"
+    assert run(*argv, "--jobs", "2", "--out", str(out)) == 1
+    assert "2 exact diagonalization(s) of n=" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+    assert run(*argv, "--jobs", "1", "--out", str(out)) == 0
+    assert built and out.exists()
 
 
 def test_quench_engine_auto_selection(tmp_path):
@@ -352,20 +373,29 @@ def test_purify_from_scan_record(tmp_path):
     assert abs(doc["final_fidelity"] - 0.991) < 1e-3
 
 
-@pytest.mark.parametrize("case", ["missing-record", "missing-out-dir", "short-row"])
+@pytest.mark.parametrize("case", [
+    "missing-record", "missing-out-dir", "short-row", "non-numeric-n", "non-numeric-fef",
+])
 def test_file_errors_are_usage_errors(tmp_path, capsys, case):
-    # each leaves through main's handler: exit 1 and one line naming the file
+    # each leaves through main's handler: exit 1 and one line naming the
+    # file, and the field where one is at fault
     record, out = tmp_path / "scan.csv", tmp_path / "p.json"
-    source, named = ["--record", str(record)], record
+    source, named, field = ["--record", str(record)], record, ""
     if case == "missing-out-dir":
         out = tmp_path / "absent" / "p.json"
         source, named = ["--fef", "0.9"], out
     if case == "short-row":
         record.write_text("n,delta1,fef_at_tmax\n9,inf\n", encoding="utf-8")
+    if case == "non-numeric-n":
+        record.write_text("n,delta1,fef_at_tmax\nx,inf,0.9\n", encoding="utf-8")
+        source, field = [*source, "--record-n", "9"], "field n "
+    if case == "non-numeric-fef":
+        record.write_text("n,delta1,fef_at_tmax\n9,inf,abc\n", encoding="utf-8")
+        field = "field fef_at_tmax "
     assert run("purify", *source, "--out", str(out)) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert str(named) in err
+    assert str(named) in err and field in err
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ Examples are derandomized and bounded so the suite stays fast and
 repeatable; couplings range over both signs, as large disorder draws do.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -258,6 +259,7 @@ def test_sector_hamiltonian_matches_pattern_by_pattern_builder(n, data, delta):
     delta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
 )
 def test_symmetry_blocks_scattered_from_entries_match_dense_projection(real, data, delta):
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     for m in range(real.n + 1):
         ham = exactdiag.build_sector_hamiltonian(real, delta, m)
         blocks = exactdiag._sector_blocks(real, m)
@@ -265,6 +267,20 @@ def test_symmetry_blocks_scattered_from_entries_match_dense_projection(real, dat
         assert len(blocks) == len(projectors)
         assert sum(block.dim for block in blocks) == ham.basis.dim
         h = oracles.sector_hamiltonian(real, delta, m)
+        # the end-pair readout of a random vector of each block against the
+        # sector's, and no cross terms between blocks
+        vectors = []
+        for block in blocks:
+            x = rng.standard_normal(block.dim) + 1j * rng.standard_normal(block.dim)
+            x /= np.linalg.norm(x)
+            first, second, value = block.pairs
+            got = [*(block.ends @ np.abs(x) ** 2),
+                   value @ (x[first] * x[second].conj()).real]
+            vectors.append(block.coef * x[block.orbit])
+            want = _end_pair_forms(real.n, m, vectors[-1], vectors[-1])
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-14
+        for i, j in itertools.combinations(range(len(blocks)), 2):
+            assert np.max(np.abs(_end_pair_forms(real.n, m, vectors[i], vectors[j]))) <= 1e-14
         for block, projector in zip(blocks, projectors):
             v = oracles.orbit_matrix(block)
             assert np.max(np.abs(v.T @ v - np.eye(block.dim))) <= 1e-14
@@ -286,6 +302,16 @@ def test_symmetry_blocks_scattered_from_entries_match_dense_projection(real, dat
             part = np.zeros((len(rows), len(cols)))
             np.add.at(part, (place[r[keep]], place[c[keep]]), value[keep])
             assert np.max(np.abs(part - want[np.ix_(rows, cols)]), initial=0.0) <= 1e-14
+
+
+def _end_pair_forms(n, m_up, psi, phi) -> np.ndarray:
+    """<phi|O|psi> for the end pair's (uu + dd), (ud + du) and symmetric
+    ud-du coherence O, from the pair's 4x4 matrix traced over the rest."""
+    gid, loc, groups = oracles._pair_scatter(n, m_up, 1, n)
+    z, y = np.zeros((groups, 4), dtype=complex), np.zeros((groups, 4), dtype=complex)
+    z[gid, loc], y[gid, loc] = psi, phi
+    rho = z.T @ y.conj()
+    return np.array([rho[0, 0] + rho[3, 3], rho[1, 1] + rho[2, 2], (rho[1, 2] + rho[2, 1]) / 2])
 
 
 def _same_bits(x, y):
