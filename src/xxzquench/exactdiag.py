@@ -268,15 +268,12 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
     The rest reads the end pair (sites 1, n).  F and R keep whether its
     spins agree, so ``ends`` holds per orbit its (uu + dd) and (ud + du)
     weights, the sum of coef^2 over its patterns, as a (2, dim) matrix.
-    ``pairs`` holds per up-down pattern whose down-up partner (both end
-    bits flipped) is in the block too their orbits and coef * coef.
+    ``pairs`` holds per orbit pair i <= j the sum of coef * coef over its
+    up-down patterns whose down-up partner (end bits flipped) is inside.
     """
     states = sector_basis(n, m_up).states
     pos = np.arange(len(states))
-    first = states & np.uint64(1)
-    differ = (first ^ ((states >> np.uint64(n - 1)) & np.uint64(1))).astype(np.intp)
-    ud = np.flatnonzero(first.astype(bool) & (differ == 1))
-    du = np.searchsorted(states, states[ud] ^ np.uint64(1 | 1 << (n - 1)))
+    differ = ((states ^ (states >> np.uint64(n - 1))) & np.uint64(1)).astype(np.intp)
     generators = [pos[::-1]] if 2 * m_up == n else []
     if reflect:
         mirrored = np.zeros_like(states)
@@ -288,6 +285,9 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
         perms += [p[perm] for p in perms]
     perms = np.array(perms)
     lowest = perms.min(axis=0)
+    # the lowest pattern of each orbit whose end spins differ, and its end-flipped mate
+    head = np.flatnonzero((lowest == pos) & (differ == 1))
+    mate = np.searchsorted(states, states[head] ^ np.uint64(1 | 1 << (n - 1)))
     blocks = []
     for signs in product((-1.0, 1.0), repeat=len(generators)):
         chars = np.ones(1)
@@ -309,8 +309,12 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
         ends = np.bincount(
             differ[inside] * dim + orbit[inside], coef[inside] ** 2, minlength=2 * dim
         ).reshape(2, dim)
-        p, q = ud[inside[ud] & inside[du]], du[inside[ud] & inside[du]]
-        pairs = (orbit[p], orbit[q], coef[p] * coef[q])
+        # F and R commute with the end flip: orbits i < j share |orbit| = 1/coef(head)^2
+        # up-down patterns (i = j half as many), each worth coef(head) coef(mate)
+        i, j = orbit[head], orbit[mate]
+        keep = (i >= 0) & (i <= j)
+        value = coef[mate[keep]] / coef[head[keep]] * np.where(i < j, 1.0, 0.5)[keep]
+        pairs = (i[keep], j[keep], value)
         for array in (orbit, coef, ends, *pairs):
             array.flags.writeable = False
         blocks.append(SimpleNamespace(dim=dim, orbit=orbit, coef=coef, ends=ends, pairs=pairs))

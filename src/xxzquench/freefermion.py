@@ -30,9 +30,9 @@ Q cos(st) Q^T) and sin(At) swaps them (P sin(st) Q^T), so orthogonality
 collapses every end-site moment to one sum over modes, e.g.
 <c+_1 c_1> = sum_k P_1k^2 cos^2(s_k t) for the order on the odd sites.
 A time point then costs O(n): one cos(2st) row, plus sin(2st) on even
-chains, times a fixed (modes x 4) weight matrix.  By the same supports
-Im<c+_n c_1> = 0 on odd chains and Re<c+_n c_1> = 0, hence c = 0, on even
-ones.
+chains, times a fixed (modes x 4) weight matrix; uniform grids get those
+rows by angle addition (:func:`_grid_osc`).  By the same supports Im<c+_n c_1>
+= 0 on odd chains and Re<c+_n c_1> = 0, hence c = 0, on even ones.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ COHERENCE_IMAG_TOL = 1e-10
 # Byte budget of the work arrays of one chunk of a batched time series,
 # shared by both engines; peak memory then stays flat in the grid length.
 CHUNK_BYTES = 1 << 20
+# Sub-block length of a uniform grid, and its tolerance in ulps of its largest time
+GRID_BLOCK, GRID_ULPS = 32, 4
 
 
 @dataclass(frozen=True)
@@ -143,9 +145,38 @@ class HoppingChain:
         self.start[0, :2] = occupied[::n - 1]
         self.sign, self.odd = sign[None], np.array([n % 2 == 1])
         self.rows, self.groups = len(weights), ((slice(None), m, self.weights),)
-        # floats per time point at the peak of a chunk: the phases, the
-        # trigonometric rows, the four oscillating parts and the moments
+        # floats per time point at the peak of a point-path chunk: phases, trig
+        # rows, oscillating parts and moments (angle addition needs fewer)
         self.chunk_points = max(1, CHUNK_BYTES // (8 * (m + len(weights) + 4 + 8)))
+
+
+def _grid_osc(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarray | None:
+    """Oscillating parts (K, T, 4) by angle addition, or None unless each
+    row has at least 2 GRID_BLOCK points that lie within GRID_ULPS ulps of
+    its largest time of ts[0] + h j.  Each sub-block of GRID_BLOCK points
+    rotates the weights by alpha = 2s tau at its actual start time tau, and
+    one basis [cos 2sjh | -sin 2sjh] over the offsets serves them all."""
+    points = ts.shape[-1]
+    if points < 2 * GRID_BLOCK:
+        return None
+    h = (ts[:, -1:] - ts[:, :1]) / (points - 1)
+    drift = np.abs(ts - (ts[:, :1] + h * np.arange(points)))
+    if not np.all(drift <= GRID_ULPS * np.spacing(np.abs(ts).max(axis=-1, keepdims=True))):
+        return None
+    osc = np.empty((len(ts), -(-points // GRID_BLOCK) * GRID_BLOCK, 4))
+    for members, m, weights in chains.groups:
+        two_s = chains.two_s[members, None, :m]
+        beta = h[members, :, None] * np.arange(GRID_BLOCK)[:, None] * two_s
+        basis = np.concatenate((np.cos(beta), -np.sin(beta)), axis=-1)[:, None]
+        alpha = (ts[members, ::GRID_BLOCK, None] * two_s)[..., None]
+        cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+        # [w_c cos a + w_s sin a ; w_c sin a - w_s cos a], w_s only on even chains
+        w_c, w_s = weights[:, None, :m], weights[:, None, m:]
+        rotated = np.concatenate((w_c * cos_a, w_c * sin_a), axis=-2)
+        if w_s.shape[-2]:
+            rotated += np.concatenate((w_s * sin_a, -w_s * cos_a), axis=-2)
+        osc[members] = (basis @ rotated).reshape(len(two_s), -1, 4)
+    return osc[:, :points]
 
 
 def _end_moments(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarray:
@@ -153,31 +184,35 @@ def _end_moments(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarra
     T times ``ts`` (K, T); shape (4, K, T, 2).
 
     The rows are <c+_1 c_1>, <c+_n c_n> and the real and imaginary parts
-    of <c+_n c_1>; column 0 is order N1 and column 1 order N2.  Per length
-    one (T, rows) @ (rows, 4) product, batched over that length's chains,
-    gives the oscillating parts, which enter order N1 with a minus sign;
-    the padding of ``two_s`` is never read.  The moments are stored
-    order-major, (4, 2, K, T), so that each order's row is contiguous, and
-    returned as a view with the order axis last.  Times equal to zero are
-    set exactly to the initially occupied sites, free of round-off.
+    of <c+_n c_1>; column 0 is order N1 and column 1 order N2.  Uniform
+    grids take :func:`_grid_osc`; other times (single points, the lockstep
+    refinement) one (T, rows) @ (rows, 4) product per length, batched over
+    its chains, of a cos(2st) row (and sin) per point.  The oscillating
+    parts enter order N1 with a minus sign; the padding of ``two_s`` is
+    never read.  The moments are stored order-major, (4, 2, K, T), so that
+    each order's row is contiguous, and returned as a view with the order
+    axis last.  Times equal to zero are set exactly to the initially
+    occupied sites, free of round-off.
     """
-    width = chains.two_s.shape[-1]
-    phase = ts[..., None] * chains.two_s[:, None, :]
-    trig = np.empty(phase.shape[:-1] + (chains.rows,))
-    np.cos(phase, out=trig[..., :width])
-    if chains.rows > width:
-        np.sin(phase, out=trig[..., width:])
-    del phase
-    osc = np.empty(ts.shape + (4,))
-    for members, m, weights in chains.groups:
-        if weights.shape[-2] == m:  # odd: the cos columns
-            part = trig[members, :, :m]
-        elif m == width:  # even and unpadded: cos and sin side by side
-            part = trig[members]
-        else:
-            part = np.concatenate(
-                (trig[members, :, :m], trig[members, :, width:width + m]), axis=-1)
-        osc[members] = part @ weights
+    osc = _grid_osc(chains, ts)
+    if osc is None:
+        width = chains.two_s.shape[-1]
+        phase = ts[..., None] * chains.two_s[:, None, :]
+        trig = np.empty(phase.shape[:-1] + (chains.rows,))
+        np.cos(phase, out=trig[..., :width])
+        if chains.rows > width:
+            np.sin(phase, out=trig[..., width:])
+        del phase
+        osc = np.empty(ts.shape + (4,))
+        for members, m, weights in chains.groups:
+            if weights.shape[-2] == m:  # odd: the cos columns
+                part = trig[members, :, :m]
+            elif m == width:  # even and unpadded: cos and sin side by side
+                part = trig[members]
+            else:
+                part = np.concatenate(
+                    (trig[members, :, :m], trig[members, :, width:width + m]), axis=-1)
+            osc[members] = part @ weights
     moments = np.empty((4, 2) + ts.shape)
     for q in range(4):
         np.subtract(chains.base[:, q, 0, None], osc[..., q], out=moments[q, 0])

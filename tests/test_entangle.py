@@ -324,10 +324,11 @@ def test_golden_section_lockstep_matches_scalar_per_member():
     ("freefermion", model.ChainSpec(n=9)),
     ("freefermion", model.ChainSpec(n=49)),
     ("freefermion", model.ChainSpec(n=151)),
+    ("freefermion", model.ChainSpec(n=241)),
     ("exactdiag", model.ChainSpec(n=3)),
     ("exactdiag", model.ChainSpec(n=9)),
     ("exactdiag", model.ChainSpec(n=9, delta1=3.0, delta2=0.5)),
-], ids=["ff3", "ff9", "ff49", "ff151", "ed3", "ed9", "ed9-finite"])
+], ids=["ff3", "ff9", "ff49", "ff151", "ff241", "ed3", "ed9", "ed9-finite"])
 def test_early_stop_scan_equals_full_grid(engine, spec, monkeypatch):
     evaluator = entangle.CurveEvaluator(spec, engine)
     ts = _default_grid(spec)

@@ -23,9 +23,9 @@ bond = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_subnormal
 
 
 @st.composite
-def chains(draw, min_n, max_n):
+def chains(draw, min_n, max_n, bonds=bond):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
-    couplings = draw(st.lists(bond, min_size=n - 1, max_size=n - 1))
+    couplings = draw(st.lists(bonds, min_size=n - 1, max_size=n - 1))
     return model.CouplingRealization(couplings=tuple(couplings), seed_used=0)
 
 
@@ -99,6 +99,47 @@ signed_bond = st.builds(
     st.floats(min_value=0.25, max_value=2.0, allow_nan=False),
     st.booleans(),
 )
+
+
+@st.composite
+def uniform_grids(draw):
+    """A window of an np.arange grid that may start mid-grid, or an
+    np.linspace grid, of at least two sub-blocks and not a whole number
+    of them; t = 0 is in some."""
+    block = freefermion.GRID_BLOCK
+    points = draw(st.integers(min_value=2 * block, max_value=6 * block).filter(
+        lambda k: k % block))
+    if draw(st.booleans()):
+        step = draw(st.floats(min_value=1e-3, max_value=0.05))
+        first = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=2000)))
+        return np.arange(0.0, (first + points - 0.5) * step, step)[first:]
+    start = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=60.0)))
+    return np.linspace(start, start + draw(st.floats(min_value=0.1, max_value=60.0)), points)
+
+
+@PROPERTY_SETTINGS
+@given(real=chains(2, 60, signed_bond), ts=uniform_grids())
+def test_uniform_grid_path_matches_dense_propagator(real, ts):
+    assert freefermion._grid_osc(freefermion._chain(real), ts[None]) is not None
+    got = np.stack(freefermion.end_spin_series(real, ts))
+    want = oracles.propagator_end_spin(real, ts, "mixture")
+    assert np.max(np.abs(got - want)) <= 1e-12
+    zero = ts == 0.0
+    assert np.array_equal(got[:, zero], want[:, zero])
+
+
+@PROPERTY_SETTINGS
+@given(real=chains(2, 60, signed_bond), ts=uniform_grids(), data=st.data())
+def test_grid_with_one_time_moved_or_nan_takes_the_point_path(real, ts, data):
+    chain = freefermion._chain(real)
+    k = data.draw(st.integers(min_value=0, max_value=len(ts) - 1))
+    ts[k] += data.draw(st.floats(min_value=1e-9, max_value=0.5))
+    assert freefermion._grid_osc(chain, ts[None]) is None
+    want = oracles.end_moments_outer(freefermion.ChainStack([chain]), ts[None])
+    assert _same_bits(freefermion._end_moments(chain, ts[None]), want)
+    ts[k] = np.nan
+    with pytest.raises(NumericalFaultError):
+        freefermion.end_spin_series(real, ts)
 
 
 @st.composite
