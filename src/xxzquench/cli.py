@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timezone
 
@@ -183,16 +182,18 @@ def _check_memory(n: int, workers: int = 1) -> None:
 
 
 def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1) -> str:
-    """The engine of one chain, checked for ``workers`` runs at once."""
+    """The engine of one chain, checked for ``workers`` runs at once.  A
+    finite delta1 needs the exact ground search on either engine."""
     engine = entangle.resolve_engine(spec, requested)
-    if engine == "exactdiag" and spec.n > exactdiag.MAX_SITES:
-        raise SystemExit2(
-            f"exact diagonalization is capped at {exactdiag.MAX_SITES} sites "
-            f"(requested n={spec.n}); this quench needs the free-fermion "
-            f"engine, which only covers delta1=inf, delta2=0",
-            EXIT_USAGE,
-        )
-    if engine == "exactdiag":
+    if engine == "exactdiag" or not spec.ideal_neel_start:
+        if spec.n > exactdiag.MAX_SITES:
+            raise SystemExit2(
+                f"exact diagonalization, which a finite delta1 needs for its ground "
+                f"state and delta2 > 0 for its evolution, is capped at "
+                f"{exactdiag.MAX_SITES} sites (requested n={spec.n}); longer chains "
+                f"run on free fermions from delta1=inf to delta2=0",
+                EXIT_USAGE,
+            )
         _check_memory(spec.n, workers)
     return engine
 
@@ -296,7 +297,7 @@ def _scan_blocks(members: list, jobs: int) -> list[list]:
     spread out: the fewest blocks that give every worker one and keep the
     eigenbases of each block of two or more sizes within
     freefermion.CHUNK_BYTES.  The output does not depend on them."""
-    kept = [entangle.CurveEvaluator.eigenbasis_bytes(s.n, e) for s, e in members]
+    kept = [entangle.CurveEvaluator.eigenbasis_bytes(s.n, e, s.delta1) for s, e in members]
     count = _workers(jobs, len(members))
     # block b holds two or more sizes exactly when b + count < len(members)
     while any(sum(kept[b::count]) > freefermion.CHUNK_BYTES for b in range(len(members) - count)):
@@ -384,6 +385,9 @@ def _run_parallel(worker, items: list, jobs: int) -> list:
     workers = _workers(jobs, len(items))
     if workers == 1:
         return [worker(it) for it in items]
+    # imported here, so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items))
 
@@ -412,11 +416,15 @@ def _disorder_block(item: dict) -> dict:
             "curves": curves, "peak_t": peak_t, "peak_f": peak_f}
 
 
-def _block_size(n: int, engine: str, realizations: int, jobs: int) -> int:
+def _block_size(
+    n: int, engine: str, realizations: int, jobs: int, delta1: float = math.inf
+) -> int:
     """Realizations per block: at most DISORDER_BLOCK, their eigenbases
     within freefermion.CHUNK_BYTES, and few enough that one sigma's
     realizations fill every worker.  The output does not depend on it."""
-    budget = freefermion.CHUNK_BYTES // entangle.CurveEvaluator.eigenbasis_bytes(n, engine)
+    budget = freefermion.CHUNK_BYTES // entangle.CurveEvaluator.eigenbasis_bytes(
+        n, engine, delta1
+    )
     per_worker = -(-realizations // _workers(jobs, realizations))
     return max(1, min(DISORDER_BLOCK, budget, per_worker))
 
@@ -430,7 +438,7 @@ def cmd_disorder(args) -> int:
     engine = entangle.resolve_engine(base, args.engine)
     horizon, step, ts = entangle.resolve_grid(base, args.t_max_horizon, args.grid_step)
 
-    block = _block_size(args.n, engine, args.realizations, args.jobs)
+    block = _block_size(args.n, engine, args.realizations, args.jobs, args.delta1)
     items = []
     for sigma in sigmas:
         spec = dataclasses.replace(base, disorder_sigma=sigma)
@@ -518,7 +526,7 @@ def cmd_ed_compare(args) -> int:
     rows = []
     worst = 0.0
     for n in sizes:
-        spec = model.ChainSpec(n=n, j=args.j, seed=args.seed)
+        spec = model.ChainSpec(n=n, j=args.j, delta1=args.delta1, seed=args.seed)
         horizon = entangle.default_horizon(spec)
         ts = np.linspace(0.0, horizon, args.grid_points)
         ff = entangle.CurveEvaluator(spec, "freefermion").series(ts)
@@ -537,6 +545,7 @@ def cmd_ed_compare(args) -> int:
     config = {
         "n_list": sizes,
         "j": args.j,
+        "delta1": "inf" if math.isinf(args.delta1) else args.delta1,
         "grid_points": args.grid_points,
         "seed": args.seed,
         "tolerance": ED_COMPARE_TOL,
@@ -702,6 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", type=_list_of(int), default="3,5,7,9,11",
                    help="comma-separated lengths (default 3,5,7,9,11)")
     e.add_argument("--j", type=float, default=1.0)
+    e.add_argument(
+        "--delta1", type=float, default=model.INFINITE_ANISOTROPY,
+        help='pre-quench anisotropy, a number or "inf" (default inf); delta2 is 0',
+    )
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--grid-points", type=int, default=50)
     e.add_argument("--out", default="ed_compare.csv")

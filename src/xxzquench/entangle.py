@@ -84,58 +84,69 @@ def negativity(state: EndSpinState) -> float:
 
 
 def resolve_engine(spec: model.ChainSpec, requested: str = "auto") -> Engine:
-    """Pick the evolution engine: free fermions need delta2 = 0 and an
-    ideal Neel start; everything else goes through exact diagonalization."""
-    if requested == "auto":
-        if spec.delta2 == 0.0 and spec.ideal_neel_start:
-            return "freefermion"
-        return "exactdiag"
-    if requested in ("freefermion", "ff"):
-        if spec.delta2 != 0.0 or not spec.ideal_neel_start:
-            raise ValueError(
-                "the free-fermion engine requires delta2 = 0 and delta1 = inf"
-            )
-        return "freefermion"
+    """Pick the evolution engine: every quench to delta2 = 0 runs on free
+    fermions, from the Neel closed form or, for finite delta1, from the
+    ground multiplet's correlators; delta2 > 0 needs exact diagonalization."""
     if requested in ("exactdiag", "ed"):
         return "exactdiag"
-    raise ValueError(f"unknown engine {requested!r}")
+    if requested not in ("auto", "freefermion", "ff"):
+        raise ValueError(f"unknown engine {requested!r}")
+    if spec.delta2 == 0.0:
+        return "freefermion"
+    if requested != "auto":
+        raise ValueError(
+            "the free-fermion engine requires delta2 = 0; a quench to delta2 > 0 "
+            "needs exact diagonalization"
+        )
+    return "exactdiag"
 
 
 class CurveEvaluator:
     """fef(t) and (a, b, c)(t) for one spec, engine-agnostic.
 
     Construction performs the one-off diagonalizations; evaluations are
-    then cheap enough for dense grids and golden-section refinement.
+    then cheap enough for dense grids and golden-section refinement.  A
+    free-fermion quench from the ideal Neel mixture evaluates its hopping
+    chain (``_evolution`` is None); from a finite delta1 it evaluates the
+    ground multiplet's correlators (:class:`freefermion.CorrelatorQuench`).
     """
 
     def __init__(self, spec: model.ChainSpec, engine: str = "auto"):
         self.spec = spec
         self.engine: Engine = resolve_engine(spec, engine)
         self.realization = model.realize_couplings(spec)
+        self._evolution = None
         if self.engine == "exactdiag":
             self._evolution = exactdiag.QuenchEvolution(
                 self.realization, spec.delta1, spec.delta2
             )
-        else:
+        elif spec.ideal_neel_start:
             self._chain = freefermion._chain(self.realization)
+        else:
+            state = exactdiag.ground_mixture(self.realization, spec.delta1)
+            self._evolution = freefermion.CorrelatorQuench(
+                self.realization, exactdiag.correlators(state)
+            )
 
     @staticmethod
-    def eigenbasis_bytes(n: int, engine: Engine) -> int:
-        """Bytes an evaluator of an n-site chain keeps for its eigenbasis
-        (a bound for exact diagonalization)."""
-        module = freefermion if engine == "freefermion" else exactdiag
-        return module.eigenbasis_bytes(n)
+    def eigenbasis_bytes(n: int, engine: Engine, delta1: float = math.inf) -> int:
+        """Bytes an evaluator of an n-site chain keeps for its eigenbasis,
+        or on free fermions from a finite delta1 for its correlators (a
+        bound for exact diagonalization)."""
+        if engine == "exactdiag":
+            return exactdiag.eigenbasis_bytes(n)
+        if math.isinf(delta1):
+            return freefermion.eigenbasis_bytes(n)
+        return freefermion.correlator_bytes(n)
 
     @property
     def chunk_points(self) -> int:
         """Grid points per chunk of the engine's series.  A scan in windows
         that start on chunk boundaries gives the same bytes as one call."""
-        if self.engine == "exactdiag":
-            return self._evolution.chunk_points
-        return self._chain.chunk_points
+        return (self._evolution or self._chain).chunk_points
 
     def series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.engine == "freefermion":
+        if self._evolution is None:
             return freefermion.end_spin_series(self.realization, ts)
         return self._evolution.end_spin_series(ts)
 
@@ -149,11 +160,12 @@ class CurveEvaluator:
 def _block_fef(evaluators: list[CurveEvaluator]) -> Callable[[np.ndarray], np.ndarray]:
     """fef of member k at time ``ts[k]``, all members in one call.
 
-    Free-fermion members of any lengths share one stacked kernel;
-    exact-diagonalization members are evaluated one after the other.
-    Either way a member's value is the one its own evaluator gives.
+    Free-fermion members from the Neel mixture, of any lengths, share one
+    stacked kernel; other members (correlators, exact diagonalization) are
+    evaluated one after the other.  Either way a member's value is the one
+    its own evaluator gives.
     """
-    if all(e.engine == "freefermion" for e in evaluators):
+    if all(e._evolution is None for e in evaluators):
         stack = freefermion.ChainStack([e._chain for e in evaluators])
 
         return lambda ts: _fef(*stack.end_spin_at(ts))

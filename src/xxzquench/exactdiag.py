@@ -38,13 +38,15 @@ grades and one SVD of X gives its eigenbasis, energies +-s and zero
 modes for the unpaired columns.  Other blocks, and every block at
 delta2 > 0, take a dense ``eigh``.
 
-This module is the oracle for the free-fermion route (they must agree
-entry-wise whenever delta2 = 0 and the chain starts from the ideal Neel
-mixture) and the only route for finite delta1 or delta2 > 0.  The dense
-eigenbasis of H(delta2) in a block, with its d^2 cost per time point,
-caps the usable chain length at 15 sites; longer chains belong to the
-free-fermion engine.  A run's peak memory is estimated before anything
-is allocated (:func:`run_bytes`).
+A quench to delta2 = 0 from finite delta1 needs only the ground
+multiplet's two- and four-point fermion correlators (:func:`correlators`),
+which the free-fermion engine evolves; the dense evolution here is its
+oracle (they must agree entry-wise whenever delta2 = 0, from any delta1)
+and the only route for delta2 > 0.  The ground search and the dense
+eigenbasis of H(delta2) in a block, with its d^2 cost per time point, cap
+the usable chain length at 15 sites; longer chains belong to the
+free-fermion engine from the ideal Neel mixture.  A run's peak memory is
+estimated before anything is allocated (:func:`run_bytes`).
 """
 
 from __future__ import annotations
@@ -493,6 +495,37 @@ def _flip_representatives(state: MixedState) -> list[tuple[float, PureComponent]
                 f"{comp.m_up} has no flip partner within {FLIP_CLOSURE_TOL:g}"
             )
     return [(comp.weight, comp) for comp in comps]
+
+
+def correlators(state: MixedState) -> list[tuple[float, int, np.ndarray, np.ndarray]]:
+    """Per flip representative of ``state`` its orbit weight, sector M and
+    the correlators a quench to delta2 = 0 reads
+    (:class:`~xxzquench.freefermion.CorrelatorQuench`): G2[j, k] =
+    <c+_j c_k>, the Gram matrix of the vectors c_k psi, and G4, that of
+    c_l c_m psi over the site pairs l < m.
+
+    With a fermion on every up spin, c_k clears bit k-1 of a pattern with
+    the Jordan-Wigner sign (-1)^(up spins below k); for c_l c_m, l < m,
+    both signs are read from the pattern before either is cleared.
+    """
+    n, found = state.n, []
+    for weight, comp in _flip_representatives(state):
+        states = sector_basis(n, comp.m_up).states
+        ups = (states >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)
+        signs = 1.0 - 2.0 * ((np.cumsum(ups, axis=0) - ups) % 2)
+        grams = []
+        for order in (1, 2):
+            sites = [list(c) for c in combinations(range(n), order)]
+            target = sector_basis(n, comp.m_up - order).states if comp.m_up >= order else []
+            rows = np.zeros((len(sites), len(target)))
+            for row, at in zip(rows, sites):
+                hit = np.flatnonzero(ups[at].all(axis=0))
+                cleared = states[hit] ^ np.uint64(sum(1 << k for k in at))
+                sign = signs[at][:, hit].prod(axis=0)
+                row[np.searchsorted(target, cleared)] = sign * comp.amplitudes[hit]
+            grams.append(rows @ rows.T)
+        found.append((weight, comp.m_up, *grams))
+    return found
 
 
 class _Prepared(NamedTuple):

@@ -33,6 +33,11 @@ A time point then costs O(n): one cos(2st) row, plus sin(2st) on even
 chains, times a fixed (modes x 4) weight matrix; uniform grids get those
 rows by angle addition (:func:`_grid_osc`).  By the same supports Im<c+_n c_1>
 = 0 on odd chains and Re<c+_n c_1> = 0, hence c = 0, on even ones.
+
+The same propagator carries any other start: from a ground multiplet of
+finite delta1, :class:`CorrelatorQuench` contracts rows 1 and n of f(t)
+with the start's two- and four-point correlators, which the Neel orders
+Wick-factorize into the closed form above.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ COHERENCE_IMAG_TOL = 1e-10
 # Byte budget of the work arrays of one chunk of a batched time series,
 # shared by both engines; peak memory then stays flat in the grid length.
 CHUNK_BYTES = 1 << 20
+# Largest distance of a correlator's summed occupation from its up-spin count
+OCCUPATION_TOL = 1e-10
 # Sub-block length of a uniform grid, and its tolerance in ulps of its largest time
 GRID_BLOCK, GRID_ULPS = 32, 4
 
@@ -101,6 +108,13 @@ def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) 
     _check(excess, POSITIVITY_TOL, "end-spin coherence exceeds its bound b by", ts)
 
 
+def _sublattice_svd(realization: CouplingRealization) -> tuple[np.ndarray, ...]:
+    """Full SVD P diag(s) Q^T of the block B of the hopping matrix whose rows
+    are the odd sites 1, 3, ... and whose columns are the even sites 2, 4, ..."""
+    a = np.diag(realization.couplings, 1) + np.diag(realization.couplings, -1)
+    return np.linalg.svd(a[0::2, 1::2])
+
+
 class HoppingChain:
     """End-site weights of the sublattice SVD of one realization's hopping
     matrix: O(n) numbers, kept from one O(n^3) decomposition.
@@ -119,9 +133,7 @@ class HoppingChain:
 
     def __init__(self, realization: CouplingRealization):
         n = self.n = realization.n
-        a = np.diag(realization.couplings, 1) + np.diag(realization.couplings, -1)
-        # B: rows are the odd sites 1, 3, ...; columns the even sites 2, 4, ...
-        p, s, qt = np.linalg.svd(a[0::2, 1::2])
+        p, s, qt = _sublattice_svd(realization)
         m = len(s)
         zero_mode = np.zeros(4)
         if n % 2 == 1:
@@ -351,3 +363,97 @@ def end_spin_state(realization: CouplingRealization, t: float) -> EndSpinState:
         raise ValueError(f"time must be >= 0, got {t}")
     a, b, c = end_spin_series(realization, np.array([t], dtype=float))
     return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=float(t))
+
+
+def correlator_bytes(n: int) -> int:
+    """Bytes a :class:`CorrelatorQuench` of an n-site chain keeps: s, the
+    complex (2m x 2n) propagator kernel and its real zero-mode row, both
+    summed two-point correlators and the pair correlator."""
+    m, pairs = n // 2, n * (n - 1) // 2
+    return 8 * (m + 8 * m * n + 2 * n + 2 * n * n + pairs * pairs)
+
+
+class CorrelatorQuench:
+    """Prepared quench to delta2 = 0 from any flip-closed start, such as a
+    ground multiplet of finite delta1, given by its correlators.
+
+    After the quench the fermions hop freely whatever the state,
+    c_i(t) = sum_j f_ij(t) c_j with f = exp(-iAt) (Barouch and McCoy,
+    Phys. Rev. A 3, 786 (1971)).  So each flip representative of sector M
+    needs only G2[j, k] = <c+_j c_k> and G4, the Gram matrix of the
+    vectors c_l c_m psi over the site pairs l < m (in
+    ``itertools.combinations`` order), with rows 1 and n of f:
+
+    - <n_1> and <n_n> contract G2 with a row of f on both sides, and the
+      coherence is (-1)^(M+1) Re<c+_1 c_n>, as for the Neel orders;
+    - <n_1 n_n> = ||c_n(t) c_1(t) psi||^2 = g^H G4 g with
+      g_lm = f_nl f_1m - f_nm f_1l.
+
+    The flip partner's share equals the representative's, so
+    a = (1 - <n_1> - <n_n>)/2 + <n_1 n_n> and b = 1/2 - a.  All of it is
+    linear in the correlators, which are summed once with the orbit
+    weights, so a point costs O(n^4) whatever the sector's dimension.
+    The rows of f come from the sublattice SVD: cos(At) keeps each
+    sublattice and sin(At) swaps them, so f_e(t) is [cos st | sin st]
+    times a fixed (2m x n) kernel, plus the zero mode of odd chains.
+    Each correlator's summed occupation must be M within OCCUPATION_TOL,
+    and every point passes :func:`check_x_series`.
+    """
+
+    def __init__(self, realization: CouplingRealization, correlators):
+        n = realization.n
+        p, s, qt = _sublattice_svd(realization)
+        m = len(s)
+        modes = np.empty((n, m))  # mode k of B: P on the odd sites, Q on the even ones
+        modes[0::2], modes[1::2] = p[:, :m], qt[:m].T
+        ends = [0, n - 1]
+        same = (np.arange(n) % 2 == np.array(ends)[:, None] % 2)[:, None]
+        w = modes[ends, :, None] * modes.T  # (end, mode, site)
+        kernel = np.concatenate([np.where(same, w, 0.0), np.where(same, 0.0, -1j * w)], axis=1)
+        zero = np.zeros((2, n))
+        if n % 2:
+            zero[:, 0::2] = np.outer(p[[0, -1], m], p[:, m])  # both ends are odd sites
+        self.s, self.zero = s, zero.ravel()
+        self.kernel = kernel.transpose(1, 0, 2).reshape(2 * m, 2 * n)
+        # summed G2 for the occupations, and signed by (-1)^(M+1) for the coherence
+        self.g2, self.g4 = np.zeros((2, n, n)), 0.0
+        for weight, m_up, g2, g4 in correlators:
+            drift = abs(np.trace(g2) - m_up)
+            if not drift <= OCCUPATION_TOL:
+                raise NumericalFaultError(
+                    f"occupations of a sector-{m_up} component sum to M only within "
+                    f"{drift:.3e}, beyond {OCCUPATION_TOL:g}"
+                )
+            self.g2 += weight * np.stack([g2, (-1.0) ** (m_up + 1) * g2])
+            self.g4 = self.g4 + weight * g4
+        self.pairs = np.triu_indices(n, 1)
+        # floats per time point at the peak of a chunk: trig rows, f, the
+        # contracted two-point rows and the pair coefficients g
+        self.chunk_points = max(1, CHUNK_BYTES // (8 * (10 * len(self.pairs[0]) + 32 * n)))
+
+    def _end_pair(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        phase = ts[:, None] * self.s
+        f = np.concatenate([np.cos(phase), np.sin(phase)], axis=1) @ self.kernel + self.zero
+        first, last = f.reshape(len(ts), 2, -1).transpose(1, 0, 2)
+        left, right = np.stack([first, last, first]).conj(), np.stack([first, last, last])
+        occ_first, occ_last, c = ((left @ self.g2[[0, 0, 1]]) * right).real.sum(axis=-1)
+        lo, hi = self.pairs
+        g = last[:, lo] * first[:, hi] - last[:, hi] * first[:, lo]
+        parts = np.concatenate([g.real, g.imag])
+        both = np.einsum("ij,ij->i", parts @ self.g4, parts)
+        both = both[: len(ts)] + both[len(ts):]
+        a = 0.5 * (1.0 - occ_first - occ_last) + both
+        return a, 0.5 - a, c
+
+    def end_spin_series(
+        self, ts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, c) over the times ``ts``, ``chunk_points`` at a time."""
+        ts = np.asarray(ts, dtype=float)
+        abc = np.empty((3, len(ts)))
+        for lo in range(0, len(ts), self.chunk_points):
+            part = slice(lo, lo + self.chunk_points)
+            abc[:, part] = self._end_pair(ts[part])
+        a, b, c = abc
+        check_x_series(a, b, c, ts)
+        return a, b, c

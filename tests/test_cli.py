@@ -1,6 +1,10 @@
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -119,11 +123,17 @@ def test_memory_check_covers_concurrent_workers(tmp_path, capsys, monkeypatch, a
 
 
 def test_quench_engine_auto_selection(tmp_path):
+    # every quench to delta2 = 0 runs on free fermions, from any delta1
     out = tmp_path / "qed.csv"
-    assert run("quench", "--n", "5", "--delta1", "3", "--t-max-horizon", "1",
-               "--grid-step", "0.5", "--out", str(out)) == 0
-    doc = json.loads((tmp_path / "qed.csv.manifest.json").read_text())
-    assert doc["config"]["engine"] == "exactdiag"
+    for argv, engine in [
+        (["--delta1", "3"], "freefermion"),
+        (["--delta1", "3", "--delta2", "0.5"], "exactdiag"),
+        (["--delta1", "3", "--engine", "ed"], "exactdiag"),
+    ]:
+        assert run("quench", "--n", "5", *argv, "--t-max-horizon", "1",
+                   "--grid-step", "0.5", "--out", str(out)) == 0
+        doc = json.loads((tmp_path / "qed.csv.manifest.json").read_text())
+        assert doc["config"]["engine"] == engine
 
 
 def test_scan_single_size_anchor(tmp_path):
@@ -140,13 +150,19 @@ def test_scan_single_size_anchor(tmp_path):
     assert isinstance(doc["refine_ms"], float) and doc["refine_ms"] > 0.0
 
 
-def test_scan_finite_quenches_use_exact_engine(tmp_path):
-    out = tmp_path / "s.csv"
-    assert run("scan-n", "--n", "3,5", "--delta1", "3", "--delta2", "0",
-               "--jobs", "1", "--out", str(out)) == 0
+def test_scan_finite_quenches_use_free_fermions(tmp_path):
+    # delta1 = 3 -> 0 runs on the ground multiplet's correlators, and
+    # agrees with exact diagonalization
+    out, ed = tmp_path / "s.csv", tmp_path / "ed.csv"
+    finite = ["scan-n", "--n", "3,5", "--delta1", "3", "--delta2", "0", "--jobs", "1"]
+    assert run(*finite, "--out", str(out)) == 0
+    assert run(*finite, "--engine", "ed", "--out", str(ed)) == 0
     header, rows = read_csv(out)
-    assert col(header, rows, "engine", str) == ["exactdiag", "exactdiag"]
+    assert col(header, rows, "engine", str) == ["freefermion", "freefermion"]
+    assert col(*read_csv(ed), "engine", str) == ["exactdiag", "exactdiag"]
     assert all(f > 0.5 for f in col(header, rows, "fef_at_tmax"))
+    for name, tol in (("fef_at_tmax", 1e-8), ("t_max", 1e-6)):
+        assert np.allclose(col(header, rows, name), col(*read_csv(ed), name), rtol=0, atol=tol)
     doc = json.loads((tmp_path / "s.csv.manifest.json").read_text())
     assert doc["fit"] is None  # fit is reserved for the analytic quench
     assert "conventions" in doc
@@ -286,10 +302,14 @@ def test_disorder_is_reproducible(tmp_path):
 
 
 def test_ed_compare_passes_for_small_chains(tmp_path):
+    # from the Neel mixture (the default) and from a ground multiplet
     out = tmp_path / "e.csv"
-    assert run("ed-compare", "--n", "3,5", "--out", str(out)) == 0
-    header, rows = read_csv(out)
-    assert max(col(header, rows, "max_dev")) < 1e-8
+    for extra, delta1 in (([], "inf"), (["--delta1", "3"], 3.0)):
+        assert run("ed-compare", "--n", "3,4,5", *extra, "--out", str(out)) == 0
+        header, rows = read_csv(out)
+        assert max(col(header, rows, "max_dev")) < 1e-8
+        doc = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+        assert doc["config"]["delta1"] == delta1
 
 
 def test_ed_compare_even_chain_is_separable(tmp_path):
@@ -551,7 +571,8 @@ class _InlinePool:
 
 def test_workers_never_exceed_cores_or_tasks(tmp_path, monkeypatch):
     seen = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _InlinePool(seen, max_workers))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(seen, max_workers))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     assert run("scan-n", "--n", "3,5,7", "--jobs", "64", "--out", str(tmp_path / "s.csv")) == 0
     assert run("scan-n", "--n", "5", "--jobs", "64", "--out", str(tmp_path / "one.csv")) == 0
@@ -614,3 +635,25 @@ def test_scan_lockstep_failure_names_the_size(tmp_path, monkeypatch, capsys):
     assert run("scan-n", "--n", "9,25,49", "--jobs", "1", "--out", str(tmp_path / "s.csv")) \
         == cli.EXIT_NUMERICAL
     assert "scan-n n=25 sigma=0 sub-seed=25: injected fault" in capsys.readouterr().err
+
+
+def test_serial_runs_leave_the_worker_pool_unimported(tmp_path):
+    # importing the CLI, building its parser and a --jobs 1 run never load
+    # concurrent.futures.process (and with it multiprocessing)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = textwrap.dedent(f"""
+        import sys
+        from xxzquench import cli
+
+        cli.build_parser()
+        loaded = ["concurrent.futures.process" in sys.modules]
+        argv = ["scan-n", "--n", "3,5", "--jobs", "1", "--out", {str(tmp_path / "s.csv")!r}]
+        assert cli.main(argv) == 0
+        loaded.append("concurrent.futures.process" in sys.modules)
+        print(*loaded)
+    """)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split()[-2:] == ["False", "False"]

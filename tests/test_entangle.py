@@ -106,9 +106,12 @@ def test_even_chain_has_no_peak_above_threshold():
 def test_engine_resolution():
     assert entangle.resolve_engine(model.ChainSpec(n=9)) == "freefermion"
     assert entangle.resolve_engine(model.ChainSpec(n=9, delta2=1.0)) == "exactdiag"
-    assert entangle.resolve_engine(model.ChainSpec(n=9, delta1=3.0)) == "exactdiag"
+    # a finite delta1 to delta2 = 0 runs on correlators, under auto and ff
+    assert entangle.resolve_engine(model.ChainSpec(n=9, delta1=3.0)) == "freefermion"
+    assert entangle.resolve_engine(model.ChainSpec(n=9, delta1=3.0), "ff") == "freefermion"
+    assert entangle.resolve_engine(model.ChainSpec(n=9, delta1=3.0), "ed") == "exactdiag"
     assert entangle.resolve_engine(model.ChainSpec(n=9), "ed") == "exactdiag"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="delta2 > 0 needs exact diagonalization"):
         entangle.resolve_engine(model.ChainSpec(n=9, delta2=1.0), "ff")
     with pytest.raises(ValueError):
         entangle.resolve_engine(model.ChainSpec(n=9), "magic")
@@ -118,16 +121,21 @@ def test_engine_resolution():
     model.ChainSpec(n=9, disorder_sigma=0.3, seed=2),
     model.ChainSpec(n=5, delta1=3.0),
     model.ChainSpec(n=8, delta1=3.0, disorder_sigma=0.3, seed=2),
+    model.ChainSpec(n=7, delta1=3.0, delta2=0.5),
 ])
 def test_eigenbasis_bytes_covers_what_an_evaluator_keeps(spec):
     ev = entangle.CurveEvaluator(spec)
-    if ev.engine == "freefermion":
+    bound = entangle.CurveEvaluator.eigenbasis_bytes(spec.n, ev.engine, spec.delta1)
+    if ev.engine == "freefermion" and spec.ideal_neel_start:
         kept = ev._chain.two_s.nbytes + ev._chain.weights.nbytes + ev._chain.base.nbytes
-        assert kept == entangle.CurveEvaluator.eigenbasis_bytes(spec.n, ev.engine)
+        assert kept == bound
+    elif ev.engine == "freefermion":
+        q = ev._evolution
+        assert q.s.nbytes + q.kernel.nbytes + q.zero.nbytes + q.g2.nbytes + q.g4.nbytes == bound
     else:
         kept = sum(b.energies.nbytes + b.modes.nbytes
                    for rep in ev._evolution._prepped for b in rep.blocks)
-        assert 0 < kept <= entangle.CurveEvaluator.eigenbasis_bytes(spec.n, ev.engine)
+        assert 0 < kept <= bound
 
 
 def test_power_law_round_trip():
@@ -328,7 +336,8 @@ def test_golden_section_lockstep_matches_scalar_per_member():
     ("exactdiag", model.ChainSpec(n=3)),
     ("exactdiag", model.ChainSpec(n=9)),
     ("exactdiag", model.ChainSpec(n=9, delta1=3.0, delta2=0.5)),
-], ids=["ff3", "ff9", "ff49", "ff151", "ff241", "ed3", "ed9", "ed9-finite"])
+    ("freefermion", model.ChainSpec(n=9, delta1=3.0)),
+], ids=["ff3", "ff9", "ff49", "ff151", "ff241", "ed3", "ed9", "ed9-finite", "ff9-finite"])
 def test_early_stop_scan_equals_full_grid(engine, spec, monkeypatch):
     evaluator = entangle.CurveEvaluator(spec, engine)
     ts = _default_grid(spec)
@@ -345,7 +354,7 @@ def test_early_stop_scan_equals_full_grid(engine, spec, monkeypatch):
     result = entangle.find_tmax(engine, spec)
     assert (result.t_max, result.fef_at_tmax) == (want_t, want_f)
     # whole chunks up to the first one that holds the peak's right neighbour,
-    # then the refinement's single points (exact diagonalization only)
+    # then the refinement's single points (members outside a Neel chain stack)
     k = evaluator.chunk_points
     right = _first_peak_oracle(curve, curve[0]) + 1
     windows = [min(k, len(ts) - lo) for lo in range(0, (right // k + 1) * k, k)]

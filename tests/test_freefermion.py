@@ -472,3 +472,38 @@ def test_both_engines_route_through_the_x_check(monkeypatch):
     exactdiag.QuenchEvolution(real, 3.0, 0.5).end_spin_series(ts)
     freefermion.ChainStack([freefermion._chain(real)] * 2).end_spin_at(ts[:2])
     assert seen == [list(ts), list(ts), list(ts[:2])]
+
+
+@pytest.mark.parametrize("real, delta1", [
+    *((homogeneous(n), 3.0) for n in range(2, 12)),
+    *((disordered(n, sigma=0.3, seed=n), 2.0) for n in range(2, 12)),
+    (homogeneous(8), 1000.0),  # two flip-symmetric components of M = 4
+], ids=[*(f"n{n}" for n in range(2, 12)), *(f"n{n}-disordered" for n in range(2, 12)), "pair"])
+def test_correlator_route_matches_exact_diagonalization_per_size(real, delta1):
+    evolution = exactdiag.QuenchEvolution(real, delta1, 0.0)
+    found = exactdiag.correlators(evolution.initial)
+    assert len(found) == len(evolution._prepped)
+    ts = np.linspace(0.0, 2.0 * real.n / math.pi + 2.0, 301)
+    got = np.stack(freefermion.CorrelatorQuench(real, found).end_spin_series(ts))
+    assert np.max(np.abs(got - np.stack(evolution.end_spin_series(ts)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_neel_correlators_wick_factorize_to_the_closed_form(n):
+    # the ideal Neel mixture through its correlators gives the sublattice
+    # closed form: its pair correlator factorizes by Wick's theorem
+    real = disordered(n, sigma=0.3, seed=n)
+    quench = freefermion.CorrelatorQuench(real, exactdiag.correlators(exactdiag.neel_mixture(n)))
+    ts = np.linspace(0.0, 2.0 * n / math.pi, 257)
+    got = np.stack(quench.end_spin_series(ts))
+    assert np.max(np.abs(got - np.stack(freefermion.end_spin_series(real, ts)))) <= 1e-12
+
+
+def test_corrupted_two_point_correlator_trips_the_occupation_check():
+    real = disordered(7, seed=3)
+    (weight, m_up, g2, g4), = exactdiag.correlators(exactdiag.ground_mixture(real, 3.0))
+    freefermion.CorrelatorQuench(real, [(weight, m_up, g2, g4)])
+    g2 = g2.copy()
+    g2[3, 3] += 1e-8  # sum_k <n_k> is then M + 1e-8
+    with pytest.raises(NumericalFaultError, match="occupations of a sector-3 component"):
+        freefermion.CorrelatorQuench(real, [(weight, m_up, g2, g4)])

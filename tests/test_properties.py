@@ -192,6 +192,27 @@ def test_symmetry_reduced_series_matches_two_component_oracle(real, delta1, delt
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@PROPERTY_SETTINGS
+@given(
+    real=chains(2, 11, signed_bond),
+    delta1=st.floats(min_value=1.0, max_value=4.0, exclude_min=True, allow_nan=False),
+    ts=uniform_grids(),
+    data=st.data(),
+)
+def test_correlator_route_matches_exact_diagonalization(real, delta1, ts, data):
+    # the ground multiplet's correlators, contracted with two rows of the
+    # free propagator, against the evolution of its flip representatives
+    evolution = _prepared(real, delta1, 0.0)
+    quench = freefermion.CorrelatorQuench(real, exactdiag.correlators(evolution.initial))
+    if data.draw(st.booleans()):  # a grid with one time moved
+        k = data.draw(st.integers(min_value=0, max_value=len(ts) - 1))
+        ts[k] += data.draw(st.floats(min_value=1e-9, max_value=0.5))
+    quench.chunk_points = data.draw(st.sampled_from([1, 7, 64, quench.chunk_points]))
+    got = np.stack(quench.end_spin_series(ts))
+    want = np.stack(evolution.end_spin_series(ts))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def kron_hamiltonian(real, delta):
     """XXZ matrix over all 2^n patterns from Pauli Kronecker products (oracle)."""
     n = real.n
