@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, entangle, exactdiag, freefermion, model, purify
+from . import __version__, entangle, exactdiag, model, purify
 from .errors import (
     ConvergenceError,
     NoPeakError,
@@ -35,8 +35,6 @@ from .errors import (
 
 TOOL_NAME = "xxzquench"
 ED_COMPARE_TOL = 1e-8
-# Realizations per disorder block; blocks refine their peaks in lockstep.
-DISORDER_BLOCK = 64
 
 CONVENTIONS = {
     "t_max": "first strict local maximum of fef(t) above the t=0 value, "
@@ -168,11 +166,11 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_memory(n: int, workers: int = 1) -> None:
+def _check_memory(n: int, workers: int = 1, evolve: bool = True) -> None:
     """Refuse ``workers`` exact diagonalizations at once whose estimated
-    peak (:func:`exactdiag.run_bytes` each) exceeds physical memory,
-    before they allocate anything."""
-    need, have = workers * exactdiag.run_bytes(n), _physical_memory()
+    peak (:func:`exactdiag.run_bytes` each, the evolution's if they
+    ``evolve``) exceeds physical memory, before they allocate anything."""
+    need, have = workers * exactdiag.run_bytes(n, evolve), _physical_memory()
     if have is not None and need > have:
         raise SystemExit2(
             f"{workers} exact diagonalization(s) of n={n} at once need about "
@@ -183,7 +181,8 @@ def _check_memory(n: int, workers: int = 1) -> None:
 
 def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1) -> str:
     """The engine of one chain, checked for ``workers`` runs at once.  A
-    finite delta1 needs the exact ground search on either engine."""
+    finite delta1 needs the exact ground search on either engine; only
+    exact diagonalization is charged for the evolution too."""
     engine = entangle.resolve_engine(spec, requested)
     if engine == "exactdiag" or not spec.ideal_neel_start:
         if spec.n > exactdiag.MAX_SITES:
@@ -194,7 +193,7 @@ def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1) -> st
                 f"run on free fermions from delta1=inf to delta2=0",
                 EXIT_USAGE,
             )
-        _check_memory(spec.n, workers)
+        _check_memory(spec.n, workers, evolve=engine == "exactdiag")
     return engine
 
 
@@ -293,15 +292,13 @@ def _scan_block(item: dict) -> dict:
 
 
 def _scan_blocks(members: list, jobs: int) -> list[list]:
-    """(spec, engine) members per block, dealt round-robin so that large n
-    spread out: the fewest blocks that give every worker one and keep the
-    eigenbases of each block of two or more sizes within
-    freefermion.CHUNK_BYTES.  The output does not depend on them."""
-    kept = [entangle.CurveEvaluator.eigenbasis_bytes(s.n, e, s.delta1) for s, e in members]
-    count = _workers(jobs, len(members))
-    # block b holds two or more sizes exactly when b + count < len(members)
-    while any(sum(kept[b::count]) > freefermion.CHUNK_BYTES for b in range(len(members) - count)):
-        count += 1
+    """(spec, engine) members per block.  Sizes that stack
+    (:func:`entangle.stacks`) are dealt round-robin into one block per
+    worker, so that large n spread out; any other size is a block of its
+    own, as its lockstep would run member by member anyway.  The output
+    does not depend on them."""
+    stack = all(entangle.stacks(spec, engine) for spec, engine in members)
+    count = _workers(jobs, len(members)) if stack else len(members)
     return [members[b::count] for b in range(count)]
 
 
@@ -416,17 +413,12 @@ def _disorder_block(item: dict) -> dict:
             "curves": curves, "peak_t": peak_t, "peak_f": peak_f}
 
 
-def _block_size(
-    n: int, engine: str, realizations: int, jobs: int, delta1: float = math.inf
-) -> int:
-    """Realizations per block: at most DISORDER_BLOCK, their eigenbases
-    within freefermion.CHUNK_BYTES, and few enough that one sigma's
-    realizations fill every worker.  The output does not depend on it."""
-    budget = freefermion.CHUNK_BYTES // entangle.CurveEvaluator.eigenbasis_bytes(
-        n, engine, delta1
-    )
-    per_worker = -(-realizations // _workers(jobs, realizations))
-    return max(1, min(DISORDER_BLOCK, budget, per_worker))
+def _block_size(stack: bool, realizations: int, jobs: int) -> int:
+    """Realizations per block: when they ``stack`` (:func:`entangle.stacks`)
+    one sigma's realizations in one contiguous block per worker, else one,
+    as their lockstep would run member by member anyway.  The output does
+    not depend on it."""
+    return -(-realizations // _workers(jobs, realizations)) if stack else 1
 
 
 def cmd_disorder(args) -> int:
@@ -438,7 +430,7 @@ def cmd_disorder(args) -> int:
     engine = entangle.resolve_engine(base, args.engine)
     horizon, step, ts = entangle.resolve_grid(base, args.t_max_horizon, args.grid_step)
 
-    block = _block_size(args.n, engine, args.realizations, args.jobs, args.delta1)
+    block = _block_size(entangle.stacks(base, engine), args.realizations, args.jobs)
     items = []
     for sigma in sigmas:
         spec = dataclasses.replace(base, disorder_sigma=sigma)
@@ -599,6 +591,8 @@ def _fidelity_from_record(path: str, record_n: int | None) -> float:
 def cmd_purify(args) -> int:
     if (args.fef is None) == (args.record is None):
         raise SystemExit2("give exactly one of --fef or --record", EXIT_USAGE)
+    if args.record_n is not None and args.record is None:
+        raise SystemExit2("--record-n picks a row of --record; give --record too", EXIT_USAGE)
     if args.fef is not None:
         fidelity = args.fef
         source = {"kind": "fef-value", "fef": fidelity}

@@ -109,6 +109,8 @@ class CurveEvaluator:
     free-fermion quench from the ideal Neel mixture evaluates its hopping
     chain (``_evolution`` is None); from a finite delta1 it evaluates the
     ground multiplet's correlators (:class:`freefermion.CorrelatorQuench`).
+    Only hopping chains stack (:func:`stacks`): a lockstep over any other
+    evaluators runs them one after the other.
     """
 
     def __init__(self, spec: model.ChainSpec, engine: str = "auto"):
@@ -116,28 +118,17 @@ class CurveEvaluator:
         self.engine: Engine = resolve_engine(spec, engine)
         self.realization = model.realize_couplings(spec)
         self._evolution = None
-        if self.engine == "exactdiag":
+        if stacks(spec, self.engine):
+            self._chain = freefermion._chain(self.realization)
+        elif self.engine == "exactdiag":
             self._evolution = exactdiag.QuenchEvolution(
                 self.realization, spec.delta1, spec.delta2
             )
-        elif spec.ideal_neel_start:
-            self._chain = freefermion._chain(self.realization)
         else:
             state = exactdiag.ground_mixture(self.realization, spec.delta1)
             self._evolution = freefermion.CorrelatorQuench(
                 self.realization, exactdiag.correlators(state)
             )
-
-    @staticmethod
-    def eigenbasis_bytes(n: int, engine: Engine, delta1: float = math.inf) -> int:
-        """Bytes an evaluator of an n-site chain keeps for its eigenbasis,
-        or on free fermions from a finite delta1 for its correlators (a
-        bound for exact diagonalization)."""
-        if engine == "exactdiag":
-            return exactdiag.eigenbasis_bytes(n)
-        if math.isinf(delta1):
-            return freefermion.eigenbasis_bytes(n)
-        return freefermion.correlator_bytes(n)
 
     @property
     def chunk_points(self) -> int:
@@ -157,15 +148,21 @@ class CurveEvaluator:
         return float(self.fef_series(np.array([t]))[0])
 
 
+def stacks(spec: model.ChainSpec, engine: Engine) -> bool:
+    """Whether evaluators of ``spec`` on ``engine`` share one stacked
+    kernel in a lockstep: Neel chains on free fermions, of any lengths,
+    do; correlator and exact-diagonalization members do not."""
+    return engine == "freefermion" and spec.ideal_neel_start
+
+
 def _block_fef(evaluators: list[CurveEvaluator]) -> Callable[[np.ndarray], np.ndarray]:
     """fef of member k at time ``ts[k]``, all members in one call.
 
-    Free-fermion members from the Neel mixture, of any lengths, share one
-    stacked kernel; other members (correlators, exact diagonalization) are
-    evaluated one after the other.  Either way a member's value is the one
-    its own evaluator gives.
+    Members that all :func:`stacks` share one stacked kernel; otherwise
+    they are evaluated one after the other.  Either way a member's value
+    is the one its own evaluator gives.
     """
-    if all(e._evolution is None for e in evaluators):
+    if all(stacks(e.spec, e.engine) for e in evaluators):
         stack = freefermion.ChainStack([e._chain for e in evaluators])
 
         return lambda ts: _fef(*stack.end_spin_at(ts))

@@ -538,33 +538,27 @@ class _Prepared(NamedTuple):
     coeffs: list[np.ndarray]
 
 
-def eigenbasis_bytes(n: int) -> int:
-    """Bound on the bytes of the eigenbasis one n-site quench keeps: the
-    modes and energies of the symmetry blocks of the half-filled sector,
-    together at most those of the whole sector."""
-    dim = math.comb(n, n // 2)
-    return 8 * dim * (dim + 1)
-
-
-def run_bytes(n: int) -> int:
-    """Estimate of the peak bytes of one n-site quench, known before
-    anything is allocated: the largest sector's entries (the diagonal, and
-    per hop its row, partner and coupling), the ground search's Lanczos
-    basis, the eigendecomposition of H(delta2) and a series' work arrays:
-    phases, cos/sin weights and block amplitudes, at most CHUNK_BYTES each,
-    and the end pair's two gathered rows.
+def run_bytes(n: int, evolve: bool = True) -> int:
+    """Estimate of the peak bytes of one n-site run, known before anything
+    is allocated: the largest sector's entries (the diagonal, and per hop
+    its row, partner and coupling) and the ground search's Lanczos basis;
+    if it ``evolve``s here rather than on free fermions, also the
+    eigendecomposition of H(delta2) and a series' work arrays: phases,
+    cos/sin weights and block amplitudes, at most CHUNK_BYTES each, and
+    the end pair's two gathered rows.
 
     A dense ``eigh`` of side N peaks at about 5 N^2 doubles (the block,
     numpy's working copy, the 2 N^2 of LAPACK's dsyevd workspace and the
-    modes), and a block is at most the whole sector.  Whole quenches of
-    disordered chains at n = 13 and 14 grew the resident set by 5.2 times
-    :func:`eigenbasis_bytes`, so the evolution side is taken as six times
-    that.
+    modes), and a block is at most the whole sector, whose modes and
+    energies take 8 d (d + 1) bytes.  Whole quenches of disordered chains
+    at n = 13 and 14 grew the resident set by 5.2 times that, so the
+    evolution side is taken as six times.
     """
     dim = math.comb(n, n // 2)
-    entries = 8 * dim * (1 + 3 * (n - 1))
-    lanczos = 8 * dim * min(dim, LANCZOS_MAX_STEPS)
-    return entries + lanczos + 6 * eigenbasis_bytes(n) + 4 * CHUNK_BYTES
+    ground = 8 * dim * (1 + 3 * (n - 1) + min(dim, LANCZOS_MAX_STEPS))
+    if not evolve:
+        return ground
+    return ground + 6 * 8 * dim * (dim + 1) + 4 * CHUNK_BYTES
 
 
 class QuenchEvolution:

@@ -271,13 +271,6 @@ class ChainStack:
         return _x_state(_end_moments(self, ts[:, None])[:, :, 0], self, ts)
 
 
-def eigenbasis_bytes(n: int) -> int:
-    """Bytes one n-site chain keeps: 2s, the weights (a cos row per mode,
-    and a sin row on even chains) and the constant parts."""
-    m = n // 2
-    return 8 * (m + 4 * m * (2 - n % 2) + 8)
-
-
 # Each entry holds O(n) numbers (5 KB at n=241); callers work through one
 # realization at a time, so a few entries serve every hit.
 @lru_cache(maxsize=8)
@@ -363,14 +356,6 @@ def end_spin_state(realization: CouplingRealization, t: float) -> EndSpinState:
         raise ValueError(f"time must be >= 0, got {t}")
     a, b, c = end_spin_series(realization, np.array([t], dtype=float))
     return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=float(t))
-
-
-def correlator_bytes(n: int) -> int:
-    """Bytes a :class:`CorrelatorQuench` of an n-site chain keeps: s, the
-    complex (2m x 2n) propagator kernel and its real zero-mode row, both
-    summed two-point correlators and the pair correlator."""
-    m, pairs = n // 2, n * (n - 1) // 2
-    return 8 * (m + 8 * m * n + 2 * n + 2 * n * n + pairs * pairs)
 
 
 class CorrelatorQuench:

@@ -83,8 +83,8 @@ def test_quench_engine_cap_refusal(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["quench", "--n", "9", "--delta1", "3"],
-    ["scan-n", "--n", "3,9", "--delta1", "3", "--jobs", "1"],
+    ["quench", "--n", "9", "--delta1", "3", "--engine", "ed"],
+    ["scan-n", "--n", "3,9", "--delta1", "3", "--engine", "ed", "--jobs", "1"],
     ["disorder", "--n", "9", "--delta2", "0.5", "--sigma", "0.1", "--realizations", "2"],
     ["ed-compare", "--n", "3,9"],
 ], ids=["quench", "scan-n", "disorder", "ed-compare"])
@@ -103,7 +103,7 @@ def test_exact_diagonalization_beyond_memory_is_refused_before_it_allocates(
 
 
 @pytest.mark.parametrize("argv", [
-    ["scan-n", "--n", "3,9", "--delta1", "3"],
+    ["scan-n", "--n", "3,9", "--delta1", "3", "--engine", "ed"],
     ["disorder", "--n", "9", "--delta2", "0.5", "--sigma", "0.1", "--realizations", "2"],
 ], ids=["scan-n", "disorder"])
 def test_memory_check_covers_concurrent_workers(tmp_path, capsys, monkeypatch, argv):
@@ -119,6 +119,29 @@ def test_memory_check_covers_concurrent_workers(tmp_path, capsys, monkeypatch, a
     assert "2 exact diagonalization(s) of n=" in capsys.readouterr().err
     assert built == [] and not out.exists()
     assert run(*argv, "--jobs", "1", "--out", str(out)) == 0
+    assert built and out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["quench", "--n", "9", "--delta1", "3"],
+    ["scan-n", "--n", "3,9", "--delta1", "3", "--jobs", "1"],
+    ["disorder", "--n", "9", "--delta1", "3", "--sigma", "0.1", "--realizations", "2",
+     "--jobs", "1"],
+], ids=["quench", "scan-n", "disorder"])
+def test_correlator_route_is_charged_only_its_ground_search(tmp_path, capsys, monkeypatch, argv):
+    # physical memory between the n=9 ground search's estimate and the
+    # whole exact diagonalization's: on free fermions the run fits, on
+    # exact diagonalization it is refused before any sector is built
+    have = (exactdiag.run_bytes(9, evolve=False) + exactdiag.run_bytes(9)) // 2
+    monkeypatch.setattr(cli, "_physical_memory", lambda: have)
+    built, basis = [], exactdiag.sector_basis
+    monkeypatch.setattr(exactdiag, "sector_basis",
+                        lambda *args: built.append(args) or basis(*args))
+    out = tmp_path / "r.csv"
+    assert run(*argv, "--engine", "ed", "--out", str(out)) == 1
+    assert "of physical memory" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+    assert run(*argv, "--out", str(out)) == 0
     assert built and out.exists()
 
 
@@ -216,28 +239,30 @@ def _find_tmax_per_size(spec):
         return entangle.find_tmax("auto", spec, require_above_baseline=False)
 
 
-@pytest.mark.parametrize("argv, budget", [
-    (("--n", "3,5,9,25,49,101"), None),
-    (("--n", "4,6,9", "--allow-even"), None),
-    (("--n", "7,9,25", "--sigma", "0.3", "--seed", "4"), None),
-    (("--n", "3,5,7", "--delta1", "3"), None),
-    # a 2 KiB budget splits these sizes over several blocks
-    (("--n", ",".join(map(str, range(3, 50, 2)))), 2048),
+@pytest.mark.parametrize("argv, workers, blocks", [
+    (("--n", "3,5,9,25,49,101"), 1, [6]),
+    (("--n", "4,6,9", "--allow-even"), 1, [3]),
+    (("--n", "7,9,25", "--sigma", "0.3", "--seed", "4"), 1, [3]),
+    # the ground multiplet's correlators do not stack: a block per size
+    (("--n", "3,5,7", "--delta1", "3"), 1, [1, 1, 1]),
+    # three workers split these sizes over three blocks
+    (("--n", ",".join(map(str, range(3, 50, 2)))), 3, [8, 8, 8]),
 ], ids=["odd", "allow-even", "fallback", "exactdiag", "multi-block"])
-def test_scan_equals_find_tmax_per_size(tmp_path, monkeypatch, argv, budget):
-    blocks = []
+def test_scan_equals_find_tmax_per_size(tmp_path, monkeypatch, argv, workers, blocks):
+    laid_out = []
     scan_block = cli._scan_block
 
     def recorded(item):
-        blocks.append(len(item["members"]))
+        laid_out.append(len(item["members"]))
         return scan_block(item)
 
     monkeypatch.setattr(cli, "_scan_block", recorded)
-    if budget is not None:
-        monkeypatch.setattr(freefermion, "CHUNK_BYTES", budget)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool([], max_workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: workers)
     out = tmp_path / "s.csv"
-    assert run("scan-n", *argv, "--jobs", "1", "--out", str(out)) == 0
-    assert (len(blocks) > 1) == (budget is not None)
+    assert run("scan-n", *argv, "--jobs", str(workers), "--out", str(out)) == 0
+    assert laid_out == blocks
     header, rows = read_csv(out)
     for n, seed, t, f in zip(col(header, rows, "n", int), col(header, rows, "seed", int),
                              col(header, rows, "t_max"), col(header, rows, "fef_at_tmax")):
@@ -425,6 +450,15 @@ def test_purify_requires_exactly_one_source(tmp_path):
                "--out", str(tmp_path / "p.json")) == 1
 
 
+def test_record_n_without_record_is_a_usage_error(tmp_path, capsys):
+    # --record-n picks a record row, so it is refused rather than dropped
+    out = tmp_path / "p.json"
+    assert run("purify", "--fef", "0.9", "--record-n", "9", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--record-n" in err
+    assert not out.exists()
+
+
 def test_csv_writer_renders_as_fmt(tmp_path):
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, np.float64(-1 / 3)]
     rows = [
@@ -511,34 +545,39 @@ def test_disorder_bytes_independent_of_jobs_and_block_size(tmp_path, monkeypatch
     argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5",
             "--seed", "11"]
     assert run(*argv, "--jobs", "1", "--out", str(tmp_path / "whole.csv")) == 0
-    # two workers: blocks of 3 and 2 realizations
-    assert run(*argv, "--jobs", "2", "--out", str(tmp_path / "c.csv")) == 0
-    # blocks of 2, 2 and 1 realizations: 5 is not a multiple of the block size
-    monkeypatch.setattr(cli, "DISORDER_BLOCK", 2)
-    assert run(*argv, "--jobs", "1", "--out", str(tmp_path / "a.csv")) == 0
+    # two workers (on two cores or more): blocks of 3 and 2 realizations
     assert run(*argv, "--jobs", "2", "--out", str(tmp_path / "b.csv")) == 0
+    # three workers, mapped in this process: blocks of 2, 2 and 1
+    # realizations, as 5 is not a multiple of the block size
+    seen = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(seen, max_workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert run(*argv, "--jobs", "3", "--out", str(tmp_path / "c.csv")) == 0
+    assert [(b["first"], b["stop"]) for b in seen[0]["items"]] == [
+        (0, 1), (0, 2), (2, 4), (4, 5)]
     for suffix in (".csv", "_timeseries.csv"):
         want = (tmp_path / f"whole{suffix}").read_bytes()
-        for name in "abc":
+        for name in "bc":
             assert (tmp_path / f"{name}{suffix}").read_bytes() == want
 
 
 def test_disorder_block_size_bounds_stacked_eigenbases_and_fills_workers(monkeypatch):
-    # a free-fermion chain keeps O(n) numbers, so even n = 241 fills a block
-    for n in (7, 241):
-        assert cli._block_size(n, "freefermion", 100, 1) == cli.DISORDER_BLOCK
-    assert cli._block_size(13, "exactdiag", 100, 1) == 1
-    # every worker gets a block (on eight cores; workers never exceed them)
+    # Neel chains on free fermions stack, of any length and disorder;
+    # a finite delta1 or exact diagonalization does not
+    assert entangle.stacks(model.ChainSpec(n=241, disorder_sigma=0.3), "freefermion")
+    assert not entangle.stacks(model.ChainSpec(n=7, delta1=3.0), "freefermion")
+    assert not entangle.stacks(model.ChainSpec(n=7), "exactdiag")
+    # stacking realizations make one block per worker (on eight cores;
+    # workers never exceed them)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    assert cli._block_size(7, "freefermion", 100, 2) == 50
-    assert cli._block_size(7, "freefermion", 100, 8) == 13
-    assert cli._block_size(7, "freefermion", 5, 8) == 1
-    # a budget of 64 KiB binds below DISORDER_BLOCK at these lengths
-    monkeypatch.setattr(freefermion, "CHUNK_BYTES", 1 << 16)
-    for n in (101, 241):
-        size = cli._block_size(n, "freefermion", 100, 1)
-        assert 1 <= size < cli.DISORDER_BLOCK
-        assert size * freefermion.eigenbasis_bytes(n) <= freefermion.CHUNK_BYTES
+    assert cli._block_size(True, 100, 1) == 100
+    assert cli._block_size(True, 100, 2) == 50
+    assert cli._block_size(True, 100, 8) == 13
+    assert cli._block_size(True, 5, 8) == 1
+    # other routes refine their members one by one anyway: one per block
+    for jobs in (1, 8):
+        assert cli._block_size(False, 100, jobs) == 1
 
 
 @pytest.mark.parametrize("command", ["scan-n", "disorder"])
@@ -582,7 +621,7 @@ def test_workers_never_exceed_cores_or_tasks(tmp_path, monkeypatch):
     # for two workers, three realizations each
     assert [r["workers"] for r in seen] == [2, 2]
     assert [(b["first"], b["stop"]) for b in seen[1]["items"]] == [(0, 3), (3, 6)]
-    assert cli._block_size(7, "freefermion", 100, 64) == 50
+    assert cli._block_size(True, 100, 64) == 50
 
 
 def _inject_fault(monkeypatch, cls, method, when):

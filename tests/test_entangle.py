@@ -117,27 +117,6 @@ def test_engine_resolution():
         entangle.resolve_engine(model.ChainSpec(n=9), "magic")
 
 
-@pytest.mark.parametrize("spec", [
-    model.ChainSpec(n=9, disorder_sigma=0.3, seed=2),
-    model.ChainSpec(n=5, delta1=3.0),
-    model.ChainSpec(n=8, delta1=3.0, disorder_sigma=0.3, seed=2),
-    model.ChainSpec(n=7, delta1=3.0, delta2=0.5),
-])
-def test_eigenbasis_bytes_covers_what_an_evaluator_keeps(spec):
-    ev = entangle.CurveEvaluator(spec)
-    bound = entangle.CurveEvaluator.eigenbasis_bytes(spec.n, ev.engine, spec.delta1)
-    if ev.engine == "freefermion" and spec.ideal_neel_start:
-        kept = ev._chain.two_s.nbytes + ev._chain.weights.nbytes + ev._chain.base.nbytes
-        assert kept == bound
-    elif ev.engine == "freefermion":
-        q = ev._evolution
-        assert q.s.nbytes + q.kernel.nbytes + q.zero.nbytes + q.g2.nbytes + q.g4.nbytes == bound
-    else:
-        kept = sum(b.energies.nbytes + b.modes.nbytes
-                   for rep in ev._evolution._prepped for b in rep.blocks)
-        assert 0 < kept <= bound
-
-
 def test_power_law_round_trip():
     ns = np.arange(25, 242, 2)
     pts = [(int(n), 1.42 * n ** (-0.22)) for n in ns]
