@@ -282,7 +282,8 @@ def _scan_block(item: dict) -> dict:
                         "runtime_ms": 1000.0 * (time.perf_counter() - t0)})
     t0 = time.perf_counter()
     t_max, fef = _lockstep(
-        lambda part: entangle.refine_peaks(evaluators[part], peaks[part]),
+        lambda part: entangle.refine_peaks(
+            evaluators[part], peaks[part], [e.spec.j for e in evaluators[part]]),
         [_scan_label(record["spec"]) for record in records],
     )
     refine_ms = 1000.0 * (time.perf_counter() - t0)
@@ -393,31 +394,49 @@ def _run_parallel(worker, items: list, jobs: int) -> list:
 
 
 def _disorder_block(item: dict) -> dict:
-    """Curves and refined peaks of one block of realizations of one sigma."""
+    """Curves and refined peaks of one block of realizations of one sigma.
+
+    Realizations that stack (:func:`entangle.stacks`) are scanned and
+    refined as one chain stack, in member chunks; any other is evaluated
+    on its own.  Either way the curves and peaks are those of each
+    realization's own evaluator, bit for bit.
+    """
     ts, rs, master = item["ts"], range(item["first"], item["stop"]), item["spec"]
     specs = [dataclasses.replace(master, seed=model.sub_seed(master.seed, r)) for r in rs]
     labels = [f"disorder n={spec.n} sigma={spec.disorder_sigma:g} "
               f"realization {r} sub-seed={spec.seed}" for r, spec in zip(rs, specs)]
-    evaluators, curves = [], np.empty((len(rs), len(ts)))
-    for k, spec in enumerate(specs):
-        with _naming(labels[k]):
-            evaluators.append(entangle.CurveEvaluator(spec, item["engine"]))
-            curves[k] = evaluators[k].fef_series(ts)
-    peak_t, peak_f = _lockstep(
-        lambda part: entangle.locate_first_peak(
-            curves[part], ts, evaluators[part], any_height_fallback=True, argmax_fallback=True
-        ),
-        labels,
-    )
+    if entangle.stacks(master, item["engine"]):
+        realizations = [model.realize_couplings(spec) for spec in specs]
+
+        def scan(part):
+            return entangle.stacked_curves(realizations[part], ts)
+    else:
+        evaluators, curves = [], np.empty((len(rs), len(ts)))
+        for k, spec in enumerate(specs):
+            with _naming(labels[k]):
+                evaluators.append(entangle.CurveEvaluator(spec, item["engine"]))
+                curves[k] = evaluators[k].fef_series(ts)
+
+        def scan(part):
+            return evaluators[part], curves[part]
+
+    def peaks(part):
+        members, part_curves = scan(part)
+        return (part_curves, *entangle.locate_first_peak(
+            part_curves, ts, members, master.j, any_height_fallback=True, argmax_fallback=True
+        ))
+
+    curves, peak_t, peak_f = _lockstep(peaks, labels)
     return {"sigma": master.disorder_sigma, "first": item["first"],
             "curves": curves, "peak_t": peak_t, "peak_f": peak_f}
 
 
 def _block_size(stack: bool, realizations: int, jobs: int) -> int:
     """Realizations per block: when they ``stack`` (:func:`entangle.stacks`)
-    one sigma's realizations in one contiguous block per worker, else one,
-    as their lockstep would run member by member anyway.  The output does
-    not depend on it."""
+    one sigma's realizations in one contiguous block per worker, each
+    block one chain stack from its scan to its refinement, else one, as
+    they would run member by member anyway.  The output does not depend
+    on it."""
     return -(-realizations // _workers(jobs, realizations)) if stack else 1
 
 

@@ -155,18 +155,35 @@ def stacks(spec: model.ChainSpec, engine: Engine) -> bool:
     return engine == "freefermion" and spec.ideal_neel_start
 
 
-def _block_fef(evaluators: list[CurveEvaluator]) -> Callable[[np.ndarray], np.ndarray]:
+def _block_fef(
+    members: list[CurveEvaluator] | freefermion.ChainStack,
+) -> Callable[[np.ndarray], np.ndarray]:
     """fef of member k at time ``ts[k]``, all members in one call.
 
-    Members that all :func:`stacks` share one stacked kernel; otherwise
-    they are evaluated one after the other.  Either way a member's value
-    is the one its own evaluator gives.
+    ``members`` is a chain stack, or a list of evaluators: when they all
+    :func:`stacks` their chains are joined into one stack, otherwise they
+    are evaluated one after the other.  Either way a member's value is the
+    one its own evaluator gives.
     """
-    if all(stacks(e.spec, e.engine) for e in evaluators):
-        stack = freefermion.ChainStack([e._chain for e in evaluators])
+    if isinstance(members, list):
+        if not all(stacks(e.spec, e.engine) for e in members):
+            return lambda ts: np.array([e.fef(t) for e, t in zip(members, ts.tolist())])
+        members = freefermion.ChainStack.join([e._chain for e in members])
+    return lambda ts: _fef(*members.end_spin_at(ts))
 
-        return lambda ts: _fef(*stack.end_spin_at(ts))
-    return lambda ts: np.array([e.fef(t) for e, t in zip(evaluators, ts.tolist())])
+
+def stacked_curves(
+    realizations: list[model.CouplingRealization], ts: np.ndarray
+) -> tuple[freefermion.ChainStack, np.ndarray]:
+    """One chain stack of Neel chains on free fermions and the fef curves
+    (K, T) of its members over the shared grid ``ts``, assembled chunk by
+    chunk of :meth:`freefermion.ChainStack.series`; each curve is the one
+    its member's own evaluator gives."""
+    stack = freefermion.ChainStack(realizations)
+    curves = np.empty((len(realizations), len(ts)))
+    for members, times, abc in stack.series(ts):
+        curves[members, times] = _fef(*abc)
+    return stack, curves
 
 
 def golden_section_max(
@@ -238,15 +255,18 @@ def first_peak_index(fef: np.ndarray, baseline: float) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
-def refine_peaks(evaluators: list[CurveEvaluator], peaks: list) -> tuple[np.ndarray, np.ndarray]:
+def refine_peaks(
+    members: list[CurveEvaluator] | freefermion.ChainStack, peaks: list, j
+) -> tuple[np.ndarray, np.ndarray]:
     """Refine the grid peaks (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of K
-    evaluators in one :func:`golden_section_max` lockstep, each on
-    [t_{i-1}, t_{i+1}] to 1e-6/j of its own coupling.  Golden section
-    assumes a unimodal bracket, so a refined value below fef(t_i) gives
-    way to the grid point.  Returns the peak times and values, each (K,)."""
+    members (see :func:`_block_fef`) in one :func:`golden_section_max`
+    lockstep, each on [t_{i-1}, t_{i+1}] to 1e-6/j of its coupling ``j``
+    (one for all, or one each).  Golden section assumes a unimodal
+    bracket, so a refined value below fef(t_i) gives way to the grid
+    point.  Returns the peak times and values, each (K,)."""
     lo, t, hi, fef = np.array(peaks, dtype=float).T
-    xtol = REFINE_RESOLUTION / np.array([e.spec.j for e in evaluators])
-    t_ref, f_ref = golden_section_max(_block_fef(evaluators), lo, hi, xtol)
+    xtol = REFINE_RESOLUTION / np.asarray(j, dtype=float)
+    t_ref, f_ref = golden_section_max(_block_fef(members), lo, hi, xtol)
     grid_better = f_ref < fef
     return np.where(grid_better, t, t_ref), np.where(grid_better, fef, f_ref)
 
@@ -254,7 +274,8 @@ def refine_peaks(evaluators: list[CurveEvaluator], peaks: list) -> tuple[np.ndar
 def locate_first_peak(
     curves: np.ndarray,
     ts: np.ndarray,
-    evaluators: list[CurveEvaluator] | None = None,
+    members: list[CurveEvaluator] | freefermion.ChainStack | None = None,
+    j=None,
     *,
     any_height_fallback: bool = False,
     argmax_fallback: bool = False,
@@ -269,14 +290,15 @@ def locate_first_peak(
       height;
     - ``argmax_fallback``: else the grid maximum, kept unrefined.
 
-    A member left without a peak raises NoPeakError.  With ``evaluators``
-    (one per curve) a peak at grid index i is refined on
-    [t_{i-1}, t_{i+1}] by :func:`refine_peaks`, every member in lockstep.
+    A member left without a peak raises NoPeakError.  With ``members``
+    (one per curve, see :func:`_block_fef`) of coupling ``j`` a peak at
+    grid index i is refined on [t_{i-1}, t_{i+1}] by :func:`refine_peaks`,
+    every member in lockstep.
     Returns the peak times and values, each of shape (K,).
     """
     ts = np.asarray(ts, dtype=float)
     index = np.empty(len(curves), dtype=int)
-    refine = np.full(len(curves), evaluators is not None)
+    refine = np.full(len(curves), members is not None)
     for k, curve in enumerate(curves):
         i = first_peak_index(curve, curve[0])
         if i is None and any_height_fallback:
@@ -290,8 +312,9 @@ def locate_first_peak(
     if np.any(refine):
         todo = np.flatnonzero(refine)
         t_peak[todo], f_peak[todo] = refine_peaks(
-            [evaluators[k] for k in todo],
+            [members[k] for k in todo] if isinstance(members, list) else members[todo],
             [(ts[i - 1], ts[i], ts[i + 1], f_peak[k]) for k, i in zip(todo, index[todo])],
+            j,
         )
     return t_peak, f_peak
 
@@ -363,7 +386,7 @@ def find_tmax(
     _, step, ts = resolve_grid(spec, search_horizon, grid_step)
     evaluator = CurveEvaluator(spec, engine)
     peak = scan_first_peak(evaluator, ts, above_baseline=require_above_baseline)
-    (t_max,), (fef_max,) = refine_peaks([evaluator], [peak])
+    (t_max,), (fef_max,) = refine_peaks([evaluator], [peak], spec.j)
     return TmaxResult(
         t_max=float(t_max), fef_at_tmax=float(fef_max),
         scan_resolution=step, refined=True,

@@ -42,6 +42,7 @@ Wick-factorize into the closed form above.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,10 +80,11 @@ class EndSpinState:
 
 
 def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None:
-    """Raise at the first point whose deviation exceeds tol (NaN included)."""
+    """Raise at the first point whose deviation exceeds tol (NaN included),
+    in row-major order over ``deviation`` and its times ``ts``, of one shape."""
     ok = deviation <= tol
     if not ok.all():
-        k = int(np.argmin(ok))
+        k = np.unravel_index(np.argmin(ok), ok.shape)
         raise NumericalFaultError(
             f"{what} {deviation[k]:.3e} beyond {tol:g} at t={float(ts[k])!r}"
         )
@@ -91,11 +93,13 @@ def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None
 def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) -> None:
     """Check that each (a, b, c) over the times ``ts`` is a density matrix.
 
-    The X state has unit trace 2a + 2b and eigenvalues a, a and b +- |c|,
-    so it is checked that |2a + 2b - 1|, -a and |c| - b stay within their
-    tolerances.  The three deviations are tested together in one pass;
-    only when that fails are they checked one by one, in that order, so
-    the first failing check raises, naming its first failing t.  Both
+    The four arrays share one shape: a series (T,), or a chunk (K, T) of
+    K members.  The X state has unit trace 2a + 2b and eigenvalues a, a
+    and b +- |c|, so it is checked that |2a + 2b - 1|, -a and |c| - b stay
+    within their tolerances.  The three deviations are tested together in
+    one pass; only when that fails are they checked one by one, in that
+    order, so the first failing check raises, naming its first failing t
+    (in a chunk, the first failing member's).  Both
     engines run this on every point they evaluate, and
     :class:`EndSpinState` on its one point.
     """
@@ -108,61 +112,146 @@ def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) 
     _check(excess, POSITIVITY_TOL, "end-spin coherence exceeds its bound b by", ts)
 
 
-def _sublattice_svd(realization: CouplingRealization) -> tuple[np.ndarray, ...]:
-    """Full SVD P diag(s) Q^T of the block B of the hopping matrix whose rows
-    are the odd sites 1, 3, ... and whose columns are the even sites 2, 4, ..."""
-    a = np.diag(realization.couplings, 1) + np.diag(realization.couplings, -1)
-    return np.linalg.svd(a[0::2, 1::2])
+def _sublattice_svd(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Full SVDs P diag(s) Q^T of the blocks B of the hopping matrices whose
+    rows are the odd sites 1, 3, ... and whose columns are the even sites
+    2, 4, ..., one per row of ``couplings`` (..., n - 1), in one batched
+    call.  B holds the bonds J_1, J_3, ... on its diagonal and J_2, J_4,
+    ... just below it."""
+    n = couplings.shape[-1] + 1
+    b = np.zeros(couplings.shape[:-1] + ((n + 1) // 2, n // 2))
+    diagonal, below = np.arange(n // 2), np.arange((n - 1) // 2)
+    b[..., diagonal, diagonal] = couplings[..., 0::2]
+    b[..., below + 1, below] = couplings[..., 1::2]
+    return np.linalg.svd(b)
 
 
-class HoppingChain:
-    """End-site weights of the sublattice SVD of one realization's hopping
-    matrix: O(n) numbers, kept from one O(n^3) decomposition.
+class ChainStack:
+    """End-site weights of the sublattice SVDs of K hopping chains from the
+    Neel mixture, of any lengths: O(n) numbers per chain, kept from one
+    batched O(n^3) decomposition per length.  A single chain is a stack of
+    one (:func:`_chain`); a disorder ensemble is one stack.
 
-    The arrays carry a leading axis of one chain, so that a chain is a
-    :class:`ChainStack` of one.  ``two_s`` (1, m) holds the doubled
-    singular values 2 s_k of B.  Row k of ``weights`` (1, rows, 4) maps
-    cos(2 s_k t), and on even chains in the second half of the rows
-    sin(2 s_k t), to the oscillating parts of the four end-site moments
-    of order N2, which fills the odd sites; order N1 fills the even sites
-    and sees them with the opposite sign.  ``base`` (1, 4, 2) holds the
-    constant parts of both orders and ``start`` (1, 4, 2) their values at
-    t = 0; ``sign`` (1, 2) the orders' parity signs, ``odd`` (1,) n % 2,
-    and ``rows`` the number of trigonometric columns a time point needs.
+    The arrays are member-major.  ``two_s`` (K, width) holds the doubled
+    singular values 2 s_k of B, zero-padded to the longest member, so that
+    one cos row (and one sin row if a member is even) serves the stack.
+    Row k of ``weights`` (K, rows, 4) maps cos(2 s_k t), and on even chains
+    row m + k maps sin(2 s_k t), to the oscillating parts of the four
+    end-site moments of order N2, which fills the odd sites; order N1 fills
+    the even sites and sees them with the opposite sign.  ``base`` (K, 4, 2)
+    holds the constant parts of both orders and ``start`` (K, 4, 2) their
+    values at t = 0; ``sign`` (K, 2) the orders' parity signs and ``odd``
+    (K,) n % 2.  ``groups`` holds per length its members, m = n // 2 and
+    its rows of ``weights``: products run per length, as a product over
+    zero-padded rows would sum in another order.  So every member's values
+    come from the same operations whatever stack it is in, and agree bit
+    for bit with those of its own stack of one.
     """
 
-    def __init__(self, realization: CouplingRealization):
-        n = self.n = realization.n
-        p, s, qt = _sublattice_svd(realization)
-        m = len(s)
-        zero_mode = np.zeros(4)
-        if n % 2 == 1:
-            # sites 1 and n are odd; column m of P is the zero mode
-            ends = np.stack([p[0] ** 2, p[-1] ** 2, p[0] * p[-1], np.zeros(m + 1)], axis=1)
-            weights = 0.5 * ends[:m]
-            zero_mode = ends[m]
-        else:
-            # site n is even: its row of Q is column n of Q^T
-            p1, qn = p[0], qt[:, -1]
-            weights = np.zeros((2 * m, 4))
-            weights[:m, 0] = 0.5 * p1**2
-            weights[:m, 1] = -0.5 * qn**2
-            weights[m:, 3] = -0.5 * p1 * qn
-        # cos^2 = (1 + cos 2st)/2 and sin^2 = (1 - cos 2st)/2; the rows of P
-        # and Q are orthonormal, so the constant parts only need the zero mode
-        base = 0.5 * (np.array([[1.0], [1.0], [0.0], [0.0]]) + np.outer(zero_mode, (-1.0, 1.0)))
-        self.two_s, self.weights, self.base = 2.0 * s[None], weights[None], base[None]
-        occupied, sign = _neel_components(n)
-        self.start = np.zeros((1, 4, 2))
-        self.start[0, :2] = occupied[::n - 1]
-        self.sign, self.odd = sign[None], np.array([n % 2 == 1])
-        self.rows, self.groups = len(weights), ((slice(None), m, self.weights),)
-        # floats per time point at the peak of a point-path chunk: phases, trig
-        # rows, oscillating parts and moments (angle addition needs fewer)
-        self.chunk_points = max(1, CHUNK_BYTES // (8 * (m + len(weights) + 4 + 8)))
+    def __init__(self, realizations: list[CouplingRealization]):
+        n = np.array([r.n for r in realizations])
+        k, width = len(n), n.max() // 2
+        rows = width * (1 if np.all(n % 2) else 2)
+        self._assemble(n, np.zeros((k, width)), np.zeros((k, rows, 4)),
+                       np.empty((k, 4, 2)), np.zeros((k, 4, 2)), np.empty((k, 2)))
+        # the arrays are filled in place, one length at a time
+        for members, m, _ in self.groups:
+            length = int(n[members][0])
+            p, s, qt = _sublattice_svd(
+                np.array([realizations[i].couplings for i in np.arange(k)[members]]))
+            zero_mode = np.zeros((len(s), 4))
+            if length % 2 == 1:
+                # sites 1 and n are odd; column m of P is the zero mode
+                first, last = p[:, 0], p[:, -1]
+                ends = np.stack([first**2, last**2, first * last, np.zeros_like(first)], axis=-1)
+                self.weights[members, :m] = 0.5 * ends[:, :m]
+                zero_mode = ends[:, m]
+            else:
+                # site n is even: its row of Q is column n of Q^T
+                p1, qn = p[:, 0], qt[:, :, -1]
+                self.weights[members, :m, 0] = 0.5 * p1**2
+                self.weights[members, :m, 1] = -0.5 * qn**2
+                self.weights[members, m:2 * m, 3] = -0.5 * p1 * qn
+            # cos^2 = (1 + cos 2st)/2 and sin^2 = (1 - cos 2st)/2; the rows of P
+            # and Q are orthonormal, so the constant parts only need the zero mode
+            constant = np.array([[1.0], [1.0], [0.0], [0.0]])
+            self.base[members] = 0.5 * (constant + zero_mode[..., None] * np.array([-1.0, 1.0]))
+            self.two_s[members, :m] = 2.0 * s
+            occupied, self.sign[members] = _neel_components(length)
+            self.start[members, :2] = occupied[::length - 1]
+
+    def _assemble(self, n, two_s, weights, base, start, sign) -> None:
+        self.n, self.two_s, self.weights = n, two_s, weights
+        self.base, self.start, self.sign, self.odd = base, start, sign, n % 2 == 1
+        width = two_s.shape[1]
+        # trigonometric columns of a time point: cos, then sin if a member is even
+        self.rows = width * (1 if self.odd.all() else 2)
+        self.groups = []
+        for length in sorted(set(n.tolist())):
+            members = np.flatnonzero(n == length)
+            if members[-1] - members[0] == len(members) - 1:
+                members = slice(members[0], members[-1] + 1)
+            m = length // 2
+            self.groups.append((members, m, m if length % 2 else 2 * m))
+        # floats per time point and member at the peak of a point-path chunk:
+        # phases, trig rows, oscillating parts and moments (angle addition
+        # needs fewer)
+        self.chunk_points = max(1, CHUNK_BYTES // (8 * (width + self.rows + 4 + 8)))
+
+    def __getitem__(self, members) -> ChainStack:
+        """The ``members`` (a slice or an index array) as a stack of their own."""
+        part = ChainStack.__new__(ChainStack)
+        part._assemble(*(x[members] for x in (
+            self.n, self.two_s, self.weights, self.base, self.start, self.sign)))
+        return part
+
+    @staticmethod
+    def join(stacks: list[ChainStack]) -> ChainStack:
+        """The members of ``stacks``, in order, as one stack, each kept from
+        its own decomposition."""
+        n = np.concatenate([s.n for s in stacks])
+        two_s = np.zeros((len(n), max(s.two_s.shape[1] for s in stacks)))
+        weights = np.zeros((len(n), max(s.weights.shape[1] for s in stacks), 4))
+        lo = 0
+        for s in stacks:
+            k, width = s.two_s.shape
+            two_s[lo:lo + k, :width] = s.two_s
+            weights[lo:lo + k, :s.weights.shape[1]] = s.weights
+            lo += k
+        joined = ChainStack.__new__(ChainStack)
+        joined._assemble(n, two_s, weights, *(
+            np.concatenate([getattr(s, key) for s in stacks]) for key in ("base", "start", "sign")))
+        return joined
+
+    def series(self, ts: np.ndarray) -> Iterator[tuple[slice, slice, tuple[np.ndarray, ...]]]:
+        """(a, b, c) of every member over the shared times ``ts``, chunk by
+        chunk: yields the member and time slices of a chunk and its three
+        (k, t) arrays.
+
+        A chunk holds min(T, chunk_points) times of as many members as the
+        same ``chunk_points`` budget allows, so work memory stays flat in
+        the grid and in the ensemble, and a grid longer than the budget is
+        split in time, one member at a time.  Over members of one length a
+        member's values are those of its own stack of one, bit for bit.
+        """
+        ts = np.asarray(ts, dtype=float)
+        span = max(1, min(len(ts), self.chunk_points))
+        count = self.chunk_points // span
+        for lo in range(0, len(self.n), count):
+            part = self if count >= len(self.n) else self[lo:lo + count]
+            for t0 in range(0, len(ts), span):
+                window = ts[t0:t0 + span]
+                times = np.broadcast_to(window, (len(part.n), len(window)))
+                moments = _end_moments(part, times)
+                yield slice(lo, lo + count), slice(t0, t0 + span), _x_state(moments, part, times)
+
+    def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, c) of member k at time ``ts[k]``, each of shape (K,)."""
+        ts = np.asarray(ts, dtype=float)[:, None]
+        return tuple(x[:, 0] for x in _x_state(_end_moments(self, ts), self, ts))
 
 
-def _grid_osc(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarray | None:
+def _grid_osc(chains: ChainStack, ts: np.ndarray) -> np.ndarray | None:
     """Oscillating parts (K, T, 4) by angle addition, or None unless each
     row has at least 2 GRID_BLOCK points that lie within GRID_ULPS ulps of
     its largest time of ts[0] + h j.  Each sub-block of GRID_BLOCK points
@@ -176,14 +265,14 @@ def _grid_osc(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarray |
     if not np.all(drift <= GRID_ULPS * np.spacing(np.abs(ts).max(axis=-1, keepdims=True))):
         return None
     osc = np.empty((len(ts), -(-points // GRID_BLOCK) * GRID_BLOCK, 4))
-    for members, m, weights in chains.groups:
+    for members, m, rows in chains.groups:
         two_s = chains.two_s[members, None, :m]
         beta = h[members, :, None] * np.arange(GRID_BLOCK)[:, None] * two_s
         basis = np.concatenate((np.cos(beta), -np.sin(beta)), axis=-1)[:, None]
         alpha = (ts[members, ::GRID_BLOCK, None] * two_s)[..., None]
         cos_a, sin_a = np.cos(alpha), np.sin(alpha)
         # [w_c cos a + w_s sin a ; w_c sin a - w_s cos a], w_s only on even chains
-        w_c, w_s = weights[:, None, :m], weights[:, None, m:]
+        w_c, w_s = chains.weights[members, None, :m], chains.weights[members, None, m:rows]
         rotated = np.concatenate((w_c * cos_a, w_c * sin_a), axis=-2)
         if w_s.shape[-2]:
             rotated += np.concatenate((w_s * sin_a, -w_s * cos_a), axis=-2)
@@ -191,7 +280,7 @@ def _grid_osc(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarray |
     return osc[:, :points]
 
 
-def _end_moments(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarray:
+def _end_moments(chains: ChainStack, ts: np.ndarray) -> np.ndarray:
     """End-site moments of both Neel orders for K chains, each over its own
     T times ``ts`` (K, T); shape (4, K, T, 2).
 
@@ -216,15 +305,15 @@ def _end_moments(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarra
             np.sin(phase, out=trig[..., width:])
         del phase
         osc = np.empty(ts.shape + (4,))
-        for members, m, weights in chains.groups:
-            if weights.shape[-2] == m:  # odd: the cos columns
+        for members, m, rows in chains.groups:
+            if rows == m:  # odd: the cos columns
                 part = trig[members, :, :m]
             elif m == width:  # even and unpadded: cos and sin side by side
                 part = trig[members]
             else:
                 part = np.concatenate(
                     (trig[members, :, :m], trig[members, :, width:width + m]), axis=-1)
-            osc[members] = part @ weights
+            osc[members] = part @ chains.weights[members, :rows]
     moments = np.empty((4, 2) + ts.shape)
     for q in range(4):
         np.subtract(chains.base[:, q, 0, None], osc[..., q], out=moments[q, 0])
@@ -235,50 +324,15 @@ def _end_moments(chains: HoppingChain | ChainStack, ts: np.ndarray) -> np.ndarra
     return np.moveaxis(moments, 1, -1)
 
 
-class ChainStack:
-    """Hopping chains from the Neel mixture, of any lengths, evaluated
-    together at one time each.
-
-    ``two_s`` is zero-padded to the longest member, so one cos (and one
-    sin if a member is even) serves the stack.  The weights are stacked
-    per length, one (k, 1, rows) @ (k, rows, 4) product each: a product
-    over zero-padded rows would sum in another order.  Every member's
-    value is computed by the same operations as :func:`end_spin_series`
-    at that single time, so the two agree bit for bit, and it passes the
-    same checks.
-    """
-
-    def __init__(self, chains: list[HoppingChain]):
-        self.n = np.array([c.n for c in chains])
-        self.base, self.start, self.sign, self.odd = (
-            np.concatenate([getattr(c, key) for c in chains])
-            for key in ("base", "start", "sign", "odd")
-        )
-        self.two_s = np.zeros((len(chains), self.n.max() // 2))
-        self.rows = self.two_s.shape[1] * (1 if self.odd.all() else 2)
-        self.groups = []
-        for n in sorted({c.n for c in chains}):
-            members = np.flatnonzero(self.n == n)
-            group = [chains[k] for k in members]
-            if members[-1] - members[0] == len(members) - 1:
-                members = slice(members[0], members[-1] + 1)
-            self.two_s[members, :n // 2] = np.concatenate([c.two_s for c in group])
-            self.groups.append((members, n // 2, np.concatenate([c.weights for c in group])))
-
-    def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, c) of chain k at time ``ts[k]``, each of shape (K,)."""
-        ts = np.asarray(ts, dtype=float)
-        return _x_state(_end_moments(self, ts[:, None])[:, :, 0], self, ts)
-
-
-# Each entry holds O(n) numbers (5 KB at n=241); callers work through one
-# realization at a time, so a few entries serve every hit.
+# Each entry holds O(n) numbers (5 KB at n=241).  Single chains (quench,
+# scan-n, find_tmax) are worked through one at a time, so a few entries
+# serve every hit; a disorder ensemble builds its own stack instead.
 @lru_cache(maxsize=8)
-def _chain(realization: CouplingRealization) -> HoppingChain:
-    return HoppingChain(realization)
+def _chain(realization: CouplingRealization) -> ChainStack:
+    return ChainStack([realization])
 
 
-# a disorder ensemble asks for the same few n once per evaluation
+# each stack asks once per length it holds
 @lru_cache(maxsize=16)
 def _neel_components(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Occupied columns and parity signs (-1)^(M+1) of the two Neel orders,
@@ -298,31 +352,31 @@ def _neel_components(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _x_state(
-    moments: np.ndarray, chains: HoppingChain | ChainStack, ts: np.ndarray
+    moments: np.ndarray, chains: ChainStack, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, c) of the Neel mixture from the moments of ``chains``.
 
-    ``moments`` is a (4, P, 2) stack from :func:`_end_moments`, one column
-    per Neel order, at the P times ``ts``: P points of one chain, or one of
-    each of P stacked chains, whose parity signs and odd flags broadcast
-    against them.  Each component is assembled on its own column and the
+    ``moments`` is a (4, K, T, 2) stack from :func:`_end_moments`, one
+    column per Neel order, of the K members of ``chains`` over their times
+    ``ts`` (K, T).  Each component is assembled on its own column and the
     mixture is the average of the two columns, (0 + x0 + x1) / 2: the
     additions of a length-2 ``mean``, which starts from +0.0 and so turns
     a sum of two -0.0 into +0.0.  The result must pass
-    :func:`check_x_series`.
+    :func:`check_x_series`; a failure names the first failing member's time.
     """
     occ_first, occ_last, cross_re, cross_im = moments
     # for odd chains the cross moment is real up to round-off; the
     # imaginary part is discarded after this check
     imag = np.maximum(np.abs(cross_im[..., 0]), np.abs(cross_im[..., 1]))
-    _check(np.where(chains.odd, imag, 0.0), COHERENCE_IMAG_TOL, "coherence imaginary part", ts)
+    _check(np.where(chains.odd[:, None], imag, 0.0), COHERENCE_IMAG_TOL,
+           "coherence imaginary part", ts)
     a = (
         occ_first * occ_last
         - (cross_re**2 + cross_im**2)
         - 0.5 * (occ_first + occ_last - 1.0)
     )
     b = 0.5 - a
-    c = chains.sign * cross_re
+    c = chains.sign[:, None] * cross_re
     a, b, c = [(0.0 + x[..., 0] + x[..., 1]) / 2 for x in (a, b, c)]
     check_x_series(a, b, c, ts)
     return a, b, c
@@ -337,16 +391,13 @@ def end_spin_series(
     By the global spin-flip symmetry the components coincide, but both are
     computed explicitly, each from the sublattice it fills, and the agreement
     is left to the test suite rather than assumed.  The grid is evaluated
+    by :meth:`ChainStack.series` of the realization's stack of one,
     ``chunk_points`` at a time, so work memory does not grow with it.
     """
     ts = np.asarray(ts, dtype=float)
-    chain = _chain(realization)
     a, b, c = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
-    for lo in range(0, len(ts), chain.chunk_points):
-        part = slice(lo, lo + chain.chunk_points)
-        a[part], b[part], c[part] = _x_state(
-            _end_moments(chain, ts[None, part])[:, 0], chain, ts[part]
-        )
+    for _, times, chunk in _chain(realization).series(ts):
+        a[times], b[times], c[times] = (x[0] for x in chunk)
     return a, b, c
 
 
@@ -387,7 +438,7 @@ class CorrelatorQuench:
 
     def __init__(self, realization: CouplingRealization, correlators):
         n = realization.n
-        p, s, qt = _sublattice_svd(realization)
+        p, s, qt = _sublattice_svd(np.array(realization.couplings))
         m = len(s)
         modes = np.empty((n, m))  # mode k of B: P on the odd sites, Q on the even ones
         modes[0::2], modes[1::2] = p[:, :m], qt[:m].T

@@ -420,7 +420,8 @@ def end_spin_matrix(state: EndSpinState) -> np.ndarray:
 def end_moments_outer(chains, ts: np.ndarray) -> np.ndarray:
     """Moment stack (4, K, T, 2) of ``freefermion._end_moments``, with the
     orders made by one outer product and shifted by their constant parts."""
-    (_, m, weights), = chains.groups  # one length
+    (members, m, rows), = chains.groups  # one length
+    weights = chains.weights[members, :rows]
     n = int(chains.n[0])
     phase = ts[..., None] * chains.two_s[:, None, :]
     trig = np.empty(phase.shape[:-1] + (weights.shape[-2],))

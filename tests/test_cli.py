@@ -635,15 +635,44 @@ def _inject_fault(monkeypatch, cls, method, when):
     monkeypatch.setattr(cls, method, faulty)
 
 
+def _inject_chunk_fault(monkeypatch, spec):
+    """Fault the X-state assembly of every chunk of the stacked ensemble
+    kernel that holds the realization of ``spec``."""
+    target = freefermion._chain(model.realize_couplings(spec)).two_s[0]
+    x_state = freefermion._x_state
+
+    def faulty(moments, chains, ts):
+        if any(np.array_equal(s, target) for s in chains.two_s):
+            raise NumericalFaultError("injected fault")
+        return x_state(moments, chains, ts)
+
+    monkeypatch.setattr(freefermion, "_x_state", faulty)
+
+
 def test_disorder_failure_names_the_realization(tmp_path, monkeypatch, capsys):
     # seed 17, realization 3: sub-seed 17 ^ 3 = 18
-    _inject_fault(monkeypatch, entangle.CurveEvaluator, "fef_series",
-                  lambda ev: ev.spec.seed == 18 and ev.spec.disorder_sigma == 0.2)
+    _inject_chunk_fault(monkeypatch, model.ChainSpec(n=7, disorder_sigma=0.2, seed=18))
     argv = ["disorder", "--n", "7", "--sigma", "0.2", "--realizations", "5",
             "--seed", "17", "--jobs", "1", "--out", str(tmp_path / "d.csv")]
     assert run(*argv) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "disorder n=7 sigma=0.2 realization 3 sub-seed=18: injected fault" in err
+
+
+def test_disorder_failure_outside_the_first_chunk_names_the_realization(
+    tmp_path, monkeypatch, capsys
+):
+    # 2,001 grid points at n = 7: three realizations per chunk, so
+    # realization 7 of 9 (sub-seed 17 ^ 7 = 22) lies in the third chunk
+    spec = model.ChainSpec(n=7, disorder_sigma=0.2, seed=22)
+    _, _, ts = entangle.resolve_grid(spec)
+    assert freefermion._chain(model.realize_couplings(spec)).chunk_points // len(ts) == 3
+    _inject_chunk_fault(monkeypatch, spec)
+    argv = ["disorder", "--n", "7", "--sigma", "0.2", "--realizations", "9",
+            "--seed", "17", "--jobs", "1", "--out", str(tmp_path / "d.csv")]
+    assert run(*argv) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "disorder n=7 sigma=0.2 realization 7 sub-seed=22: injected fault" in err
 
 
 def test_disorder_lockstep_failure_names_the_realization(tmp_path, monkeypatch, capsys):

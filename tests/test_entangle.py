@@ -281,7 +281,8 @@ def test_lockstep_peaks_match_per_realization_oracle(case):
         ts = _default_grid(evaluators[0].spec)
     curves = np.stack([e.fef_series(ts) for e in evaluators])
     t, f = entangle.locate_first_peak(
-        curves, ts, evaluators, any_height_fallback=True, argmax_fallback=True
+        curves, ts, evaluators, evaluators[0].spec.j, any_height_fallback=True,
+        argmax_fallback=True,
     )
     want = [_peak_oracle(e, c, ts, fallbacks=True) for e, c in zip(evaluators, curves)]
     assert {w[2] for w in want} == rules

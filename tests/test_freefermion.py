@@ -268,11 +268,11 @@ def test_series_work_memory_independent_of_grid():
 
 def test_chunk_points_follow_budget(monkeypatch):
     real = disordered(9)
-    default = freefermion.HoppingChain(real).chunk_points
+    default = freefermion.ChainStack([real]).chunk_points
     monkeypatch.setattr(freefermion, "CHUNK_BYTES", freefermion.CHUNK_BYTES // 4)
-    assert freefermion.HoppingChain(real).chunk_points == default // 4
+    assert freefermion.ChainStack([real]).chunk_points == default // 4
     monkeypatch.setattr(freefermion, "CHUNK_BYTES", 1)
-    assert freefermion.HoppingChain(real).chunk_points == 1
+    assert freefermion.ChainStack([real]).chunk_points == 1
 
 
 def test_end_spin_state_takes_one_pass(monkeypatch):
@@ -326,7 +326,7 @@ def test_neel_components_are_cached_read_only():
 @pytest.mark.parametrize("n", [7, 12, 31])
 def test_chain_stack_matches_single_time_series_bitwise(n):
     reals = [homogeneous(n)] + [disordered(n, sigma=0.8, seed=s) for s in range(5)]
-    stack = freefermion.ChainStack([freefermion._chain(r) for r in reals])
+    stack = freefermion.ChainStack(reals)
     ts = np.array([0.0, 0.4, 1.7, 1.7, 9.3, 2.0 * n])
     got = stack.end_spin_at(ts)
     for k, (real, t) in enumerate(zip(reals, ts)):
@@ -335,18 +335,20 @@ def test_chain_stack_matches_single_time_series_bitwise(n):
 
 
 def test_length_mixed_stack_matches_single_time_series_bitwise():
-    # the default scan-n sizes, plus even chains, in one stack: per-length
-    # products give each member the bits of its own series (a product over
-    # zero-padded rows would move some of them)
+    # the default scan-n sizes, plus even chains, in one stack, built at
+    # once or joined from stacks of one as a scan-n refinement does:
+    # per-length products give each member the bits of its own series (a
+    # product over zero-padded rows would move some of them)
     sizes = list(range(3, 50, 2)) + list(range(59, 240, 10)) + [241, 2, 12, 120]
     reals = [disordered(n, sigma=0.3, seed=n) for n in sizes]
-    stack = freefermion.ChainStack([freefermion._chain(r) for r in reals])
     rng = np.random.default_rng(7)
-    for ts in [np.zeros(len(sizes))] + [rng.uniform(0.0, 80.0, len(sizes)) for _ in range(4)]:
-        got = stack.end_spin_at(ts)
-        for k, (real, t) in enumerate(zip(reals, ts)):
-            want = freefermion.end_spin_series(real, np.array([t]))
-            assert [g[k] for g in got] == [w[0] for w in want]
+    for stack in (freefermion.ChainStack(reals),
+                  freefermion.ChainStack.join([freefermion.ChainStack([r]) for r in reals])):
+        for ts in [np.zeros(len(sizes))] + [rng.uniform(0.0, 80.0, len(sizes)) for _ in range(4)]:
+            got = stack.end_spin_at(ts)
+            for k, (real, t) in enumerate(zip(reals, ts)):
+                want = freefermion.end_spin_series(real, np.array([t]))
+                assert [g[k] for g in got] == [w[0] for w in want]
 
 
 @pytest.mark.parametrize("factor", [0.5, 1.5])
@@ -359,7 +361,7 @@ def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
     moments = np.array([0.5, 0.5, math.sqrt(0.25 + delta), 0.0])
     monkeypatch.setattr(freefermion, "_end_moments", lambda chains, ts: np.broadcast_to(
         moments[:, None, None, None], (4,) + ts.shape + (2,)))
-    stack = freefermion.ChainStack([freefermion._chain(homogeneous(7))])
+    stack = freefermion._chain(homogeneous(7))
     if factor < 1:
         stack.end_spin_at(np.array([1.0]))
         return
@@ -379,7 +381,7 @@ def test_series_and_stack_check_coherence_imaginary_part(monkeypatch, factor):
     monkeypatch.setattr(freefermion, "_end_moments", shifted)
     real = homogeneous(7)
     ts = np.array([0.0, 0.7, 1.3])
-    stack = freefermion.ChainStack([freefermion._chain(real)] * 3)
+    stack = freefermion.ChainStack([real] * 3)
     for evaluate in (lambda: freefermion.end_spin_series(real, ts), lambda: stack.end_spin_at(ts)):
         if factor < 1:
             evaluate()
@@ -461,7 +463,7 @@ def test_both_engines_route_through_the_x_check(monkeypatch):
     check = freefermion.check_x_series
 
     def recording(a, b, c, ts):
-        seen.append(list(ts))
+        seen.append(np.ravel(ts).tolist())  # a chunk (K, T) of the free-fermion kernel
         check(a, b, c, ts)
 
     monkeypatch.setattr(freefermion, "check_x_series", recording)
@@ -470,7 +472,7 @@ def test_both_engines_route_through_the_x_check(monkeypatch):
     ts = np.linspace(0.0, 4.0, 9)
     freefermion.end_spin_series(real, ts)
     exactdiag.QuenchEvolution(real, 3.0, 0.5).end_spin_series(ts)
-    freefermion.ChainStack([freefermion._chain(real)] * 2).end_spin_at(ts[:2])
+    freefermion.ChainStack([real] * 2).end_spin_at(ts[:2])
     assert seen == [list(ts), list(ts), list(ts[:2])]
 
 

@@ -85,7 +85,7 @@ def test_sublattice_closed_form_matches_dense_propagator(real, data):
         seed_used=0,
     )
     members = [real, other] * len(ts)
-    stacked = freefermion.ChainStack([freefermion._chain(r) for r in members])
+    stacked = freefermion.ChainStack(members)
     at = np.repeat(ts, 2)
     a, b, c = stacked.end_spin_at(at)
     for k, (r, t) in enumerate(zip(members, at)):
@@ -135,11 +135,46 @@ def test_grid_with_one_time_moved_or_nan_takes_the_point_path(real, ts, data):
     k = data.draw(st.integers(min_value=0, max_value=len(ts) - 1))
     ts[k] += data.draw(st.floats(min_value=1e-9, max_value=0.5))
     assert freefermion._grid_osc(chain, ts[None]) is None
-    want = oracles.end_moments_outer(freefermion.ChainStack([chain]), ts[None])
+    want = oracles.end_moments_outer(chain, ts[None])
     assert _same_bits(freefermion._end_moments(chain, ts[None]), want)
     ts[k] = np.nan
     with pytest.raises(NumericalFaultError):
         freefermion.end_spin_series(real, ts)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(min_value=3, max_value=41), data=st.data())
+def test_stacked_ensemble_matches_per_realization_series_bitwise(n, data):
+    # K chains of one length over a shared grid, a uniform one of 64 points
+    # or more (angle addition) or a short one (the point path), scanned in
+    # member chunks of c whole rows: K = 1, or either side of a chunk edge
+    ts = data.draw(st.one_of(uniform_grids(), times.map(np.array)))
+    c = data.draw(st.integers(min_value=1, max_value=4))
+    k = data.draw(st.sampled_from([1, c, c + 1, 2 * c + 1]))
+    members = [
+        model.CouplingRealization(couplings=tuple(data.draw(st.lists(
+            signed_bond, min_size=n - 1, max_size=n - 1))), seed_used=0)
+        for _ in range(k)
+    ]
+    stack = freefermion.ChainStack(members)
+    assert stack.chunk_points >= (c + 1) * len(ts)
+    stack.chunk_points = c * len(ts) + data.draw(st.integers(min_value=0, max_value=len(ts) - 1))
+    got, chunks = np.empty((3, k, len(ts))), 0
+    for rows, cols, abc in stack.series(ts):
+        got[:, rows, cols] = abc
+        chunks += 1
+    assert chunks == -(-k // c)
+    for m, real in enumerate(members):
+        assert _same_bits(got[:, m], np.stack(freefermion.end_spin_series(real, ts)))
+    # the lockstep, each member at a time of its own, on the stack and on
+    # the members' own stacks of one joined
+    at = ts[data.draw(st.lists(st.integers(min_value=0, max_value=len(ts) - 1),
+                               min_size=k, max_size=k))]
+    joined = freefermion.ChainStack.join([freefermion._chain(r) for r in members])
+    for lockstep in (stack.end_spin_at(at), joined.end_spin_at(at)):
+        for m, (real, t) in enumerate(zip(members, at)):
+            single = freefermion.end_spin_series(real, np.array([t]))
+            assert all(_same_bits(x[m], y[0]) for x, y in zip(lockstep, single))
 
 
 @st.composite
@@ -396,7 +431,7 @@ def test_moment_assembly_matches_reduction_form_bitwise(real, data):
         )
         for _ in range(k - 1)
     ]
-    stack = freefermion.ChainStack([freefermion._chain(r) for r in members])
+    stack = freefermion.ChainStack(members)
     drawn = data.draw(st.lists(
         st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
         min_size=k * 3, max_size=k * 3,
@@ -407,10 +442,10 @@ def test_moment_assembly_matches_reduction_form_bitwise(real, data):
     want = oracles.end_moments_outer(stack, ts)
     assert moments.shape == want.shape == (4, k, 3, 2)
     assert _same_bits(moments, want)
-    got = freefermion._x_state(moments.reshape(4, -1, 2), freefermion._chain(real), ts.ravel())
+    got = freefermion._x_state(moments, stack, ts)
     expect = oracles.x_state_reduction(want.reshape(4, -1, 2), real.n, ts.ravel())
     for g, w in zip(got, expect):
-        assert _same_bits(g, w)
+        assert _same_bits(g.ravel(), w)
 
 
 @PROPERTY_SETTINGS
@@ -429,7 +464,7 @@ def test_length_mixed_stack_matches_single_chains_bitwise(data):
     ts = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
                                      min_size=k, max_size=k)))
     ts[data.draw(st.integers(min_value=0, max_value=k - 1))] = 0.0
-    got = freefermion.ChainStack([freefermion._chain(r) for r in members]).end_spin_at(ts)
+    got = freefermion.ChainStack(members).end_spin_at(ts)
     for m, (real, t) in enumerate(zip(members, ts)):
         want = freefermion.end_spin_series(real, np.array([t]))
         for g, w in zip(got, want):
