@@ -170,11 +170,18 @@ def _check_memory(n: int, workers: int = 1, evolve: bool = True) -> None:
     """Refuse ``workers`` exact diagonalizations at once whose estimated
     peak (:func:`exactdiag.run_bytes` each, the evolution's if they
     ``evolve``) exceeds physical memory, before they allocate anything."""
-    need, have = workers * exactdiag.run_bytes(n, evolve), _physical_memory()
+    _check_fits(workers * exactdiag.run_bytes(n, evolve),
+                f"{workers} exact diagonalization(s) of n={n} at once")
+
+
+def _check_fits(need: int, what: str) -> None:
+    """Refuse a run whose ``what`` needs more than ``need`` bytes of
+    physical memory, before anything is allocated."""
+    have = _physical_memory()
     if have is not None and need > have:
         raise SystemExit2(
-            f"{workers} exact diagonalization(s) of n={n} at once need about "
-            f"{need / 2**20:.0f} MiB, more than the {have / 2**20:.0f} MiB of physical memory",
+            f"{what} need about {need / 2**20:.0f} MiB, more than the "
+            f"{have / 2**20:.0f} MiB of physical memory",
             EXIT_USAGE,
         )
 
@@ -205,13 +212,17 @@ class SystemExit2(Exception):
         self.code = code
 
 
+# Errors of the program's own making, which name the member they arise in
+_MEMBER_ERRORS = (ValueError, NoPeakError, ConvergenceError, NumericalFaultError)
+
+
 @contextmanager
 def _naming(label: str):
     """Prefix ``label`` to the message of a program error raised inside,
     keeping its type and so its exit code."""
     try:
         yield
-    except (ValueError, NoPeakError, ConvergenceError, NumericalFaultError) as exc:
+    except _MEMBER_ERRORS as exc:
         exc.args = (f"{label}: {exc}",)
         raise
 
@@ -219,11 +230,11 @@ def _naming(label: str):
 def _lockstep(step, labels: list[str]):
     """One lockstep ``step`` over every member of a block,
     ``step(slice(None))``.  A step covers the whole block, so on a
-    numerical fault each member is re-run alone, ``step(slice(k, k + 1))``
+    program error each member is re-run alone, ``step(slice(k, k + 1))``
     under its label, to name the one that fails."""
     try:
         return step(slice(None))
-    except NumericalFaultError:
+    except _MEMBER_ERRORS:
         for k, label in enumerate(labels):
             with _naming(label):
                 step(slice(k, k + 1))
@@ -237,8 +248,7 @@ def cmd_quench(args) -> int:
     spec = _spec_from_args(args)
     engine = _check_engine(spec, args.engine)
     horizon, step, ts = entangle.resolve_grid(spec, args.t_max_horizon, args.grid_step)
-    evaluator = entangle.CurveEvaluator(spec, engine)
-    a, b, c = evaluator.series(ts)
+    a, b, c = entangle.CurveEvaluator([spec], engine).series(ts)[:, 0]
     fef = entangle._fef(a, b, c)
     neg = entangle._negativity(a, c)
     rows = np.column_stack([ts, a, b, c, fef, neg]).tolist()
@@ -264,43 +274,43 @@ def _scan_label(spec: model.ChainSpec) -> str:
 
 
 def _scan_block(item: dict) -> dict:
-    """First peaks of one block of sizes: each size's grid is scanned on
-    its own, then all of them are refined together in one lockstep."""
-    records, evaluators, peaks = [], [], []
-    # largest first: the longest grid is scanned before any evaluator is held
-    for spec, engine in reversed(item["members"]):
+    """First peaks of one block of sizes on one evaluator: each size's
+    grid is scanned on its own, then all of them are refined together in
+    one lockstep."""
+    specs, engine = item["members"], item["engine"]
+    labels = [_scan_label(spec) for spec in specs]
+    t0 = time.perf_counter()
+    evaluator = _lockstep(lambda part: entangle.CurveEvaluator(specs[part], engine), labels)
+    setup_ms = 1000.0 * (time.perf_counter() - t0)
+    records, peaks = [], []
+    for k, spec in enumerate(specs):
         t0 = time.perf_counter()
-        with _naming(_scan_label(spec)):
+        with _naming(labels[k]):
             _, _, ts = entangle.resolve_grid(spec, item["horizon"], item["step"])
-            evaluators.append(entangle.CurveEvaluator(spec, engine))
             # as in disorder_peak, the first maximum of any height when
             # none exceeds the t = 0 value; on even chains always
             peaks.append(entangle.scan_first_peak(
-                evaluators[-1], ts, above_baseline=spec.n % 2 == 1, any_height_fallback=True,
+                evaluator[k:k + 1], ts, above_baseline=spec.n % 2 == 1, any_height_fallback=True,
             ))
         records.append({"spec": spec, "engine": engine,
                         "runtime_ms": 1000.0 * (time.perf_counter() - t0)})
     t0 = time.perf_counter()
-    t_max, fef = _lockstep(
-        lambda part: entangle.refine_peaks(
-            evaluators[part], peaks[part], [e.spec.j for e in evaluators[part]]),
-        [_scan_label(record["spec"]) for record in records],
-    )
+    t_max, fef = _lockstep(lambda part: entangle.refine_peaks(evaluator[part], peaks[part]), labels)
     refine_ms = 1000.0 * (time.perf_counter() - t0)
     for record, t, f in zip(records, t_max.tolist(), fef.tolist()):
         record.update(t_max=t, fef_at_tmax=f)
-    return {"records": records, "refine_ms": refine_ms}
+    return {"records": records, "setup_ms": setup_ms, "refine_ms": refine_ms}
 
 
-def _scan_blocks(members: list, jobs: int) -> list[list]:
-    """(spec, engine) members per block.  Sizes that stack
-    (:func:`entangle.stacks`) are dealt round-robin into one block per
-    worker, so that large n spread out; any other size is a block of its
-    own, as its lockstep would run member by member anyway.  The output
+def _scan_blocks(specs: list, engine: str, jobs: int) -> list[list]:
+    """Sizes per block, each block one :class:`entangle.CurveEvaluator`.
+    Sizes that stack (:func:`entangle.stacks`) into one chain stack are
+    dealt round-robin into one block per worker, so that large n spread
+    out; any other size keeps its own eigenbasis and so is a block of its
+    own, which is what each worker's memory check charges.  The output
     does not depend on them."""
-    stack = all(entangle.stacks(spec, engine) for spec, engine in members)
-    count = _workers(jobs, len(members)) if stack else len(members)
-    return [members[b::count] for b in range(count)]
+    count = _workers(jobs, len(specs)) if entangle.stacks(specs[0], engine) else len(specs)
+    return [specs[b::count] for b in range(count)]
 
 
 def cmd_scan_n(args) -> int:
@@ -314,12 +324,11 @@ def cmd_scan_n(args) -> int:
         )
     # _scan_blocks makes at least a block per worker
     workers = _workers(args.jobs, len(sizes))
-    members = []
-    for n in sorted(sizes):
-        spec = _spec_from_args(args, n=n, seed=model.sub_seed(args.seed, n))
-        members.append((spec, _check_engine(spec, args.engine, workers)))
-    items = [{"members": block, "horizon": args.t_max_horizon, "step": args.grid_step}
-             for block in _scan_blocks(members, args.jobs)]
+    specs = [_spec_from_args(args, n=n, seed=model.sub_seed(args.seed, n)) for n in sorted(sizes)]
+    for spec in specs:  # every size is checked; the engine depends on delta2 only
+        engine = _check_engine(spec, args.engine, workers)
+    items = [{"members": block, "engine": engine, "horizon": args.t_max_horizon,
+              "step": args.grid_step} for block in _scan_blocks(specs, engine, args.jobs)]
     blocks = _run_parallel(_scan_block, items, args.jobs)
     records = sorted((r for b in blocks for r in b["records"]), key=lambda r: r["spec"].n)
 
@@ -367,6 +376,7 @@ def cmd_scan_n(args) -> int:
         args.out, "scan-n", config, [args.out],
         fit=fit_doc,
         runtimes_ms={str(r["spec"].n): r["runtime_ms"] for r in records},
+        setup_ms=sum(b["setup_ms"] for b in blocks),
         refine_ms=sum(b["refine_ms"] for b in blocks),
     )
     print(f"scan-n: {len(records)} records -> {args.out}")
@@ -394,36 +404,20 @@ def _run_parallel(worker, items: list, jobs: int) -> list:
 
 
 def _disorder_block(item: dict) -> dict:
-    """Curves and refined peaks of one block of realizations of one sigma.
-
-    Realizations that stack (:func:`entangle.stacks`) are scanned and
-    refined as one chain stack, in member chunks; any other is evaluated
-    on its own.  Either way the curves and peaks are those of each
-    realization's own evaluator, bit for bit.
-    """
+    """Curves and refined peaks of one block of realizations of one sigma,
+    on one :class:`entangle.CurveEvaluator` from its scan to its lockstep
+    refinement.  Every curve and peak is that realization's own, bit for
+    bit, so a program error re-runs each realization alone to name it."""
     ts, rs, master = item["ts"], range(item["first"], item["stop"]), item["spec"]
     specs = [dataclasses.replace(master, seed=model.sub_seed(master.seed, r)) for r in rs]
     labels = [f"disorder n={spec.n} sigma={spec.disorder_sigma:g} "
               f"realization {r} sub-seed={spec.seed}" for r, spec in zip(rs, specs)]
-    if entangle.stacks(master, item["engine"]):
-        realizations = [model.realize_couplings(spec) for spec in specs]
-
-        def scan(part):
-            return entangle.stacked_curves(realizations[part], ts)
-    else:
-        evaluators, curves = [], np.empty((len(rs), len(ts)))
-        for k, spec in enumerate(specs):
-            with _naming(labels[k]):
-                evaluators.append(entangle.CurveEvaluator(spec, item["engine"]))
-                curves[k] = evaluators[k].fef_series(ts)
-
-        def scan(part):
-            return evaluators[part], curves[part]
 
     def peaks(part):
-        members, part_curves = scan(part)
-        return (part_curves, *entangle.locate_first_peak(
-            part_curves, ts, members, master.j, any_height_fallback=True, argmax_fallback=True
+        evaluator = entangle.CurveEvaluator(specs[part], item["engine"])
+        curves = evaluator.fef_series(ts)
+        return (curves, *entangle.locate_first_peak(
+            curves, ts, evaluator, any_height_fallback=True, argmax_fallback=True
         ))
 
     curves, peak_t, peak_f = _lockstep(peaks, labels)
@@ -432,11 +426,12 @@ def _disorder_block(item: dict) -> dict:
 
 
 def _block_size(stack: bool, realizations: int, jobs: int) -> int:
-    """Realizations per block: when they ``stack`` (:func:`entangle.stacks`)
-    one sigma's realizations in one contiguous block per worker, each
-    block one chain stack from its scan to its refinement, else one, as
-    they would run member by member anyway.  The output does not depend
-    on it."""
+    """Realizations per block, each block one
+    :class:`entangle.CurveEvaluator`: when they ``stack``
+    (:func:`entangle.stacks`) into one chain stack, one sigma's
+    realizations in one contiguous block per worker, else one, as each
+    keeps its own eigenbasis and each worker's memory check charges one.
+    The output does not depend on it."""
     return -(-realizations // _workers(jobs, realizations)) if stack else 1
 
 
@@ -448,6 +443,9 @@ def cmd_disorder(args) -> int:
     )
     engine = entangle.resolve_engine(base, args.engine)
     horizon, step, ts = entangle.resolve_grid(base, args.t_max_horizon, args.grid_step)
+    # every realization's curve is kept until the summary is written
+    kept = sum(1 if sigma == 0.0 else args.realizations for sigma in sigmas)
+    _check_fits(kept * ts.nbytes, f"the fef curves of {kept} realizations over {len(ts)} points")
 
     block = _block_size(entangle.stacks(base, engine), args.realizations, args.jobs)
     items = []
@@ -540,8 +538,8 @@ def cmd_ed_compare(args) -> int:
         spec = model.ChainSpec(n=n, j=args.j, delta1=args.delta1, seed=args.seed)
         horizon = entangle.default_horizon(spec)
         ts = np.linspace(0.0, horizon, args.grid_points)
-        ff = entangle.CurveEvaluator(spec, "freefermion").series(ts)
-        ed = entangle.CurveEvaluator(spec, "exactdiag").series(ts)
+        ff = entangle.CurveEvaluator([spec], "freefermion").series(ts)
+        ed = entangle.CurveEvaluator([spec], "exactdiag").series(ts)
         devs = [float(np.max(np.abs(ff[k] - ed[k]))) for k in range(3)]
         dev = max(devs)
         worst = max(worst, dev)

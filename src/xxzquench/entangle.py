@@ -102,88 +102,91 @@ def resolve_engine(spec: model.ChainSpec, requested: str = "auto") -> Engine:
 
 
 class CurveEvaluator:
-    """fef(t) and (a, b, c)(t) for one spec, engine-agnostic.
+    """fef(t) and (a, b, c)(t) of K member specs on one engine.
 
-    Construction performs the one-off diagonalizations; evaluations are
-    then cheap enough for dense grids and golden-section refinement.  A
-    free-fermion quench from the ideal Neel mixture evaluates its hopping
-    chain (``_evolution`` is None); from a finite delta1 it evaluates the
-    ground multiplet's correlators (:class:`freefermion.CorrelatorQuench`).
-    Only hopping chains stack (:func:`stacks`): a lockstep over any other
-    evaluators runs them one after the other.
+    The specs differ at most in length, coupling, disorder and seed, so
+    one engine serves them all.  Construction draws each member's couplings
+    and performs the one-off diagonalizations; evaluations are then cheap
+    enough for dense grids and golden-section refinement.  Neel chains on
+    free fermions (:func:`stacks`) share one :class:`freefermion.ChainStack`;
+    any other member keeps its own prepared quench, a
+    :class:`freefermion.CorrelatorQuench` of its ground multiplet's
+    correlators or an :class:`exactdiag.QuenchEvolution`, and these are
+    evaluated one after the other.  Either way member k's values are the ones
+    ``evaluator[k:k + 1]`` gives, bit for bit.
     """
 
-    def __init__(self, spec: model.ChainSpec, engine: str = "auto"):
-        self.spec = spec
-        self.engine: Engine = resolve_engine(spec, engine)
-        self.realization = model.realize_couplings(spec)
-        self._evolution = None
-        if stacks(spec, self.engine):
-            self._chain = freefermion._chain(self.realization)
+    def __init__(self, specs: list[model.ChainSpec], engine: str = "auto"):
+        self.specs = list(specs)
+        self.engine: Engine = resolve_engine(self.specs[0], engine)
+        realizations = [model.realize_couplings(spec) for spec in self.specs]
+        self._stack, self._members = None, []
+        if stacks(self.specs[0], self.engine):
+            self._stack = freefermion.ChainStack(realizations)
         elif self.engine == "exactdiag":
-            self._evolution = exactdiag.QuenchEvolution(
-                self.realization, spec.delta1, spec.delta2
-            )
+            self._members = [exactdiag.QuenchEvolution(r, spec.delta1, spec.delta2)
+                             for r, spec in zip(realizations, self.specs)]
         else:
-            state = exactdiag.ground_mixture(self.realization, spec.delta1)
-            self._evolution = freefermion.CorrelatorQuench(
-                self.realization, exactdiag.correlators(state)
-            )
+            self._members = [
+                freefermion.CorrelatorQuench(r, exactdiag.correlators(
+                    exactdiag.ground_mixture(r, spec.delta1)))
+                for r, spec in zip(realizations, self.specs)
+            ]
+
+    def __getitem__(self, part) -> CurveEvaluator:
+        """The members ``part`` (a slice or an index array) as an evaluator
+        of their own, sharing their prepared quenches."""
+        keep = np.arange(len(self.specs))[part].tolist()
+        sub = CurveEvaluator.__new__(CurveEvaluator)
+        sub.specs, sub.engine = [self.specs[k] for k in keep], self.engine
+        sub._stack = None if self._stack is None else self._stack[part]
+        sub._members = [self._members[k] for k in keep] if self._members else []
+        return sub
 
     @property
     def chunk_points(self) -> int:
-        """Grid points per chunk of the engine's series.  A scan in windows
-        that start on chunk boundaries gives the same bytes as one call."""
-        return (self._evolution or self._chain).chunk_points
+        """Grid points per chunk of the first member's series.  A scan of
+        one member in windows that start on chunk boundaries gives the same
+        bytes as one call."""
+        return (self._stack or self._members[0]).chunk_points
 
-    def series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._evolution is None:
-            return freefermion.end_spin_series(self.realization, ts)
-        return self._evolution.end_spin_series(ts)
+    def _chunks(self, ts: np.ndarray):
+        """(members, times, (a, b, c)) chunks over the shared times ``ts``:
+        those of the stack's series, or each member's whole series."""
+        if self._stack is not None:
+            yield from self._stack.series(ts)
+        for k, member in enumerate(self._members):
+            yield k, slice(None), member.end_spin_series(ts)
+
+    def series(self, ts: np.ndarray) -> np.ndarray:
+        """(a, b, c) of every member over ``ts``, (3, K, T)."""
+        abc = np.empty((3, len(self.specs), len(ts)))
+        for members, times, chunk in self._chunks(ts):
+            abc[:, members, times] = chunk
+        return abc
 
     def fef_series(self, ts: np.ndarray) -> np.ndarray:
-        return _fef(*self.series(ts))
+        """fef curves (K, T) of every member over ``ts``, assembled chunk by
+        chunk, so only the curves outlive a chunk."""
+        fef = np.empty((len(self.specs), len(ts)))
+        for members, times, chunk in self._chunks(ts):
+            fef[members, times] = _fef(*chunk)
+        return fef
 
-    def fef(self, t: float) -> float:
-        return float(self.fef_series(np.array([t]))[0])
+    def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, c) of member k at time ``ts[k]``, each of shape (K,)."""
+        if self._stack is not None:
+            return self._stack.end_spin_at(ts)
+        ts = np.asarray(ts, dtype=float)
+        return tuple(np.concatenate(x) for x in zip(*(
+            member.end_spin_series(ts[k:k + 1]) for k, member in enumerate(self._members))))
 
 
 def stacks(spec: model.ChainSpec, engine: Engine) -> bool:
-    """Whether evaluators of ``spec`` on ``engine`` share one stacked
-    kernel in a lockstep: Neel chains on free fermions, of any lengths,
-    do; correlator and exact-diagonalization members do not."""
+    """Whether members of ``spec`` on ``engine`` share one stacked kernel
+    in a :class:`CurveEvaluator`: Neel chains on free fermions, of any
+    lengths, do; correlator and exact-diagonalization members do not."""
     return engine == "freefermion" and spec.ideal_neel_start
-
-
-def _block_fef(
-    members: list[CurveEvaluator] | freefermion.ChainStack,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """fef of member k at time ``ts[k]``, all members in one call.
-
-    ``members`` is a chain stack, or a list of evaluators: when they all
-    :func:`stacks` their chains are joined into one stack, otherwise they
-    are evaluated one after the other.  Either way a member's value is the
-    one its own evaluator gives.
-    """
-    if isinstance(members, list):
-        if not all(stacks(e.spec, e.engine) for e in members):
-            return lambda ts: np.array([e.fef(t) for e, t in zip(members, ts.tolist())])
-        members = freefermion.ChainStack.join([e._chain for e in members])
-    return lambda ts: _fef(*members.end_spin_at(ts))
-
-
-def stacked_curves(
-    realizations: list[model.CouplingRealization], ts: np.ndarray
-) -> tuple[freefermion.ChainStack, np.ndarray]:
-    """One chain stack of Neel chains on free fermions and the fef curves
-    (K, T) of its members over the shared grid ``ts``, assembled chunk by
-    chunk of :meth:`freefermion.ChainStack.series`; each curve is the one
-    its member's own evaluator gives."""
-    stack = freefermion.ChainStack(realizations)
-    curves = np.empty((len(realizations), len(ts)))
-    for members, times, abc in stack.series(ts):
-        curves[members, times] = _fef(*abc)
-    return stack, curves
 
 
 def golden_section_max(
@@ -255,18 +258,17 @@ def first_peak_index(fef: np.ndarray, baseline: float) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
-def refine_peaks(
-    members: list[CurveEvaluator] | freefermion.ChainStack, peaks: list, j
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine the grid peaks (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of K
-    members (see :func:`_block_fef`) in one :func:`golden_section_max`
-    lockstep, each on [t_{i-1}, t_{i+1}] to 1e-6/j of its coupling ``j``
-    (one for all, or one each).  Golden section assumes a unimodal
-    bracket, so a refined value below fef(t_i) gives way to the grid
-    point.  Returns the peak times and values, each (K,)."""
+def refine_peaks(evaluator: CurveEvaluator, peaks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the grid peaks (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of the K
+    members of ``evaluator`` in one :func:`golden_section_max` lockstep,
+    each on [t_{i-1}, t_{i+1}] to 1e-6/j of its own coupling j.  Golden
+    section assumes a unimodal bracket, so a refined value below fef(t_i)
+    gives way to the grid point.  Returns the peak times and values, each
+    (K,)."""
     lo, t, hi, fef = np.array(peaks, dtype=float).T
-    xtol = REFINE_RESOLUTION / np.asarray(j, dtype=float)
-    t_ref, f_ref = golden_section_max(_block_fef(members), lo, hi, xtol)
+    xtol = REFINE_RESOLUTION / np.array([spec.j for spec in evaluator.specs])
+    t_ref, f_ref = golden_section_max(
+        lambda ts: _fef(*evaluator.end_spin_at(ts)), lo, hi, xtol)
     grid_better = f_ref < fef
     return np.where(grid_better, t, t_ref), np.where(grid_better, fef, f_ref)
 
@@ -274,8 +276,7 @@ def refine_peaks(
 def locate_first_peak(
     curves: np.ndarray,
     ts: np.ndarray,
-    members: list[CurveEvaluator] | freefermion.ChainStack | None = None,
-    j=None,
+    evaluator: CurveEvaluator | None = None,
     *,
     any_height_fallback: bool = False,
     argmax_fallback: bool = False,
@@ -290,15 +291,14 @@ def locate_first_peak(
       height;
     - ``argmax_fallback``: else the grid maximum, kept unrefined.
 
-    A member left without a peak raises NoPeakError.  With ``members``
-    (one per curve, see :func:`_block_fef`) of coupling ``j`` a peak at
-    grid index i is refined on [t_{i-1}, t_{i+1}] by :func:`refine_peaks`,
-    every member in lockstep.
+    A member left without a peak raises NoPeakError.  With the
+    ``evaluator`` of the curves a peak at grid index i is refined on
+    [t_{i-1}, t_{i+1}] by :func:`refine_peaks`, every member in lockstep.
     Returns the peak times and values, each of shape (K,).
     """
     ts = np.asarray(ts, dtype=float)
     index = np.empty(len(curves), dtype=int)
-    refine = np.full(len(curves), members is not None)
+    refine = np.full(len(curves), evaluator is not None)
     for k, curve in enumerate(curves):
         i = first_peak_index(curve, curve[0])
         if i is None and any_height_fallback:
@@ -312,9 +312,8 @@ def locate_first_peak(
     if np.any(refine):
         todo = np.flatnonzero(refine)
         t_peak[todo], f_peak[todo] = refine_peaks(
-            [members[k] for k in todo] if isinstance(members, list) else members[todo],
+            evaluator[todo],
             [(ts[i - 1], ts[i], ts[i + 1], f_peak[k]) for k, i in zip(todo, index[todo])],
-            j,
         )
     return t_peak, f_peak
 
@@ -334,8 +333,9 @@ def scan_first_peak(
     evaluator: CurveEvaluator, ts: np.ndarray, *,
     above_baseline: bool = True, any_height_fallback: bool = False,
 ) -> tuple:
-    """Grid peak (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of fef(t) on ``ts`` by
-    the rules of :func:`locate_first_peak` without the argmax fallback.
+    """Grid peak (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of fef(t) on ``ts`` of
+    the one member of ``evaluator`` (``evaluator[k:k + 1]`` for member k)
+    by the rules of :func:`locate_first_peak` without the argmax fallback.
 
     The scan runs one engine chunk at a time and stops at the first chunk
     that confirms the peak, i.e. holds its right neighbour; the result is
@@ -348,7 +348,7 @@ def scan_first_peak(
     baseline = -np.inf
     for lo in range(0, len(ts), evaluator.chunk_points):
         hi = min(lo + evaluator.chunk_points, len(ts))
-        curve[lo:hi] = evaluator.fef_series(ts[lo:hi])
+        curve[lo:hi] = evaluator.fef_series(ts[lo:hi])[0]
         baseline = curve[0] if above_baseline else -np.inf
         # the new candidates are lo - 1 .. hi - 2, each with both neighbours
         first = max(lo - 2, 0)
@@ -359,7 +359,7 @@ def scan_first_peak(
     else:
         i = first_peak_index(curve, -np.inf) if any_height_fallback else None
     if i is None:
-        spec = evaluator.spec
+        spec = evaluator.specs[0]
         raise NoPeakError(
             f"no first maximum of fef above {baseline} within horizon {ts[-1]} "
             f"(n={spec.n}, delta1={spec.delta1}, delta2={spec.delta2})"
@@ -384,9 +384,9 @@ def find_tmax(
     first strict local maximum regardless of height.
     """
     _, step, ts = resolve_grid(spec, search_horizon, grid_step)
-    evaluator = CurveEvaluator(spec, engine)
+    evaluator = CurveEvaluator([spec], engine)
     peak = scan_first_peak(evaluator, ts, above_baseline=require_above_baseline)
-    (t_max,), (fef_max,) = refine_peaks([evaluator], [peak], spec.j)
+    (t_max,), (fef_max,) = refine_peaks(evaluator, [peak])
     return TmaxResult(
         t_max=float(t_max), fef_at_tmax=float(fef_max),
         scan_resolution=step, refined=True,

@@ -129,8 +129,10 @@ def _sublattice_svd(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
 class ChainStack:
     """End-site weights of the sublattice SVDs of K hopping chains from the
     Neel mixture, of any lengths: O(n) numbers per chain, kept from one
-    batched O(n^3) decomposition per length.  A single chain is a stack of
-    one (:func:`_chain`); a disorder ensemble is one stack.
+    batched O(n^3) decomposition per length.  The Neel members of an
+    :class:`~xxzquench.entangle.CurveEvaluator` (a disorder ensemble, a
+    block of scan sizes) are one stack; :func:`end_spin_series` evaluates
+    a chain as its own stack of one (:func:`_chain`).
 
     The arrays are member-major.  ``two_s`` (K, width) holds the doubled
     singular values 2 s_k of B, zero-padded to the longest member, so that
@@ -199,29 +201,17 @@ class ChainStack:
         self.chunk_points = max(1, CHUNK_BYTES // (8 * (width + self.rows + 4 + 8)))
 
     def __getitem__(self, members) -> ChainStack:
-        """The ``members`` (a slice or an index array) as a stack of their own."""
+        """The ``members`` (a slice or an index array) as a stack of their
+        own, trimmed to their longest member: its arrays, and so its
+        ``chunk_points`` and series, are those of a stack built from their
+        realizations."""
+        n = self.n[members]
+        width = n.max() // 2
         part = ChainStack.__new__(ChainStack)
-        part._assemble(*(x[members] for x in (
-            self.n, self.two_s, self.weights, self.base, self.start, self.sign)))
+        part._assemble(n, self.two_s[members, :width],
+                       self.weights[members, :width * (1 if np.all(n % 2) else 2)],
+                       *(x[members] for x in (self.base, self.start, self.sign)))
         return part
-
-    @staticmethod
-    def join(stacks: list[ChainStack]) -> ChainStack:
-        """The members of ``stacks``, in order, as one stack, each kept from
-        its own decomposition."""
-        n = np.concatenate([s.n for s in stacks])
-        two_s = np.zeros((len(n), max(s.two_s.shape[1] for s in stacks)))
-        weights = np.zeros((len(n), max(s.weights.shape[1] for s in stacks), 4))
-        lo = 0
-        for s in stacks:
-            k, width = s.two_s.shape
-            two_s[lo:lo + k, :width] = s.two_s
-            weights[lo:lo + k, :s.weights.shape[1]] = s.weights
-            lo += k
-        joined = ChainStack.__new__(ChainStack)
-        joined._assemble(n, two_s, weights, *(
-            np.concatenate([getattr(s, key) for s in stacks]) for key in ("base", "start", "sign")))
-        return joined
 
     def series(self, ts: np.ndarray) -> Iterator[tuple[slice, slice, tuple[np.ndarray, ...]]]:
         """(a, b, c) of every member over the shared times ``ts``, chunk by
@@ -324,9 +314,9 @@ def _end_moments(chains: ChainStack, ts: np.ndarray) -> np.ndarray:
     return np.moveaxis(moments, 1, -1)
 
 
-# Each entry holds O(n) numbers (5 KB at n=241).  Single chains (quench,
-# scan-n, find_tmax) are worked through one at a time, so a few entries
-# serve every hit; a disorder ensemble builds its own stack instead.
+# Each entry holds O(n) numbers (5 KB at n=241).  Only the library's
+# end_spin_series and end_spin_state read it, a chain at a time, so a few
+# entries serve every hit; the commands' evaluators build their own stacks.
 @lru_cache(maxsize=8)
 def _chain(realization: CouplingRealization) -> ChainStack:
     return ChainStack([realization])

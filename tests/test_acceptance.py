@@ -194,8 +194,8 @@ def test_criterion_08_cross_engine_agreement():
     for n in (3, 5, 7, 9, 11):
         spec = model.ChainSpec(n=n)
         ts = np.linspace(0.0, entangle.default_horizon(spec), 50)
-        ff = entangle.CurveEvaluator(spec, "freefermion").series(ts)
-        ed = entangle.CurveEvaluator(spec, "exactdiag").series(ts)
+        ff = entangle.CurveEvaluator([spec], "freefermion").series(ts)
+        ed = entangle.CurveEvaluator([spec], "exactdiag").series(ts)
         worst = max(worst, max(float(np.max(np.abs(ff[k] - ed[k]))) for k in range(3)))
     ok = worst <= 1e-8
     assert report(

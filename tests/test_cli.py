@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from xxzquench import cli, entangle, exactdiag, freefermion, model
-from xxzquench.errors import NoPeakError, NumericalFaultError
+from xxzquench.errors import ConvergenceError, NoPeakError, NumericalFaultError
 
 
 def run(*argv):
@@ -145,6 +145,26 @@ def test_correlator_route_is_charged_only_its_ground_search(tmp_path, capsys, mo
     assert built and out.exists()
 
 
+def test_disorder_refuses_curves_beyond_memory_before_a_draw(tmp_path, capsys, monkeypatch):
+    # sigma 0 keeps one curve, sigma 0.3 its five realizations': physical
+    # memory one byte short of the six curves refuses the run with a usage
+    # error before any realization is drawn, and exactly enough runs it
+    _, _, ts = entangle.resolve_grid(model.ChainSpec(n=7))
+    need = 6 * ts.nbytes
+    drawn, realize = [], model.realize_couplings
+    monkeypatch.setattr(model, "realize_couplings",
+                        lambda spec: drawn.append(spec) or realize(spec))
+    argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5", "--jobs", "1"]
+    out = tmp_path / "d.csv"
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert run(*argv, "--out", str(out)) == 1
+    assert "the fef curves of 6 realizations over 2001 points" in capsys.readouterr().err
+    assert drawn == [] and list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert run(*argv, "--out", str(out)) == 0
+    assert len(drawn) == 6 and out.exists()
+
+
 def test_quench_engine_auto_selection(tmp_path):
     # every quench to delta2 = 0 runs on free fermions, from any delta1
     out = tmp_path / "qed.csv"
@@ -167,10 +187,11 @@ def test_scan_single_size_anchor(tmp_path):
     assert abs(col(header, rows, "fef_at_tmax")[0] - 0.9117) < 5e-4
     assert col(header, rows, "engine", str)[0] == "freefermion"
     doc = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-    # per size its evaluator set-up and grid scan; the lockstep refinements
-    # of all blocks are timed apart
+    # per size its grid scan; the blocks' evaluator set-ups and lockstep
+    # refinements are timed apart
     assert list(doc["runtimes_ms"]) == ["9"] and doc["runtimes_ms"]["9"] > 0.0
-    assert isinstance(doc["refine_ms"], float) and doc["refine_ms"] > 0.0
+    for key in ("setup_ms", "refine_ms"):
+        assert isinstance(doc[key], float) and doc[key] > 0.0
 
 
 def test_scan_finite_quenches_use_free_fermions(tmp_path):
@@ -243,11 +264,13 @@ def _find_tmax_per_size(spec):
     (("--n", "3,5,9,25,49,101"), 1, [6]),
     (("--n", "4,6,9", "--allow-even"), 1, [3]),
     (("--n", "7,9,25", "--sigma", "0.3", "--seed", "4"), 1, [3]),
-    # the ground multiplet's correlators do not stack: a block per size
+    # neither the ground multiplet's correlators nor exact
+    # diagonalization stack: a block per size
     (("--n", "3,5,7", "--delta1", "3"), 1, [1, 1, 1]),
+    (("--n", "3,5,7", "--delta1", "3", "--delta2", "0.5"), 1, [1, 1, 1]),
     # three workers split these sizes over three blocks
     (("--n", ",".join(map(str, range(3, 50, 2)))), 3, [8, 8, 8]),
-], ids=["odd", "allow-even", "fallback", "exactdiag", "multi-block"])
+], ids=["odd", "allow-even", "fallback", "correlator", "exactdiag", "multi-block"])
 def test_scan_equals_find_tmax_per_size(tmp_path, monkeypatch, argv, workers, blocks):
     laid_out = []
     scan_block = cli._scan_block
@@ -689,10 +712,31 @@ def test_disorder_lockstep_failure_names_the_realization(tmp_path, monkeypatch, 
 
 def test_scan_failure_names_the_size(tmp_path, monkeypatch, capsys):
     _inject_fault(monkeypatch, entangle.CurveEvaluator, "fef_series",
-                  lambda ev: ev.spec.n == 5)
+                  lambda ev: 5 in [spec.n for spec in ev.specs])
     assert run("scan-n", "--n", "3,5", "--jobs", "1", "--out", str(tmp_path / "s.csv")) \
         == cli.EXIT_NUMERICAL
     assert "scan-n n=5 sigma=0 sub-seed=5: injected fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, seed, label", [
+    (["scan-n", "--n", "3,5,7", "--delta1", "3"], 5, "scan-n n=5 sigma=0 sub-seed=5"),
+    # seed 17, realization 2: sub-seed 17 ^ 2 = 19
+    (["disorder", "--n", "5", "--delta1", "3", "--sigma", "0.2", "--realizations", "3",
+      "--seed", "17"], 19, "disorder n=5 sigma=0.2 realization 2 sub-seed=19"),
+], ids=["scan-n", "disorder"])
+def test_ground_search_failure_names_the_member(tmp_path, monkeypatch, capsys, argv, seed, label):
+    # an evaluator's set-up fails on one member: the error names it, with
+    # the exit code of its type
+    ground_mixture = exactdiag.ground_mixture
+
+    def faulty(realization, delta1):
+        if realization.seed_used == seed:
+            raise ConvergenceError("injected non-convergence")
+        return ground_mixture(realization, delta1)
+
+    monkeypatch.setattr(exactdiag, "ground_mixture", faulty)
+    assert run(*argv, "--jobs", "1", "--out", str(tmp_path / "x.csv")) == cli.EXIT_VALIDATION
+    assert f"{label}: injected non-convergence" in capsys.readouterr().err
 
 
 def test_scan_lockstep_failure_names_the_size(tmp_path, monkeypatch, capsys):

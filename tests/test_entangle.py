@@ -82,10 +82,10 @@ def test_find_tmax_deterministic():
 def test_find_tmax_result_beats_grid_neighbours():
     spec = model.ChainSpec(n=9)
     result = entangle.find_tmax("freefermion", spec)
-    evaluator = entangle.CurveEvaluator(spec, "freefermion")
+    evaluator = entangle.CurveEvaluator([spec], "freefermion")
     step = result.scan_resolution
-    assert result.fef_at_tmax >= evaluator.fef(result.t_max - step)
-    assert result.fef_at_tmax >= evaluator.fef(result.t_max + step)
+    assert result.fef_at_tmax >= _fef_at(evaluator, result.t_max - step)
+    assert result.fef_at_tmax >= _fef_at(evaluator, result.t_max + step)
 
 
 def test_find_tmax_anchor_151():
@@ -207,8 +207,13 @@ def _first_peak_oracle(fef, baseline):
     return None
 
 
+def _fef_at(evaluator, t):
+    """fef of a one-member evaluator at the single time t."""
+    return float(evaluator.fef_series(np.array([t]))[0, 0])
+
+
 def _peak_oracle(evaluator, curve, ts, above_baseline=True, fallbacks=False):
-    """(t, fef, rule) of one curve's first peak, one realization at a time."""
+    """(t, fef, rule) of one curve's first peak, of a one-member evaluator."""
     i = _first_peak_oracle(curve, curve[0] if above_baseline else -np.inf)
     rule = "baseline"
     if i is None and fallbacks:
@@ -217,8 +222,8 @@ def _peak_oracle(evaluator, curve, ts, above_baseline=True, fallbacks=False):
         i = int(np.argmax(curve))
         return float(ts[i]), float(curve[i]), "argmax"
     t, f = _golden_oracle(
-        evaluator.fef, float(ts[i - 1]), float(ts[i + 1]),
-        entangle.REFINE_RESOLUTION / evaluator.spec.j,
+        lambda t: _fef_at(evaluator, t), float(ts[i - 1]), float(ts[i + 1]),
+        entangle.REFINE_RESOLUTION / evaluator.specs[0].j,
     )
     if f < curve[i]:
         return float(ts[i]), float(curve[i]), rule
@@ -254,18 +259,20 @@ def test_first_peak_index_on_plateaus_and_nan():
 
 
 def _ensemble(n, sigma, seeds, **kw):
-    return [entangle.CurveEvaluator(model.ChainSpec(n=n, disorder_sigma=sigma, seed=s, **kw))
-            for s in seeds]
+    return entangle.CurveEvaluator(
+        [model.ChainSpec(n=n, disorder_sigma=sigma, seed=s, **kw) for s in seeds])
 
 
-# (evaluators, grid, peak rule) -> the rules the oracle must see used
+# (evaluator, grid, peak rule) -> the rules the oracle must see used
 LOCKSTEP_CASES = {
     # seeds 0..11 at sigma=1 take all three rules: 9 has no local maximum
     "odd-strong-disorder": (lambda: _ensemble(7, 1.0, range(12)), None,
                             {"baseline", "any height", "argmax"}),
     # an even chain never exceeds its t = 0 value
     "even": (lambda: _ensemble(6, 0.2, range(5)), None, {"any height"}),
-    "exactdiag": (lambda: _ensemble(5, 0.3, range(6), delta1=3.0), None, {"baseline"}),
+    "correlator": (lambda: _ensemble(5, 0.3, range(6), delta1=3.0), None, {"baseline"}),
+    "exactdiag": (lambda: _ensemble(5, 0.3, range(4), delta1=3.0, delta2=0.5), None,
+                  {"baseline"}),
     "single-member": (lambda: _ensemble(9, 0.1, [4]), None, {"baseline"}),
     # fef first falls from its t = 0 value: no local maximum this early
     "short-grid": (lambda: _ensemble(7, 0.1, range(3)), entangle.time_grid(0.3, 0.01),
@@ -276,26 +283,26 @@ LOCKSTEP_CASES = {
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
 def test_lockstep_peaks_match_per_realization_oracle(case):
     make, ts, rules = LOCKSTEP_CASES[case]
-    evaluators = make()
+    evaluator = make()
     if ts is None:
-        ts = _default_grid(evaluators[0].spec)
-    curves = np.stack([e.fef_series(ts) for e in evaluators])
+        ts = _default_grid(evaluator.specs[0])
+    curves = evaluator.fef_series(ts)
     t, f = entangle.locate_first_peak(
-        curves, ts, evaluators, evaluators[0].spec.j, any_height_fallback=True,
-        argmax_fallback=True,
+        curves, ts, evaluator, any_height_fallback=True, argmax_fallback=True,
     )
-    want = [_peak_oracle(e, c, ts, fallbacks=True) for e, c in zip(evaluators, curves)]
+    want = [_peak_oracle(evaluator[k:k + 1], c, ts, fallbacks=True)
+            for k, c in enumerate(curves)]
     assert {w[2] for w in want} == rules
     np.testing.assert_allclose(t, [w[0] for w in want], rtol=0, atol=1e-12)
     np.testing.assert_allclose(f, [w[1] for w in want], rtol=0, atol=2.2e-16)
 
 
 def test_lockstep_without_fallback_raises():
-    evaluators = _ensemble(6, 0.2, range(2))
-    ts = _default_grid(evaluators[0].spec)
-    curves = np.stack([e.fef_series(ts) for e in evaluators])
+    evaluator = _ensemble(6, 0.2, range(2))
+    ts = _default_grid(evaluator.specs[0])
+    curves = evaluator.fef_series(ts)
     with pytest.raises(NoPeakError):
-        entangle.locate_first_peak(curves, ts, evaluators)
+        entangle.locate_first_peak(curves, ts, evaluator)
 
 
 def test_golden_section_lockstep_matches_scalar_per_member():
@@ -319,9 +326,9 @@ def test_golden_section_lockstep_matches_scalar_per_member():
     ("freefermion", model.ChainSpec(n=9, delta1=3.0)),
 ], ids=["ff3", "ff9", "ff49", "ff151", "ff241", "ed3", "ed9", "ed9-finite", "ff9-finite"])
 def test_early_stop_scan_equals_full_grid(engine, spec, monkeypatch):
-    evaluator = entangle.CurveEvaluator(spec, engine)
+    evaluator = entangle.CurveEvaluator([spec], engine)
     ts = _default_grid(spec)
-    curve = evaluator.fef_series(ts)
+    curve = evaluator.fef_series(ts)[0]
     want_t, want_f, _ = _peak_oracle(evaluator, curve, ts)
     scanned = []
     fef_series = entangle.CurveEvaluator.fef_series
@@ -333,12 +340,11 @@ def test_early_stop_scan_equals_full_grid(engine, spec, monkeypatch):
     monkeypatch.setattr(entangle.CurveEvaluator, "fef_series", counted)
     result = entangle.find_tmax(engine, spec)
     assert (result.t_max, result.fef_at_tmax) == (want_t, want_f)
-    # whole chunks up to the first one that holds the peak's right neighbour,
-    # then the refinement's single points (members outside a Neel chain stack)
+    # whole chunks up to the first one that holds the peak's right
+    # neighbour; the refinement evaluates single points, not curves
     k = evaluator.chunk_points
     right = _first_peak_oracle(curve, curve[0]) + 1
     windows = [min(k, len(ts) - lo) for lo in range(0, (right // k + 1) * k, k)]
-    assert scanned[:len(windows)] == windows
-    assert set(scanned[len(windows):]) <= {1}
+    assert scanned == windows
     if spec.n == 151:  # 809-point chunks of a 4,807-point grid
         assert sum(scanned) < 0.8 * len(ts)

@@ -335,20 +335,44 @@ def test_chain_stack_matches_single_time_series_bitwise(n):
 
 
 def test_length_mixed_stack_matches_single_time_series_bitwise():
-    # the default scan-n sizes, plus even chains, in one stack, built at
-    # once or joined from stacks of one as a scan-n refinement does:
-    # per-length products give each member the bits of its own series (a
-    # product over zero-padded rows would move some of them)
+    # the default scan-n sizes, plus even chains, in one stack: per-length
+    # products give each member the bits of its own series (a product over
+    # zero-padded rows would move some of them)
     sizes = list(range(3, 50, 2)) + list(range(59, 240, 10)) + [241, 2, 12, 120]
     reals = [disordered(n, sigma=0.3, seed=n) for n in sizes]
     rng = np.random.default_rng(7)
-    for stack in (freefermion.ChainStack(reals),
-                  freefermion.ChainStack.join([freefermion.ChainStack([r]) for r in reals])):
-        for ts in [np.zeros(len(sizes))] + [rng.uniform(0.0, 80.0, len(sizes)) for _ in range(4)]:
-            got = stack.end_spin_at(ts)
-            for k, (real, t) in enumerate(zip(reals, ts)):
-                want = freefermion.end_spin_series(real, np.array([t]))
-                assert [g[k] for g in got] == [w[0] for w in want]
+    stack = freefermion.ChainStack(reals)
+    for ts in [np.zeros(len(sizes))] + [rng.uniform(0.0, 80.0, len(sizes)) for _ in range(4)]:
+        got = stack.end_spin_at(ts)
+        for k, (real, t) in enumerate(zip(reals, ts)):
+            want = freefermion.end_spin_series(real, np.array([t]))
+            assert [g[k] for g in got] == [w[0] for w in want]
+
+
+def _series_bytes(stack, ts):
+    abc = np.empty((3, len(stack.n), len(ts)))
+    for members, times, chunk in stack.series(ts):
+        abc[:, members, times] = chunk
+    return abc.tobytes()
+
+
+def test_member_of_a_length_mixed_stack_is_its_stack_of_one():
+    # odd and even disordered chains in one stack, zero-padded to n = 241:
+    # a member taken out is trimmed to its own width, so its arrays, its
+    # chunk_points (the scan windows and grid sub-blocks) and its series'
+    # bytes are those of the stack of its realization alone
+    sizes = [3, 4, 9, 12, 31, 241, 2, 120]
+    reals = [disordered(n, sigma=0.3, seed=n) for n in sizes]
+    stack = freefermion.ChainStack(reals)
+    # longer than any member's chunk, so every member's series splits in time
+    ts = np.arange(freefermion.ChainStack(reals[:1]).chunk_points + 700) * 0.013
+    for k, real in enumerate(reals):
+        part, alone = stack[k:k + 1], freefermion.ChainStack([real])
+        assert part.chunk_points == alone.chunk_points
+        for key in ("n", "two_s", "weights", "base", "start", "sign", "odd", "rows"):
+            got, want = np.asarray(getattr(part, key)), np.asarray(getattr(alone, key))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+        assert _series_bytes(part, ts) == _series_bytes(alone, ts)
 
 
 @pytest.mark.parametrize("factor", [0.5, 1.5])
