@@ -34,15 +34,17 @@ site, so it changes the grade (up spins on odd sites) mod 2: the sector
 matrix is bipartite (Lieb, Schultz and Mattis 1961).  F keeps the grade
 when n/2 is even and R when n is odd or M is even.  When every orbit of
 a block has a single grade, the block is [[0, X], [X^T, 0]] over its two
-grades and one SVD of X gives its eigenbasis, energies +-s and zero
-modes for the unpaired columns.  Other blocks, and every block at
-delta2 > 0, take a dense ``eigh``.
+grades, and its propagator is a function of the Gram matrix X X^T over
+the smaller grade alone: one ``eigh`` of that matrix, with X itself,
+evolves the block, and no eigenbasis of the whole block is formed
+(:func:`_amplitudes`).  Other blocks, and every block at delta2 > 0,
+take a dense ``eigh``.
 
 A quench to delta2 = 0 from finite delta1 needs only the ground
 multiplet's two- and four-point fermion correlators (:func:`correlators`),
 which the free-fermion engine evolves; the dense evolution here is its
 oracle (they must agree entry-wise whenever delta2 = 0, from any delta1)
-and the only route for delta2 > 0.  The ground search and the dense
+and the only route for delta2 > 0.  The ground search and the
 eigenbasis of H(delta2) in a block, with its d^2 cost per time point, cap
 the usable chain length at 15 sites; longer chains belong to the
 free-fermion engine from the ideal Neel mixture.  A run's peak memory is
@@ -149,9 +151,11 @@ def sector_basis(n: int, m_up: int) -> SectorBasis:
         )
     if not 0 <= m_up <= n:
         raise ValueError(f"up-spin count {m_up} outside [0, {n}]")
-    pats = sorted(sum(1 << b for b in comb) for comb in combinations(range(n), m_up))
-    states = np.asarray(pats, dtype=np.uint64)
-    return SectorBasis(n=n, m_up=m_up, states=states)
+    patterns = np.arange(1 << n, dtype=np.uint64)
+    ones = np.zeros_like(patterns)
+    for k in range(n):
+        ones += (patterns >> np.uint64(k)) & np.uint64(1)
+    return SectorBasis(n=n, m_up=m_up, states=patterns[ones == m_up])
 
 
 def build_sector_hamiltonian(
@@ -403,47 +407,30 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
     return MixedState(n=n, components=comps, origin="degenerate-ground-multiplet")
 
 
-def _bipartite_eigh(
-    x: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenbasis of the symmetric matrix that holds ``x`` at rows ``a``,
-    columns ``b`` (and its transpose at rows ``b``, columns ``a``) and
-    zeros elsewhere, from one SVD x = U diag(s) V^T.
-
-    Each singular triple gives energies +-s with modes (u, +-v)/sqrt(2);
-    the unpaired columns of U or V are zero modes.
-    """
-    u, s, vt = np.linalg.svd(x)
-    r = len(s)
-    extra_a = len(a) - r
-    energies = np.concatenate([s, -s, np.zeros(len(a) + len(b) - 2 * r)])
-    modes = np.zeros((len(a) + len(b),) * 2)
-    half = math.sqrt(0.5)
-    modes[a, :r] = modes[a, r : 2 * r] = half * u[:, :r]
-    modes[b, :r] = half * vt[:r].T
-    modes[b, r : 2 * r] = -modes[b, :r]
-    modes[a, 2 * r : 2 * r + extra_a] = u[:, r:]
-    modes[b, 2 * r + extra_a :] = vt[r:].T
-    return energies, modes
-
-
-# One entry per symmetry block (6 MB at n=13 for the 868-dimensional
-# reflection-even block of an odd-n Neel start).  A quench keeps its own
-# blocks and no command repeats a quench, so more would only be stale.
+# One entry per symmetry block (3.0 MB at n=13: U and X of the 434 + 434
+# orbits of the reflection-even block that an odd-n Neel start reaches).
+# A quench keeps its own blocks and no command repeats a quench, so more
+# would only be stale.
 @lru_cache(maxsize=1)
 def _evolver(
     realization: CouplingRealization, delta2: float, m_up: int, block: int
 ) -> SimpleNamespace:
     """Eigenbasis of H(delta2) in one symmetry block of a sector, the
     ``block``-th of :func:`_sector_blocks`: the block's fields with its
-    ``energies`` and ``modes``.
+    ``energies`` and ``modes``, or, for a bipartite block, its Gram
+    eigenbasis ``u``, ``root`` and ``x`` (``u`` is None otherwise).
 
     The block is scattered from the sector's entries (see :func:`_entries`).
     At delta2 = 0 with every orbit of a single grade (up spins on odd sites
-    mod 2) the block couples only orbits of different grades, and one SVD
-    of its grade-0 by grade-1 part, scattered on its own, replaces the
-    ``eigh`` of the whole block (see :func:`_bipartite_eigh`); otherwise
-    the whole block takes ``eigh``.
+    mod 2) the block couples only orbits of different grades: it is
+    [[0, X], [X^T, 0]], with the p orbits of its smaller grade (grade 0 on
+    a tie) first and the q of the other after, and ``order`` lists the
+    block's orbits that way; its ``ends`` and ``pairs`` read amplitudes in
+    that order.  Only X is scattered, and one ``eigh`` of its p x p Gram
+    matrix X X^T = U diag(lam) U^T replaces the ``eigh`` of the whole
+    block; ``root`` is sqrt(lam), with lam clipped at the smallest normal
+    double so that dividing by it needs no case for zero modes (see
+    :func:`_amplitudes`).  Otherwise the whole block takes ``eigh``.
     """
     orbits = _sector_blocks(realization, m_up)[block]
     ham = build_sector_hamiltonian(realization, delta2, m_up)
@@ -455,20 +442,32 @@ def _evolver(
     pattern_grade = (odd_ups & np.uint64(1))[inside]
     grade = np.zeros(orbits.dim, dtype=np.intp)
     grade[orbits.orbit[inside]] = pattern_grade
-    bipartite = delta2 == 0 and np.array_equal(grade[orbits.orbit[inside]], pattern_grade)
-    if bipartite:
-        a, b = np.flatnonzero(grade == 0), np.flatnonzero(grade == 1)
-        place = np.empty(orbits.dim, dtype=np.intp)
-        place[a], place[b] = np.arange(len(a)), np.arange(len(b))
-        keep = grade[r] < grade[c]
-        r, c, value = place[r[keep]], place[c[keep]], value[keep]
-    else:
-        a = b = np.arange(orbits.dim)
-    x = np.bincount(r * len(b) + c, value, minlength=len(a) * len(b)).reshape(len(a), len(b))
-    energies, modes = _bipartite_eigh(x, a, b) if bipartite else np.linalg.eigh(x)
-    for array in (energies, modes):
+    if not (delta2 == 0 and np.array_equal(grade[orbits.orbit[inside]], pattern_grade)):
+        h = np.bincount(r * orbits.dim + c, value, minlength=orbits.dim**2)
+        energies, modes = np.linalg.eigh(h.reshape(orbits.dim, orbits.dim))
+        for array in (energies, modes):
+            array.flags.writeable = False
+        return SimpleNamespace(**vars(orbits), energies=energies, modes=modes, u=None)
+    small = int(np.count_nonzero(grade) < orbits.dim / 2)
+    order = np.concatenate([np.flatnonzero(grade == small), np.flatnonzero(grade != small)])
+    p = np.count_nonzero(grade == small)
+    q = orbits.dim - p
+    place = np.empty(orbits.dim, dtype=np.intp)
+    place[order] = np.arange(orbits.dim)
+    keep = (grade[r] == small) & (grade[c] != small)
+    # X in column order: the chunk products read X^T row by row
+    x = np.bincount(
+        (place[c[keep]] - p) * p + place[r[keep]], value[keep], minlength=p * q
+    ).reshape(q, p).T
+    lam, u = np.linalg.eigh(x @ x.T)
+    root = np.sqrt(np.maximum(lam, np.finfo(float).tiny))
+    first, second, weight = orbits.pairs
+    ends, pairs = orbits.ends[:, order], (place[first], place[second], weight)
+    for array in (order, u, root, x, ends, *pairs[:2]):
         array.flags.writeable = False
-    return SimpleNamespace(**vars(orbits), energies=energies, modes=modes)
+    return SimpleNamespace(
+        **{**vars(orbits), "ends": ends, "pairs": pairs}, order=order, u=u, root=root, x=x
+    )
 
 
 def _flip_representatives(state: MixedState) -> list[tuple[float, PureComponent]]:
@@ -530,12 +529,12 @@ def correlators(state: MixedState) -> list[tuple[float, int, np.ndarray, np.ndar
 
 class _Prepared(NamedTuple):
     """One flip representative: its orbit weight, sector, the symmetry
-    blocks it reaches and its coefficients in their eigenbases."""
+    blocks it reaches and its start in each (see :func:`_start`)."""
 
     weight: float
     m_up: int
     blocks: list[SimpleNamespace]
-    coeffs: list[np.ndarray]
+    coeffs: list[np.ndarray | tuple[np.ndarray, ...]]
 
 
 def run_bytes(n: int, evolve: bool = True) -> int:
@@ -567,10 +566,11 @@ class QuenchEvolution:
     The constructor keeps one representative per spin-flip orbit of the
     initial mixture, projects it onto the symmetry blocks of its sector
     and diagonalizes H(delta2) only in the blocks it reaches.  Time points
-    are then evaluated ``chunk_points`` at a time: per block one real
-    matrix product gives the real and imaginary parts of the block
-    amplitudes over the chunk, and the end pair's X state (a, b, c) is
-    read from them with the block's own readout (see :func:`_blocks`).
+    are then evaluated ``chunk_points`` at a time: per block real matrix
+    products give the real and imaginary parts of the block amplitudes
+    over the chunk (see :func:`_amplitudes`), and the end pair's X state
+    (a, b, c) is read from them with the block's own readout (see
+    :func:`_blocks`).
     Each representative's norm is checked per point, and the series
     passes :func:`~xxzquench.freefermion.check_x_series` (trace and
     positivity).
@@ -591,7 +591,7 @@ class QuenchEvolution:
                 )[1:]
                 if np.linalg.norm(projected) > PARITY_LEAK_TOL:
                     blocks.append(_evolver(realization, delta2, comp.m_up, k))
-                    coeffs.append(blocks[-1].modes.T @ projected)
+                    coeffs.append(_start(blocks[-1], projected))
             self._prepped.append(_Prepared(weight, comp.m_up, blocks, coeffs))
         # chunks stay sized to the whole sector's amplitudes, although the
         # work arrays are the blocks': wider ones widen scan windows and peaks
@@ -613,15 +613,7 @@ class QuenchEvolution:
         for rep in self._prepped:
             part = np.zeros((3, n_t))
             for block, coeff in zip(rep.blocks, rep.coeffs):
-                phase = _view(work.phase, len(coeff), n_t)
-                w = _view(work.w, len(coeff), 2 * n_t)
-                # amplitudes re - i im, stored as [re | im] over the chunk
-                amp = _view(work.amp, len(coeff), 2 * n_t)
-                np.multiply(block.energies[:, None], ts, out=phase)
-                np.cos(phase, out=w[:, :n_t])
-                np.sin(phase, out=w[:, n_t:])
-                w *= coeff[:, None]
-                np.matmul(block.modes, w, out=amp)
+                amp = _amplitudes(block, coeff, ts, work)
                 first, second, value = block.pairs
                 at_first = _view(work.at_first, len(value), 2 * n_t)
                 at_second = _view(work.at_second, len(value), 2 * n_t)
@@ -649,7 +641,7 @@ class QuenchEvolution:
         # unmapped again on every chunk.
         n_t = min(self.chunk_points, len(ts))
         blocks = [block for rep in self._prepped for block in rep.blocks]
-        orbits = max(len(block.energies) for block in blocks)
+        orbits = max(block.dim for block in blocks)
         pairs = max(len(block.pairs[2]) for block in blocks)
         work = SimpleNamespace(
             phase=np.empty(orbits * n_t),
@@ -664,6 +656,83 @@ class QuenchEvolution:
         a, b, c = abc
         check_x_series(a, b, c, ts)
         return a, b, c
+
+
+def _start(block: SimpleNamespace, projected: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
+    """A start given in a block's orbit coordinates, as its block evolves
+    it: coefficients in the modes of a dense block; of a bipartite one
+    (alpha, beta, y0), with alpha = U^T x0 and beta = U^T X y0 from its
+    parts x0 and y0 on the two grades (see :func:`_evolver`)."""
+    if block.u is None:
+        return block.modes.T @ projected
+    graded = projected[block.order]
+    x0, y0 = graded[: len(block.root)], graded[len(block.root) :]
+    return block.u.T @ x0, block.u.T @ (block.x @ y0), y0
+
+
+def _amplitudes(
+    block: SimpleNamespace, coeff, ts: np.ndarray, work: SimpleNamespace
+) -> np.ndarray:
+    """A block's amplitudes re - i im over one chunk, stored as [re | im]
+    with a row per orbit in the block's order, as a view of ``work``.
+
+    A dense block sums its modes with cos and sin of energy times time.  A
+    bipartite block H = [[0, X], [X^T, 0]] has exp(-iHt) = cos(sqrt(H^2) t)
+    - i H sin(sqrt(H^2) t)/sqrt(H^2), and a function f of X^T X is f(0) +
+    X^T U (f(lam) - f(0))/lam U^T X (Higham, Functions of Matrices, SIAM
+    2008), so with s = sqrt(lam), c = cos(s t), sn = sin(s t)/s and
+    k = 2 sin^2(s t/2)/lam = (1 - c)/lam:
+
+        psi_p = U (c alpha) - i U (sn beta)
+        psi_q = y0 - X^T U (k beta) - i X^T U (sn alpha).
+
+    All three are taken from sin and cos of the half angle s t/2, so none
+    cancels at small lam.  The products of an alpha or beta that is 0 (a
+    start on one grade, as a Neel pattern) are skipped.
+    """
+    n_t = len(ts)
+    amp = _view(work.amp, block.dim, 2 * n_t)
+    if block.u is None:
+        phase = _view(work.phase, block.dim, n_t)
+        w = _view(work.w, block.dim, 2 * n_t)
+        np.multiply(block.energies[:, None], ts, out=phase)
+        np.cos(phase, out=w[:, :n_t])
+        np.sin(phase, out=w[:, n_t:])
+        w *= coeff[:, None]
+        np.matmul(block.modes, w, out=amp)
+        return amp
+    alpha, beta, y0 = coeff
+    p = len(alpha)
+    sin_half = _view(work.phase, p, n_t)
+    cos_half = _view(work.phase[p * n_t :], p, n_t)
+    np.multiply(0.5 * block.root[:, None], ts, out=sin_half)
+    np.cos(sin_half, out=cos_half)
+    np.sin(sin_half, out=sin_half)
+    # the right-hand sides [c alpha | sn beta] of psi_p and [k beta | sn alpha] of psi_q
+    to_p = _view(work.w, p, 2 * n_t)
+    to_q = _view(work.w[2 * p * n_t :], p, 2 * n_t)
+    c = to_p[:, :n_t]
+    np.square(sin_half, out=c)
+    c *= -2.0
+    c += 1.0
+    c *= alpha[:, None]
+    sin_half /= block.root[:, None]
+    np.multiply(sin_half, cos_half, out=cos_half)  # sn / 2
+    np.multiply(cos_half, 2.0 * beta[:, None], out=to_p[:, n_t:])
+    np.multiply(cos_half, 2.0 * alpha[:, None], out=to_q[:, n_t:])
+    np.square(sin_half, out=to_q[:, :n_t])  # k / 2
+    to_q[:, :n_t] *= 2.0 * beta[:, None]
+    has_alpha, has_beta = alpha.any(), beta.any()
+    if not (has_alpha and has_beta):
+        amp.fill(0.0)
+    on_p = slice(0 if has_alpha else n_t, 2 * n_t if has_beta else n_t)
+    on_q = slice(0 if has_beta else n_t, 2 * n_t if has_alpha else n_t)
+    np.matmul(block.u, to_p[:, on_p], out=amp[:p, on_p])
+    u_to_q = _view(work.phase, p, 2 * n_t)
+    np.matmul(block.u, to_q[:, on_q], out=u_to_q[:, on_q])
+    np.matmul(block.x.T, u_to_q[:, on_q], out=amp[p:, on_q])
+    np.subtract(y0[:, None], amp[p:, :n_t], out=amp[p:, :n_t])
+    return amp
 
 
 def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 None of this is on the program's path.  Each oracle takes the slow and
 obvious route to a quantity that an engine computes fast:
 
-- exact diagonalization: the sector Hamiltonian built pattern by pattern
+- exact diagonalization: the sector patterns enumerated by combinations
+  of up sites, the sector Hamiltonian built pattern by pattern
   and the dense form of the engine's entries, the ground multiplet from
   dense spectra of every sector, the projector onto each flip x
   reflection block of a sector from dense permutation matrices (the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -41,6 +42,12 @@ RDM_TOL = 1e-9
 X_STRUCTURE_TOL = 1e-10
 
 # --- exact diagonalization ------------------------------------------------
+
+
+def sector_patterns(n: int, m_up: int) -> list[int]:
+    """The n-site patterns with m_up set bits, ascending, one combination
+    of up sites at a time."""
+    return sorted(sum(1 << b for b in comb) for comb in combinations(range(n), m_up))
 
 
 def sector_hamiltonian(realization, delta: float, m_up: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ def test_sector_dimensions_sum_to_full_space():
     for n in range(2, 14):
         total = sum(exactdiag.sector_basis(n, m).dim for m in range(n + 1))
         assert total == 2**n
+
+
+def test_sector_basis_matches_the_enumerated_patterns():
+    for n in range(1, exactdiag.MAX_SITES + 1):
+        for m in range(n + 1):
+            states = exactdiag.sector_basis(n, m).states
+            assert states.dtype == np.uint64
+            assert states.tolist() == oracles.sector_patterns(n, m)
 
 
 def test_sector_basis_ordering_and_index():
@@ -500,14 +509,14 @@ def test_homogeneous_neel_start_diagonalizes_one_reflection_block(monkeypatch):
     # the reflection alone splits it, into blocks of 848 (odd) and 868
     # (even); the Neel pattern is mirror-symmetric, so only the even block
     # and only one flip representative are evolved.  At delta2 = 0 the
-    # block couples its 434 orbits of each grade, and one SVD of that
-    # 434 x 434 part replaces the eigh of the block.
+    # block couples its 434 orbits of each grade, and one eigh of the
+    # 434 x 434 Gram matrix of that part replaces the eigh of the block.
     calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
     evolution = exactdiag.QuenchEvolution(homogeneous(13), math.inf, 0.0)
-    assert calls == [("svd", (434, 434))]
+    assert calls == [("eigh", (434, 434))]
     (rep,) = evolution._prepped
-    assert [(_block_index(homogeneous(13), rep.m_up, b), len(b.energies))
+    assert [(_block_index(homogeneous(13), rep.m_up, b), b.dim)
             for b in rep.blocks] == [(1, 868)]
 
 
@@ -547,15 +556,19 @@ def test_each_parity_block_is_diagonalized_once(monkeypatch):
     # ground search is matrix-free and diagonalizes only its Lanczos
     # projections, none larger than the largest symmetry block it searches
     # (28, a reflection block of M=3), and each block of H(delta2 = 0)
-    # takes one SVD of its grade-0 by grade-1 part (10 x 10 and 13 x 10)
+    # takes one eigh of the Gram matrix of its grade-0 by grade-1 part
+    # (10 x 10 and 13 x 10) over the smaller grade, 10 x 10 in both
     real = model.CouplingRealization(couplings=(1.0,) * 7, seed_used=0)
     calls = _record_diagonalizations(monkeypatch)
+    initial = exactdiag.ground_mixture(real, 1000.0)
+    assert calls and all(c[1][0] <= 28 for c in calls)
+    calls.clear()
+    monkeypatch.setattr(exactdiag, "ground_mixture", lambda *args: initial)
     exactdiag._evolver.cache_clear()
     evolution = exactdiag.QuenchEvolution(real, 1000.0, 0.0)
-    assert [[(_block_index(real, 4, b), len(b.energies)) for b in rep.blocks]
+    assert [[(_block_index(real, 4, b), b.dim) for b in rep.blocks]
             for rep in evolution._prepped] == [[(0, 20)], [(3, 23)]]
-    assert sorted(c for c in calls if c[0] == "svd") == [("svd", (10, 10)), ("svd", (13, 10))]
-    assert all(c[1][0] <= 28 for c in calls if c[0] != "svd")
+    assert calls == [("eigh", (10, 10)), ("eigh", (10, 10))]
 
 
 @pytest.mark.parametrize("delta2", [0.0, 0.5])
@@ -569,7 +582,7 @@ def test_palindromic_neel_start_never_forms_the_sector_matrix(delta2):
     exactdiag._evolver.cache_clear()
     evolution = exactdiag.QuenchEvolution(homogeneous(8), math.inf, delta2)
     (rep,) = evolution._prepped
-    assert [(_block_index(homogeneous(8), 4, b), len(b.energies)) for b in rep.blocks] == [
+    assert [(_block_index(homogeneous(8), 4, b), b.dim) for b in rep.blocks] == [
         (0, 20), (3, 23)
     ]
     evolution.end_spin_series(np.linspace(0.0, 4.0, 5))
@@ -587,19 +600,22 @@ def _disordered(n):
 # odd), (odd, even), (even, odd), (even, even); with one, odd then even.
 @pytest.mark.parametrize("real, m_up, block, call", [
     # rectangular parts with zero modes: n=7 reflection blocks of M=3 (16
-    # and 19 orbits)
-    (homogeneous(7), 3, 1, ("svd", (11, 8))),
-    (homogeneous(7), 3, 0, ("svd", (8, 8))),
-    # n=12, M=6: the Neel blocks (252 and 242 of the 924 states) and the
-    # other two (220 and 210); at n = 0 mod 4 both symmetries keep grades
-    (homogeneous(12), 6, 3, ("svd", (121, 131))),
-    (homogeneous(12), 6, 0, ("svd", (121, 121))),
-    (homogeneous(12), 6, 1, ("svd", (105, 115))),
-    (homogeneous(12), 6, 2, ("svd", (105, 105))),
-    # a disordered chain has one-pattern orbits: the whole sector of 126
-    (_disordered(9), 4, 0, ("svd", (66, 60))),
+    # and 19 orbits, 11 x 8 and 8 x 8 grade parts); the Gram matrix is
+    # taken over the smaller grade
+    (homogeneous(7), 3, 1, ("eigh", (8, 8))),
+    (homogeneous(7), 3, 0, ("eigh", (8, 8))),
+    # n=12, M=6: the Neel blocks (252 and 242 of the 924 states, 121 x 131
+    # and 121 x 121) and the other two (220 and 210, 105 x 115 and
+    # 105 x 105); at n = 0 mod 4 both symmetries keep grades
+    (homogeneous(12), 6, 3, ("eigh", (121, 121))),
+    (homogeneous(12), 6, 0, ("eigh", (121, 121))),
+    (homogeneous(12), 6, 1, ("eigh", (105, 105))),
+    (homogeneous(12), 6, 2, ("eigh", (105, 105))),
+    # a disordered chain has one-pattern orbits: the whole sector of 126,
+    # 66 x 60
+    (_disordered(9), 4, 0, ("eigh", (60, 60))),
     # a palindromic disordered chain, with negative bonds
-    (_chain([0.7, -1.3, 0.4, 0.4, -1.3, 0.7]), 3, 1, ("svd", (11, 8))),
+    (_chain([0.7, -1.3, 0.4, 0.4, -1.3, 0.7]), 3, 1, ("eigh", (8, 8))),
     # n = 2 mod 4 at M = n/2: flip and reflection each swap the grades of
     # an orbit's patterns, so the blocks are not bipartite and take eigh
     (homogeneous(6), 3, 3, ("eigh", (7, 7))),
@@ -618,20 +634,45 @@ def test_sublattice_eigenbasis_against_dense_eigh(monkeypatch, real, m_up, block
     calls = _record_diagonalizations(monkeypatch)
     exactdiag._evolver.cache_clear()
     evolver = exactdiag._evolver(real, 0.0, m_up, block)
-    assert calls[:1] == [call]
+    assert calls == [call]
     v = oracles.orbit_matrix(exactdiag._sector_blocks(real, m_up)[block])
     h = v.T @ oracles.sector_hamiltonian(real, 0.0, m_up) @ v
-    energies, modes = evolver.energies, evolver.modes
     size = len(h)
-    assert modes.shape == (size, size) and energies.shape == (size,)
-    assert np.max(np.abs(h @ modes - modes * energies)) <= 1e-12
-    assert np.max(np.abs(modes.T @ modes - np.eye(size))) <= 1e-12
+    if evolver.u is None:
+        energies, modes = evolver.energies, evolver.modes
+        assert modes.shape == (size, size) and energies.shape == (size,)
+        assert np.max(np.abs(h @ modes - modes * energies)) <= 1e-12
+        assert np.max(np.abs(modes.T @ modes - np.eye(size))) <= 1e-12
+    else:
+        # X over the smaller grade's rows, and its Gram eigenbasis
+        u, root, x = evolver.u, evolver.root, evolver.x
+        p = len(root)
+        assert x.shape == (p, size - p) and p <= size - p and u.shape == (p, p)
+        rows, cols = evolver.order[:p], evolver.order[p:]
+        np.testing.assert_allclose(x, h[np.ix_(rows, cols)], rtol=0, atol=1e-14)
+        assert np.max(np.abs(x @ (x.T @ u) - u * root**2)) <= 1e-12
+        assert np.max(np.abs(u.T @ u - np.eye(p))) <= 1e-12
+        # energies +-sqrt(lam), and a zero mode per extra orbit of the larger grade
+        energies = np.concatenate([root, -root, np.zeros(size - 2 * p)])
     want_e, want_v = np.linalg.eigh(h)
     np.testing.assert_allclose(np.sort(energies), want_e, rtol=0, atol=1e-12)
     for t in (0.3, 2.0, 11.7):
-        got = (modes * np.exp(-1j * energies * t)) @ modes.T
+        got = _block_propagator(evolver, t)
         want = (want_v * np.exp(-1j * want_e * t)) @ want_v.T
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _block_propagator(evolver, t: float) -> np.ndarray:
+    """exp(-iHt) of one block in its orbit coordinates, column by column
+    from the engine's own start and chunk evolution of each unit vector."""
+    dim = evolver.dim
+    work = SimpleNamespace(phase=np.empty(dim), w=np.empty(2 * dim), amp=np.empty(2 * dim))
+    order = np.arange(dim) if evolver.u is None else evolver.order
+    columns = np.zeros((dim, dim), dtype=complex)
+    for j, start in enumerate(np.eye(dim)):
+        amp = exactdiag._amplitudes(evolver, exactdiag._start(evolver, start), np.array([t]), work)
+        columns[order, j] = amp[:, 0] - 1j * amp[:, 1]
+    return columns
 
 
 @pytest.mark.parametrize("real, delta1, blocks", [
@@ -656,7 +697,7 @@ def test_sublattice_eigenbasis_against_dense_eigh(monkeypatch, real, m_up, block
 def test_parity_blocks_reached_by_the_representative(real, delta1, blocks):
     (rep,) = exactdiag.QuenchEvolution(real, delta1, 0.5)._prepped
     assert rep.weight == 1.0
-    assert [(_block_index(real, rep.m_up, b), len(b.energies)) for b in rep.blocks] == blocks
+    assert [(_block_index(real, rep.m_up, b), b.dim) for b in rep.blocks] == blocks
 
 
 def _rotated(vec, angle):

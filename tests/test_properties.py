@@ -6,6 +6,7 @@ repeatable; couplings range over both signs, as large disorder draws do.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from xxzquench import exactdiag, freefermion, model
+from xxzquench import entangle, exactdiag, freefermion, model
 from xxzquench.errors import NumericalFaultError
 from xxzquench.model import NeelOrder
 
@@ -223,6 +224,81 @@ def test_symmetry_reduced_series_matches_two_component_oracle(real, delta1, delt
     got = np.stack(evolution.end_spin_series(ts))
     want = np.stack(oracles.end_pair_per_point(evolution.initial, real, delta2, ts))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def bipartite_blocks(real) -> list[tuple[int, int]]:
+    """(sector, block) of every block that H(delta2 = 0) splits by grade,
+    largest first."""
+    found = [
+        (m, k)
+        for m in range(real.n + 1)
+        for k in range(len(exactdiag._sector_blocks(real, m)))
+        if exactdiag._evolver(real, 0.0, m, k).u is not None
+    ]
+    return sorted(found, key=lambda mk: -exactdiag._sector_blocks(real, mk[0])[mk[1]].dim)
+
+
+def block_start_evolution(real, m_up, block, rng) -> exactdiag.QuenchEvolution:
+    """A delta2 = 0 quench from a random unit vector of a block of sector
+    m_up, with its flip partner in sector n - m_up (in sector n/2 the
+    block's flip character makes it its own)."""
+    orbits = exactdiag._sector_blocks(real, m_up)[block]
+    vector = rng.standard_normal(orbits.dim)
+    v = orbits.coef * (vector / np.linalg.norm(vector))[orbits.orbit]
+    if 2 * m_up == real.n:
+        comps = (exactdiag.PureComponent(weight=1.0, m_up=m_up, amplitudes=v),)
+    else:
+        comps = (
+            exactdiag.PureComponent(weight=0.5, m_up=m_up, amplitudes=v),
+            exactdiag.PureComponent(weight=0.5, m_up=real.n - m_up, amplitudes=v[::-1]),
+        )
+    state = exactdiag.MixedState(n=real.n, components=comps)
+    with mock.patch.object(exactdiag, "ground_mixture", lambda *args: state):
+        return exactdiag.QuenchEvolution(real, math.inf, 0.0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(real=symmetry_chains(4, 10), data=st.data())
+def test_bipartite_blocks_match_two_component_oracle(real, data):
+    # the Gram route of the delta2 = 0 blocks split by grade, from starts on
+    # both grades (a finite-delta1 ground state, or a random unit vector of
+    # any such block), against every component evolved in its whole
+    # sector, out to three times the default horizon; the one-pattern
+    # blocks of n = 2 and 3 are swept below
+    if data.draw(st.booleans(), label="ground start"):
+        delta1 = data.draw(st.floats(min_value=1.0, max_value=4.0, exclude_min=True))
+        evolution = _prepared(real, delta1, 0.0)
+    else:
+        m_up, block = data.draw(st.sampled_from(bipartite_blocks(real)))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        evolution = block_start_evolution(real, m_up, block, rng)
+    assume(all(b.u is not None for rep in evolution._prepped for b in rep.blocks))
+    horizon = 3 * entangle.default_horizon(model.ChainSpec(n=real.n))
+    ts = np.asarray(data.draw(st.lists(st.floats(min_value=0.0, max_value=horizon),
+                                       min_size=3, max_size=8)))
+    evolution.chunk_points = data.draw(st.sampled_from([1, 3, evolution.chunk_points]))
+    got = np.stack(evolution.end_spin_series(ts))
+    want = np.stack(oracles.end_pair_per_point(evolution.initial, real, 0.0, ts))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("real", [
+    # n=2 and 3: blocks with an empty grade (one pattern, M = 0 or n)
+    model.CouplingRealization(couplings=(0.8,), seed_used=0),
+    model.CouplingRealization(couplings=(1.0, -0.6), seed_used=0),
+    # n=7: rectangular grade parts with zero modes, on a palindromic chain
+    model.CouplingRealization(couplings=(0.7, -1.3, 0.4, 0.4, -1.3, 0.7), seed_used=0),
+], ids=["n2", "n3", "n7"])
+def test_every_bipartite_block_matches_two_component_oracle(real):
+    rng = np.random.default_rng(7)
+    ts = np.linspace(0.0, 3 * entangle.default_horizon(model.ChainSpec(n=real.n)), 9)
+    blocks = bipartite_blocks(real)
+    assert len(blocks) >= 2
+    for m_up, block in blocks:
+        evolution = block_start_evolution(real, m_up, block, rng)
+        got = np.stack(evolution.end_spin_series(ts))
+        want = np.stack(oracles.end_pair_per_point(evolution.initial, real, 0.0, ts))
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @PROPERTY_SETTINGS
