@@ -367,7 +367,7 @@ def cmd_scan_n(args) -> int:
         "seed": args.seed,
         "t_max_horizon": args.t_max_horizon,
         "grid_step": args.grid_step,
-        "engine": args.engine,
+        "engine": engine,
         "jobs": args.jobs,
         "allow_even": args.allow_even,
         "out": os.path.basename(args.out),

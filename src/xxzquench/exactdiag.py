@@ -1,10 +1,8 @@
 """Full Hilbert-space engine for arbitrary anisotropy quenches.
 
 Total z magnetization is conserved, so the Hamiltonian splits into
-sectors of fixed up-spin count M.  Each sector is built over the ordered
-list of bit patterns with M set bits (bit k-1 holds site k, set = up) in
-one pass per bond, which keeps the diagonal and one (row, partner,
-coupling) entry per hop; no dense sector matrix is ever formed.
+sectors of fixed up-spin count M, each over the ordered list of bit
+patterns with M set bits (bit k-1 holds site k, set = up).
 
 Two further symmetries split each sector into blocks.  The global spin
 flip F (every pattern to its complement) commutes with H(delta) for any
@@ -16,9 +14,13 @@ sector has one block per character chi, spanned by one unit orbit state
 per pattern orbit, sum_g chi(g) g|p> normalized, wherever chi allows it
 (Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  Other chains, disordered
 ones included, have one-pattern orbits outside M = n/2.  :func:`_blocks`
-is the one orbit basis: the ground search and the evolution both work in
-its coordinates, with each block's entries scattered straight from the
-sector's (:func:`_entries`).
+is the one orbit basis and the one place that knows each block's
+Hamiltonian pattern: a row of bond-indexed triples per orbit, from its
+lowest pattern alone, and that pattern's z.z signs.  It depends on n, M
+and the reflection only, so every disordered chain of a length shares
+it, and a chain only scales it (:func:`build_sector_hamiltonian`); no
+dense sector matrix is ever formed.  The ground search and the evolution
+both work in its coordinates, and a Lanczos step costs the block.
 
 The ground multiplet of H(delta1) comes from one matrix-free Lanczos
 search per block of each sector M <= n/2 (sector n-M has the same
@@ -101,15 +103,12 @@ class SectorBasis:
 
 @dataclass(eq=False)
 class SectorHamiltonian:
-    """Real symmetric XXZ Hamiltonian restricted to one sector, as entries:
-    the diagonal, and per off-diagonal entry its row, its column (the hop
-    partner) and its value (the bond's coupling)."""
+    """Real symmetric XXZ Hamiltonian of one sector, realized per symmetry
+    block of :func:`_sector_blocks`: each block's fields with ``values``,
+    this chain's entry per (``rows``, ``cols``) triple."""
 
     basis: SectorBasis
-    diagonal: np.ndarray
-    rows: np.ndarray
-    partners: np.ndarray
-    hops: np.ndarray
+    blocks: tuple[SimpleNamespace, ...]
 
 
 @dataclass(frozen=True)
@@ -161,35 +160,21 @@ def sector_basis(n: int, m_up: int) -> SectorBasis:
 def build_sector_hamiltonian(
     realization: CouplingRealization, delta: float, m_up: int
 ) -> SectorHamiltonian:
-    """XXZ entries in one sector.
-
-    Diagonal entries collect (J_k delta / 2) z_k z_{k+1}; each adjacent
-    up-down pair contributes an off-diagonal J_k to its exchanged partner.
-    One pass per bond covers every pattern; each off-diagonal entry comes
-    from exactly one bond.
+    """XXZ entries of one sector, realized in each of its symmetry blocks
+    from their bond-indexed structure (see :func:`_blocks`) with no
+    pattern work: a hop is worth its bond's J_k times its weight, and an
+    orbit's diagonal sums (J_k delta / 2) z_k z_{k+1} at its lowest pattern.
     """
     if math.isinf(delta):
         raise ValueError("infinite anisotropy never enters numerical matrices")
-    n = realization.n
-    basis = sector_basis(n, m_up)
-    states = basis.states
-    diag = np.zeros(basis.dim)
-    rows, partners, hops = [], [], []
-    cpl = realization.couplings
-    ups = [(states >> k) & 1 == 1 for k in range(n)]
-    for k in range(n - 1):
-        z1 = np.where(ups[k], 1.0, -1.0)
-        z2 = np.where(ups[k + 1], 1.0, -1.0)
-        diag += cpl[k] * delta / 2.0 * z1 * z2
-        hop = np.flatnonzero(ups[k] != ups[k + 1])
-        rows.append(hop)
-        pair = np.uint64((1 << k) | (1 << (k + 1)))
-        partners.append(np.searchsorted(states, states[hop] ^ pair))
-        hops.append(np.full(len(hop), cpl[k]))
-    return SectorHamiltonian(
-        basis=basis, diagonal=diag, rows=np.concatenate(rows),
-        partners=np.concatenate(partners), hops=np.concatenate(hops),
+    couplings = np.asarray(realization.couplings)
+    bond_zz = couplings * delta / 2.0
+    blocks = tuple(
+        SimpleNamespace(**vars(b), values=np.concatenate([couplings[b.bonds] * b.weights,
+                                                          b.zz @ bond_zz]))
+        for b in _sector_blocks(realization, m_up)
     )
+    return SectorHamiltonian(basis=sector_basis(realization.n, m_up), blocks=blocks)
 
 
 def neel_mixture(n: int) -> MixedState:
@@ -260,7 +245,9 @@ def _lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
     """The nonempty blocks of one sector under the group generated by the
     spin flip F (at M = n/2) and the site reflection R (if ``reflect``),
-    flip-odd first, each as (dim, orbit, coef, ends, pairs).
+    flip-odd first, each with its orbit basis (dim, orbit, coef), the
+    pattern of its Hamiltonian (rows, cols, bonds, weights, zz, grade,
+    graded) and its end-pair readout (ends, pairs).
 
     F reverses the ascending basis and R maps each pattern to its mirror
     image.  Every group element is an involution, so p and g(p) share an
@@ -271,6 +258,16 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
     orbit in the block's coordinates and ``coef`` its coefficient, -1 and
     0 for patterns outside the block.
 
+    The group commutes with H, so an orbit's row is |orbit| times that of
+    its lowest pattern p (Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  Per
+    hop of p over bond k to a pattern q inside, ``bonds`` holds k and
+    ``weights`` |orbit| coef_p coef_q = coef_q / coef_p; ``rows`` and
+    ``cols`` hold the orbits of p and q, then those of the diagonal;
+    triples at one place add up.  ``zz`` holds per orbit the z_k z_{k+1}
+    at p, as a (dim, n-1) matrix, and ``grade`` the up spins on odd sites
+    of p mod 2; ``graded`` says whether every pattern has its orbit's
+    grade.  A chain only scales these (see :func:`build_sector_hamiltonian`).
+
     The rest reads the end pair (sites 1, n).  F and R keep whether its
     spins agree, so ``ends`` holds per orbit its (uu + dd) and (ud + du)
     weights, the sum of coef^2 over its patterns, as a (2, dim) matrix.
@@ -279,21 +276,31 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
     """
     states = sector_basis(n, m_up).states
     pos = np.arange(len(states))
-    differ = ((states ^ (states >> np.uint64(n - 1))) & np.uint64(1)).astype(np.intp)
+    # each pattern's position, looked up by its value
+    index = np.zeros(1 << n, dtype=np.intp)
+    index[states] = pos
+    bits = ((states >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)).astype(np.intp)
+    differ = bits[0] ^ bits[-1]
     generators = [pos[::-1]] if 2 * m_up == n else []
     if reflect:
-        mirrored = np.zeros_like(states)
-        for k in range(n):
-            mirrored |= ((states >> np.uint64(k)) & np.uint64(1)) << np.uint64(n - 1 - k)
-        generators.append(np.searchsorted(states, mirrored))
+        generators.append(index[(1 << np.arange(n - 1, -1, -1)) @ bits])
     perms = [pos]
     for perm in generators:
         perms += [p[perm] for p in perms]
     perms = np.array(perms)
     lowest = perms.min(axis=0)
+    is_rep = lowest == pos
+    reps = np.flatnonzero(is_rep)
+    # each orbit's representative, its lowest pattern: z.z signs and hops
+    # (bond, which representative, partner's position); every pattern's grade
+    hopping = bits[:-1, reps] ^ bits[1:, reps]
+    zz = (1.0 - 2.0 * hopping).T
+    grade = np.bitwise_xor.reduce(bits[::2], axis=0)
+    hop_bond, hop_from = np.nonzero(hopping)
+    hop_to = index[states[reps[hop_from]] ^ (np.uint64(3) << hop_bond.astype(np.uint64))]
     # the lowest pattern of each orbit whose end spins differ, and its end-flipped mate
-    head = np.flatnonzero((lowest == pos) & (differ == 1))
-    mate = np.searchsorted(states, states[head] ^ np.uint64(1 | 1 << (n - 1)))
+    head = reps[differ[reps] == 1]
+    mate = index[states[head] ^ np.uint64(1 | 1 << (n - 1))]
     blocks = []
     for signs in product((-1.0, 1.0), repeat=len(generators)):
         chars = np.ones(1)
@@ -304,7 +311,7 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
         inside = stabilizer > 0
         if not inside.any():
             continue
-        ids = np.cumsum(inside & (lowest == pos)) - 1
+        ids = np.cumsum(inside & is_rep) - 1
         orbit = np.where(inside, ids[lowest], -1)
         coef = np.zeros(len(pos))
         # sum_g chi(g) [g(p) = lowest] is |stabilizer| chi(g_p)
@@ -312,6 +319,9 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
             len(chars) * stabilizer[inside]
         )
         dim = int(ids[-1]) + 1
+        kept = inside[reps]
+        hop = kept[hop_from] & inside[hop_to]
+        src, dst = reps[hop_from[hop]], hop_to[hop]
         ends = np.bincount(
             differ[inside] * dim + orbit[inside], coef[inside] ** 2, minlength=2 * dim
         ).reshape(2, dim)
@@ -320,10 +330,18 @@ def _blocks(n: int, m_up: int, reflect: bool) -> tuple[SimpleNamespace, ...]:
         i, j = orbit[head], orbit[mate]
         keep = (i >= 0) & (i <= j)
         value = coef[mate[keep]] / coef[head[keep]] * np.where(i < j, 1.0, 0.5)[keep]
-        pairs = (i[keep], j[keep], value)
-        for array in (orbit, coef, ends, *pairs):
-            array.flags.writeable = False
-        blocks.append(SimpleNamespace(dim=dim, orbit=orbit, coef=coef, ends=ends, pairs=pairs))
+        diagonal = np.arange(dim)
+        block = SimpleNamespace(
+            dim=dim, orbit=orbit, coef=coef, rows=np.concatenate([orbit[src], diagonal]),
+            cols=np.concatenate([orbit[dst], diagonal]), bonds=hop_bond[hop],
+            weights=coef[dst] / coef[src], zz=zz[kept], grade=grade[reps[kept]],
+            graded=bool(np.array_equal(grade[inside], grade[lowest[inside]])),
+            ends=ends, pairs=(i[keep], j[keep], value),
+        )
+        for array in (*vars(block).values(), *block.pairs):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        blocks.append(block)
     return tuple(blocks)
 
 
@@ -331,23 +349,6 @@ def _sector_blocks(realization: CouplingRealization, m_up: int) -> tuple[SimpleN
     """:func:`_blocks` of one sector of this chain, with the reflection on
     palindromic couplings."""
     return _blocks(realization.n, m_up, realization.couplings == realization.couplings[::-1])
-
-
-def _entries(ham: SectorHamiltonian, block: SimpleNamespace) -> tuple[np.ndarray, ...]:
-    """One block of a sector Hamiltonian as (row, col, value) triples in
-    the block's orbit coordinates, scattered from the sector's entries;
-    triples at one place add up.
-
-    Orbit states a and b (see :func:`_blocks`) span sum_p coef_p e_p over
-    their patterns, so entry (a, b) sums coef_p coef_q H_pq.
-    """
-    diag = np.arange(ham.basis.dim)
-    p = np.concatenate([ham.rows, diag])
-    q = np.concatenate([ham.partners, diag])
-    value = np.concatenate([ham.hops, ham.diagonal]) * block.coef[p] * block.coef[q]
-    r, c = block.orbit[p], block.orbit[q]
-    keep = (r >= 0) & (c >= 0)
-    return r[keep], c[keep], value[keep]
 
 
 def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedState:
@@ -379,10 +380,9 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
     for m in range(n // 2, -1, -1):
         ham = build_sector_hamiltonian(realization, delta1, m)
         start = np.sin(np.arange(1.0, ham.basis.dim + 1.0))
-        for block in _sector_blocks(realization, m):
-            r, c, v = _entries(ham, block)
+        for block in ham.blocks:
             values, vectors = _lanczos(
-                lambda x, r=r, c=c, v=v: np.bincount(r, v * x[c], minlength=len(x)),
+                lambda x, b=block: np.bincount(b.rows, b.values * x[b.cols], minlength=b.dim),
                 np.bincount(block.orbit + 1, block.coef * start, minlength=block.dim + 1)[1:],
             )
             # a pattern outside the block reads entry -1 times coefficient 0
@@ -420,7 +420,7 @@ def _evolver(
     ``energies`` and ``modes``, or, for a bipartite block, its Gram
     eigenbasis ``u``, ``root`` and ``x`` (``u`` is None otherwise).
 
-    The block is scattered from the sector's entries (see :func:`_entries`).
+    The block is realized for this chain (see :func:`build_sector_hamiltonian`).
     At delta2 = 0 with every orbit of a single grade (up spins on odd sites
     mod 2) the block couples only orbits of different grades: it is
     [[0, X], [X^T, 0]], with the p orbits of its smaller grade (grade 0 on
@@ -432,17 +432,9 @@ def _evolver(
     double so that dividing by it needs no case for zero modes (see
     :func:`_amplitudes`).  Otherwise the whole block takes ``eigh``.
     """
-    orbits = _sector_blocks(realization, m_up)[block]
-    ham = build_sector_hamiltonian(realization, delta2, m_up)
-    r, c, value = _entries(ham, orbits)
-    odd_ups = np.zeros(ham.basis.dim, dtype=np.uint64)
-    for k in range(0, realization.n, 2):
-        odd_ups ^= ham.basis.states >> np.uint64(k)
-    inside = orbits.orbit >= 0
-    pattern_grade = (odd_ups & np.uint64(1))[inside]
-    grade = np.zeros(orbits.dim, dtype=np.intp)
-    grade[orbits.orbit[inside]] = pattern_grade
-    if not (delta2 == 0 and np.array_equal(grade[orbits.orbit[inside]], pattern_grade)):
+    orbits = build_sector_hamiltonian(realization, delta2, m_up).blocks[block]
+    r, c, value, grade = orbits.rows, orbits.cols, orbits.values, orbits.grade
+    if not (delta2 == 0 and orbits.graded):
         h = np.bincount(r * orbits.dim + c, value, minlength=orbits.dim**2)
         energies, modes = np.linalg.eigh(h.reshape(orbits.dim, orbits.dim))
         for array in (energies, modes):
@@ -539,12 +531,17 @@ class _Prepared(NamedTuple):
 
 def run_bytes(n: int, evolve: bool = True) -> int:
     """Estimate of the peak bytes of one n-site run, known before anything
-    is allocated: the largest sector's entries (the diagonal, and per hop
-    its row, partner and coupling) and the ground search's Lanczos basis;
-    if it ``evolve``s here rather than on free fermions, also the
-    eigendecomposition of H(delta2) and a series' work arrays: phases,
-    cos/sin weights and block amplitudes, at most CHUNK_BYTES each, and
-    the end pair's two gathered rows.
+    is allocated.  The ground search holds the largest sector's Lanczos
+    basis, 5 steps^2 doubles for the ``eigh`` of its tridiagonal matrix at
+    the last check (the matrix, LAPACK's copy, workspace and vectors), and
+    the cached block structure (:func:`_blocks`) of the sectors M <= n/2,
+    with and without the reflection, as a disorder ensemble keeps both:
+    2^n patterns of at most 6 (n + 1) doubles (per pattern 3; per orbit
+    its z.z signs, grade, readout and diagonal triple; per hop its row,
+    column, bond, weight and value).  If it ``evolve``s here rather than on
+    free fermions, it also holds the eigendecomposition of H(delta2) and a
+    series' work arrays: phases, cos/sin weights and block amplitudes, at
+    most CHUNK_BYTES each, and the end pair's two gathered rows.
 
     A dense ``eigh`` of side N peaks at about 5 N^2 doubles (the block,
     numpy's working copy, the 2 N^2 of LAPACK's dsyevd workspace and the
@@ -554,7 +551,8 @@ def run_bytes(n: int, evolve: bool = True) -> int:
     evolution side is taken as six times.
     """
     dim = math.comb(n, n // 2)
-    ground = 8 * dim * (1 + 3 * (n - 1) + min(dim, LANCZOS_MAX_STEPS))
+    steps = min(dim, LANCZOS_MAX_STEPS)
+    ground = 8 * (steps * (dim + 5 * steps) + 6 * (n + 1) * 2**n)
     if not evolve:
         return ground
     return ground + 6 * 8 * dim * (dim + 1) + 4 * CHUNK_BYTES

@@ -33,7 +33,8 @@ class ChainSpec:
 
     ``delta1`` may be ``math.inf``; the initial state is then the ideal
     equal mixture of the two Neel orders instead of a computed ground
-    state.  Times are reported in units of 1/j throughout.
+    state; a finite ``delta1`` must exceed 1.  Times are reported in units
+    of 1/j throughout.
     """
 
     n: int
@@ -53,10 +54,10 @@ class ChainSpec:
                 f"post-quench anisotropy delta2 must be finite and >= 0, "
                 f"got {self.delta2}"
             )
-        if math.isnan(self.delta1):
+        if not self.delta1 > 1:  # NaN included
             raise ValueError(
-                f"pre-quench anisotropy delta1 must be a number or inf, "
-                f"got {self.delta1}"
+                f"pre-quench anisotropy delta1 must be inf or a finite number above 1 "
+                f"(antiferromagnetic Ising side), got {self.delta1}"
             )
         if not self.delta1 > self.delta2:
             raise ValueError(

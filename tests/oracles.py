@@ -4,8 +4,8 @@ None of this is on the program's path.  Each oracle takes the slow and
 obvious route to a quantity that an engine computes fast:
 
 - exact diagonalization: the sector patterns enumerated by combinations
-  of up sites, the sector Hamiltonian built pattern by pattern
-  and the dense form of the engine's entries, the ground multiplet from
+  of up sites, the sector Hamiltonian built pattern by pattern and the
+  dense form of each block the engine realizes, the ground multiplet from
   dense spectra of every sector, the projector onto each flip x
   reflection block of a sector from dense permutation matrices (the
   engine's one orbit basis must span its range), step-by-step evolution
@@ -71,11 +71,11 @@ def sector_hamiltonian(realization, delta: float, m_up: int) -> np.ndarray:
     return h
 
 
-def sector_matrix(ham: exactdiag.SectorHamiltonian) -> np.ndarray:
-    """The dense (dim, dim) form of a sector Hamiltonian's entries."""
-    h = np.zeros((ham.basis.dim, ham.basis.dim))
-    h[ham.rows, ham.partners] = ham.hops
-    np.fill_diagonal(h, ham.diagonal)
+def block_matrix(block) -> np.ndarray:
+    """The dense (dim, dim) form of a realized block's entries, its triples
+    added one at a time."""
+    h = np.zeros((block.dim, block.dim))
+    np.add.at(h, (block.rows, block.cols), block.values)
     return h
 
 
@@ -90,10 +90,7 @@ def dense_ground_mixture(realization, delta1: float) -> MixedState:
     pair there is first rotated onto them).
     """
     n = realization.n
-    matrices = {
-        m: sector_matrix(exactdiag.build_sector_hamiltonian(realization, delta1, m))
-        for m in range(n // 2 + 1)
-    }
+    matrices = {m: sector_hamiltonian(realization, delta1, m) for m in range(n // 2 + 1)}
     spectra = {m: np.linalg.eigvalsh(h) for m, h in matrices.items()}
     e0 = min(float(e[0]) for e in spectra.values())
     tol = max(exactdiag.GROUND_DEGENERACY_RTOL * abs(e0), exactdiag.GROUND_DEGENERACY_ATOL)

@@ -179,6 +179,16 @@ def test_quench_engine_auto_selection(tmp_path):
         assert doc["config"]["engine"] == engine
 
 
+def test_scan_manifest_records_the_resolved_engine(tmp_path):
+    # engine auto resolves per delta2, and the manifest says which ran
+    out = tmp_path / "s.csv"
+    for argv, engine in [([], "freefermion"), (["--delta2", "0.5"], "exactdiag")]:
+        assert run("scan-n", "--n", "3", *argv, "--jobs", "1", "--t-max-horizon", "2",
+                   "--out", str(out)) == 0
+        doc = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert doc["config"]["engine"] == engine
+
+
 def test_scan_single_size_anchor(tmp_path):
     out = tmp_path / "s.csv"
     assert run("scan-n", "--n", "9", "--jobs", "1", "--out", str(out)) == 0
@@ -507,11 +517,28 @@ def test_usage_errors_exit_one(tmp_path):
     assert run("quench", "--n", "7", "--bogus-flag") == 1
     assert run("quench", "--out", str(tmp_path / "q.csv")) == 1  # missing --n
     assert run("disorder", "--out", str(tmp_path / "d.csv")) == 1  # missing --n
-    assert run("quench", "--n", "7", "--delta1", "0", "--out",
+    assert run("quench", "--n", "7", "--delta1", "2", "--delta2", "3", "--out",
                str(tmp_path / "q.csv")) == 1  # upward quench rejected
     assert run("disorder", "--n", "5", "--realizations", "0",
                "--out", str(tmp_path / "d.csv")) == 1
     assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("argv, delta1", [
+    (["disorder", "--n", "7", "--sigma", "0,0.2", "--realizations", "2", "--jobs", "1"], "0.5"),
+    (["scan-n", "--n", "3,5"], "0.9"),
+], ids=["disorder", "scan-n"])
+def test_finite_delta1_at_most_one_is_refused_before_a_draw(tmp_path, capsys, monkeypatch,
+                                                            argv, delta1):
+    # the spec refuses it, so no member is blamed and none is drawn
+    drawn, realize = [], model.realize_couplings
+    monkeypatch.setattr(model, "realize_couplings",
+                        lambda spec: drawn.append(spec) or realize(spec))
+    assert run(*argv, "--delta1", delta1, "--out", str(tmp_path / "r.csv")) == 1
+    err = capsys.readouterr().err
+    assert f"above 1 (antiferromagnetic Ising side), got {delta1}" in err
+    assert "realization" not in err and "n=" not in err
+    assert drawn == [] and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", ["inf", "INF", "Infinity", " inf "])

@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,13 +69,19 @@ def test_sector_basis_ordering_and_index():
 
 
 def test_two_site_exchange_block():
-    ham = exactdiag.build_sector_hamiltonian(homogeneous(2, j=1.3), 0.0, 1)
-    np.testing.assert_allclose(oracles.sector_matrix(ham), [[0.0, 1.3], [1.3, 0.0]], atol=0)
+    real = homogeneous(2, j=1.3)
+    np.testing.assert_allclose(
+        oracles.sector_hamiltonian(real, 0.0, 1), [[0.0, 1.3], [1.3, 0.0]], atol=0
+    )
+    # flip and reflection both swap the two patterns: the singlet-like
+    # (odd, odd) and the triplet-like (even, even) orbit states
+    ham = exactdiag.build_sector_hamiltonian(real, 0.0, 1)
+    assert [oracles.block_matrix(b).tolist() for b in ham.blocks] == [[[-1.3]], [[1.3]]]
 
 
 def test_three_site_sector_against_dense_oracle():
     real = homogeneous(3)
-    h = oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, 1.0, 1))
+    h = oracles.sector_hamiltonian(real, 1.0, 1)
     # basis ascending: patterns 0b001, 0b010, 0b100 (up at site 1, 2, 3)
     np.testing.assert_allclose(np.diag(h), [0.0, -1.0, 0.0], atol=0)
     assert h[0, 1] == 1.0 and h[1, 2] == 1.0
@@ -96,16 +103,16 @@ def test_full_spectrum_against_dense_oracle():
         model.ChainSpec(n=5, delta1=4.0, delta2=1.5, disorder_sigma=0.15, seed=8)
     )
     for delta in (0.0, 1.5):
-        got = np.sort(
-            np.concatenate(
-                [
-                    np.linalg.eigvalsh(
-                        oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, delta, m))
-                    )
-                    for m in range(6)
-                ]
-            )
-        )
+        # the oracle's sectors, and the engine's realized blocks of every sector
+        got = np.sort(np.concatenate(
+            [np.linalg.eigvalsh(oracles.sector_hamiltonian(real, delta, m)) for m in range(6)]
+        ))
+        blocks = np.sort(np.concatenate([
+            np.linalg.eigvalsh(oracles.block_matrix(block))
+            for m in range(6)
+            for block in exactdiag.build_sector_hamiltonian(real, delta, m).blocks
+        ]))
+        np.testing.assert_allclose(blocks, got, atol=1e-12)
         want = np.linalg.eigvalsh(
             dense_full_hamiltonian(5, 1.0, delta)
             if len(set(real.couplings)) == 1
@@ -174,10 +181,7 @@ def test_large_delta_ground_state_is_nearly_neel():
 def test_moderate_delta_ground_pair_is_degenerate():
     real = homogeneous(9)
     spectra = {
-        m: np.linalg.eigvalsh(
-            oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, 3.0, m))
-        )
-        for m in range(10)
+        m: np.linalg.eigvalsh(oracles.sector_hamiltonian(real, 3.0, m)) for m in range(10)
     }
     state = exactdiag.ground_mixture(real, 3.0)
     assert sorted(c.m_up for c in state.components) == [4, 5]
@@ -571,12 +575,79 @@ def test_each_parity_block_is_diagonalized_once(monkeypatch):
     assert calls == [("eigh", (10, 10)), ("eigh", (10, 10))]
 
 
+@pytest.mark.parametrize("sigma, kept", [
+    # the spin flip alone: every orbit is a flip pair, in both blocks
+    (0.3, [(1716, 13728), (1716, 13728)]),
+    # flip x reflection: a few pair orbits sit outside a block, with their hops
+    (0.0, [(890, 7120), (826, 6416), (826, 6416), (890, 7120)]),
+], ids=["disordered", "homogeneous"])
+def test_blocks_keep_only_their_representatives_triples(sigma, kept):
+    # n = 14, M = 7 has 24,024 hops and 3,432 diagonal entries, 27,456
+    # triples over the sector; a block keeps one row per orbit, its lowest
+    # pattern's, so a flip block about half of them and a flip x
+    # reflection block about a quarter
+    states = exactdiag.sector_basis(14, 7).states
+    bits = (states[:, None] >> np.arange(14, dtype=np.uint64)) & np.uint64(1)
+    assert np.count_nonzero(bits[:, :-1] != bits[:, 1:]) + len(states) == 27456
+    real = model.realize_couplings(model.ChainSpec(n=14, disorder_sigma=sigma, seed=4))
+    blocks = exactdiag._sector_blocks(real, 7)
+    assert [(b.dim, len(b.rows)) for b in blocks] == kept
+
+
+def test_second_chain_realizes_its_sectors_without_pattern_work(monkeypatch):
+    # two disordered chains of one length share every block structure: the
+    # second reads the cached structure, and each realized block holds the
+    # first's pattern arrays and only its own values
+    first, second = (
+        model.realize_couplings(model.ChainSpec(n=10, disorder_sigma=0.3, seed=seed))
+        for seed in (1, 2)
+    )
+    before = [exactdiag.build_sector_hamiltonian(first, 3.0, m) for m in range(11)]
+    misses = exactdiag._blocks.cache_info().misses
+    calls = []
+
+    def counting(name, original):
+        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+    # the pattern work of a block structure looks patterns up and finds hops
+    for name in ("searchsorted", "nonzero", "flatnonzero"):
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    after = [exactdiag.build_sector_hamiltonian(second, 3.0, m) for m in range(11)]
+    assert calls == [] and exactdiag._blocks.cache_info().misses == misses
+    for old, new in zip(before, after):
+        for a, b in zip(old.blocks, new.blocks):
+            assert all(getattr(a, k) is getattr(b, k)
+                       for k in ("orbit", "coef", "rows", "cols", "bonds", "weights", "zz"))
+            hops = np.asarray(second.couplings)[b.bonds] * b.weights
+            np.testing.assert_array_equal(b.values[: len(hops)], hops)
+
+
+@pytest.mark.parametrize("n", [11, 13])
+@pytest.mark.parametrize("sigma", [0.0, 0.3], ids=["homogeneous", "disordered"])
+def test_ground_search_stays_within_its_memory_charge(n, sigma):
+    # from cold caches, the traced peak of a ground search (its Lanczos
+    # bases, the tridiagonal checks and the block structures it builds and
+    # keeps) stays within run_bytes(n, evolve=False)
+    real = model.realize_couplings(
+        model.ChainSpec(n=n, delta1=3.0, disorder_sigma=sigma, seed=4)
+    )
+    exactdiag._blocks.cache_clear()
+    exactdiag.sector_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        exactdiag.ground_mixture(real, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= exactdiag.run_bytes(n, evolve=False)
+
+
 @pytest.mark.parametrize("delta2", [0.0, 0.5])
 def test_palindromic_neel_start_never_forms_the_sector_matrix(delta2):
     # the two Neel orders of n=8 are mirror images and flip images of each
     # other, so the one flip representative reaches the two blocks of M=4
     # whose characters agree on flip and reflection: 20 (both odd) and 23
-    # (both even); each block is scattered from the sector's entries: the
+    # (both even); each block is realized in its orbit coordinates: the
     # dense sector matrix has no form outside the test oracles
     assert not hasattr(exactdiag.SectorHamiltonian, "matrix")
     exactdiag._evolver.cache_clear()

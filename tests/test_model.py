@@ -80,7 +80,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         model.ChainSpec(n=5, delta2=-0.1)
     with pytest.raises(ValueError):
-        model.ChainSpec(n=5, delta1=0.5, delta2=1.0)  # upward quench
+        model.ChainSpec(n=5, delta1=2.0, delta2=3.0)  # upward quench
+    for delta1 in (0.5, 1.0):  # a finite delta1 must exceed 1
+        with pytest.raises(ValueError, match="delta1 must be inf or a finite number above 1"):
+            model.ChainSpec(n=5, delta1=delta1)
     with pytest.raises(ValueError):
         model.ChainSpec(n=5, disorder_sigma=-1.0)
     with pytest.raises(ValueError):

@@ -352,7 +352,7 @@ def test_ground_mixture_is_flip_closed_and_sector_energies_match(real, delta1):
     for m in range(n + 1):
         idx = np.nonzero(ups == m)[0]
         oracle[m] = np.linalg.eigvalsh(full[np.ix_(idx, idx)])[0]
-        sector = oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, delta1, m))
+        sector = oracles.sector_hamiltonian(real, delta1, m)
         assert abs(np.linalg.eigvalsh(sector)[0] - oracle[m]) <= 1e-10
     try:
         state = exactdiag.ground_mixture(real, delta1)
@@ -361,8 +361,7 @@ def test_ground_mixture_is_flip_closed_and_sector_energies_match(real, delta1):
         raise
     e0 = min(oracle.values())
     for comp in state.components:
-        ham = exactdiag.build_sector_hamiltonian(real, delta1, comp.m_up)
-        sector = oracles.sector_matrix(ham)
+        sector = oracles.sector_hamiltonian(real, delta1, comp.m_up)
         assert abs(comp.amplitudes @ sector @ comp.amplitudes - e0) <= 1e-10
     comps = state.components
     if len(comps) == 2 and comps[0].m_up != comps[1].m_up:
@@ -405,22 +404,8 @@ def test_lanczos_ground_multiplet_matches_dense_oracle(real, ferromagnetic_ends,
         )
         u = want.components[u].amplitudes
         assert dist <= 1e-12
-        h = oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, delta1, comp.m_up))
+        h = oracles.sector_hamiltonian(real, delta1, comp.m_up)
         assert abs(v @ h @ v - u @ h @ u) <= 1e-12 * abs(u @ h @ u)
-
-
-@PROPERTY_SETTINGS
-@given(
-    n=st.integers(min_value=2, max_value=11),
-    data=st.data(),
-    delta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
-)
-def test_sector_hamiltonian_matches_pattern_by_pattern_builder(n, data, delta):
-    bonds = data.draw(st.lists(signed_bond, min_size=n - 1, max_size=n - 1))
-    real = model.CouplingRealization(couplings=tuple(bonds), seed_used=0)
-    for m in range(n + 1):
-        got = oracles.sector_matrix(exactdiag.build_sector_hamiltonian(real, delta, m))
-        assert np.array_equal(got, oracles.sector_hamiltonian(real, delta, m))
 
 
 @PROPERTY_SETTINGS
@@ -430,10 +415,15 @@ def test_sector_hamiltonian_matches_pattern_by_pattern_builder(n, data, delta):
     delta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
 )
 def test_symmetry_blocks_scattered_from_entries_match_dense_projection(real, data, delta):
+    # each block the engine realizes from its bond-indexed structure (one
+    # row of triples per orbit, from its lowest pattern) against V^T H V of
+    # the pattern-by-pattern sector matrix, over every sector
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    odd_sites = sum(1 << k for k in range(0, real.n, 2))
     for m in range(real.n + 1):
         ham = exactdiag.build_sector_hamiltonian(real, delta, m)
-        blocks = exactdiag._sector_blocks(real, m)
+        blocks = ham.blocks
+        grades = np.array([bin(int(p) & odd_sites).count("1") % 2 for p in ham.basis.states])
         projectors = oracles.block_projectors(real, m)
         assert len(blocks) == len(projectors)
         assert sum(block.dim for block in blocks) == ham.basis.dim
@@ -457,10 +447,14 @@ def test_symmetry_blocks_scattered_from_entries_match_dense_projection(real, dat
             assert np.max(np.abs(v.T @ v - np.eye(block.dim))) <= 1e-14
             assert np.max(np.abs(projector @ v - v)) <= 1e-14
             want = v.T @ h @ v
-            r, c, value = exactdiag._entries(ham, block)
-            got = np.zeros_like(want)
-            np.add.at(got, (r, c), value)
-            assert np.max(np.abs(got - want)) <= 1e-14
+            assert np.max(np.abs(oracles.block_matrix(block) - want)) <= 1e-14
+            # each orbit's grade is its lowest pattern's, and ``graded`` says
+            # whether every pattern shares it
+            lowest = [np.flatnonzero(block.orbit == a)[0] for a in range(block.dim)]
+            np.testing.assert_array_equal(block.grade, grades[lowest])
+            inside = block.orbit >= 0
+            assert block.graded == np.array_equal(grades[inside], block.grade[block.orbit[inside]])
+            r, c, value = block.rows, block.cols, block.values
             # any split of the orbits into rows and columns, scattered on
             # its own, as the sublattice path takes its grade-0 by grade-1
             # part
