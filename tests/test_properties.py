@@ -410,6 +410,27 @@ def test_lanczos_ground_multiplet_matches_dense_oracle(real, ferromagnetic_ends,
 
 @PROPERTY_SETTINGS
 @given(
+    n=st.integers(min_value=2, max_value=11),
+    data=st.data(),
+    delta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
+)
+def test_sector_hamiltonian_matches_pattern_by_pattern_builder(n, data, delta):
+    # the engine's blocks put back into the sector, sum_b V_b H_b V_b^T,
+    # against the pattern-by-pattern matrix of every sector
+    bonds = data.draw(st.lists(signed_bond, min_size=n - 1, max_size=n - 1))
+    real = model.CouplingRealization(couplings=tuple(bonds), seed_used=0)
+    for m in range(n + 1):
+        ham = exactdiag.build_sector_hamiltonian(real, delta, m)
+        want = oracles.sector_hamiltonian(real, delta, m)
+        got = np.zeros_like(want)
+        for block in ham.blocks:
+            v = oracles.orbit_matrix(block)
+            got += v @ oracles.block_matrix(block) @ v.T
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@PROPERTY_SETTINGS
+@given(
     real=symmetry_chains(2, 10),
     data=st.data(),
     delta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
