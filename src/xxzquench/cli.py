@@ -443,6 +443,8 @@ def cmd_disorder(args) -> int:
     )
     engine = entangle.resolve_engine(base, args.engine)
     horizon, step, ts = entangle.resolve_grid(base, args.t_max_horizon, args.grid_step)
+    if not ts[-1] > 0:
+        raise ValueError(f"a first-peak search needs a positive time horizon, got {horizon}")
     # every realization's curve is kept until the summary is written
     kept = sum(1 if sigma == 0.0 else args.realizations for sigma in sigmas)
     _check_fits(kept * ts.nbytes, f"the fef curves of {kept} realizations over {len(ts)} points")

@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NumericalFaultError
-from .freefermion import CHUNK_BYTES, _check, check_x_series
+from .freefermion import CHUNK_BYTES, _check, chunked_series
 from .model import CouplingRealization, NeelOrder, neel_state
 
 MAX_SITES = 15
@@ -189,6 +189,8 @@ def neel_mixture(n: int) -> MixedState:
     return MixedState(n=n, components=tuple(comps), origin="ideal-neel-mixture")
 
 
+# an overflow shows as an alpha or beta that is not finite, which raises
+@np.errstate(over="ignore")
 def _lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenvalues (one in dimension 1) of the symmetric
     operator ``apply`` on vectors of the length of ``start``, with their
@@ -219,6 +221,11 @@ def _lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             w -= beta[k - 1] * basis[k - 1]
         w -= (basis[: k + 1] @ w) @ basis[: k + 1]
         beta[k] = math.sqrt(w @ w)
+        if not (math.isfinite(alpha[k]) and math.isfinite(beta[k])):
+            raise NumericalFaultError(
+                f"Lanczos ground search overflowed at step {k + 1} (alpha={alpha[k]:.3e}, "
+                f"beta={beta[k]:.3e}); so large an anisotropy is the Ising limit, --delta1 inf"
+            )
         scale = max(scale, abs(alpha[k]), beta[k])
         tol = LANCZOS_RESIDUAL_TOL * scale
         if k + 1 in (check, steps) or beta[k] <= tol:
@@ -539,9 +546,10 @@ def run_bytes(n: int, evolve: bool = True) -> int:
     2^n patterns of at most 6 (n + 1) doubles (per pattern 3; per orbit
     its z.z signs, grade, readout and diagonal triple; per hop its row,
     column, bond, weight and value).  If it ``evolve``s here rather than on
-    free fermions, it also holds the eigendecomposition of H(delta2) and a
-    series' work arrays: phases, cos/sin weights and block amplitudes, at
-    most CHUNK_BYTES each, and the end pair's two gathered rows.
+    free fermions, it also holds the eigendecomposition of H(delta2) and
+    the temporaries of one chunk of a series (phases, cos/sin weights,
+    block amplitudes and the end pair's gathered rows), charged at
+    4 CHUNK_BYTES.
 
     A dense ``eigh`` of side N peaks at about 5 N^2 doubles (the block,
     numpy's working copy, the 2 N^2 of LAPACK's dsyevd workspace and the
@@ -592,68 +600,40 @@ class QuenchEvolution:
                     coeffs.append(_start(blocks[-1], projected))
             self._prepped.append(_Prepared(weight, comp.m_up, blocks, coeffs))
         # chunks stay sized to the whole sector's amplitudes, although the
-        # work arrays are the blocks': wider ones widen scan windows and peaks
+        # chunk's arrays are the blocks': wider ones widen scan windows and peaks
         dim_max = max(len(block.coef) for rep in self._prepped for block in rep.blocks)
         self.chunk_points = max(1, CHUNK_BYTES // (16 * dim_max))
 
-    def _end_pair(self, ts: np.ndarray, work: SimpleNamespace, out: np.ndarray) -> None:
-        """(a, b, c) of the end pair over one chunk, into the rows of ``out``.
+    def _end_pair(self, ts: np.ndarray) -> np.ndarray:
+        """(a, b, c) of the end pair over one chunk, as rows.
 
         Per block the (uu + dd) and (ud + du) weights and the real ud-du
         coherence are read with the block's readout (see :func:`_blocks`);
         the flip partner's are the representative's.  The imaginary
         coherence and the off-X entries are not formed, since the flip
         average cancels the former and no sector reaches the latter.
-        Every array that grows with the chunk is a view of ``work``.
         """
         n_t = len(ts)
         total = np.zeros((3, n_t))
         for rep in self._prepped:
             part = np.zeros((3, n_t))
             for block, coeff in zip(rep.blocks, rep.coeffs):
-                amp = _amplitudes(block, coeff, ts, work)
+                amp = _amplitudes(block, coeff, ts)
                 first, second, value = block.pairs
-                at_first = _view(work.at_first, len(value), 2 * n_t)
-                at_second = _view(work.at_second, len(value), 2 * n_t)
-                # mode="raise" would buffer ``out`` on every call
-                np.take(amp, first, axis=0, out=at_first, mode="clip")
-                np.take(amp, second, axis=0, out=at_second, mode="clip")
-                at_first *= at_second
-                np.square(amp, out=amp)
-                both = np.vstack([block.ends @ amp, value @ at_first])
+                coherence = value @ (amp[first] * amp[second])
+                amp **= 2
+                both = np.vstack([block.ends @ amp, coherence])
                 part += both[:, :n_t] + both[:, n_t:]
             _check(np.abs(np.sqrt(part[:2].sum(axis=0)) - 1.0), NORM_DRIFT_TOL, "norm drift", ts)
             total += rep.weight * part
         # the X state shares each weight between its two diagonal entries
-        out[:2] = 0.5 * total[:2]
-        out[2] = total[2]
+        total[:2] *= 0.5
+        return total
 
     def end_spin_series(
         self, ts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ts = np.asarray(ts, dtype=float)
-        abc = np.empty((3, len(ts)))
-        # The chunk's work arrays are allocated once per series and reused:
-        # arrays above the allocator's mmap threshold (128 KiB by default
-        # on glibc) are otherwise mapped, faulted in page by page and
-        # unmapped again on every chunk.
-        n_t = min(self.chunk_points, len(ts))
-        blocks = [block for rep in self._prepped for block in rep.blocks]
-        orbits = max(block.dim for block in blocks)
-        pairs = max(len(block.pairs[2]) for block in blocks)
-        work = SimpleNamespace(
-            phase=np.empty(orbits * n_t),
-            w=np.empty(orbits * 2 * n_t),
-            amp=np.empty(orbits * 2 * n_t),
-            at_first=np.empty(pairs * 2 * n_t),
-            at_second=np.empty(pairs * 2 * n_t),
-        )
-        for lo in range(0, len(ts), self.chunk_points):
-            part = slice(lo, lo + self.chunk_points)
-            self._end_pair(ts[part], work, abc[:, part])
-        a, b, c = abc
-        check_x_series(a, b, c, ts)
-        return a, b, c
+        return chunked_series(self._end_pair, self.chunk_points, ts)
 
 
 def _start(block: SimpleNamespace, projected: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
@@ -668,11 +648,9 @@ def _start(block: SimpleNamespace, projected: np.ndarray) -> np.ndarray | tuple[
     return block.u.T @ x0, block.u.T @ (block.x @ y0), y0
 
 
-def _amplitudes(
-    block: SimpleNamespace, coeff, ts: np.ndarray, work: SimpleNamespace
-) -> np.ndarray:
-    """A block's amplitudes re - i im over one chunk, stored as [re | im]
-    with a row per orbit in the block's order, as a view of ``work``.
+def _amplitudes(block: SimpleNamespace, coeff, ts: np.ndarray) -> np.ndarray:
+    """A block's amplitudes re - i im over one chunk, as [re | im] with a
+    row per orbit in the block's order.
 
     A dense block sums its modes with cos and sin of energy times time.  A
     bipartite block H = [[0, X], [X^T, 0]] has exp(-iHt) = cos(sqrt(H^2) t)
@@ -689,50 +667,28 @@ def _amplitudes(
     start on one grade, as a Neel pattern) are skipped.
     """
     n_t = len(ts)
-    amp = _view(work.amp, block.dim, 2 * n_t)
     if block.u is None:
-        phase = _view(work.phase, block.dim, n_t)
-        w = _view(work.w, block.dim, 2 * n_t)
-        np.multiply(block.energies[:, None], ts, out=phase)
-        np.cos(phase, out=w[:, :n_t])
-        np.sin(phase, out=w[:, n_t:])
+        phase = block.energies[:, None] * ts
+        w = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
         w *= coeff[:, None]
-        np.matmul(block.modes, w, out=amp)
-        return amp
+        return block.modes @ w
     alpha, beta, y0 = coeff
     p = len(alpha)
-    sin_half = _view(work.phase, p, n_t)
-    cos_half = _view(work.phase[p * n_t :], p, n_t)
-    np.multiply(0.5 * block.root[:, None], ts, out=sin_half)
-    np.cos(sin_half, out=cos_half)
-    np.sin(sin_half, out=sin_half)
-    # the right-hand sides [c alpha | sn beta] of psi_p and [k beta | sn alpha] of psi_q
-    to_p = _view(work.w, p, 2 * n_t)
-    to_q = _view(work.w[2 * p * n_t :], p, 2 * n_t)
-    c = to_p[:, :n_t]
-    np.square(sin_half, out=c)
-    c *= -2.0
-    c += 1.0
-    c *= alpha[:, None]
+    half = 0.5 * block.root[:, None] * ts
+    sin_half = np.sin(half)
+    c = 1.0 - 2.0 * np.square(sin_half)
     sin_half /= block.root[:, None]
-    np.multiply(sin_half, cos_half, out=cos_half)  # sn / 2
-    np.multiply(cos_half, 2.0 * beta[:, None], out=to_p[:, n_t:])
-    np.multiply(cos_half, 2.0 * alpha[:, None], out=to_q[:, n_t:])
-    np.square(sin_half, out=to_q[:, :n_t])  # k / 2
-    to_q[:, :n_t] *= 2.0 * beta[:, None]
+    sn_half = sin_half * np.cos(half)
+    # the right-hand sides [c alpha | sn beta] of psi_p and [k beta | sn alpha] of psi_q
+    to_p = np.concatenate([c * alpha[:, None], sn_half * (2.0 * beta[:, None])], axis=1)
+    to_q = np.concatenate(
+        [np.square(sin_half) * (2.0 * beta[:, None]), sn_half * (2.0 * alpha[:, None])], axis=1
+    )
     has_alpha, has_beta = alpha.any(), beta.any()
-    if not (has_alpha and has_beta):
-        amp.fill(0.0)
+    amp = np.zeros((block.dim, 2 * n_t))
     on_p = slice(0 if has_alpha else n_t, 2 * n_t if has_beta else n_t)
     on_q = slice(0 if has_beta else n_t, 2 * n_t if has_alpha else n_t)
-    np.matmul(block.u, to_p[:, on_p], out=amp[:p, on_p])
-    u_to_q = _view(work.phase, p, 2 * n_t)
-    np.matmul(block.u, to_q[:, on_q], out=u_to_q[:, on_q])
-    np.matmul(block.x.T, u_to_q[:, on_q], out=amp[p:, on_q])
-    np.subtract(y0[:, None], amp[p:, :n_t], out=amp[p:, :n_t])
+    amp[:p, on_p] = block.u @ to_p[:, on_p]
+    amp[p:, on_q] = block.x.T @ (block.u @ to_q[:, on_q])
+    amp[p:, :n_t] = y0[:, None] - amp[p:, :n_t]
     return amp
-
-
-def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The leading rows * cols entries of a flat work array, as a matrix."""
-    return buffer[: rows * cols].reshape(rows, cols)

@@ -112,6 +112,23 @@ def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) 
     _check(excess, POSITIVITY_TOL, "end-spin coherence exceeds its bound b by", ts)
 
 
+def chunked_series(
+    end_pair, chunk_points: int, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, c) of a prepared quench over the times ``ts``, from its
+    ``end_pair`` of each chunk of ``chunk_points`` times, so that work
+    memory does not grow with the grid, and checked by
+    :func:`check_x_series`."""
+    ts = np.asarray(ts, dtype=float)
+    abc = np.empty((3, len(ts)))
+    for lo in range(0, len(ts), chunk_points):
+        part = slice(lo, lo + chunk_points)
+        abc[:, part] = end_pair(ts[part])
+    a, b, c = abc
+    check_x_series(a, b, c, ts)
+    return a, b, c
+
+
 def _sublattice_svd(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
     """Full SVDs P diag(s) Q^T of the blocks B of the hopping matrices whose
     rows are the odd sites 1, 3, ... and whose columns are the even sites
@@ -474,12 +491,4 @@ class CorrelatorQuench:
     def end_spin_series(
         self, ts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, c) over the times ``ts``, ``chunk_points`` at a time."""
-        ts = np.asarray(ts, dtype=float)
-        abc = np.empty((3, len(ts)))
-        for lo in range(0, len(ts), self.chunk_points):
-            part = slice(lo, lo + self.chunk_points)
-            abc[:, part] = self._end_pair(ts[part])
-        a, b, c = abc
-        check_x_series(a, b, c, ts)
-        return a, b, c
+        return chunked_series(self._end_pair, self.chunk_points, ts)

@@ -566,13 +566,34 @@ def test_horizon_below_a_search_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_zero_horizon_disorder_keeps_its_one_point(tmp_path):
-    out = tmp_path / "d.csv"
+def test_zero_horizon_disorder_is_refused_before_a_draw(tmp_path, capsys, monkeypatch):
+    # a grid of t = 0 alone holds no peak: disorder refuses it, as scan-n
+    # does, before any realization is drawn
+    drawn, realize = [], model.realize_couplings
+    monkeypatch.setattr(model, "realize_couplings",
+                        lambda spec: drawn.append(spec) or realize(spec))
     assert run("disorder", "--n", "5", "--sigma", "0,0.2", "--realizations", "2",
-               "--t-max-horizon", "0", "--grid-step", "0.1", "--out", str(out)) == 0
-    header, rows = read_csv(tmp_path / "d_timeseries.csv")
-    assert col(header, rows, "t") == [0.0]
-    assert col(*read_csv(out), "meancurve_peak_time") == [0.0, 0.0]
+               "--jobs", "1", "--t-max-horizon", "0", "--grid-step", "0.1",
+               "--out", str(tmp_path / "d.csv")) == 1
+    err = capsys.readouterr().err
+    assert "positive time horizon" in err and "Traceback" not in err
+    assert drawn == [] and list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_finite_delta1_is_a_numerical_fault(tmp_path, capsys):
+    # at delta1 = 1e300 the ground search's Lanczos step overflows and the
+    # run stops, pointing to the Ising limit; at 1e100 it still runs and
+    # matches that limit
+    argv = ["quench", "--n", "6", "--t-max-horizon", "4"]
+    assert run(*argv, "--delta1", "1e300", "--out", str(tmp_path / "huge.csv")) == 3
+    assert "--delta1 inf" in capsys.readouterr().err
+    assert not (tmp_path / "huge.csv").exists()
+    curves = []
+    for delta1 in ("1e100", "inf"):
+        assert run(*argv, "--delta1", delta1, "--out", str(tmp_path / "q.csv")) == 0
+        header, rows = read_csv(tmp_path / "q.csv")
+        curves.append(np.array(col(header, rows, "fef")))
+    np.testing.assert_allclose(*curves, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("flags, names", [

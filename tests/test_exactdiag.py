@@ -1,11 +1,9 @@
 import math
 import os
-import platform
 import subprocess
 import sys
 import textwrap
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -343,49 +341,40 @@ def test_batched_series_matches_per_point_oracle(spec):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
-def _in_fresh_process(code: str, **env) -> str:
+def _in_fresh_process(code: str) -> str:
     """Stdout of ``code`` run by a new interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(xxzquench.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     return done.stdout
 
 
-@pytest.mark.skipif(
-    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
-    reason="pins glibc's mmap threshold",
-)
-def test_series_work_arrays_are_allocated_once_per_series():
-    # With glibc's mmap threshold held at 128 KiB, every array above it is
-    # mapped and faulted in page by page each time it is made (a chunk's
-    # arrays at n=11 are 0.26-1 MB), so minor faults that grow with the
-    # number of chunks would mean per-chunk allocations.
-    out = _in_fresh_process(
-        """
-        import resource
-        import numpy as np
-        from xxzquench import exactdiag, model
+@pytest.mark.parametrize("n", [11, 13])
+@pytest.mark.parametrize("delta2", [0.0, 0.5], ids=["gram", "dense"])
+def test_series_memory_stays_within_its_charge_and_flat_in_the_grid(n, delta2):
+    # a chunk's arrays are made and freed per chunk: the traced peak of a
+    # series above its three outputs stays within the 4 CHUNK_BYTES that
+    # run_bytes charges for them, and does not grow from 2,000 to 20,000
+    # points (about 14 and 141 chunks at n=11, 53 and 527 at n=13)
+    real = model.realize_couplings(model.ChainSpec(n=n, delta1=3.0))
+    evolution = exactdiag.QuenchEvolution(real, 3.0, delta2)
 
-        real = model.realize_couplings(model.ChainSpec(n=11, delta1=3.0))
-        evolution = exactdiag.QuenchEvolution(real, 3.0, 0.0)
-
-        def faults(chunks):
-            ts = np.linspace(0.0, 7.0, chunks * evolution.chunk_points)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    def work(points):
+        ts = np.linspace(0.0, 20.0, points)
+        tracemalloc.start()
+        try:
             evolution.end_spin_series(ts)
-            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - 3 * ts.nbytes
 
-        faults(8)
-        print(faults(8), faults(16))
-        """,
-        MALLOC_MMAP_THRESHOLD_="131072",
-    )
-    few, many = map(int, out.split())
-    # a 1 MB array made once per chunk would add 256 faults per chunk
-    assert many - few <= 8 * 32, (few, many)
+    few, many = work(2_000), work(20_000)
+    assert many <= 4 * exactdiag.CHUNK_BYTES
+    assert many - few <= exactdiag.CHUNK_BYTES // 16, (few, many)
 
 
 def test_finite_delta1_quench_leaves_numpy_random_unimported(tmp_path):
@@ -737,11 +726,10 @@ def _block_propagator(evolver, t: float) -> np.ndarray:
     """exp(-iHt) of one block in its orbit coordinates, column by column
     from the engine's own start and chunk evolution of each unit vector."""
     dim = evolver.dim
-    work = SimpleNamespace(phase=np.empty(dim), w=np.empty(2 * dim), amp=np.empty(2 * dim))
     order = np.arange(dim) if evolver.u is None else evolver.order
     columns = np.zeros((dim, dim), dtype=complex)
     for j, start in enumerate(np.eye(dim)):
-        amp = exactdiag._amplitudes(evolver, exactdiag._start(evolver, start), np.array([t]), work)
+        amp = exactdiag._amplitudes(evolver, exactdiag._start(evolver, start), np.array([t]))
         columns[order, j] = amp[:, 0] - 1j * amp[:, 1]
     return columns
 

@@ -491,7 +491,6 @@ def test_both_engines_route_through_the_x_check(monkeypatch):
         check(a, b, c, ts)
 
     monkeypatch.setattr(freefermion, "check_x_series", recording)
-    monkeypatch.setattr(exactdiag, "check_x_series", recording)
     real = homogeneous(7)
     ts = np.linspace(0.0, 4.0, 9)
     freefermion.end_spin_series(real, ts)
