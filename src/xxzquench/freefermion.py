@@ -81,20 +81,20 @@ class EndSpinState:
 
 def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None:
     """Raise at the first point whose deviation exceeds tol (NaN included),
-    in row-major order over ``deviation`` and its times ``ts``, of one shape."""
+    in row-major order over ``deviation`` and its times ``ts``, which
+    broadcast to its shape."""
     ok = deviation <= tol
     if not ok.all():
         k = np.unravel_index(np.argmin(ok), ok.shape)
-        raise NumericalFaultError(
-            f"{what} {deviation[k]:.3e} beyond {tol:g} at t={float(ts[k])!r}"
-        )
+        t = np.broadcast_to(ts, ok.shape)[k]
+        raise NumericalFaultError(f"{what} {deviation[k]:.3e} beyond {tol:g} at t={float(t)!r}")
 
 
 def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) -> None:
     """Check that each (a, b, c) over the times ``ts`` is a density matrix.
 
-    The four arrays share one shape: a series (T,), or a chunk (K, T) of
-    K members.  The X state has unit trace 2a + 2b and eigenvalues a, a
+    The three arrays share one shape: a series (T,), or a chunk (K, T) of
+    K members, whose times ``ts`` broadcast to it.  The X state has unit trace 2a + 2b and eigenvalues a, a
     and b +- |c|, so it is checked that |2a + 2b - 1|, -a and |c| - b stay
     within their tolerances.  The three deviations are tested together in
     one pass; only when that fails are they checked one by one, in that
@@ -151,28 +151,29 @@ class ChainStack:
     block of scan sizes) are one stack; :func:`end_spin_series` evaluates
     a chain as its own stack of one (:func:`_chain`).
 
-    The arrays are member-major.  ``two_s`` (K, width) holds the doubled
-    singular values 2 s_k of B, zero-padded to the longest member, so that
-    one cos row (and one sin row if a member is even) serves the stack.
-    Row k of ``weights`` (K, rows, 4) maps cos(2 s_k t), and on even chains
-    row m + k maps sin(2 s_k t), to the oscillating parts of the four
-    end-site moments of order N2, which fills the odd sites; order N1 fills
-    the even sites and sees them with the opposite sign.  ``base`` (K, 4, 2)
-    holds the constant parts of both orders and ``start`` (K, 4, 2) their
-    values at t = 0; ``sign`` (K, 2) the orders' parity signs and ``odd``
-    (K,) n % 2.  ``groups`` holds per length its members, m = n // 2 and
-    its rows of ``weights``: products run per length, as a product over
-    zero-padded rows would sum in another order.  So every member's values
-    come from the same operations whatever stack it is in, and agree bit
-    for bit with those of its own stack of one.
+    The stack holds order N2, which fills the odd sites: the mixture's X
+    state is that of either order (see :func:`_x_state`).  The arrays are
+    member-major.  ``two_s`` (K, width) holds the doubled singular values
+    2 s_k of B, zero-padded to the longest member.  Row q of
+    ``weights`` (K, 4, 1 + rows) maps the trig rows [1, cos(2 s_k t)],
+    with sin(2 s_k t) after them on even chains, to end-site moment q: its
+    column 0 is the constant part, which the products take against a row
+    of ones, column 1 + k weighs cos(2 s_k t) and, on even chains, column
+    1 + m + k weighs sin(2 s_k t).  ``start`` (K, 4) holds the moments at
+    t = 0, ``sign`` (K,) the parity sign (-1)^(M+1) and ``odd`` (K,)
+    n % 2.  ``groups`` holds per length its members, m = n // 2 and its
+    trig rows: products run per length, as a product over zero-padded rows
+    would sum in another order.  So every member's values come from the
+    same operations whatever stack it is in, and agree bit for bit with
+    those of its own stack of one.
     """
 
     def __init__(self, realizations: list[CouplingRealization]):
         n = np.array([r.n for r in realizations])
         k, width = len(n), n.max() // 2
         rows = width * (1 if np.all(n % 2) else 2)
-        self._assemble(n, np.zeros((k, width)), np.zeros((k, rows, 4)),
-                       np.empty((k, 4, 2)), np.zeros((k, 4, 2)), np.empty((k, 2)))
+        self._assemble(n, np.zeros((k, width)), np.zeros((k, 4, 1 + rows)),
+                       np.zeros((k, 4)), np.empty(k))
         # the arrays are filled in place, one length at a time
         for members, m, _ in self.groups:
             length = int(n[members][0])
@@ -182,28 +183,28 @@ class ChainStack:
             if length % 2 == 1:
                 # sites 1 and n are odd; column m of P is the zero mode
                 first, last = p[:, 0], p[:, -1]
-                ends = np.stack([first**2, last**2, first * last, np.zeros_like(first)], axis=-1)
-                self.weights[members, :m] = 0.5 * ends[:, :m]
-                zero_mode = ends[:, m]
+                ends = np.stack([first**2, last**2, first * last, np.zeros_like(first)], axis=1)
+                self.weights[members, :, 1:1 + m] = 0.5 * ends[..., :m]
+                zero_mode = ends[..., m]
             else:
                 # site n is even: its row of Q is column n of Q^T
                 p1, qn = p[:, 0], qt[:, :, -1]
-                self.weights[members, :m, 0] = 0.5 * p1**2
-                self.weights[members, :m, 1] = -0.5 * qn**2
-                self.weights[members, m:2 * m, 3] = -0.5 * p1 * qn
+                self.weights[members, 0, 1:1 + m] = 0.5 * p1**2
+                self.weights[members, 1, 1:1 + m] = -0.5 * qn**2
+                self.weights[members, 3, 1 + m:1 + 2 * m] = -0.5 * p1 * qn
             # cos^2 = (1 + cos 2st)/2 and sin^2 = (1 - cos 2st)/2; the rows of P
             # and Q are orthonormal, so the constant parts only need the zero mode
-            constant = np.array([[1.0], [1.0], [0.0], [0.0]])
-            self.base[members] = 0.5 * (constant + zero_mode[..., None] * np.array([-1.0, 1.0]))
+            self.weights[members, :, 0] = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
             self.two_s[members, :m] = 2.0 * s
-            occupied, self.sign[members] = _neel_components(length)
-            self.start[members, :2] = occupied[::length - 1]
+            occupied, sign = _neel_components(length)
+            self.start[members, :2] = occupied[::length - 1, 1]
+            self.sign[members] = sign[1]
 
-    def _assemble(self, n, two_s, weights, base, start, sign) -> None:
+    def _assemble(self, n, two_s, weights, start, sign) -> None:
         self.n, self.two_s, self.weights = n, two_s, weights
-        self.base, self.start, self.sign, self.odd = base, start, sign, n % 2 == 1
+        self.start, self.sign, self.odd = start, sign, n % 2 == 1
         width = two_s.shape[1]
-        # trigonometric columns of a time point: cos, then sin if a member is even
+        # trigonometric rows of a time point: cos, then sin if a member is even
         self.rows = width * (1 if self.odd.all() else 2)
         self.groups = []
         for length in sorted(set(n.tolist())):
@@ -212,10 +213,15 @@ class ChainStack:
                 members = slice(members[0], members[-1] + 1)
             m = length // 2
             self.groups.append((members, m, m if length % 2 else 2 * m))
-        # floats per time point and member at the peak of a point-path chunk:
-        # phases, trig rows, oscillating parts and moments (angle addition
-        # needs fewer)
-        self.chunk_points = max(1, CHUNK_BYTES // (8 * (width + self.rows + 4 + 8)))
+        # floats per time point and member held at the peak of a chunk: the
+        # trig rows (a grid basis, 1 + 2m rows over at least 2 GRID_BLOCK
+        # points, holds no more), the rotated weights 4(1 + 2m), their
+        # even-chain product 4m and the sub-block angles 2m of each
+        # GRID_BLOCK points, the moments, a length's product or the X
+        # state's temporaries, and the (a, b, c) of the chunk before, which
+        # its caller still holds
+        floats = 1 + self.rows + (10 * width + 4) / GRID_BLOCK + 4 + 4 + 3
+        self.chunk_points = max(1, int(CHUNK_BYTES // (8 * floats)))
 
     def __getitem__(self, members) -> ChainStack:
         """The ``members`` (a slice or an index array) as a stack of their
@@ -226,8 +232,8 @@ class ChainStack:
         width = n.max() // 2
         part = ChainStack.__new__(ChainStack)
         part._assemble(n, self.two_s[members, :width],
-                       self.weights[members, :width * (1 if np.all(n % 2) else 2)],
-                       *(x[members] for x in (self.base, self.start, self.sign)))
+                       self.weights[members, :, :1 + width * (1 if np.all(n % 2) else 2)],
+                       self.start[members], self.sign[members])
         return part
 
     def series(self, ts: np.ndarray) -> Iterator[tuple[slice, slice, tuple[np.ndarray, ...]]]:
@@ -238,97 +244,123 @@ class ChainStack:
         A chunk holds min(T, chunk_points) times of as many members as the
         same ``chunk_points`` budget allows, so work memory stays flat in
         the grid and in the ensemble, and a grid longer than the budget is
-        split in time, one member at a time.  Over members of one length a
-        member's values are those of its own stack of one, bit for bit.
+        split in time, one member at a time.  Each time window is tested
+        once for a uniform step (:func:`_uniform_step`), whatever the number
+        of member chunks.  Over members of one length a member's values are
+        those of its own stack of one, bit for bit.
         """
         ts = np.asarray(ts, dtype=float)
         span = max(1, min(len(ts), self.chunk_points))
         count = self.chunk_points // span
+        windows = [(slice(t0, t0 + span), ts[t0:t0 + span]) for t0 in range(0, len(ts), span)]
+        steps = [_uniform_step(window) for _, window in windows]
         for lo in range(0, len(self.n), count):
             part = self if count >= len(self.n) else self[lo:lo + count]
-            for t0 in range(0, len(ts), span):
-                window = ts[t0:t0 + span]
-                times = np.broadcast_to(window, (len(part.n), len(window)))
-                moments = _end_moments(part, times)
-                yield slice(lo, lo + count), slice(t0, t0 + span), _x_state(moments, part, times)
+            for (times, window), step in zip(windows, steps):
+                abc = _x_state(_end_moments(part, window, step), part, window)
+                yield slice(lo, lo + count), times, abc
 
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) of member k at time ``ts[k]``, each of shape (K,)."""
         ts = np.asarray(ts, dtype=float)[:, None]
-        return tuple(x[:, 0] for x in _x_state(_end_moments(self, ts), self, ts))
+        return tuple(x[:, 0] for x in _x_state(_end_moments(self, ts, None), self, ts))
 
 
-def _grid_osc(chains: ChainStack, ts: np.ndarray) -> np.ndarray | None:
-    """Oscillating parts (K, T, 4) by angle addition, or None unless each
-    row has at least 2 GRID_BLOCK points that lie within GRID_ULPS ulps of
-    its largest time of ts[0] + h j.  Each sub-block of GRID_BLOCK points
-    rotates the weights by alpha = 2s tau at its actual start time tau, and
-    one basis [cos 2sjh | -sin 2sjh] over the offsets serves them all."""
-    points = ts.shape[-1]
+def _uniform_step(ts: np.ndarray) -> float | None:
+    """Step h of a window ``ts`` (T,) of at least 2 GRID_BLOCK points that
+    lie within GRID_ULPS ulps of its largest time of ts[0] + h j, else None."""
+    points = len(ts)
     if points < 2 * GRID_BLOCK:
         return None
-    h = (ts[:, -1:] - ts[:, :1]) / (points - 1)
-    drift = np.abs(ts - (ts[:, :1] + h * np.arange(points)))
-    if not np.all(drift <= GRID_ULPS * np.spacing(np.abs(ts).max(axis=-1, keepdims=True))):
+    h = (ts[-1] - ts[0]) / (points - 1)
+    drift = np.abs(ts - (ts[0] + h * np.arange(points)))
+    if not np.all(drift <= GRID_ULPS * np.spacing(np.abs(ts).max())):
         return None
-    osc = np.empty((len(ts), -(-points // GRID_BLOCK) * GRID_BLOCK, 4))
-    for members, m, rows in chains.groups:
-        two_s = chains.two_s[members, None, :m]
-        beta = h[members, :, None] * np.arange(GRID_BLOCK)[:, None] * two_s
-        basis = np.concatenate((np.cos(beta), -np.sin(beta)), axis=-1)[:, None]
-        alpha = (ts[members, ::GRID_BLOCK, None] * two_s)[..., None]
-        cos_a, sin_a = np.cos(alpha), np.sin(alpha)
-        # [w_c cos a + w_s sin a ; w_c sin a - w_s cos a], w_s only on even chains
-        w_c, w_s = chains.weights[members, None, :m], chains.weights[members, None, m:rows]
-        rotated = np.concatenate((w_c * cos_a, w_c * sin_a), axis=-2)
-        if w_s.shape[-2]:
-            rotated += np.concatenate((w_s * sin_a, -w_s * cos_a), axis=-2)
-        osc[members] = (basis @ rotated).reshape(len(two_s), -1, 4)
-    return osc[:, :points]
+    return h
 
 
-def _end_moments(chains: ChainStack, ts: np.ndarray) -> np.ndarray:
-    """End-site moments of both Neel orders for K chains, each over its own
-    T times ``ts`` (K, T); shape (4, K, T, 2).
+def _trig_rows(two_s: np.ndarray, ts: np.ndarray, rows: int) -> np.ndarray:
+    """Trig rows (K, 1 + rows, T) of K chains of one length, m =
+    two_s.shape[-1], at the times ``ts`` (T,) or (K, T): a row of ones,
+    cos(2 s_k t), and sin(2 s_k t) if rows = 2m."""
+    m = two_s.shape[-1]
+    trig = np.empty((len(two_s), 1 + rows, ts.shape[-1]))
+    trig[:, 0] = 1.0
+    phase = trig[:, 1:1 + m]
+    np.multiply(two_s[:, :, None], ts[..., None, :], out=phase)
+    if rows > m:
+        np.sin(phase, out=trig[:, 1 + m:])
+    np.cos(phase, out=phase)
+    return trig
 
-    The rows are <c+_1 c_1>, <c+_n c_n> and the real and imaginary parts
-    of <c+_n c_1>; column 0 is order N1 and column 1 order N2.  Uniform
-    grids take :func:`_grid_osc`; other times (single points, the lockstep
-    refinement) one (T, rows) @ (rows, 4) product per length, batched over
-    its chains, of a cos(2st) row (and sin) per point.  The oscillating
-    parts enter order N1 with a minus sign; the padding of ``two_s`` is
-    never read.  The moments are stored order-major, (4, 2, K, T), so that
-    each order's row is contiguous, and returned as a view with the order
-    axis last.  Times equal to zero are set exactly to the initially
-    occupied sites, free of round-off.
+
+def _grid_rows(two_s: np.ndarray, weights: np.ndarray, ts: np.ndarray, h: float):
+    """Rotated weights (K, 4 x blocks, 1 + 2m) and basis (K, 1 + 2m,
+    GRID_BLOCK) of K chains of one length, m = two_s.shape[-1], over the
+    uniform window ``ts`` of step h, whose product is their moments by
+    angle addition, one sub-block of GRID_BLOCK points after another.
+
+    Each sub-block rotates the weights by alpha = 2s tau at its actual
+    start time tau, and one basis [1; cos 2sjh; -sin 2sjh] over the offsets
+    j serves them all; the constant part rides on its row of ones."""
+    k, m = two_s.shape
+    basis = np.empty((k, 1 + 2 * m, GRID_BLOCK))
+    basis[:, 0] = 1.0
+    beta = basis[:, 1 + m:]
+    np.multiply(two_s[:, :, None], h * np.arange(GRID_BLOCK), out=beta)
+    np.cos(beta, out=basis[:, 1:1 + m])
+    np.sin(beta, out=beta)
+    np.negative(beta, out=beta)
+    alpha = (ts[::GRID_BLOCK, None] * two_s[:, None, :])[:, None]
+    cos_a = np.cos(alpha)
+    sin_a = np.sin(alpha, out=alpha)
+    # [base, w_c cos a + w_s sin a, w_c sin a - w_s cos a], w_s only on even chains
+    w_c, w_s = weights[:, :, None, 1:1 + m], weights[:, :, None, 1 + m:]
+    rotated = np.empty((k, 4, alpha.shape[2], 1 + 2 * m))
+    rotated[..., 0] = weights[:, :, :1]
+    np.multiply(w_c, cos_a, out=rotated[..., 1:1 + m])
+    np.multiply(w_c, sin_a, out=rotated[..., 1 + m:])
+    if w_s.shape[-1]:
+        rotated[..., 1:1 + m] += w_s * sin_a
+        rotated[..., 1 + m:] -= w_s * cos_a
+    return rotated.reshape(k, -1, 1 + 2 * m), basis
+
+
+def _end_moments(chains: ChainStack, ts: np.ndarray, step: float | None) -> np.ndarray:
+    """End-site moments of Neel order N2 for the K members of ``chains``
+    over the times ``ts``; shape (4, K, T).
+
+    ``ts`` is one window (T,) that all members share, or times of each
+    member (K, T); ``step`` is the window's uniform step from
+    :func:`_uniform_step`, or None.  The rows are <c+_1 c_1>, <c+_n c_n>
+    and the real and imaginary parts of <c+_n c_1>.  Each length's members
+    take one product of their ``weights`` with trig rows led by a row of
+    ones, so the constant part is summed with the oscillating ones: on a
+    uniform window those of :func:`_grid_rows`, otherwise those of
+    :func:`_trig_rows` at each time.  The products fill member-major
+    storage (K, 4, T), so each member's component row is contiguous, and
+    the moments are its (4, K, T) view.  Times equal to zero are set
+    exactly to the initially occupied sites, free of round-off.
     """
-    osc = _grid_osc(chains, ts)
-    if osc is None:
-        width = chains.two_s.shape[-1]
-        phase = ts[..., None] * chains.two_s[:, None, :]
-        trig = np.empty(phase.shape[:-1] + (chains.rows,))
-        np.cos(phase, out=trig[..., :width])
-        if chains.rows > width:
-            np.sin(phase, out=trig[..., width:])
-        del phase
-        osc = np.empty(ts.shape + (4,))
-        for members, m, rows in chains.groups:
-            if rows == m:  # odd: the cos columns
-                part = trig[members, :, :m]
-            elif m == width:  # even and unpadded: cos and sin side by side
-                part = trig[members]
-            else:
-                part = np.concatenate(
-                    (trig[members, :, :m], trig[members, :, width:width + m]), axis=-1)
-            osc[members] = part @ chains.weights[members, :rows]
-    moments = np.empty((4, 2) + ts.shape)
-    for q in range(4):
-        np.subtract(chains.base[:, q, 0, None], osc[..., q], out=moments[q, 0])
-        np.add(osc[..., q], chains.base[:, q, 1, None], out=moments[q, 1])
+    moments = None
+    for members, m, rows in chains.groups:
+        two_s, weights = chains.two_s[members, :m], chains.weights[members, :, :1 + rows]
+        if step is None:
+            part = weights @ _trig_rows(two_s, ts if ts.ndim == 1 else ts[members], rows)
+        else:
+            rotated, basis = _grid_rows(two_s, weights, ts, step)
+            part = (rotated @ basis).reshape(len(basis), 4, -1)
+        if len(chains.groups) == 1:
+            moments = part
+        else:
+            if moments is None:
+                moments = np.empty((len(chains.n),) + part.shape[1:])
+            moments[members] = part
+    moments = moments[..., :ts.shape[-1]]
     zero = ts == 0.0
     if np.any(zero):
-        np.copyto(moments, chains.start.transpose(1, 2, 0)[..., None], where=zero)
-    return np.moveaxis(moments, 1, -1)
+        np.copyto(moments, chains.start[:, :, None], where=zero[..., None, :])
+    return moments.transpose(1, 0, 2)
 
 
 # Each entry holds O(n) numbers (5 KB at n=241).  Only the library's
@@ -363,19 +395,22 @@ def _x_state(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, c) of the Neel mixture from the moments of ``chains``.
 
-    ``moments`` is a (4, K, T, 2) stack from :func:`_end_moments`, one
-    column per Neel order, of the K members of ``chains`` over their times
-    ``ts`` (K, T).  Each component is assembled on its own column and the
-    mixture is the average of the two columns, (0 + x0 + x1) / 2: the
-    additions of a length-2 ``mean``, which starts from +0.0 and so turns
-    a sum of two -0.0 into +0.0.  The result must pass
-    :func:`check_x_series`; a failure names the first failing member's time.
+    ``moments`` is the (4, K, T) stack of order N2 from :func:`_end_moments`
+    of the K members of ``chains`` over their times ``ts``, a shared window
+    (T,) or a time per member (K, 1).  The orders fill complementary
+    sublattices, so their one-particle correlations satisfy
+    G_N1(t) = 1 - G_N2(t): N1's moments are (1 - <n_1>, 1 - <n_n>, -Re,
+    -Im) of N2's, which gives the same a.  On odd chains the two orders'
+    parity signs are opposite, so c is the same too; on even chains
+    Re<c+_n c_1> = 0 and c = 0.  The mixture is therefore order N2's X
+    state; adding +0.0 to c turns a zero coherence under a negative sign
+    into +0.0.  The result must pass :func:`check_x_series`; a failure
+    names the first failing member's time.
     """
     occ_first, occ_last, cross_re, cross_im = moments
     # for odd chains the cross moment is real up to round-off; the
     # imaginary part is discarded after this check
-    imag = np.maximum(np.abs(cross_im[..., 0]), np.abs(cross_im[..., 1]))
-    _check(np.where(chains.odd[:, None], imag, 0.0), COHERENCE_IMAG_TOL,
+    _check(np.where(chains.odd[:, None], np.abs(cross_im), 0.0), COHERENCE_IMAG_TOL,
            "coherence imaginary part", ts)
     a = (
         occ_first * occ_last
@@ -383,8 +418,8 @@ def _x_state(
         - 0.5 * (occ_first + occ_last - 1.0)
     )
     b = 0.5 - a
-    c = chains.sign[:, None] * cross_re
-    a, b, c = [(0.0 + x[..., 0] + x[..., 1]) / 2 for x in (a, b, c)]
+    c = chains.sign[:, None] * cross_re + 0.0
+    del moments, occ_first, occ_last, cross_re, cross_im  # freed before the check
     check_x_series(a, b, c, ts)
     return a, b, c
 
@@ -394,10 +429,11 @@ def end_spin_series(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, c) of the end-spin X state over a time grid.
 
-    The mixture is the element-wise average of the two Neel components.
-    By the global spin-flip symmetry the components coincide, but both are
-    computed explicitly, each from the sublattice it fills, and the agreement
-    is left to the test suite rather than assumed.  The grid is evaluated
+    The two Neel orders fill complementary sublattices, so their
+    one-particle correlations satisfy G_N1(t) = 1 - G_N2(t) and both give
+    the same X state: the mixture's is order N2's (see :func:`_x_state`),
+    and the test suite checks each order against the full propagator.  The
+    grid is evaluated
     by :meth:`ChainStack.series` of the realization's stack of one,
     ``chunk_points`` at a time, so work memory does not grow with it.
     """

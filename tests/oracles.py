@@ -17,9 +17,9 @@ obvious route to a quantity that an engine computes fast:
   eigendecomposition of the dense hopping matrix or from the closed
   standing-wave mode sum, and from it the end-site moments and end-spin
   state of a single Neel order, independent of the engine's sublattice
-  closed form; the engine's first moment -> X-state assembly, by an
-  outer product over the two Neel orders and reductions over that axis;
-  and the dense 4x4 matrix and Bell weights of an end-spin X state;
+  closed form; the engine's moment -> X-state assembly for one length,
+  written plainly with its three checks one after another; and the dense
+  4x4 matrix and Bell weights of an end-spin X state;
 - purification: the recurrence round on the 16x16 two-pair density matrix.
 """
 
@@ -415,30 +415,25 @@ def end_spin_matrix(state: EndSpinState) -> np.ndarray:
     ])
 
 
-# --- free-fermion moment assembly in its reduction form -------------------
-# The engine's first form of the moment -> X-state layer: both orders as one
-# outer product with their signs (-1, 1), length-2 reductions over the order
-# axis, and the three X-state checks run one after another.
+# --- free-fermion moment assembly in its plain form -----------------------
+# The engine's moment -> X-state layer for a stack of one length, written
+# plainly: one product of the weights with trig rows led by a row of ones,
+# and the three X-state checks run one after another.
 
 
-def end_moments_outer(chains, ts: np.ndarray) -> np.ndarray:
-    """Moment stack (4, K, T, 2) of ``freefermion._end_moments``, with the
-    orders made by one outer product and shifted by their constant parts."""
+def end_moments_plain(chains, ts: np.ndarray) -> np.ndarray:
+    """Moment stack (4, K, T) of ``freefermion._end_moments`` off the grid
+    path, for a stack of one length over the times ``ts`` (K, T)."""
     (members, m, rows), = chains.groups  # one length
-    weights = chains.weights[members, :rows]
     n = int(chains.n[0])
-    phase = ts[..., None] * chains.two_s[:, None, :]
-    trig = np.empty(phase.shape[:-1] + (weights.shape[-2],))
-    np.cos(phase, out=trig[..., :m])
-    if n % 2 == 0:
-        np.sin(phase, out=trig[..., m:])
-    moments = np.multiply.outer(trig @ weights, (-1.0, 1.0))
-    moments += chains.base[:, None]
+    phase = chains.two_s[:, :, None] * ts[:, None, :]
+    trig = [np.ones_like(ts)[:, None], np.cos(phase)] + ([np.sin(phase)] if n % 2 == 0 else [])
+    moments = np.moveaxis(chains.weights @ np.concatenate(trig, axis=1), 1, 0)
     zero = ts == 0.0
     if np.any(zero):
-        moments[zero] = 0.0
-        moments[zero, :2] = freefermion._neel_components(n)[0][[0, -1]]
-    return np.moveaxis(moments, 2, 0)
+        moments[:, zero] = 0.0
+        moments[:2, zero] = freefermion._neel_components(n)[0][[0, -1], 1, None]
+    return moments
 
 
 def check_x_series_sequential(a, b, c, ts) -> None:
@@ -451,23 +446,19 @@ def check_x_series_sequential(a, b, c, ts) -> None:
     )
 
 
-def x_state_reduction(moments: np.ndarray, n: int, ts: np.ndarray) -> tuple:
-    """(a, b, c) of ``freefermion._x_state`` by max and mean over the order
-    axis, checked by :func:`check_x_series_sequential`."""
+def x_state_plain(moments: np.ndarray, n: int, ts: np.ndarray) -> tuple:
+    """(a, b, c) of ``freefermion._x_state`` from the moments of order N2,
+    checked by :func:`check_x_series_sequential`."""
     occ_first, occ_last, cross_re, cross_im = moments
     if n % 2 == 1:
-        _check(
-            np.max(np.abs(cross_im), axis=-1), freefermion.COHERENCE_IMAG_TOL,
-            "coherence imaginary part", ts,
-        )
+        _check(np.abs(cross_im), freefermion.COHERENCE_IMAG_TOL, "coherence imaginary part", ts)
     a = (
         occ_first * occ_last
         - (cross_re**2 + cross_im**2)
         - 0.5 * (occ_first + occ_last - 1.0)
     )
     b = 0.5 - a
-    c = freefermion._neel_components(n)[1] * cross_re
-    a, b, c = a.mean(axis=-1), b.mean(axis=-1), c.mean(axis=-1)
+    c = freefermion._neel_components(n)[1][1] * cross_re + 0.0
     check_x_series_sequential(a, b, c, ts)
     return a, b, c
 
@@ -477,11 +468,17 @@ def x_state_reduction(moments: np.ndarray, n: int, ts: np.ndarray) -> tuple:
 
 def engine_component_series(realization, ts, order: NeelOrder) -> np.ndarray:
     """(a, b, c) rows of one Neel order from the free-fermion engine's own
-    moment stack; the engine itself only evaluates the mixture, so this is
-    how each order's closed form is checked against the oracles above."""
+    moments, on the path its series takes for ``ts``.  The engine evaluates
+    order N2 alone: the orders fill complementary sublattices, so their
+    one-particle correlations satisfy G_N1 = 1 - G_N2, and N1's end moments
+    are (1 - <n_1>, 1 - <n_n>, -Re, -Im) of N2's.  Checking each order
+    against the oracles above checks that relation as well."""
     ts = np.asarray(ts, dtype=float)
-    moments = freefermion._end_moments(freefermion._chain(realization), ts[None])[:, 0]
-    o1, on, cross_re, cross_im = moments[..., [NeelOrder.N1, NeelOrder.N2].index(order)]
+    chain = freefermion._chain(realization)
+    o1, on, cross_re, cross_im = freefermion._end_moments(
+        chain, ts, freefermion._uniform_step(ts))[:, 0]
+    if order == NeelOrder.N1:
+        o1, on, cross_re, cross_im = 1.0 - o1, 1.0 - on, -cross_re, -cross_im
     state = model.neel_state(order, realization.n)
     return np.stack(_component_x_state(o1, on, cross_re + 1j * cross_im, _parity_sign(state)))
 

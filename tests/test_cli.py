@@ -733,11 +733,11 @@ def test_disorder_failure_names_the_realization(tmp_path, monkeypatch, capsys):
 def test_disorder_failure_outside_the_first_chunk_names_the_realization(
     tmp_path, monkeypatch, capsys
 ):
-    # 2,001 grid points at n = 7: three realizations per chunk, so
-    # realization 7 of 9 (sub-seed 17 ^ 7 = 22) lies in the third chunk
+    # 2,001 grid points at n = 7: four realizations per chunk, so
+    # realization 7 of 9 (sub-seed 17 ^ 7 = 22) lies in the second chunk
     spec = model.ChainSpec(n=7, disorder_sigma=0.2, seed=22)
     _, _, ts = entangle.resolve_grid(spec)
-    assert freefermion._chain(model.realize_couplings(spec)).chunk_points // len(ts) == 3
+    assert freefermion._chain(model.realize_couplings(spec)).chunk_points // len(ts) == 4
     _inject_chunk_fault(monkeypatch, spec)
     argv = ["disorder", "--n", "7", "--sigma", "0.2", "--realizations", "9",
             "--seed", "17", "--jobs", "1", "--out", str(tmp_path / "d.csv")]

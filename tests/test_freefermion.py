@@ -216,8 +216,8 @@ def test_kernel_disorder_draws_include_negative_bonds():
 def test_series_matches_propagator_oracle(key, initial, monkeypatch):
     real = KERNEL_CHAINS[key]()
     # 38 points in chunks of 7: five full chunks and a partial one, with
-    # t = 0 inside the first; the engine evaluates the mixture, and a
-    # single Neel order is read from its column of the engine's moments
+    # t = 0 inside the first; the engine evaluates order N2, and order N1
+    # is read from the complement of its moments
     monkeypatch.setattr(freefermion._chain(real), "chunk_points", 7)
     ts = np.concatenate([[0.3], [0.0], np.linspace(0.1, 2.0 * real.n, 36)])
 
@@ -238,15 +238,17 @@ def test_series_matches_propagator_oracle(key, initial, monkeypatch):
 
 def test_end_moments_exact_at_t0():
     for real in (homogeneous(7), disordered(12, sigma=0.8, seed=3)):
-        moments = freefermion._end_moments(freefermion._chain(real), np.array([[1.1, 0.0]]))
-        for k, order in enumerate((NeelOrder.N1, NeelOrder.N2)):
+        # the engine's moments are order N2's; N1's are their complement
+        n2 = freefermion._end_moments(freefermion._chain(real), np.array([1.1, 0.0]), None)[:, 0]
+        n1 = np.array([[1.0], [1.0], [0.0], [0.0]]) - n2
+        for order, moments in ((NeelOrder.N1, n1), (NeelOrder.N2, n2)):
             state = model.neel_state(order, real.n)
             # at t = 0: the initial occupations of sites 1 and n, no coherence
             unit = [1 in state.up_sites, real.n in state.up_sites, 0.0, 0.0]
-            assert np.array_equal(moments[:, 0, 1, k], np.array(unit, dtype=float))
+            assert np.array_equal(moments[:, 1], np.array(unit, dtype=float))
             m = oracles.second_moments(real, state, 1.1)
             expect = [m.occ_first, m.occ_last, m.cross_lf.real, m.cross_lf.imag]
-            np.testing.assert_allclose(moments[:, 0, 0, k], expect, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(moments[:, 0], expect, rtol=0, atol=1e-13)
 
 
 def test_series_work_memory_independent_of_grid():
@@ -279,9 +281,9 @@ def test_end_spin_state_takes_one_pass(monkeypatch):
     calls = []
     end_moments = freefermion._end_moments
 
-    def counted(chains, ts):
+    def counted(chains, ts, step):
         calls.append(ts.size)
-        return end_moments(chains, ts)
+        return end_moments(chains, ts, step)
 
     monkeypatch.setattr(freefermion, "_end_moments", counted)
     real = disordered(9, sigma=0.8, seed=3)
@@ -293,12 +295,14 @@ def test_end_spin_state_takes_one_pass(monkeypatch):
 
 @pytest.mark.parametrize("component", [0, 1])
 def test_end_spin_state_checks_coherence_imaginary_part(component, monkeypatch):
+    # a fault in the imaginary part of order N1 (component 0) or N2 (1);
+    # the engine holds N2's moments, whose Im<c+_n c_1> is minus N1's
     end_moments = freefermion._end_moments
 
     def shifted(scale):
-        def moments(chains, ts):
-            out = end_moments(chains, ts)
-            out[3, ..., component] += scale * 1e-10  # COHERENCE_IMAG_TOL
+        def moments(chains, ts, step):
+            out = end_moments(chains, ts, step)
+            out[3] += (2 * component - 1) * scale * 1e-10  # COHERENCE_IMAG_TOL
             return out
         return moments
 
@@ -369,7 +373,7 @@ def test_member_of_a_length_mixed_stack_is_its_stack_of_one():
     for k, real in enumerate(reals):
         part, alone = stack[k:k + 1], freefermion.ChainStack([real])
         assert part.chunk_points == alone.chunk_points
-        for key in ("n", "two_s", "weights", "base", "start", "sign", "odd", "rows"):
+        for key in ("n", "two_s", "weights", "start", "sign", "odd", "rows"):
             got, want = np.asarray(getattr(part, key)), np.asarray(getattr(alone, key))
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
         assert _series_bytes(part, ts) == _series_bytes(alone, ts)
@@ -378,13 +382,12 @@ def test_member_of_a_length_mixed_stack_is_its_stack_of_one():
 @pytest.mark.parametrize("factor", [0.5, 1.5])
 def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
     # occupations 1/2 and a real <c+_n c_1> with |<c+_n c_1>|^2 = 1/4 + delta
-    # give a = -delta, b = 1/2 + delta and, the two Neel orders having
-    # opposite parity signs at odd n, c = 0; delta is the literal
-    # POSITIVITY_TOL scaled
+    # give a = -delta, b = 1/2 + delta and |c| = sqrt(1/4 + delta) < b;
+    # delta is the literal POSITIVITY_TOL scaled
     delta = factor * 1e-9
     moments = np.array([0.5, 0.5, math.sqrt(0.25 + delta), 0.0])
-    monkeypatch.setattr(freefermion, "_end_moments", lambda chains, ts: np.broadcast_to(
-        moments[:, None, None, None], (4,) + ts.shape + (2,)))
+    monkeypatch.setattr(freefermion, "_end_moments", lambda chains, ts, step: np.broadcast_to(
+        moments[:, None, None], (4, len(chains.n), ts.shape[-1])))
     stack = freefermion._chain(homogeneous(7))
     if factor < 1:
         stack.end_spin_at(np.array([1.0]))
@@ -397,8 +400,8 @@ def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
 def test_series_and_stack_check_coherence_imaginary_part(monkeypatch, factor):
     end_moments = freefermion._end_moments
 
-    def shifted(chains, ts):
-        out = end_moments(chains, ts)
+    def shifted(chains, ts, step):
+        out = end_moments(chains, ts, step)
         out[3] += factor * 1e-10  # COHERENCE_IMAG_TOL
         return out
 
@@ -467,9 +470,8 @@ def test_fused_x_check_names_the_check_that_fails_first(faults, message, k):
 
 
 def test_even_chain_coherence_is_positive_zero():
-    # n = 8: both orders carry the parity sign -1 and a zero cross moment,
-    # so each order's c is -0.0; the mixture, as a mean over the orders,
-    # is +0.0
+    # n = 8: order N2 carries the parity sign -1 and a zero cross moment,
+    # so its c is -0.0 before the +0.0 the X-state assembly adds
     _, _, c = freefermion.end_spin_series(disordered(8), np.linspace(0.0, 3.0, 7))
     assert np.all(c == 0.0) and not np.any(np.signbit(c))
 

@@ -121,7 +121,7 @@ def uniform_grids(draw):
 @PROPERTY_SETTINGS
 @given(real=chains(2, 60, signed_bond), ts=uniform_grids())
 def test_uniform_grid_path_matches_dense_propagator(real, ts):
-    assert freefermion._grid_osc(freefermion._chain(real), ts[None]) is not None
+    assert freefermion._uniform_step(ts) is not None
     got = np.stack(freefermion.end_spin_series(real, ts))
     want = oracles.propagator_end_spin(real, ts, "mixture")
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -135,9 +135,9 @@ def test_grid_with_one_time_moved_or_nan_takes_the_point_path(real, ts, data):
     chain = freefermion._chain(real)
     k = data.draw(st.integers(min_value=0, max_value=len(ts) - 1))
     ts[k] += data.draw(st.floats(min_value=1e-9, max_value=0.5))
-    assert freefermion._grid_osc(chain, ts[None]) is None
-    want = oracles.end_moments_outer(chain, ts[None])
-    assert _same_bits(freefermion._end_moments(chain, ts[None]), want)
+    assert freefermion._uniform_step(ts) is None
+    want = oracles.x_state_plain(oracles.end_moments_plain(chain, ts[None]), real.n, ts[None])
+    assert _same_bits(np.stack(freefermion.end_spin_series(real, ts)), np.stack(want)[:, 0])
     ts[k] = np.nan
     with pytest.raises(NumericalFaultError):
         freefermion.end_spin_series(real, ts)
@@ -509,7 +509,7 @@ def _same_bits(x, y):
 
 @PROPERTY_SETTINGS
 @given(real=chains(2, 40), data=st.data())
-def test_moment_assembly_matches_reduction_form_bitwise(real, data):
+def test_moment_assembly_matches_plain_form_bitwise(real, data):
     # a stack of this chain and others of its length, each over its own
     # times with t = 0 among them
     k = data.draw(st.integers(min_value=1, max_value=3))
@@ -527,14 +527,14 @@ def test_moment_assembly_matches_reduction_form_bitwise(real, data):
     ))
     ts = np.array(drawn).reshape(k, 3)
     ts[0, 0] = 0.0
-    moments = freefermion._end_moments(stack, ts)
-    want = oracles.end_moments_outer(stack, ts)
-    assert moments.shape == want.shape == (4, k, 3, 2)
+    moments = freefermion._end_moments(stack, ts, None)
+    want = oracles.end_moments_plain(stack, ts)
+    assert moments.shape == want.shape == (4, k, 3)
     assert _same_bits(moments, want)
     got = freefermion._x_state(moments, stack, ts)
-    expect = oracles.x_state_reduction(want.reshape(4, -1, 2), real.n, ts.ravel())
+    expect = oracles.x_state_plain(want, real.n, ts)
     for g, w in zip(got, expect):
-        assert _same_bits(g.ravel(), w)
+        assert _same_bits(g, w)
 
 
 @PROPERTY_SETTINGS
