@@ -269,6 +269,15 @@ def cmd_quench(args) -> int:
 # --- scan-n ----------------------------------------------------------------
 
 
+def _search_grid(spec: model.ChainSpec, horizon, step) -> tuple:
+    """(horizon, step, grid) of a first-peak search for ``spec``, refused
+    before any set-up when the grid holds t = 0 alone."""
+    horizon, step, ts = entangle.resolve_grid(spec, horizon, step)
+    if not ts[-1] > 0:
+        raise ValueError(f"a first-peak search needs a positive time horizon, got {horizon}")
+    return horizon, step, ts
+
+
 def _scan_label(spec: model.ChainSpec) -> str:
     return f"scan-n n={spec.n} sigma={spec.disorder_sigma:g} sub-seed={spec.seed}"
 
@@ -325,6 +334,8 @@ def cmd_scan_n(args) -> int:
     # _scan_blocks makes at least a block per worker
     workers = _workers(args.jobs, len(sizes))
     specs = [_spec_from_args(args, n=n, seed=model.sub_seed(args.seed, n)) for n in sorted(sizes)]
+    for spec in specs:  # every size's grid is checked before any size is set up
+        _search_grid(spec, args.t_max_horizon, args.grid_step)
     for spec in specs:  # every size is checked; the engine depends on delta2 only
         engine = _check_engine(spec, args.engine, workers)
     items = [{"members": block, "engine": engine, "horizon": args.t_max_horizon,
@@ -442,9 +453,7 @@ def cmd_disorder(args) -> int:
         disorder_sigma=0.0, seed=args.seed,
     )
     engine = entangle.resolve_engine(base, args.engine)
-    horizon, step, ts = entangle.resolve_grid(base, args.t_max_horizon, args.grid_step)
-    if not ts[-1] > 0:
-        raise ValueError(f"a first-peak search needs a positive time horizon, got {horizon}")
+    horizon, step, ts = _search_grid(base, args.t_max_horizon, args.grid_step)
     # every realization's curve is kept until the summary is written
     kept = sum(1 if sigma == 0.0 else args.realizations for sigma in sigmas)
     _check_fits(kept * ts.nbytes, f"the fef curves of {kept} realizations over {len(ts)} points")

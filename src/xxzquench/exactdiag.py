@@ -150,11 +150,20 @@ def sector_basis(n: int, m_up: int) -> SectorBasis:
         )
     if not 0 <= m_up <= n:
         raise ValueError(f"up-spin count {m_up} outside [0, {n}]")
+    return SectorBasis(n=n, m_up=m_up,
+                       states=np.flatnonzero(_popcounts(n) == m_up).astype(np.uint64))
+
+
+@lru_cache(maxsize=MAX_SITES + 1)
+def _popcounts(n: int) -> np.ndarray:
+    """Set bits of every n-site pattern 0 .. 2^n - 1, counted once per n
+    for the sectors of every M, and read-only because it is shared."""
     patterns = np.arange(1 << n, dtype=np.uint64)
-    ones = np.zeros_like(patterns)
+    ones = np.zeros(1 << n, dtype=np.uint8)
     for k in range(n):
-        ones += (patterns >> np.uint64(k)) & np.uint64(1)
-    return SectorBasis(n=n, m_up=m_up, states=patterns[ones == m_up])
+        ones += ((patterns >> np.uint64(k)) & np.uint64(1)).astype(np.uint8)
+    ones.flags.writeable = False
+    return ones
 
 
 def build_sector_hamiltonian(
@@ -679,16 +688,21 @@ def _amplitudes(block: SimpleNamespace, coeff, ts: np.ndarray) -> np.ndarray:
     c = 1.0 - 2.0 * np.square(sin_half)
     sin_half /= block.root[:, None]
     sn_half = sin_half * np.cos(half)
-    # the right-hand sides [c alpha | sn beta] of psi_p and [k beta | sn alpha] of psi_q
-    to_p = np.concatenate([c * alpha[:, None], sn_half * (2.0 * beta[:, None])], axis=1)
-    to_q = np.concatenate(
-        [np.square(sin_half) * (2.0 * beta[:, None]), sn_half * (2.0 * alpha[:, None])], axis=1
-    )
+    del half  # each temporary goes once it has been used
     has_alpha, has_beta = alpha.any(), beta.any()
     amp = np.zeros((block.dim, 2 * n_t))
     on_p = slice(0 if has_alpha else n_t, 2 * n_t if has_beta else n_t)
     on_q = slice(0 if has_beta else n_t, 2 * n_t if has_alpha else n_t)
+    # the right-hand sides [c alpha | sn beta] of psi_p and [k beta | sn alpha] of psi_q
+    to_p = np.concatenate([c * alpha[:, None], sn_half * (2.0 * beta[:, None])], axis=1)
+    del c
     amp[:p, on_p] = block.u @ to_p[:, on_p]
+    del to_p
+    to_q = np.concatenate(
+        [np.square(sin_half) * (2.0 * beta[:, None]), sn_half * (2.0 * alpha[:, None])], axis=1
+    )
+    del sin_half, sn_half
     amp[p:, on_q] = block.x.T @ (block.u @ to_q[:, on_q])
+    del to_q
     amp[p:, :n_t] = y0[:, None] - amp[p:, :n_t]
     return amp

@@ -29,10 +29,17 @@ B = P diag(s) Q^T, cos(At) keeps each sublattice (P cos(st) P^T and
 Q cos(st) Q^T) and sin(At) swaps them (P sin(st) Q^T), so orthogonality
 collapses every end-site moment to one sum over modes, e.g.
 <c+_1 c_1> = sum_k P_1k^2 cos^2(s_k t) for the order on the odd sites.
-A time point then costs O(n): one cos(2st) row, plus sin(2st) on even
-chains, times a fixed (modes x 4) weight matrix; uniform grids get those
-rows by angle addition (:func:`_grid_osc`).  By the same supports Im<c+_n c_1>
+A time point then costs O(n): a row of ones, one cos(2st) row, plus
+sin(2st) on even chains, under a fixed (4 x rows) weight matrix whose
+first column holds the constant parts; uniform grids get those rows by
+angle addition (:func:`_grid_rows`).  By the same supports Im<c+_n c_1>
 = 0 on odd chains and Re<c+_n c_1> = 0, hence c = 0, on even ones.
+
+Because the two Neel orders fill complementary sublattices, their
+one-particle correlations satisfy G_N1(t) = 1 - G_N2(t): N1's end moments
+are (1 - <n_1>, 1 - <n_n>, -Re, -Im) of N2's, so a is the same, and on
+odd chains, where the orders' parity signs are opposite, so is c.  The
+mixture's X state is therefore order N2's, and only N2 is evaluated.
 
 The same propagator carries any other start: from a ground multiplet of
 finite delta1, :class:`CorrelatorQuench` contracts rows 1 and n of f(t)

@@ -466,21 +466,27 @@ def x_state_plain(moments: np.ndarray, n: int, ts: np.ndarray) -> tuple:
 # --- engine views (not oracles) --------------------------------------------
 
 
-def engine_component_series(realization, ts, order: NeelOrder) -> np.ndarray:
-    """(a, b, c) rows of one Neel order from the free-fermion engine's own
-    moments, on the path its series takes for ``ts``.  The engine evaluates
-    order N2 alone: the orders fill complementary sublattices, so their
+def component_x_state(moments: np.ndarray, n: int, order: NeelOrder) -> np.ndarray:
+    """(a, b, c) rows of one Neel order from the engine's moments (4, T) of
+    order N2.  The orders fill complementary sublattices, so their
     one-particle correlations satisfy G_N1 = 1 - G_N2, and N1's end moments
     are (1 - <n_1>, 1 - <n_n>, -Re, -Im) of N2's.  Checking each order
     against the oracles above checks that relation as well."""
-    ts = np.asarray(ts, dtype=float)
-    chain = freefermion._chain(realization)
-    o1, on, cross_re, cross_im = freefermion._end_moments(
-        chain, ts, freefermion._uniform_step(ts))[:, 0]
+    o1, on, cross_re, cross_im = moments
     if order == NeelOrder.N1:
         o1, on, cross_re, cross_im = 1.0 - o1, 1.0 - on, -cross_re, -cross_im
-    state = model.neel_state(order, realization.n)
+    state = model.neel_state(order, n)
     return np.stack(_component_x_state(o1, on, cross_re + 1j * cross_im, _parity_sign(state)))
+
+
+def engine_component_series(realization, ts, order: NeelOrder) -> np.ndarray:
+    """(a, b, c) rows of one Neel order from the free-fermion engine's own
+    moments of order N2, on the path its series takes for ``ts``; the
+    engine evaluates order N2 alone (see :func:`component_x_state`)."""
+    ts = np.asarray(ts, dtype=float)
+    moments = freefermion._end_moments(
+        freefermion._chain(realization), ts, freefermion._uniform_step(ts))
+    return component_x_state(moments[:, 0], realization.n, order)
 
 
 # --- purification ---------------------------------------------------------

@@ -580,6 +580,22 @@ def test_zero_horizon_disorder_is_refused_before_a_draw(tmp_path, capsys, monkey
     assert drawn == [] and list(tmp_path.iterdir()) == []
 
 
+def test_zero_horizon_scan_is_refused_before_any_set_up(tmp_path, capsys, monkeypatch):
+    # a grid of t = 0 alone holds no peak: scan-n refuses it, as disorder
+    # does, before any size draws its couplings or searches its ground state
+    calls = []
+    for module, name in ((model, "realize_couplings"), (exactdiag, "ground_mixture")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    assert run("scan-n", "--n", "13,15", "--delta1", "3", "--jobs", "1",
+               "--t-max-horizon", "0", "--out", str(tmp_path / "s.csv")) == 1
+    err = capsys.readouterr().err
+    assert "positive time horizon" in err and "Traceback" not in err
+    assert "n=13" not in err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 def test_overflowing_finite_delta1_is_a_numerical_fault(tmp_path, capsys):
     # at delta1 = 1e300 the ground search's Lanczos step overflows and the
     # run stops, pointing to the Ising limit; at 1e100 it still runs and

@@ -6,6 +6,7 @@ repeatable; couplings range over both signs, as large disorder draws do.
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -127,6 +128,59 @@ def test_uniform_grid_path_matches_dense_propagator(real, ts):
     assert np.max(np.abs(got - want)) <= 1e-12
     zero = ts == 0.0
     assert np.array_equal(got[:, zero], want[:, zero])
+
+
+def _stack_series(stack, ts):
+    abc = np.empty((3, len(stack.n), len(ts)))
+    for rows, cols, chunk in stack.series(ts):
+        abc[:, rows, cols] = chunk
+    return abc
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), ts=uniform_grids())
+def test_one_order_kernel_on_uniform_grids(data, ts):
+    # 1-4 chains of lengths 2..61, odd and even mixed, with signed bonds,
+    # over a uniform grid of 64 points or more, with t = 0 in some
+    members = [
+        model.CouplingRealization(couplings=tuple(data.draw(st.lists(
+            signed_bond, min_size=n - 1, max_size=n - 1))), seed_used=0)
+        for n in data.draw(st.lists(st.integers(min_value=2, max_value=61),
+                                    min_size=1, max_size=4))
+    ]
+    stack = freefermion.ChainStack(members)
+    step = freefermion._uniform_step(ts)
+    assert step is not None
+    grid = freefermion._end_moments(stack, ts, step)
+    point = freefermion._end_moments(stack, ts, None)
+    zero = ts == 0.0
+    # each Neel order on its own, N1 from the complement of N2's moments:
+    # the grid path, the point path and the full propagator agree
+    for k, real in enumerate(members):
+        for order in (NeelOrder.N1, NeelOrder.N2):
+            want = oracles.propagator_end_spin(real, ts, order)
+            on_grid = oracles.component_x_state(grid[:, k], real.n, order)
+            off_grid = oracles.component_x_state(point[:, k], real.n, order)
+            assert np.max(np.abs(on_grid - off_grid)) <= 1e-12
+            assert np.max(np.abs(on_grid - want)) <= 1e-12
+            assert np.max(np.abs(off_grid - want)) <= 1e-12
+            assert np.array_equal(on_grid[:, zero], want[:, zero])
+    # a member's series is that of its stack of one, bit for bit
+    series = _stack_series(stack, ts)
+    for k, real in enumerate(members):
+        assert _same_bits(series[:, k], _stack_series(freefermion.ChainStack([real]), ts)[:, 0])
+    # with members enough to fill every chunk, the traced work of the
+    # series stays within the chunk_points budget
+    full = freefermion.ChainStack(members * (stack.chunk_points // (len(members) * len(ts)) + 2))
+    out = np.empty((3, len(full.n), len(ts)))
+    tracemalloc.start()
+    try:
+        for rows, cols, chunk in full.series(ts):
+            out[:, rows, cols] = chunk
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= freefermion.CHUNK_BYTES + (16 << 10)
 
 
 @PROPERTY_SETTINGS
