@@ -101,13 +101,13 @@ def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) 
     """Check that each (a, b, c) over the times ``ts`` is a density matrix.
 
     The three arrays share one shape: a series (T,), or a chunk (K, T) of
-    K members, whose times ``ts`` broadcast to it.  The X state has unit trace 2a + 2b and eigenvalues a, a
-    and b +- |c|, so it is checked that |2a + 2b - 1|, -a and |c| - b stay
-    within their tolerances.  The three deviations are tested together in
-    one pass; only when that fails are they checked one by one, in that
-    order, so the first failing check raises, naming its first failing t
-    (in a chunk, the first failing member's).  Both
-    engines run this on every point they evaluate, and
+    K members, whose times ``ts`` broadcast to it.  The X state has unit
+    trace 2a + 2b and eigenvalues a, a and b +- |c|, so it is checked that
+    |2a + 2b - 1|, -a and |c| - b stay within their tolerances.  The three
+    deviations are tested together in one pass; only when that fails are
+    they checked one by one, in that order, so the first failing check
+    raises, naming its first failing t (in a chunk, the first failing
+    member's).  Both engines run this on every point they evaluate, and
     :class:`EndSpinState` on its one point.
     """
     trace = np.abs(2.0 * a + 2.0 * b - 1.0)
@@ -203,9 +203,10 @@ class ChainStack:
             # and Q are orthonormal, so the constant parts only need the zero mode
             self.weights[members, :, 0] = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
             self.two_s[members, :m] = 2.0 * s
-            occupied, sign = _neel_components(length)
-            self.start[members, :2] = occupied[::length - 1, 1]
-            self.sign[members] = sign[1]
+            # order N2 starts on the odd sites 1, 3, ..., so on site n iff n is odd
+            neel = neel_state(NeelOrder.N2, length)
+            self.start[members, :2] = [1 in neel.up_sites, length in neel.up_sites]
+            self.sign[members] = 1.0 if neel.m_up % 2 == 1 else -1.0
 
     def _assemble(self, n, two_s, weights, start, sign) -> None:
         self.n, self.two_s, self.weights = n, two_s, weights
@@ -376,25 +377,6 @@ def _end_moments(chains: ChainStack, ts: np.ndarray, step: float | None) -> np.n
 @lru_cache(maxsize=8)
 def _chain(realization: CouplingRealization) -> ChainStack:
     return ChainStack([realization])
-
-
-# each stack asks once per length it holds
-@lru_cache(maxsize=16)
-def _neel_components(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied columns and parity signs (-1)^(M+1) of the two Neel orders,
-    read-only because they are shared between calls.
-
-    Column k of the (n, 2) 0/1 matrix marks the initially occupied (up)
-    sites of order N1 (k = 0) or N2 (k = 1).
-    """
-    states = [neel_state(order, n) for order in (NeelOrder.N1, NeelOrder.N2)]
-    occupied = np.zeros((n, len(states)))
-    for k, state in enumerate(states):
-        occupied[np.asarray(state.up_sites) - 1, k] = 1.0
-    sign = np.array([1.0 if s.m_up % 2 == 1 else -1.0 for s in states])
-    occupied.flags.writeable = False
-    sign.flags.writeable = False
-    return occupied, sign
 
 
 def _x_state(

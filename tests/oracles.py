@@ -432,7 +432,8 @@ def end_moments_plain(chains, ts: np.ndarray) -> np.ndarray:
     zero = ts == 0.0
     if np.any(zero):
         moments[:, zero] = 0.0
-        moments[:2, zero] = freefermion._neel_components(n)[0][[0, -1], 1, None]
+        neel = model.neel_state(NeelOrder.N2, n)
+        moments[:2, zero] = np.array([[1 in neel.up_sites], [n in neel.up_sites]], dtype=float)
     return moments
 
 
@@ -458,7 +459,7 @@ def x_state_plain(moments: np.ndarray, n: int, ts: np.ndarray) -> tuple:
         - 0.5 * (occ_first + occ_last - 1.0)
     )
     b = 0.5 - a
-    c = freefermion._neel_components(n)[1][1] * cross_re + 0.0
+    c = _parity_sign(model.neel_state(NeelOrder.N2, n)) * cross_re + 0.0
     check_x_series_sequential(a, b, c, ts)
     return a, b, c
 
