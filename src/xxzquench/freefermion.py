@@ -29,9 +29,9 @@ B = P diag(s) Q^T, cos(At) keeps each sublattice (P cos(st) P^T and
 Q cos(st) Q^T) and sin(At) swaps them (P sin(st) Q^T), so orthogonality
 collapses every end-site moment to one sum over modes, e.g.
 <c+_1 c_1> = sum_k P_1k^2 cos^2(s_k t) for the order on the odd sites.
-A time point then costs O(n): a row of ones, one cos(2st) row, plus
-sin(2st) on even chains, under a fixed (4 x rows) weight matrix whose
-first column holds the constant parts; uniform grids get those rows by
+A time point then costs O(n): one cos(2st) row, plus sin(2st) on even
+chains, and a row of ones, under a fixed (4 x rows) weight matrix whose
+last column holds the constant parts; uniform grids get those rows by
 angle addition (:func:`_grid_rows`).  By the same supports Im<c+_n c_1>
 = 0 on odd chains and Re<c+_n c_1> = 0, hence c = 0, on even ones.
 
@@ -162,11 +162,12 @@ class ChainStack:
     state is that of either order (see :func:`_x_state`).  The arrays are
     member-major.  ``two_s`` (K, width) holds the doubled singular values
     2 s_k of B, zero-padded to the longest member.  Row q of
-    ``weights`` (K, 4, 1 + rows) maps the trig rows [1, cos(2 s_k t)],
-    with sin(2 s_k t) after them on even chains, to end-site moment q: its
-    column 0 is the constant part, which the products take against a row
-    of ones, column 1 + k weighs cos(2 s_k t) and, on even chains, column
-    1 + m + k weighs sin(2 s_k t).  ``start`` (K, 4) holds the moments at
+    ``weights`` (K, 4, 1 + rows) maps a member's trig rows to end-site
+    moment q: column k weighs cos(2 s_k t), on even chains column m + k
+    weighs sin(2 s_k t), and the column after them, m or 2m, holds the
+    constant part, which the products take against a row of ones; last,
+    so that the oscillating terms are summed first, as before the
+    constant was folded in.  ``start`` (K, 4) holds the moments at
     t = 0, ``sign`` (K,) the parity sign (-1)^(M+1) and ``odd`` (K,)
     n % 2.  ``groups`` holds per length its members, m = n // 2 and its
     trig rows: products run per length, as a product over zero-padded rows
@@ -182,7 +183,7 @@ class ChainStack:
         self._assemble(n, np.zeros((k, width)), np.zeros((k, 4, 1 + rows)),
                        np.zeros((k, 4)), np.empty(k))
         # the arrays are filled in place, one length at a time
-        for members, m, _ in self.groups:
+        for members, m, group_rows in self.groups:
             length = int(n[members][0])
             p, s, qt = _sublattice_svd(
                 np.array([realizations[i].couplings for i in np.arange(k)[members]]))
@@ -191,17 +192,17 @@ class ChainStack:
                 # sites 1 and n are odd; column m of P is the zero mode
                 first, last = p[:, 0], p[:, -1]
                 ends = np.stack([first**2, last**2, first * last, np.zeros_like(first)], axis=1)
-                self.weights[members, :, 1:1 + m] = 0.5 * ends[..., :m]
+                self.weights[members, :, :m] = 0.5 * ends[..., :m]
                 zero_mode = ends[..., m]
             else:
                 # site n is even: its row of Q is column n of Q^T
                 p1, qn = p[:, 0], qt[:, :, -1]
-                self.weights[members, 0, 1:1 + m] = 0.5 * p1**2
-                self.weights[members, 1, 1:1 + m] = -0.5 * qn**2
-                self.weights[members, 3, 1 + m:1 + 2 * m] = -0.5 * p1 * qn
+                self.weights[members, 0, :m] = 0.5 * p1**2
+                self.weights[members, 1, :m] = -0.5 * qn**2
+                self.weights[members, 3, m:2 * m] = -0.5 * p1 * qn
             # cos^2 = (1 + cos 2st)/2 and sin^2 = (1 - cos 2st)/2; the rows of P
             # and Q are orthonormal, so the constant parts only need the zero mode
-            self.weights[members, :, 0] = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
+            self.weights[members, :, group_rows] = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
             self.two_s[members, :m] = 2.0 * s
             # order N2 starts on the odd sites 1, 3, ..., so on site n iff n is odd
             neel = neel_state(NeelOrder.N2, length)
@@ -288,50 +289,50 @@ def _uniform_step(ts: np.ndarray) -> float | None:
 
 
 def _trig_rows(two_s: np.ndarray, ts: np.ndarray, rows: int) -> np.ndarray:
-    """Trig rows (K, 1 + rows, T) of K chains of one length, m =
-    two_s.shape[-1], at the times ``ts`` (T,) or (K, T): a row of ones,
-    cos(2 s_k t), and sin(2 s_k t) if rows = 2m."""
+    """Trig rows (K, rows + 1, T) of K chains of one length, m =
+    two_s.shape[-1], at the times ``ts`` (T,) or (K, T): cos(2 s_k t),
+    sin(2 s_k t) if rows = 2m, and a row of ones."""
     m = two_s.shape[-1]
-    trig = np.empty((len(two_s), 1 + rows, ts.shape[-1]))
-    trig[:, 0] = 1.0
-    phase = trig[:, 1:1 + m]
+    trig = np.empty((len(two_s), rows + 1, ts.shape[-1]))
+    trig[:, rows] = 1.0
+    phase = trig[:, :m]
     np.multiply(two_s[:, :, None], ts[..., None, :], out=phase)
     if rows > m:
-        np.sin(phase, out=trig[:, 1 + m:])
+        np.sin(phase, out=trig[:, m:rows])
     np.cos(phase, out=phase)
     return trig
 
 
 def _grid_rows(two_s: np.ndarray, weights: np.ndarray, ts: np.ndarray, h: float):
-    """Rotated weights (K, 4 x blocks, 1 + 2m) and basis (K, 1 + 2m,
+    """Rotated weights (K, 4 x blocks, 2m + 1) and basis (K, 2m + 1,
     GRID_BLOCK) of K chains of one length, m = two_s.shape[-1], over the
     uniform window ``ts`` of step h, whose product is their moments by
     angle addition, one sub-block of GRID_BLOCK points after another.
 
     Each sub-block rotates the weights by alpha = 2s tau at its actual
-    start time tau, and one basis [1; cos 2sjh; -sin 2sjh] over the offsets
-    j serves them all; the constant part rides on its row of ones."""
+    start time tau, and one basis [cos 2sjh; -sin 2sjh; 1] over the
+    offsets j serves them all; the constant part rides on its row of ones."""
     k, m = two_s.shape
-    basis = np.empty((k, 1 + 2 * m, GRID_BLOCK))
-    basis[:, 0] = 1.0
-    beta = basis[:, 1 + m:]
+    basis = np.empty((k, 2 * m + 1, GRID_BLOCK))
+    basis[:, 2 * m] = 1.0
+    beta = basis[:, m:2 * m]
     np.multiply(two_s[:, :, None], h * np.arange(GRID_BLOCK), out=beta)
-    np.cos(beta, out=basis[:, 1:1 + m])
+    np.cos(beta, out=basis[:, :m])
     np.sin(beta, out=beta)
     np.negative(beta, out=beta)
     alpha = (ts[::GRID_BLOCK, None] * two_s[:, None, :])[:, None]
     cos_a = np.cos(alpha)
     sin_a = np.sin(alpha, out=alpha)
-    # [base, w_c cos a + w_s sin a, w_c sin a - w_s cos a], w_s only on even chains
-    w_c, w_s = weights[:, :, None, 1:1 + m], weights[:, :, None, 1 + m:]
-    rotated = np.empty((k, 4, alpha.shape[2], 1 + 2 * m))
-    rotated[..., 0] = weights[:, :, :1]
-    np.multiply(w_c, cos_a, out=rotated[..., 1:1 + m])
-    np.multiply(w_c, sin_a, out=rotated[..., 1 + m:])
+    # [w_c cos a + w_s sin a, w_c sin a - w_s cos a, constant], w_s only on even chains
+    w_c, w_s = weights[:, :, None, :m], weights[:, :, None, m:-1]
+    rotated = np.empty((k, 4, alpha.shape[2], 2 * m + 1))
+    np.multiply(w_c, cos_a, out=rotated[..., :m])
+    np.multiply(w_c, sin_a, out=rotated[..., m:2 * m])
     if w_s.shape[-1]:
-        rotated[..., 1:1 + m] += w_s * sin_a
-        rotated[..., 1 + m:] -= w_s * cos_a
-    return rotated.reshape(k, -1, 1 + 2 * m), basis
+        rotated[..., :m] += w_s * sin_a
+        rotated[..., m:2 * m] -= w_s * cos_a
+    rotated[..., 2 * m] = weights[:, :, -1:]
+    return rotated.reshape(k, -1, 2 * m + 1), basis
 
 
 def _end_moments(chains: ChainStack, ts: np.ndarray, step: float | None) -> np.ndarray:
@@ -342,8 +343,8 @@ def _end_moments(chains: ChainStack, ts: np.ndarray, step: float | None) -> np.n
     member (K, T); ``step`` is the window's uniform step from
     :func:`_uniform_step`, or None.  The rows are <c+_1 c_1>, <c+_n c_n>
     and the real and imaginary parts of <c+_n c_1>.  Each length's members
-    take one product of their ``weights`` with trig rows led by a row of
-    ones, so the constant part is summed with the oscillating ones: on a
+    take one product of their ``weights`` with trig rows that end in a row
+    of ones, so the constant part is summed with the oscillating ones: on a
     uniform window those of :func:`_grid_rows`, otherwise those of
     :func:`_trig_rows` at each time.  The products fill member-major
     storage (K, 4, T), so each member's component row is contiguous, and

@@ -417,8 +417,8 @@ def end_spin_matrix(state: EndSpinState) -> np.ndarray:
 
 # --- free-fermion moment assembly in its plain form -----------------------
 # The engine's moment -> X-state layer for a stack of one length, written
-# plainly: one product of the weights with trig rows led by a row of ones,
-# and the three X-state checks run one after another.
+# plainly: one product of the weights with trig rows that end in a row of
+# ones, and the three X-state checks run one after another.
 
 
 def end_moments_plain(chains, ts: np.ndarray) -> np.ndarray:
@@ -427,7 +427,7 @@ def end_moments_plain(chains, ts: np.ndarray) -> np.ndarray:
     (members, m, rows), = chains.groups  # one length
     n = int(chains.n[0])
     phase = chains.two_s[:, :, None] * ts[:, None, :]
-    trig = [np.ones_like(ts)[:, None], np.cos(phase)] + ([np.sin(phase)] if n % 2 == 0 else [])
+    trig = [np.cos(phase)] + ([np.sin(phase)] if n % 2 == 0 else []) + [np.ones_like(ts)[:, None]]
     moments = np.moveaxis(chains.weights @ np.concatenate(trig, axis=1), 1, 0)
     zero = ts == 0.0
     if np.any(zero):
