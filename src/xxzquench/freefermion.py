@@ -161,26 +161,23 @@ class ChainStack:
     The stack holds order N2, which fills the odd sites: the mixture's X
     state is that of either order (see :func:`_x_state`).  The arrays are
     member-major.  ``two_s`` (K, width) holds the doubled singular values
-    2 s_k of B, zero-padded to the longest member.  Row q of
-    ``weights`` (K, 4, 1 + rows) maps a member's trig rows to end-site
-    moment q: column k weighs cos(2 s_k t), on even chains column m + k
-    weighs sin(2 s_k t), and the column after them, m or 2m, holds the
-    constant part, which the products take against a row of ones; last,
-    so that the oscillating terms are summed first, as before the
-    constant was folded in.  ``start`` (K, 4) holds the moments at
-    t = 0, ``sign`` (K,) the parity sign (-1)^(M+1) and ``odd`` (K,)
-    n % 2.  ``groups`` holds per length its members, m = n // 2 and its
-    trig rows: products run per length, as a product over zero-padded rows
-    would sum in another order.  So every member's values come from the
-    same operations whatever stack it is in, and agree bit for bit with
-    those of its own stack of one.
+    2 s_k of B, zero-padded to the longest member.  Row q of ``weights``
+    (K, 4, 1 + rows) maps a member's trig rows to end-site moment q:
+    column k weighs cos(2 s_k t), on even chains column m + k weighs
+    sin(2 s_k t), and the column after them, m or 2m, holds the constant
+    part, which the products take against a row of ones.  ``start``
+    (K, 4) holds the moments at t = 0, ``sign`` (K,) the parity sign
+    (-1)^(M+1) and ``odd`` (K,) n % 2.  ``groups`` holds per length its
+    members, m = n // 2 and its trig rows: products run per length, as a
+    product over zero-padded rows would sum in another order.  So every
+    member's values come from the same operations whatever stack it is
+    in, and agree bit for bit with those of its own stack of one.
     """
 
     def __init__(self, realizations: list[CouplingRealization]):
         n = np.array([r.n for r in realizations])
         k, width = len(n), n.max() // 2
-        rows = width * (1 if np.all(n % 2) else 2)
-        self._assemble(n, np.zeros((k, width)), np.zeros((k, 4, 1 + rows)),
+        self._assemble(n, np.zeros((k, width)), np.zeros((k, 4, 2 * width + 1)),
                        np.zeros((k, 4)), np.empty(k))
         # the arrays are filled in place, one length at a time
         for members, m, group_rows in self.groups:
@@ -202,7 +199,8 @@ class ChainStack:
                 self.weights[members, 3, m:2 * m] = -0.5 * p1 * qn
             # cos^2 = (1 + cos 2st)/2 and sin^2 = (1 - cos 2st)/2; the rows of P
             # and Q are orthonormal, so the constant parts only need the zero mode
-            self.weights[members, :, group_rows] = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
+            constant = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
+            self.weights[members, :, group_rows] = constant
             self.two_s[members, :m] = 2.0 * s
             # order N2 starts on the odd sites 1, 3, ..., so on site n iff n is odd
             neel = neel_state(NeelOrder.N2, length)
@@ -210,11 +208,13 @@ class ChainStack:
             self.sign[members] = 1.0 if neel.m_up % 2 == 1 else -1.0
 
     def _assemble(self, n, two_s, weights, start, sign) -> None:
-        self.n, self.two_s, self.weights = n, two_s, weights
-        self.start, self.sign, self.odd = start, sign, n % 2 == 1
-        width = two_s.shape[1]
+        """Take the arrays of the members ``n``, trimmed to the longest."""
+        width = n.max() // 2
+        self.odd = n % 2 == 1
         # trigonometric rows of a time point: cos, then sin if a member is even
         self.rows = width * (1 if self.odd.all() else 2)
+        self.n, self.two_s, self.weights = n, two_s[:, :width], weights[:, :, :self.rows + 1]
+        self.start, self.sign = start, sign
         self.groups = []
         for length in sorted(set(n.tolist())):
             members = np.flatnonzero(n == length)
@@ -237,12 +237,9 @@ class ChainStack:
         own, trimmed to their longest member: its arrays, and so its
         ``chunk_points`` and series, are those of a stack built from their
         realizations."""
-        n = self.n[members]
-        width = n.max() // 2
         part = ChainStack.__new__(ChainStack)
-        part._assemble(n, self.two_s[members, :width],
-                       self.weights[members, :, :1 + width * (1 if np.all(n % 2) else 2)],
-                       self.start[members], self.sign[members])
+        part._assemble(*(x[members] for x in (self.n, self.two_s, self.weights,
+                                                 self.start, self.sign)))
         return part
 
     def series(self, ts: np.ndarray) -> Iterator[tuple[slice, slice, tuple[np.ndarray, ...]]]:
