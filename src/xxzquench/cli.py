@@ -474,7 +474,9 @@ def cmd_disorder(args) -> int:
     summary_rows = []
     for sigma in sigmas:
         group = [d for d in results if d["sigma"] == sigma]
-        curves = np.concatenate([d["curves"] for d in group])
+        # one block's curves are used as they are: a copy would be the peak
+        curves = group[0]["curves"] if len(group) == 1 else np.concatenate(
+            [d["curves"] for d in group])
         mean_curve = curves.mean(axis=0)
         mean_curves[sigma] = mean_curve
         peaks_f = np.concatenate([d["peak_f"] for d in group])

@@ -150,8 +150,8 @@ def sector_basis(n: int, m_up: int) -> SectorBasis:
         )
     if not 0 <= m_up <= n:
         raise ValueError(f"up-spin count {m_up} outside [0, {n}]")
-    return SectorBasis(n=n, m_up=m_up,
-                       states=np.flatnonzero(_popcounts(n) == m_up).astype(np.uint64))
+    patterns = np.arange(1 << n, dtype=np.uint64)
+    return SectorBasis(n=n, m_up=m_up, states=patterns[_popcounts(n) == m_up])
 
 
 @lru_cache(maxsize=MAX_SITES + 1)
@@ -159,9 +159,9 @@ def _popcounts(n: int) -> np.ndarray:
     """Set bits of every n-site pattern 0 .. 2^n - 1, counted once per n
     for the sectors of every M, and read-only because it is shared."""
     patterns = np.arange(1 << n, dtype=np.uint64)
-    ones = np.zeros(1 << n, dtype=np.uint8)
+    ones = np.zeros_like(patterns)
     for k in range(n):
-        ones += ((patterns >> np.uint64(k)) & np.uint64(1)).astype(np.uint8)
+        ones += (patterns >> np.uint64(k)) & np.uint64(1)
     ones.flags.writeable = False
     return ones
 

@@ -177,7 +177,8 @@ class ChainStack:
     def __init__(self, realizations: list[CouplingRealization]):
         n = np.array([r.n for r in realizations])
         k, width = len(n), n.max() // 2
-        self._assemble(n, np.zeros((k, width)), np.zeros((k, 4, 2 * width + 1)),
+        rows = width * (1 if np.all(n % 2) else 2)
+        self._assemble(n, np.zeros((k, width)), np.zeros((k, 4, rows + 1)),
                        np.zeros((k, 4)), np.empty(k))
         # the arrays are filled in place, one length at a time
         for members, m, group_rows in self.groups:
