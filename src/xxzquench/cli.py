@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, entangle, exactdiag, model, purify
+from . import __version__, entangle, exactdiag, freefermion, model, purify
 from .errors import (
     ConvergenceError,
     NoPeakError,
@@ -186,20 +186,25 @@ def _check_fits(need: int, what: str) -> None:
         )
 
 
-def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1) -> str:
-    """The engine of one chain, checked for ``workers`` runs at once.  A
-    finite delta1 needs the exact ground search on either engine; only
-    exact diagonalization is charged for the evolution too."""
+def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1, members: int = 1) -> str:
+    """The engine of one chain, checked for ``workers`` runs at once.  Neel
+    chains on free fermions are charged a chain stack's set-up of
+    ``members`` chains (:func:`freefermion.stack_bytes`).  A finite delta1
+    needs the exact ground search on either engine; only exact
+    diagonalization is charged for the evolution too."""
     engine = entangle.resolve_engine(spec, requested)
-    if engine == "exactdiag" or not spec.ideal_neel_start:
-        if spec.n > exactdiag.MAX_SITES:
-            raise SystemExit2(
-                f"exact diagonalization, which a finite delta1 needs for its ground "
-                f"state and delta2 > 0 for its evolution, is capped at "
-                f"{exactdiag.MAX_SITES} sites (requested n={spec.n}); longer chains "
-                f"run on free fermions from delta1=inf to delta2=0",
-                EXIT_USAGE,
-            )
+    if entangle.stacks(spec, engine):
+        _check_fits(workers * freefermion.stack_bytes(spec.n, members),
+                    f"{workers} free-fermion set-up(s) of {members} chain(s) of n={spec.n} at once")
+    elif spec.n > exactdiag.MAX_SITES:
+        raise SystemExit2(
+            f"exact diagonalization, which a finite delta1 needs for its ground "
+            f"state and delta2 > 0 for its evolution, is capped at "
+            f"{exactdiag.MAX_SITES} sites (requested n={spec.n}); longer chains "
+            f"run on free fermions from delta1=inf to delta2=0",
+            EXIT_USAGE,
+        )
+    else:
         _check_memory(spec.n, workers, evolve=engine == "exactdiag")
     return engine
 
@@ -298,10 +303,11 @@ def _scan_block(item: dict) -> dict:
             _, _, ts = entangle.resolve_grid(spec, item["horizon"], item["step"])
             # as in disorder_peak, the first maximum of any height when
             # none exceeds the t = 0 value; on even chains always
-            peaks.append(entangle.scan_first_peak(
+            peak, points = entangle.scan_first_peak(
                 evaluator[k:k + 1], ts, above_baseline=spec.n % 2 == 1, any_height_fallback=True,
-            ))
-        records.append({"spec": spec, "engine": engine,
+            )
+        peaks.append(peak)
+        records.append({"spec": spec, "engine": engine, "scanned_points": points,
                         "runtime_ms": 1000.0 * (time.perf_counter() - t0)})
     t0 = time.perf_counter()
     t_max, fef = _lockstep(lambda part: entangle.refine_peaks(evaluator[part], peaks[part]), labels)
@@ -387,6 +393,7 @@ def cmd_scan_n(args) -> int:
         args.out, "scan-n", config, [args.out],
         fit=fit_doc,
         runtimes_ms={str(r["spec"].n): r["runtime_ms"] for r in records},
+        scanned_points={str(r["spec"].n): r["scanned_points"] for r in records},
         setup_ms=sum(b["setup_ms"] for b in blocks),
         refine_ms=sum(b["refine_ms"] for b in blocks),
     )
@@ -466,7 +473,7 @@ def cmd_disorder(args) -> int:
         for first in range(0, n_real, block):
             items.append({"spec": spec, "engine": engine, "ts": ts,
                           "first": first, "stop": min(first + block, n_real)})
-    _check_engine(base, args.engine, _workers(args.jobs, len(items)))
+    _check_engine(base, args.engine, _workers(args.jobs, len(items)), block)
     results = _run_parallel(_disorder_block, items, args.jobs)
     results.sort(key=lambda d: (d["sigma"], d["first"]))
 

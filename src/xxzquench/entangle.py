@@ -113,7 +113,8 @@ class CurveEvaluator:
     :class:`freefermion.CorrelatorQuench` of its ground multiplet's
     correlators or an :class:`exactdiag.QuenchEvolution`, and these are
     evaluated one after the other.  Either way member k's values are the ones
-    ``evaluator[k:k + 1]`` gives, bit for bit.
+    ``evaluator[k:k + 1]`` gives, bit for bit.  Every evaluation of a grid,
+    :func:`scan_first_peak`'s included, walks the same chunks of it.
     """
 
     def __init__(self, specs: list[model.ChainSpec], engine: str = "auto"):
@@ -143,26 +144,24 @@ class CurveEvaluator:
         sub._members = [self._members[k] for k in keep] if self._members else []
         return sub
 
-    @property
-    def chunk_points(self) -> int:
-        """Grid points per chunk of the first member's series.  A scan of
-        one member in windows that start on chunk boundaries gives the same
-        bytes as one call."""
-        return (self._stack or self._members[0]).chunk_points
-
     def _chunks(self, ts: np.ndarray):
-        """(members, times, (a, b, c)) chunks over the shared times ``ts``:
-        those of the stack's series, or each member's whole series."""
+        """(members, times, (a, b, c)) chunks over the shared times ``ts``,
+        each member's in time order: those of the stack's series, or each
+        member's series in windows of its own ``chunk_points``.  The
+        consumer drops a chunk before it asks for the next."""
         if self._stack is not None:
             yield from self._stack.series(ts)
         for k, member in enumerate(self._members):
-            yield k, slice(None), member.end_spin_series(ts)
+            for lo in range(0, len(ts), member.chunk_points):
+                times = slice(lo, lo + member.chunk_points)
+                yield k, times, member.end_spin_series(ts[times])
 
     def series(self, ts: np.ndarray) -> np.ndarray:
         """(a, b, c) of every member over ``ts``, (3, K, T)."""
         abc = np.empty((3, len(self.specs), len(ts)))
         for members, times, chunk in self._chunks(ts):
             abc[:, members, times] = chunk
+            del chunk
         return abc
 
     def fef_series(self, ts: np.ndarray) -> np.ndarray:
@@ -171,6 +170,7 @@ class CurveEvaluator:
         fef = np.empty((len(self.specs), len(ts)))
         for members, times, chunk in self._chunks(ts):
             fef[members, times] = _fef(*chunk)
+            del chunk
         return fef
 
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,36 +335,33 @@ def scan_first_peak(
 ) -> tuple:
     """Grid peak (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of fef(t) on ``ts`` of
     the one member of ``evaluator`` (``evaluator[k:k + 1]`` for member k)
-    by the rules of :func:`locate_first_peak` without the argmax fallback.
+    by the rules of :func:`locate_first_peak` without the argmax fallback,
+    and the number of grid points read.
 
-    The scan runs one engine chunk at a time and stops at the first chunk
-    that confirms the peak, i.e. holds its right neighbour; the result is
-    the one a scan of the whole grid gives; only the fallback needs it all.
-    A grid holding only t = 0 is refused.
+    The scan reads the evaluator's own chunks of the grid, those of a
+    call over the whole grid, and stops at the first chunk that confirms
+    the peak, i.e. holds its right neighbour; only the fallback reads the
+    whole grid.  A grid holding only t = 0 is refused.
     """
     if not ts[-1] > 0:
         raise ValueError("a first-peak search needs a positive time horizon")
-    curve = np.empty(len(ts))
-    baseline = -np.inf
-    for lo in range(0, len(ts), evaluator.chunk_points):
-        hi = min(lo + evaluator.chunk_points, len(ts))
-        curve[lo:hi] = evaluator.fef_series(ts[lo:hi])[0]
-        baseline = curve[0] if above_baseline else -np.inf
-        # the new candidates are lo - 1 .. hi - 2, each with both neighbours
-        first = max(lo - 2, 0)
-        i = first_peak_index(curve[first:hi], baseline)
+    curve = np.empty((1, len(ts)))
+    for member, times, chunk in evaluator._chunks(ts):
+        curve[member, times] = _fef(*chunk)
+        del chunk
+        baseline = curve[0, 0] if above_baseline else -np.inf
+        i = first_peak_index(curve[0, :times.stop], baseline)
         if i is not None:
-            i += first
             break
     else:
-        i = first_peak_index(curve, -np.inf) if any_height_fallback else None
+        i = first_peak_index(curve[0], -np.inf) if any_height_fallback else None
     if i is None:
         spec = evaluator.specs[0]
         raise NoPeakError(
             f"no first maximum of fef above {baseline} within horizon {ts[-1]} "
             f"(n={spec.n}, delta1={spec.delta1}, delta2={spec.delta2})"
         )
-    return ts[i - 1], ts[i], ts[i + 1], curve[i]
+    return (ts[i - 1], ts[i], ts[i + 1], curve[0, i]), min(times.stop, len(ts))
 
 
 def find_tmax(
@@ -385,7 +382,7 @@ def find_tmax(
     """
     _, step, ts = resolve_grid(spec, search_horizon, grid_step)
     evaluator = CurveEvaluator([spec], engine)
-    peak = scan_first_peak(evaluator, ts, above_baseline=require_above_baseline)
+    peak, _ = scan_first_peak(evaluator, ts, above_baseline=require_above_baseline)
     (t_max,), (fef_max,) = refine_peaks(evaluator, [peak])
     return TmaxResult(
         t_max=float(t_max), fef_at_tmax=float(fef_max),

@@ -150,6 +150,16 @@ def _sublattice_svd(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.linalg.svd(b)
 
 
+def stack_bytes(n: int, members: int = 1) -> int:
+    """Estimated peak bytes of building a :class:`ChainStack` of ``members``
+    chains of length n.  Its batched full SVD holds about 3 K (n // 2)^2
+    doubles (the blocks, P and Q^T), and LAPACK's workspace 6-7 (n // 2)^2
+    more, once per batch: the growth of ru_maxrss of a build in a fresh
+    process, at n = 801, 1,601 and 3,201 for K = 1 to 8, was 2.9-3.0 of
+    these units per member plus 5.9-7.1, which 8 covers."""
+    return 8 * (3 * members + 8) * (n // 2) ** 2
+
+
 class ChainStack:
     """End-site weights of the sublattice SVDs of K hopping chains from the
     Neel mixture, of any lengths: O(n) numbers per chain, kept from one
@@ -227,10 +237,9 @@ class ChainStack:
         # trig rows (a grid basis, 1 + 2m rows over at least 2 GRID_BLOCK
         # points, holds no more), the rotated weights 4(1 + 2m), their
         # even-chain product 4m and the sub-block angles 2m of each
-        # GRID_BLOCK points, the moments, a length's product or the X
-        # state's temporaries, and the (a, b, c) of the chunk before, which
-        # its caller still holds
-        floats = 1 + self.rows + (10 * width + 4) / GRID_BLOCK + 4 + 4 + 3
+        # GRID_BLOCK points, the moments, and a length's product or the X
+        # state's temporaries
+        floats = 1 + self.rows + (10 * width + 4) / GRID_BLOCK + 4 + 4
         self.chunk_points = max(1, int(CHUNK_BYTES // (8 * floats)))
 
     def __getitem__(self, members) -> ChainStack:
@@ -246,26 +255,28 @@ class ChainStack:
     def series(self, ts: np.ndarray) -> Iterator[tuple[slice, slice, tuple[np.ndarray, ...]]]:
         """(a, b, c) of every member over the shared times ``ts``, chunk by
         chunk: yields the member and time slices of a chunk and its three
-        (k, t) arrays.
+        (k, t) arrays; the caller drops a chunk before asking for the next.
 
         A chunk holds min(T, chunk_points) times of as many members as the
-        same ``chunk_points`` budget allows, so work memory stays flat in
-        the grid and in the ensemble, and a grid longer than the budget is
-        split in time, one member at a time.  Each time window is tested
-        once for a uniform step (:func:`_uniform_step`), whatever the number
-        of member chunks.  Over members of one length a member's values are
-        those of its own stack of one, bit for bit.
+        budget allows, so work memory stays flat in the grid and in the
+        ensemble; a longer grid is split in time, one member at a time.  A
+        grid found uniform (:func:`_uniform_step`) is split on multiples of
+        GRID_BLOCK points, so every window's sub-blocks are the grid's and
+        no value depends on the budget.  A member's values are those of its
+        own stack of one, bit for bit.
         """
         ts = np.asarray(ts, dtype=float)
+        step = _uniform_step(ts)
         span = max(1, min(len(ts), self.chunk_points))
-        count = self.chunk_points // span
-        windows = [(slice(t0, t0 + span), ts[t0:t0 + span]) for t0 in range(0, len(ts), span)]
-        steps = [_uniform_step(window) for _, window in windows]
+        if step is not None and span < len(ts):
+            span = max(GRID_BLOCK, span - span % GRID_BLOCK)
+        count = max(1, self.chunk_points // span)
         for lo in range(0, len(self.n), count):
             part = self if count >= len(self.n) else self[lo:lo + count]
-            for (times, window), step in zip(windows, steps):
-                abc = _x_state(_end_moments(part, window, step), part, window)
-                yield slice(lo, lo + count), times, abc
+            for t0 in range(0, len(ts), span):
+                window = ts[t0:t0 + span]
+                yield slice(lo, lo + count), slice(t0, t0 + span), _x_state(
+                    _end_moments(part, window, step), part, window)
 
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) of member k at time ``ts[k]``, each of shape (K,)."""
@@ -274,14 +285,16 @@ class ChainStack:
 
 
 def _uniform_step(ts: np.ndarray) -> float | None:
-    """Step h of a window ``ts`` (T,) of at least 2 GRID_BLOCK points that
-    lie within GRID_ULPS ulps of its largest time of ts[0] + h j, else None."""
+    """Step h of a whole grid ``ts`` (T,) of at least 2 GRID_BLOCK points
+    that lie within GRID_ULPS ulps of its largest time of ts[0] + h j, else None."""
     points = len(ts)
     if points < 2 * GRID_BLOCK:
         return None
     h = (ts[-1] - ts[0]) / (points - 1)
-    drift = np.abs(ts - (ts[0] + h * np.arange(points)))
-    if not np.all(drift <= GRID_ULPS * np.spacing(np.abs(ts).max())):
+    drift = np.arange(points) * h  # one array of the grid's length, updated in place
+    drift += ts[0]
+    drift -= ts
+    if not np.all(np.abs(drift, out=drift) <= GRID_ULPS * np.spacing(max(ts.max(), -ts.min()))):
         return None
     return h
 
@@ -303,9 +316,9 @@ def _trig_rows(two_s: np.ndarray, ts: np.ndarray, rows: int) -> np.ndarray:
 
 def _grid_rows(two_s: np.ndarray, weights: np.ndarray, ts: np.ndarray, h: float):
     """Rotated weights (K, 4 x blocks, 2m + 1) and basis (K, 2m + 1,
-    GRID_BLOCK) of K chains of one length, m = two_s.shape[-1], over the
-    uniform window ``ts`` of step h, whose product is their moments by
-    angle addition, one sub-block of GRID_BLOCK points after another.
+    GRID_BLOCK) of K chains of one length, m = two_s.shape[-1], over a
+    window ``ts`` from a sub-block edge of a grid of step h, whose product
+    is their moments by angle addition, one sub-block after another.
 
     Each sub-block rotates the weights by alpha = 2s tau at its actual
     start time tau, and one basis [cos 2sjh; -sin 2sjh; 1] over the
@@ -338,7 +351,7 @@ def _end_moments(chains: ChainStack, ts: np.ndarray, step: float | None) -> np.n
     over the times ``ts``; shape (4, K, T).
 
     ``ts`` is one window (T,) that all members share, or times of each
-    member (K, T); ``step`` is the window's uniform step from
+    member (K, T); ``step`` is the uniform step of the window's grid from
     :func:`_uniform_step`, or None.  The rows are <c+_1 c_1>, <c+_n c_n>
     and the real and imaginary parts of <c+_n c_1>.  Each length's members
     take one product of their ``weights`` with trig rows that end in a row
@@ -421,14 +434,14 @@ def end_spin_series(
     one-particle correlations satisfy G_N1(t) = 1 - G_N2(t) and both give
     the same X state: the mixture's is order N2's (see :func:`_x_state`),
     and the test suite checks each order against the full propagator.  The
-    grid is evaluated
-    by :meth:`ChainStack.series` of the realization's stack of one,
-    ``chunk_points`` at a time, so work memory does not grow with it.
+    grid is evaluated chunk by chunk by :meth:`ChainStack.series` of the
+    realization's stack of one, so work memory does not grow with it.
     """
     ts = np.asarray(ts, dtype=float)
     a, b, c = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
     for _, times, chunk in _chain(realization).series(ts):
         a[times], b[times], c[times] = (x[0] for x in chunk)
+        del chunk  # freed before the next chunk is computed
     return a, b, c
 
 

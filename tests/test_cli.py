@@ -75,6 +75,33 @@ def test_quench_writes_manifest(tmp_path):
     assert doc["outputs"] == ["q.csv"]
 
 
+_MANIFEST_KEYS = {"tool", "version", "command", "config", "master_seed", "timestamp", "outputs",
+                  "conventions"}
+
+
+@pytest.mark.parametrize("argv, extra, config", [
+    (["quench", "--n", "5", "--t-max-horizon", "1", "--grid-step", "0.5"], set(),
+     {"spec", "engine", "t_max_horizon", "grid_step", "seed", "out"}),
+    (["scan-n", "--n", "3", "--jobs", "1", "--t-max-horizon", "2"],
+     {"fit", "runtimes_ms", "scanned_points", "setup_ms", "refine_ms"},
+     {"n_list", "j", "delta1", "delta2", "sigma", "seed", "t_max_horizon", "grid_step",
+      "engine", "jobs", "allow_even", "out"}),
+    (["disorder", "--n", "5", "--sigma", "0,0.1", "--realizations", "2", "--jobs", "1"], set(),
+     {"n", "j", "delta1", "delta2", "sigma_list", "realizations", "seed", "t_max_horizon",
+      "grid_step", "engine", "jobs", "out", "sub_seed_rule"}),
+    (["ed-compare", "--n", "3", "--grid-points", "5"], {"max_deviation"},
+     {"n_list", "j", "delta1", "grid_points", "seed", "tolerance", "out"}),
+    (["purify", "--fef", "0.9"], set(), {"source", "threshold", "seed", "out"}),
+], ids=["quench", "scan-n", "disorder", "ed-compare", "purify"])
+def test_manifest_keys_are_pinned(tmp_path, argv, extra, config):
+    # every command's manifest keys, at the top level and in its config
+    out = tmp_path / ("p.json" if argv[0] == "purify" else "x.csv")
+    assert run(*argv, "--out", str(out)) == 0
+    doc = json.loads((tmp_path / (out.name + ".manifest.json")).read_text())
+    assert sorted(doc) == sorted(_MANIFEST_KEYS | extra)
+    assert sorted(doc["config"]) == sorted(config)
+
+
 def test_quench_engine_cap_refusal(tmp_path, capsys):
     out = tmp_path / "q.csv"
     assert run("quench", "--n", "17", "--delta2", "0.5", "--out", str(out)) == 1
@@ -165,6 +192,53 @@ def test_disorder_refuses_curves_beyond_memory_before_a_draw(tmp_path, capsys, m
     assert len(drawn) == 6 and out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["quench", "--n", "101"],
+    ["scan-n", "--n", "3,101", "--jobs", "1"],
+    ["disorder", "--n", "101", "--sigma", "0.1", "--realizations", "4", "--jobs", "1"],
+], ids=["quench", "scan-n", "disorder"])
+def test_free_fermion_set_up_beyond_memory_is_refused_before_a_draw(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # physical memory one byte short of the largest chain stack's set-up
+    # (disorder's four realizations in one block) refuses the run with a
+    # usage error before any coupling is drawn, and exactly enough runs it
+    members = 4 if argv[0] == "disorder" else 1
+    need = freefermion.stack_bytes(101, members)
+    drawn, realize = [], model.realize_couplings
+    monkeypatch.setattr(model, "realize_couplings",
+                        lambda spec: drawn.append(spec) or realize(spec))
+    out = tmp_path / "r.csv"
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert run(*argv, "--out", str(out)) == 1
+    assert f"set-up(s) of {members} chain(s) of n=101 at once" in capsys.readouterr().err
+    assert drawn == [] and list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert run(*argv, "--out", str(out)) == 0
+    assert drawn and out.exists()
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", [["quench", "--n", "241"], ["scan-n"], ["disorder", "--n", "7"]],
+                         ids=["quench", "scan-n", "disorder"])
+def test_default_free_fermion_runs_are_not_refused(tmp_path, monkeypatch, argv):
+    # 256 MiB and 64 cores: the default sizes, workers and blocks pass every
+    # memory check and reach their first draw
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 28)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli, "_run_parallel", lambda worker, items, jobs: [worker(items[0])])
+
+    def draw(spec):
+        raise _Drawn
+
+    monkeypatch.setattr(model, "realize_couplings", draw)
+    with pytest.raises(_Drawn):
+        run(*argv, "--out", str(tmp_path / "r.csv"))
+
+
 def test_quench_engine_auto_selection(tmp_path):
     # every quench to delta2 = 0 runs on free fermions, from any delta1
     out = tmp_path / "qed.csv"
@@ -202,6 +276,25 @@ def test_scan_single_size_anchor(tmp_path):
     assert list(doc["runtimes_ms"]) == ["9"] and doc["runtimes_ms"]["9"] > 0.0
     for key in ("setup_ms", "refine_ms"):
         assert isinstance(doc[key], float) and doc[key] > 0.0
+
+
+def test_scan_manifest_records_the_points_each_scan_read(tmp_path, monkeypatch):
+    # per size, the grid points of the chunks its early-stopping scan read;
+    # n = 151 stops well before the end of its 4,807 points
+    read, chunks = {}, entangle.CurveEvaluator._chunks
+
+    def counted(self, ts):
+        for members, times, chunk in chunks(self, ts):
+            read[self.specs[0].n] = read.get(self.specs[0].n, 0) + len(ts[times])
+            yield members, times, chunk
+
+    monkeypatch.setattr(entangle.CurveEvaluator, "_chunks", counted)
+    out = tmp_path / "s.csv"
+    assert run("scan-n", "--n", "3,9,151", "--jobs", "1", "--out", str(out)) == 0
+    doc = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert doc["scanned_points"] == {str(n): points for n, points in read.items()}
+    _, _, ts = entangle.resolve_grid(model.ChainSpec(n=151))
+    assert len(ts) == 4807 and doc["scanned_points"]["151"] < 0.8 * len(ts)
 
 
 def test_scan_finite_quenches_use_free_fermions(tmp_path):
@@ -749,11 +842,11 @@ def test_disorder_failure_names_the_realization(tmp_path, monkeypatch, capsys):
 def test_disorder_failure_outside_the_first_chunk_names_the_realization(
     tmp_path, monkeypatch, capsys
 ):
-    # 2,001 grid points at n = 7: four realizations per chunk, so
+    # 2,001 grid points at n = 7: five realizations per chunk, so
     # realization 7 of 9 (sub-seed 17 ^ 7 = 22) lies in the second chunk
     spec = model.ChainSpec(n=7, disorder_sigma=0.2, seed=22)
     _, _, ts = entangle.resolve_grid(spec)
-    assert freefermion._chain(model.realize_couplings(spec)).chunk_points // len(ts) == 4
+    assert freefermion._chain(model.realize_couplings(spec)).chunk_points // len(ts) == 5
     _inject_chunk_fault(monkeypatch, spec)
     argv = ["disorder", "--n", "7", "--sigma", "0.2", "--realizations", "9",
             "--seed", "17", "--jobs", "1", "--out", str(tmp_path / "d.csv")]
@@ -775,7 +868,7 @@ def test_disorder_lockstep_failure_names_the_realization(tmp_path, monkeypatch, 
 
 
 def test_scan_failure_names_the_size(tmp_path, monkeypatch, capsys):
-    _inject_fault(monkeypatch, entangle.CurveEvaluator, "fef_series",
+    _inject_fault(monkeypatch, entangle.CurveEvaluator, "_chunks",
                   lambda ev: 5 in [spec.n for spec in ev.specs])
     assert run("scan-n", "--n", "3,5", "--jobs", "1", "--out", str(tmp_path / "s.csv")) \
         == cli.EXIT_NUMERICAL

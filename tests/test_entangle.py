@@ -330,21 +330,28 @@ def test_early_stop_scan_equals_full_grid(engine, spec, monkeypatch):
     ts = _default_grid(spec)
     curve = evaluator.fef_series(ts)[0]
     want_t, want_f, _ = _peak_oracle(evaluator, curve, ts)
-    scanned = []
-    fef_series = entangle.CurveEvaluator.fef_series
+    grid_chunks = [times for _, times, _ in evaluator._chunks(ts)]
+    read = []
+    chunks = entangle.CurveEvaluator._chunks
 
     def counted(self, grid):
-        scanned.append(len(grid))
-        return fef_series(self, grid)
+        for chunk in chunks(self, grid):
+            read.append(chunk[1])
+            yield chunk
 
-    monkeypatch.setattr(entangle.CurveEvaluator, "fef_series", counted)
+    monkeypatch.setattr(entangle.CurveEvaluator, "_chunks", counted)
+    peak, points = entangle.scan_first_peak(evaluator, ts)
+    right = _first_peak_oracle(curve, curve[0]) + 1
+    assert peak == (ts[right - 2], ts[right - 1], ts[right], curve[right - 1])
+    # the chunks of a whole-grid call, up to the first one that holds the
+    # peak's right neighbour
+    stops = [min(times.stop, len(ts)) for times in grid_chunks]
+    used = next(c for c, stop in enumerate(stops) if stop > right) + 1
+    assert read == grid_chunks[:used] and points == stops[used - 1]
+    read.clear()
     result = entangle.find_tmax(engine, spec)
     assert (result.t_max, result.fef_at_tmax) == (want_t, want_f)
-    # whole chunks up to the first one that holds the peak's right
-    # neighbour; the refinement evaluates single points, not curves
-    k = evaluator.chunk_points
-    right = _first_peak_oracle(curve, curve[0]) + 1
-    windows = [min(k, len(ts) - lo) for lo in range(0, (right // k + 1) * k, k)]
-    assert scanned == windows
-    if spec.n == 151:  # 809-point chunks of a 4,807-point grid
-        assert sum(scanned) < 0.8 * len(ts)
+    # the refinement evaluates single points, not chunks of the grid
+    assert read == grid_chunks[:used]
+    if spec.n == 151:  # the scan stops well before the end of its 4,807 points
+        assert points < 0.8 * len(ts)

@@ -19,7 +19,7 @@ import shutil
 
 import pytest
 
-from xxzquench import cli
+from xxzquench import cli, freefermion
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 VALUE_TOL = 1e-12
@@ -117,6 +117,42 @@ def test_cli_data_files_match_golden(outputs, name):
         assert len(g) == len(w), f"{name} row {i}"
         bad = [(x, y) for x, y in zip(g, w) if not _same_value(x, y)]
         assert not bad, f"{name} row {i}: {bad}"
+
+
+# Free-fermion runs whose grids the chunk budget splits, at default sizes
+BUDGET_RUNS = {
+    "scan.csv": ["scan-n", "--jobs", "1"],
+    "disorder7.csv": ["disorder", "--n", "7", "--jobs", "1"],
+    "disorder8.csv": ["disorder", "--n", "8", "--sigma", "0,0.3", "--realizations", "7",
+                      "--jobs", "1"],
+    "quench240.csv": ["quench", "--n", "240"],
+    "quench241.csv": ["quench", "--n", "241"],
+    "quench61.csv": ["quench", "--n", "61", "--sigma", "0.2", "--seed", "5"],
+}
+
+
+def test_data_files_do_not_depend_on_the_chunk_budget(tmp_path, monkeypatch):
+    # the golden runs and the runs above at 1/4, 1 and 4 times the
+    # free-fermion CHUNK_BYTES write the same bytes
+    shipped, files = freefermion.CHUNK_BYTES, {}
+    try:
+        for factor in (1, 0.25, 4):
+            monkeypatch.setattr(freefermion, "CHUNK_BYTES", int(factor * shipped))
+            freefermion._chain.cache_clear()
+            workdir = tmp_path / str(factor)
+            workdir.mkdir()
+            run_all(str(workdir))
+            for name, argv in BUDGET_RUNS.items():
+                assert cli.main([*argv, "--out", str(workdir / name)]) == 0
+            files[factor] = {path.name: path.read_bytes() for path in workdir.iterdir()
+                             if not path.name.endswith(".manifest.json")}
+    finally:
+        freefermion._chain.cache_clear()
+    assert len(files[1]) == len(golden_files()) + len(BUDGET_RUNS) + 2  # two timeseries
+    for factor in (0.25, 4):
+        assert sorted(files[factor]) == sorted(files[1])
+        for name, data in files[1].items():
+            assert files[factor][name] == data, (factor, name)
 
 
 if __name__ == "__main__":

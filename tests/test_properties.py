@@ -177,10 +177,32 @@ def test_one_order_kernel_on_uniform_grids(data, ts):
     try:
         for rows, cols, chunk in full.series(ts):
             out[:, rows, cols] = chunk
+            del chunk  # the budget holds one chunk, so a consumer drops it
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= freefermion.CHUNK_BYTES + (16 << 10)
+
+
+@PROPERTY_SETTINGS
+@given(parity=st.sampled_from(["odd", "even", "mixed"]), ts=uniform_grids(), data=st.data())
+def test_stack_series_bytes_do_not_depend_on_chunk_points(parity, ts, data):
+    # 1-4 chains of odd, even or mixed lengths 2..61 on a uniform grid: the
+    # windows start on the grid's sub-blocks, so a series split by any
+    # budget, down to one point, has the bytes of the unsplit series
+    sizes = data.draw(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4))
+    sizes = [2 * m + {"odd": 1, "even": 0, "mixed": k % 2}[parity]
+             for k, m in enumerate(sizes)]
+    members = [
+        model.CouplingRealization(couplings=tuple(data.draw(st.lists(
+            signed_bond, min_size=n - 1, max_size=n - 1))), seed_used=0)
+        for n in sizes
+    ]
+    stack = freefermion.ChainStack(members)
+    stack.chunk_points = len(members) * len(ts)
+    whole = _stack_series(stack, ts)
+    stack.chunk_points = data.draw(st.integers(min_value=1, max_value=len(members) * len(ts)))
+    assert _stack_series(stack, ts).tobytes() == whole.tobytes()
 
 
 @PROPERTY_SETTINGS
