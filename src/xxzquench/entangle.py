@@ -320,12 +320,14 @@ def locate_first_peak(
 
 def resolve_grid(spec: model.ChainSpec, horizon=None, step=None) -> tuple:
     """(horizon, step, grid) of a time scan, by default up to 2n/(pi j) in
-    steps of min(0.02/j, horizon/2000).  A negative horizon is refused; a
-    zero one gives the single point t = 0."""
+    steps of min(0.02/j, horizon/2000), at least 2,001 points whatever the
+    unit of j.  A negative horizon is refused; a zero one gives the single
+    point t = 0."""
     horizon = horizon if horizon is not None else default_horizon(spec)
     if horizon < 0:
         raise ValueError(f"time horizon must be >= 0, got {horizon}")
-    step = step if step is not None else default_grid_step(spec, max(horizon, 1e-9))
+    if step is None:
+        step = default_grid_step(spec, horizon if horizon > 0 else 1e-9)
     return horizon, step, time_grid(horizon, step)
 
 

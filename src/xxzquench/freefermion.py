@@ -29,6 +29,9 @@ B = P diag(s) Q^T, cos(At) keeps each sublattice (P cos(st) P^T and
 Q cos(st) Q^T) and sin(At) swaps them (P sin(st) Q^T), so orthogonality
 collapses every end-site moment to one sum over modes, e.g.
 <c+_1 c_1> = sum_k P_1k^2 cos^2(s_k t) for the order on the odd sites.
+Only s and the rows of sites 1 and n are needed: a uniform chain takes
+them in closed form from its standing waves (:func:`_end_modes`), any
+other chain from LAPACK's SVD of B.
 A time point then costs O(n): one cos(2st) row, plus sin(2st) on even
 chains, and a row of ones, under a fixed (4 x rows) weight matrix whose
 last column holds the constant parts; uniform grids get those rows by
@@ -150,20 +153,62 @@ def _sublattice_svd(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.linalg.svd(b)
 
 
+def _end_modes(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Doubled singular values 2 s (K, m) of the sublattice blocks of K
+    chains of one length n, one per row of ``couplings`` (K, n - 1), in
+    descending order, and the rows of their modes at sites 1 and n, (K, m +
+    n % 2) each: row 1 of P, and row n of P on odd chains, whose column m
+    is the zero mode, or of Q on even ones.
+
+    A chain whose bonds all equal J has the standing waves of the uniform
+    open chain (Lieb, Schultz & Mattis 1961), taken in O(m): s_k =
+    2|J| cos(pi k/(n + 1)), and mode k is (2/sqrt(n + 1)) sin(pi k j/(n + 1))
+    at site j, on Q's sites times the sign of J (+-1 even at J = +-0.0);
+    the zero mode is sqrt(2/(n + 1)) sin(pi j/2).  Every other chain takes
+    the batched SVD of :func:`_sublattice_svd`.  The path is chosen per
+    chain, so each chain's values are those of a batch of its own."""
+    n = couplings.shape[-1] + 1
+    m, odd = n // 2, n % 2
+    two_s = np.empty((len(couplings), m))
+    first, last = np.empty((2, len(couplings), m + odd))
+    uniform = np.all(couplings == couplings[:, :1], axis=1)
+    if not uniform.all():
+        p, s, qt = _sublattice_svd(couplings[~uniform])
+        two_s[~uniform], first[~uniform] = 2.0 * s, p[:, 0]
+        last[~uniform] = p[:, -1] if odd else qt[:, :, -1]
+    if uniform.any():
+        j = couplings[uniform, 0]
+        k = np.arange(1, m + 1)
+        # cos(pi k/(n + 1)) as the sine of its complement, accurate near the band centre
+        cos = np.sin(np.pi * (n + 1 - 2 * k) / (2 * (n + 1)))
+        two_s[uniform] = 4.0 * np.abs(j)[:, None] * cos
+        wave = 2.0 / np.sqrt(n + 1) * np.sin(np.pi * k / (n + 1))
+        first[uniform, :m] = wave
+        # site n: sin(pi k n/(n + 1)) = (-1)^(k + 1) sin(pi k/(n + 1))
+        last[uniform, :m] = np.where(k % 2, wave, -wave)
+        if odd:
+            first[uniform, m], last[uniform, m] = np.sqrt(2.0 / (n + 1)) * np.array([1, (-1) ** m])
+        else:
+            last[uniform] *= np.copysign(1.0, j)[:, None]
+    return two_s, first, last
+
+
 def stack_bytes(n: int, members: int = 1) -> int:
     """Estimated peak bytes of building a :class:`ChainStack` of ``members``
-    chains of length n.  Its batched full SVD holds about 3 K (n // 2)^2
-    doubles (the blocks, P and Q^T), and LAPACK's workspace 6-7 (n // 2)^2
-    more, once per batch: the growth of ru_maxrss of a build in a fresh
-    process, at n = 801, 1,601 and 3,201 for K = 1 to 8, was 2.9-3.0 of
-    these units per member plus 5.9-7.1, which 8 covers."""
+    chains of length n, charged as if every member took the batched SVD;
+    a uniform chain's closed form needs only O(n).  The SVD holds about
+    3 K (n // 2)^2 doubles (the blocks, P and Q^T), and LAPACK's workspace
+    6-7 (n // 2)^2 more, once per batch: the growth of ru_maxrss of a build
+    in a fresh process, at n = 801, 1,601 and 3,201 for K = 1 to 8, was
+    2.9-3.0 of these units per member plus 5.9-7.1, which 8 covers."""
     return 8 * (3 * members + 8) * (n // 2) ** 2
 
 
 class ChainStack:
     """End-site weights of the sublattice SVDs of K hopping chains from the
-    Neel mixture, of any lengths: O(n) numbers per chain, kept from one
-    batched O(n^3) decomposition per length.  The Neel members of an
+    Neel mixture, of any lengths: O(n) numbers per chain, from
+    :func:`_end_modes`, a closed form for a uniform chain and one batched
+    O(n^3) SVD per length for the others.  The Neel members of an
     :class:`~xxzquench.entangle.CurveEvaluator` (a disorder ensemble, a
     block of scan sizes) are one stack; :func:`end_spin_series` evaluates
     a chain as its own stack of one (:func:`_chain`).
@@ -193,26 +238,24 @@ class ChainStack:
         # the arrays are filled in place, one length at a time
         for members, m, group_rows in self.groups:
             length = int(n[members][0])
-            p, s, qt = _sublattice_svd(
+            two_s, first, last = _end_modes(
                 np.array([realizations[i].couplings for i in np.arange(k)[members]]))
-            zero_mode = np.zeros((len(s), 4))
+            zero_mode = np.zeros((len(two_s), 4))
             if length % 2 == 1:
-                # sites 1 and n are odd; column m of P is the zero mode
-                first, last = p[:, 0], p[:, -1]
+                # sites 1 and n are odd; column m is the zero mode
                 ends = np.stack([first**2, last**2, first * last, np.zeros_like(first)], axis=1)
                 self.weights[members, :, :m] = 0.5 * ends[..., :m]
                 zero_mode = ends[..., m]
             else:
-                # site n is even: its row of Q is column n of Q^T
-                p1, qn = p[:, 0], qt[:, :, -1]
-                self.weights[members, 0, :m] = 0.5 * p1**2
-                self.weights[members, 1, :m] = -0.5 * qn**2
-                self.weights[members, 3, m:2 * m] = -0.5 * p1 * qn
+                # site n is even: its row is Q's
+                self.weights[members, 0, :m] = 0.5 * first**2
+                self.weights[members, 1, :m] = -0.5 * last**2
+                self.weights[members, 3, m:2 * m] = -0.5 * first * last
             # cos^2 = (1 + cos 2st)/2 and sin^2 = (1 - cos 2st)/2; the rows of P
             # and Q are orthonormal, so the constant parts only need the zero mode
             constant = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
             self.weights[members, :, group_rows] = constant
-            self.two_s[members, :m] = 2.0 * s
+            self.two_s[members, :m] = two_s
             # order N2 starts on the odd sites 1, 3, ..., so on site n iff n is odd
             neel = neel_state(NeelOrder.N2, length)
             self.start[members, :2] = [1 in neel.up_sites, length in neel.up_sites]

@@ -52,6 +52,26 @@ def test_quench_three_sites_closed_form(tmp_path):
     assert np.max(np.abs(fef - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("command, argv, values", [
+    ("quench", ["--n", "9"], ["a", "b", "c", "fef", "negativity"]),
+    ("scan-n", ["--n", "3,5,7,9,61", "--jobs", "1"], ["fef_at_tmax"]),
+])
+def test_default_grid_does_not_depend_on_the_unit_of_j(tmp_path, command, argv, values):
+    # j = 2^40 scales every time by exactly 2^-40, so the default grid
+    # keeps its points and the state values keep their bytes
+    tables = []
+    for j in ("1", str(2**40)):
+        out = tmp_path / f"j{j}.csv"
+        assert run(command, *argv, "--j", j, "--out", str(out)) == 0
+        tables.append(read_csv(out))
+    (header, unit), (_, scaled) = tables
+    assert len(scaled) == len(unit)
+    for name in values:
+        assert col(header, scaled, name, str) == col(header, unit, name, str)
+    when = "t" if command == "quench" else "t_max"
+    assert col(header, scaled, when) == [t * 2.0**-40 for t in col(header, unit, when)]
+
+
 def test_quench_peak_matches_find_tmax(tmp_path):
     out = tmp_path / "q7.csv"
     assert run("quench", "--n", "7", "--out", str(out)) == 0

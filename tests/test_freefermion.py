@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from xxzquench import exactdiag, freefermion, model
+from xxzquench import entangle, exactdiag, freefermion, model
 from xxzquench.errors import NumericalFaultError
 from xxzquench.model import NeelOrder
 
@@ -234,6 +234,22 @@ def test_series_matches_propagator_oracle(key, initial, monkeypatch):
     np.testing.assert_allclose(
         one, oracles.propagator_end_spin(real, ts[-1:], initial), rtol=0, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [240, 241])
+def test_uniform_chain_at_scan_scale_matches_dense_propagator(n):
+    # the closed-form modes against the dense eigh of the hopping matrix at
+    # the largest default scan sizes, at 40 times of the default grid: read
+    # from the whole grid (angle addition) and evaluated on their own
+    spec = model.ChainSpec(n=n)
+    real = model.realize_couplings(spec)
+    _, _, grid = entangle.resolve_grid(spec)
+    pick = np.linspace(0, len(grid) - 1, 40).astype(int)
+    want = oracles.propagator_end_spin(real, grid[pick], "mixture")
+    on_grid = np.stack(freefermion.end_spin_series(real, grid))[:, pick]
+    alone = np.stack(freefermion.end_spin_series(real, grid[pick]))
+    assert np.max(np.abs(on_grid - want)) <= 1e-12
+    assert np.max(np.abs(alone - want)) <= 1e-12
 
 
 def test_end_moments_exact_at_t0():

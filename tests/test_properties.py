@@ -26,8 +26,12 @@ bond = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_subnormal
 
 @st.composite
 def chains(draw, min_n, max_n, bonds=bond):
+    """Homogeneous chains, which take the closed-form modes, and random ones."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
-    couplings = draw(st.lists(bonds, min_size=n - 1, max_size=n - 1))
+    if draw(st.sampled_from(["homogeneous", "generic"])) == "homogeneous":
+        couplings = [draw(bonds)] * (n - 1)
+    else:
+        couplings = draw(st.lists(bonds, min_size=n - 1, max_size=n - 1))
     return model.CouplingRealization(couplings=tuple(couplings), seed_used=0)
 
 
@@ -101,6 +105,38 @@ signed_bond = st.builds(
     st.floats(min_value=0.25, max_value=2.0, allow_nan=False),
     st.booleans(),
 )
+
+
+def _mode_sums(two_s, first, last, odd):
+    """first^2, last^2 and first * last of every mode, summed over the
+    modes of one doubled singular value (the zero mode's is 0), in the
+    descending order of ``two_s``."""
+    s = np.append(two_s, 0.0) if odd else two_s
+    starts = np.flatnonzero(np.diff(s, prepend=np.inf) < -1e-13)
+    return np.add.reduceat(np.stack([first**2, last**2, first * last]), starts, axis=-1)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(min_value=2, max_value=241),
+       j=st.one_of(signed_bond, st.sampled_from([0.0, -0.0])))
+def test_uniform_closed_form_matches_the_sublattice_svd(n, j):
+    # s and the end rows of the standing waves against LAPACK's SVD of the
+    # same block: each mode's P_1k^2, P_nk^2 and P_1k P_nk, or on even
+    # chains Q_nk^2 and P_1k Q_nk.  At J = +-0 every s is 0 and LAPACK's
+    # modes are any basis, so the sums over equal s are compared; there Q
+    # pairs with P in any order, and only its norm is fixed
+    couplings = np.full((1, n - 1), j)
+    with mock.patch.object(freefermion, "_sublattice_svd", side_effect=AssertionError):
+        two_s, first, last = freefermion._end_modes(couplings)
+    p, s, qt = freefermion._sublattice_svd(couplings)
+    odd = n % 2
+    assert np.max(np.abs(two_s - 2.0 * s)) <= 1e-13
+    assert np.all(np.diff(two_s) <= 0.0)
+    got = _mode_sums(two_s[0], first[0], last[0], odd)
+    want = _mode_sums(two_s[0], p[0, 0], p[0, -1] if odd else qt[0, :, -1], odd)
+    if j == 0.0 and not odd:
+        got, want = got[:2], want[:2]
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @st.composite
