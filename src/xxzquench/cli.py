@@ -147,15 +147,22 @@ def _list_of(convert):
     return parse
 
 
-def _spec_from_args(args, n: int | None = None, seed: int | None = None) -> model.ChainSpec:
-    return model.ChainSpec(
-        n=n if n is not None else args.n,
-        j=args.j,
-        delta1=args.delta1,
-        delta2=args.delta2,
-        disorder_sigma=args.sigma,
-        seed=seed if seed is not None else args.seed,
-    )
+def _spec_from_args(args, **resolved) -> model.ChainSpec:
+    """The chain of the parsed flags, with the fields the command
+    ``resolved`` in place of theirs."""
+    return model.ChainSpec(**{"n": args.n, "j": args.j, "delta1": args.delta1,
+                              "delta2": args.delta2, "disorder_sigma": args.sigma,
+                              "seed": args.seed, **resolved})
+
+
+def _config(args, *flags, **resolved) -> dict:
+    """A manifest's config: the parsed ``flags`` under their own names (an
+    infinite delta1 as "inf"), ``out`` as the file's base name, then the
+    values the command ``resolved``."""
+    config = {flag: getattr(args, flag) for flag in flags}
+    if "delta1" in config and math.isinf(args.delta1):
+        config["delta1"] = "inf"
+    return {**config, "out": os.path.basename(args.out), **resolved}
 
 
 def _physical_memory() -> int | None:
@@ -164,14 +171,6 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return None
-
-
-def _check_memory(n: int, workers: int = 1, evolve: bool = True) -> None:
-    """Refuse ``workers`` exact diagonalizations at once whose estimated
-    peak (:func:`exactdiag.run_bytes` each, the evolution's if they
-    ``evolve``) exceeds physical memory, before they allocate anything."""
-    _check_fits(workers * exactdiag.run_bytes(n, evolve),
-                f"{workers} exact diagonalization(s) of n={n} at once")
 
 
 def _check_fits(need: int, what: str) -> None:
@@ -189,12 +188,14 @@ def _check_fits(need: int, what: str) -> None:
 def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1, members: int = 1) -> str:
     """The engine of one chain, checked for ``workers`` runs at once.  Neel
     chains on free fermions are charged a chain stack's set-up of
-    ``members`` chains (:func:`freefermion.stack_bytes`).  A finite delta1
-    needs the exact ground search on either engine; only exact
-    diagonalization is charged for the evolution too."""
+    ``members`` chains (:func:`freefermion.stack_bytes`), uniform ones
+    when sigma is 0.  A finite delta1 needs the exact ground search on
+    either engine (:func:`exactdiag.run_bytes`); only exact diagonalization
+    is charged for the evolution too."""
     engine = entangle.resolve_engine(spec, requested)
     if entangle.stacks(spec, engine):
-        _check_fits(workers * freefermion.stack_bytes(spec.n, members),
+        need = freefermion.stack_bytes(spec.n, members, uniform=spec.disorder_sigma == 0.0)
+        _check_fits(workers * need,
                     f"{workers} free-fermion set-up(s) of {members} chain(s) of n={spec.n} at once")
     elif spec.n > exactdiag.MAX_SITES:
         raise SystemExit2(
@@ -205,7 +206,8 @@ def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1, membe
             EXIT_USAGE,
         )
     else:
-        _check_memory(spec.n, workers, evolve=engine == "exactdiag")
+        _check_fits(workers * exactdiag.run_bytes(spec.n, evolve=engine == "exactdiag"),
+                    f"{workers} exact diagonalization(s) of n={spec.n} at once")
     return engine
 
 
@@ -258,14 +260,8 @@ def cmd_quench(args) -> int:
     neg = entangle._negativity(a, c)
     rows = np.column_stack([ts, a, b, c, fef, neg]).tolist()
     _write_csv(args.out, ["t", "a", "b", "c", "fef", "negativity"], rows)
-    config = {
-        "spec": spec.to_json_dict(),
-        "engine": engine,
-        "t_max_horizon": horizon,
-        "grid_step": step,
-        "seed": spec.seed,
-        "out": os.path.basename(args.out),
-    }
+    config = _config(args, "seed", spec=spec.to_json_dict(), engine=engine,
+                     t_max_horizon=horizon, grid_step=step)
     _write_manifest(args.out, "quench", config, [args.out])
     print(f"quench: n={spec.n} engine={engine} rows={len(rows)} -> {args.out}")
     return EXIT_OK
@@ -375,20 +371,9 @@ def cmd_scan_n(args) -> int:
             f"power-law fit (n >= 25): {fit.amplitude:.4f} * N^(-{fit.exponent:.4f})"
             f"  [rms log residual {fit.residual:.3e}]"
         )
-    config = {
-        "n_list": [r["spec"].n for r in records],
-        "j": args.j,
-        "delta1": "inf" if math.isinf(args.delta1) else args.delta1,
-        "delta2": args.delta2,
-        "sigma": args.sigma,
-        "seed": args.seed,
-        "t_max_horizon": args.t_max_horizon,
-        "grid_step": args.grid_step,
-        "engine": engine,
-        "jobs": args.jobs,
-        "allow_even": args.allow_even,
-        "out": os.path.basename(args.out),
-    }
+    config = _config(args, "j", "delta1", "delta2", "sigma", "seed", "t_max_horizon",
+                     "grid_step", "jobs", "allow_even",
+                     n_list=[r["spec"].n for r in records], engine=engine)
     _write_manifest(
         args.out, "scan-n", config, [args.out],
         fit=fit_doc,
@@ -455,10 +440,8 @@ def _block_size(stack: bool, realizations: int, jobs: int) -> int:
 
 def cmd_disorder(args) -> int:
     sigmas = args.sigma
-    base = model.ChainSpec(
-        n=args.n, j=args.j, delta1=args.delta1, delta2=args.delta2,
-        disorder_sigma=0.0, seed=args.seed,
-    )
+    # the largest sigma is the one the set-up is charged for
+    base = _spec_from_args(args, disorder_sigma=max(sigmas))
     engine = entangle.resolve_engine(base, args.engine)
     horizon, step, ts = _search_grid(base, args.t_max_horizon, args.grid_step)
     # every realization's curve is kept until the summary is written
@@ -510,20 +493,9 @@ def cmd_disorder(args) -> int:
          "meancurve_peak_fef", "meancurve_peak_time"],
         summary_rows,
     )
-    config = {
-        "n": args.n, "j": args.j,
-        "delta1": "inf" if math.isinf(args.delta1) else args.delta1,
-        "delta2": args.delta2,
-        "sigma_list": sigmas,
-        "realizations": args.realizations,
-        "seed": args.seed,
-        "t_max_horizon": horizon,
-        "grid_step": step,
-        "engine": engine,
-        "jobs": args.jobs,
-        "out": os.path.basename(args.out),
-        "sub_seed_rule": "seed XOR realization-index",
-    }
+    config = _config(args, "n", "j", "delta1", "delta2", "realizations", "seed", "jobs",
+                     sigma_list=sigmas, t_max_horizon=horizon, grid_step=step, engine=engine,
+                     sub_seed_rule=CONVENTIONS["disorder_sub_seeds"])
     _write_manifest(args.out, "disorder", config, [args.out, ts_path])
     print(f"disorder: n={args.n} sigmas={sigmas} -> {args.out}")
     return EXIT_OK
@@ -545,7 +517,7 @@ def cmd_ed_compare(args) -> int:
             f"engine comparison supports 2 <= n <= {exactdiag.MAX_SITES}, got {bad}",
             EXIT_USAGE,
         )
-    _check_memory(sizes[-1])
+    _check_engine(model.ChainSpec(n=sizes[-1]), "ed")
     if not 1 <= args.grid_points <= entangle.MAX_GRID_POINTS:
         raise SystemExit2(
             f"--grid-points must lie in [1, {entangle.MAX_GRID_POINTS}], "
@@ -571,15 +543,8 @@ def cmd_ed_compare(args) -> int:
         ["n", "max_dev_a", "max_dev_b", "max_dev_c", "max_dev", "max_negativity"],
         rows,
     )
-    config = {
-        "n_list": sizes,
-        "j": args.j,
-        "delta1": "inf" if math.isinf(args.delta1) else args.delta1,
-        "grid_points": args.grid_points,
-        "seed": args.seed,
-        "tolerance": ED_COMPARE_TOL,
-        "out": os.path.basename(args.out),
-    }
+    config = _config(args, "j", "delta1", "grid_points", "seed", n_list=sizes,
+                     tolerance=ED_COMPARE_TOL)
     _write_manifest(args.out, "ed-compare", config, [args.out], max_deviation=worst)
     if worst > ED_COMPARE_TOL:
         print(f"ed-compare FAILED: max deviation {worst:.3e} > {ED_COMPARE_TOL}")
@@ -663,13 +628,8 @@ def cmd_purify(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    config = {
-        "source": source,
-        "threshold": args.threshold,
-        "seed": None,
-        "out": os.path.basename(args.out),
-    }
-    _write_manifest(args.out, "purify", config, [args.out])
+    _write_manifest(args.out, "purify", _config(args, "threshold", source=source, seed=None),
+                    [args.out])
     return EXIT_OK
 
 

@@ -193,14 +193,19 @@ def _end_modes(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return two_s, first, last
 
 
-def stack_bytes(n: int, members: int = 1) -> int:
-    """Estimated peak bytes of building a :class:`ChainStack` of ``members``
-    chains of length n, charged as if every member took the batched SVD;
-    a uniform chain's closed form needs only O(n).  The SVD holds about
-    3 K (n // 2)^2 doubles (the blocks, P and Q^T), and LAPACK's workspace
-    6-7 (n // 2)^2 more, once per batch: the growth of ru_maxrss of a build
-    in a fresh process, at n = 801, 1,601 and 3,201 for K = 1 to 8, was
-    2.9-3.0 of these units per member plus 5.9-7.1, which 8 covers."""
+def stack_bytes(n: int, members: int = 1, uniform: bool = False) -> int:
+    """Estimated peak bytes of drawing and building a :class:`ChainStack` of
+    ``members`` chains of length n.  ``uniform`` chains take the closed form
+    of :func:`_end_modes` in O(n): their bonds, modes and weights peaked
+    at 9-13 n doubles per member (tracemalloc, n = 401 to 40,001, K = 1 to
+    8), which 16 n covers.  Any other chain takes the batched SVD, which
+    holds about 3 K (n // 2)^2 doubles (the blocks, P and Q^T), and
+    LAPACK's workspace 6-7 (n // 2)^2 more, once per batch: the growth of
+    ru_maxrss of a build in a fresh process, at n = 801, 1,601 and 3,201
+    for K = 1 to 8, was 2.9-3.0 of these units per member plus 5.9-7.1,
+    which 8 covers."""
+    if uniform:
+        return 8 * 16 * members * n
     return 8 * (3 * members + 8) * (n // 2) ** 2
 
 

@@ -47,8 +47,9 @@ class ChainSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"chain length must be an integer >= 2, got {self.n!r}")
-        if not (math.isfinite(self.j) and self.j > 0):
-            raise ValueError(f"coupling j must be finite and positive, got {self.j}")
+        if not (self.j > 0 and math.isfinite(4.0 * self.j)):
+            raise ValueError(f"coupling j (--j) must be positive with a finite band edge "
+                             f"4j, got {self.j}")
         if not math.isfinite(self.delta2) or self.delta2 < 0:
             raise ValueError(
                 f"post-quench anisotropy delta2 must be finite and >= 0, "
@@ -128,14 +129,18 @@ def realize_couplings(spec: ChainSpec) -> CouplingRealization:
     With sigma = 0 every bond equals j exactly and the generator is never
     consulted.  Negative draws at large sigma are passed through rather
     than clamped or resampled; the recorded seed makes any outlier
-    reproducible.
+    reproducible.  A bond whose band edge 4|J| is not finite is refused.
     """
     nb = spec.n - 1
     if spec.disorder_sigma == 0.0:
         return CouplingRealization(couplings=(spec.j,) * nb, seed_used=spec.seed)
-    rng = np.random.default_rng(spec.seed)
-    deltas = rng.normal(0.0, spec.disorder_sigma, nb)
-    couplings = tuple(float(spec.j * (1.0 + d)) for d in deltas)
+    deltas = np.random.default_rng(spec.seed).normal(0.0, spec.disorder_sigma, nb)
+    # Python floats round as numpy's, and overflow to inf without a warning
+    couplings = tuple(spec.j * (1.0 + d) for d in deltas.tolist())
+    for k, coupling in enumerate(couplings, 1):
+        if not math.isfinite(4.0 * coupling):
+            raise ValueError(f"bond {k} drawn as {coupling} has no finite band edge 4|J|; "
+                             f"lower --j or --sigma")
     return CouplingRealization(couplings=couplings, seed_used=spec.seed)
 
 

@@ -99,27 +99,36 @@ _MANIFEST_KEYS = {"tool", "version", "command", "config", "master_seed", "timest
                   "conventions"}
 
 
+_INF_CHAIN = {"j": 1.0, "delta1": "inf", "seed": 0}
+
+
 @pytest.mark.parametrize("argv, extra, config", [
     (["quench", "--n", "5", "--t-max-horizon", "1", "--grid-step", "0.5"], set(),
-     {"spec", "engine", "t_max_horizon", "grid_step", "seed", "out"}),
+     {"spec": {"n": 5, "delta2": 0.0, "disorder_sigma": 0.0, **_INF_CHAIN},
+      "engine": "freefermion", "t_max_horizon": 1.0, "grid_step": 0.5, "seed": 0, "out": "x.csv"}),
+    # scan-n records its grid flags as given, disorder its resolved grid
     (["scan-n", "--n", "3", "--jobs", "1", "--t-max-horizon", "2"],
      {"fit", "runtimes_ms", "scanned_points", "setup_ms", "refine_ms"},
-     {"n_list", "j", "delta1", "delta2", "sigma", "seed", "t_max_horizon", "grid_step",
-      "engine", "jobs", "allow_even", "out"}),
+     {"n_list": [3], "delta2": 0.0, "sigma": 0.0, "t_max_horizon": 2.0, "grid_step": None,
+      "engine": "freefermion", "jobs": 1, "allow_even": False, "out": "x.csv", **_INF_CHAIN}),
     (["disorder", "--n", "5", "--sigma", "0,0.1", "--realizations", "2", "--jobs", "1"], set(),
-     {"n", "j", "delta1", "delta2", "sigma_list", "realizations", "seed", "t_max_horizon",
-      "grid_step", "engine", "jobs", "out", "sub_seed_rule"}),
+     {"n": 5, "delta2": 0.0, "sigma_list": [0.0, 0.1], "realizations": 2,
+      "t_max_horizon": 3.183098861837907, "grid_step": 0.0015915494309189536,
+      "engine": "freefermion", "jobs": 1, "out": "x.csv",
+      "sub_seed_rule": "seed XOR realization-index", **_INF_CHAIN}),
     (["ed-compare", "--n", "3", "--grid-points", "5"], {"max_deviation"},
-     {"n_list", "j", "delta1", "grid_points", "seed", "tolerance", "out"}),
-    (["purify", "--fef", "0.9"], set(), {"source", "threshold", "seed", "out"}),
+     {"n_list": [3], "grid_points": 5, "tolerance": 1e-08, "out": "x.csv", **_INF_CHAIN}),
+    (["purify", "--fef", "0.9"], set(),
+     {"source": {"kind": "fef-value", "fef": 0.9}, "threshold": 0.99, "seed": None,
+      "out": "p.json"}),
 ], ids=["quench", "scan-n", "disorder", "ed-compare", "purify"])
 def test_manifest_keys_are_pinned(tmp_path, argv, extra, config):
-    # every command's manifest keys, at the top level and in its config
+    # every command's manifest keys at the top level, and its whole config
     out = tmp_path / ("p.json" if argv[0] == "purify" else "x.csv")
     assert run(*argv, "--out", str(out)) == 0
     doc = json.loads((tmp_path / (out.name + ".manifest.json")).read_text())
     assert sorted(doc) == sorted(_MANIFEST_KEYS | extra)
-    assert sorted(doc["config"]) == sorted(config)
+    assert doc["config"] == config
 
 
 def test_quench_engine_cap_refusal(tmp_path, capsys):
@@ -223,8 +232,9 @@ def test_free_fermion_set_up_beyond_memory_is_refused_before_a_draw(
     # physical memory one byte short of the largest chain stack's set-up
     # (disorder's four realizations in one block) refuses the run with a
     # usage error before any coupling is drawn, and exactly enough runs it
+    # quench and scan-n chains are uniform, disorder's draws are not
     members = 4 if argv[0] == "disorder" else 1
-    need = freefermion.stack_bytes(101, members)
+    need = freefermion.stack_bytes(101, members, uniform=argv[0] != "disorder")
     drawn, realize = [], model.realize_couplings
     monkeypatch.setattr(model, "realize_couplings",
                         lambda spec: drawn.append(spec) or realize(spec))
@@ -236,6 +246,21 @@ def test_free_fermion_set_up_beyond_memory_is_refused_before_a_draw(
     monkeypatch.setattr(cli, "_physical_memory", lambda: need)
     assert run(*argv, "--out", str(out)) == 0
     assert drawn and out.exists()
+
+
+def test_uniform_chains_are_charged_their_closed_form_not_the_svd(tmp_path, capsys, monkeypatch):
+    # 256 MiB: a uniform n = 40001 chain takes its modes in O(n) and runs,
+    # a disordered one would need the SVD's 33 GiB and is refused before a draw
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 28)
+    argv = ["quench", "--n", "40001", "--grid-step", "50"]
+    assert run(*argv, "--out", str(tmp_path / "u.csv")) == 0
+    assert len(read_csv(tmp_path / "u.csv")[1]) == 510
+    drawn, realize = [], model.realize_couplings
+    monkeypatch.setattr(model, "realize_couplings",
+                        lambda spec: drawn.append(spec) or realize(spec))
+    assert run(*argv, "--sigma", "0.1", "--out", str(tmp_path / "d.csv")) == 1
+    assert "set-up(s) of 1 chain(s) of n=40001" in capsys.readouterr().err
+    assert drawn == [] and not (tmp_path / "d.csv").exists()
 
 
 class _Drawn(Exception):
@@ -739,6 +764,22 @@ def test_quench_rejects_non_finite_and_unbounded_input(tmp_path, capsys, flags, 
     assert names in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    # pi j overflows, which would make the default horizon 2n/(pi j) zero
+    (("--j", "1e308"), "coupling j (--j) must be positive with a finite band edge 4j"),
+    # a drawn bond j (1 + d) overflows, though j does not
+    (("--j", "1e307", "--sigma", "1e10"), "no finite band edge 4|J|; lower --j or --sigma"),
+], ids=["j", "drawn-bond"])
+def test_couplings_without_a_finite_band_edge_are_refused(tmp_path, capsys, flags, message):
+    out = tmp_path / "q.csv"
+    assert run("quench", "--n", "9", *flags, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # below the edge the default grid keeps its 2,001 points
+    assert run("quench", "--n", "9", "--j", "4e307", "--out", str(out)) == 0
+    assert len(read_csv(out)[1]) == 2001
 
 
 def test_disorder_bytes_independent_of_jobs_and_block_size(tmp_path, monkeypatch):
