@@ -317,9 +317,10 @@ def _scan_blocks(specs: list, engine: str, jobs: int) -> list[list]:
     """Sizes per block, each block one :class:`entangle.CurveEvaluator`.
     Sizes that stack (:func:`entangle.stacks`) into one chain stack are
     dealt round-robin into one block per worker, so that large n spread
-    out; any other size keeps its own eigenbasis and so is a block of its
-    own, which is what each worker's memory check charges.  The output
-    does not depend on them."""
+    out, and each worker's memory check charges a block as that many
+    members at its longest length; any other size keeps its own
+    eigenbasis and so is a block of its own.  The output does not depend
+    on them."""
     count = _workers(jobs, len(specs)) if entangle.stacks(specs[0], engine) else len(specs)
     return [specs[b::count] for b in range(count)]
 
@@ -338,10 +339,11 @@ def cmd_scan_n(args) -> int:
     specs = [_spec_from_args(args, n=n, seed=model.sub_seed(args.seed, n)) for n in sorted(sizes)]
     for spec in specs:  # every size's grid is checked before any size is set up
         _search_grid(spec, args.t_max_horizon, args.grid_step)
-    for spec in specs:  # every size is checked; the engine depends on delta2 only
-        engine = _check_engine(spec, args.engine, workers)
+    engine = entangle.resolve_engine(specs[0], args.engine)  # it depends on delta2 only
     items = [{"members": block, "engine": engine, "horizon": args.t_max_horizon,
               "step": args.grid_step} for block in _scan_blocks(specs, engine, args.jobs)]
+    for item in items:  # a block holds every member at its longest, last, length
+        _check_engine(item["members"][-1], args.engine, workers, len(item["members"]))
     blocks = _run_parallel(_scan_block, items, args.jobs)
     records = sorted((r for b in blocks for r in b["records"]), key=lambda r: r["spec"].n)
 

@@ -24,9 +24,10 @@ both work in its coordinates, and a Lanczos step costs the block.
 
 The ground multiplet of H(delta1) comes from one matrix-free Lanczos
 search per block of each sector M <= n/2 (sector n-M has the same
-spectrum by spin flip).  Of each flip-related pair of initial components
-only one is evolved.  H(delta2) is diagonalized once in each block the
-initial state reaches (one block for an odd-n Neel start or a
+spectrum by spin flip) that a Gershgorin bound does not put above the
+lowest level found so far.  Of each flip-related pair of initial
+components only one is evolved.  H(delta2) is diagonalized once in each
+block the initial state reaches (one block for an odd-n Neel start or a
 nondegenerate sector ground state) and reused across all time points of
 a scan.  The end pair is read in each block's own coordinates: what it
 needs commutes with F and R, so blocks add no cross terms.
@@ -200,10 +201,11 @@ def neel_mixture(n: int) -> MixedState:
 
 # an overflow shows as an alpha or beta that is not finite, which raises
 @np.errstate(over="ignore")
-def _lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos(apply, start: np.ndarray, above: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenvalues (one in dimension 1) of the symmetric
     operator ``apply`` on vectors of the length of ``start``, with their
-    unit vectors as rows.
+    unit vectors as rows, or, once the lowest lies converged ``above`` a
+    level, the Ritz pairs at hand, both above it.
 
     Lanczos (1950) with full reorthogonalization (Parlett, The Symmetric
     Eigenvalue Problem): after the three-term recurrence each new Krylov
@@ -213,7 +215,10 @@ def _lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where the trend of its residual estimates predicts convergence, and
     the search stops once the two lowest Ritz pairs have residual
     estimates |beta s_last| within LANCZOS_RESIDUAL_TOL of the largest
-    entry of T, at the latest when the basis spans the space.
+    entry of T, at the latest when the basis spans the space.  At the same
+    checks it also stops once the lowest Ritz value exceeds ``above`` with
+    its own residual estimate within that tolerance; a run that does not
+    stop so takes the same steps and checks as one without ``above``.
     """
     size = len(start)
     steps = min(size, LANCZOS_MAX_STEPS)
@@ -241,7 +246,8 @@ def _lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             t = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
             theta, s = np.linalg.eigh(t)
             residual = beta[k] * np.max(np.abs(s[-1, :2]))
-            if k + 1 == size or residual <= tol:
+            lowest_above = theta[0] > above and beta[k] * abs(s[-1, 0]) <= tol
+            if k + 1 == size or residual <= tol or lowest_above:
                 return theta[:2], s[:, :2].T @ basis[: k + 1]
             # residuals fall about geometrically once converging: the next
             # check goes where that trend meets tol, at most twice as far
@@ -367,23 +373,50 @@ def _sector_blocks(realization: CouplingRealization, m_up: int) -> tuple[SimpleN
     return _blocks(realization.n, m_up, realization.couplings == realization.couplings[::-1])
 
 
+def _degeneracy_tol(e0: float) -> float:
+    """How far above the ground level e0 a level joins its multiplet."""
+    return max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL)
+
+
+def _gershgorin(block: SimpleNamespace) -> float:
+    """Lower bound of a realized block's levels, min_i (h_ii - sum_{j != i}
+    |h_ij|) (Gershgorin 1931), read from its triples: a hop that lands on
+    its own orbit adds to the centre, and triples at one place count
+    apart in the radius, which only widens it."""
+    on = block.rows == block.cols
+    centre = np.bincount(block.rows[on], block.values[on], minlength=block.dim)
+    radius = np.bincount(block.rows[~on], np.abs(block.values[~on]), minlength=block.dim)
+    return float(np.min(centre - radius))
+
+
 def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedState:
     """Equal-weight mixture over the degenerate ground multiplet of H(delta1).
 
     The infinite marker short-circuits to the ideal Neel mixture.  For
     finite delta1 each sector M <= n/2 (sector n-M has its spectrum by spin
-    flip) is split into its symmetry blocks (see :func:`_blocks`), and a
-    Lanczos search (:func:`_lanczos`) in each block's coordinates, from a
-    fixed start, finds the block's two lowest levels.  Every level within
-    the degeneracy tolerance of the global minimum joins the multiplet
-    with equal weight; a multiplet larger than two signals a regime this
-    simulator does not model.  The flip partner in sector n-M of a vector
-    of sector M is the reversed vector; vectors of the self-conjugate
-    sector M = n/2 are flip eigenvectors by construction.  A Krylov space
-    from one start vector sees one vector of an eigenspace, so a
-    degeneracy inside one block goes unseen; the symmetries split the
-    known ones (the near-degenerate Neel-like pair of an even chain at
-    large delta1 lies in two flip blocks).
+    flip), M = n//2 first, is split into its symmetry blocks (see
+    :func:`_blocks`), and a Lanczos search (:func:`_lanczos`) in each
+    block's coordinates, from a fixed start, finds the block's two lowest
+    levels.  Every level within the degeneracy tolerance of the global
+    minimum joins the multiplet with equal weight; a multiplet larger than
+    two signals a regime this simulator does not model.
+
+    With e0 the lowest level found so far, a block whose Gershgorin bound
+    (:func:`_gershgorin`) exceeds e0 + 2 tol(e0) is not searched, and a
+    search stops once its lowest level has converged above that line.
+    The cut-off e0 + tol(e0) never rises as e0 falls, so neither drops a
+    level that the multiplet or its refusal would count, and the second
+    tol is a margin far wider than the rounding of a bound or a Ritz
+    value; a block that is searched to the end takes the same steps as
+    without the line, so the multiplet is the same to the bit.
+
+    The flip partner in sector n-M of a vector of sector M is the reversed
+    vector; vectors of the self-conjugate sector M = n/2 are flip
+    eigenvectors by construction.  A Krylov space from one start vector
+    sees one vector of an eigenspace, so a degeneracy inside one block
+    goes unseen; the symmetries split the known ones (the near-degenerate
+    Neel-like pair of an even chain at large delta1 lies in two flip
+    blocks).
     """
     if math.isinf(delta1):
         return neel_mixture(realization.n)
@@ -392,19 +425,23 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
             f"finite delta1 must exceed 1 (antiferromagnetic Ising side), got {delta1}"
         )
     n = realization.n
-    found = []  # (sector, two lowest levels, their vectors) per block
+    found, e0 = [], math.inf  # (sector, levels, their vectors) per block searched
     for m in range(n // 2, -1, -1):
         ham = build_sector_hamiltonian(realization, delta1, m)
         start = np.sin(np.arange(1.0, ham.basis.dim + 1.0))
         for block in ham.blocks:
+            above = e0 + 2.0 * _degeneracy_tol(e0)
+            if _gershgorin(block) > above:
+                continue
             values, vectors = _lanczos(
                 lambda x, b=block: np.bincount(b.rows, b.values * x[b.cols], minlength=b.dim),
                 np.bincount(block.orbit + 1, block.coef * start, minlength=block.dim + 1)[1:],
+                above,
             )
             # a pattern outside the block reads entry -1 times coefficient 0
             found.append((m, values, block.coef * vectors[:, block.orbit]))
-    e0 = min(float(values[0]) for _, values, _ in found)
-    tol = max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL)
+            e0 = min(e0, float(values[0]))
+    tol = _degeneracy_tol(e0)
     multiplet = [(m, v) for m, values, vectors in found for v in vectors[values - e0 <= tol]]
     size = sum(1 if 2 * m == n else 2 for m, _ in multiplet)
     if size > 2:

@@ -8,7 +8,8 @@ obvious route to a quantity that an engine computes fast:
   dense form of each block the engine realizes, the ground multiplet from
   dense spectra of every sector, the projector onto each flip x
   reflection block of a sector from dense permutation matrices (the
-  engine's one orbit basis must span its range), step-by-step evolution
+  engine's one orbit basis must span its range), the ground multiplet
+  from a full Lanczos search of every block, step-by-step evolution
   of every component in its whole sector, and the full 4x4 reduced
   density matrix of any two sites, with every check a 4x4 matrix admits
   (Hermiticity, trace, positivity, X structure, real coherence,
@@ -114,6 +115,42 @@ def dense_ground_mixture(realization, delta1: float) -> MixedState:
         ground = ground + np.sign(np.sum(ground * ground[::-1], axis=0)) * ground[::-1]
         ground /= np.linalg.norm(ground, axis=0)
         multiplet = [(m, v) for v in ground.T]
+    w = 1.0 / len(multiplet)
+    comps = tuple(
+        PureComponent(weight=w, m_up=m, amplitudes=np.ascontiguousarray(v)) for m, v in multiplet
+    )
+    return MixedState(n=n, components=comps, origin="degenerate-ground-multiplet")
+
+
+def lanczos_ground_mixture(realization, delta1: float) -> MixedState:
+    """The engine's ground multiplet from its search without a threshold:
+    a Lanczos run in every block of every sector M <= n/2, each until its
+    two lowest Ritz pairs converge, then every level within the degeneracy
+    tolerance of the minimum, at most a pair, with the flip partner of a
+    component outside M = n/2."""
+    n = realization.n
+    found = []
+    for m in range(n // 2, -1, -1):
+        ham = exactdiag.build_sector_hamiltonian(realization, delta1, m)
+        start = np.sin(np.arange(1.0, ham.basis.dim + 1.0))
+        for block in ham.blocks:
+            values, vectors = exactdiag._lanczos(
+                lambda x, b=block: np.bincount(b.rows, b.values * x[b.cols], minlength=b.dim),
+                np.bincount(block.orbit + 1, block.coef * start, minlength=block.dim + 1)[1:],
+            )
+            found.append((m, values, block.coef * vectors[:, block.orbit]))
+    e0 = min(float(values[0]) for _, values, _ in found)
+    tol = max(exactdiag.GROUND_DEGENERACY_RTOL * abs(e0), exactdiag.GROUND_DEGENERACY_ATOL)
+    multiplet = [(m, v) for m, values, vectors in found for v in vectors[values - e0 <= tol]]
+    size = sum(1 if 2 * m == n else 2 for m, _ in multiplet)
+    if size > 2:
+        raise NumericalFaultError(
+            f"ground manifold of dimension {size} at delta1={delta1}; "
+            f"expected at most a degenerate pair"
+        )
+    if size > len(multiplet):
+        ((m, v),) = multiplet
+        multiplet.append((n - m, v[::-1]))
     w = 1.0 / len(multiplet)
     comps = tuple(
         PureComponent(weight=w, m_up=m, amplitudes=np.ascontiguousarray(v)) for m, v in multiplet

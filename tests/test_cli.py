@@ -230,10 +230,11 @@ def test_free_fermion_set_up_beyond_memory_is_refused_before_a_draw(
     tmp_path, capsys, monkeypatch, argv
 ):
     # physical memory one byte short of the largest chain stack's set-up
-    # (disorder's four realizations in one block) refuses the run with a
-    # usage error before any coupling is drawn, and exactly enough runs it
-    # quench and scan-n chains are uniform, disorder's draws are not
-    members = 4 if argv[0] == "disorder" else 1
+    # (disorder's four realizations in one block, scan-n's two sizes at
+    # the longer length) refuses the run with a usage error before any
+    # coupling is drawn, and exactly enough runs it; quench and scan-n
+    # chains are uniform, disorder's draws are not
+    members = {"quench": 1, "scan-n": 2, "disorder": 4}[argv[0]]
     need = freefermion.stack_bytes(101, members, uniform=argv[0] != "disorder")
     drawn, realize = [], model.realize_couplings
     monkeypatch.setattr(model, "realize_couplings",
@@ -246,6 +247,32 @@ def test_free_fermion_set_up_beyond_memory_is_refused_before_a_draw(
     monkeypatch.setattr(cli, "_physical_memory", lambda: need)
     assert run(*argv, "--out", str(out)) == 0
     assert drawn and out.exists()
+
+
+@pytest.mark.parametrize("jobs, members", [(1, 4), (2, 2)])
+def test_scan_blocks_are_charged_every_member_at_their_longest_length(
+    tmp_path, capsys, monkeypatch, jobs, members
+):
+    # disordered sizes 3, 5, 7 and 101 on two cores: one block of four, or
+    # two of two ([3, 7] and [5, 101]) at once, each charged as stacks of
+    # n = 101; one byte short is refused before a draw, exactly enough runs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_run_parallel",
+                        lambda worker, items, jobs: [worker(item) for item in items])
+    need = jobs * freefermion.stack_bytes(101, members)
+    drawn, realize = [], model.realize_couplings
+    monkeypatch.setattr(model, "realize_couplings",
+                        lambda spec: drawn.append(spec) or realize(spec))
+    argv = ["scan-n", "--n", "3,5,7,101", "--sigma", "0.1", "--jobs", str(jobs)]
+    out = tmp_path / "s.csv"
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert run(*argv, "--out", str(out)) == 1
+    assert f"{jobs} free-fermion set-up(s) of {members} chain(s) of n=101" in (
+        capsys.readouterr().err)
+    assert drawn == [] and list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert run(*argv, "--out", str(out)) == 0
+    assert len(drawn) == 4 and out.exists()
 
 
 def test_uniform_chains_are_charged_their_closed_form_not_the_svd(tmp_path, capsys, monkeypatch):

@@ -211,6 +211,43 @@ def test_lanczos_converges_the_two_lowest_levels():
     np.testing.assert_allclose(np.abs(vectors[:, :2]), np.eye(2), rtol=0, atol=1e-8)
 
 
+def test_lanczos_stops_once_its_lowest_level_converges_above_the_threshold():
+    # the spectrum of the test above: the lowest level converges in a few
+    # steps, the second last, so a threshold below -50 ends the run early,
+    # one above changes nothing
+    spectrum = np.concatenate([[-50.0, 1.0, 1.0 + 1e-4], np.linspace(2.0, 100.0, 197)])
+    start = np.sin(np.arange(1.0, 201.0))
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return spectrum * x
+
+    full = exactdiag._lanczos(counted, start)
+    steps = len(calls)
+    for above, ended in ((-60.0, True), (-40.0, False)):
+        calls.clear()
+        values, _ = exactdiag._lanczos(counted, start, above)
+        assert (len(calls) < steps) == ended
+        assert abs(values[0] - full[0][0]) <= 1e-12
+        if not ended:
+            np.testing.assert_array_equal(values, full[0])
+
+
+def test_ground_search_runs_lanczos_only_where_the_ground_level_may_lie(monkeypatch):
+    # n = 11, delta1 = 3, uniform: sectors M = 5 and 4 (two reflection
+    # blocks each) are searched; the Gershgorin bounds of M <= 3 lie above
+    lanczos, runs = exactdiag._lanczos, []
+
+    def counted(apply, start, *args):
+        runs.append(len(start))
+        return lanczos(apply, start, *args)
+
+    monkeypatch.setattr(exactdiag, "_lanczos", counted)
+    exactdiag.ground_mixture(homogeneous(11), 3.0)
+    assert sorted(runs) == [160, 170, 226, 236]
+
+
 def test_ground_mixture_rejects_small_delta1():
     with pytest.raises(ValueError):
         exactdiag.ground_mixture(homogeneous(5), 0.8)

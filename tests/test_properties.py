@@ -520,6 +520,55 @@ def test_lanczos_ground_multiplet_matches_dense_oracle(real, ferromagnetic_ends,
         assert abs(v @ h @ v - u @ h @ u) <= 1e-12 * abs(u @ h @ u)
 
 
+@st.composite
+def disordered_chains(draw, min_n, max_n):
+    """Chains drawn as a disorder ensemble draws them, J_k = 1 + d_k with
+    d_k ~ Normal(0, sigma): at sigma near 1.2 some bonds are negative."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    sigma = draw(st.floats(min_value=0.0, max_value=1.2, exclude_min=True))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return model.realize_couplings(model.ChainSpec(n=n, disorder_sigma=sigma, seed=seed))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(
+    real=st.one_of(symmetry_chains(2, 11), disordered_chains(2, 11)),
+    delta1=st.one_of(
+        st.floats(min_value=1.0, max_value=1.001, exclude_min=True),
+        st.floats(min_value=1.0, max_value=1000.0, exclude_min=True),
+    ),
+)
+def test_ground_search_skips_match_the_full_search(real, delta1):
+    # blocks skipped by their Gershgorin bound and runs stopped once their
+    # lowest level converged above the ground level change no bit of the
+    # multiplet, nor the refusal of one larger than a pair
+    try:
+        want = oracles.lanczos_ground_mixture(real, delta1)
+    except NumericalFaultError as exc:
+        with pytest.raises(NumericalFaultError) as got:
+            exactdiag.ground_mixture(real, delta1)
+        assert str(got.value) == str(exc)
+        return
+    got = exactdiag.ground_mixture(real, delta1)
+    assert [(c.weight, c.m_up, c.amplitudes.tobytes()) for c in got.components] == [
+        (c.weight, c.m_up, c.amplitudes.tobytes()) for c in want.components
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(
+    real=st.one_of(symmetry_chains(2, 10), disordered_chains(2, 10)),
+    delta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1000.0)),
+)
+def test_gershgorin_bound_lies_below_every_block_level(real, delta):
+    # over every realized block, hops that land on their own orbit included;
+    # the margin covers the rounding of the bound and of eigvalsh
+    for m in range(real.n + 1):
+        for block in exactdiag.build_sector_hamiltonian(real, delta, m).blocks:
+            lowest = np.linalg.eigvalsh(oracles.block_matrix(block))[0]
+            assert exactdiag._gershgorin(block) <= lowest + 1e-12 * np.max(np.abs(block.values))
+
+
 @PROPERTY_SETTINGS
 @given(
     n=st.integers(min_value=2, max_value=11),
