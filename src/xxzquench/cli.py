@@ -178,10 +178,9 @@ def _check_fits(need: int, what: str) -> None:
     physical memory, before anything is allocated."""
     have = _physical_memory()
     if have is not None and need > have:
-        raise SystemExit2(
+        raise UsageError(
             f"{what} need about {need / 2**20:.0f} MiB, more than the "
-            f"{have / 2**20:.0f} MiB of physical memory",
-            EXIT_USAGE,
+            f"{have / 2**20:.0f} MiB of physical memory"
         )
 
 
@@ -198,12 +197,11 @@ def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1, membe
         _check_fits(workers * need,
                     f"{workers} free-fermion set-up(s) of {members} chain(s) of n={spec.n} at once")
     elif spec.n > exactdiag.MAX_SITES:
-        raise SystemExit2(
+        raise UsageError(
             f"exact diagonalization, which a finite delta1 needs for its ground "
             f"state and delta2 > 0 for its evolution, is capped at "
             f"{exactdiag.MAX_SITES} sites (requested n={spec.n}); longer chains "
-            f"run on free fermions from delta1=inf to delta2=0",
-            EXIT_USAGE,
+            f"run on free fermions from delta1=inf to delta2=0"
         )
     else:
         _check_fits(workers * exactdiag.run_bytes(spec.n, evolve=engine == "exactdiag"),
@@ -211,12 +209,8 @@ def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1, membe
     return engine
 
 
-class SystemExit2(Exception):
-    """Message plus exit code, handled in main()."""
-
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+class UsageError(Exception):
+    """A usage error: main() writes its message to stderr and exits 1."""
 
 
 # Errors of the program's own making, which name the member they arise in
@@ -292,21 +286,21 @@ def _scan_block(item: dict) -> dict:
     t0 = time.perf_counter()
     evaluator = _lockstep(lambda part: entangle.CurveEvaluator(specs[part], engine), labels)
     setup_ms = 1000.0 * (time.perf_counter() - t0)
-    records, peaks = [], []
+    records, found = [], []
     for k, spec in enumerate(specs):
         t0 = time.perf_counter()
         with _naming(labels[k]):
             _, _, ts = entangle.resolve_grid(spec, item["horizon"], item["step"])
             # as in disorder_peak, the first maximum of any height when
             # none exceeds the t = 0 value; on even chains always
-            peak, points = entangle.scan_first_peak(
-                evaluator[k:k + 1], ts, above_baseline=spec.n % 2 == 1, any_height_fallback=True,
-            )
-        peaks.append(peak)
-        records.append({"spec": spec, "engine": engine, "scanned_points": points,
+            found.append(entangle.first_peak(
+                ((ts[times], fef.ravel()) for _, times, fef in evaluator[k:k + 1].fef_chunks(ts)),
+                above_baseline=spec.n % 2 == 1, any_height_fallback=True,
+            ))
+        records.append({"spec": spec, "engine": engine, "scanned_points": found[k][2],
                         "runtime_ms": 1000.0 * (time.perf_counter() - t0)})
     t0 = time.perf_counter()
-    t_max, fef = _lockstep(lambda part: entangle.refine_peaks(evaluator[part], peaks[part]), labels)
+    t_max, fef = _lockstep(lambda part: entangle.refine_peaks(evaluator[part], found[part]), labels)
     refine_ms = 1000.0 * (time.perf_counter() - t0)
     for record, t, f in zip(records, t_max.tolist(), fef.tolist()):
         record.update(t_max=t, fef_at_tmax=f)
@@ -329,10 +323,9 @@ def cmd_scan_n(args) -> int:
     sizes = args.n if args.n is not None else default_scan_sizes()
     even = [n for n in sizes if n % 2 == 0]
     if even and not args.allow_even:
-        raise SystemExit2(
+        raise UsageError(
             f"even chain lengths {even} give separable end-spin states; "
-            f"pass --allow-even to scan them anyway",
-            EXIT_USAGE,
+            f"pass --allow-even to scan them anyway"
         )
     # _scan_blocks makes at least a block per worker
     workers = _workers(args.jobs, len(sizes))
@@ -421,9 +414,8 @@ def _disorder_block(item: dict) -> dict:
     def peaks(part):
         evaluator = entangle.CurveEvaluator(specs[part], item["engine"])
         curves = evaluator.fef_series(ts)
-        return (curves, *entangle.locate_first_peak(
-            curves, ts, evaluator, any_height_fallback=True, argmax_fallback=True
-        ))
+        return (curves, *entangle.refine_peaks(evaluator, [entangle.first_peak(
+            [(ts, curve)], any_height_fallback=True, argmax_fallback=True) for curve in curves]))
 
     curves, peak_t, peak_f = _lockstep(peaks, labels)
     return {"sigma": master.disorder_sigma, "first": item["first"],
@@ -476,9 +468,7 @@ def cmd_disorder(args) -> int:
         nr = len(curves)
         stderr_f = float(peaks_f.std(ddof=1) / np.sqrt(nr)) if nr > 1 else 0.0
         stderr_t = float(peaks_t.std(ddof=1) / np.sqrt(nr)) if nr > 1 else 0.0
-        (mean_t,), (mean_f,) = entangle.locate_first_peak(
-            mean_curve[None], ts, argmax_fallback=True
-        )
+        (_, mean_t, _, mean_f), _, _ = entangle.first_peak([(ts, mean_curve)], argmax_fallback=True)
         summary_rows.append(
             [sigma, nr, float(peaks_f.mean()), stderr_f,
              float(peaks_t.mean()), stderr_t, float(mean_f), float(mean_t)]
@@ -515,17 +505,11 @@ def cmd_ed_compare(args) -> int:
     sizes = sorted(args.n)
     bad = [n for n in sizes if n > exactdiag.MAX_SITES or n < 2]
     if bad:
-        raise SystemExit2(
-            f"engine comparison supports 2 <= n <= {exactdiag.MAX_SITES}, got {bad}",
-            EXIT_USAGE,
-        )
+        raise UsageError(f"engine comparison supports 2 <= n <= {exactdiag.MAX_SITES}, got {bad}")
     _check_engine(model.ChainSpec(n=sizes[-1]), "ed")
     if not 1 <= args.grid_points <= entangle.MAX_GRID_POINTS:
-        raise SystemExit2(
-            f"--grid-points must lie in [1, {entangle.MAX_GRID_POINTS}], "
-            f"got {args.grid_points}",
-            EXIT_USAGE,
-        )
+        raise UsageError(
+            f"--grid-points must lie in [1, {entangle.MAX_GRID_POINTS}], got {args.grid_points}")
     rows = []
     worst = 0.0
     for n in sizes:
@@ -566,37 +550,31 @@ def _fidelity_from_record(path: str, record_n: int | None) -> float:
         n_col = header.index("n")
         f_col = header.index("fef_at_tmax")
     except ValueError as exc:
-        raise SystemExit2(f"{path} is not a scan-n record file: {exc}", EXIT_USAGE)
+        raise UsageError(f"{path} is not a scan-n record file: {exc}")
     for row in rows:
         if len(row) != len(header):
-            raise SystemExit2(
-                f"{path}: a record row has {len(row)} fields, its header {len(header)}",
-                EXIT_USAGE,
-            )
+            raise UsageError(
+                f"{path}: a record row has {len(row)} fields, its header {len(header)}")
 
     def number(row: list[str], col: int, kind: type):
         try:
             return kind(row[col])
         except ValueError:
-            raise SystemExit2(
-                f"{path}: field {header[col]} reads {row[col]!r}, not a number", EXIT_USAGE
-            ) from None
+            raise UsageError(
+                f"{path}: field {header[col]} reads {row[col]!r}, not a number") from None
 
     if record_n is not None:
         rows = [r for r in rows if number(r, n_col, int) == record_n]
     if len(rows) != 1:
-        raise SystemExit2(
-            f"need exactly one record (use --record-n to pick), found {len(rows)}",
-            EXIT_USAGE,
-        )
+        raise UsageError(f"need exactly one record (use --record-n to pick), found {len(rows)}")
     return number(rows[0], f_col, float)
 
 
 def cmd_purify(args) -> int:
     if (args.fef is None) == (args.record is None):
-        raise SystemExit2("give exactly one of --fef or --record", EXIT_USAGE)
+        raise UsageError("give exactly one of --fef or --record")
     if args.record_n is not None and args.record is None:
-        raise SystemExit2("--record-n picks a row of --record; give --record too", EXIT_USAGE)
+        raise UsageError("--record-n picks a row of --record; give --record too")
     if args.fef is not None:
         fidelity = args.fef
         source = {"kind": "fef-value", "fef": fidelity}
@@ -641,7 +619,7 @@ def cmd_purify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit2(f"{self.prog}: error: {message}", EXIT_USAGE)
+        raise UsageError(f"{self.prog}: error: {message}")
 
 
 def _add_physics_flags(p: argparse.ArgumentParser, n_help: str, n_type=int, n_required=True):
@@ -730,9 +708,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit2 as exc:
+    except UsageError as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         # an OSError names the file it could not open
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)

@@ -114,7 +114,8 @@ class CurveEvaluator:
     correlators or an :class:`exactdiag.QuenchEvolution`, and these are
     evaluated one after the other.  Either way member k's values are the ones
     ``evaluator[k:k + 1]`` gives, bit for bit.  Every evaluation of a grid,
-    :func:`scan_first_peak`'s included, walks the same chunks of it.
+    the first-peak scans of :func:`first_peak` included, walks the same
+    chunks of it.
     """
 
     def __init__(self, specs: list[model.ChainSpec], engine: str = "auto"):
@@ -164,12 +165,23 @@ class CurveEvaluator:
             del chunk
         return abc
 
+    def fef_chunks(self, ts: np.ndarray):
+        """(members, times, fef) chunks over ``ts``, those of :meth:`_chunks`
+        with each (a, b, c) reduced to its fef: (members, t) of the stack,
+        (t,) of member k's own quench.  Both are dropped here before the
+        next chunk is computed."""
+        for members, times, chunk in self._chunks(ts):
+            fef = _fef(*chunk)
+            del chunk
+            yield members, times, fef
+            del fef
+
     def fef_series(self, ts: np.ndarray) -> np.ndarray:
         """fef curves (K, T) of every member over ``ts``, assembled chunk by
         chunk, so only the curves outlive a chunk."""
         fef = np.empty((len(self.specs), len(ts)))
-        for members, times, chunk in self._chunks(ts):
-            fef[members, times] = _fef(*chunk)
+        for members, times, chunk in self.fef_chunks(ts):
+            fef[members, times] = chunk
             del chunk
         return fef
 
@@ -258,112 +270,85 @@ def first_peak_index(fef: np.ndarray, baseline: float) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
-def refine_peaks(evaluator: CurveEvaluator, peaks: list) -> tuple[np.ndarray, np.ndarray]:
-    """Refine the grid peaks (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of the K
-    members of ``evaluator`` in one :func:`golden_section_max` lockstep,
-    each on [t_{i-1}, t_{i+1}] to 1e-6/j of its own coupling j.  Golden
-    section assumes a unimodal bracket, so a refined value below fef(t_i)
-    gives way to the grid point.  Returns the peak times and values, each
-    (K,)."""
-    lo, t, hi, fef = np.array(peaks, dtype=float).T
-    xtol = REFINE_RESOLUTION / np.array([spec.j for spec in evaluator.specs])
-    t_ref, f_ref = golden_section_max(
-        lambda ts: _fef(*evaluator.end_spin_at(ts)), lo, hi, xtol)
-    grid_better = f_ref < fef
-    return np.where(grid_better, t, t_ref), np.where(grid_better, fef, f_ref)
+def first_peak(
+    chunks, *, above_baseline: bool = True,
+    any_height_fallback: bool = False, argmax_fallback: bool = False,
+) -> tuple:
+    """First maximum of one fef curve, read as non-empty (times, values)
+    chunks in time order.  The peak is picked on the grid by these rules,
+    in order:
 
-
-def locate_first_peak(
-    curves: np.ndarray,
-    ts: np.ndarray,
-    evaluator: CurveEvaluator | None = None,
-    *,
-    any_height_fallback: bool = False,
-    argmax_fallback: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First maximum of each of K fef curves on the grid ``ts``.
-
-    ``curves`` is (K, T).  Each member's peak is picked on the grid by
-    these rules, in order:
-
-    - the first strict local maximum above the curve's t = 0 value;
+    - the first strict local maximum above the curve's t = 0 value (of any
+      height when not ``above_baseline``), confirmed at the first chunk
+      that holds its right neighbour, where the reading stops;
     - ``any_height_fallback``: else the first strict local maximum of any
       height;
-    - ``argmax_fallback``: else the grid maximum, kept unrefined.
+    - ``argmax_fallback``: else the grid maximum, which is not refined.
 
-    A member left without a peak raises NoPeakError.  With the
-    ``evaluator`` of the curves a peak at grid index i is refined on
-    [t_{i-1}, t_{i+1}] by :func:`refine_peaks`, every member in lockstep.
-    Returns the peak times and values, each of shape (K,).
+    Only the fallbacks read the whole grid; a curve left without a peak
+    raises NoPeakError.  Returns the grid peak (t_{i-1}, t_i, t_{i+1},
+    fef(t_i)) (t_i three times for the grid maximum), whether
+    :func:`refine_peaks` refines it, and the number of points read.
     """
-    ts = np.asarray(ts, dtype=float)
-    index = np.empty(len(curves), dtype=int)
-    refine = np.full(len(curves), evaluator is not None)
-    for k, curve in enumerate(curves):
-        i = first_peak_index(curve, curve[0])
-        if i is None and any_height_fallback:
-            i = first_peak_index(curve, -np.inf)
-        if i is None and argmax_fallback:
-            i, refine[k] = int(np.argmax(curve)), False
-        if i is None:
-            raise NoPeakError(f"no first maximum of fef in curve {k} of {len(curves)}")
-        index[k] = i
-    t_peak, f_peak = ts[index], curves[np.arange(len(curves)), index]
-    if np.any(refine):
-        todo = np.flatnonzero(refine)
-        t_peak[todo], f_peak[todo] = refine_peaks(
-            evaluator[todo],
-            [(ts[i - 1], ts[i], ts[i + 1], f_peak[k]) for k, i in zip(todo, index[todo])],
-        )
-    return t_peak, f_peak
+    seen_t, seen_f, points = [], [], 0
+    tail_t = tail_f = np.empty(0)
+    for times, values in chunks:
+        if not points:
+            baseline = values[0] if above_baseline else -np.inf
+        seen_t.append(times)
+        seen_f.append(values)
+        points += len(values)
+        # the scan resumes at the last point read, still unconfirmed, and
+        # its left neighbour
+        t, f = np.concatenate((tail_t, times)), np.concatenate((tail_f, values))
+        i = first_peak_index(f, baseline)
+        if i is not None:
+            return (t[i - 1], t[i], t[i + 1], f[i]), True, points
+        tail_t, tail_f = t[-2:], f[-2:]
+    t, f = np.concatenate(seen_t), np.concatenate(seen_f)
+    i = first_peak_index(f, -np.inf) if any_height_fallback else None
+    if i is not None:
+        return (t[i - 1], t[i], t[i + 1], f[i]), True, points
+    if argmax_fallback:
+        i = int(np.argmax(f))
+        return (t[i], t[i], t[i], f[i]), False, points
+    raise NoPeakError(f"no first maximum of fef above {baseline} within horizon {t[-1]}")
+
+
+def refine_peaks(evaluator: CurveEvaluator, found: list) -> tuple[np.ndarray, np.ndarray]:
+    """Peak times and values, each (K,), of the K members of ``evaluator``
+    from their :func:`first_peak` results ``found``.  The refinable grid
+    peaks (t_{i-1}, t_i, t_{i+1}, fef(t_i)) are refined in one
+    :func:`golden_section_max` lockstep, each on [t_{i-1}, t_{i+1}] to
+    1e-6/j of its own coupling j; the others keep their grid point.  Golden
+    section assumes a unimodal bracket, so a refined value below fef(t_i)
+    gives way to the grid point."""
+    lo, t, hi, fef = np.array([peak for peak, _, _ in found], dtype=float).T
+    todo = np.flatnonzero([refinable for _, refinable, _ in found])
+    if todo.size:
+        part = evaluator[todo]
+        xtol = REFINE_RESOLUTION / np.array([spec.j for spec in part.specs])
+        t_ref, f_ref = golden_section_max(
+            lambda ts: _fef(*part.end_spin_at(ts)), lo[todo], hi[todo], xtol)
+        grid_better = f_ref < fef[todo]
+        t[todo] = np.where(grid_better, t[todo], t_ref)
+        fef[todo] = np.where(grid_better, fef[todo], f_ref)
+    return t, fef
 
 
 def resolve_grid(spec: model.ChainSpec, horizon=None, step=None) -> tuple:
     """(horizon, step, grid) of a time scan, by default up to 2n/(pi j) in
     steps of min(0.02/j, horizon/2000), at least 2,001 points whatever the
-    unit of j.  A negative horizon is refused; a zero one gives the single
-    point t = 0."""
+    unit of j.  A negative or non-finite horizon is refused; a zero one
+    gives the single point t = 0."""
     horizon = horizon if horizon is not None else default_horizon(spec)
+    if not math.isfinite(horizon):  # refused before a step is derived from it
+        raise ValueError(f"time horizon must be finite, got {horizon}")
     if horizon < 0:
         raise ValueError(f"time horizon must be >= 0, got {horizon}")
     if step is None:
         step = default_grid_step(spec, horizon if horizon > 0 else 1e-9)
     return horizon, step, time_grid(horizon, step)
-
-
-def scan_first_peak(
-    evaluator: CurveEvaluator, ts: np.ndarray, *,
-    above_baseline: bool = True, any_height_fallback: bool = False,
-) -> tuple:
-    """Grid peak (t_{i-1}, t_i, t_{i+1}, fef(t_i)) of fef(t) on ``ts`` of
-    the one member of ``evaluator`` (``evaluator[k:k + 1]`` for member k)
-    by the rules of :func:`locate_first_peak` without the argmax fallback,
-    and the number of grid points read.
-
-    The scan reads the evaluator's own chunks of the grid, those of a
-    call over the whole grid, and stops at the first chunk that confirms
-    the peak, i.e. holds its right neighbour; only the fallback reads the
-    whole grid.  A grid holding only t = 0 is refused.
-    """
-    if not ts[-1] > 0:
-        raise ValueError("a first-peak search needs a positive time horizon")
-    curve = np.empty((1, len(ts)))
-    for member, times, chunk in evaluator._chunks(ts):
-        curve[member, times] = _fef(*chunk)
-        del chunk
-        baseline = curve[0, 0] if above_baseline else -np.inf
-        i = first_peak_index(curve[0, :times.stop], baseline)
-        if i is not None:
-            break
-    else:
-        i = first_peak_index(curve[0], -np.inf) if any_height_fallback else None
-    if i is None:
-        spec = evaluator.specs[0]
-        raise NoPeakError(
-            f"no first maximum of fef above {baseline} within horizon {ts[-1]} "
-            f"(n={spec.n}, delta1={spec.delta1}, delta2={spec.delta2})"
-        )
-    return (ts[i - 1], ts[i], ts[i + 1], curve[0, i]), min(times.stop, len(ts))
 
 
 def find_tmax(
@@ -375,17 +360,25 @@ def find_tmax(
 ) -> TmaxResult:
     """Locate and refine the first maximum of fef(t) after the quench.
 
-    The curve is scanned on a uniform grid by :func:`scan_first_peak`; the
+    The curve is scanned on a uniform grid by :func:`first_peak`; the
     first strict local maximum exceeding the t = 0 value brackets a
     golden-section refinement by :func:`refine_peaks` down to an absolute
     time resolution of 1e-6/j.  Even chains never exceed the t = 0
     criterion boundary; ``require_above_baseline=False`` then tracks the
-    first strict local maximum regardless of height.
+    first strict local maximum regardless of height.  A grid holding only
+    t = 0 is refused.
     """
     _, step, ts = resolve_grid(spec, search_horizon, grid_step)
+    if not ts[-1] > 0:
+        raise ValueError("a first-peak search needs a positive time horizon")
     evaluator = CurveEvaluator([spec], engine)
-    peak, _ = scan_first_peak(evaluator, ts, above_baseline=require_above_baseline)
-    (t_max,), (fef_max,) = refine_peaks(evaluator, [peak])
+    try:
+        found = first_peak(((ts[times], fef.ravel()) for _, times, fef in evaluator.fef_chunks(ts)),
+                           above_baseline=require_above_baseline)
+    except NoPeakError as exc:
+        exc.args = (f"{exc} (n={spec.n}, delta1={spec.delta1}, delta2={spec.delta2})",)
+        raise
+    (t_max,), (fef_max,) = refine_peaks(evaluator, [found])
     return TmaxResult(
         t_max=float(t_max), fef_at_tmax=float(fef_max),
         scan_resolution=step, refined=True,

@@ -157,6 +157,12 @@ def test_resolve_grid_defaults_and_refusals():
     assert list(entangle.resolve_grid(spec, 0.0)[2]) == [0.0]
     with pytest.raises(ValueError, match="horizon must be >= 0"):
         entangle.resolve_grid(spec, -1.0)
+    # a non-finite horizon, given or derived (2n/(pi j) overflows at a tiny
+    # j), is refused by name before a grid step is derived from it
+    for chain, horizon, shown in ((spec, math.nan, "nan"),
+                                  (model.ChainSpec(n=9, j=1e-320), None, "inf")):
+        with pytest.raises(ValueError, match=f"^time horizon must be finite, got {shown}$"):
+            entangle.resolve_grid(chain, horizon)
     # a first-peak search refuses a grid holding only t = 0
     for horizon in (0.0, -1.0):
         with pytest.raises(ValueError, match="horizon"):
@@ -287,9 +293,10 @@ def test_lockstep_peaks_match_per_realization_oracle(case):
     if ts is None:
         ts = _default_grid(evaluator.specs[0])
     curves = evaluator.fef_series(ts)
-    t, f = entangle.locate_first_peak(
-        curves, ts, evaluator, any_height_fallback=True, argmax_fallback=True,
-    )
+    t, f = entangle.refine_peaks(evaluator, [
+        entangle.first_peak([(ts, c)], any_height_fallback=True, argmax_fallback=True)
+        for c in curves
+    ])
     want = [_peak_oracle(evaluator[k:k + 1], c, ts, fallbacks=True)
             for k, c in enumerate(curves)]
     assert {w[2] for w in want} == rules
@@ -302,7 +309,55 @@ def test_lockstep_without_fallback_raises():
     ts = _default_grid(evaluator.specs[0])
     curves = evaluator.fef_series(ts)
     with pytest.raises(NoPeakError):
-        entangle.locate_first_peak(curves, ts, evaluator)
+        entangle.refine_peaks(evaluator, [entangle.first_peak([(ts, c)]) for c in curves])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    fef=st.lists(curve_values, min_size=1, max_size=24),
+    cuts=st.lists(st.integers(1, 23), max_size=8),
+    above_baseline=st.booleans(),
+    any_height_fallback=st.booleans(),
+    argmax_fallback=st.booleans(),
+)
+def test_chunked_first_peak_equals_one_chunk(fef, cuts, **flags):
+    fef = np.array(fef, dtype=float)
+    ts = 0.1 * np.arange(len(fef))
+    edges = [0, *sorted({c for c in cuts if c < len(fef)}), len(fef)]
+    chunks = [(ts[lo:hi], fef[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    read = []
+
+    def reader():
+        for chunk in chunks:
+            read.append(chunk)
+            yield chunk
+
+    # the rules, in order, over the whole curve
+    i = _first_peak_oracle(fef, fef[0] if flags["above_baseline"] else -np.inf)
+    confirmed = i is not None
+    if i is None and flags["any_height_fallback"]:
+        i = _first_peak_oracle(fef, -np.inf)
+    if i is None and not flags["argmax_fallback"]:
+        for source in ([(ts, fef)], reader()):
+            with pytest.raises(NoPeakError):
+                entangle.first_peak(source, **flags)
+        assert len(read) == len(chunks)
+        return
+    whole = entangle.first_peak([(ts, fef)], **flags)
+    peak, refinable, points = entangle.first_peak(reader(), **flags)
+    np.testing.assert_array_equal(peak, whole[0])
+    assert refinable == whole[1] and whole[2] == len(fef)
+    if i is None:
+        i = int(np.argmax(fef))
+        np.testing.assert_array_equal(peak, (ts[i], ts[i], ts[i], fef[i]))
+        assert not refinable
+    else:
+        np.testing.assert_array_equal(peak, (ts[i - 1], ts[i], ts[i + 1], fef[i]))
+        assert refinable
+    # a peak of the first rule stops the reading at the first chunk that
+    # holds its right neighbour; the fallbacks read every chunk
+    used = next(c for c, hi in enumerate(edges[1:]) if hi > i + 1) + 1 if confirmed else len(chunks)
+    assert len(read) == used and points == edges[used]
 
 
 def test_golden_section_lockstep_matches_scalar_per_member():
@@ -340,9 +395,10 @@ def test_early_stop_scan_equals_full_grid(engine, spec, monkeypatch):
             yield chunk
 
     monkeypatch.setattr(entangle.CurveEvaluator, "_chunks", counted)
-    peak, points = entangle.scan_first_peak(evaluator, ts)
+    peak, refinable, points = entangle.first_peak(
+        (ts[times], fef.ravel()) for _, times, fef in evaluator.fef_chunks(ts))
     right = _first_peak_oracle(curve, curve[0]) + 1
-    assert peak == (ts[right - 2], ts[right - 1], ts[right], curve[right - 1])
+    assert peak == (ts[right - 2], ts[right - 1], ts[right], curve[right - 1]) and refinable
     # the chunks of a whole-grid call, up to the first one that holds the
     # peak's right neighbour
     stops = [min(times.stop, len(ts)) for times in grid_chunks]
