@@ -312,6 +312,8 @@ def first_peak(
     if argmax_fallback:
         i = int(np.argmax(f))
         return (t[i], t[i], t[i], f[i]), False, points
+    if any_height_fallback or not above_baseline:
+        raise NoPeakError(f"no strict local maximum of fef of any height within horizon {t[-1]}")
     raise NoPeakError(f"no first maximum of fef above {baseline} within horizon {t[-1]}")
 
 

@@ -174,16 +174,22 @@ def build_sector_hamiltonian(
     from their bond-indexed structure (see :func:`_blocks`) with no
     pattern work: a hop is worth its bond's J_k times its weight, and an
     orbit's diagonal sums (J_k delta / 2) z_k z_{k+1} at its lowest pattern.
+    An entry that overflows raises NumericalFaultError, with no warning.
     """
     if math.isinf(delta):
         raise ValueError("infinite anisotropy never enters numerical matrices")
     couplings = np.asarray(realization.couplings)
-    bond_zz = couplings * delta / 2.0
-    blocks = tuple(
-        SimpleNamespace(**vars(b), values=np.concatenate([couplings[b.bonds] * b.weights,
-                                                          b.zz @ bond_zz]))
-        for b in _sector_blocks(realization, m_up)
-    )
+    with np.errstate(over="ignore"):  # an entry that overflows is refused below
+        bond_zz = couplings * delta / 2.0
+        blocks = tuple(
+            SimpleNamespace(**vars(b), values=np.concatenate([couplings[b.bonds] * b.weights,
+                                                              b.zz @ bond_zz]))
+            for b in _sector_blocks(realization, m_up)
+        )
+    if not all(np.isfinite(b.values).all() for b in blocks):
+        raise NumericalFaultError(
+            f"sector M={m_up} entries overflow at anisotropy {delta}; so large an "
+            f"anisotropy is the Ising limit, --delta1 inf")
     return SectorHamiltonian(basis=sector_basis(realization.n, m_up), blocks=blocks)
 
 

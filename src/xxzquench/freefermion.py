@@ -59,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalFaultError
-from .model import CouplingRealization, NeelOrder, neel_state
+from .model import CouplingRealization
 
 # Tolerances of the X-state check both engines run on every point.
 TRACE_TOL = 1e-12
@@ -153,57 +153,65 @@ def _sublattice_svd(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.linalg.svd(b)
 
 
-def _end_modes(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Doubled singular values 2 s (K, m) of the sublattice blocks of K
-    chains of one length n, one per row of ``couplings`` (K, n - 1), in
-    descending order, and the rows of their modes at sites 1 and n, (K, m +
-    n % 2) each: row 1 of P, and row n of P on odd chains, whose column m
-    is the zero mode, or of Q on even ones.
+def _end_modes(bonds: list, n: np.ndarray, member: np.ndarray, mode: np.ndarray) -> tuple:
+    """Doubled singular values 2 s of the sublattice blocks of K chains of
+    the lengths ``n`` (K,), one bond sequence each in ``bonds``, and the
+    rows of their modes at sites 1 and n, flat over the (``member``,
+    ``mode``) pairs of every member's m = n // 2 modes in turn, each
+    member's in descending order of s: (F,) arrays, F = sum(m).  Also the
+    zero mode's rows at sites 1 and n, (2, K), 0 on even chains.  Row 1 is
+    P's; row n is P's on odd chains and Q's on even ones.
 
     A chain whose bonds all equal J has the standing waves of the uniform
-    open chain (Lieb, Schultz & Mattis 1961), taken in O(m): s_k =
-    2|J| cos(pi k/(n + 1)), and mode k is (2/sqrt(n + 1)) sin(pi k j/(n + 1))
-    at site j, on Q's sites times the sign of J (+-1 even at J = +-0.0);
-    the zero mode is sqrt(2/(n + 1)) sin(pi j/2).  Every other chain takes
-    the batched SVD of :func:`_sublattice_svd`.  The path is chosen per
-    chain, so each chain's values are those of a batch of its own."""
-    n = couplings.shape[-1] + 1
-    m, odd = n // 2, n % 2
-    two_s = np.empty((len(couplings), m))
-    first, last = np.empty((2, len(couplings), m + odd))
-    uniform = np.all(couplings == couplings[:, :1], axis=1)
-    if not uniform.all():
-        p, s, qt = _sublattice_svd(couplings[~uniform])
-        two_s[~uniform], first[~uniform] = 2.0 * s, p[:, 0]
-        last[~uniform] = p[:, -1] if odd else qt[:, :, -1]
-    if uniform.any():
-        j = couplings[uniform, 0]
-        k = np.arange(1, m + 1)
-        # cos(pi k/(n + 1)) as the sine of its complement, accurate near the band centre
-        cos = np.sin(np.pi * (n + 1 - 2 * k) / (2 * (n + 1)))
-        two_s[uniform] = 4.0 * np.abs(j)[:, None] * cos
-        wave = 2.0 / np.sqrt(n + 1) * np.sin(np.pi * k / (n + 1))
-        first[uniform, :m] = wave
-        # site n: sin(pi k n/(n + 1)) = (-1)^(k + 1) sin(pi k/(n + 1))
-        last[uniform, :m] = np.where(k % 2, wave, -wave)
-        if odd:
-            first[uniform, m], last[uniform, m] = np.sqrt(2.0 / (n + 1)) * np.array([1, (-1) ** m])
-        else:
-            last[uniform] *= np.copysign(1.0, j)[:, None]
-    return two_s, first, last
+    open chain (Lieb, Schultz & Mattis 1961), taken for every length at
+    once in O(F): s_k = 2|J| cos(pi k/(n + 1)), and mode k is (2/sqrt(n +
+    1)) sin(pi k j/(n + 1)) at site j, on Q's sites times the sign of J
+    (+-1 even at J = +-0.0); the zero mode is sqrt(2/(n + 1)) sin(pi j/2).
+    Every other chain takes the batched SVD of :func:`_sublattice_svd`,
+    one batch per length.  The path is chosen per chain, and a chain's
+    values come from elementwise operations or from its own SVD, so they
+    are those of a stack of its own."""
+    # NaN equals nothing, in the tuple's count as in numpy
+    uniform = np.array([c[0] == c[0] and c.count(c[0]) == len(c) for c in bonds], dtype=bool)
+    two_s, first, last = np.empty((3, len(member)))
+    zero = np.zeros((2, len(n)))
+    for length in sorted(set(n[~uniform].tolist())):
+        chains, m = np.flatnonzero(~uniform & (n == length)), length // 2
+        p, s, qt = _sublattice_svd(np.array([bonds[k] for k in chains.tolist()]))
+        at = np.searchsorted(member, chains)[:, None] + np.arange(m)
+        two_s[at], first[at] = 2.0 * s, p[:, 0, :m]
+        last[at] = p[:, -1, :m] if length % 2 else qt[:, :, -1]
+        if length % 2:  # column m of P is the zero mode
+            zero[:, chains] = p[:, [0, -1], m].T
+    closed = uniform[member]
+    n_k, k = n[member[closed]], mode[closed] + 1
+    j = np.array([c[0] for c in bonds], dtype=float)[member[closed]]
+    # cos(pi k/(n + 1)) as the sine of its complement, accurate near the band centre
+    cos = np.sin(np.pi * (n_k + 1 - 2 * k) / (2 * (n_k + 1)))
+    two_s[closed] = 4.0 * np.abs(j) * cos
+    wave = 2.0 / np.sqrt(n_k + 1) * np.sin(np.pi * k / (n_k + 1))
+    first[closed] = wave
+    # site n: sin(pi k n/(n + 1)) = (-1)^(k + 1) sin(pi k/(n + 1)), times the
+    # sign of J on Q's sites
+    last[closed] = np.where(k % 2, wave, -wave) * np.where(n_k % 2, 1.0, np.copysign(1.0, j))
+    odd = uniform & (n % 2 == 1)
+    root = np.sqrt(2.0 / (n[odd] + 1))
+    zero[0, odd], zero[1, odd] = root, np.where(n[odd] // 2 % 2, -root, root)
+    return two_s, first, last, zero
 
 
 def stack_bytes(n: int, members: int = 1, uniform: bool = False) -> int:
     """Estimated peak bytes of drawing and building a :class:`ChainStack` of
     ``members`` chains of length n.  ``uniform`` chains take the closed form
-    of :func:`_end_modes` in O(n): their bonds, modes and weights peaked
-    at 9-13 n doubles per member (tracemalloc, n = 401 to 40,001, K = 1 to
-    8), which 16 n covers.  Any other chain takes the batched SVD, which
-    holds about 3 K (n // 2)^2 doubles (the blocks, P and Q^T), and
-    LAPACK's workspace 6-7 (n // 2)^2 more, once per batch: the growth of
-    ru_maxrss of a build in a fresh process, at n = 801, 1,601 and 3,201
-    for K = 1 to 8, was 2.9-3.0 of these units per member plus 5.9-7.1,
-    which 8 covers."""
+    of :func:`_end_modes` in O(n): their bonds, flat modes and weights
+    peaked at 8-10 n doubles per member (tracemalloc, n = 401 to 40,001,
+    K = 1 to 8), which 16 n covers; a block of the 1,000 sizes 3..2,001,
+    charged 244 MiB as 1,000 chains of n = 2,001, peaked at 70 MiB.  Any
+    other chain takes the batched SVD, which holds about 3 K (n // 2)^2
+    doubles (the blocks, P and Q^T), and LAPACK's workspace 6-7 (n // 2)^2
+    more, once per batch: the growth of ru_maxrss of a build in a fresh
+    process, at n = 801, 1,601 and 3,201 for K = 1 to 8, was 2.9-3.0 of
+    these units per member plus 5.9-7.1, which 8 covers."""
     if uniform:
         return 8 * 16 * members * n
     return 8 * (3 * members + 8) * (n // 2) ** 2
@@ -227,60 +235,63 @@ class ChainStack:
     sin(2 s_k t), and the column after them, m or 2m, holds the constant
     part, which the products take against a row of ones.  ``start``
     (K, 4) holds the moments at t = 0, ``sign`` (K,) the parity sign
-    (-1)^(M+1) and ``odd`` (K,) n % 2.  ``groups`` holds per length its
-    members, m = n // 2 and its trig rows: products run per length, as a
-    product over zero-padded rows would sum in another order.  So every
-    member's values come from the same operations whatever stack it is
-    in, and agree bit for bit with those of its own stack of one.
+    (-1)^(M+1) and ``odd`` (K,) n % 2.
+
+    Whatever does not depend on the length takes one vectorized pass over
+    the whole stack: the set-up (the closed forms, the weights, ``start``
+    and ``sign``, over flat (member, mode) index arrays), the cos rows of
+    the point path (:func:`_point_rows`) and a sub-stack's slices.  What
+    still runs per length is the SVD batch of the chains that are not
+    uniform, and per run of equal consecutive lengths, ``groups``, the sin
+    rows of even chains, the grid path's rows (:func:`_grid_rows`) and
+    every product of trig rows with weights: a product over zero-padded
+    rows would sum in another order.  ``groups`` holds each run's members
+    (a slice), m = n // 2 and its trig rows.  So every member's values
+    come from the same operations whatever stack it is in, and agree bit
+    for bit with those of its own stack of one.
     """
 
     def __init__(self, realizations: list[CouplingRealization]):
-        n = np.array([r.n for r in realizations])
-        k, width = len(n), n.max() // 2
-        rows = width * (1 if np.all(n % 2) else 2)
-        self._assemble(n, np.zeros((k, width)), np.zeros((k, 4, rows + 1)),
-                       np.zeros((k, 4)), np.empty(k))
-        # the arrays are filled in place, one length at a time
-        for members, m, group_rows in self.groups:
-            length = int(n[members][0])
-            two_s, first, last = _end_modes(
-                np.array([realizations[i].couplings for i in np.arange(k)[members]]))
-            zero_mode = np.zeros((len(two_s), 4))
-            if length % 2 == 1:
-                # sites 1 and n are odd; column m is the zero mode
-                ends = np.stack([first**2, last**2, first * last, np.zeros_like(first)], axis=1)
-                self.weights[members, :, :m] = 0.5 * ends[..., :m]
-                zero_mode = ends[..., m]
-            else:
-                # site n is even: its row is Q's
-                self.weights[members, 0, :m] = 0.5 * first**2
-                self.weights[members, 1, :m] = -0.5 * last**2
-                self.weights[members, 3, m:2 * m] = -0.5 * first * last
-            # cos^2 = (1 + cos 2st)/2 and sin^2 = (1 - cos 2st)/2; the rows of P
-            # and Q are orthonormal, so the constant parts only need the zero mode
-            constant = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
-            self.weights[members, :, group_rows] = constant
-            self.two_s[members, :m] = two_s
-            # order N2 starts on the odd sites 1, 3, ..., so on site n iff n is odd
-            neel = neel_state(NeelOrder.N2, length)
-            self.start[members, :2] = [1 in neel.up_sites, length in neel.up_sites]
-            self.sign[members] = 1.0 if neel.m_up % 2 == 1 else -1.0
+        bonds = [r.couplings for r in realizations]
+        n = np.array([len(c) + 1 for c in bonds])
+        k, m, odd = len(n), n // 2, n % 2 == 1
+        # every member's modes in turn, as flat (member, mode) pairs
+        member = np.repeat(np.arange(k), m)
+        mode = np.arange(len(member)) - (np.cumsum(m) - m)[member]
+        two_s, first, last, zero = _end_modes(bonds, n, member, mode)
+        ends = np.where(odd, m, 2 * m)  # trig rows of each member, then its row of ones
+        weights = np.zeros((k, 4, m.max() * (1 if odd.all() else 2) + 1))
+        # cos^2 = (1 + cos 2st)/2 and sin^2 = (1 - cos 2st)/2; sites 1 and n
+        # of an odd chain are odd, on an even chain site n is even (Q's row)
+        o, e = odd[member], ~odd[member]
+        weights[member, 0, mode] = 0.5 * first**2
+        weights[member, 1, mode] = np.where(o, 0.5, -0.5) * last**2
+        weights[member[o], 2, mode[o]] = 0.5 * (first[o] * last[o])
+        weights[member[e], 3, m[member[e]] + mode[e]] = -0.5 * first[e] * last[e]
+        # the rows of P and Q are orthonormal, so the constant parts, in the
+        # column after a member's trig rows, only need the zero mode
+        zero_mode = np.stack([zero[0]**2, zero[1]**2, zero[0] * zero[1], np.zeros(k)], axis=1)
+        weights[np.arange(k), :, ends] = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
+        padded = np.zeros((k, m.max()))
+        padded[member, mode] = two_s
+        # order N2 fills the odd sites 1, 3, ...: site n iff n is odd, and its
+        # (n + 1) // 2 fermions give the parity sign (-1)^(M+1)
+        start = np.zeros((k, 4))
+        start[:, 0], start[:, 1] = 1.0, odd
+        self._assemble(n, padded, weights, start, np.where((n + 1) // 2 % 2, 1.0, -1.0), odd, ends)
 
-    def _assemble(self, n, two_s, weights, start, sign) -> None:
+    def _assemble(self, n, two_s, weights, start, sign, odd, ends) -> None:
         """Take the arrays of the members ``n``, trimmed to the longest."""
-        width = n.max() // 2
-        self.odd = n % 2 == 1
+        width = int(n.max()) // 2
         # trigonometric rows of a time point: cos, then sin if a member is even
-        self.rows = width * (1 if self.odd.all() else 2)
+        self.rows = width if odd.all() else 2 * width
         self.n, self.two_s, self.weights = n, two_s[:, :width], weights[:, :, :self.rows + 1]
-        self.start, self.sign = start, sign
-        self.groups = []
-        for length in sorted(set(n.tolist())):
-            members = np.flatnonzero(n == length)
-            if members[-1] - members[0] == len(members) - 1:
-                members = slice(members[0], members[-1] + 1)
-            m = length // 2
-            self.groups.append((members, m, m if length % 2 else 2 * m))
+        self.start, self.sign, self.odd = start, sign, odd
+        self._ones = (np.arange(len(n)), ends)
+        edges = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(n)]
+        lengths, trig_rows = n.tolist(), ends.tolist()
+        self.groups = [(slice(lo, hi), lengths[lo] // 2, trig_rows[lo])
+                       for lo, hi in zip(edges, edges[1:])]
         # floats per time point and member held at the peak of a chunk: the
         # trig rows (a grid basis, 1 + 2m rows over at least 2 GRID_BLOCK
         # points, holds no more), the rotated weights 4(1 + 2m), their
@@ -296,8 +307,8 @@ class ChainStack:
         ``chunk_points`` and series, are those of a stack built from their
         realizations."""
         part = ChainStack.__new__(ChainStack)
-        part._assemble(*(x[members] for x in (self.n, self.two_s, self.weights,
-                                                 self.start, self.sign)))
+        part._assemble(*(x[members] for x in (self.n, self.two_s, self.weights, self.start,
+                                                 self.sign, self.odd, self._ones[1])))
         return part
 
     def series(self, ts: np.ndarray) -> Iterator[tuple[slice, slice, tuple[np.ndarray, ...]]]:
@@ -347,18 +358,26 @@ def _uniform_step(ts: np.ndarray) -> float | None:
     return h
 
 
-def _trig_rows(two_s: np.ndarray, ts: np.ndarray, rows: int) -> np.ndarray:
-    """Trig rows (K, rows + 1, T) of K chains of one length, m =
-    two_s.shape[-1], at the times ``ts`` (T,) or (K, T): cos(2 s_k t),
-    sin(2 s_k t) if rows = 2m, and a row of ones."""
-    m = two_s.shape[-1]
-    trig = np.empty((len(two_s), rows + 1, ts.shape[-1]))
-    trig[:, rows] = 1.0
-    phase = trig[:, :m]
-    np.multiply(two_s[:, :, None], ts[..., None, :], out=phase)
-    if rows > m:
-        np.sin(phase, out=trig[:, m:rows])
+def _point_rows(chains: ChainStack, ts: np.ndarray) -> np.ndarray:
+    """Trig rows (K, rows + 1, T) of the members of ``chains`` at the times
+    ``ts``, shared (T,) or per member (K, T).  Member k's first rows_k + 1
+    rows are cos(2 s_j t) over its m modes, sin(2 s_j t) over them on an
+    even chain, and a row of ones; the rest are never read.  The cos rows,
+    over the zero-padded ``two_s``, and the rows of ones take one pass over
+    the whole stack; the sin rows of even chains take one pass per run,
+    as they start at the run's own m."""
+    k, width = chains.two_s.shape
+    trig = np.empty((k, chains.rows + 1, ts.shape[-1]))
+    phase = trig[:, :width]
+    np.multiply(chains.two_s[:, :, None], ts[..., None, :], out=phase)
     np.cos(phase, out=phase)
+    for members, m, rows in chains.groups:
+        if rows > m:
+            sin = trig[members, m:rows]
+            np.multiply(chains.two_s[members, :m, None],
+                        ts if ts.ndim == 1 else ts[members, None], out=sin)
+            np.sin(sin, out=sin)
+    trig[chains._ones] = 1.0
     return trig
 
 
@@ -401,29 +420,34 @@ def _end_moments(chains: ChainStack, ts: np.ndarray, step: float | None) -> np.n
     ``ts`` is one window (T,) that all members share, or times of each
     member (K, T); ``step`` is the uniform step of the window's grid from
     :func:`_uniform_step`, or None.  The rows are <c+_1 c_1>, <c+_n c_n>
-    and the real and imaginary parts of <c+_n c_1>.  Each length's members
-    take one product of their ``weights`` with trig rows that end in a row
-    of ones, so the constant part is summed with the oscillating ones: on a
-    uniform window those of :func:`_grid_rows`, otherwise those of
-    :func:`_trig_rows` at each time.  The products fill member-major
+    and the real and imaginary parts of <c+_n c_1>.  Each run of one
+    length takes one product of its members' ``weights`` with trig rows
+    that end in a row of ones, so the constant part is summed with the
+    oscillating ones: on a uniform window those of :func:`_grid_rows`,
+    otherwise those of :func:`_point_rows` at each time, filled for the
+    whole stack before the products.  The products fill member-major
     storage (K, 4, T), so each member's component row is contiguous, and
     the moments are its (4, K, T) view.  Times equal to zero are set
     exactly to the initially occupied sites, free of round-off.
     """
-    moments = None
-    for members, m, rows in chains.groups:
-        two_s, weights = chains.two_s[members, :m], chains.weights[members, :, :1 + rows]
-        if step is None:
-            part = weights @ _trig_rows(two_s, ts if ts.ndim == 1 else ts[members], rows)
-        else:
-            rotated, basis = _grid_rows(two_s, weights, ts, step)
+    if step is None:
+        trig = _point_rows(chains, ts)
+        moments = np.empty((len(chains.n), 4, ts.shape[-1]))
+        for members, m, rows in chains.groups:
+            np.matmul(chains.weights[members, :, :1 + rows], trig[members, :1 + rows],
+                      out=moments[members])
+    else:
+        moments = None
+        for members, m, rows in chains.groups:
+            rotated, basis = _grid_rows(
+                chains.two_s[members, :m], chains.weights[members, :, :1 + rows], ts, step)
             part = (rotated @ basis).reshape(len(basis), 4, -1)
-        if len(chains.groups) == 1:
-            moments = part
-        else:
-            if moments is None:
-                moments = np.empty((len(chains.n),) + part.shape[1:])
-            moments[members] = part
+            if len(chains.groups) == 1:
+                moments = part
+            else:
+                if moments is None:
+                    moments = np.empty((len(chains.n),) + part.shape[1:])
+                moments[members] = part
     moments = moments[..., :ts.shape[-1]]
     zero = ts == 0.0
     if np.any(zero):

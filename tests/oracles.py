@@ -19,7 +19,8 @@ obvious route to a quantity that an engine computes fast:
   standing-wave mode sum, and from it the end-site moments and end-spin
   state of a single Neel order, independent of the engine's sublattice
   closed form; the engine's moment -> X-state assembly for one length,
-  written plainly with its three checks one after another; and the dense
+  written plainly with its three checks one after another; a chain
+  stack's arrays built chain by chain; and the dense
   4x4 matrix and Bell weights of an end-spin X state;
 - purification: the recurrence round on the 16x16 two-pair density matrix.
 """
@@ -472,6 +473,48 @@ def end_moments_plain(chains, ts: np.ndarray) -> np.ndarray:
         neel = model.neel_state(NeelOrder.N2, n)
         moments[:2, zero] = np.array([[1 in neel.up_sites], [n in neel.up_sites]], dtype=float)
     return moments
+
+
+def chain_stack_arrays(realizations) -> tuple[np.ndarray, ...]:
+    """``two_s``, ``weights``, ``start`` and ``sign`` of
+    ``freefermion.ChainStack(realizations)`` built chain by chain: each
+    chain's own modes, from the uniform open chain's standing waves or
+    from its SVD alone, and its end-site weights of the sublattice sums,
+    each written as one loop iteration, padded to the longest chain."""
+    k, width = len(realizations), max(r.n for r in realizations) // 2
+    rows = width * (1 if all(r.n % 2 for r in realizations) else 2)
+    two_s, weights = np.zeros((k, width)), np.zeros((k, 4, rows + 1))
+    start, sign = np.zeros((k, 4)), np.empty(k)
+    for i, real in enumerate(realizations):
+        n, couplings = real.n, np.array(real.couplings, dtype=float)
+        m, odd = n // 2, n % 2
+        if np.all(couplings == couplings[0]):
+            j, modes = couplings[0], np.arange(1, m + 1)
+            two_s[i, :m] = 4.0 * abs(j) * np.sin(np.pi * (n + 1 - 2 * modes) / (2 * (n + 1)))
+            first = 2.0 / np.sqrt(n + 1) * np.sin(np.pi * modes / (n + 1))
+            last = np.where(modes % 2, first, -first)
+            if odd:
+                root = np.sqrt(2.0 / (n + 1))
+                first, last = np.append(first, root), np.append(last, root * (-1) ** m)
+            else:
+                last = last * np.copysign(1.0, j)
+        else:
+            p, s, qt = freefermion._sublattice_svd(couplings[None])
+            two_s[i, :m], first = 2.0 * s[0], p[0, 0]
+            last = p[0, -1] if odd else qt[0, :, -1]
+        if odd:  # column m is the zero mode
+            ends = np.stack([first**2, last**2, first * last, np.zeros_like(first)])
+            weights[i, :, :m], zero_mode = 0.5 * ends[:, :m], ends[:, m]
+        else:
+            weights[i, 0, :m] = 0.5 * first**2
+            weights[i, 1, :m] = -0.5 * last**2
+            weights[i, 3, m:2 * m] = -0.5 * first * last
+            zero_mode = np.zeros(4)
+        weights[i, :, m if odd else 2 * m] = 0.5 * (np.array([1.0, 1.0, 0.0, 0.0]) + zero_mode)
+        neel = model.neel_state(NeelOrder.N2, n)
+        start[i, :2] = [1 in neel.up_sites, n in neel.up_sites]
+        sign[i] = _parity_sign(neel)
+    return two_s, weights, start, sign
 
 
 def check_x_series_sequential(a, b, c, ts) -> None:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -487,6 +488,18 @@ def test_scan_falls_back_to_a_peak_of_any_height(tmp_path):
     assert col(header, rows, "fef_at_tmax")[0] == fallback.fef_at_tmax
 
 
+def test_scan_without_a_maximum_of_any_height_says_so(tmp_path, capsys):
+    # over a 0.3 horizon fef only falls from its t = 0 value, so the
+    # any-height fallback finds no maximum either, and the message names
+    # that rule, not the baseline
+    out = tmp_path / "s.csv"
+    assert run("scan-n", "--n", "7,9", "--t-max-horizon", "0.3", "--jobs", "1",
+               "--out", str(out)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "xxzquench: scan-n n=7 sigma=0 sub-seed=7: no strict local maximum of fef "
+        "of any height within horizon 0.3\n")
+
+
 def test_disorder_zero_sigma_matches_quench(tmp_path):
     dis = tmp_path / "d.csv"
     qch = tmp_path / "q.csv"
@@ -775,6 +788,20 @@ def test_overflowing_finite_delta1_is_a_numerical_fault(tmp_path, capsys):
         header, rows = read_csv(tmp_path / "q.csv")
         curves.append(np.array(col(header, rows, "fef")))
     np.testing.assert_allclose(*curves, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("delta1", ["1e308", "1.7e308"])
+def test_overflowing_sector_entries_are_a_numerical_fault_without_a_warning(
+        tmp_path, capsys, delta1):
+    # the diagonal (J delta / 2) z.z sums overflow before any Lanczos step;
+    # with warnings raised as errors the run still exits 3 by name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("quench", "--n", "5", "--delta1", delta1,
+                   "--out", str(tmp_path / "q.csv")) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "entries overflow" in err and "--delta1 inf" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags, names", [

@@ -127,13 +127,16 @@ def test_uniform_closed_form_matches_the_sublattice_svd(n, j):
     # pairs with P in any order, and only its norm is fixed
     couplings = np.full((1, n - 1), j)
     with mock.patch.object(freefermion, "_sublattice_svd", side_effect=AssertionError):
-        two_s, first, last = freefermion._end_modes(couplings)
+        two_s, first, last, zero = freefermion._end_modes(
+            [(j,) * (n - 1)], np.array([n]), np.zeros(n // 2, dtype=int), np.arange(n // 2))
     p, s, qt = freefermion._sublattice_svd(couplings)
     odd = n % 2
     assert np.max(np.abs(two_s - 2.0 * s)) <= 1e-13
     assert np.all(np.diff(two_s) <= 0.0)
-    got = _mode_sums(two_s[0], first[0], last[0], odd)
-    want = _mode_sums(two_s[0], p[0, 0], p[0, -1] if odd else qt[0, :, -1], odd)
+    if odd:  # the zero mode's column of P follows the m modes
+        first, last = np.append(first, zero[0]), np.append(last, zero[1])
+    got = _mode_sums(two_s, first, last, odd)
+    want = _mode_sums(two_s, p[0, 0], p[0, -1] if odd else qt[0, :, -1], odd)
     if j == 0.0 and not odd:
         got, want = got[:2], want[:2]
     assert np.max(np.abs(got - want)) <= 1e-13
@@ -701,16 +704,14 @@ def test_moment_assembly_matches_plain_form_bitwise(real, data):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_length_mixed_stack_matches_single_chains_bitwise(data):
-    # 1-6 chains of lengths 2..60, odd and even mixed, each at its own
-    # time with t = 0 among them: every member's (a, b, c) has the bits of
-    # its own chain's series at that time
+    # 1-6 chains of lengths 2..60, odd and even mixed, homogeneous (the
+    # closed form) or not (the SVD), each at its own time with t = 0 among
+    # them: every member's (a, b, c) has the bits of its own chain's
+    # series at that time
     k = data.draw(st.integers(min_value=1, max_value=6))
-    members = [
-        model.CouplingRealization(couplings=tuple(data.draw(st.lists(
-            signed_bond, min_size=n - 1, max_size=n - 1))), seed_used=0)
-        for n in data.draw(st.lists(st.integers(min_value=2, max_value=60),
-                                    min_size=k, max_size=k))
-    ]
+    members = [data.draw(chains(n, n, signed_bond))
+               for n in data.draw(st.lists(st.integers(min_value=2, max_value=60),
+                                           min_size=k, max_size=k))]
     ts = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
                                      min_size=k, max_size=k)))
     ts[data.draw(st.integers(min_value=0, max_value=k - 1))] = 0.0
@@ -719,3 +720,28 @@ def test_length_mixed_stack_matches_single_chains_bitwise(data):
         want = freefermion.end_spin_series(real, np.array([t]))
         for g, w in zip(got, want):
             assert _same_bits(g[m], w[0])
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_stack_set_up_matches_each_members_stack_of_one_bitwise(data):
+    # 1-8 homogeneous chains of either sign of J (the closed form, J = +-0
+    # included) and disordered ones (the SVD), odd and even, of 1-3
+    # lengths n = 2..61 in any order, in one stack built in one pass: its
+    # two_s, weights, start and sign have the bits of the same stack built
+    # chain by chain, and a member's those of its own stack of one
+    lengths = data.draw(st.lists(st.integers(min_value=2, max_value=61), min_size=1, max_size=3))
+    bonds = st.one_of(signed_bond, st.sampled_from([0.0, -0.0]))
+    members = [data.draw(chains(n, n, bonds))
+               for n in data.draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=8))]
+    stack = freefermion.ChainStack(members)
+    keys = ("two_s", "weights", "start", "sign")
+    for key, want in zip(keys, oracles.chain_stack_arrays(members)):
+        assert _same_bits(getattr(stack, key), want), key
+    for k, real in enumerate(members):
+        alone = freefermion.ChainStack([real])
+        m, rows = real.n // 2, alone.rows
+        assert _same_bits(stack.two_s[k, :m], alone.two_s[0])
+        assert _same_bits(stack.weights[k, :, :rows + 1], alone.weights[0])
+        assert _same_bits(stack.start[k], alone.start[0])
+        assert _same_bits(stack.sign[k], alone.sign[0])
