@@ -402,14 +402,16 @@ def _run_parallel(worker, items: list, jobs: int) -> list:
 
 
 def _disorder_block(item: dict) -> dict:
-    """Curves and refined peaks of one block of realizations of one sigma,
-    on one :class:`entangle.CurveEvaluator` from its scan to its lockstep
+    """Curves and refined peaks of one block of the ensemble's (sigma,
+    realization) members, of any sigmas, on one
+    :class:`entangle.CurveEvaluator` from its scan to its lockstep
     refinement.  Every curve and peak is that realization's own, bit for
     bit, so a program error re-runs each realization alone to name it."""
-    ts, rs, master = item["ts"], range(item["first"], item["stop"]), item["spec"]
-    specs = [dataclasses.replace(master, seed=model.sub_seed(master.seed, r)) for r in rs]
-    labels = [f"disorder n={spec.n} sigma={spec.disorder_sigma:g} "
-              f"realization {r} sub-seed={spec.seed}" for r, spec in zip(rs, specs)]
+    ts, base = item["ts"], item["spec"]
+    specs = [dataclasses.replace(base, disorder_sigma=sigma, seed=model.sub_seed(base.seed, r))
+             for sigma, r in item["members"]]
+    labels = [f"disorder n={spec.n} sigma={spec.disorder_sigma:g} realization {r} "
+              f"sub-seed={spec.seed}" for (_, r), spec in zip(item["members"], specs)]
 
     def peaks(part):
         evaluator = entangle.CurveEvaluator(specs[part], item["engine"])
@@ -418,18 +420,29 @@ def _disorder_block(item: dict) -> dict:
             [(ts, curve)], any_height_fallback=True, argmax_fallback=True) for curve in curves]))
 
     curves, peak_t, peak_f = _lockstep(peaks, labels)
-    return {"sigma": master.disorder_sigma, "first": item["first"],
-            "curves": curves, "peak_t": peak_t, "peak_f": peak_f}
+    return {"curves": curves, "peak_t": peak_t, "peak_f": peak_f}
 
 
-def _block_size(stack: bool, realizations: int, jobs: int) -> int:
-    """Realizations per block, each block one
+def _block_size(stack: bool, members: int, jobs: int) -> int:
+    """Members per block of a disorder ensemble, each block one
     :class:`entangle.CurveEvaluator`: when they ``stack``
-    (:func:`entangle.stacks`) into one chain stack, one sigma's
-    realizations in one contiguous block per worker, else one, as each
-    keeps its own eigenbasis and each worker's memory check charges one.
-    The output does not depend on it."""
-    return -(-realizations // _workers(jobs, realizations)) if stack else 1
+    (:func:`entangle.stacks`) into one chain stack, one contiguous block
+    per worker of the (sigma, realization) list, else one, as each keeps
+    its own eigenbasis and each worker's memory check charges one.  The
+    output does not depend on it."""
+    return -(-members // _workers(jobs, members)) if stack else 1
+
+
+def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean of ``values`` and its standard error, 0 for one value.  Values
+    beyond 1 are first divided by a power of two, which puts the largest
+    in [1, 2): the scaling is exact, so the sum and the squares of peak
+    times as long as 1e300 (from a tiny --j) cannot overflow, and the
+    bits are those of the unscaled statistics wherever those are finite."""
+    scale = 2.0 ** max(0, math.frexp(float(np.abs(values).max()))[1] - 1)
+    scaled = values / scale
+    spread = scaled.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
+    return float(scaled.mean()) * scale, float(spread) * scale
 
 
 def cmd_disorder(args) -> int:
@@ -438,41 +451,38 @@ def cmd_disorder(args) -> int:
     base = _spec_from_args(args, disorder_sigma=max(sigmas))
     engine = entangle.resolve_engine(base, args.engine)
     horizon, step, ts = _search_grid(base, args.t_max_horizon, args.grid_step)
+    counts = [1 if sigma == 0.0 else args.realizations for sigma in sigmas]
     # every realization's curve is kept until the summary is written
-    kept = sum(1 if sigma == 0.0 else args.realizations for sigma in sigmas)
+    kept = sum(counts)
     _check_fits(kept * ts.nbytes, f"the fef curves of {kept} realizations over {len(ts)} points")
 
-    block = _block_size(entangle.stacks(base, engine), args.realizations, args.jobs)
-    items = []
-    for sigma in sigmas:
-        spec = dataclasses.replace(base, disorder_sigma=sigma)
-        n_real = 1 if sigma == 0.0 else args.realizations
-        for first in range(0, n_real, block):
-            items.append({"spec": spec, "engine": engine, "ts": ts,
-                          "first": first, "stop": min(first + block, n_real)})
+    members = [(sigma, r) for sigma, count in zip(sigmas, counts) for r in range(count)]
+    block = _block_size(entangle.stacks(base, engine), kept, args.jobs)
+    items = [{"spec": base, "engine": engine, "ts": ts, "members": members[lo:lo + block]}
+             for lo in range(0, kept, block)]
     _check_engine(base, args.engine, _workers(args.jobs, len(items)), block)
     results = _run_parallel(_disorder_block, items, args.jobs)
-    results.sort(key=lambda d: (d["sigma"], d["first"]))
+
+    def gathered(key: str, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi of the members' ``key``, a view of one block's rows
+        unless they span two blocks."""
+        parts = [results[b][key][max(lo - b * block, 0):hi - b * block]
+                 for b in range(lo // block, -(-hi // block))]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     mean_curves: dict[float, np.ndarray] = {}
     summary_rows = []
-    for sigma in sigmas:
-        group = [d for d in results if d["sigma"] == sigma]
-        # one block's curves are used as they are: a copy would be the peak
-        curves = group[0]["curves"] if len(group) == 1 else np.concatenate(
-            [d["curves"] for d in group])
-        mean_curve = curves.mean(axis=0)
+    lo = 0
+    for sigma, nr in zip(sigmas, counts):
+        mean_curve = gathered("curves", lo, lo + nr).mean(axis=0)
         mean_curves[sigma] = mean_curve
-        peaks_f = np.concatenate([d["peak_f"] for d in group])
-        peaks_t = np.concatenate([d["peak_t"] for d in group])
-        nr = len(curves)
-        stderr_f = float(peaks_f.std(ddof=1) / np.sqrt(nr)) if nr > 1 else 0.0
-        stderr_t = float(peaks_t.std(ddof=1) / np.sqrt(nr)) if nr > 1 else 0.0
-        (_, mean_t, _, mean_f), _, _ = entangle.first_peak([(ts, mean_curve)], argmax_fallback=True)
+        mean_f, stderr_f = _mean_and_stderr(gathered("peak_f", lo, lo + nr))
+        mean_t, stderr_t = _mean_and_stderr(gathered("peak_t", lo, lo + nr))
+        lo += nr
+        (_, curve_t, _, curve_f), _, _ = entangle.first_peak(
+            [(ts, mean_curve)], argmax_fallback=True)
         summary_rows.append(
-            [sigma, nr, float(peaks_f.mean()), stderr_f,
-             float(peaks_t.mean()), stderr_t, float(mean_f), float(mean_t)]
-        )
+            [sigma, nr, mean_f, stderr_f, mean_t, stderr_t, float(curve_f), float(curve_t)])
 
     ts_path = _sibling_path(args.out, "_timeseries")
     header = ["t"] + [f"fef_mean_sigma={s:g}" for s in sigmas]

@@ -259,7 +259,9 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
             f"time grid of {points:.3g} points (horizon {horizon}, step {step}) "
             f"exceeds the cap of {MAX_GRID_POINTS}"
         )
-    return np.arange(0.0, horizon + 0.5 * step, step)
+    # at a zero horizon half a subnormal step rounds to 0, which would end
+    # the grid before t = 0
+    return np.arange(0.0, horizon + 0.5 * step, step) if horizon > 0 else np.zeros(1)
 
 
 def first_peak_index(fef: np.ndarray, baseline: float) -> int | None:

@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NumericalFaultError
-from .freefermion import CHUNK_BYTES, _check, chunked_series
+from .freefermion import CHUNK_BYTES, _check, _check_phases, chunked_series
 from .model import CouplingRealization, NeelOrder, neel_state
 
 MAX_SITES = 15
@@ -179,7 +179,8 @@ def build_sector_hamiltonian(
     if math.isinf(delta):
         raise ValueError("infinite anisotropy never enters numerical matrices")
     couplings = np.asarray(realization.couplings)
-    with np.errstate(over="ignore"):  # an entry that overflows is refused below
+    # an entry that overflows, or sums opposite infinities to NaN, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         bond_zz = couplings * delta / 2.0
         blocks = tuple(
             SimpleNamespace(**vars(b), values=np.concatenate([couplings[b.bonds] * b.weights,
@@ -563,16 +564,26 @@ def correlators(state: MixedState) -> list[tuple[float, int, np.ndarray, np.ndar
         states = sector_basis(n, comp.m_up).states
         ups = (states >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)
         signs = 1.0 - 2.0 * ((np.cumsum(ups, axis=0) - ups) % 2)
+        # every pattern's M set sites, ascending, read once for both orders
+        sites = np.nonzero(ups.T)[1].reshape(len(states), comp.m_up)
         grams = []
         for order in (1, 2):
-            sites = [list(c) for c in combinations(range(n), order)]
+            # a row per site set of this order, in combinations order
+            sets = np.array(list(combinations(range(n), order)))
+            row_of = np.zeros((n,) * order, dtype=np.intp)
+            row_of[tuple(sets.T)] = np.arange(len(sets))
             target = sector_basis(n, comp.m_up - order).states if comp.m_up >= order else []
-            rows = np.zeros((len(sites), len(target)))
-            for row, at in zip(rows, sites):
-                hit = np.flatnonzero(ups[at].all(axis=0))
-                cleared = states[hit] ^ np.uint64(sum(1 << k for k in at))
-                sign = signs[at][:, hit].prod(axis=0)
-                row[np.searchsorted(target, cleared)] = sign * comp.amplitudes[hit]
+            rows = np.zeros((len(sets), len(target)))
+            picks = np.array(list(combinations(range(comp.m_up), order)), dtype=np.intp)
+            if len(picks):  # every pattern's site sets of this order, scattered at once
+                at = sites[:, picks]  # (patterns, sets, order)
+                cleared = states[:, None] ^ np.bitwise_or.reduce(
+                    np.uint64(1) << at.astype(np.uint64), axis=-1)
+                column = np.empty(1 << n, dtype=np.intp)  # a target pattern's column
+                column[target] = np.arange(len(target))
+                sign = signs[at, np.arange(len(states))[:, None, None]].prod(axis=-1)
+                rows[row_of[tuple(np.moveaxis(at, -1, 0))], column[cleared]] = (
+                    sign * comp.amplitudes[:, None])
             grams.append(rows @ rows.T)
         found.append((weight, comp.m_up, *grams))
     return found
@@ -720,12 +731,14 @@ def _amplitudes(block: SimpleNamespace, coeff, ts: np.ndarray) -> np.ndarray:
     """
     n_t = len(ts)
     if block.u is None:
+        _check_phases(float(np.abs(block.energies).max()), ts)
         phase = block.energies[:, None] * ts
         w = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
         w *= coeff[:, None]
         return block.modes @ w
     alpha, beta, y0 = coeff
     p = len(alpha)
+    _check_phases(float(block.root.max(initial=0.0)), ts)
     half = 0.5 * block.root[:, None] * ts
     sin_half = np.sin(half)
     c = 1.0 - 2.0 * np.square(sin_half)

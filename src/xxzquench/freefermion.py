@@ -52,6 +52,7 @@ Wick-factorize into the closed form above.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -98,6 +99,15 @@ def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None
         k = np.unravel_index(np.argmin(ok), ok.shape)
         t = np.broadcast_to(ts, ok.shape)[k]
         raise NumericalFaultError(f"{what} {deviation[k]:.3e} beyond {tol:g} at t={float(t)!r}")
+
+
+def _check_phases(rate: float, ts: np.ndarray) -> None:
+    """Refuse times ``ts`` at which a phase of frequency up to ``rate``
+    overflows, before any product is taken; NaN times pass to the checks."""
+    t = float(np.abs(ts).max(initial=0.0))
+    if math.isinf(rate * t):
+        raise NumericalFaultError(
+            f"evolution phases overflow: frequencies up to {rate:.3e} at times up to {t:.3e}")
 
 
 def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) -> None:
@@ -153,6 +163,13 @@ def _sublattice_svd(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.linalg.svd(b)
 
 
+def _svd_batch(n: int) -> int:
+    """Chains of length n per SVD batch of :func:`_end_modes`: as many as
+    keep a batch's blocks, P and Q^T, 3 ((n + 1) // 2)^2 doubles per chain,
+    within CHUNK_BYTES, and at least one."""
+    return max(1, CHUNK_BYTES // (24 * ((n + 1) // 2) ** 2))
+
+
 def _end_modes(bonds: list, n: np.ndarray, member: np.ndarray, mode: np.ndarray) -> tuple:
     """Doubled singular values 2 s of the sublattice blocks of K chains of
     the lengths ``n`` (K,), one bond sequence each in ``bonds``, and the
@@ -167,22 +184,27 @@ def _end_modes(bonds: list, n: np.ndarray, member: np.ndarray, mode: np.ndarray)
     once in O(F): s_k = 2|J| cos(pi k/(n + 1)), and mode k is (2/sqrt(n +
     1)) sin(pi k j/(n + 1)) at site j, on Q's sites times the sign of J
     (+-1 even at J = +-0.0); the zero mode is sqrt(2/(n + 1)) sin(pi j/2).
-    Every other chain takes the batched SVD of :func:`_sublattice_svd`,
-    one batch per length.  The path is chosen per chain, and a chain's
-    values come from elementwise operations or from its own SVD, so they
-    are those of a stack of its own."""
+    Every other chain takes the batched SVD of :func:`_sublattice_svd`, in
+    batches of :func:`_svd_batch` chains of one length, so the set-up holds
+    one batch's O(n^2) at a time.  The path is chosen per chain, and a
+    chain's values come from elementwise operations or from its own SVD,
+    which gives the same bits in a batch of any size, so they are those of
+    a stack of its own."""
     # NaN equals nothing, in the tuple's count as in numpy
     uniform = np.array([c[0] == c[0] and c.count(c[0]) == len(c) for c in bonds], dtype=bool)
     two_s, first, last = np.empty((3, len(member)))
     zero = np.zeros((2, len(n)))
     for length in sorted(set(n[~uniform].tolist())):
-        chains, m = np.flatnonzero(~uniform & (n == length)), length // 2
-        p, s, qt = _sublattice_svd(np.array([bonds[k] for k in chains.tolist()]))
-        at = np.searchsorted(member, chains)[:, None] + np.arange(m)
-        two_s[at], first[at] = 2.0 * s, p[:, 0, :m]
-        last[at] = p[:, -1, :m] if length % 2 else qt[:, :, -1]
-        if length % 2:  # column m of P is the zero mode
-            zero[:, chains] = p[:, [0, -1], m].T
+        every, m, batch = np.flatnonzero(~uniform & (n == length)), length // 2, _svd_batch(length)
+        for lo in range(0, len(every), batch):
+            chains = every[lo:lo + batch]
+            p, s, qt = _sublattice_svd(np.array([bonds[k] for k in chains.tolist()]))
+            at = np.searchsorted(member, chains)[:, None] + np.arange(m)
+            two_s[at], first[at] = 2.0 * s, p[:, 0, :m]
+            last[at] = p[:, -1, :m] if length % 2 else qt[:, :, -1]
+            if length % 2:  # column m of P is the zero mode
+                zero[:, chains] = p[:, [0, -1], m].T
+            del p, s, qt  # freed before the next batch
     closed = uniform[member]
     n_k, k = n[member[closed]], mode[closed] + 1
     j = np.array([c[0] for c in bonds], dtype=float)[member[closed]]
@@ -202,26 +224,30 @@ def _end_modes(bonds: list, n: np.ndarray, member: np.ndarray, mode: np.ndarray)
 
 def stack_bytes(n: int, members: int = 1, uniform: bool = False) -> int:
     """Estimated peak bytes of drawing and building a :class:`ChainStack` of
-    ``members`` chains of length n.  ``uniform`` chains take the closed form
-    of :func:`_end_modes` in O(n): their bonds, flat modes and weights
-    peaked at 8-10 n doubles per member (tracemalloc, n = 401 to 40,001,
-    K = 1 to 8), which 16 n covers; a block of the 1,000 sizes 3..2,001,
-    charged 244 MiB as 1,000 chains of n = 2,001, peaked at 70 MiB.  Any
-    other chain takes the batched SVD, which holds about 3 K (n // 2)^2
-    doubles (the blocks, P and Q^T), and LAPACK's workspace 6-7 (n // 2)^2
-    more, once per batch: the growth of ru_maxrss of a build in a fresh
-    process, at n = 801, 1,601 and 3,201 for K = 1 to 8, was 2.9-3.0 of
-    these units per member plus 5.9-7.1, which 8 covers."""
+    ``members`` chains of length n.  Every chain holds O(n) numbers, its
+    bonds, flat modes and weights, and its Python objects: traced, the
+    set-up of 2,000 chains peaked at 51-58 doubles per chain at n = 2 and
+    3, and at 7-10 n per chain besides the SVD batch from n = 31 up (n =
+    401 to 40,001 for uniform ones), which 16 n + 64 covers; a block of
+    the 1,000 sizes 3..2,001, charged 245 MiB as 1,000 chains of
+    n = 2,001, peaked at 70 MiB.  A chain that is not uniform also takes
+    the batched SVD of :func:`_end_modes`, one batch of :func:`_svd_batch`
+    chains at a time: the batch's blocks, P and Q^T, 3 (n // 2)^2 doubles
+    per chain, and LAPACK's workspace, 6-7 (n // 2)^2 more.  The growth of
+    ru_maxrss of a build in a fresh process, at n = 801, 1,601, 2,001 and
+    3,201 for K = 1 to 8 (a chain per batch), was 8.1-9.8 of these units
+    whatever K, which 3 per chain of a batch plus 8 covers."""
+    flat = 8 * members * (16 * n + 64)
     if uniform:
-        return 8 * 16 * members * n
-    return 8 * (3 * members + 8) * (n // 2) ** 2
+        return flat
+    return flat + 8 * (3 * min(members, _svd_batch(n)) + 8) * (n // 2) ** 2
 
 
 class ChainStack:
     """End-site weights of the sublattice SVDs of K hopping chains from the
     Neel mixture, of any lengths: O(n) numbers per chain, from
-    :func:`_end_modes`, a closed form for a uniform chain and one batched
-    O(n^3) SVD per length for the others.  The Neel members of an
+    :func:`_end_modes`, a closed form for a uniform chain and batched
+    O(n^3) SVDs, a few chains of one length at a time, for the others.  The Neel members of an
     :class:`~xxzquench.entangle.CurveEvaluator` (a disorder ensemble, a
     block of scan sizes) are one stack; :func:`end_spin_series` evaluates
     a chain as its own stack of one (:func:`_chain`).
@@ -241,7 +267,7 @@ class ChainStack:
     the whole stack: the set-up (the closed forms, the weights, ``start``
     and ``sign``, over flat (member, mode) index arrays), the cos rows of
     the point path (:func:`_point_rows`) and a sub-stack's slices.  What
-    still runs per length is the SVD batch of the chains that are not
+    still runs per length is the SVD batches of the chains that are not
     uniform, and per run of equal consecutive lengths, ``groups``, the sin
     rows of even chains, the grid path's rows (:func:`_grid_rows`) and
     every product of trig rows with weights: a product over zero-padded
@@ -332,10 +358,11 @@ class ChainStack:
         count = max(1, self.chunk_points // span)
         for lo in range(0, len(self.n), count):
             part = self if count >= len(self.n) else self[lo:lo + count]
+            bases = None if step is None else _grid_bases(part, step)
             for t0 in range(0, len(ts), span):
                 window = ts[t0:t0 + span]
                 yield slice(lo, lo + count), slice(t0, t0 + span), _x_state(
-                    _end_moments(part, window, step), part, window)
+                    _end_moments(part, window, bases), part, window)
 
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) of member k at time ``ts[k]``, each of shape (K,)."""
@@ -381,23 +408,36 @@ def _point_rows(chains: ChainStack, ts: np.ndarray) -> np.ndarray:
     return trig
 
 
-def _grid_rows(two_s: np.ndarray, weights: np.ndarray, ts: np.ndarray, h: float):
-    """Rotated weights (K, 4 x blocks, 2m + 1) and basis (K, 2m + 1,
-    GRID_BLOCK) of K chains of one length, m = two_s.shape[-1], over a
-    window ``ts`` from a sub-block edge of a grid of step h, whose product
-    is their moments by angle addition, one sub-block after another.
+def _grid_bases(chains: ChainStack, h: float) -> list[np.ndarray]:
+    """The basis [cos 2sjh; -sin 2sjh; 1] (k, 2m + 1, GRID_BLOCK) over the
+    offsets j of a sub-block of a grid of step h, one per run of
+    ``chains.groups``; it depends on the grid's step alone, so a series
+    builds it once for all of its windows."""
+    bases = []
+    for members, m, _ in chains.groups:
+        two_s = chains.two_s[members, :m]
+        basis = np.empty((len(two_s), 2 * m + 1, GRID_BLOCK))
+        basis[:, 2 * m] = 1.0
+        beta = basis[:, m:2 * m]
+        np.multiply(two_s[:, :, None], h * np.arange(GRID_BLOCK), out=beta)
+        np.cos(beta, out=basis[:, :m])
+        np.sin(beta, out=beta)
+        np.negative(beta, out=beta)
+        bases.append(basis)
+    return bases
+
+
+def _grid_rows(two_s: np.ndarray, weights: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Rotated weights (K, 4 x blocks, 2m + 1) of K chains of one length,
+    m = two_s.shape[-1], over a window ``ts`` from a sub-block edge of a
+    uniform grid, whose product with the run's basis from
+    :func:`_grid_bases` is their moments by angle addition, one sub-block
+    after another.
 
     Each sub-block rotates the weights by alpha = 2s tau at its actual
-    start time tau, and one basis [cos 2sjh; -sin 2sjh; 1] over the
-    offsets j serves them all; the constant part rides on its row of ones."""
+    start time tau, and the one basis over the offsets serves them all;
+    the constant part rides on its row of ones."""
     k, m = two_s.shape
-    basis = np.empty((k, 2 * m + 1, GRID_BLOCK))
-    basis[:, 2 * m] = 1.0
-    beta = basis[:, m:2 * m]
-    np.multiply(two_s[:, :, None], h * np.arange(GRID_BLOCK), out=beta)
-    np.cos(beta, out=basis[:, :m])
-    np.sin(beta, out=beta)
-    np.negative(beta, out=beta)
     alpha = (ts[::GRID_BLOCK, None] * two_s[:, None, :])[:, None]
     cos_a = np.cos(alpha)
     sin_a = np.sin(alpha, out=alpha)
@@ -410,16 +450,17 @@ def _grid_rows(two_s: np.ndarray, weights: np.ndarray, ts: np.ndarray, h: float)
         rotated[..., :m] += w_s * sin_a
         rotated[..., m:2 * m] -= w_s * cos_a
     rotated[..., 2 * m] = weights[:, :, -1:]
-    return rotated.reshape(k, -1, 2 * m + 1), basis
+    return rotated.reshape(k, -1, 2 * m + 1)
 
 
-def _end_moments(chains: ChainStack, ts: np.ndarray, step: float | None) -> np.ndarray:
+def _end_moments(chains: ChainStack, ts: np.ndarray, bases: list | None) -> np.ndarray:
     """End-site moments of Neel order N2 for the K members of ``chains``
     over the times ``ts``; shape (4, K, T).
 
     ``ts`` is one window (T,) that all members share, or times of each
-    member (K, T); ``step`` is the uniform step of the window's grid from
-    :func:`_uniform_step`, or None.  The rows are <c+_1 c_1>, <c+_n c_n>
+    member (K, T); ``bases`` are the runs' grid bases (:func:`_grid_bases`)
+    at the step of the window's uniform grid (:func:`_uniform_step`), or
+    None.  The rows are <c+_1 c_1>, <c+_n c_n>
     and the real and imaginary parts of <c+_n c_1>.  Each run of one
     length takes one product of its members' ``weights`` with trig rows
     that end in a row of ones, so the constant part is summed with the
@@ -430,7 +471,8 @@ def _end_moments(chains: ChainStack, ts: np.ndarray, step: float | None) -> np.n
     the moments are its (4, K, T) view.  Times equal to zero are set
     exactly to the initially occupied sites, free of round-off.
     """
-    if step is None:
+    _check_phases(float(chains.two_s.max()), ts)
+    if bases is None:
         trig = _point_rows(chains, ts)
         moments = np.empty((len(chains.n), 4, ts.shape[-1]))
         for members, m, rows in chains.groups:
@@ -438,9 +480,9 @@ def _end_moments(chains: ChainStack, ts: np.ndarray, step: float | None) -> np.n
                       out=moments[members])
     else:
         moments = None
-        for members, m, rows in chains.groups:
-            rotated, basis = _grid_rows(
-                chains.two_s[members, :m], chains.weights[members, :, :1 + rows], ts, step)
+        for (members, m, rows), basis in zip(chains.groups, bases):
+            rotated = _grid_rows(chains.two_s[members, :m],
+                                 chains.weights[members, :, :1 + rows], ts)
             part = (rotated @ basis).reshape(len(basis), 4, -1)
             if len(chains.groups) == 1:
                 moments = part
@@ -584,6 +626,7 @@ class CorrelatorQuench:
         self.chunk_points = max(1, CHUNK_BYTES // (8 * (10 * len(self.pairs[0]) + 32 * n)))
 
     def _end_pair(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        _check_phases(float(self.s.max(initial=0.0)), ts)
         phase = ts[:, None] * self.s
         f = np.concatenate([np.cos(phase), np.sin(phase)], axis=1) @ self.kernel + self.zero
         first, last = f.reshape(len(ts), 2, -1).transpose(1, 0, 2)

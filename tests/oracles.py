@@ -330,6 +330,32 @@ def end_pair_per_point(initial: MixedState, realization, delta2: float, ts) -> t
     return tuple(np.array([getattr(s, k) for s in states]) for k in "abc")
 
 
+def correlators_rowwise(state: MixedState) -> list:
+    """``exactdiag.correlators`` one site set at a time: per flip
+    representative, each row of c_k psi and of c_l c_m psi, l < m, is
+    gathered, signed and scattered on its own, with its Jordan-Wigner signs
+    read from the pattern before any bit is cleared."""
+    n, found = state.n, []
+    for weight, comp in exactdiag._flip_representatives(state):
+        states = exactdiag.sector_basis(n, comp.m_up).states
+        ups = (states >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)
+        signs = 1.0 - 2.0 * ((np.cumsum(ups, axis=0) - ups) % 2)
+        grams = []
+        for order in (1, 2):
+            sites = [list(c) for c in combinations(range(n), order)]
+            target = (exactdiag.sector_basis(n, comp.m_up - order).states
+                      if comp.m_up >= order else [])
+            rows = np.zeros((len(sites), len(target)))
+            for row, at in zip(rows, sites):
+                hit = np.flatnonzero(ups[at].all(axis=0))
+                cleared = states[hit] ^ np.uint64(sum(1 << k for k in at))
+                sign = signs[at][:, hit].prod(axis=0)
+                row[np.searchsorted(target, cleared)] = sign * comp.amplitudes[hit]
+            grams.append(rows @ rows.T)
+        found.append((weight, comp.m_up, *grams))
+    return found
+
+
 # --- free fermions -------------------------------------------------------
 
 
@@ -565,8 +591,9 @@ def engine_component_series(realization, ts, order: NeelOrder) -> np.ndarray:
     moments of order N2, on the path its series takes for ``ts``; the
     engine evaluates order N2 alone (see :func:`component_x_state`)."""
     ts = np.asarray(ts, dtype=float)
+    chain, step = freefermion._chain(realization), freefermion._uniform_step(ts)
     moments = freefermion._end_moments(
-        freefermion._chain(realization), ts, freefermion._uniform_step(ts))
+        chain, ts, None if step is None else freefermion._grid_bases(chain, step))
     return component_x_state(moments[:, 0], realization.n, order)
 
 

@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xxzquench import cli, entangle, exactdiag, freefermion, model
 from xxzquench.errors import ConvergenceError, NoPeakError, NumericalFaultError
@@ -804,6 +808,89 @@ def test_overflowing_sector_entries_are_a_numerical_fault_without_a_warning(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sector_entries_summing_opposite_infinities_are_a_numerical_fault(tmp_path, capsys):
+    # at j = 1e12 and delta1 = 1e300 every bond's J delta / 2 overflows, and
+    # a diagonal entry sums them with both signs to NaN: the run exits 3 by
+    # name, with warnings raised as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("quench", "--n", "3", "--j", "1e12", "--delta1", "1e300",
+                   "--out", str(tmp_path / "q.csv")) == cli.EXIT_NUMERICAL
+    assert "entries overflow" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("horizon", ["0", "-0.0"])
+def test_zero_horizon_with_a_subnormal_step_is_the_single_point_grid(tmp_path, capsys, horizon):
+    # half of the step 5e-324 rounds to 0, yet the grid still holds t = 0:
+    # quench writes its one row, and scan-n refuses it by name
+    flags = ["--t-max-horizon", horizon, "--grid-step", "5e-324"]
+    assert run("quench", "--n", "5", *flags, "--out", str(tmp_path / "q.csv")) == 0
+    assert len(read_csv(tmp_path / "q.csv")[1]) == 1
+    assert run("scan-n", "--n", "3,5", "--jobs", "1", *flags,
+               "--out", str(tmp_path / "s.csv")) == cli.EXIT_USAGE
+    assert "positive time horizon" in capsys.readouterr().err
+
+
+def test_phases_beyond_the_largest_float_are_a_numerical_fault(tmp_path, capsys):
+    # a grid of t = 0 and 1.1e308 overflows the phases on free fermions,
+    # on the correlator route and on exact diagonalization: each exits 3 by
+    # name
+    flags = ["--t-max-horizon", "1.2e308", "--grid-step", "1.1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in ([], ["--delta1", "3"], ["--engine", "ed"]):
+            assert run("quench", "--n", "5", *flags, *route,
+                       "--out", str(tmp_path / "q.csv")) == cli.EXIT_NUMERICAL, route
+            assert "evolution phases overflow" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dense_evolution_phase_overflow_is_a_numerical_fault_without_a_warning(
+        tmp_path, capsys):
+    # at n = 3 the sector entries of delta2 = 1e308 stay finite, but energy
+    # times time does not: the run exits 3 by name, for quench and scan-n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["quench", "--n", "3"], ["scan-n", "--n", "3,5", "--jobs", "1"]):
+            assert run(*argv, "--delta2", "1e308",
+                       "--out", str(tmp_path / "x.csv")) == cli.EXIT_NUMERICAL
+            assert "evolution phases overflow" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_disorder_statistics_of_huge_peak_times_stay_finite(tmp_path):
+    # at j = 1e-300 the peak times are about 1.7e300, whose squares
+    # overflow: the spread is taken of exactly scaled times, so the
+    # summary is finite and its other columns are those of j = 1 scaled
+    argv = ["disorder", "--n", "5", "--realizations", "2", "--jobs", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--j", "1e-300", "--out", str(tmp_path / "tiny.csv")) == 0
+    header, rows = read_csv(tmp_path / "tiny.csv")
+    times = np.array(col(header, rows, "mean_peak_time"))
+    spread = np.array(col(header, rows, "stderr_peak_time"))
+    assert np.all(np.isfinite(spread)) and np.all(spread[1:] > 1e297)
+    assert run(*argv, "--out", str(tmp_path / "unit.csv")) == 0
+    unit_header, unit_rows = read_csv(tmp_path / "unit.csv")
+    np.testing.assert_allclose(times * 1e-300, col(unit_header, unit_rows, "mean_peak_time"),
+                               rtol=1e-9)
+    np.testing.assert_allclose(spread * 1e-300, col(unit_header, unit_rows, "stderr_peak_time"),
+                               rtol=1e-6)
+
+
+def test_summary_statistics_keep_the_bits_of_unscaled_numpy():
+    # wherever the plain mean and spread are finite, the scaled ones have
+    # their bits: times beyond 1 are scaled by an exact power of two
+    rng = np.random.default_rng(5)
+    for values in (rng.uniform(0.25, 1.0, 100), rng.uniform(0.0, 300.0, 7),
+                   np.array([3.5]), np.array([0.0, 0.0]), 1e150 * rng.uniform(1, 2, 5)):
+        mean, spread = cli._mean_and_stderr(values)
+        assert mean == float(values.mean())
+        want = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+        assert spread == want
+
+
 @pytest.mark.parametrize("flags, names", [
     (("--sigma", "nan"), "disorder_sigma"),
     (("--j", "inf"), "coupling j"),
@@ -837,24 +924,35 @@ def test_couplings_without_a_finite_band_edge_are_refused(tmp_path, capsys, flag
 
 
 def test_disorder_bytes_independent_of_jobs_and_block_size(tmp_path, monkeypatch):
-    argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5",
-            "--seed", "11"]
-    assert run(*argv, "--jobs", "1", "--out", str(tmp_path / "whole.csv")) == 0
-    # two workers (on two cores or more): blocks of 3 and 2 realizations
-    assert run(*argv, "--jobs", "2", "--out", str(tmp_path / "b.csv")) == 0
-    # three workers, mapped in this process: blocks of 2, 2 and 1
-    # realizations, as 5 is not a multiple of the block size
-    seen = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _InlinePool(seen, max_workers))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    assert run(*argv, "--jobs", "3", "--out", str(tmp_path / "c.csv")) == 0
-    assert [(b["first"], b["stop"]) for b in seen[0]["items"]] == [
-        (0, 1), (0, 2), (2, 4), (4, 5)]
-    for suffix in (".csv", "_timeseries.csv"):
-        want = (tmp_path / f"whole{suffix}").read_bytes()
-        for name in "bc":
-            assert (tmp_path / f"{name}{suffix}").read_bytes() == want
+    for sigmas, blocks in [
+        # sigma = 0 has one member, 0.3 five: blocks of 2, 2 and 2 members
+        ("0,0.3", [[(0.0, 0), (0.3, 0)], [(0.3, 1), (0.3, 2)], [(0.3, 3), (0.3, 4)]]),
+        # unsorted, sigma = 0 in the middle: 11 members in blocks of 4, 4
+        # and 3, so block boundaries fall inside sigma = 0.3 and 0.1
+        ("0.3,0,0.1", [[(0.3, 0), (0.3, 1), (0.3, 2), (0.3, 3)],
+                       [(0.3, 4), (0.0, 0), (0.1, 0), (0.1, 1)],
+                       [(0.1, 2), (0.1, 3), (0.1, 4)]]),
+    ]:
+        monkeypatch.undo()
+        argv = ["disorder", "--n", "7", "--sigma", sigmas, "--realizations", "5", "--seed", "11"]
+        out = tmp_path / sigmas
+        out.mkdir()
+        assert run(*argv, "--jobs", "1", "--out", str(out / "whole.csv")) == 0
+        # two workers (on two cores or more): two blocks of the (sigma,
+        # realization) list
+        assert run(*argv, "--jobs", "2", "--out", str(out / "b.csv")) == 0
+        # three workers, mapped in this process: three contiguous blocks of
+        # the (sigma, realization) list, which cut across sigmas
+        seen = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: _InlinePool(seen, max_workers))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert run(*argv, "--jobs", "3", "--out", str(out / "c.csv")) == 0
+        assert [b["members"] for b in seen[0]["items"]] == blocks
+        for suffix in (".csv", "_timeseries.csv"):
+            want = (out / f"whole{suffix}").read_bytes()
+            for name in "bc":
+                assert (out / f"{name}{suffix}").read_bytes() == want
 
 
 def test_disorder_block_size_bounds_stacked_eigenbases_and_fills_workers(monkeypatch):
@@ -915,7 +1013,8 @@ def test_workers_never_exceed_cores_or_tasks(tmp_path, monkeypatch):
     # a single task runs in this process; the disorder blocks are sized
     # for two workers, three realizations each
     assert [r["workers"] for r in seen] == [2, 2]
-    assert [(b["first"], b["stop"]) for b in seen[1]["items"]] == [(0, 3), (3, 6)]
+    assert [b["members"] for b in seen[1]["items"]] == [
+        [(0.3, 0), (0.3, 1), (0.3, 2)], [(0.3, 3), (0.3, 4), (0.3, 5)]]
     assert cli._block_size(True, 100, 64) == 50
 
 
@@ -1041,3 +1140,62 @@ def test_serial_runs_leave_the_worker_pool_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.split()[-2:] == ["False", "False"]
+
+
+# Values for the CLI's numeric flags: non-finite, subnormal, huge and -0.0
+# ones, or as often ordinary ones
+_FLOATS = st.one_of(
+    st.sampled_from(["-0.0", "5e-324", "1e-310", "1e-300", "1e-12", "1e12", "1e300", "1e308",
+                     "inf", "-inf", "nan"]),
+    st.sampled_from(["0", "0.05", "0.3", "0.9", "1", "2.5", "3", "-1"]))
+_INTS = st.one_of(st.sampled_from(["-1", "18446744073709551616", "1e3", "nan"]),
+                  st.sampled_from(["0", "1", "2", "7"]))
+_PHYSICS = {"--j": _FLOATS, "--delta1": _FLOATS, "--delta2": _FLOATS, "--seed": _INTS,
+            "--t-max-horizon": _FLOATS, "--grid-step": _FLOATS}
+_SURFACE = {
+    "quench": (["quench", "--n", "5"], {**_PHYSICS, "--sigma": _FLOATS}),
+    "scan-n": (["scan-n", "--n", "3,5"], {**_PHYSICS, "--sigma": _FLOATS, "--jobs": _INTS}),
+    "disorder": (["disorder", "--n", "5", "--realizations", "2"], {
+        **_PHYSICS, "--jobs": _INTS, "--realizations": _INTS,
+        "--sigma": st.lists(_FLOATS, min_size=1, max_size=3).map(",".join)}),
+    "purify": (["purify"], {"--threshold": _FLOATS}),
+}
+
+
+def _finite_data(path: str) -> bool:
+    """Whether every computed value of a data file is finite; the echoed
+    delta1 column of scan-n may read inf."""
+    if path.endswith(".json"):
+        def numbers(x):
+            if isinstance(x, dict):
+                return [v for value in x.values() for v in numbers(value)]
+            if isinstance(x, list):
+                return [v for value in x for v in numbers(value)]
+            return [x] if isinstance(x, float) else []
+        with open(path, encoding="utf-8") as fh:
+            return all(math.isfinite(x) for x in numbers(json.load(fh)))
+    header, rows = read_csv(path)
+    return all(math.isfinite(float(value)) for row in rows for name, value in zip(header, row)
+               if name not in ("delta1", "engine"))
+
+
+@pytest.mark.parametrize("command", list(_SURFACE))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_surface_exits_with_a_documented_code_and_finite_data(command, data):
+    # up to three of the numeric and list flags: main returns 0-3 with
+    # RuntimeWarnings raised as errors, and exit 0 leaves finite data; one
+    # core, so no --jobs forks a worker
+    argv, flags = _SURFACE[command]
+    argv = list(argv)
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3,
+                                   unique=True), label="flags"):
+        argv += [flag, data.draw(flags[flag], label=flag)]
+    if command == "purify":
+        argv += ["--fef", data.draw(_FLOATS, label="--fef")]
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(cli.os, "cpu_count", lambda: 1):
+        code = run(*argv, "--out", os.path.join(out, "x.json" if command == "purify" else "x.csv"))
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            files = [os.path.join(out, f) for f in os.listdir(out) if "manifest" not in f]
+            assert files and all(_finite_data(f) for f in files), argv

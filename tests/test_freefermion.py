@@ -284,6 +284,60 @@ def test_series_work_memory_independent_of_grid():
     assert peak <= freefermion.CHUNK_BYTES + outputs + (16 << 10)
 
 
+@pytest.mark.parametrize("n, few, many", [(201, 8, 48), (301, 4, 40)])
+def test_disordered_stack_set_up_stays_within_its_charge_and_flat_in_the_batch(n, few, many):
+    # chains that are not uniform take their SVD in batches of
+    # _svd_batch(n) chains, 4 at n = 201 and 1 at n = 301: the traced peak
+    # of drawing and building a stack stays within stack_bytes, and once a
+    # batch is full grows with K by no more than the charge's O(K n) term
+    # (one SVD of all 40 chains at n = 301 would add 19 MiB to 4's)
+    assert freefermion._svd_batch(201) == 4 and freefermion._svd_batch(301) == 1
+
+    def peak(k):
+        specs = [model.ChainSpec(n=n, disorder_sigma=0.3, seed=s) for s in range(k)]
+        tracemalloc.start()
+        try:
+            freefermion.ChainStack([model.realize_couplings(spec) for spec in specs])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    low, high = peak(few), peak(many)
+    assert low <= freefermion.stack_bytes(n, few) and high <= freefermion.stack_bytes(n, many)
+    flat = (freefermion.stack_bytes(n, many, uniform=True)
+            - freefermion.stack_bytes(n, few, uniform=True))
+    assert high - low <= flat, (low, high, flat)
+
+
+def test_svd_batches_keep_every_members_bits(monkeypatch):
+    # the same disordered chains in batches of 1, 2 or all 5 of them
+    members = [disordered(n, seed=s) for n in (6, 9) for s in range(5)]
+    want = freefermion.ChainStack(members)
+    for budget in (24 * 5 ** 2, 2 * 24 * 5 ** 2):
+        monkeypatch.setattr(freefermion, "CHUNK_BYTES", budget)
+        got = freefermion.ChainStack(members)
+        for key in ("two_s", "weights", "start", "sign"):
+            assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), (budget, key)
+
+
+def test_grid_basis_is_built_once_per_member_block_of_a_series(monkeypatch):
+    # a 1,000-point uniform grid in windows of 576 points, one member per
+    # block: each block builds its grid basis once, before its two windows,
+    # and the series keeps the bits of one window per member
+    stack = freefermion.ChainStack([disordered(9, seed=s) for s in range(5)])
+    ts = np.linspace(0.0, 20.0, 1000)
+    whole = [chunk for _, _, chunk in stack.series(ts)]
+    built, grid_bases = [], freefermion._grid_bases
+    monkeypatch.setattr(freefermion, "_grid_bases",
+                        lambda chains, h: built.append(len(chains.n)) or grid_bases(chains, h))
+    stack.chunk_points = 600
+    windows = [(rows, cols, chunk) for rows, cols, chunk in stack.series(ts)]
+    assert built == [1] * 5 and len(windows) == 10
+    for rows, cols, chunk in windows:
+        for got, want in zip(chunk, whole[0]):
+            assert got.tobytes() == want[rows, cols].tobytes()
+
+
 def test_chunk_points_follow_budget(monkeypatch):
     real = disordered(9)
     default = freefermion.ChainStack([real]).chunk_points
@@ -297,9 +351,9 @@ def test_end_spin_state_takes_one_pass(monkeypatch):
     calls = []
     end_moments = freefermion._end_moments
 
-    def counted(chains, ts, step):
+    def counted(chains, ts, bases):
         calls.append(ts.size)
-        return end_moments(chains, ts, step)
+        return end_moments(chains, ts, bases)
 
     monkeypatch.setattr(freefermion, "_end_moments", counted)
     real = disordered(9, sigma=0.8, seed=3)
@@ -316,8 +370,8 @@ def test_end_spin_state_checks_coherence_imaginary_part(component, monkeypatch):
     end_moments = freefermion._end_moments
 
     def shifted(scale):
-        def moments(chains, ts, step):
-            out = end_moments(chains, ts, step)
+        def moments(chains, ts, bases):
+            out = end_moments(chains, ts, bases)
             out[3] += (2 * component - 1) * scale * 1e-10  # COHERENCE_IMAG_TOL
             return out
         return moments
@@ -389,7 +443,7 @@ def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
     # delta is the literal POSITIVITY_TOL scaled
     delta = factor * 1e-9
     moments = np.array([0.5, 0.5, math.sqrt(0.25 + delta), 0.0])
-    monkeypatch.setattr(freefermion, "_end_moments", lambda chains, ts, step: np.broadcast_to(
+    monkeypatch.setattr(freefermion, "_end_moments", lambda chains, ts, bases: np.broadcast_to(
         moments[:, None, None], (4, len(chains.n), ts.shape[-1])))
     stack = freefermion._chain(homogeneous(7))
     if factor < 1:
@@ -403,8 +457,8 @@ def test_chain_stack_runs_the_positivity_checks(monkeypatch, factor):
 def test_series_and_stack_check_coherence_imaginary_part(monkeypatch, factor):
     end_moments = freefermion._end_moments
 
-    def shifted(chains, ts, step):
-        out = end_moments(chains, ts, step)
+    def shifted(chains, ts, bases):
+        out = end_moments(chains, ts, bases)
         out[3] += factor * 1e-10  # COHERENCE_IMAG_TOL
         return out
 

@@ -4,6 +4,7 @@ Examples are derandomized and bounded so the suite stays fast and
 repeatable; couplings range over both signs, as large disorder draws do.
 """
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from xxzquench import entangle, exactdiag, freefermion, model
+from xxzquench import cli, entangle, exactdiag, freefermion, model
 from xxzquench.errors import NumericalFaultError
 from xxzquench.model import NeelOrder
 
@@ -190,7 +191,7 @@ def test_one_order_kernel_on_uniform_grids(data, ts):
     stack = freefermion.ChainStack(members)
     step = freefermion._uniform_step(ts)
     assert step is not None
-    grid = freefermion._end_moments(stack, ts, step)
+    grid = freefermion._end_moments(stack, ts, freefermion._grid_bases(stack, step))
     point = freefermion._end_moments(stack, ts, None)
     zero = ts == 0.0
     # each Neel order on its own, N1 from the complement of N2's moments:
@@ -435,6 +436,21 @@ def test_correlator_route_matches_exact_diagonalization(real, delta1, ts, data):
     got = np.stack(quench.end_spin_series(ts))
     want = np.stack(evolution.end_spin_series(ts))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    real=chains(2, 11, signed_bond),
+    delta1=st.floats(min_value=1.0, max_value=4.0, exclude_min=True, allow_nan=False),
+)
+def test_correlators_match_the_row_by_row_scatter_bitwise(real, delta1):
+    # each order's rows scattered at once hold the values of one row at a
+    # time, so G2 and G4 keep their bits; the Neel mixture too
+    for state in (_prepared(real, delta1, 0.0).initial, exactdiag.neel_mixture(real.n)):
+        got, want = exactdiag.correlators(state), oracles.correlators_rowwise(state)
+        assert [x[:2] for x in got] == [x[:2] for x in want]
+        for g, w in zip(got, want):
+            assert _same_bits(g[2], w[2]) and _same_bits(g[3], w[3])
 
 
 def kron_hamiltonian(real, delta):
@@ -745,3 +761,41 @@ def test_stack_set_up_matches_each_members_stack_of_one_bitwise(data):
         assert _same_bits(stack.weights[k, :, :rows + 1], alone.weights[0])
         assert _same_bits(stack.start[k], alone.start[0])
         assert _same_bits(stack.sign[k], alone.sign[0])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(n=st.integers(min_value=2, max_value=61), data=st.data())
+def test_disorder_blocks_across_sigmas_match_each_members_stack_of_one_bitwise(n, data):
+    # one to four sigmas in any order, 0 included or not, and a few
+    # realizations each, flattened to the (sigma, realization) list and cut
+    # into blocks at random places: every member's curve, grid peak and
+    # refined peak have the bits of its own stack of one
+    sigmas = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.8]),
+                                min_size=1, max_size=4, unique=True))
+    realizations = data.draw(st.integers(min_value=1, max_value=3))
+    members = [(sigma, r) for sigma in sigmas for r in range(1 if sigma == 0.0 else realizations)]
+    cuts = data.draw(st.sets(st.integers(min_value=1, max_value=max(1, len(members) - 1)),
+                             max_size=3)) if len(members) > 1 else set()
+    base = model.ChainSpec(n=n, disorder_sigma=max(sigmas),
+                           seed=data.draw(st.integers(min_value=0, max_value=2**16)))
+    _, _, ts = cli._search_grid(base, None, None)
+
+    def block(part):
+        return cli._disorder_block({"spec": base, "engine": "freefermion", "ts": ts,
+                                    "members": part})
+
+    edges = [0, *sorted(cuts), len(members)]
+    blocks = [block(members[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    got = {key: np.concatenate([b[key] for b in blocks]) for key in ("curves", "peak_t", "peak_f")}
+    for k, (sigma, r) in enumerate(members):
+        member = (sigma, r)
+        alone = block([member])
+        spec = dataclasses.replace(base, disorder_sigma=sigma, seed=model.sub_seed(base.seed, r))
+        own = entangle.CurveEvaluator([spec], "freefermion").fef_series(ts)[0]
+        assert _same_bits(alone["curves"][0], own), member
+        assert _same_bits(got["curves"][k], own), member
+        grid = [entangle.first_peak([(ts, curve)], any_height_fallback=True, argmax_fallback=True)
+                for curve in (got["curves"][k], alone["curves"][0])]
+        assert grid[0] == grid[1], member
+        assert _same_bits(got["peak_t"][k], alone["peak_t"][0]), member
+        assert _same_bits(got["peak_f"][k], alone["peak_f"][0]), member
