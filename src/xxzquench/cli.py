@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, entangle, exactdiag, freefermion, model, purify
+from . import __version__, entangle, model, purify
 from .errors import (
     ConvergenceError,
     NoPeakError,
@@ -173,40 +173,42 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_fits(need: int, what: str) -> None:
-    """Refuse a run whose ``what`` needs more than ``need`` bytes of
-    physical memory, before anything is allocated."""
+def _plan(specs, engine: str, jobs: int, kept: int = 0, kept_what: str = "") -> tuple:
+    """The blocks of a command's member ``specs`` on ``engine``, as ranges of
+    their positions, each one :class:`entangle.CurveEvaluator`, and the
+    workers that run them, checked against physical memory once, before a
+    draw.  Members that stack (:func:`entangle.stacks`) make a block per
+    worker, dealt round-robin when their lengths differ, so that long
+    chains spread out, else contiguous; any other member is a block of its
+    own.  Workers never exceed ``jobs``, the members or the cores, as each
+    is forked up front.  The check charges the ``kept`` bytes of
+    ``kept_what`` plus every worker at the largest block's
+    :func:`entangle.block_charge`.  Lazy ``specs`` (as long as
+    --realizations) are listed only once the kept bytes fit.  The output
+    does not depend on the cut."""
     have = _physical_memory()
+    need, held = kept, [kept_what] if kept else []
+    if have is None or need <= have:
+        specs = list(specs)
+        count = len(specs)
+        workers = max(1, min(jobs, count, os.cpu_count() or 1))
+        if not entangle.stacks(specs[0], engine):
+            blocks = [range(k, k + 1) for k in range(count)]
+        elif len({spec.n for spec in specs}) > 1:
+            blocks = [range(b, count, workers) for b in range(workers)]
+        else:
+            edges = [-(-b * count // workers) for b in range(workers + 1)]
+            blocks = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        charge, what = max((entangle.block_charge([specs[k] for k in block], engine)
+                            for block in blocks), key=lambda c: c[0])
+        need += workers * charge
+        held.append(f"{workers} {what} at once")
     if have is not None and need > have:
         raise UsageError(
-            f"{what} need about {need / 2**20:.0f} MiB, more than the "
+            f"{' and '.join(held)} need about {need / 2**20:.0f} MiB, more than the "
             f"{have / 2**20:.0f} MiB of physical memory"
         )
-
-
-def _check_engine(spec: model.ChainSpec, requested: str, workers: int = 1, members: int = 1) -> str:
-    """The engine of one chain, checked for ``workers`` runs at once.  Neel
-    chains on free fermions are charged a chain stack's set-up of
-    ``members`` chains (:func:`freefermion.stack_bytes`), uniform ones
-    when sigma is 0.  A finite delta1 needs the exact ground search on
-    either engine (:func:`exactdiag.run_bytes`); only exact diagonalization
-    is charged for the evolution too."""
-    engine = entangle.resolve_engine(spec, requested)
-    if entangle.stacks(spec, engine):
-        need = freefermion.stack_bytes(spec.n, members, uniform=spec.disorder_sigma == 0.0)
-        _check_fits(workers * need,
-                    f"{workers} free-fermion set-up(s) of {members} chain(s) of n={spec.n} at once")
-    elif spec.n > exactdiag.MAX_SITES:
-        raise UsageError(
-            f"exact diagonalization, which a finite delta1 needs for its ground "
-            f"state and delta2 > 0 for its evolution, is capped at "
-            f"{exactdiag.MAX_SITES} sites (requested n={spec.n}); longer chains "
-            f"run on free fermions from delta1=inf to delta2=0"
-        )
-    else:
-        _check_fits(workers * exactdiag.run_bytes(spec.n, evolve=engine == "exactdiag"),
-                    f"{workers} exact diagonalization(s) of n={spec.n} at once")
-    return engine
+    return blocks, workers
 
 
 class UsageError(Exception):
@@ -247,7 +249,8 @@ def _lockstep(step, labels: list[str]):
 
 def cmd_quench(args) -> int:
     spec = _spec_from_args(args)
-    engine = _check_engine(spec, args.engine)
+    engine = entangle.resolve_engine(spec, args.engine)
+    _plan([spec], engine, 1)
     horizon, step, ts = entangle.resolve_grid(spec, args.t_max_horizon, args.grid_step)
     a, b, c = entangle.CurveEvaluator([spec], engine).series(ts)[:, 0]
     fef = entangle._fef(a, b, c)
@@ -262,15 +265,6 @@ def cmd_quench(args) -> int:
 
 
 # --- scan-n ----------------------------------------------------------------
-
-
-def _search_grid(spec: model.ChainSpec, horizon, step) -> tuple:
-    """(horizon, step, grid) of a first-peak search for ``spec``, refused
-    before any set-up when the grid holds t = 0 alone."""
-    horizon, step, ts = entangle.resolve_grid(spec, horizon, step)
-    if not ts[-1] > 0:
-        raise ValueError(f"a first-peak search needs a positive time horizon, got {horizon}")
-    return horizon, step, ts
 
 
 def _scan_label(spec: model.ChainSpec) -> str:
@@ -307,18 +301,6 @@ def _scan_block(item: dict) -> dict:
     return {"records": records, "setup_ms": setup_ms, "refine_ms": refine_ms}
 
 
-def _scan_blocks(specs: list, engine: str, jobs: int) -> list[list]:
-    """Sizes per block, each block one :class:`entangle.CurveEvaluator`.
-    Sizes that stack (:func:`entangle.stacks`) into one chain stack are
-    dealt round-robin into one block per worker, so that large n spread
-    out, and each worker's memory check charges a block as that many
-    members at its longest length; any other size keeps its own
-    eigenbasis and so is a block of its own.  The output does not depend
-    on them."""
-    count = _workers(jobs, len(specs)) if entangle.stacks(specs[0], engine) else len(specs)
-    return [specs[b::count] for b in range(count)]
-
-
 def cmd_scan_n(args) -> int:
     sizes = args.n if args.n is not None else default_scan_sizes()
     even = [n for n in sizes if n % 2 == 0]
@@ -327,17 +309,14 @@ def cmd_scan_n(args) -> int:
             f"even chain lengths {even} give separable end-spin states; "
             f"pass --allow-even to scan them anyway"
         )
-    # _scan_blocks makes at least a block per worker
-    workers = _workers(args.jobs, len(sizes))
     specs = [_spec_from_args(args, n=n, seed=model.sub_seed(args.seed, n)) for n in sorted(sizes)]
     for spec in specs:  # every size's grid is checked before any size is set up
-        _search_grid(spec, args.t_max_horizon, args.grid_step)
+        entangle.search_grid(spec, args.t_max_horizon, args.grid_step)
     engine = entangle.resolve_engine(specs[0], args.engine)  # it depends on delta2 only
-    items = [{"members": block, "engine": engine, "horizon": args.t_max_horizon,
-              "step": args.grid_step} for block in _scan_blocks(specs, engine, args.jobs)]
-    for item in items:  # a block holds every member at its longest, last, length
-        _check_engine(item["members"][-1], args.engine, workers, len(item["members"]))
-    blocks = _run_parallel(_scan_block, items, args.jobs)
+    cut, workers = _plan(specs, engine, args.jobs)
+    items = [{"members": [specs[k] for k in block], "engine": engine,
+              "horizon": args.t_max_horizon, "step": args.grid_step} for block in cut]
+    blocks = _run_parallel(_scan_block, items, workers)
     records = sorted((r for b in blocks for r in b["records"]), key=lambda r: r["spec"].n)
 
     header = ["n", "delta1", "delta2", "disorder_sigma", "seed", "engine", "t_max", "fef_at_tmax"]
@@ -381,14 +360,8 @@ def cmd_scan_n(args) -> int:
     return EXIT_OK
 
 
-def _workers(jobs: int, items: int) -> int:
-    """Worker processes for ``items`` tasks: never more than the tasks or
-    the cores, since every worker is forked up front."""
-    return max(1, min(jobs, items, os.cpu_count() or 1))
-
-
-def _run_parallel(worker, items: list, jobs: int) -> list:
-    workers = _workers(jobs, len(items))
+def _run_parallel(worker, items: list, workers: int) -> list:
+    """``worker`` over ``items`` on the :func:`_plan`'s ``workers``."""
     if workers == 1:
         return [worker(it) for it in items]
     # imported here, so that a serial run never loads multiprocessing
@@ -423,16 +396,6 @@ def _disorder_block(item: dict) -> dict:
     return {"curves": curves, "peak_t": peak_t, "peak_f": peak_f}
 
 
-def _block_size(stack: bool, members: int, jobs: int) -> int:
-    """Members per block of a disorder ensemble, each block one
-    :class:`entangle.CurveEvaluator`: when they ``stack``
-    (:func:`entangle.stacks`) into one chain stack, one contiguous block
-    per worker of the (sigma, realization) list, else one, as each keeps
-    its own eigenbasis and each worker's memory check charges one.  The
-    output does not depend on it."""
-    return -(-members // _workers(jobs, members)) if stack else 1
-
-
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     """Mean of ``values`` and its standard error, 0 for one value.  Values
     beyond 1 are first divided by a power of two, which puts the largest
@@ -447,27 +410,31 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 
 def cmd_disorder(args) -> int:
     sigmas = args.sigma
-    # the largest sigma is the one the set-up is charged for
     base = _spec_from_args(args, disorder_sigma=max(sigmas))
     engine = entangle.resolve_engine(base, args.engine)
-    horizon, step, ts = _search_grid(base, args.t_max_horizon, args.grid_step)
+    horizon, step, ts = entangle.search_grid(base, args.t_max_horizon, args.grid_step)
     counts = [1 if sigma == 0.0 else args.realizations for sigma in sigmas]
     # every realization's curve is kept until the summary is written
     kept = sum(counts)
-    _check_fits(kept * ts.nbytes, f"the fef curves of {kept} realizations over {len(ts)} points")
 
-    members = [(sigma, r) for sigma, count in zip(sigmas, counts) for r in range(count)]
-    block = _block_size(entangle.stacks(base, engine), kept, args.jobs)
-    items = [{"spec": base, "engine": engine, "ts": ts, "members": members[lo:lo + block]}
-             for lo in range(0, kept, block)]
-    _check_engine(base, args.engine, _workers(args.jobs, len(items)), block)
-    results = _run_parallel(_disorder_block, items, args.jobs)
+    def members():  # listed only once the plan has charged their curves
+        return ((sigma, r) for sigma, count in zip(sigmas, counts) for r in range(count))
+
+    cut, workers = _plan(
+        (dataclasses.replace(base, disorder_sigma=sigma, seed=model.sub_seed(base.seed, r))
+         for sigma, r in members()), engine, args.jobs,
+        kept * ts.nbytes, f"the fef curves of {kept} realizations over {len(ts)} points")
+    listed = list(members())
+    items = [{"spec": base, "engine": engine, "ts": ts, "members": listed[b.start:b.stop]}
+             for b in cut]
+    results = _run_parallel(_disorder_block, items, workers)
 
     def gathered(key: str, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi of the members' ``key``, a view of one block's rows
-        unless they span two blocks."""
-        parts = [results[b][key][max(lo - b * block, 0):hi - b * block]
-                 for b in range(lo // block, -(-hi // block))]
+        unless they span blocks, which are contiguous: the members share
+        one length."""
+        parts = [result[key][max(lo - b.start, 0):hi - b.start]
+                 for b, result in zip(cut, results) if lo < b.stop and b.start < hi]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     mean_curves: dict[float, np.ndarray] = {}
@@ -513,18 +480,15 @@ def _sibling_path(path: str, suffix: str) -> str:
 
 def cmd_ed_compare(args) -> int:
     sizes = sorted(args.n)
-    bad = [n for n in sizes if n > exactdiag.MAX_SITES or n < 2]
-    if bad:
-        raise UsageError(f"engine comparison supports 2 <= n <= {exactdiag.MAX_SITES}, got {bad}")
-    _check_engine(model.ChainSpec(n=sizes[-1]), "ed")
+    specs = [model.ChainSpec(n=n, j=args.j, delta1=args.delta1, seed=args.seed) for n in sizes]
+    _plan(specs, "exactdiag", 1)
     if not 1 <= args.grid_points <= entangle.MAX_GRID_POINTS:
         raise UsageError(
             f"--grid-points must lie in [1, {entangle.MAX_GRID_POINTS}], got {args.grid_points}")
+    horizons = [entangle.resolve_grid(spec)[0] for spec in specs]  # refused as by quench
     rows = []
     worst = 0.0
-    for n in sizes:
-        spec = model.ChainSpec(n=n, j=args.j, delta1=args.delta1, seed=args.seed)
-        horizon = entangle.default_horizon(spec)
+    for spec, horizon in zip(specs, horizons):
         ts = np.linspace(0.0, horizon, args.grid_points)
         ff = entangle.CurveEvaluator([spec], "freefermion").series(ts)
         ed = entangle.CurveEvaluator([spec], "exactdiag").series(ts)
@@ -532,8 +496,8 @@ def cmd_ed_compare(args) -> int:
         dev = max(devs)
         worst = max(worst, dev)
         neg = float(np.max(entangle._negativity(ff[0], ff[2])))
-        rows.append([n, devs[0], devs[1], devs[2], dev, neg])
-        print(f"ed-compare: n={n} max deviation {dev:.3e} max negativity {neg:.3e}")
+        rows.append([spec.n, devs[0], devs[1], devs[2], dev, neg])
+        print(f"ed-compare: n={spec.n} max deviation {dev:.3e} max negativity {neg:.3e}")
     _write_csv(
         args.out,
         ["n", "max_dev_a", "max_dev_b", "max_dev_c", "max_dev", "max_negativity"],

@@ -201,6 +201,28 @@ def stacks(spec: model.ChainSpec, engine: Engine) -> bool:
     return engine == "freefermion" and spec.ideal_neel_start
 
 
+def block_charge(specs: list[model.ChainSpec], engine: Engine) -> tuple[int, str]:
+    """(bytes, what) of a :class:`CurveEvaluator` of the block ``specs`` on
+    ``engine``, estimated before a draw.  A chain stack (:func:`stacks`)
+    is charged :func:`freefermion.stack_bytes` of every member at the
+    longest length, uniform only when no member is disordered.  Any other
+    member, a block of its own, is charged :func:`exactdiag.run_bytes`,
+    the evolution only on exact diagonalization, and refused beyond its cap."""
+    n = max(spec.n for spec in specs)
+    if stacks(specs[0], engine):
+        uniform = all(spec.disorder_sigma == 0.0 for spec in specs)
+        return (freefermion.stack_bytes(n, len(specs), uniform),
+                f"free-fermion set-up(s) of {len(specs)} chain(s) of n={n}")
+    cap = exactdiag.MAX_SITES
+    if n > cap:
+        raise ValueError(
+            f"exact diagonalization, which a finite delta1 needs for its ground state and "
+            f"delta2 > 0 for its evolution, is capped at {cap} sites (2 <= n <= {cap}, got "
+            f"{[spec.n for spec in specs if spec.n > cap]}); longer chains run on free "
+            f"fermions from delta1=inf to delta2=0")
+    return exactdiag.run_bytes(n, evolve=engine == "exactdiag"), f"exact diagonalization(s) of n={n}"
+
+
 def golden_section_max(
     fun: Callable[[np.ndarray], np.ndarray], lo, hi, xtol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -355,6 +377,15 @@ def resolve_grid(spec: model.ChainSpec, horizon=None, step=None) -> tuple:
     return horizon, step, time_grid(horizon, step)
 
 
+def search_grid(spec: model.ChainSpec, horizon=None, step=None) -> tuple:
+    """:func:`resolve_grid` of a first-peak search, refused before any
+    set-up when the grid holds t = 0 alone."""
+    horizon, step, ts = resolve_grid(spec, horizon, step)
+    if not ts[-1] > 0:
+        raise ValueError(f"a first-peak search needs a positive time horizon, got {horizon}")
+    return horizon, step, ts
+
+
 def find_tmax(
     engine: str,
     spec: model.ChainSpec,
@@ -370,11 +401,9 @@ def find_tmax(
     time resolution of 1e-6/j.  Even chains never exceed the t = 0
     criterion boundary; ``require_above_baseline=False`` then tracks the
     first strict local maximum regardless of height.  A grid holding only
-    t = 0 is refused.
+    t = 0 is refused (:func:`search_grid`).
     """
-    _, step, ts = resolve_grid(spec, search_horizon, grid_step)
-    if not ts[-1] > 0:
-        raise ValueError("a first-peak search needs a positive time horizon")
+    _, step, ts = search_grid(spec, search_horizon, grid_step)
     evaluator = CurveEvaluator([spec], engine)
     try:
         found = first_peak(((ts[times], fef.ravel()) for _, times, fef in evaluator.fef_chunks(ts)),

@@ -511,7 +511,11 @@ def _evolver(
     x = np.bincount(
         (place[c[keep]] - p) * p + place[r[keep]], value[keep], minlength=p * q
     ).reshape(q, p).T
-    lam, u = np.linalg.eigh(x @ x.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+        gram = x @ x.T
+    if not np.isfinite(gram).all():
+        raise NumericalFaultError(f"sector M={m_up} Gram matrix X X^T overflows; lower --j")
+    lam, u = np.linalg.eigh(gram)
     root = np.sqrt(np.maximum(lam, np.finfo(float).tiny))
     first, second, weight = orbits.pairs
     ends, pairs = orbits.ends[:, order], (place[first], place[second], weight)

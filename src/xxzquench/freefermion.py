@@ -52,7 +52,6 @@ Wick-factorize into the closed form above.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -103,11 +102,13 @@ def _check(deviation: np.ndarray, tol: float, what: str, ts: np.ndarray) -> None
 
 def _check_phases(rate: float, ts: np.ndarray) -> None:
     """Refuse times ``ts`` at which a phase of frequency up to ``rate``
-    overflows, before any product is taken; NaN times pass to the checks."""
+    reaches 2^52 rad, whose ulp is 1 rad, or overflows, before any product
+    is taken; NaN times pass to the checks."""
     t = float(np.abs(ts).max(initial=0.0))
-    if math.isinf(rate * t):
+    if rate * t >= 2.0**52:
         raise NumericalFaultError(
-            f"evolution phases overflow: frequencies up to {rate:.3e} at times up to {t:.3e}")
+            f"evolution phases overflow their digits: frequencies up to {rate:.3e} at times "
+            f"up to {t:.3e} reach {rate * t:.3e} rad, beyond 2^52")
 
 
 def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) -> None:

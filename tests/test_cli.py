@@ -209,19 +209,44 @@ def test_correlator_route_is_charged_only_its_ground_search(tmp_path, capsys, mo
 def test_disorder_refuses_curves_beyond_memory_before_a_draw(tmp_path, capsys, monkeypatch):
     # sigma 0 keeps one curve, sigma 0.3 its five realizations': physical
     # memory one byte short of the six curves refuses the run with a usage
-    # error before any realization is drawn, and exactly enough runs it
+    # error that charges the curves alone, before any realization is listed
+    # or drawn, and enough for them and the set-up of their one chain
+    # stack runs it
     _, _, ts = entangle.resolve_grid(model.ChainSpec(n=7))
-    need = 6 * ts.nbytes
+    curves = 6 * ts.nbytes
     drawn, realize = [], model.realize_couplings
     monkeypatch.setattr(model, "realize_couplings",
                         lambda spec: drawn.append(spec) or realize(spec))
     argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5", "--jobs", "1"]
     out = tmp_path / "d.csv"
-    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: curves - 1)
     assert run(*argv, "--out", str(out)) == 1
-    assert "the fef curves of 6 realizations over 2001 points" in capsys.readouterr().err
+    assert "the fef curves of 6 realizations over 2001 points need about" in (
+        capsys.readouterr().err)
     assert drawn == [] and list(tmp_path.iterdir()) == []
-    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    monkeypatch.setattr(cli, "_physical_memory",
+                        lambda: curves + freefermion.stack_bytes(7, 6))
+    assert run(*argv, "--out", str(out)) == 0
+    assert len(drawn) == 6 and out.exists()
+
+
+def test_disorder_charges_its_curves_and_set_up_at_once(tmp_path, capsys, monkeypatch):
+    # the six curves take 96,048 B and the set-up of their chain stack
+    # 10,320 B: 97,048 B holds either alone but not both, so the run is
+    # refused before a draw; their sum, 106,368 B, runs it
+    _, _, ts = entangle.resolve_grid(model.ChainSpec(n=7))
+    assert (6 * ts.nbytes, freefermion.stack_bytes(7, 6)) == (96_048, 10_320)
+    drawn, realize = [], model.realize_couplings
+    monkeypatch.setattr(model, "realize_couplings",
+                        lambda spec: drawn.append(spec) or realize(spec))
+    argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5", "--jobs", "1"]
+    out = tmp_path / "d.csv"
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 97_048)
+    assert run(*argv, "--out", str(out)) == 1
+    assert ("the fef curves of 6 realizations over 2001 points and 1 free-fermion "
+            "set-up(s) of 6 chain(s) of n=7 at once") in capsys.readouterr().err
+    assert drawn == [] and list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 106_368)
     assert run(*argv, "--out", str(out)) == 0
     assert len(drawn) == 6 and out.exists()
 
@@ -235,12 +260,15 @@ def test_free_fermion_set_up_beyond_memory_is_refused_before_a_draw(
     tmp_path, capsys, monkeypatch, argv
 ):
     # physical memory one byte short of the largest chain stack's set-up
-    # (disorder's four realizations in one block, scan-n's two sizes at
-    # the longer length) refuses the run with a usage error before any
-    # coupling is drawn, and exactly enough runs it; quench and scan-n
-    # chains are uniform, disorder's draws are not
+    # (disorder's four realizations in one block, next to their four
+    # kept curves, scan-n's two sizes at the longer length) refuses the
+    # run with a usage error before any coupling is drawn, and exactly
+    # enough runs it; quench and scan-n chains are uniform, disorder's
+    # draws are not
     members = {"quench": 1, "scan-n": 2, "disorder": 4}[argv[0]]
     need = freefermion.stack_bytes(101, members, uniform=argv[0] != "disorder")
+    if argv[0] == "disorder":
+        need += 4 * entangle.resolve_grid(model.ChainSpec(n=101))[2].nbytes
     drawn, realize = [], model.realize_couplings
     monkeypatch.setattr(model, "realize_couplings",
                         lambda spec: drawn.append(spec) or realize(spec))
@@ -263,7 +291,7 @@ def test_scan_blocks_are_charged_every_member_at_their_longest_length(
     # n = 101; one byte short is refused before a draw, exactly enough runs
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "_run_parallel",
-                        lambda worker, items, jobs: [worker(item) for item in items])
+                        lambda worker, items, workers: [worker(item) for item in items])
     need = jobs * freefermion.stack_bytes(101, members)
     drawn, realize = [], model.realize_couplings
     monkeypatch.setattr(model, "realize_couplings",
@@ -306,7 +334,7 @@ def test_default_free_fermion_runs_are_not_refused(tmp_path, monkeypatch, argv):
     # memory check and reach their first draw
     monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 28)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(cli, "_run_parallel", lambda worker, items, jobs: [worker(items[0])])
+    monkeypatch.setattr(cli, "_run_parallel", lambda worker, items, workers: [worker(items[0])])
 
     def draw(spec):
         raise _Drawn
@@ -846,6 +874,48 @@ def test_phases_beyond_the_largest_float_are_a_numerical_fault(tmp_path, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_phases_without_digits_are_a_numerical_fault(tmp_path, capsys):
+    # up to t = 1e20 the phases reach about 3e20 rad, whose ulp is 2^16
+    # rad: on free fermions, on the correlator route and on both exact
+    # diagonalization routes the run exits 3, naming frequency and time
+    flags = ["--t-max-horizon", "1e20", "--grid-step", "1e17"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in ([], ["--delta1", "3"], ["--engine", "ed"], ["--delta1", "3", "--delta2", "0.5"]):
+            assert run("quench", "--n", "5", *flags, *route,
+                       "--out", str(tmp_path / "q.csv")) == cli.EXIT_NUMERICAL, route
+            err = capsys.readouterr().err
+            assert "evolution phases overflow their digits: frequencies up to" in err, route
+            assert "at times up to" in err and "beyond 2^52" in err, route
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gram_route_overflow_is_a_numerical_fault_without_a_warning(tmp_path, capsys):
+    # couplings of 1e155 and more overflow X X^T of the bipartite Gram
+    # route: quench, ed-compare and scan-n exit 3 by name before eigh, with
+    # no warning, where the product's inf made eigh fail with exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["quench", "--n", "5", "--engine", "ed", "--j", "1e160"],
+                     ["quench", "--n", "5", "--engine", "ed", "--j", "1e155"],
+                     ["ed-compare", "--n", "3,5", "--j", "1e300"],
+                     ["scan-n", "--n", "3,5", "--engine", "ed", "--j", "1e300", "--jobs", "1"]):
+            assert run(*argv, "--out", str(tmp_path / "x.csv")) == cli.EXIT_NUMERICAL, argv
+            assert "Gram matrix X X^T overflows" in capsys.readouterr().err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ed_compare_refuses_an_infinite_horizon_as_quench_does(tmp_path, capsys):
+    # at j = 5e-324 the default horizon 2n/(pi j) is infinite: ed-compare
+    # refuses it with quench's message, before a grid is built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["ed-compare", "--n", "3,5"], ["quench", "--n", "5"]):
+            assert run(*argv, "--j", "5e-324", "--out", str(tmp_path / "x.csv")) == cli.EXIT_USAGE
+            assert "time horizon must be finite, got inf" in capsys.readouterr().err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dense_evolution_phase_overflow_is_a_numerical_fault_without_a_warning(
         tmp_path, capsys):
     # at n = 3 the sector entries of delta2 = 1e308 stay finite, but energy
@@ -961,16 +1031,25 @@ def test_disorder_block_size_bounds_stacked_eigenbases_and_fills_workers(monkeyp
     assert entangle.stacks(model.ChainSpec(n=241, disorder_sigma=0.3), "freefermion")
     assert not entangle.stacks(model.ChainSpec(n=7, delta1=3.0), "freefermion")
     assert not entangle.stacks(model.ChainSpec(n=7), "exactdiag")
-    # stacking realizations make one block per worker (on eight cores;
-    # workers never exceed them)
+    # stacking realizations make one contiguous block per worker (on
+    # eight cores; workers never exceed them)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    assert cli._block_size(True, 100, 1) == 100
-    assert cli._block_size(True, 100, 2) == 50
-    assert cli._block_size(True, 100, 8) == 13
-    assert cli._block_size(True, 5, 8) == 1
+
+    def sizes(spec, engine, members, jobs):
+        cut, workers = cli._plan([spec] * members, engine, jobs)
+        assert [k for block in cut for k in block] == list(range(members))
+        assert workers == min(jobs, members, 8)
+        return [len(block) for block in cut]
+
+    ensemble = model.ChainSpec(n=7, disorder_sigma=0.3)
+    assert sizes(ensemble, "freefermion", 100, 1) == [100]
+    assert sizes(ensemble, "freefermion", 100, 2) == [50, 50]
+    assert sizes(ensemble, "freefermion", 100, 8) == [13, 12] * 4
+    assert sizes(ensemble, "freefermion", 5, 8) == [1] * 5
     # other routes refine their members one by one anyway: one per block
     for jobs in (1, 8):
-        assert cli._block_size(False, 100, jobs) == 1
+        assert sizes(model.ChainSpec(n=7, delta1=3.0), "freefermion", 100, jobs) == [1] * 100
+        assert sizes(ensemble, "exactdiag", 100, jobs) == [1] * 100
 
 
 @pytest.mark.parametrize("command", ["scan-n", "disorder"])
@@ -1002,20 +1081,24 @@ class _InlinePool:
 
 
 def test_workers_never_exceed_cores_or_tasks(tmp_path, monkeypatch):
-    seen = []
+    seen, planned, plan = [], [], cli._plan
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _InlinePool(seen, max_workers))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_plan", lambda *args: planned.append(plan(*args)) or planned[-1])
     assert run("scan-n", "--n", "3,5,7", "--jobs", "64", "--out", str(tmp_path / "s.csv")) == 0
     assert run("scan-n", "--n", "5", "--jobs", "64", "--out", str(tmp_path / "one.csv")) == 0
     assert run("disorder", "--n", "7", "--sigma", "0.3", "--realizations", "6",
                "--seed", "4", "--jobs", "64", "--out", str(tmp_path / "d.csv")) == 0
     # a single task runs in this process; the disorder blocks are sized
-    # for two workers, three realizations each
+    # for two workers, three realizations each; each pool takes the
+    # plan's worker count
     assert [r["workers"] for r in seen] == [2, 2]
+    assert [workers for _, workers in planned] == [2, 1, 2]
     assert [b["members"] for b in seen[1]["items"]] == [
         [(0.3, 0), (0.3, 1), (0.3, 2)], [(0.3, 3), (0.3, 4), (0.3, 5)]]
-    assert cli._block_size(True, 100, 64) == 50
+    assert cli._plan([model.ChainSpec(n=7, disorder_sigma=0.3)] * 100, "freefermion", 64) == (
+        [range(0, 50), range(50, 100)], 2)
 
 
 def _inject_fault(monkeypatch, cls, method, when):
@@ -1158,6 +1241,8 @@ _SURFACE = {
     "disorder": (["disorder", "--n", "5", "--realizations", "2"], {
         **_PHYSICS, "--jobs": _INTS, "--realizations": _INTS,
         "--sigma": st.lists(_FLOATS, min_size=1, max_size=3).map(",".join)}),
+    "ed-compare": (["ed-compare", "--n", "3,5"], {
+        "--j": _FLOATS, "--delta1": _FLOATS, "--seed": _INTS, "--grid-points": _INTS}),
     "purify": (["purify"], {"--threshold": _FLOATS}),
 }
 

@@ -591,3 +591,15 @@ def test_corrupted_two_point_correlator_trips_the_occupation_check():
     g2[3, 3] += 1e-8  # sum_k <n_k> is then M + 1e-8
     with pytest.raises(NumericalFaultError, match="occupations of a sector-3 component"):
         freefermion.CorrelatorQuench(real, [(weight, m_up, g2, g4)])
+
+
+def test_phases_are_refused_from_two_to_the_52_on():
+    # below 2^52 rad a phase keeps a fraction of a radian; from 2^52 on its
+    # ulp is 1 rad or more, and it is refused before any product; NaN
+    # times pass to the checks, and the n = 40001 grid's 1e5 rad passes
+    freefermion._check_phases(1.0, np.array([0.0, 2.0**52 - 1.0]))
+    freefermion._check_phases(2.0, np.array([np.nan]))
+    freefermion._check_phases(4.0, np.arange(0.0, 25_451.0, 50.0))
+    for rate, t in [(1.0, 2.0**52), (4.0, 1e20), (1e300, 1e300)]:
+        with pytest.raises(NumericalFaultError, match="phases overflow their digits"):
+            freefermion._check_phases(rate, np.array([0.0, t]))

@@ -778,7 +778,7 @@ def test_disorder_blocks_across_sigmas_match_each_members_stack_of_one_bitwise(n
                              max_size=3)) if len(members) > 1 else set()
     base = model.ChainSpec(n=n, disorder_sigma=max(sigmas),
                            seed=data.draw(st.integers(min_value=0, max_value=2**16)))
-    _, _, ts = cli._search_grid(base, None, None)
+    _, _, ts = entangle.search_grid(base, None, None)
 
     def block(part):
         return cli._disorder_block({"spec": base, "engine": "freefermion", "ts": ts,
@@ -799,3 +799,80 @@ def test_disorder_blocks_across_sigmas_match_each_members_stack_of_one_bitwise(n
         assert grid[0] == grid[1], member
         assert _same_bits(got["peak_t"][k], alone["peak_t"][0]), member
         assert _same_bits(got["peak_f"][k], alone["peak_f"][0]), member
+
+
+class _Pool:
+    """Stands in for ProcessPoolExecutor: records its worker count and maps
+    in this process."""
+
+    def __init__(self, max_workers):
+        _Pool.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=80)
+@given(data=st.data(), jobs=st.one_of(st.integers(min_value=1, max_value=9),
+                                      st.integers(min_value=1, max_value=2**64)),
+       cores=st.integers(min_value=1, max_value=8),
+       route=st.sampled_from(["stack", "correlator", "exactdiag"]),
+       kept=st.integers(min_value=0, max_value=2**40))
+def test_plan_cuts_staffs_and_charges_every_member_once(data, jobs, cores, route, kept):
+    # members of distinct lengths (a size scan) or of one length with mixed
+    # sigmas (an ensemble), on a route that stacks or not: every member is
+    # in one block; a stacking list gets a block per worker, dealt exactly
+    # when the lengths differ, any other member a block of its own; the
+    # pool gets the plan's workers; the one memory check charges the kept
+    # bytes plus every worker at the largest block
+    top = 61 if route == "stack" else exactdiag.MAX_SITES
+    count = data.draw(st.integers(min_value=1, max_value=14), label="members")
+    if data.draw(st.booleans(), label="one length"):
+        n = data.draw(st.integers(min_value=2, max_value=top), label="n")
+        sigmas = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=count,
+                                    max_size=count), label="sigmas")
+        specs = [model.ChainSpec(n=n, disorder_sigma=s, seed=k) for k, s in enumerate(sigmas)]
+    else:
+        lengths = data.draw(st.lists(st.integers(min_value=2, max_value=top), min_size=count,
+                                     max_size=count, unique=True), label="lengths")
+        sigma = data.draw(st.sampled_from([0.0, 0.2]), label="sigma")
+        specs = [model.ChainSpec(n=n, disorder_sigma=sigma) for n in sorted(lengths)]
+    if route == "correlator":
+        specs = [dataclasses.replace(spec, delta1=3.0) for spec in specs]
+    engine = "exactdiag" if route == "exactdiag" else "freefermion"
+    workers = max(1, min(jobs, count, cores))
+
+    def plan(have):
+        with mock.patch.object(cli.os, "cpu_count", lambda: cores), \
+                mock.patch.object(cli, "_physical_memory", lambda: have):
+            return cli._plan(iter(specs), engine, jobs, kept, "kept curves")
+
+    cut, planned = plan(None)
+    assert planned == workers
+    assert sorted(k for block in cut for k in block) == list(range(count))
+    if route == "stack":  # as even as the members allow
+        assert len(cut) == min(jobs, count, cores)
+        assert 1 <= min(map(len, cut)) and max(map(len, cut)) - min(map(len, cut)) <= 1
+        if len({spec.n for spec in specs}) > 1:
+            assert cut == [range(b, count, workers) for b in range(workers)]
+        else:
+            assert all(block.step == 1 for block in cut)
+            assert [k for block in cut for k in block] == list(range(count))
+    else:
+        assert cut == [range(k, k + 1) for k in range(count)]
+    charge = kept + workers * max(entangle.block_charge([specs[k] for k in block], engine)[0]
+                                  for block in cut)
+    assert plan(charge) == (cut, workers)
+    with pytest.raises(cli.UsageError, match="of physical memory") as refused:
+        plan(charge - 1)
+    assert ("kept curves" in str(refused.value)) == (kept > 0)
+    _Pool.workers = []
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", _Pool):
+        assert cli._run_parallel(len, cut, workers) == [len(block) for block in cut]
+    assert _Pool.workers == ([] if workers == 1 else [workers])
