@@ -285,12 +285,7 @@ def _scan_block(item: dict) -> dict:
         t0 = time.perf_counter()
         with _naming(labels[k]):
             _, _, ts = entangle.resolve_grid(spec, item["horizon"], item["step"])
-            # as in disorder_peak, the first maximum of any height when
-            # none exceeds the t = 0 value; on even chains always
-            found.append(entangle.first_peak(
-                ((ts[times], fef.ravel()) for _, times, fef in evaluator[k:k + 1].fef_chunks(ts)),
-                above_baseline=spec.n % 2 == 1, any_height_fallback=True,
-            ))
+            found.append(entangle.tmax_peak(evaluator[k:k + 1], ts))
         records.append({"spec": spec, "engine": engine, "scanned_points": found[k][2],
                         "runtime_ms": 1000.0 * (time.perf_counter() - t0)})
     t0 = time.perf_counter()

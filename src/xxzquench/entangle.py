@@ -341,6 +341,15 @@ def first_peak(
     raise NoPeakError(f"no first maximum of fef above {baseline} within horizon {t[-1]}")
 
 
+def tmax_peak(evaluator: CurveEvaluator, ts: np.ndarray) -> tuple:
+    """:func:`first_peak` of the one member of ``evaluator`` over ``ts`` by
+    the t_max rule: on odd chains the first strict local maximum above the
+    t = 0 value, else, and on even chains always, the first of any height.
+    The reading stops at the chunk that confirms it."""
+    return first_peak(((ts[times], fef.ravel()) for _, times, fef in evaluator.fef_chunks(ts)),
+                      above_baseline=evaluator.specs[0].n % 2 == 1, any_height_fallback=True)
+
+
 def refine_peaks(evaluator: CurveEvaluator, found: list) -> tuple[np.ndarray, np.ndarray]:
     """Peak times and values, each (K,), of the K members of ``evaluator``
     from their :func:`first_peak` results ``found``.  The refinable grid
@@ -382,7 +391,8 @@ def search_grid(spec: model.ChainSpec, horizon=None, step=None) -> tuple:
     set-up when the grid holds t = 0 alone."""
     horizon, step, ts = resolve_grid(spec, horizon, step)
     if not ts[-1] > 0:
-        raise ValueError(f"a first-peak search needs a positive time horizon, got {horizon}")
+        raise ValueError(f"a first-peak search needs a positive time horizon and a grid step below "
+                         f"twice it; horizon {horizon} at grid step {step} gives t = 0 alone")
     return horizon, step, ts
 
 
@@ -391,23 +401,17 @@ def find_tmax(
     spec: model.ChainSpec,
     search_horizon: float | None = None,
     grid_step: float | None = None,
-    require_above_baseline: bool = True,
 ) -> TmaxResult:
-    """Locate and refine the first maximum of fef(t) after the quench.
-
-    The curve is scanned on a uniform grid by :func:`first_peak`; the
-    first strict local maximum exceeding the t = 0 value brackets a
-    golden-section refinement by :func:`refine_peaks` down to an absolute
-    time resolution of 1e-6/j.  Even chains never exceed the t = 0
-    criterion boundary; ``require_above_baseline=False`` then tracks the
-    first strict local maximum regardless of height.  A grid holding only
-    t = 0 is refused (:func:`search_grid`).
+    """The first maximum of fef(t) after the quench, ``scan-n``'s record of
+    a chain of one size: :func:`tmax_peak` on the grid of :func:`search_grid`,
+    which refuses a grid holding only t = 0, refined by golden section
+    (:func:`refine_peaks`) to an absolute time resolution of 1e-6/j.  A
+    curve without a strict local maximum on the grid raises NoPeakError.
     """
     _, step, ts = search_grid(spec, search_horizon, grid_step)
     evaluator = CurveEvaluator([spec], engine)
     try:
-        found = first_peak(((ts[times], fef.ravel()) for _, times, fef in evaluator.fef_chunks(ts)),
-                           above_baseline=require_above_baseline)
+        found = tmax_peak(evaluator, ts)
     except NoPeakError as exc:
         exc.args = (f"{exc} (n={spec.n}, delta1={spec.delta1}, delta2={spec.delta2})",)
         raise
@@ -423,10 +427,13 @@ def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
 
     Two points give the exact interpolating power law with zero residual.
     """
-    if len(points) < 2:
-        raise ValueError(f"need at least 2 points to fit, got {len(points)}")
     ns = np.array([p[0] for p in points], dtype=float)
     fs = np.array([p[1] for p in points], dtype=float)
+    if not np.isfinite([ns, fs]).all():
+        raise ValueError("power-law fit requires finite sizes and fef values")
+    sizes = len(set(ns.tolist()))  # not np.unique, whose first call imports numpy.ma (16 ms)
+    if sizes < 2:
+        raise ValueError(f"need at least 2 distinct sizes to fit, got {sizes}")
     if np.any(fs <= 0):
         raise ValueError("power-law fit requires strictly positive fef values")
     if np.any(ns <= 0):

@@ -562,7 +562,7 @@ def end_spin_series(
 
 def end_spin_state(realization: CouplingRealization, t: float) -> EndSpinState:
     """End-spin X state at a single time; see :func:`end_spin_series`."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError(f"time must be >= 0, got {t}")
     a, b, c = end_spin_series(realization, np.array([t], dtype=float))
     return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=float(t))

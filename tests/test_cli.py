@@ -459,15 +459,6 @@ def test_scan_jobs_do_not_change_bytes(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-def _find_tmax_per_size(spec):
-    """A size's record as find_tmax gives it alone: the first maximum above
-    the t = 0 value on odd chains, else the first of any height."""
-    try:
-        return entangle.find_tmax("auto", spec, require_above_baseline=spec.n % 2 == 1)
-    except NoPeakError:
-        return entangle.find_tmax("auto", spec, require_above_baseline=False)
-
-
 @pytest.mark.parametrize("argv, workers, blocks", [
     (("--n", "3,5,9,25,49,101"), 1, [6]),
     (("--n", "4,6,9", "--allow-even"), 1, [3]),
@@ -499,25 +490,71 @@ def test_scan_equals_find_tmax_per_size(tmp_path, monkeypatch, argv, workers, bl
                              col(header, rows, "t_max"), col(header, rows, "fef_at_tmax")):
         spec = cli._spec_from_args(cli.build_parser().parse_args(["scan-n", *argv]),
                                    n=n, seed=seed)
-        want = _find_tmax_per_size(spec)
+        want = entangle.find_tmax("auto", spec)
         assert (t, f) == (want.t_max, want.fef_at_tmax)
 
 
 def test_scan_falls_back_to_a_peak_of_any_height(tmp_path):
     # with seed 4 the n=7 realization (sub-seed 3) never exceeds its t = 0
-    # value; its record is the first local maximum of any height
+    # value; its record, and find_tmax's, is the first local maximum of any
+    # height, below the purifiability threshold
     out = tmp_path / "s.csv"
     assert run("scan-n", "--n", "7,9,25", "--sigma", "0.3", "--seed", "4",
                "--jobs", "1", "--out", str(out)) == 0
     header, rows = read_csv(out)
     assert col(header, rows, "n", int) == [7, 9, 25]
     spec = model.ChainSpec(n=7, disorder_sigma=0.3, seed=model.sub_seed(4, 7))
-    with pytest.raises(NoPeakError):
-        entangle.find_tmax("freefermion", spec)
-    fallback = entangle.find_tmax("freefermion", spec, require_above_baseline=False)
-    assert fallback.fef_at_tmax < 0.5
-    assert col(header, rows, "t_max")[0] == fallback.t_max
-    assert col(header, rows, "fef_at_tmax")[0] == fallback.fef_at_tmax
+    evaluator = entangle.CurveEvaluator([spec], "freefermion")
+    _, _, ts = entangle.search_grid(spec)
+    fef = evaluator.fef_series(ts)[0]
+    assert entangle.first_peak_index(fef, fef[0]) is None
+    record = entangle.find_tmax("freefermion", spec)
+    assert (record.t_max, record.fef_at_tmax) == (0.7024802263761396, 0.30432040728241117)
+    assert record.fef_at_tmax < 0.5
+    assert col(header, rows, "t_max")[0] == record.t_max
+    assert col(header, rows, "fef_at_tmax")[0] == record.fef_at_tmax
+
+
+@pytest.mark.parametrize("argv, spec, t_max, fef", [
+    # a disordered odd chain that never exceeds its t = 0 value
+    (("--n", "5", "--sigma", "0.5", "--seed", "13"),
+     model.ChainSpec(n=5, disorder_sigma=0.5, seed=8), 1.8539868633590817, 0.4485388241000674),
+    # an even chain, whose fef never exceeds 1/2
+    (("--n", "6", "--allow-even"), model.ChainSpec(n=6, seed=6),
+     1.9723385866438252, 0.47839878932275082),
+], ids=["odd-fallback", "even"])
+def test_find_tmax_returns_the_scan_record_where_no_peak_exceeds_the_start(
+        tmp_path, argv, spec, t_max, fef):
+    out = tmp_path / "s.csv"
+    assert run("scan-n", *argv, "--jobs", "1", "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    assert (col(header, rows, "seed", int), col(header, rows, "t_max"),
+            col(header, rows, "fef_at_tmax")) == ([spec.seed], [t_max], [fef])
+    result = entangle.find_tmax("freefermion", spec)
+    assert (result.t_max, result.fef_at_tmax) == (t_max, fef)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=2, max_value=25),
+       sigma=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_find_tmax_is_the_scan_n_record_of_one_size(n, sigma, seed):
+    # one t_max rule: find_tmax of a spec is, bit for bit, the record
+    # scan-n writes for that size, or both refuse the curve as peakless
+    spec = model.ChainSpec(n=n, disorder_sigma=sigma, seed=model.sub_seed(seed, n))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "s.csv")
+        code = run("scan-n", "--n", str(n), "--sigma", repr(sigma), "--seed", str(seed),
+                   "--allow-even", "--jobs", "1", "--out", out)
+        if code == cli.EXIT_VALIDATION:
+            with pytest.raises(NoPeakError):
+                entangle.find_tmax("freefermion", spec)
+            return
+        assert code == 0
+        header, rows = read_csv(out)
+    result = entangle.find_tmax("freefermion", spec)
+    assert (col(header, rows, "t_max"), col(header, rows, "fef_at_tmax")) == (
+        [result.t_max], [result.fef_at_tmax])
 
 
 def test_scan_without_a_maximum_of_any_height_says_so(tmp_path, capsys):

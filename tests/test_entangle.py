@@ -94,13 +94,11 @@ def test_find_tmax_anchor_151():
 
 
 def test_even_chain_has_no_peak_above_threshold():
-    spec = model.ChainSpec(n=6)
-    with pytest.raises(NoPeakError):
-        entangle.find_tmax("freefermion", spec)
-    relaxed = entangle.find_tmax(
-        "freefermion", spec, require_above_baseline=False
-    )
-    assert relaxed.fef_at_tmax <= 0.5 + 1e-12
+    # fef never exceeds 1/2 on an even chain; find_tmax returns, as scan-n
+    # --n 6 --allow-even records, its first local maximum of any height
+    result = entangle.find_tmax("freefermion", model.ChainSpec(n=6, seed=6))
+    assert (result.t_max, result.fef_at_tmax) == (1.9723385866438252, 0.47839878932275082)
+    assert result.fef_at_tmax <= 0.5
 
 
 def test_engine_resolution():
@@ -139,6 +137,13 @@ def test_power_law_rejects_bad_input():
         entangle.fit_power_law([(25, 0.7)])
     with pytest.raises(ValueError):
         entangle.fit_power_law([(25, 0.7), (49, 0.0), (99, 0.5)])
+    # refused before the fit: a NaN fef, an infinite size and one size twice
+    with pytest.raises(ValueError, match="finite"):
+        entangle.fit_power_law([(25, math.nan), (27, 0.5), (29, 0.4)])
+    with pytest.raises(ValueError, match="finite"):
+        entangle.fit_power_law([(math.inf, 0.5), (27, 0.5)])
+    with pytest.raises(ValueError, match="distinct sizes"):
+        entangle.fit_power_law([(25, 0.5), (25, 0.5)])
 
 
 def test_golden_section_finds_quadratic_peak():
@@ -167,6 +172,16 @@ def test_resolve_grid_defaults_and_refusals():
     for horizon in (0.0, -1.0):
         with pytest.raises(ValueError, match="horizon"):
             entangle.find_tmax("freefermion", spec, search_horizon=horizon)
+
+
+def test_search_grid_refusal_names_the_horizon_and_the_step():
+    # a positive horizon with a step beyond twice it leaves t = 0 alone:
+    # the message names both, not the horizon alone
+    spec = model.ChainSpec(n=3)
+    horizon = entangle.default_horizon(spec)
+    with pytest.raises(ValueError, match=f"horizon {horizon} at grid step 5.0 gives t = 0 alone"):
+        entangle.search_grid(spec, None, 5.0)
+    assert len(entangle.search_grid(spec, None, 1.9 * horizon)[2]) == 2
 
 
 def test_time_grid_is_bounded_before_allocation():

@@ -198,6 +198,16 @@ def test_time_must_be_nonnegative():
         freefermion.end_spin_state(real, -1.0)
 
 
+def test_end_spin_state_refuses_a_nan_time_as_input():
+    # NaN is bad input, refused where the time enters; an infinite time
+    # still reaches the phase check, a numerical fault
+    real = model.realize_couplings(model.ChainSpec(n=9))
+    with pytest.raises(ValueError, match="time must be >= 0, got nan"):
+        freefermion.end_spin_state(real, math.nan)
+    with pytest.raises(NumericalFaultError, match="phases"):
+        freefermion.end_spin_state(real, math.inf)
+
+
 KERNEL_CHAINS = {
     "homogeneous-9": lambda: homogeneous(9),
     "homogeneous-30": lambda: homogeneous(30),
