@@ -14,12 +14,15 @@ Exit codes: 0 success, 1 usage error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from datetime import datetime, timezone
 
@@ -173,7 +176,24 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _plan(specs, engine: str, jobs: int, kept: int = 0, kept_what: str = "") -> tuple:
+class _Lazy(Sequence):
+    """``make(k)`` of each k of the range ``keys``, made only when read, and
+    slices as lazy: a sequence as long as --realizations that a plan reads
+    at a few members."""
+
+    def __init__(self, make, keys: range):
+        self.make, self.keys = make, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return _Lazy(self.make, self.keys[at])
+        return self.make(self.keys[at])
+
+
+def _plan(specs, engine: str, jobs: int, kept=None) -> tuple:
     """The blocks of a command's member ``specs`` on ``engine``, as ranges of
     their positions, each one :class:`entangle.CurveEvaluator`, and the
     workers that run them, checked against physical memory once, before a
@@ -181,26 +201,31 @@ def _plan(specs, engine: str, jobs: int, kept: int = 0, kept_what: str = "") -> 
     worker, dealt round-robin when their lengths differ, so that long
     chains spread out, else contiguous; any other member is a block of its
     own.  Workers never exceed ``jobs``, the members or the cores, as each
-    is forked up front.  The check charges the ``kept`` bytes of
-    ``kept_what`` plus every worker at the largest block's
-    :func:`entangle.block_charge`.  Lazy ``specs`` (as long as
-    --realizations) are listed only once the kept bytes fit.  The output
-    does not depend on the cut."""
+    is forked up front.  The check charges ``kept(blocks)``, the (bytes,
+    what) a command holds besides its blocks when it has that many, plus
+    every worker at the largest block's :func:`entangle.block_charge`.
+    ``specs`` is a sequence in ascending length.  A lazy one (:class:`_Lazy`,
+    as long as --realizations) is read at its first member for the route,
+    and at the rest only once the kept bytes fit: one by one when they do
+    not stack, else at the few members each block's charge reads, so an
+    ensemble whose set-up outgrows memory is refused before its members
+    are listed.  The output does not depend on the cut."""
+    count = len(specs)
+    workers = max(1, min(jobs, count, os.cpu_count() or 1))
+    stacking = entangle.stacks(specs[0], engine)
+    need, kept_what = kept(workers if stacking else count) if kept else (0, "")
+    held = [kept_what] if need else []
     have = _physical_memory()
-    need, held = kept, [kept_what] if kept else []
     if have is None or need <= have:
-        specs = list(specs)
-        count = len(specs)
-        workers = max(1, min(jobs, count, os.cpu_count() or 1))
-        if not entangle.stacks(specs[0], engine):
+        if not stacking:
             blocks = [range(k, k + 1) for k in range(count)]
-        elif len({spec.n for spec in specs}) > 1:
+        elif specs[0].n != specs[-1].n:
             blocks = [range(b, count, workers) for b in range(workers)]
         else:
             edges = [-(-b * count // workers) for b in range(workers + 1)]
             blocks = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
-        charge, what = max((entangle.block_charge([specs[k] for k in block], engine)
-                            for block in blocks), key=lambda c: c[0])
+        charge, what = max((entangle.block_charge(specs[b.start:b.stop:b.step], engine)
+                            for b in blocks), key=lambda c: c[0])
         need += workers * charge
         held.append(f"{workers} {what} at once")
     if have is not None and need > have:
@@ -369,26 +394,42 @@ def _run_parallel(worker, items: list, workers: int) -> list:
 # --- disorder ---------------------------------------------------------------
 
 
+def _member_spec(base: model.ChainSpec, sigma: float, r: int) -> model.ChainSpec:
+    """The chain of realization ``r`` of ``sigma`` in an ensemble of ``base``."""
+    return dataclasses.replace(base, disorder_sigma=sigma, seed=model.sub_seed(base.seed, r))
+
+
 def _disorder_block(item: dict) -> dict:
-    """Curves and refined peaks of one block of the ensemble's (sigma,
-    realization) members, of any sigmas, on one
-    :class:`entangle.CurveEvaluator` from its scan to its lockstep
-    refinement.  Every curve and peak is that realization's own, bit for
-    bit, so a program error re-runs each realization alone to name it."""
-    ts, base = item["ts"], item["spec"]
-    specs = [dataclasses.replace(base, disorder_sigma=sigma, seed=model.sub_seed(base.seed, r))
-             for sigma, r in item["members"]]
+    """Refined peaks of one block of the ensemble's (sigma, realization)
+    members, of any sigmas, on one :class:`entangle.CurveEvaluator` from
+    its scan to its lockstep refinement, and their fef curves, reduced as
+    they are walked: a sigma's realization 0 starts its running sum and
+    the members after it add to it in turn.  Only the curves of a leading
+    run that continues a sigma begun in an earlier block are kept, for the
+    parent to add in turn.  Every curve and peak is that realization's
+    own, bit for bit, so a program error re-runs each realization alone
+    to name it."""
+    ts, members = item["ts"], item["members"]
+    specs = [_member_spec(item["spec"], sigma, r) for sigma, r in members]
     labels = [f"disorder n={spec.n} sigma={spec.disorder_sigma:g} realization {r} "
-              f"sub-seed={spec.seed}" for (_, r), spec in zip(item["members"], specs)]
+              f"sub-seed={spec.seed}" for (_, r), spec in zip(members, specs)]
 
-    def peaks(part):
+    def reduce(part):
         evaluator = entangle.CurveEvaluator(specs[part], item["engine"])
-        curves = evaluator.fef_series(ts)
-        return (curves, *entangle.refine_peaks(evaluator, [entangle.first_peak(
-            [(ts, curve)], any_height_fallback=True, argmax_fallback=True) for curve in curves]))
+        sums, carried, found = [], [], []
+        for (_, r), fef in zip(members[part], evaluator.fef_rows(ts)):
+            if r == 0:
+                sums.append(fef + 0.0)  # from 0, as np.mean's sum: a -0.0 becomes 0.0
+            elif sums:
+                sums[-1] += fef
+            else:
+                carried.append(fef.copy())
+            found.append(entangle.first_peak(
+                [(ts, fef)], any_height_fallback=True, argmax_fallback=True))
+        return (sums, carried, *entangle.refine_peaks(evaluator, found))
 
-    curves, peak_t, peak_f = _lockstep(peaks, labels)
-    return {"curves": curves, "peak_t": peak_t, "peak_f": peak_f}
+    sums, carried, peak_t, peak_f = _lockstep(reduce, labels)
+    return {"sums": sums, "carried": carried, "peak_t": peak_t, "peak_f": peak_f}
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -409,38 +450,42 @@ def cmd_disorder(args) -> int:
     engine = entangle.resolve_engine(base, args.engine)
     horizon, step, ts = entangle.search_grid(base, args.t_max_horizon, args.grid_step)
     counts = [1 if sigma == 0.0 else args.realizations for sigma in sigmas]
-    # every realization's curve is kept until the summary is written
-    kept = sum(counts)
+    starts = list(itertools.accumulate(counts, initial=0))
+    if starts[-1] > sys.maxsize:  # beyond what len() can count, let alone set up
+        raise UsageError(f"an ensemble of {starts[-1]} members is beyond any memory")
 
-    def members():  # listed only once the plan has charged their curves
-        return ((sigma, r) for sigma, count in zip(sigmas, counts) for r in range(count))
+    def member(k: int) -> tuple:
+        """(sigma, realization) of the ensemble's member k."""
+        s = bisect.bisect_right(starts, k) - 1
+        return sigmas[s], k - starts[s]
 
-    cut, workers = _plan(
-        (dataclasses.replace(base, disorder_sigma=sigma, seed=model.sub_seed(base.seed, r))
-         for sigma, r in members()), engine, args.jobs,
-        kept * ts.nbytes, f"the fef curves of {kept} realizations over {len(ts)} points")
-    listed = list(members())
-    items = [{"spec": base, "engine": engine, "ts": ts, "members": listed[b.start:b.stop]}
-             for b in cut]
+    def kept(blocks: int) -> tuple:
+        # a running sum per sigma and the curves that continue a sigma into
+        # a later block: at most one sigma's realizations per block after
+        # the first, and never a sigma's realization 0
+        carried = min((blocks - 1) * max(counts), starts[-1] - len(sigmas))
+        return ((len(sigmas) + carried) * ts.nbytes,
+                f"the fef sums of {len(sigmas)} sigma(s) and {carried} carried curve(s) "
+                f"over {len(ts)} points")
+
+    cut, workers = _plan(_Lazy(lambda k: _member_spec(base, *member(k)), range(starts[-1])),
+                         engine, args.jobs, kept)
+    items = [{"spec": base, "engine": engine, "ts": ts, "members": [member(k) for k in block]}
+             for block in cut]
     results = _run_parallel(_disorder_block, items, workers)
+    sums = []
+    for result in results:  # member order, the order in which np.mean adds the curves
+        for curve in result["carried"]:
+            sums[-1] += curve
+        sums += result["sums"]
+    peak_t, peak_f = (np.concatenate([result[key] for result in results])
+                      for key in ("peak_t", "peak_f"))
 
-    def gathered(key: str, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi of the members' ``key``, a view of one block's rows
-        unless they span blocks, which are contiguous: the members share
-        one length."""
-        parts = [result[key][max(lo - b.start, 0):hi - b.start]
-                 for b, result in zip(cut, results) if lo < b.stop and b.start < hi]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    mean_curves: dict[float, np.ndarray] = {}
+    mean_curves = [total / nr for total, nr in zip(sums, counts)]
     summary_rows = []
-    lo = 0
-    for sigma, nr in zip(sigmas, counts):
-        mean_curve = gathered("curves", lo, lo + nr).mean(axis=0)
-        mean_curves[sigma] = mean_curve
-        mean_f, stderr_f = _mean_and_stderr(gathered("peak_f", lo, lo + nr))
-        mean_t, stderr_t = _mean_and_stderr(gathered("peak_t", lo, lo + nr))
-        lo += nr
+    for sigma, nr, lo, mean_curve in zip(sigmas, counts, starts, mean_curves):
+        mean_f, stderr_f = _mean_and_stderr(peak_f[lo:lo + nr])
+        mean_t, stderr_t = _mean_and_stderr(peak_t[lo:lo + nr])
         (_, curve_t, _, curve_f), _, _ = entangle.first_peak(
             [(ts, mean_curve)], argmax_fallback=True)
         summary_rows.append(
@@ -448,7 +493,7 @@ def cmd_disorder(args) -> int:
 
     ts_path = _sibling_path(args.out, "_timeseries")
     header = ["t"] + [f"fef_mean_sigma={s:g}" for s in sigmas]
-    rows = np.column_stack([ts] + [mean_curves[s] for s in sigmas]).tolist()
+    rows = np.column_stack([ts] + mean_curves).tolist()
     _write_csv(ts_path, header, rows)
     _write_csv(
         args.out,

@@ -185,6 +185,21 @@ class CurveEvaluator:
             del chunk
         return fef
 
+    def fef_rows(self, ts: np.ndarray):
+        """fef curve (T,) over ``ts`` of each member in turn: the rows of
+        :meth:`fef_chunks`, joined when a member's come in time windows,
+        which they do one member at a time.  A row is valid only until the
+        next is asked for."""
+        row = np.empty(len(ts))
+        for _, times, fef in self.fef_chunks(ts):
+            fef = fef.reshape(-1, fef.shape[-1])
+            if fef.shape[1] == len(ts):
+                yield from fef
+            else:
+                row[times] = fef[0]
+                if times.stop >= len(ts):
+                    yield row
+
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) of member k at time ``ts[k]``, each of shape (K,)."""
         if self._stack is not None:
@@ -201,14 +216,18 @@ def stacks(spec: model.ChainSpec, engine: Engine) -> bool:
     return engine == "freefermion" and spec.ideal_neel_start
 
 
-def block_charge(specs: list[model.ChainSpec], engine: Engine) -> tuple[int, str]:
+def block_charge(specs, engine: Engine) -> tuple[int, str]:
     """(bytes, what) of a :class:`CurveEvaluator` of the block ``specs`` on
-    ``engine``, estimated before a draw.  A chain stack (:func:`stacks`)
-    is charged :func:`freefermion.stack_bytes` of every member at the
-    longest length, uniform only when no member is disordered.  Any other
+    ``engine``, estimated before a draw.  ``specs`` is a sequence in
+    ascending length, read at its ends and from the front up to its first
+    disordered member, so a disorder block, which has one undisordered
+    member at most, is read at three however long it is.  A chain stack
+    (:func:`stacks`) is charged :func:`freefermion.stack_bytes` of every
+    member at the longest length, uniform only when no member is
+    disordered.  Any other
     member, a block of its own, is charged :func:`exactdiag.run_bytes`,
     the evolution only on exact diagonalization, and refused beyond its cap."""
-    n = max(spec.n for spec in specs)
+    n = specs[-1].n
     if stacks(specs[0], engine):
         uniform = all(spec.disorder_sigma == 0.0 for spec in specs)
         return (freefermion.stack_bytes(n, len(specs), uniform),
@@ -389,11 +408,12 @@ def resolve_grid(spec: model.ChainSpec, horizon=None, step=None) -> tuple:
 def search_grid(spec: model.ChainSpec, horizon=None, step=None) -> tuple:
     """:func:`resolve_grid` of a first-peak search, refused before any
     set-up when the grid holds t = 0 alone."""
-    horizon, step, ts = resolve_grid(spec, horizon, step)
-    if not ts[-1] > 0:
+    resolved = resolve_grid(spec, horizon, step)
+    if not resolved[2][-1] > 0:  # a derived step lies below any positive horizon
+        at = "" if step is None else f" at grid step {step}"
         raise ValueError(f"a first-peak search needs a positive time horizon and a grid step below "
-                         f"twice it; horizon {horizon} at grid step {step} gives t = 0 alone")
-    return horizon, step, ts
+                         f"twice it; horizon {resolved[0]}{at} gives t = 0 alone")
+    return resolved
 
 
 def find_tmax(

@@ -22,18 +22,21 @@ obvious route to a quantity that an engine computes fast:
   written plainly with its three checks one after another; a chain
   stack's arrays built chain by chain; and the dense
   4x4 matrix and Bell weights of an end-spin X state;
+- disorder ensembles: each sigma's fef curves held whole, averaged by
+  np.mean over them and each searched for its first peak;
 - purification: the recurrence round on the 16x16 two-pair density matrix.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from xxzquench import exactdiag, freefermion, model
+from xxzquench import cli, entangle, exactdiag, freefermion, model
 from xxzquench.errors import NumericalFaultError
 from xxzquench.exactdiag import MixedState, PureComponent
 from xxzquench.freefermion import EndSpinState, _check
@@ -595,6 +598,33 @@ def engine_component_series(realization, ts, order: NeelOrder) -> np.ndarray:
     moments = freefermion._end_moments(
         chain, ts, None if step is None else freefermion._grid_bases(chain, step))
     return component_x_state(moments[:, 0], realization.n, order)
+
+
+# --- disorder ensembles ------------------------------------------------------
+
+
+def disorder_rows(base: model.ChainSpec, sigmas: list, realizations: int, ts: np.ndarray,
+                  engine: str = "freefermion") -> tuple[list, list]:
+    """The rows of a ``disorder`` run's time-series file and of its summary,
+    each sigma's realizations held whole: their fef curves from one
+    ``fef_series``, the mean curve by ``np.mean(axis=0)`` over them, each
+    curve's first peak by ``first_peak`` refined in one lockstep, and the
+    peak statistics by the command's own ``_mean_and_stderr``."""
+    means, summary = [], []
+    for sigma in sigmas:
+        count = 1 if sigma == 0.0 else realizations
+        evaluator = entangle.CurveEvaluator([dataclasses.replace(
+            base, disorder_sigma=sigma, seed=model.sub_seed(base.seed, r))
+            for r in range(count)], engine)
+        curves = evaluator.fef_series(ts)
+        means.append(curves.mean(axis=0))
+        peak_t, peak_f = entangle.refine_peaks(evaluator, [entangle.first_peak(
+            [(ts, curve)], any_height_fallback=True, argmax_fallback=True) for curve in curves])
+        (_, curve_t, _, curve_f), _, _ = entangle.first_peak(
+            [(ts, means[-1])], argmax_fallback=True)
+        summary.append([sigma, count, *cli._mean_and_stderr(peak_f),
+                        *cli._mean_and_stderr(peak_t), float(curve_f), float(curve_t)])
+    return np.column_stack([ts] + means).tolist(), summary
 
 
 # --- purification ---------------------------------------------------------

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from xxzquench import cli, entangle, exactdiag, freefermion, model
 from xxzquench.errors import ConvergenceError, NoPeakError, NumericalFaultError
+
+import oracles
 
 
 def run(*argv):
@@ -207,48 +210,89 @@ def test_correlator_route_is_charged_only_its_ground_search(tmp_path, capsys, mo
 
 
 def test_disorder_refuses_curves_beyond_memory_before_a_draw(tmp_path, capsys, monkeypatch):
-    # sigma 0 keeps one curve, sigma 0.3 its five realizations': physical
-    # memory one byte short of the six curves refuses the run with a usage
-    # error that charges the curves alone, before any realization is listed
+    # at one worker the run keeps a running fef sum per sigma, two here:
+    # physical memory one byte short of them refuses the run with a usage
+    # error that charges the sums alone, before any realization is listed
     # or drawn, and enough for them and the set-up of their one chain
-    # stack runs it
+    # stack runs it.  The sums do not grow with --realizations, the set-up
+    # does: 100,000 realizations are refused on it, before a draw and
+    # having made a few of their chains, not all
     _, _, ts = entangle.resolve_grid(model.ChainSpec(n=7))
-    curves = 6 * ts.nbytes
+    sums = 2 * ts.nbytes
     drawn, realize = [], model.realize_couplings
     monkeypatch.setattr(model, "realize_couplings",
                         lambda spec: drawn.append(spec) or realize(spec))
-    argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5", "--jobs", "1"]
+    made, sub_seed = [], model.sub_seed
+    monkeypatch.setattr(model, "sub_seed", lambda seed, r: made.append(r) or sub_seed(seed, r))
+    argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--jobs", "1"]
     out = tmp_path / "d.csv"
-    monkeypatch.setattr(cli, "_physical_memory", lambda: curves - 1)
-    assert run(*argv, "--out", str(out)) == 1
-    assert "the fef curves of 6 realizations over 2001 points need about" in (
+    monkeypatch.setattr(cli, "_physical_memory", lambda: sums - 1)
+    assert run(*argv, "--realizations", "5", "--out", str(out)) == 1
+    assert "the fef sums of 2 sigma(s) and 0 carried curve(s) over 2001 points need about" in (
         capsys.readouterr().err)
-    assert drawn == [] and list(tmp_path.iterdir()) == []
+    # the first member's chain at most, read for its route
+    assert len(made) <= 1 and drawn == [] and list(tmp_path.iterdir()) == []
     monkeypatch.setattr(cli, "_physical_memory",
-                        lambda: curves + freefermion.stack_bytes(7, 6))
-    assert run(*argv, "--out", str(out)) == 0
+                        lambda: sums + freefermion.stack_bytes(7, 6))
+    assert run(*argv, "--realizations", "5", "--out", str(out)) == 0
     assert len(drawn) == 6 and out.exists()
+    made.clear()
+    drawn.clear()
+    monkeypatch.setattr(cli, "_physical_memory",
+                        lambda: sums + freefermion.stack_bytes(7, 100_001) - 1)
+    big = tmp_path / "big.csv"
+    assert run(*argv, "--realizations", "100000", "--out", str(big)) == 1
+    assert "1 free-fermion set-up(s) of 100001 chain(s) of n=7 at once need about" in (
+        capsys.readouterr().err)
+    assert len(made) < 20 and drawn == [] and not big.exists()
 
 
 def test_disorder_charges_its_curves_and_set_up_at_once(tmp_path, capsys, monkeypatch):
-    # the six curves take 96,048 B and the set-up of their chain stack
-    # 10,320 B: 97,048 B holds either alone but not both, so the run is
-    # refused before a draw; their sum, 106,368 B, runs it
+    # the two sums take 32,016 B and the set-up of their chain stack of
+    # six 10,320 B: 33,016 B holds either alone but not both, so the run
+    # is refused before a draw; their sum, 42,336 B, runs it.  At two
+    # workers each runs a stack of three, and the second block may carry
+    # the curves of a sigma begun in the first, at most its five
+    # realizations and never sigma 0.3's realization 0, so four: two
+    # sums, four curves and two set-ups are charged together
     _, _, ts = entangle.resolve_grid(model.ChainSpec(n=7))
-    assert (6 * ts.nbytes, freefermion.stack_bytes(7, 6)) == (96_048, 10_320)
+    assert (2 * ts.nbytes, freefermion.stack_bytes(7, 6)) == (32_016, 10_320)
     drawn, realize = [], model.realize_couplings
     monkeypatch.setattr(model, "realize_couplings",
                         lambda spec: drawn.append(spec) or realize(spec))
-    argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5", "--jobs", "1"]
+    argv = ["disorder", "--n", "7", "--sigma", "0,0.3", "--realizations", "5"]
     out = tmp_path / "d.csv"
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 97_048)
-    assert run(*argv, "--out", str(out)) == 1
-    assert ("the fef curves of 6 realizations over 2001 points and 1 free-fermion "
-            "set-up(s) of 6 chain(s) of n=7 at once") in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 33_016)
+    assert run(*argv, "--jobs", "1", "--out", str(out)) == 1
+    assert ("the fef sums of 2 sigma(s) and 0 carried curve(s) over 2001 points and 1 "
+            "free-fermion set-up(s) of 6 chain(s) of n=7 at once") in capsys.readouterr().err
     assert drawn == [] and list(tmp_path.iterdir()) == []
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 106_368)
-    assert run(*argv, "--out", str(out)) == 0
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 42_336)
+    assert run(*argv, "--jobs", "1", "--out", str(out)) == 0
     assert len(drawn) == 6 and out.exists()
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    need = 6 * ts.nbytes + 2 * freefermion.stack_bytes(7, 3)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert run(*argv, "--jobs", "2", "--out", str(out)) == 1
+    assert ("the fef sums of 2 sigma(s) and 4 carried curve(s) over 2001 points and 2 "
+            "free-fermion set-up(s) of 3 chain(s) of n=7 at once") in capsys.readouterr().err
+
+
+def test_disorder_memory_does_not_grow_with_its_curves(tmp_path):
+    # from 20 to 200 realizations each of sigma 0.1, 0.2 and 0.3 gains 180
+    # curves of 2,001 points, which a run holding them grows by about 8.6
+    # MB; summed as they are walked, only the chains' set-up grows
+    def peak(realizations: int) -> int:
+        tracemalloc.start()
+        try:
+            assert run("disorder", "--n", "7", "--jobs", "1", "--realizations", str(realizations),
+                       "--out", str(tmp_path / f"d{realizations}.csv")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first calls' imports and caches
+    assert peak(200) - peak(20) < 180 * 2001 * 8 / 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,15 +304,15 @@ def test_free_fermion_set_up_beyond_memory_is_refused_before_a_draw(
     tmp_path, capsys, monkeypatch, argv
 ):
     # physical memory one byte short of the largest chain stack's set-up
-    # (disorder's four realizations in one block, next to their four
-    # kept curves, scan-n's two sizes at the longer length) refuses the
+    # (disorder's four realizations in one block, next to the running sum
+    # of their sigma, scan-n's two sizes at the longer length) refuses the
     # run with a usage error before any coupling is drawn, and exactly
     # enough runs it; quench and scan-n chains are uniform, disorder's
     # draws are not
     members = {"quench": 1, "scan-n": 2, "disorder": 4}[argv[0]]
     need = freefermion.stack_bytes(101, members, uniform=argv[0] != "disorder")
     if argv[0] == "disorder":
-        need += 4 * entangle.resolve_grid(model.ChainSpec(n=101))[2].nbytes
+        need += entangle.resolve_grid(model.ChainSpec(n=101))[2].nbytes
     drawn, realize = [], model.realize_couplings
     monkeypatch.setattr(model, "realize_couplings",
                         lambda spec: drawn.append(spec) or realize(spec))
@@ -827,6 +871,21 @@ def test_zero_horizon_disorder_is_refused_before_a_draw(tmp_path, capsys, monkey
     assert drawn == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["disorder", "--n", "7", "--jobs", "1"],
+    ["scan-n", "--n", "3", "--jobs", "1"],
+], ids=["disorder", "scan-n"])
+def test_zero_horizon_refusal_names_no_step_it_was_not_given(tmp_path, capsys, argv):
+    # the default step of a zero horizon is a placeholder the user never
+    # gave: the refusal names the horizon alone, and a given step with it
+    out = str(tmp_path / "x.csv")
+    assert run(*argv, "--t-max-horizon", "0", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "horizon 0.0 gives t = 0 alone" in err and "grid step 5e-13" not in err
+    assert run(*argv, "--t-max-horizon", "0", "--grid-step", "0.1", "--out", out) == 1
+    assert "horizon 0.0 at grid step 0.1 gives t = 0 alone" in capsys.readouterr().err
+
+
 def test_zero_horizon_scan_is_refused_before_any_set_up(tmp_path, capsys, monkeypatch):
     # a grid of t = 0 alone holds no peak: scan-n refuses it, as disorder
     # does, before any size draws its couplings or searches its ground state
@@ -1060,6 +1119,40 @@ def test_disorder_bytes_independent_of_jobs_and_block_size(tmp_path, monkeypatch
             want = (out / f"whole{suffix}").read_bytes()
             for name in "bc":
                 assert (out / f"{name}{suffix}").read_bytes() == want
+
+
+@pytest.mark.parametrize("argv, jobs, windows", [
+    (["--n", "7", "--sigma", "0.3,0,0.1", "--realizations", "5"], 1, False),
+    # two blocks of 5 and 4 members: the cut falls inside sigma = 0.1
+    (["--n", "7", "--sigma", "0.3,0.1,0", "--realizations", "4"], 2, False),
+    # one sigma alone, cut in two
+    (["--n", "7", "--sigma", "0.2", "--realizations", "9"], 2, False),
+    # each curve arrives in several time windows
+    (["--n", "201", "--sigma", "0,0.1", "--realizations", "3"], 1, True),
+], ids=["one-block", "cut-across-sigmas", "cut-inside-one-sigma", "windowed"])
+def test_disorder_files_match_the_whole_curve_oracle_bitwise(tmp_path, monkeypatch, argv, jobs,
+                                                             windows):
+    # the blocks reduce their curves to running sums as they walk them, and
+    # the parent adds the curves carried across a cut; both files hold the
+    # bits of each sigma's curves held whole and averaged by np.mean
+    seen = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(seen, max_workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["disorder", *argv, "--seed", "7"]
+    out = tmp_path / "d.csv"
+    assert run(*argv, "--jobs", str(jobs), "--out", str(out)) == 0
+    if jobs > 1:
+        first, second = (item["members"] for item in seen[0]["items"])
+        assert first[-1][0] == second[0][0] and second[0][1] > 0
+    args = cli.build_parser().parse_args(argv)
+    base = cli._spec_from_args(args, disorder_sigma=max(args.sigma))
+    _, _, ts = entangle.search_grid(base)
+    chunks = list(entangle.CurveEvaluator([base], "freefermion").fef_chunks(ts))
+    assert (len(chunks) > 1) == windows
+    series, summary = oracles.disorder_rows(base, args.sigma, args.realizations, ts)
+    for path, rows in ((out, summary), (tmp_path / "d_timeseries.csv", series)):
+        assert path.read_text().splitlines()[1:] == [",".join(map(cli._fmt, row)) for row in rows]
 
 
 def test_disorder_block_size_bounds_stacked_eigenbases_and_fills_workers(monkeypatch):

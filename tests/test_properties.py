@@ -768,8 +768,10 @@ def test_stack_set_up_matches_each_members_stack_of_one_bitwise(data):
 def test_disorder_blocks_across_sigmas_match_each_members_stack_of_one_bitwise(n, data):
     # one to four sigmas in any order, 0 included or not, and a few
     # realizations each, flattened to the (sigma, realization) list and cut
-    # into blocks at random places: every member's curve, grid peak and
-    # refined peak have the bits of its own stack of one
+    # into blocks at random places: every member's grid and refined peak
+    # have the bits of its own stack of one, and each block's curves, a
+    # running sum per sigma it starts and the leading ones it carries, are
+    # those of the members' own curves
     sigmas = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.8]),
                                 min_size=1, max_size=4, unique=True))
     realizations = data.draw(st.integers(min_value=1, max_value=3))
@@ -784,21 +786,29 @@ def test_disorder_blocks_across_sigmas_match_each_members_stack_of_one_bitwise(n
         return cli._disorder_block({"spec": base, "engine": "freefermion", "ts": ts,
                                     "members": part})
 
+    own = [entangle.CurveEvaluator([dataclasses.replace(
+        base, disorder_sigma=sigma, seed=model.sub_seed(base.seed, r))], "freefermion"
+    ).fef_series(ts)[0] for sigma, r in members]
     edges = [0, *sorted(cuts), len(members)]
     blocks = [block(members[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-    got = {key: np.concatenate([b[key] for b in blocks]) for key in ("curves", "peak_t", "peak_f")}
-    for k, (sigma, r) in enumerate(members):
-        member = (sigma, r)
+    for (lo, hi), got in zip(zip(edges, edges[1:]), blocks):
+        starts = [k for k in range(lo, hi) if members[k][1] == 0]
+        lead = starts[0] if starts else hi
+        assert len(got["carried"]) == lead - lo
+        for curve, k in zip(got["carried"], range(lo, lead)):
+            assert _same_bits(curve, own[k]), members[k]
+        assert len(got["sums"]) == len(starts)
+        for total, k, end in zip(got["sums"], starts, starts[1:] + [hi]):
+            assert _same_bits(total, np.sum(own[k:end], axis=0)), members[k]
+    peak_t, peak_f = (np.concatenate([b[key] for b in blocks]) for key in ("peak_t", "peak_f"))
+    for k, member in enumerate(members):
         alone = block([member])
-        spec = dataclasses.replace(base, disorder_sigma=sigma, seed=model.sub_seed(base.seed, r))
-        own = entangle.CurveEvaluator([spec], "freefermion").fef_series(ts)[0]
-        assert _same_bits(alone["curves"][0], own), member
-        assert _same_bits(got["curves"][k], own), member
-        grid = [entangle.first_peak([(ts, curve)], any_height_fallback=True, argmax_fallback=True)
-                for curve in (got["curves"][k], alone["curves"][0])]
-        assert grid[0] == grid[1], member
-        assert _same_bits(got["peak_t"][k], alone["peak_t"][0]), member
-        assert _same_bits(got["peak_f"][k], alone["peak_f"][0]), member
+        if member[1] == 0:
+            assert _same_bits(alone["sums"][0], np.sum(own[k:k + 1], axis=0)), member
+        else:
+            assert _same_bits(alone["carried"][0], own[k]), member
+        assert _same_bits(peak_t[k], alone["peak_t"][0]), member
+        assert _same_bits(peak_f[k], alone["peak_f"][0]), member
 
 
 class _Pool:
@@ -830,7 +840,7 @@ def test_plan_cuts_staffs_and_charges_every_member_once(data, jobs, cores, route
     # in one block; a stacking list gets a block per worker, dealt exactly
     # when the lengths differ, any other member a block of its own; the
     # pool gets the plan's workers; the one memory check charges the kept
-    # bytes plus every worker at the largest block
+    # bytes of that many blocks plus every worker at the largest block
     top = 61 if route == "stack" else exactdiag.MAX_SITES
     count = data.draw(st.integers(min_value=1, max_value=14), label="members")
     if data.draw(st.booleans(), label="one length"):
@@ -848,13 +858,16 @@ def test_plan_cuts_staffs_and_charges_every_member_once(data, jobs, cores, route
     engine = "exactdiag" if route == "exactdiag" else "freefermion"
     workers = max(1, min(jobs, count, cores))
 
+    asked = []
+
     def plan(have):
         with mock.patch.object(cli.os, "cpu_count", lambda: cores), \
                 mock.patch.object(cli, "_physical_memory", lambda: have):
-            return cli._plan(iter(specs), engine, jobs, kept, "kept curves")
+            return cli._plan(specs, engine, jobs,
+                             lambda blocks: asked.append(blocks) or (kept, "kept curves"))
 
     cut, planned = plan(None)
-    assert planned == workers
+    assert planned == workers and asked == [len(cut)]
     assert sorted(k for block in cut for k in block) == list(range(count))
     if route == "stack":  # as even as the members allow
         assert len(cut) == min(jobs, count, cores)
