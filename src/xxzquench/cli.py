@@ -42,12 +42,12 @@ ED_COMPARE_TOL = 1e-8
 CONVENTIONS = {
     "t_max": "first strict local maximum of fef(t) above the t=0 value, "
              "else (and on even chains always) the first strict local "
-             "maximum of any height, golden-section refined to 1e-6/j; the "
+             "maximum of any height, refined by Brent's method to 1e-6/j; the "
              "scan stops at the first grid chunk that confirms it",
     "disorder_peak": "per realization: the first strict local maximum of "
                      "fef(t) above the t=0 value, else the first strict local "
-                     "maximum of any height, both golden-section refined to "
-                     "1e-6/j, else the unrefined grid maximum; the mean "
+                     "maximum of any height, both refined by Brent's method "
+                     "to 1e-6/j, else the unrefined grid maximum; the mean "
                      "curve's peak is its first strict local maximum above "
                      "the t=0 value, else its grid maximum, unrefined",
     "ground_preparation": "equal-weight mixture over the degenerate ground "
@@ -314,11 +314,13 @@ def _scan_block(item: dict) -> dict:
         records.append({"spec": spec, "engine": engine, "scanned_points": found[k][2],
                         "runtime_ms": 1000.0 * (time.perf_counter() - t0)})
     t0 = time.perf_counter()
-    t_max, fef = _lockstep(lambda part: entangle.refine_peaks(evaluator[part], found[part]), labels)
+    t_max, fef, evals = _lockstep(
+        lambda part: entangle.refine_peaks(evaluator[part], found[part]), labels)
     refine_ms = 1000.0 * (time.perf_counter() - t0)
     for record, t, f in zip(records, t_max.tolist(), fef.tolist()):
         record.update(t_max=t, fef_at_tmax=f)
-    return {"records": records, "setup_ms": setup_ms, "refine_ms": refine_ms}
+    return {"records": records, "setup_ms": setup_ms, "refine_ms": refine_ms,
+            "refine_evals": evals}
 
 
 def cmd_scan_n(args) -> int:
@@ -336,7 +338,7 @@ def cmd_scan_n(args) -> int:
     cut, workers = _plan(specs, engine, args.jobs)
     items = [{"members": [specs[k] for k in block], "engine": engine,
               "horizon": args.t_max_horizon, "step": args.grid_step} for block in cut]
-    blocks = _run_parallel(_scan_block, items, workers)
+    blocks = list(_run_parallel(_scan_block, items, workers))
     records = sorted((r for b in blocks for r in b["records"]), key=lambda r: r["spec"].n)
 
     header = ["n", "delta1", "delta2", "disorder_sigma", "seed", "engine", "t_max", "fef_at_tmax"]
@@ -375,20 +377,24 @@ def cmd_scan_n(args) -> int:
         scanned_points={str(r["spec"].n): r["scanned_points"] for r in records},
         setup_ms=sum(b["setup_ms"] for b in blocks),
         refine_ms=sum(b["refine_ms"] for b in blocks),
+        refine_evals=sum(b["refine_evals"] for b in blocks),
     )
     print(f"scan-n: {len(records)} records -> {args.out}")
     return EXIT_OK
 
 
-def _run_parallel(worker, items: list, workers: int) -> list:
-    """``worker`` over ``items`` on the :func:`_plan`'s ``workers``."""
+def _run_parallel(worker, items: list, workers: int):
+    """``worker`` over ``items`` on the :func:`_plan`'s ``workers``, its
+    results yielded in the order of ``items``, each as soon as it and those
+    before it are done."""
     if workers == 1:
-        return [worker(it) for it in items]
+        yield from map(worker, items)
+        return
     # imported here, so that a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, items))
+        yield from pool.map(worker, items)
 
 
 # --- disorder ---------------------------------------------------------------
@@ -428,8 +434,9 @@ def _disorder_block(item: dict) -> dict:
                 [(ts, fef)], any_height_fallback=True, argmax_fallback=True))
         return (sums, carried, *entangle.refine_peaks(evaluator, found))
 
-    sums, carried, peak_t, peak_f = _lockstep(reduce, labels)
-    return {"sums": sums, "carried": carried, "peak_t": peak_t, "peak_f": peak_f}
+    sums, carried, peak_t, peak_f, evals = _lockstep(reduce, labels)
+    return {"sums": sums, "carried": carried, "peak_t": peak_t, "peak_f": peak_f,
+            "refine_evals": evals}
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -472,14 +479,17 @@ def cmd_disorder(args) -> int:
                          engine, args.jobs, kept)
     items = [{"spec": base, "engine": engine, "ts": ts, "members": [member(k) for k in block]}
              for block in cut]
-    results = _run_parallel(_disorder_block, items, workers)
-    sums = []
-    for result in results:  # member order, the order in which np.mean adds the curves
+    sums, peak_t, peak_f, evals = [], [], [], 0
+    # each block folded as it arrives, in member order, the order in which
+    # np.mean adds the curves
+    for result in _run_parallel(_disorder_block, items, workers):
         for curve in result["carried"]:
             sums[-1] += curve
         sums += result["sums"]
-    peak_t, peak_f = (np.concatenate([result[key] for result in results])
-                      for key in ("peak_t", "peak_f"))
+        peak_t.append(result["peak_t"])
+        peak_f.append(result["peak_f"])
+        evals += result["refine_evals"]
+    peak_t, peak_f = np.concatenate(peak_t), np.concatenate(peak_f)
 
     mean_curves = [total / nr for total, nr in zip(sums, counts)]
     summary_rows = []
@@ -505,7 +515,7 @@ def cmd_disorder(args) -> int:
     config = _config(args, "n", "j", "delta1", "delta2", "realizations", "seed", "jobs",
                      sigma_list=sigmas, t_max_horizon=horizon, grid_step=step, engine=engine,
                      sub_seed_rule=CONVENTIONS["disorder_sub_seeds"])
-    _write_manifest(args.out, "disorder", config, [args.out, ts_path])
+    _write_manifest(args.out, "disorder", config, [args.out, ts_path], refine_evals=evals)
     print(f"disorder: n={args.n} sigmas={sigmas} -> {args.out}")
     return EXIT_OK
 

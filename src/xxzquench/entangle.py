@@ -27,7 +27,7 @@ REFINE_RESOLUTION = 1e-6
 # About 13x the largest default grid (scan-n at n=241: 7,670 points).
 MAX_GRID_POINTS = 100_000
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class CurveEvaluator:
     The specs differ at most in length, coupling, disorder and seed, so
     one engine serves them all.  Construction draws each member's couplings
     and performs the one-off diagonalizations; evaluations are then cheap
-    enough for dense grids and golden-section refinement.  Neel chains on
+    enough for dense grids and peak refinement.  Neel chains on
     free fermions (:func:`stacks`) share one :class:`freefermion.ChainStack`;
     any other member keeps its own prepared quench, a
     :class:`freefermion.CorrelatorQuench` of its ground multiplet's
@@ -243,38 +243,59 @@ def block_charge(specs, engine: Engine) -> tuple[int, str]:
 
 
 def golden_section_max(
-    fun: Callable[[np.ndarray], np.ndarray], lo, hi, xtol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maxima of K functions in lockstep.
+    fun: Callable[[np.ndarray], np.ndarray], lo, hi, x, fx, xtol
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Maxima of K functions in lockstep by Brent's method: golden-section
+    steps plus parabolic interpolation (R. P. Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5).
 
-    ``lo`` and ``hi`` hold the K brackets (scalars for K = 1) and ``fun``
-    maps K times, one per member, to the K values, so each step is one
-    call for the whole block.  Every member follows the scalar iteration
-    exactly; one whose bracket is already within ``xtol`` stops moving and
-    is evaluated at its own inner point only to keep the call shape.
-    Returns the bracket midpoints and their values.
+    Member k searches [lo_k, hi_k] from x_k of known value fx_k, so the
+    start costs no evaluation and the point returned is never worse.
+    ``fun`` maps K times to the K values, one call a step for the block.  A
+    member whose point lies within ``xtol``/2 of all its bracket stops and
+    is evaluated there only to keep the call shape, so each follows the
+    scalar iteration exactly.  Parabolas are fitted to offsets in units of
+    the first bracket width, so no step overflows or depends on the unit of
+    time.  Returns the points, their values and the number of calls.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    live = (b - a) > xtol
-    while np.any(live):
-        keep_left = fc >= fd  # the maximum is in [a, d]: drop (d, b]
-        left, right = live & keep_left, live & ~keep_left
-        b = np.where(left, d, b)
-        a = np.where(right, c, a)
-        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fx = fun(np.where(live, x, c))
-        c, fc, d, fd = (
-            np.where(left, x, np.where(right, d, c)),
-            np.where(left, fx, np.where(right, fd, fc)),
-            np.where(left, c, np.where(right, x, d)),
-            np.where(left, fc, np.where(right, fx, fd)),
-        )
-        live = (b - a) > xtol
-    mid = 0.5 * (a + b)
-    return mid, fun(mid)
+    x, fx = np.array(x, dtype=float), np.array(fx, dtype=float)
+    width, tol = b - a, 0.25 * np.asarray(xtol, dtype=float)
+    w, v, fw, fv, d, e, calls = x, x, fx, fx, 0.0 * x, 0.0 * x, 0
+    while True:
+        mid = 0.5 * (a + b)
+        live = np.abs(x - mid) > 2.0 * tol - 0.5 * (b - a)
+        if not live.any():
+            return x, fx, calls
+        xw, xv = (x - w) / width, (x - v) / width
+        r, q = xw * (fx - fv), xv * (fx - fw)
+        p, q = xv * q - xw * r, 2.0 * (q - r)
+        p, q = np.where(q > 0.0, -p, p), np.abs(q)
+        # the parabola's vertex, taken when it moves less than half the step
+        # before last and falls inside the bracket
+        fit = ((np.abs(e) > tol) & (np.abs(p) < np.abs(0.5 * q * (e / width)))
+               & (p > q * ((a - x) / width)) & (p < q * ((b - x) / width)))
+        step = width * np.divide(p, q, out=np.zeros_like(p), where=fit)
+        edge = fit & ((x + step - a < 2.0 * tol) | (b - (x + step) < 2.0 * tol))
+        # else into the larger part of the bracket; the first step starts at
+        # its centre, whose parts differ by rounding alone, and goes right
+        golden = np.where((x >= mid) & (calls > 0), a - x, b - x)
+        e, d = np.where(fit, d, golden), np.where(
+            edge, np.where(mid >= x, tol, -tol), np.where(fit, step, _CGOLD * golden))
+        u = x + np.where(np.abs(d) >= tol, d, np.where(d >= 0.0, tol, -tol))
+        fu = fun(np.where(live, u, x))
+        calls += 1
+        better, right = live & (fu >= fx), u >= x
+        worse = live & ~better
+        to_w = worse & ((fu >= fw) | (w == x))
+        to_v = worse & ~to_w & ((fu >= fv) | (v == x) | (v == w))
+        a = np.where(better & right, x, np.where(worse & ~right, u, a))
+        b = np.where(better & ~right, x, np.where(worse & right, u, b))
+        v, fv = np.where(to_v, u, np.where(better | to_w, w, v)), np.where(
+            to_v, fu, np.where(better | to_w, fw, fv))
+        w, fw = np.where(to_w, u, np.where(better, x, w)), np.where(
+            to_w, fu, np.where(better, fx, fw))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
 
 
 def default_horizon(spec: model.ChainSpec) -> float:
@@ -369,25 +390,23 @@ def tmax_peak(evaluator: CurveEvaluator, ts: np.ndarray) -> tuple:
                       above_baseline=evaluator.specs[0].n % 2 == 1, any_height_fallback=True)
 
 
-def refine_peaks(evaluator: CurveEvaluator, found: list) -> tuple[np.ndarray, np.ndarray]:
+def refine_peaks(evaluator: CurveEvaluator, found: list) -> tuple[np.ndarray, np.ndarray, int]:
     """Peak times and values, each (K,), of the K members of ``evaluator``
-    from their :func:`first_peak` results ``found``.  The refinable grid
-    peaks (t_{i-1}, t_i, t_{i+1}, fef(t_i)) are refined in one
-    :func:`golden_section_max` lockstep, each on [t_{i-1}, t_{i+1}] to
-    1e-6/j of its own coupling j; the others keep their grid point.  Golden
-    section assumes a unimodal bracket, so a refined value below fef(t_i)
-    gives way to the grid point."""
+    from their :func:`first_peak` results ``found``, and the number of
+    lockstep evaluations spent.  The refinable grid peaks (t_{i-1}, t_i,
+    t_{i+1}, fef(t_i)) are refined in one :func:`golden_section_max`
+    lockstep, Brent's method, each on [t_{i-1}, t_{i+1}] from t_i to
+    1e-6/j of its own coupling j, so none falls below its grid value; the
+    others keep their grid point."""
     lo, t, hi, fef = np.array([peak for peak, _, _ in found], dtype=float).T
     todo = np.flatnonzero([refinable for _, refinable, _ in found])
+    calls = 0
     if todo.size:
         part = evaluator[todo]
         xtol = REFINE_RESOLUTION / np.array([spec.j for spec in part.specs])
-        t_ref, f_ref = golden_section_max(
-            lambda ts: _fef(*part.end_spin_at(ts)), lo[todo], hi[todo], xtol)
-        grid_better = f_ref < fef[todo]
-        t[todo] = np.where(grid_better, t[todo], t_ref)
-        fef[todo] = np.where(grid_better, fef[todo], f_ref)
-    return t, fef
+        t[todo], fef[todo], calls = golden_section_max(
+            lambda ts: _fef(*part.end_spin_at(ts)), lo[todo], hi[todo], t[todo], fef[todo], xtol)
+    return t, fef, calls
 
 
 def resolve_grid(spec: model.ChainSpec, horizon=None, step=None) -> tuple:
@@ -424,7 +443,7 @@ def find_tmax(
 ) -> TmaxResult:
     """The first maximum of fef(t) after the quench, ``scan-n``'s record of
     a chain of one size: :func:`tmax_peak` on the grid of :func:`search_grid`,
-    which refuses a grid holding only t = 0, refined by golden section
+    which refuses a grid holding only t = 0, refined by Brent's method
     (:func:`refine_peaks`) to an absolute time resolution of 1e-6/j.  A
     curve without a strict local maximum on the grid raises NoPeakError.
     """
@@ -435,7 +454,7 @@ def find_tmax(
     except NoPeakError as exc:
         exc.args = (f"{exc} (n={spec.n}, delta1={spec.delta1}, delta2={spec.delta2})",)
         raise
-    (t_max,), (fef_max,) = refine_peaks(evaluator, [found])
+    (t_max,), (fef_max,), _ = refine_peaks(evaluator, [found])
     return TmaxResult(
         t_max=float(t_max), fef_at_tmax=float(fef_max),
         scan_resolution=step, refined=True,

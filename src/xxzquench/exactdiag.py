@@ -71,6 +71,8 @@ from .model import CouplingRealization, NeelOrder, neel_state
 
 MAX_SITES = 15
 GROUND_DEGENERACY_RTOL = 1e-10
+# in units of the largest |bond|, so that the multiplet does not depend on
+# the unit of the couplings
 GROUND_DEGENERACY_ATOL = 1e-12
 NORM_DRIFT_TOL = 1e-10
 # largest distance of a multiplet component from (minus) its flip partner
@@ -380,9 +382,10 @@ def _sector_blocks(realization: CouplingRealization, m_up: int) -> tuple[SimpleN
     return _blocks(realization.n, m_up, realization.couplings == realization.couplings[::-1])
 
 
-def _degeneracy_tol(e0: float) -> float:
+def _degeneracy_tol(e0: float, realization: CouplingRealization) -> float:
     """How far above the ground level e0 a level joins its multiplet."""
-    return max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL)
+    bond = max(map(abs, realization.couplings))
+    return max(GROUND_DEGENERACY_RTOL * abs(e0), GROUND_DEGENERACY_ATOL * bond)
 
 
 def _gershgorin(block: SimpleNamespace) -> float:
@@ -437,7 +440,7 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
         ham = build_sector_hamiltonian(realization, delta1, m)
         start = np.sin(np.arange(1.0, ham.basis.dim + 1.0))
         for block in ham.blocks:
-            above = e0 + 2.0 * _degeneracy_tol(e0)
+            above = e0 + 2.0 * _degeneracy_tol(e0, realization)
             if _gershgorin(block) > above:
                 continue
             values, vectors = _lanczos(
@@ -448,7 +451,7 @@ def ground_mixture(realization: CouplingRealization, delta1: float) -> MixedStat
             # a pattern outside the block reads entry -1 times coefficient 0
             found.append((m, values, block.coef * vectors[:, block.orbit]))
             e0 = min(e0, float(values[0]))
-    tol = _degeneracy_tol(e0)
+    tol = _degeneracy_tol(e0, realization)
     multiplet = [(m, v) for m, values, vectors in found for v in vectors[values - e0 <= tol]]
     size = sum(1 if 2 * m == n else 2 for m, _ in multiplet)
     if size > 2:

@@ -24,12 +24,15 @@ obvious route to a quantity that an engine computes fast:
   4x4 matrix and Bell weights of an end-spin X state;
 - disorder ensembles: each sigma's fef curves held whole, averaged by
   np.mean over them and each searched for its first peak;
+- peak refinement: golden section in lockstep, the accuracy oracle of
+  the program's Brent refinement when run to a far finer resolution;
 - purification: the recurrence round on the 16x16 two-pair density matrix.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -98,7 +101,8 @@ def dense_ground_mixture(realization, delta1: float) -> MixedState:
     matrices = {m: sector_hamiltonian(realization, delta1, m) for m in range(n // 2 + 1)}
     spectra = {m: np.linalg.eigvalsh(h) for m, h in matrices.items()}
     e0 = min(float(e[0]) for e in spectra.values())
-    tol = max(exactdiag.GROUND_DEGENERACY_RTOL * abs(e0), exactdiag.GROUND_DEGENERACY_ATOL)
+    tol = max(exactdiag.GROUND_DEGENERACY_RTOL * abs(e0),
+              exactdiag.GROUND_DEGENERACY_ATOL * max(map(abs, realization.couplings)))
     levels = {m: np.nonzero(e - e0 <= tol)[0] for m, e in spectra.items()}
     size = sum(len(k) * (1 if 2 * m == n else 2) for m, k in levels.items())
     if size > 2:
@@ -144,7 +148,8 @@ def lanczos_ground_mixture(realization, delta1: float) -> MixedState:
             )
             found.append((m, values, block.coef * vectors[:, block.orbit]))
     e0 = min(float(values[0]) for _, values, _ in found)
-    tol = max(exactdiag.GROUND_DEGENERACY_RTOL * abs(e0), exactdiag.GROUND_DEGENERACY_ATOL)
+    tol = max(exactdiag.GROUND_DEGENERACY_RTOL * abs(e0),
+              exactdiag.GROUND_DEGENERACY_ATOL * max(map(abs, realization.couplings)))
     multiplet = [(m, v) for m, values, vectors in found for v in vectors[values - e0 <= tol]]
     size = sum(1 if 2 * m == n else 2 for m, _ in multiplet)
     if size > 2:
@@ -618,13 +623,47 @@ def disorder_rows(base: model.ChainSpec, sigmas: list, realizations: int, ts: np
             for r in range(count)], engine)
         curves = evaluator.fef_series(ts)
         means.append(curves.mean(axis=0))
-        peak_t, peak_f = entangle.refine_peaks(evaluator, [entangle.first_peak(
+        peak_t, peak_f, _ = entangle.refine_peaks(evaluator, [entangle.first_peak(
             [(ts, curve)], any_height_fallback=True, argmax_fallback=True) for curve in curves])
         (_, curve_t, _, curve_f), _, _ = entangle.first_peak(
             [(ts, means[-1])], argmax_fallback=True)
         summary.append([sigma, count, *cli._mean_and_stderr(peak_f),
                         *cli._mean_and_stderr(peak_t), float(curve_f), float(curve_t)])
     return np.column_stack([ts] + means).tolist(), summary
+
+
+# --- peak refinement ----------------------------------------------------------
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(fun, lo, hi, xtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maxima of K functions in lockstep, each on its bracket
+    [lo_k, hi_k] until the bracket is within ``xtol``: the bracket
+    midpoints and their values.  ``fun`` maps K times to K values; a member
+    whose bracket is done is evaluated at its own inner point only to keep
+    the call shape."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    live = (b - a) > xtol
+    while np.any(live):
+        keep_left = fc >= fd  # the maximum is in [a, d]: drop (d, b]
+        left, right = live & keep_left, live & ~keep_left
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = fun(np.where(live, x, c))
+        c, fc, d, fd = (
+            np.where(left, x, np.where(right, d, c)),
+            np.where(left, fx, np.where(right, fd, fc)),
+            np.where(left, c, np.where(right, x, d)),
+            np.where(left, fc, np.where(right, fx, fd)),
+        )
+        live = (b - a) > xtol
+    mid = 0.5 * (a + b)
+    return mid, fun(mid)
 
 
 # --- purification ---------------------------------------------------------

@@ -116,10 +116,11 @@ _INF_CHAIN = {"j": 1.0, "delta1": "inf", "seed": 0}
       "engine": "freefermion", "t_max_horizon": 1.0, "grid_step": 0.5, "seed": 0, "out": "x.csv"}),
     # scan-n records its grid flags as given, disorder its resolved grid
     (["scan-n", "--n", "3", "--jobs", "1", "--t-max-horizon", "2"],
-     {"fit", "runtimes_ms", "scanned_points", "setup_ms", "refine_ms"},
+     {"fit", "runtimes_ms", "scanned_points", "setup_ms", "refine_ms", "refine_evals"},
      {"n_list": [3], "delta2": 0.0, "sigma": 0.0, "t_max_horizon": 2.0, "grid_step": None,
       "engine": "freefermion", "jobs": 1, "allow_even": False, "out": "x.csv", **_INF_CHAIN}),
-    (["disorder", "--n", "5", "--sigma", "0,0.1", "--realizations", "2", "--jobs", "1"], set(),
+    (["disorder", "--n", "5", "--sigma", "0,0.1", "--realizations", "2", "--jobs", "1"],
+     {"refine_evals"},
      {"n": 5, "delta2": 0.0, "sigma_list": [0.0, 0.1], "realizations": 2,
       "t_max_horizon": 3.183098861837907, "grid_step": 0.0015915494309189536,
       "engine": "freefermion", "jobs": 1, "out": "x.csv",
@@ -553,7 +554,7 @@ def test_scan_falls_back_to_a_peak_of_any_height(tmp_path):
     fef = evaluator.fef_series(ts)[0]
     assert entangle.first_peak_index(fef, fef[0]) is None
     record = entangle.find_tmax("freefermion", spec)
-    assert (record.t_max, record.fef_at_tmax) == (0.7024802263761396, 0.30432040728241117)
+    assert (record.t_max, record.fef_at_tmax) == (0.7024801966756501, 0.3043204072824121)
     assert record.fef_at_tmax < 0.5
     assert col(header, rows, "t_max")[0] == record.t_max
     assert col(header, rows, "fef_at_tmax")[0] == record.fef_at_tmax
@@ -562,10 +563,10 @@ def test_scan_falls_back_to_a_peak_of_any_height(tmp_path):
 @pytest.mark.parametrize("argv, spec, t_max, fef", [
     # a disordered odd chain that never exceeds its t = 0 value
     (("--n", "5", "--sigma", "0.5", "--seed", "13"),
-     model.ChainSpec(n=5, disorder_sigma=0.5, seed=8), 1.8539868633590817, 0.4485388241000674),
+     model.ChainSpec(n=5, disorder_sigma=0.5, seed=8), 1.8539868755805387, 0.44853882410006723),
     # an even chain, whose fef never exceeds 1/2
     (("--n", "6", "--allow-even"), model.ChainSpec(n=6, seed=6),
-     1.9723385866438252, 0.47839878932275082),
+     1.9723386905335936, 0.4783987893227525),
 ], ids=["odd-fallback", "even"])
 def test_find_tmax_returns_the_scan_record_where_no_peak_exceeds_the_start(
         tmp_path, argv, spec, t_max, fef):
@@ -1414,3 +1415,39 @@ def test_cli_surface_exits_with_a_documented_code_and_finite_data(command, data)
         if code == 0:
             files = [os.path.join(out, f) for f in os.listdir(out) if "manifest" not in f]
             assert files and all(_finite_data(f) for f in files), argv
+
+
+def test_correlator_ensemble_folds_its_blocks_as_they_arrive(tmp_path):
+    # each correlator member is a block of its own, and every one after a
+    # sigma's first comes back as a carried curve: from 20 to 80
+    # realizations of sigma 0.2 a run holding them grows by 60 curves of
+    # 2,001 points, one folding each as it arrives by none
+    def peak(realizations: int) -> int:
+        tracemalloc.start()
+        try:
+            assert run("disorder", "--n", "9", "--delta1", "3", "--sigma", "0,0.2", "--jobs", "1",
+                       "--realizations", str(realizations),
+                       "--out", str(tmp_path / f"d{realizations}.csv")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first calls' imports and caches
+    assert peak(80) - peak(20) < 60 * 2001 * 8 / 3
+
+
+@pytest.mark.parametrize("argv, blocks, most", [
+    (["scan-n", "--n", "7,9,25", "--sigma", "0.3", "--seed", "4"], 1, 9),
+    (["disorder", "--n", "9", "--delta1", "3", "--sigma", "0,0.2", "--realizations", "3"], 4, 7),
+], ids=["scan-n", "disorder"])
+def test_manifest_counts_the_refinement_evaluations(tmp_path, monkeypatch, argv, blocks, most):
+    # refine_evals sums each block's lockstep evaluations, which are the
+    # only single-time evaluations a run makes; a correlator ensemble is
+    # one block per member
+    calls, at = [], entangle.CurveEvaluator.end_spin_at
+    monkeypatch.setattr(entangle.CurveEvaluator, "end_spin_at",
+                        lambda self, ts: calls.append(ts) or at(self, ts))
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--jobs", "1", "--out", str(out)) == 0
+    doc = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    assert doc["refine_evals"] == len(calls) <= blocks * most

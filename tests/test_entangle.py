@@ -97,7 +97,7 @@ def test_even_chain_has_no_peak_above_threshold():
     # fef never exceeds 1/2 on an even chain; find_tmax returns, as scan-n
     # --n 6 --allow-even records, its first local maximum of any height
     result = entangle.find_tmax("freefermion", model.ChainSpec(n=6, seed=6))
-    assert (result.t_max, result.fef_at_tmax) == (1.9723385866438252, 0.47839878932275082)
+    assert (result.t_max, result.fef_at_tmax) == (1.9723386905335936, 0.4783987893227525)
     assert result.fef_at_tmax <= 0.5
 
 
@@ -147,7 +147,8 @@ def test_power_law_rejects_bad_input():
 
 
 def test_golden_section_finds_quadratic_peak():
-    t, v = entangle.golden_section_max(lambda x: -(x - 1.7) ** 2, 0.0, 3.0, 1e-9)
+    # Brent's method, started off the peak at the value there
+    t, v, _ = entangle.golden_section_max(lambda x: -(x - 1.7) ** 2, 0.0, 3.0, 0.5, -1.44, 1e-9)
     assert abs(t - 1.7) < 1e-8
     assert v == pytest.approx(0.0, abs=1e-15)
 
@@ -201,24 +202,55 @@ def test_time_grid_is_bounded_before_allocation():
 # --- the per-realization peak path the lockstep finder replaced, as oracle ---
 
 
-def _golden_oracle(fun, lo, hi, xtol):
-    """Scalar golden-section maximization, one evaluation per step."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
+def _brent_oracle(fun, lo, hi, x, fx, xtol):
+    """Scalar Brent maximization on [lo, hi] from the point x of value fx,
+    one evaluation per step: (point, value, evaluations)."""
+    cgold = (3.0 - math.sqrt(5.0)) / 2.0
+    a, b, width, tol = lo, hi, hi - lo, 0.25 * xtol
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    calls = 0
+    while True:
+        mid = 0.5 * (a + b)
+        if not abs(x - mid) > 2.0 * tol - 0.5 * (b - a):
+            return x, fx, calls
+        golden = a - x if x >= mid and calls else b - x
+        xw, xv = (x - w) / width, (x - v) / width
+        r, q = xw * (fx - fv), xv * (fx - fw)
+        p, q = xv * q - xw * r, 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        if (abs(e) > tol and abs(p) < abs(0.5 * q * (e / width))
+                and p > q * ((a - x) / width) and p < q * ((b - x) / width)):
+            step = width * (p / q)
+            e = d
+            if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                d = tol if mid >= x else -tol
+            else:
+                d = step
         else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
-    mid = 0.5 * (a + b)
-    return mid, fun(mid)
+            e = golden
+            d = cgold * golden
+        u = x + (d if abs(d) >= tol else (tol if d >= 0.0 else -tol))
+        fu = fun(u)
+        calls += 1
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _first_peak_oracle(fef, baseline):
@@ -242,12 +274,10 @@ def _peak_oracle(evaluator, curve, ts, above_baseline=True, fallbacks=False):
     if i is None:
         i = int(np.argmax(curve))
         return float(ts[i]), float(curve[i]), "argmax"
-    t, f = _golden_oracle(
-        lambda t: _fef_at(evaluator, t), float(ts[i - 1]), float(ts[i + 1]),
-        entangle.REFINE_RESOLUTION / evaluator.specs[0].j,
+    t, f, _ = _brent_oracle(
+        lambda t: _fef_at(evaluator, t), float(ts[i - 1]), float(ts[i + 1]), float(ts[i]),
+        float(curve[i]), entangle.REFINE_RESOLUTION / evaluator.specs[0].j,
     )
-    if f < curve[i]:
-        return float(ts[i]), float(curve[i]), rule
     return t, f, rule
 
 
@@ -308,7 +338,7 @@ def test_lockstep_peaks_match_per_realization_oracle(case):
     if ts is None:
         ts = _default_grid(evaluator.specs[0])
     curves = evaluator.fef_series(ts)
-    t, f = entangle.refine_peaks(evaluator, [
+    t, f, _ = entangle.refine_peaks(evaluator, [
         entangle.first_peak([(ts, c)], any_height_fallback=True, argmax_fallback=True)
         for c in curves
     ])
@@ -376,12 +406,23 @@ def test_chunked_first_peak_equals_one_chunk(fef, cuts, **flags):
 
 
 def test_golden_section_lockstep_matches_scalar_per_member():
+    # a cusp |t - c|^1.5, on which the members mix golden and parabolic
+    # steps and stop after different numbers of them
+    def cusp(x, c):
+        return -np.abs(x - c) * np.sqrt(np.abs(x - c))
+
     centres = np.array([0.3, 1.7, 2.9])
     lo, hi = centres - 0.5, centres + np.array([0.5, 0.7, 0.2])
-    t, v = entangle.golden_section_max(lambda x: -(x - centres) ** 2, lo, hi, 1e-9)
+    start = lo + np.array([0.5, 0.1, 0.6]) * (hi - lo)
+    t, v, calls = entangle.golden_section_max(
+        lambda x: cusp(x, centres), lo, hi, start, cusp(start, centres), 1e-9)
+    used = []
     for k, c in enumerate(centres):
-        want = _golden_oracle(lambda x: -(x - c) ** 2, lo[k], hi[k], 1e-9)
-        assert (t[k], v[k]) == want
+        *want, count = _brent_oracle(lambda x: cusp(x, c), lo[k], hi[k], start[k],
+                                     cusp(start[k], c), 1e-9)
+        assert [t[k], v[k]] == want and abs(t[k] - c) <= 0.5e-9
+        used.append(count)
+    assert calls == max(used) and len(set(used)) > 1
 
 
 @pytest.mark.parametrize("engine, spec", [

@@ -887,5 +887,40 @@ def test_plan_cuts_staffs_and_charges_every_member_once(data, jobs, cores, route
     assert ("kept curves" in str(refused.value)) == (kept > 0)
     _Pool.workers = []
     with mock.patch("concurrent.futures.ProcessPoolExecutor", _Pool):
-        assert cli._run_parallel(len, cut, workers) == [len(block) for block in cut]
+        assert list(cli._run_parallel(len, cut, workers)) == [len(block) for block in cut]
     assert _Pool.workers == ([] if workers == 1 else [workers])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(route=st.sampled_from(["stack", "correlator"]), data=st.data())
+def test_refined_peaks_match_the_oracle_and_follow_the_time_unit(route, data):
+    # Brent's refinement of each member's first grid peak, on the free-fermion
+    # stack and on the correlator route: within xtol/2 of golden section run
+    # to 1e-12 on the same bracket, never below the grid value, and at
+    # j = 2^k exactly 2^-k times the time at j = 1.  Bonds take both signs
+    # at large sigma.
+    n = data.draw(st.integers(2, 15 if route == "stack" else 9), label="n")
+    sigma = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), label="sigma")
+    seed = data.draw(st.integers(0, 2**31 - 3), label="seed")
+    k = data.draw(st.integers(-40, 40), label="k")
+    delta1 = math.inf if route == "stack" else data.draw(st.floats(1.5, 5.0), label="delta1")
+    peaks = []
+    for j in (1.0, 2.0**k):
+        evaluator = entangle.CurveEvaluator([
+            model.ChainSpec(n=n, j=j, delta1=delta1, disorder_sigma=sigma, seed=seed + r)
+            for r in range(3)])
+        _, _, ts = entangle.search_grid(evaluator.specs[0])
+        found = [entangle.first_peak([(ts, curve)], any_height_fallback=True, argmax_fallback=True)
+                 for curve in evaluator.fef_series(ts)]
+        peaks.append((evaluator, found, *entangle.refine_peaks(evaluator, found)))
+    (evaluator, found, t, f, _), (_, _, t_k, f_k, _) = peaks
+    np.testing.assert_array_equal(t_k, t * 2.0**-k)
+    np.testing.assert_array_equal(f_k, f)
+    lo, _, hi, grid_f = np.array([peak for peak, _, _ in found]).T
+    assert np.all(f >= grid_f)
+    refined = np.array([refinable for _, refinable, _ in found])
+    if n > 2 and refined.any():  # an n = 2 curve is flat to rounding, its peaks noise
+        part = evaluator[np.flatnonzero(refined)]
+        want, _ = oracles.golden_section_max(lambda ts: entangle._fef(*part.end_spin_at(ts)),
+                                             lo[refined], hi[refined], 1e-12)
+        assert np.max(np.abs(t[refined] - want)) <= 0.5 * entangle.REFINE_RESOLUTION
