@@ -259,7 +259,11 @@ def _lockstep(step, labels: list[str]):
     """One lockstep ``step`` over every member of a block,
     ``step(slice(None))``.  A step covers the whole block, so on a
     program error each member is re-run alone, ``step(slice(k, k + 1))``
-    under its label, to name the one that fails."""
+    under its label, to name the one that fails; a block of one member
+    runs once, under its label."""
+    if len(labels) == 1:
+        with _naming(labels[0]):
+            return step(slice(None))
     try:
         return step(slice(None))
     except _MEMBER_ERRORS:

@@ -107,55 +107,47 @@ class CurveEvaluator:
     The specs differ at most in length, coupling, disorder and seed, so
     one engine serves them all.  Construction draws each member's couplings
     and performs the one-off diagonalizations; evaluations are then cheap
-    enough for dense grids and peak refinement.  Neel chains on
-    free fermions (:func:`stacks`) share one :class:`freefermion.ChainStack`;
-    any other member keeps its own prepared quench, a
-    :class:`freefermion.CorrelatorQuench` of its ground multiplet's
-    correlators or an :class:`exactdiag.QuenchEvolution`, and these are
-    evaluated one after the other.  Either way member k's values are the ones
-    ``evaluator[k:k + 1]`` gives, bit for bit.  Every evaluation of a grid,
-    the first-peak scans of :func:`first_peak` included, walks the same
-    chunks of it.
+    enough for dense grids and peak refinement.  The members share one
+    route, evaluated as windows of its ``series``, at single times by its
+    ``end_spin_at`` and in part by ``[part]``: Neel chains on free fermions
+    (:func:`stacks`) one :class:`freefermion.ChainStack`, any other member
+    alone a :class:`freefermion.CorrelatorQuench` of its ground multiplet's
+    correlators or an :class:`exactdiag.QuenchEvolution`.  Member k's values
+    are the ones ``evaluator[k:k + 1]`` gives, bit for bit.  Every
+    evaluation of a grid, the first-peak scans of :func:`first_peak`
+    included, walks the same chunks of it.
     """
 
     def __init__(self, specs: list[model.ChainSpec], engine: str = "auto"):
         self.specs = list(specs)
-        self.engine: Engine = resolve_engine(self.specs[0], engine)
-        realizations = [model.realize_couplings(spec) for spec in self.specs]
-        self._stack, self._members = None, []
-        if stacks(self.specs[0], self.engine):
-            self._stack = freefermion.ChainStack(realizations)
+        spec = self.specs[0]
+        self.engine: Engine = resolve_engine(spec, engine)
+        stacking = stacks(spec, self.engine)
+        if not stacking and len(self.specs) > 1:
+            raise ValueError(f"{len(self.specs)} specs that do not stack: cli._plan makes each "
+                             "correlator or exact-diagonalization member a block of its own")
+        realizations = [model.realize_couplings(member) for member in self.specs]
+        if stacking:
+            self._route = freefermion.ChainStack(realizations)
         elif self.engine == "exactdiag":
-            self._members = [exactdiag.QuenchEvolution(r, spec.delta1, spec.delta2)
-                             for r, spec in zip(realizations, self.specs)]
+            self._route = exactdiag.QuenchEvolution(realizations[0], spec.delta1, spec.delta2)
         else:
-            self._members = [
-                freefermion.CorrelatorQuench(r, exactdiag.correlators(
-                    exactdiag.ground_mixture(r, spec.delta1)))
-                for r, spec in zip(realizations, self.specs)
-            ]
+            self._route = freefermion.CorrelatorQuench(realizations[0], exactdiag.correlators(
+                exactdiag.ground_mixture(realizations[0], spec.delta1)))
 
     def __getitem__(self, part) -> CurveEvaluator:
         """The members ``part`` (a slice or an index array) as an evaluator
-        of their own, sharing their prepared quenches."""
-        keep = np.arange(len(self.specs))[part].tolist()
+        of their own, sharing their prepared route."""
         sub = CurveEvaluator.__new__(CurveEvaluator)
-        sub.specs, sub.engine = [self.specs[k] for k in keep], self.engine
-        sub._stack = None if self._stack is None else self._stack[part]
-        sub._members = [self._members[k] for k in keep] if self._members else []
+        sub.specs = [self.specs[k] for k in np.arange(len(self.specs))[part].tolist()]
+        sub.engine, sub._route = self.engine, self._route[part]
         return sub
 
     def _chunks(self, ts: np.ndarray):
-        """(members, times, (a, b, c)) chunks over the shared times ``ts``,
-        each member's in time order: those of the stack's series, or each
-        member's series in windows of its own ``chunk_points``.  The
-        consumer drops a chunk before it asks for the next."""
-        if self._stack is not None:
-            yield from self._stack.series(ts)
-        for k, member in enumerate(self._members):
-            for lo in range(0, len(ts), member.chunk_points):
-                times = slice(lo, lo + member.chunk_points)
-                yield k, times, member.end_spin_series(ts[times])
+        """(members, times, (a, b, c)) chunks of the route's series over the
+        shared times ``ts``, each member's in time order.  The consumer
+        drops a chunk before it asks for the next."""
+        return self._route.series(ts)
 
     def series(self, ts: np.ndarray) -> np.ndarray:
         """(a, b, c) of every member over ``ts``, (3, K, T)."""
@@ -167,8 +159,8 @@ class CurveEvaluator:
 
     def fef_chunks(self, ts: np.ndarray):
         """(members, times, fef) chunks over ``ts``, those of :meth:`_chunks`
-        with each (a, b, c) reduced to its fef: (members, t) of the stack,
-        (t,) of member k's own quench.  Both are dropped here before the
+        with each (a, b, c) reduced to its fef: (members, t) of a stack,
+        (t,) of a quench of one chain.  Both are dropped here before the
         next chunk is computed."""
         for members, times, chunk in self._chunks(ts):
             fef = _fef(*chunk)
@@ -202,11 +194,7 @@ class CurveEvaluator:
 
     def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) of member k at time ``ts[k]``, each of shape (K,)."""
-        if self._stack is not None:
-            return self._stack.end_spin_at(ts)
-        ts = np.asarray(ts, dtype=float)
-        return tuple(np.concatenate(x) for x in zip(*(
-            member.end_spin_series(ts[k:k + 1]) for k, member in enumerate(self._members))))
+        return self._route.end_spin_at(ts)
 
 
 def stacks(spec: model.ChainSpec, engine: Engine) -> bool:

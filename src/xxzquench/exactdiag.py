@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NumericalFaultError
-from .freefermion import CHUNK_BYTES, _check, _check_phases, chunked_series
+from .freefermion import CHUNK_BYTES, OneChainQuench, _check, _check_phases
 from .model import CouplingRealization, NeelOrder, neel_state
 
 MAX_SITES = 15
@@ -636,7 +636,7 @@ def run_bytes(n: int, evolve: bool = True) -> int:
     return ground + 6 * 8 * dim * (dim + 1) + 4 * CHUNK_BYTES
 
 
-class QuenchEvolution:
+class QuenchEvolution(OneChainQuench):
     """Prepared quench run: ground mixture of H(delta1) evolved under H(delta2).
 
     The constructor keeps one representative per spin-flip orbit of the
@@ -699,11 +699,6 @@ class QuenchEvolution:
         # the X state shares each weight between its two diagonal entries
         total[:2] *= 0.5
         return total
-
-    def end_spin_series(
-        self, ts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return chunked_series(self._end_pair, self.chunk_points, ts)
 
 
 def _start(block: SimpleNamespace, projected: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:

@@ -133,21 +133,38 @@ def check_x_series(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: np.ndarray) 
     _check(excess, POSITIVITY_TOL, "end-spin coherence exceeds its bound b by", ts)
 
 
-def chunked_series(
-    end_pair, chunk_points: int, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, c) of a prepared quench over the times ``ts``, from its
-    ``end_pair`` of each chunk of ``chunk_points`` times, so that work
-    memory does not grow with the grid, and checked by
-    :func:`check_x_series`."""
-    ts = np.asarray(ts, dtype=float)
-    abc = np.empty((3, len(ts)))
-    for lo in range(0, len(ts), chunk_points):
-        part = slice(lo, lo + chunk_points)
-        abc[:, part] = end_pair(ts[part])
-    a, b, c = abc
-    check_x_series(a, b, c, ts)
-    return a, b, c
+class OneChainQuench:
+    """A prepared quench of one chain with the interface of a
+    :class:`ChainStack` of one member.  A subclass gives ``chunk_points``
+    and the rows (a, b, c) of a chunk of times, ``_end_pair``."""
+
+    def end_spin_series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, c) over the times ``ts``, chunk by chunk, so that work
+        memory does not grow with the grid, checked by :func:`check_x_series`."""
+        ts = np.asarray(ts, dtype=float)
+        abc = np.empty((3, len(ts)))
+        for lo in range(0, len(ts), self.chunk_points):
+            part = slice(lo, lo + self.chunk_points)
+            abc[:, part] = self._end_pair(ts[part])
+        a, b, c = abc
+        check_x_series(a, b, c, ts)
+        return a, b, c
+
+    def series(self, ts: np.ndarray) -> Iterator[tuple[int, slice, tuple[np.ndarray, ...]]]:
+        """(member 0, times, (a, b, c)) of each chunk of ``ts`` in turn."""
+        for lo in range(0, len(ts), self.chunk_points):
+            times = slice(lo, lo + self.chunk_points)
+            yield 0, times, self.end_spin_series(ts[times])
+
+    def end_spin_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, c) of the one member at the time ``ts[0]``, each (1,)."""
+        return self.end_spin_series(ts)
+
+    def __getitem__(self, members) -> OneChainQuench:
+        """Member 0 alone, which is the quench itself."""
+        if np.arange(1)[members].tolist() != [0]:
+            raise IndexError(f"a quench of one chain has member 0 alone, not {members!r}")
+        return self
 
 
 def _sublattice_svd(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -568,7 +585,7 @@ def end_spin_state(realization: CouplingRealization, t: float) -> EndSpinState:
     return EndSpinState(a=float(a[0]), b=float(b[0]), c=float(c[0]), t=float(t))
 
 
-class CorrelatorQuench:
+class CorrelatorQuench(OneChainQuench):
     """Prepared quench to delta2 = 0 from any flip-closed start, such as a
     ground multiplet of finite delta1, given by its correlators.
 
@@ -640,8 +657,3 @@ class CorrelatorQuench:
         both = both[: len(ts)] + both[len(ts):]
         a = 0.5 * (1.0 - occ_first - occ_last) + both
         return a, 0.5 - a, c
-
-    def end_spin_series(
-        self, ts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return chunked_series(self._end_pair, self.chunk_points, ts)

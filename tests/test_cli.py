@@ -1324,6 +1324,27 @@ def test_ground_search_failure_names_the_member(tmp_path, monkeypatch, capsys, a
     assert f"{label}: injected non-convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, label", [
+    (["scan-n", "--n", "5", "--delta1", "3"], "scan-n n=5 sigma=0 sub-seed=5"),
+    (["scan-n", "--n", "5", "--delta1", "3", "--delta2", "0.5"], "scan-n n=5 sigma=0 sub-seed=5"),
+    (["disorder", "--n", "5", "--delta1", "3", "--sigma", "0"],
+     "disorder n=5 sigma=0 realization 0 sub-seed=0"),
+], ids=["correlator", "exactdiag", "disorder"])
+def test_a_failing_one_member_block_is_set_up_once(tmp_path, monkeypatch, capsys, argv, label):
+    # a correlator or exact-diagonalization member is a block of its own,
+    # whose failing set-up is named without being run again
+    calls = []
+
+    def faulty(realization, delta1):
+        calls.append(realization.seed_used)
+        raise ConvergenceError("injected non-convergence")
+
+    monkeypatch.setattr(exactdiag, "ground_mixture", faulty)
+    assert run(*argv, "--jobs", "1", "--out", str(tmp_path / "x.csv")) == cli.EXIT_VALIDATION
+    assert f"{label}: injected non-convergence" in capsys.readouterr().err
+    assert len(calls) == 1
+
+
 def test_scan_lockstep_failure_names_the_size(tmp_path, monkeypatch, capsys):
     # the grid scans do not use the stack: only the block's lockstep
     # refinement meets the fault

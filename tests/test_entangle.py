@@ -314,19 +314,24 @@ def _ensemble(n, sigma, seeds, **kw):
         [model.ChainSpec(n=n, disorder_sigma=sigma, seed=s, **kw) for s in seeds])
 
 
-# (evaluator, grid, peak rule) -> the rules the oracle must see used
+def _members(n, sigma, seeds, **kw):
+    """One evaluator per seed, as a route that does not stack is evaluated."""
+    return [_ensemble(n, sigma, [s], **kw) for s in seeds]
+
+
+# (evaluators, grid, peak rule) -> the rules the oracle must see used
 LOCKSTEP_CASES = {
     # seeds 0..11 at sigma=1 take all three rules: 9 has no local maximum
-    "odd-strong-disorder": (lambda: _ensemble(7, 1.0, range(12)), None,
+    "odd-strong-disorder": (lambda: [_ensemble(7, 1.0, range(12))], None,
                             {"baseline", "any height", "argmax"}),
     # an even chain never exceeds its t = 0 value
-    "even": (lambda: _ensemble(6, 0.2, range(5)), None, {"any height"}),
-    "correlator": (lambda: _ensemble(5, 0.3, range(6), delta1=3.0), None, {"baseline"}),
-    "exactdiag": (lambda: _ensemble(5, 0.3, range(4), delta1=3.0, delta2=0.5), None,
+    "even": (lambda: [_ensemble(6, 0.2, range(5))], None, {"any height"}),
+    "correlator": (lambda: _members(5, 0.3, range(6), delta1=3.0), None, {"baseline"}),
+    "exactdiag": (lambda: _members(5, 0.3, range(4), delta1=3.0, delta2=0.5), None,
                   {"baseline"}),
-    "single-member": (lambda: _ensemble(9, 0.1, [4]), None, {"baseline"}),
+    "single-member": (lambda: [_ensemble(9, 0.1, [4])], None, {"baseline"}),
     # fef first falls from its t = 0 value: no local maximum this early
-    "short-grid": (lambda: _ensemble(7, 0.1, range(3)), entangle.time_grid(0.3, 0.01),
+    "short-grid": (lambda: [_ensemble(7, 0.1, range(3))], entangle.time_grid(0.3, 0.01),
                    {"argmax"}),
 }
 
@@ -334,19 +339,34 @@ LOCKSTEP_CASES = {
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
 def test_lockstep_peaks_match_per_realization_oracle(case):
     make, ts, rules = LOCKSTEP_CASES[case]
-    evaluator = make()
-    if ts is None:
-        ts = _default_grid(evaluator.specs[0])
-    curves = evaluator.fef_series(ts)
-    t, f, _ = entangle.refine_peaks(evaluator, [
-        entangle.first_peak([(ts, c)], any_height_fallback=True, argmax_fallback=True)
-        for c in curves
-    ])
-    want = [_peak_oracle(evaluator[k:k + 1], c, ts, fallbacks=True)
-            for k, c in enumerate(curves)]
-    assert {w[2] for w in want} == rules
-    np.testing.assert_allclose(t, [w[0] for w in want], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(f, [w[1] for w in want], rtol=0, atol=2.2e-16)
+    seen = set()
+    for evaluator in make():
+        grid = _default_grid(evaluator.specs[0]) if ts is None else ts
+        curves = evaluator.fef_series(grid)
+        t, f, _ = entangle.refine_peaks(evaluator, [
+            entangle.first_peak([(grid, c)], any_height_fallback=True, argmax_fallback=True)
+            for c in curves
+        ])
+        want = [_peak_oracle(evaluator[k:k + 1], c, grid, fallbacks=True)
+                for k, c in enumerate(curves)]
+        seen |= {w[2] for w in want}
+        np.testing.assert_allclose(t, [w[0] for w in want], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f, [w[1] for w in want], rtol=0, atol=2.2e-16)
+    assert seen == rules
+
+
+def test_evaluator_refuses_members_that_do_not_stack(monkeypatch):
+    # a correlator or exact-diagonalization member is a block of its own,
+    # refused before any draw when given with others
+    monkeypatch.setattr(model, "realize_couplings", lambda spec: pytest.fail("drawn"))
+    for kw in ({"delta1": 3.0}, {"delta1": 3.0, "delta2": 0.5}):
+        with pytest.raises(ValueError, match=r"2 specs that do not stack: cli\._plan makes each"):
+            _ensemble(5, 0.3, range(2), **kw)
+    monkeypatch.undo()
+    evaluator = _ensemble(5, 0.3, [0], delta1=3.0)
+    assert evaluator[:]._route is evaluator[[0]]._route is evaluator._route
+    with pytest.raises(IndexError, match="member 0 alone"):
+        evaluator[1:]
 
 
 def test_lockstep_without_fallback_raises():

@@ -9,13 +9,18 @@ pinned: they hold timestamps and runtimes.
 Regenerate the files (only for a deliberate numerical change, reported
 with its largest deviation) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [run ...]
+
+which rewrites the files of the named runs (the keys of RUN_FILES), or of
+every run when none is named, so that the last digits another BLAS writes
+move no file that the change leaves alone.
 """
 
 import json
 import math
 import os
 import shutil
+import sys
 
 import pytest
 
@@ -52,17 +57,44 @@ RUNS = {
 }
 
 
-def run_all(workdir: str) -> None:
-    """Write every run's data files into ``workdir``; the record-based
-    purification reads the free-fermion scan written before it."""
-    for argv, files in RUNS.values():
-        assert cli.main([*argv, "--out", os.path.join(workdir, files[0])]) == 0
-    record = ["purify", "--record", os.path.join(workdir, "scan_ff.csv"), "--record-n", "9"]
-    assert cli.main([*record, "--out", os.path.join(workdir, "purify_record.json")]) == 0
+# run name -> its data files, the record-based purification of scan_ff last
+RUN_FILES = {name: files for name, (_, files) in RUNS.items()}
+RUN_FILES["purify_record"] = ["purify_record.json"]
+
+
+def run_all(workdir: str, names=RUN_FILES) -> None:
+    """Write the data files of the runs ``names`` into ``workdir``; the
+    record-based purification reads the free-fermion scan, run before it."""
+    names = set(names) | ({"scan_ff"} if "purify_record" in names else set())
+    for name, (argv, files) in RUNS.items():
+        if name in names:
+            assert cli.main([*argv, "--out", os.path.join(workdir, files[0])]) == 0
+    if "purify_record" in names:
+        record = ["purify", "--record", os.path.join(workdir, "scan_ff.csv"), "--record-n", "9"]
+        assert cli.main([*record, "--out", os.path.join(workdir, "purify_record.json")]) == 0
 
 
 def golden_files() -> list[str]:
-    return [f for _, files in RUNS.values() for f in files] + ["purify_record.json"]
+    return [f for files in RUN_FILES.values() for f in files]
+
+
+def regenerate(names, golden_dir: str = GOLDEN_DIR) -> None:
+    """Rewrite the golden files of the runs ``names``, of every run when
+    ``names`` is empty, in ``golden_dir``; the other files stay as they are."""
+    names = list(names) or list(RUN_FILES)
+    unknown = sorted(set(names) - set(RUN_FILES))
+    if unknown:
+        raise ValueError(f"unknown golden runs {unknown}; the runs are {list(RUN_FILES)}")
+    os.makedirs(golden_dir, exist_ok=True)
+    scratch = os.path.join(golden_dir, "_run")
+    os.makedirs(scratch, exist_ok=True)
+    try:
+        run_all(scratch, names)
+        for name in names:
+            for file in RUN_FILES[name]:
+                shutil.copyfile(os.path.join(scratch, file), os.path.join(golden_dir, file))
+    finally:
+        shutil.rmtree(scratch)
 
 
 def _same_value(got: str, want: str) -> bool:
@@ -155,13 +187,17 @@ def test_data_files_do_not_depend_on_the_chunk_budget(tmp_path, monkeypatch):
             assert files[factor][name] == data, (factor, name)
 
 
+def test_regeneration_rewrites_only_the_named_runs(tmp_path):
+    # the record-based purification runs the scan it reads, but only its
+    # own file is written; a name that is no run is refused
+    regenerate(["purify_record", "purify_value"], str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["purify_record.json", "purify_value.json"]
+    for name in os.listdir(tmp_path):
+        _compare_json(json.loads(_read(str(tmp_path / name))),
+                      json.loads(_read(os.path.join(GOLDEN_DIR, name))), name)
+    with pytest.raises(ValueError, match="unknown golden runs"):
+        regenerate(["scan_ff.csv"], str(tmp_path))
+
+
 if __name__ == "__main__":
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    scratch = os.path.join(GOLDEN_DIR, "_run")
-    os.makedirs(scratch, exist_ok=True)
-    try:
-        run_all(scratch)
-        for name in golden_files():
-            shutil.copyfile(os.path.join(scratch, name), os.path.join(GOLDEN_DIR, name))
-    finally:
-        shutil.rmtree(scratch)
+    regenerate(sys.argv[1:])
